@@ -1,0 +1,89 @@
+package sunder
+
+import (
+	"bytes"
+	"testing"
+)
+
+// TestAllocationPins holds the steady-state allocation count of the hot
+// entry points at or under what the pre-pipeline code measured, so the
+// benchmark's 2% allocs_per_op bound is caught by `go test` first: runner
+// and reducer scratch must live on the engine, not be rebuilt per call.
+func TestAllocationPins(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	patterns := []Pattern{{Expr: `needle[0-9]+x`, Code: 1}, {Expr: `haystack`, Code: 2}}
+	input := bytes.Repeat([]byte("abcdefgh"), 8<<10) // 64 KiB, no match
+	compile := func(backend string, pre PrefilterMode) *Engine {
+		opts := DefaultOptions()
+		opts.Backend, opts.Prefilter = backend, pre
+		eng, err := Compile(patterns, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return eng
+	}
+	scan := func(eng *Engine) func() {
+		return func() {
+			res, err := eng.Scan(input)
+			if err != nil || len(res.Matches) != 0 {
+				t.Fatalf("scan: %v, %d matches", err, len(res.Matches))
+			}
+		}
+	}
+	stream := func(eng *Engine) func() {
+		onMatch := func(Match) { t.Error("unexpected match") }
+		return func() {
+			st, err := eng.NewStream(onMatch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for off := 0; off < len(input); off += 1460 {
+				if _, err := st.Write(input[off:min(off+1460, len(input))]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			st.Close()
+		}
+	}
+	for _, pin := range []struct {
+		name string
+		op   func()
+		max  float64
+	}{
+		{"scan/nfa", scan(compile("nfa", PrefilterOff)), 5},
+		{"scan/dfa", scan(compile("dfa", PrefilterOff)), 2},
+		{"scan/prefilter-skip", scan(compile("nfa", PrefilterOn)), 6},
+		{"stream/dfa", stream(compile("dfa", PrefilterOff)), 3},
+		{"stream/nfa", stream(compile("nfa", PrefilterOff)), 48},
+	} {
+		if got := testing.AllocsPerRun(10, pin.op); got > pin.max {
+			t.Errorf("%s: %.1f allocs/op, want <= %.0f", pin.name, got, pin.max)
+		} else {
+			t.Logf("%s: %.1f allocs/op (ceiling %.0f)", pin.name, got, pin.max)
+		}
+	}
+}
+
+// TestRunnerReleasesMatches: the engine's persistent runners hand a scan's
+// matches to its result and keep no reference, so a large result is not
+// pinned on the engine until the next scan (it showed as live heap in the
+// benchmark when it was).
+func TestRunnerReleasesMatches(t *testing.T) {
+	for _, backend := range []string{"nfa", "dfa"} {
+		opts := DefaultOptions()
+		opts.Backend = backend
+		eng, err := Compile([]Pattern{{Expr: `a`, Code: 1}}, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := eng.Scan(bytes.Repeat([]byte("a"), 1024))
+		if err != nil || len(res.Matches) != 1024 {
+			t.Fatalf("%s: %v, %d matches", backend, err, len(res.Matches))
+		}
+		if eng.nfaRun != nil && eng.nfaRun.matches != nil || eng.dfaRun != nil && eng.dfaRun.matches != nil {
+			t.Errorf("%s: runner still references the result's matches", backend)
+		}
+	}
+}

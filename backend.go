@@ -3,84 +3,34 @@ package sunder
 import (
 	"fmt"
 
-	"sunder/internal/analysis"
-	"sunder/internal/dfa"
 	"sunder/internal/meta"
-	"sunder/internal/sched"
 )
 
-// resolveBackend validates Options.Backend and resolves the engine's scan
-// backend. It runs at the end of compilation, after the prefilter plan is
-// final (an engaged prefilter owns scans, so "auto" must see it), and is
-// pure: re-running it on the same engine yields the same choice.
-//
-// Dispatch precedence at scan time is fixed regardless of the resolved
-// backend: an armed fault policy always takes the guarded sequential path
-// (the recovery protocol is machine-level), and an engaged literal
-// prefilter owns the scan next (its windowed execution already replays on
-// NFA clones). The backend selects the substrate for everything else.
-func resolveBackend(e *Engine) error {
-	in := e.metaIn
-	in.PrefilterEngaged = e.pre.enabled()
-	e.metaIn = in
-	e.autoChoice = meta.Select(in)
-	switch e.opts.Backend {
-	case "", meta.BackendNFA:
-		e.backend, e.backendNote = meta.BackendNFA, meta.BackendNFA
-	case meta.BackendAuto:
-		e.backend = e.autoChoice.Backend
-		e.backendNote = e.autoChoice.String()
-	case meta.BackendDFA:
-		if e.dfaPlan == nil {
-			return fmt.Errorf("sunder: Backend %q unsupported for this configuration: %s", meta.BackendDFA, e.metaIn.DFAReason)
-		}
-		e.backend, e.backendNote = meta.BackendDFA, meta.BackendDFA
-	case meta.BackendParallel:
-		e.backend, e.backendNote = meta.BackendParallel, meta.BackendParallel
-	default:
-		return fmt.Errorf("sunder: unknown Backend %q (want \"auto\", \"nfa\", \"dfa\" or \"parallel\")", e.opts.Backend)
+// resolveBackend validates Options.Backend and resolves the artifact's
+// scan backend from its shape statistics. It is the last step of compile,
+// after the prefilter plan is final (an engaged prefilter owns scans, so
+// "auto" must see it). Which leg a call then executes — guard, prefilter,
+// or this backend — is Engine.resolve's decision.
+func (a *compiledArtifact) resolveBackend() error {
+	a.autoChoice = meta.Select(a.metaIn)
+	// Options.Backend resolves like an override of the default, "nfa".
+	a.backend = meta.BackendNFA
+	backend, err := a.effectiveBackend(a.opts.Backend)
+	if err != nil {
+		return err
+	}
+	a.backend, a.backendNote = backend, backend
+	if a.opts.Backend == meta.BackendAuto {
+		a.backendNote = a.autoChoice.String()
 	}
 	return nil
 }
 
-// buildBackendShape computes the shape statistics backend selection
-// consumes and, when the lazy DFA supports the compiled geometry, its
-// stepping plan under the certified symbol-class partition of the byte
-// automaton.
-func buildBackendShape(e *Engine) error {
-	supported, reason := dfa.Supported(e.nibble)
-	classes := 0
-	if supported {
-		sc := analysis.SymbolClasses(e.byteNFA)
-		if err := analysis.CheckSymbolClasses(e.byteNFA, sc); err != nil {
-			return fmt.Errorf("sunder: symbol-class certificate rejected: %w", err)
-		}
-		classes = sc.Count()
-		plan, err := dfa.NewPlan(e.nibble, sc.Class, classes)
-		if err != nil {
-			return err
-		}
-		e.dfaPlan = plan
-	}
-	depth, bounded := sched.DependenceCycles(e.nibble)
-	e.metaIn = meta.Inputs{
-		ByteStates:       e.byteNFA.NumStates(),
-		DeviceStates:     e.nibble.NumStates(),
-		ReportStates:     e.nibble.NumReportStates(),
-		Rate:             e.nibble.Rate,
-		SymbolUnits:      e.nibble.SymbolUnits,
-		DependenceWindow: depth,
-		Bounded:          bounded,
-		SymbolClasses:    classes,
-		DFASupported:     supported,
-		DFAReason:        reason,
-	}
-	return nil
-}
-
-// effectiveBackend resolves a per-call ScanOptions.Backend override
-// against the engine's compiled choice.
-func (e *Engine) effectiveBackend(override string) (string, error) {
+// effectiveBackend validates a backend name and resolves it against the
+// compiled choice ("" keeps it, "auto" is what the selector picked for this
+// shape) — the per-call ScanOptions.Backend override, and at compile time
+// Options.Backend itself.
+func (e *compiledArtifact) effectiveBackend(override string) (string, error) {
 	if override == "" {
 		return e.backend, nil
 	}
@@ -94,89 +44,6 @@ func (e *Engine) effectiveBackend(override string) (string, error) {
 		return "", fmt.Errorf("sunder: Backend %q unsupported for this configuration: %s", meta.BackendDFA, e.metaIn.DFAReason)
 	}
 	return override, nil
-}
-
-// dfaRunnerFor returns the engine's persistent sequential runner, building
-// it on first use. Like the shared machine, it belongs to the sequential
-// entry points (Scan, NewStream) — the parallel paths build their own.
-func (e *Engine) dfaRunnerFor() *dfa.Runner {
-	if e.dfaRunner == nil {
-		e.dfaRunner = dfa.NewRunner(e.dfaPlan, dfa.DefaultConfig())
-	}
-	return e.dfaRunner
-}
-
-// scanDFA is the sequential lazy-DFA scan on the engine's persistent
-// runner (its state cache stays hot across scans).
-func (e *Engine) scanDFA(input []byte) (*ScanResult, error) {
-	return e.scanDFAWith(e.dfaRunnerFor(), input), nil
-}
-
-// scanDFAFresh runs on a throwaway runner; the parallel entry points use
-// it so they never touch sequential-path state.
-func (e *Engine) scanDFAFresh(input []byte) (*ScanResult, error) {
-	return e.scanDFAWith(dfa.NewRunner(e.dfaPlan, dfa.DefaultConfig()), input), nil
-}
-
-// scanDFAWith executes input cycle by cycle on the lazy DFA, reproducing
-// the device's match stream and Reports/ReportCycles accounting exactly
-// (per-cycle deduplication by (offset, origin), phantom pad-tail filter).
-// KernelCycles equals the device's padded cycle count; StallCycles,
-// Flushes and the PerPU breakdown are artifacts of the simulated report
-// region and are reported as zero — the same documented divergence as
-// ScanParallel's clone-local stall accounting.
-func (e *Engine) scanDFAWith(r *dfa.Runner, input []byte) *ScanResult {
-	r.Reset()
-	sb := e.dfaPlan.StepBytes()
-	rate := int64(e.nibble.Rate)
-	su := int64(e.nibble.SymbolUnits)
-	inputUnits := int64(len(input)) * su
-	cycles := (len(input) + sb - 1) / sb
-	out := &ScanResult{PerPU: make([]PUStats, e.proto.NumPUs())}
-	for i := range out.PerPU {
-		out.PerPU[i].PU = i
-	}
-	seen := make(map[streamKey]bool)
-	for c := 0; c < cycles; c++ {
-		start := c * sb
-		end := start + sb
-		pad := 0
-		if end > len(input) {
-			pad = end - len(input)
-			end = len(input)
-		}
-		ids := r.Step(input[start:end], pad)
-		if len(ids) == 0 {
-			continue
-		}
-		clear(seen)
-		nrep := int64(0)
-		for _, id := range ids {
-			for _, rep := range e.nibble.States[id].Reports {
-				k := streamKey{offset: rep.Offset, origin: rep.Origin}
-				if seen[k] {
-					continue
-				}
-				seen[k] = true
-				nrep++
-				unit := int64(c)*rate + int64(rep.Offset)
-				if unit >= inputUnits {
-					// Phantom: the report "ends" in the pad tail. It still
-					// counts in Reports (the device writes the entry) but
-					// is not a match.
-					continue
-				}
-				out.Matches = append(out.Matches, Match{
-					Position: unit / su,
-					Code:     rep.Code,
-				})
-			}
-		}
-		out.Stats.Reports += nrep
-		out.Stats.ReportCycles++
-	}
-	out.Stats.KernelCycles = int64(cycles)
-	return out
 }
 
 // DFAStats reports the lazy-DFA backend's cache behaviour on this engine's
@@ -201,8 +68,8 @@ type DFAStats struct {
 // DFAStats returns the engine's lazy-DFA cache counters.
 func (e *Engine) DFAStats() DFAStats {
 	out := DFAStats{Supported: e.dfaPlan != nil, Reason: e.metaIn.DFAReason}
-	if e.dfaRunner != nil {
-		s := e.dfaRunner.Stats()
+	if e.dfaRun != nil {
+		s := e.dfaRun.r.Stats()
 		out.States, out.Hits, out.Misses = s.States, s.Hits, s.Misses
 		out.Evictions, out.Fallbacks = s.Evictions, s.Fallbacks
 	}

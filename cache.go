@@ -6,49 +6,12 @@ import (
 	"sync/atomic"
 	"time"
 
-	"sunder/internal/analysis"
-	"sunder/internal/automata"
-	"sunder/internal/core"
-	"sunder/internal/dfa"
-	"sunder/internal/mapping"
-	"sunder/internal/meta"
 	"sunder/internal/sched"
 )
 
 // DefaultCompileCacheCapacity is the compiled-machine cache's default size
 // in rule sets.
 const DefaultCompileCacheCapacity = 64
-
-// compiledArtifact is everything compilation produces that is immutable
-// and shareable: engines built from a cache hit share these and only clone
-// the machine, skipping regex compilation, nibble transformation, striding
-// and placement entirely.
-type compiledArtifact struct {
-	opts    Options
-	byteNFA *automata.Automaton
-	nibble  *automata.UnitAutomaton
-	place   *mapping.Placement
-	proto   *core.Machine
-	// pruned is the dead-state count removed at compile time; engines built
-	// from a hit must report it through Info().PrunedStates like the
-	// original compile did. minSum and symClasses likewise persist the
-	// certified-minimization digest so a hit reports the same
-	// Info().MergedStates / SymbolClasses as the original compile.
-	pruned     int
-	minSum     analysis.MinimizeSummary
-	symClasses int
-	// pre is the compiled prefilter plan (nil when Options.Prefilter is
-	// off); immutable and read-only at scan time, so hits share it.
-	pre *prefilterPlan
-	// backend/backendNote/autoChoice/metaIn/dfaPlan persist the resolved
-	// backend and the lazy-DFA stepping plan; the per-engine DFA runner is
-	// mutable and is NOT cached — hits build their own lazily.
-	backend     string
-	backendNote string
-	autoChoice  meta.Choice
-	metaIn      meta.Inputs
-	dfaPlan     *dfa.Plan
-}
 
 var compileCache = sched.NewLRU[*compiledArtifact](DefaultCompileCacheCapacity)
 
@@ -79,23 +42,7 @@ func CompileCachedTraced(patterns []Pattern, opts Options) (*Engine, bool, error
 	start := time.Now()
 	key := compileKey(patterns, opts)
 	if art, ok := compileCache.Get(key); ok {
-		eng := &Engine{
-			opts:        art.opts,
-			byteNFA:     art.byteNFA,
-			nibble:      art.nibble,
-			machine:     art.proto.Clone(),
-			proto:       art.proto,
-			place:       art.place,
-			pruned:      art.pruned,
-			minSum:      art.minSum,
-			symClasses:  art.symClasses,
-			pre:         art.pre,
-			backend:     art.backend,
-			backendNote: art.backendNote,
-			autoChoice:  art.autoChoice,
-			metaIn:      art.metaIn,
-			dfaPlan:     art.dfaPlan,
-		}
+		eng := newEngine(art)
 		compileHitNS.Add(time.Since(start).Nanoseconds())
 		return eng, true, nil
 	}
@@ -103,22 +50,7 @@ func CompileCachedTraced(patterns []Pattern, opts Options) (*Engine, bool, error
 	if err != nil {
 		return nil, false, err
 	}
-	compileCache.Put(key, &compiledArtifact{
-		opts:        eng.opts,
-		byteNFA:     eng.byteNFA,
-		nibble:      eng.nibble,
-		place:       eng.place,
-		proto:       eng.proto,
-		pruned:      eng.pruned,
-		minSum:      eng.minSum,
-		symClasses:  eng.symClasses,
-		pre:         eng.pre,
-		backend:     eng.backend,
-		backendNote: eng.backendNote,
-		autoChoice:  eng.autoChoice,
-		metaIn:      eng.metaIn,
-		dfaPlan:     eng.dfaPlan,
-	})
+	compileCache.Put(key, eng.compiledArtifact)
 	compileMissNS.Add(time.Since(start).Nanoseconds())
 	return eng, false, nil
 }

@@ -451,3 +451,64 @@ func TestCompileCachedConcurrent(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestInfoIdenticalOnHitAndClone: every compile product Info() reports —
+// Backend, PrefilterStrategy, PrefilterLiterals and SymbolClasses included
+// — is the same on the compiling engine, a cache hit and their clones,
+// because all of them share one compiledArtifact instead of copying fields.
+func TestInfoIdenticalOnHitAndClone(t *testing.T) {
+	ResetCompileCache()
+	opts := DefaultOptions()
+	opts.Minimize, opts.Prefilter, opts.Backend = true, PrefilterOn, "auto"
+	pats := []Pattern{{Expr: `GET /[a-z]+`, Code: 1}, {Expr: `needle`, Code: 2}}
+	miss, err := CompileCached(pats, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := miss.Info()
+	if want.SymbolClasses == 0 || want.Backend == "" || len(want.PrefilterLiterals) == 0 || want.PrefilterStrategy == "off" {
+		t.Fatalf("test configuration exercises too little of Info(): %+v", want)
+	}
+	hit, wasHit, err := CompileCachedTraced(pats, opts)
+	if err != nil || !wasHit {
+		t.Fatalf("second compile: hit=%v err=%v", wasHit, err)
+	}
+	for label, eng := range map[string]*Engine{"hit": hit, "miss clone": miss.Clone(), "hit clone": hit.Clone()} {
+		if got := eng.Info(); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: Info() = %+v, want %+v", label, got, want)
+		}
+		if eng.compiledArtifact != miss.compiledArtifact {
+			t.Errorf("%s: engine does not share the compiling engine's artifact", label)
+		}
+	}
+}
+
+// TestEngineStateOutsideArtifact enumerates Engine's fields by reflection:
+// everything compilation produces lives in the shared compiledArtifact, so
+// Clone and the compile cache never copy compile products field by field.
+// A new Engine field fails here until it is classified — immutable compile
+// products go into compiledArtifact, per-engine mutable state is listed
+// below.
+func TestEngineStateOutsideArtifact(t *testing.T) {
+	mutable := map[string]string{
+		"compiledArtifact": "the shared immutable compile product itself",
+		"machine":          "the engine's own device, stepped by sequential scans",
+		"machinePlace":     "the device's placement, replaced by quarantine",
+		"faultPol":         "armed by SetFaultPolicy",
+		"injector":         "armed by SetFaultPolicy",
+		"tel":              "attached by SetTelemetry",
+		"nfaRun":           "sequential runner scratch",
+		"dfaRun":           "sequential runner scratch and DFA state cache",
+	}
+	typ := reflect.TypeOf(Engine{})
+	for i := 0; i < typ.NumField(); i++ {
+		name := typ.Field(i).Name
+		if _, ok := mutable[name]; !ok {
+			t.Errorf("Engine.%s is not classified: move an immutable compile product into compiledArtifact, or list per-engine mutable state here", name)
+		}
+		delete(mutable, name)
+	}
+	for name := range mutable {
+		t.Errorf("Engine.%s is listed as mutable state but no longer exists", name)
+	}
+}

@@ -1,0 +1,185 @@
+package sunder
+
+import (
+	"bytes"
+	"fmt"
+	"testing"
+
+	"sunder/internal/funcsim"
+	"sunder/internal/regex"
+	"sunder/internal/transform"
+)
+
+// TestEntryPointsAgree runs option *combinations* through every entry
+// point: for each small rule set × Backend × Prefilter × Minimize × fault
+// policy, Scan, ScanParallel, ScanBatch, Stream (three chunkings), a Clone
+// and a CompileCached hit must all return the functional-simulator
+// oracle's matches and Reports/ReportCycles, and account for every device
+// cycle. Within one engine the entry points must also agree on match order
+// with Scan (substrates order a cycle's reports differently, so across
+// engines the comparison is order-insensitive).
+func TestEntryPointsAgree(t *testing.T) {
+	filler := bytes.Repeat([]byte("the quick brown fox 0 jumps 12 over; "), 64)
+	plant := func(frags ...string) []byte {
+		in := append([]byte(nil), filler...)
+		for i, f := range frags {
+			copy(in[(2*i+1)*len(in)/(2*len(frags)+1):], f)
+		}
+		return in
+	}
+	ruleSets := []struct {
+		name     string
+		patterns []Pattern
+		input    []byte
+	}{
+		{"anchored", []Pattern{{Expr: `^GET /a`, Code: 1}, {Expr: `bc+d`, Code: 2}},
+			append([]byte("GET /a"), plant("GET /a", "bccd", "bcd")...)},
+		{"dotstar", []Pattern{{Expr: `ab.*yz`, Code: 3}, {Expr: `needle`, Code: 4}},
+			plant("ab", "needle", "yz", "yz")},
+		{"bounded-repeat", []Pattern{{Expr: `ab{2,4}c`, Code: 5}, {Expr: `[0-9]{3}`, Code: 6}},
+			plant("abbc", "abbbbbc", "2024", "abbbbc")},
+		{"fold", []Pattern{{Expr: `(?i)select`, Code: 7}, {Expr: `(?i)union`, Code: 8}},
+			plant("SeLeCt", "UNION", "select")},
+		// Odd length with the any-symbol position in the pad tail: the final
+		// vector reports a phantom that counts in Reports but is no match.
+		{"pad-tail", []Pattern{{Expr: `q.`, Code: 9}, {Expr: `qz`, Code: 10}},
+			append(plant("qz", "q!"), "..q"...)},
+	}
+	detection := DefaultFaultPolicy()
+	for _, rs := range ruleSets {
+		if len(rs.input)%2 == 0 {
+			rs.input = rs.input[1:]
+		}
+		want := oracleRun(t, rs.patterns, rs.input)
+		if len(want.Matches) == 0 {
+			t.Fatalf("%s: oracle found no match", rs.name)
+		}
+		for _, backend := range []string{"nfa", "dfa", "parallel", "auto"} {
+			for _, pre := range []PrefilterMode{PrefilterOff, PrefilterOn} {
+				for _, minimize := range []bool{false, true} {
+					for _, pol := range []*FaultPolicy{nil, &detection} {
+						opts := DefaultOptions()
+						opts.Backend, opts.Prefilter, opts.Minimize = backend, pre, minimize
+						label := fmt.Sprintf("%s/%s/pre=%d/min=%v/guard=%v", rs.name, backend, pre, minimize, pol != nil)
+						checkEntryPoints(t, label, rs.patterns, opts, pol, rs.input, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// oracleRun is the functional simulator's verdict at the device rate: the
+// un-minimized rate-4 automaton stepped by funcsim, phantoms filtered.
+func oracleRun(t *testing.T, patterns []Pattern, input []byte) *ScanResult {
+	t.Helper()
+	ps := make([]regex.Pattern, len(patterns))
+	for i, p := range patterns {
+		ps[i] = regex.Pattern{Expr: p.Expr, Code: p.Code}
+	}
+	nfa, err := regex.CompileSet(ps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ua, err := transform.ToRate(nfa, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	units := funcsim.BytesToUnits(input, 4)
+	res := funcsim.RunUnits(ua, funcsim.PadUnits(units, 4))
+	out := &ScanResult{Stats: Stats{
+		KernelCycles: res.Cycles,
+		Reports:      res.Reports,
+		ReportCycles: res.ReportCycles,
+	}}
+	for _, ev := range res.Events {
+		if ev.Unit < int64(len(units)) {
+			out.Matches = append(out.Matches, Match{Position: ev.Unit / 2, Code: ev.Code})
+		}
+	}
+	return out
+}
+
+func checkEntryPoints(t *testing.T, label string, patterns []Pattern, opts Options, pol *FaultPolicy, input []byte, want *ScanResult) {
+	t.Helper()
+	arm := func(eng *Engine, err error) *Engine {
+		if err == nil {
+			err = eng.SetFaultPolicy(pol)
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		return eng
+	}
+	eng := arm(Compile(patterns, opts))
+	ref, err := eng.Scan(input)
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	check := func(entry string, got []Match, st Stats, err error) {
+		t.Helper()
+		if err != nil {
+			t.Errorf("%s/%s: %v", label, entry, err)
+			return
+		}
+		if !matchesEqual(ref.Matches, got) {
+			t.Errorf("%s/%s: matches differ from Scan in content or order (%d vs %d)", label, entry, len(got), len(ref.Matches))
+		}
+		if !matchesEqual(sortedMatches(want.Matches), sortedMatches(got)) {
+			t.Errorf("%s/%s: %d matches, oracle has %d", label, entry, len(got), len(want.Matches))
+		}
+		if st.Reports != want.Stats.Reports || st.ReportCycles != want.Stats.ReportCycles {
+			t.Errorf("%s/%s: reports %d/%d, oracle %d/%d", label, entry,
+				st.Reports, st.ReportCycles, want.Stats.Reports, want.Stats.ReportCycles)
+		}
+		if got := st.KernelCycles + st.SkippedCycles; got != want.Stats.KernelCycles {
+			t.Errorf("%s/%s: kernel+skipped = %d cycles, input has %d", label, entry, got, want.Stats.KernelCycles)
+		}
+	}
+	result := func(entry string, res *ScanResult, err error) {
+		t.Helper()
+		if err != nil {
+			res = &ScanResult{}
+		}
+		check(entry, res.Matches, res.Stats, err)
+	}
+	result("Scan", ref, nil)
+	for _, w := range []int{1, 3} {
+		res, err := eng.ScanParallel(input, ScanOptions{Workers: w})
+		result(fmt.Sprintf("ScanParallel/w=%d", w), res, err)
+	}
+	batch, err := eng.ScanBatch([][]byte{input, input[:len(input)/2], input}, ScanOptions{Workers: 2})
+	if err != nil {
+		batch = []*ScanResult{nil, nil, nil}
+	}
+	result("ScanBatch[0]", batch[0], err)
+	result("ScanBatch[2]", batch[2], err)
+	for _, chunk := range []int{1, 7, len(input)} {
+		var got []Match
+		st, err := eng.NewStream(func(m Match) { got = append(got, m) })
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		for off := 0; off < len(input) && err == nil; off += chunk {
+			_, err = st.Write(input[off:min(off+chunk, len(input))])
+		}
+		stats := st.Close()
+		if err == nil {
+			err = st.Err()
+		}
+		check(fmt.Sprintf("Stream/chunk=%d", chunk), got, stats, err)
+	}
+	res, err := arm(eng.Clone(), nil).Scan(input)
+	result("Clone", res, err)
+
+	ResetCompileCache()
+	if _, hit, err := CompileCachedTraced(patterns, opts); err != nil || hit {
+		t.Fatalf("%s: priming CompileCached: hit=%v err=%v", label, hit, err)
+	}
+	cached, hit, err := CompileCachedTraced(patterns, opts)
+	if !hit {
+		t.Fatalf("%s: second CompileCached missed", label)
+	}
+	res, err = arm(cached, err).Scan(input)
+	result("CompileCached", res, err)
+}

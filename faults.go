@@ -1,10 +1,6 @@
 package sunder
 
-import (
-	"sunder/internal/automata"
-	"sunder/internal/faults"
-	"sunder/internal/funcsim"
-)
+import "sunder/internal/faults"
 
 // FaultPolicy configures fault injection and recovery on the simulated
 // device. Sunder's subarrays hold configuration and report data in the same
@@ -111,7 +107,7 @@ func (e *Engine) FaultPolicySet() bool { return e.injector != nil }
 // any attached telemetry collector over to it.
 func (e *Engine) newGuard() (*faults.Guard, error) {
 	tel := e.machine.Telemetry()
-	g, err := faults.NewGuard(e.machine, e.nibble, e.place, *e.faultPol, e.injector)
+	g, err := faults.NewGuard(e.machine, e.nibble, e.machinePlace, *e.faultPol, e.injector)
 	if err != nil {
 		return nil, err
 	}
@@ -125,60 +121,16 @@ func (e *Engine) newGuard() (*faults.Guard, error) {
 // and placement as the engine's current device.
 func (e *Engine) adoptGuard(g *faults.Guard) {
 	e.machine = g.Machine()
-	e.place = g.Placement()
+	e.machinePlace = g.Placement()
 }
 
-// scanGuarded is Scan under an armed fault policy: input is executed in
-// checkpointed windows and matches are taken only from committed windows,
-// so the result of a recovered scan is identical to a fault-free one.
-func (e *Engine) scanGuarded(units []funcsim.Unit) (*ScanResult, error) {
-	g, err := e.newGuard()
-	if err != nil {
-		return nil, err
-	}
-	out := &ScanResult{}
-	seen := make(map[streamKey]bool)
-	rate := int64(e.machine.Config().Rate)
-	g.OnReportCycle(func(cycle int64, states []automata.StateID) {
-		clear(seen)
-		nrep := 0
-		for _, id := range states {
-			for _, r := range e.nibble.States[id].Reports {
-				k := streamKey{offset: r.Offset, origin: r.Origin}
-				if seen[k] {
-					continue
-				}
-				seen[k] = true
-				nrep++
-				// Matches ending in the pad tail of the final vector are
-				// phantom (Pad satisfies any-symbol positions); drop them.
-				if unit := cycle*rate + int64(r.Offset); unit < int64(len(units)) {
-					out.Matches = append(out.Matches, Match{
-						Position: unit / int64(e.nibble.SymbolUnits),
-						Code:     r.Code,
-					})
-				}
-			}
-		}
-		out.Stats.Reports += int64(nrep)
-		out.Stats.ReportCycles++
-	})
-	fstats, err := g.Run(units)
-	e.adoptGuard(g)
-	if err != nil {
-		return nil, err
-	}
-	m := e.machine
-	out.Stats.KernelCycles = m.KernelCycles()
-	out.Stats.StallCycles = m.StallCycles()
-	out.Stats.Flushes = m.Flushes()
-	out.PerPU = e.PerPU()
-	out.Faults = &FaultReport{
+// faultReport summarizes a guard's activity so far.
+func faultReport(fstats faults.Stats) *FaultReport {
+	return &FaultReport{
 		Injected:       fstats.Injected.Total(),
 		Detected:       fstats.Detected(),
 		Recoveries:     fstats.Recoveries,
 		QuarantinedPUs: fstats.QuarantinedPUs,
 		Slowdown:       fstats.Slowdown(),
 	}
-	return out, nil
 }

@@ -179,3 +179,67 @@ func TestSetFaultPolicyValidates(t *testing.T) {
 		t.Fatal("rejected policy must not arm the engine")
 	}
 }
+
+// TestGuardedTelemetryCountsCommittedReports: under the guard the report
+// reducer sits behind the commit callback, so device_reports /
+// device_report_cycles equal Stats.Reports / ReportCycles on Scan and
+// Stream alike — rolled-back attempts are never counted, and the counters
+// no longer stay at zero.
+func TestGuardedTelemetryCountsCommittedReports(t *testing.T) {
+	eng, err := Compile(faultPatterns(), DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := eng.Scan(faultInput())
+	if err != nil {
+		t.Fatal(err)
+	}
+	tel := NewTelemetry(TelemetryOptions{})
+	eng.SetTelemetry(tel)
+	pol := DefaultFaultPolicy()
+	pol.CheckpointInterval = 16
+	pol.MatchFlipRate = 0.005
+	pol.ReportFlipRate = 0.005
+	pol.Seed = 5
+	if err := eng.SetFaultPolicy(&pol); err != nil {
+		t.Fatal(err)
+	}
+	check := func(label string, stats Stats) {
+		t.Helper()
+		if stats.Reports != want.Stats.Reports || stats.ReportCycles != want.Stats.ReportCycles {
+			t.Errorf("%s: reports %d/%d, fault-free %d/%d", label,
+				stats.Reports, stats.ReportCycles, want.Stats.Reports, want.Stats.ReportCycles)
+		}
+		if got := tel.CounterValue("device_reports"); got != stats.Reports {
+			t.Errorf("%s: device_reports = %d, Stats.Reports = %d", label, got, stats.Reports)
+		}
+		if got := tel.CounterValue("device_report_cycles"); got != stats.ReportCycles {
+			t.Errorf("%s: device_report_cycles = %d, Stats.ReportCycles = %d", label, got, stats.ReportCycles)
+		}
+	}
+	got, err := eng.Scan(faultInput())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Faults.Detected == 0 {
+		t.Fatal("no fault detected: the rollback path is not exercised (seed-dependent; adjust seed)")
+	}
+	check("scan", got.Stats)
+
+	tel.Reset()
+	st, err := eng.NewStream(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	input := faultInput()
+	for off := 0; off < len(input); off += 37 {
+		if _, err := st.Write(input[off:min(off+37, len(input))]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stats := st.Close()
+	if st.Err() != nil {
+		t.Fatal(st.Err())
+	}
+	check("stream", stats)
+}

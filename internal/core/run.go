@@ -33,57 +33,26 @@ type RunOptions struct {
 	RecordEvents bool
 }
 
-type coreDedupKey struct {
-	offset uint8
-	origin int32
-}
-
 // Run streams a unit input (padded to the rate) through the machine and
-// returns aggregate results. Report counting matches the functional
-// simulator: reports deduplicate per cycle by (offset, origin), so a
-// Machine run and a funcsim run of the same automaton agree exactly.
+// returns aggregate results. Report counting goes through the Reducer, so
+// a Machine run and a funcsim run of the same automaton agree exactly.
 func (m *Machine) Run(units []funcsim.Unit, opts RunOptions) *Result {
 	units = funcsim.PadUnits(units, m.cfg.Rate)
 	res := &Result{}
+	red := NewReducer(m.a, opts.RecordEvents)
+	red.Reset(m)
 	var scratch []automata.StateID
-	seen := make(map[coreDedupKey]bool)
 	for off := 0; off < len(units); off += m.cfg.Rate {
 		cycle := m.kernelCycles
 		scratch = m.Step(units[off:off+m.cfg.Rate], scratch[:0])
 		if len(scratch) == 0 {
 			continue
 		}
-		clear(seen)
-		nrep := 0
-		for _, id := range scratch {
-			for _, r := range m.a.States[id].Reports {
-				k := coreDedupKey{offset: r.Offset, origin: r.Origin}
-				if seen[k] {
-					continue
-				}
-				seen[k] = true
-				nrep++
-				if opts.RecordEvents {
-					res.Events = append(res.Events, funcsim.ReportEvent{
-						Cycle:  cycle,
-						Unit:   cycle*int64(m.cfg.Rate) + int64(r.Offset),
-						State:  id,
-						Code:   r.Code,
-						Origin: r.Origin,
-					})
-				}
-			}
-		}
-		res.ReportCycles++
-		res.Reports += int64(nrep)
-		if nrep > res.MaxReportsPerCycle {
-			res.MaxReportsPerCycle = nrep
-		}
-		if m.tel != nil {
-			m.tel.reportCycles.Inc()
-			m.tel.reports.Add(int64(nrep))
-		}
+		res.Events = red.Cycle(cycle, scratch, res.Events)
 	}
+	res.Reports = red.Reports
+	res.ReportCycles = red.ReportCycles
+	res.MaxReportsPerCycle = red.MaxReportsPerCycle
 	res.KernelCycles = m.kernelCycles
 	res.StallCycles = m.stallCycles
 	res.Flushes = m.Flushes()

@@ -27,11 +27,7 @@ const Pad Unit = -1
 func BytesToUnits(data []byte, unitBits int) []Unit {
 	switch unitBits {
 	case 4:
-		out := make([]Unit, 0, len(data)*2)
-		for _, b := range data {
-			out = append(out, Unit(b>>4), Unit(b&0x0f))
-		}
-		return out
+		return AppendNibbles(make([]Unit, 0, len(data)*2), data)
 	case 1:
 		out := make([]Unit, 0, len(data)*8)
 		for _, b := range data {
@@ -43,6 +39,16 @@ func BytesToUnits(data []byte, unitBits int) []Unit {
 	default:
 		panic(fmt.Sprintf("funcsim: unsupported unit width %d", unitBits))
 	}
+}
+
+// AppendNibbles appends the 4-bit expansion of data (BytesToUnits with
+// unitBits 4) to dst, so a caller feeding input span by span can reuse one
+// buffer.
+func AppendNibbles(dst []Unit, data []byte) []Unit {
+	for _, b := range data {
+		dst = append(dst, Unit(b>>4), Unit(b&0x0f))
+	}
+	return dst
 }
 
 // PadUnits appends Pad units so len(units) is a multiple of rate.

@@ -106,53 +106,8 @@ func ParallelRun(proto *core.Machine, a *automata.UnitAutomaton, units []funcsim
 		" shards=" + strconv.Itoa(len(shards)) +
 		" overlap=" + strconv.FormatInt(overlap, 10))
 
-	outs := make([]shardOut, len(shards))
-	var wg sync.WaitGroup
-	for i := range shards {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			ss := sp.Child("shard")
-			ss.SetAttr("shard=" + strconv.Itoa(i) +
-				" warmup=" + strconv.FormatInt(shards[i].WarmupCycles(), 10) +
-				" owned=" + strconv.FormatInt(shards[i].EndCycle-shards[i].StartCycle, 10))
-			outs[i] = runShard(proto, a, units, shards[i], rc, ss)
-			ss.End()
-		}(i)
-	}
-	wg.Wait()
-
-	res := &RunResult{
-		KernelCycles:  totalCycles,
-		Workers:       len(shards),
-		OverlapCycles: overlap,
-		Sharded:       true,
-	}
-	nev := 0
-	for i := range outs {
-		nev += len(outs[i].events)
-	}
-	if rc.RecordEvents {
-		res.Events = make([]funcsim.ReportEvent, 0, nev)
-	}
-	for i := range outs {
-		o := &outs[i]
-		res.Events = append(res.Events, o.events...)
-		res.Reports += o.reports
-		res.ReportCycles += o.reportCycles
-		if o.maxPerCycle > res.MaxReportsPerCycle {
-			res.MaxReportsPerCycle = o.maxPerCycle
-		}
-		res.StallCycles += o.stallCycles
-		res.Flushes += o.flushes
-		res.Summaries += o.summaries
-		res.WarmupCycles += o.warmup
-		if res.PerPU == nil {
-			res.PerPU = o.perPU
-		} else {
-			addPerPU(res.PerPU, o.perPU)
-		}
-	}
+	res := runShards(proto, a, units, shards, len(shards), rc, sp, "shard")
+	res.OverlapCycles = overlap
 	return res
 }
 
@@ -188,29 +143,80 @@ type shardOut struct {
 	stallCycles  int64
 	flushes      int64
 	summaries    int64
-	warmup       int64
 	perPU        []core.PUStats
 }
 
-type dedupKey struct {
-	offset uint8
-	origin int32
+// runShards executes shards on clones of proto and merges their outputs in
+// shard order, which is cycle order. Shards are striped across workers
+// goroutines; each worker owns one clone and resets it between the shards
+// of its stripe. Every shard runs under a child span of sp named kind.
+func runShards(proto *core.Machine, a *automata.UnitAutomaton, units []funcsim.Unit, shards []Shard, workers int, rc RunConfig, sp *telemetry.SpanCtx, kind string) *RunResult {
+	outs := make([]shardOut, len(shards))
+	runStripe := func(w int) {
+		m := proto.Clone()
+		for i := w; i < len(shards); i += workers {
+			// A reused machine carries the previous shard's region state
+			// and telemetry attachment; runShard re-attaches after its
+			// warm-up so shared counters see owned cycles only.
+			m.AttachTelemetry(nil)
+			m.Reset()
+			ss := sp.Child(kind)
+			ss.SetAttr(kind + "=" + strconv.Itoa(i) +
+				" warmup=" + strconv.FormatInt(shards[i].WarmupCycles(), 10) +
+				" owned=" + strconv.FormatInt(shards[i].OwnedCycles(), 10))
+			outs[i] = runShard(m, a, units, shards[i], rc, ss)
+			ss.End()
+		}
+	}
+	if workers == 1 {
+		runStripe(0)
+	} else {
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				runStripe(w)
+			}(w)
+		}
+		wg.Wait()
+	}
+
+	res := &RunResult{Workers: workers, Sharded: true}
+	nev := 0
+	for i := range outs {
+		nev += len(outs[i].events)
+	}
+	if rc.RecordEvents {
+		res.Events = make([]funcsim.ReportEvent, 0, nev)
+	}
+	for i := range outs {
+		o := &outs[i]
+		res.Events = append(res.Events, o.events...)
+		res.KernelCycles += shards[i].OwnedCycles()
+		res.WarmupCycles += shards[i].WarmupCycles()
+		res.Reports += o.reports
+		res.ReportCycles += o.reportCycles
+		if o.maxPerCycle > res.MaxReportsPerCycle {
+			res.MaxReportsPerCycle = o.maxPerCycle
+		}
+		res.StallCycles += o.stallCycles
+		res.Flushes += o.flushes
+		res.Summaries += o.summaries
+		if res.PerPU == nil {
+			res.PerPU = o.perPU
+		} else {
+			addPerPU(res.PerPU, o.perPU)
+		}
+	}
+	return res
 }
 
-// runShard replays the shard's warm-up prefix silently, then executes the
-// owned range, reproducing core.Machine.Run's per-cycle (offset, origin)
-// deduplication so the emitted events match the sequential stream exactly.
-func runShard(proto *core.Machine, a *automata.UnitAutomaton, units []funcsim.Unit, sh Shard, rc RunConfig, sp *telemetry.SpanCtx) shardOut {
-	return runShardOnSpan(proto.Clone(), a, units, sh, rc, sp)
-}
-
-// runShardOn is runShard on a caller-provided machine (reset, telemetry
-// detached): WindowedRun reuses one clone per worker across many windows.
-func runShardOn(m *core.Machine, a *automata.UnitAutomaton, units []funcsim.Unit, sh Shard, rc RunConfig) shardOut {
-	return runShardOnSpan(m, a, units, sh, rc, nil)
-}
-
-func runShardOnSpan(m *core.Machine, a *automata.UnitAutomaton, units []funcsim.Unit, sh Shard, rc RunConfig, sp *telemetry.SpanCtx) shardOut {
+// runShard replays the shard's warm-up prefix silently on m (a fresh or
+// reset machine, telemetry detached), then executes the owned range
+// through the report reducer, so the emitted events match the sequential
+// stream exactly.
+func runShard(m *core.Machine, a *automata.UnitAutomaton, units []funcsim.Unit, sh Shard, rc RunConfig, sp *telemetry.SpanCtx) shardOut {
 	rate := m.Config().Rate
 	// With BaseCycle > 0, local cycle zero is mid-stream: anchored states
 	// must stay quiet. When the warm-up clamps to the input start the
@@ -225,56 +231,26 @@ func runShardOnSpan(m *core.Machine, a *automata.UnitAutomaton, units []funcsim.
 	}
 	warm.End()
 
-	var telReports, telReportCycles *telemetry.Counter
 	if rc.Collector != nil {
 		// Post-warm-up attach: the shared counters see owned cycles only,
 		// so worker sums equal sequential totals (see RunConfig.Collector).
 		m.AttachTelemetry(rc.Collector)
-		telReports = rc.Collector.Counter(core.MetricReports)
-		telReportCycles = rc.Collector.Counter(core.MetricReportCycles)
 	}
+	red := core.NewReducer(a, rc.RecordEvents)
+	red.Reset(m)
 
-	out := shardOut{warmup: sh.WarmupCycles()}
+	var out shardOut
 	scan := sp.Child("scan")
 	defer scan.End()
-	seen := make(map[dedupKey]bool)
 	for c := sh.StartCycle; c < sh.EndCycle; c++ {
 		off := int(c) * rate
 		scratch = m.Step(units[off:off+rate], scratch[:0])
 		if len(scratch) == 0 {
 			continue
 		}
-		clear(seen)
-		nrep := 0
-		for _, id := range scratch {
-			for _, r := range a.States[id].Reports {
-				k := dedupKey{offset: r.Offset, origin: r.Origin}
-				if seen[k] {
-					continue
-				}
-				seen[k] = true
-				nrep++
-				if rc.RecordEvents {
-					out.events = append(out.events, funcsim.ReportEvent{
-						Cycle:  c,
-						Unit:   c*int64(rate) + int64(r.Offset),
-						State:  id,
-						Code:   r.Code,
-						Origin: r.Origin,
-					})
-				}
-			}
-		}
-		out.reportCycles++
-		out.reports += int64(nrep)
-		if nrep > out.maxPerCycle {
-			out.maxPerCycle = nrep
-		}
-		if telReports != nil {
-			telReports.Add(int64(nrep))
-			telReportCycles.Inc()
-		}
+		out.events = red.Cycle(c, scratch, out.events)
 	}
+	out.reports, out.reportCycles, out.maxPerCycle = red.Reports, red.ReportCycles, red.MaxReportsPerCycle
 	out.stallCycles = m.StallCycles()
 	out.flushes = m.Flushes()
 	out.summaries = m.Summaries()

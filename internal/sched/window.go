@@ -4,7 +4,6 @@ import (
 	"runtime"
 	"sort"
 	"strconv"
-	"sync"
 
 	"sunder/internal/automata"
 	"sunder/internal/core"
@@ -30,6 +29,10 @@ func Alignment(rate, symbolUnits int) int64 { return alignmentCycles(rate, symbo
 func Overlap(depth int, alignCycles int64) int64 {
 	return roundUpTo(int64(depth)+1, alignCycles)
 }
+
+// RoundUp rounds v up to the next multiple of m (v itself when m <= 1), the
+// rounding every plan in this package aligns with.
+func RoundUp(v, m int64) int64 { return roundUpTo(v, m) }
 
 // PlanWindows turns candidate cycle spans into executable shards: spans are
 // clamped to [0, totalCycles), aligned outward (Start down, End up), merged
@@ -119,9 +122,8 @@ func PlanWindows(spans []CycleSpan, totalCycles, alignCycles, overlapCycles int6
 func WindowedRun(proto *core.Machine, a *automata.UnitAutomaton, units []funcsim.Unit, shards []Shard, rc RunConfig) *RunResult {
 	cfg := proto.Config()
 	units = funcsim.PadUnits(units, cfg.Rate)
-	res := &RunResult{Sharded: true}
 	if len(shards) == 0 {
-		return res
+		return &RunResult{Sharded: true}
 	}
 	workers := rc.Workers
 	if workers <= 0 {
@@ -130,68 +132,10 @@ func WindowedRun(proto *core.Machine, a *automata.UnitAutomaton, units []funcsim
 	if workers > len(shards) {
 		workers = len(shards)
 	}
-	res.Workers = workers
 
 	sp := rc.Collector.Spans().Root("windowed_run")
 	sp.SetAttr("windows=" + strconv.Itoa(len(shards)) + " workers=" + strconv.Itoa(workers))
 	defer sp.End()
 
-	outs := make([]shardOut, len(shards))
-	runStripe := func(w int) {
-		m := proto.Clone()
-		for i := w; i < len(shards); i += workers {
-			// A reused machine carries the previous window's region state
-			// and telemetry attachment; runShardOn re-attaches after its
-			// warm-up so shared counters see owned cycles only.
-			m.AttachTelemetry(nil)
-			m.Reset()
-			ws := sp.Child("window")
-			ws.SetAttr("window=" + strconv.Itoa(i) +
-				" warmup=" + strconv.FormatInt(shards[i].WarmupCycles(), 10) +
-				" owned=" + strconv.FormatInt(shards[i].OwnedCycles(), 10))
-			outs[i] = runShardOn(m, a, units, shards[i], rc)
-			ws.End()
-		}
-	}
-	if workers == 1 {
-		runStripe(0)
-	} else {
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				runStripe(w)
-			}(w)
-		}
-		wg.Wait()
-	}
-
-	nev := 0
-	for i := range outs {
-		nev += len(outs[i].events)
-	}
-	if rc.RecordEvents {
-		res.Events = make([]funcsim.ReportEvent, 0, nev)
-	}
-	for i := range outs {
-		o := &outs[i]
-		res.Events = append(res.Events, o.events...)
-		res.KernelCycles += shards[i].OwnedCycles()
-		res.Reports += o.reports
-		res.ReportCycles += o.reportCycles
-		if o.maxPerCycle > res.MaxReportsPerCycle {
-			res.MaxReportsPerCycle = o.maxPerCycle
-		}
-		res.StallCycles += o.stallCycles
-		res.Flushes += o.flushes
-		res.Summaries += o.summaries
-		res.WarmupCycles += o.warmup
-		if res.PerPU == nil {
-			res.PerPU = append([]core.PUStats(nil), o.perPU...)
-		} else {
-			addPerPU(res.PerPU, o.perPU)
-		}
-	}
-	return res
+	return runShards(proto, a, units, shards, workers, rc, sp, "window")
 }

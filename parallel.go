@@ -3,10 +3,7 @@ package sunder
 import (
 	"runtime"
 
-	"sunder/internal/core"
-	"sunder/internal/dfa"
 	"sunder/internal/funcsim"
-	"sunder/internal/meta"
 	"sunder/internal/sched"
 )
 
@@ -24,7 +21,10 @@ type ScanOptions struct {
 	// "auto" would have. A "dfa" override on these entry points runs the
 	// lazy DFA sequentially on a private runner (the DFA's state cache is
 	// inherently serial), ignoring Workers — output stays byte-identical.
-	// An unsupported "dfa" override is an error.
+	// The override sits where Options.Backend does in the one precedence
+	// (armed fault policy > engaged prefilter > backend) and is validated
+	// before it: an unknown name or an unsupported "dfa" is an error even
+	// when the guard or the prefilter ends up owning the scan.
 	Backend string
 }
 
@@ -49,58 +49,27 @@ func (o ScanOptions) workers() int {
 // back to a sequential run internally — same results, one worker.
 //
 // ScanParallel never touches the engine's shared machine, so concurrent
-// calls on one engine are safe. Under an armed fault policy it delegates
-// to the sequential guarded Scan: the recovery protocol is strictly
-// sequential (see SetFaultPolicy).
+// calls on one engine are safe. Under an armed fault policy it runs the
+// guarded sequential scan Scan does, on the shared machine: the recovery
+// protocol is strictly sequential (see SetFaultPolicy).
 func (e *Engine) ScanParallel(input []byte, opts ScanOptions) (*ScanResult, error) {
-	if e.injector != nil {
-		return e.Scan(input)
-	}
-	backend, err := e.effectiveBackend(opts.Backend)
+	l, err := e.resolve(opts.Backend, shardAlways)
 	if err != nil {
 		return nil, err
 	}
-	if e.pre.enabled() {
-		return e.scanPrefiltered(input, opts.workers())
-	}
-	if backend == meta.BackendDFA {
-		return e.scanDFAFresh(input)
-	}
-	return e.scanSharded(input, opts)
+	return e.scanOn(l, e.runner(l, true), input, opts.workers())
 }
 
 // scanSharded is the sharded parallel run ScanParallel (and Scan on the
 // "parallel" backend) execute: worker clones with dependence-window warm-up
 // replay, merged back into sequential order.
-func (e *Engine) scanSharded(input []byte, opts ScanOptions) (*ScanResult, error) {
-	units := funcsim.BytesToUnits(input, 4)
-	rr := sched.ParallelRun(e.proto, e.nibble, units, sched.RunConfig{
-		Workers:      opts.workers(),
+func (e *Engine) scanSharded(input []byte, workers int) *ScanResult {
+	rr := sched.ParallelRun(e.proto, e.nibble, funcsim.BytesToUnits(input, 4), sched.RunConfig{
+		Workers:      workers,
 		RecordEvents: true,
 		Collector:    e.telemetryCollector(),
 	})
-	out := &ScanResult{
-		Stats: Stats{
-			KernelCycles: rr.KernelCycles,
-			StallCycles:  rr.StallCycles,
-			Flushes:      rr.Flushes,
-			Reports:      rr.Reports,
-			ReportCycles: rr.ReportCycles,
-		},
-		PerPU: toPUStats(rr.PerPU),
-	}
-	for _, ev := range rr.Events {
-		// Same phantom filter as Scan: matches "ending" in the pad tail of
-		// the final vector are artifacts of Pad units.
-		if ev.Unit >= int64(len(units)) {
-			continue
-		}
-		out.Matches = append(out.Matches, Match{
-			Position: ev.Unit / int64(e.nibble.SymbolUnits),
-			Code:     ev.Code,
-		})
-	}
-	return out, nil
+	return e.schedResult(rr, input, 0, 0)
 }
 
 // ScanBatch scans many independent inputs concurrently on a bounded worker
@@ -110,98 +79,46 @@ func (e *Engine) scanSharded(input []byte, opts ScanOptions) (*ScanResult, error
 //
 // Like ScanParallel it leaves the engine's shared machine alone and is
 // safe to call concurrently. Under an armed fault policy the batch runs
-// sequentially through the guarded Scan path.
+// its inputs one after another under the guard on the shared machine, and
+// stops at the first error.
 func (e *Engine) ScanBatch(inputs [][]byte, opts ScanOptions) ([]*ScanResult, error) {
-	results := make([]*ScanResult, len(inputs))
-	if e.injector != nil {
-		for i, in := range inputs {
-			res, err := e.Scan(in)
-			if err != nil {
-				return nil, err
-			}
-			results[i] = res
-		}
-		return results, nil
-	}
-	backend, err := e.effectiveBackend(opts.Backend)
+	l, err := e.resolve(opts.Backend, shardNever)
 	if err != nil {
 		return nil, err
 	}
-	workers := opts.workers()
-	if workers > len(inputs) {
-		workers = len(inputs)
-	}
-	if workers < 1 {
+	results := make([]*ScanResult, len(inputs))
+	workers := max(min(opts.workers(), len(inputs)), 1)
+	if l == legGuard {
+		// The recovery protocol owns the shared machine: one worker.
 		workers = 1
 	}
 	queue := opts.BatchSize
 	if queue <= 0 {
 		queue = 2 * workers
 	}
-	col := e.telemetryCollector()
-	machines := make([]*core.Machine, workers)
-	for i := range machines {
-		machines[i] = e.proto.Clone()
-		if col != nil {
-			machines[i].AttachTelemetry(col)
-		}
+	// Each worker owns a private runner: inputs are independent, so runners
+	// reset per input but keep their scratch (and the DFA its cache) warm
+	// across the batch. errs holds each worker's first error.
+	runners := make([]runner, workers)
+	for i := range runners {
+		runners[i] = e.runner(l, true)
 	}
-	// On the DFA backend each worker owns a private runner: inputs are
-	// independent, so runners reset per input but keep their caches warm
-	// across the batch.
-	var runners []*dfa.Runner
-	if backend == meta.BackendDFA && !e.pre.enabled() {
-		runners = make([]*dfa.Runner, workers)
-		for i := range runners {
-			runners[i] = dfa.NewRunner(e.dfaPlan, dfa.DefaultConfig())
-		}
-	}
+	errs := make([]error, workers)
 	pool := sched.NewPool(workers, queue)
 	for i, in := range inputs {
-		i, in := i, in
-		if e.pre.enabled() {
-			pool.Submit(func(int) {
-				// The filtered scan clones its own window machines; the
-				// pool's pre-built clones stay idle for this input.
-				res, _ := e.scanPrefiltered(in, 1)
-				results[i] = res
-			})
-			continue
-		}
-		if runners != nil {
-			pool.Submit(func(worker int) {
-				results[i] = e.scanDFAWith(runners[worker], in)
-			})
-			continue
-		}
-		units := funcsim.BytesToUnits(in, 4)
 		pool.Submit(func(worker int) {
-			m := machines[worker]
-			m.Reset()
-			r := m.Run(units, core.RunOptions{RecordEvents: true})
-			out := &ScanResult{
-				Stats: Stats{
-					KernelCycles: r.KernelCycles,
-					StallCycles:  r.StallCycles,
-					Flushes:      r.Flushes,
-					Reports:      r.Reports,
-					ReportCycles: r.ReportCycles,
-				},
-				PerPU: toPUStats(m.PerPU()),
+			if errs[worker] != nil {
+				return
 			}
-			for _, ev := range r.Events {
-				if ev.Unit >= int64(len(units)) {
-					continue
-				}
-				out.Matches = append(out.Matches, Match{
-					Position: ev.Unit / int64(e.nibble.SymbolUnits),
-					Code:     ev.Code,
-				})
-			}
-			results[i] = out
+			results[i], errs[worker] = e.scanOn(l, runners[worker], in, 1)
 		})
 	}
 	pool.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
 	return results, nil
 }
 
@@ -210,23 +127,4 @@ func (e *Engine) ScanBatch(inputs [][]byte, opts ScanOptions) ([]*ScanResult, er
 // machine. Sequential scans and streams on different clones may run fully
 // concurrently. Fault policies and telemetry attachments do not carry
 // over — arm them per clone as needed.
-func (e *Engine) Clone() *Engine {
-	return &Engine{
-		opts:        e.opts,
-		byteNFA:     e.byteNFA,
-		nibble:      e.nibble,
-		machine:     e.proto.Clone(),
-		proto:       e.proto,
-		place:       e.place,
-		pruned:      e.pruned,
-		minSum:      e.minSum,
-		symClasses:  e.symClasses,
-		pre:         e.pre,
-		backend:     e.backend,
-		backendNote: e.backendNote,
-		autoChoice:  e.autoChoice,
-		metaIn:      e.metaIn,
-		dfaPlan:     e.dfaPlan,
-		// dfaRunner stays nil: the clone builds its own on first DFA scan.
-	}
-}
+func (e *Engine) Clone() *Engine { return newEngine(e.compiledArtifact) }

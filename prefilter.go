@@ -3,6 +3,7 @@ package sunder
 import (
 	"fmt"
 
+	"sunder/internal/automata"
 	"sunder/internal/funcsim"
 	"sunder/internal/prefilter"
 	"sunder/internal/regex"
@@ -72,7 +73,6 @@ type prefilterPlan struct {
 	rate   int // units per cycle
 	su     int // units per byte
 
-	depth   int  // dependence window, cycles
 	bounded bool // false: cyclic automaton, windows cannot bound warm-up
 	align   int64
 	overlap int64
@@ -85,10 +85,10 @@ type prefilterPlan struct {
 func (p *prefilterPlan) enabled() bool { return p != nil && p.scanner != nil }
 
 // newPrefilterPlan finishes an extraction into an executable plan for the
-// given engine geometry.
-func newPrefilterPlan(e *Engine, ex prefilter.Extraction) *prefilterPlan {
-	rate := e.machine.Config().Rate
-	su := e.nibble.SymbolUnits
+// compiled geometry: ua at the device rate, with the dependence window the
+// compile already measured.
+func newPrefilterPlan(ua *automata.UnitAutomaton, depth int, bounded bool, ex prefilter.Extraction) *prefilterPlan {
+	rate, su := ua.Rate, ua.SymbolUnits
 	p := &prefilterPlan{rate: rate, su: su}
 	if !ex.OK {
 		p.strategy = "off"
@@ -103,8 +103,7 @@ func newPrefilterPlan(e *Engine, ex prefilter.Extraction) *prefilterPlan {
 		p.strategy += "+fold"
 	}
 	p.maxLit = ex.MaxLen
-	depth, bounded := sched.DependenceCycles(e.nibble)
-	p.depth, p.bounded = depth, bounded
+	p.bounded = bounded
 	p.align = sched.Alignment(rate, su)
 	p.overlap = sched.Overlap(depth, p.align)
 	if bounded {
@@ -113,28 +112,20 @@ func newPrefilterPlan(e *Engine, ex prefilter.Extraction) *prefilterPlan {
 	return p
 }
 
-// buildPrefilter attaches a plan to a freshly compiled engine. The
-// automaton extractor handles any rule set (ANML included); when the rule
-// set came from regex patterns the AST extractor runs first and wins if it
-// succeeds — concatenation islands typically beat automaton suffix walks
-// on patterns with wide-class tails.
-func buildPrefilter(e *Engine, patterns []Pattern) {
-	if e.opts.Prefilter != PrefilterOn {
-		return
-	}
-	if len(patterns) > 0 {
-		if lits, fold, ok := requiredPatternLiterals(patterns); ok {
-			if pl := newPrefilterPlan(e, prefilter.FromLiteralsFold(lits, fold, prefilter.DefaultConfig())); pl.enabled() {
-				e.pre = pl
-				return
-			}
-		}
-		if e.pre != nil {
-			// Keep the automaton-derived plan fromByteNFA already built.
-			return
+// buildPrefilter extracts the rule set's required literals, once. When the
+// rule set came from regex patterns the AST extractor runs first and wins
+// if it yields an engaged plan — concatenation islands typically beat
+// automaton suffix walks on patterns with wide-class tails; otherwise (and
+// for ANML/automaton compiles, patterns nil) the automaton extractor
+// decides, including the reason of a no-filter verdict.
+func buildPrefilter(nfa *automata.Automaton, ua *automata.UnitAutomaton, depth int, bounded bool, patterns []Pattern) *prefilterPlan {
+	if lits, fold, ok := requiredPatternLiterals(patterns); ok && len(patterns) > 0 {
+		ex := prefilter.FromLiteralsFold(lits, fold, prefilter.DefaultConfig())
+		if pl := newPrefilterPlan(ua, depth, bounded, ex); pl.enabled() {
+			return pl
 		}
 	}
-	e.pre = newPrefilterPlan(e, prefilter.Extract(e.byteNFA, prefilter.DefaultConfig()))
+	return newPrefilterPlan(ua, depth, bounded, prefilter.Extract(nfa, prefilter.DefaultConfig()))
 }
 
 // requiredPatternLiterals unions the per-pattern AST literal sets; every
@@ -188,58 +179,53 @@ func (p *prefilterPlan) planSpans(input []byte, totalCycles int64, padUnits int)
 	return spans, hits
 }
 
-// scanPrefiltered is the filtered batch scan: literal scan, window
+// scanPrefiltered is the filtered whole-input scan: literal scan, window
 // planning, windowed execution on clones of the pristine compile artifact.
-// It never touches the engine's shared machine, so it serves Scan,
-// ScanParallel and ScanBatch alike.
-func (e *Engine) scanPrefiltered(input []byte, workers int) (*ScanResult, error) {
+// It never touches the engine's shared machine (and with it the
+// Summarize/ReadReports state), so it serves Scan, ScanParallel and
+// ScanBatch alike.
+func (e *Engine) scanPrefiltered(input []byte, workers int) *ScanResult {
 	p := e.pre
-	units := funcsim.BytesToUnits(input, 4)
-	padded := funcsim.PadUnits(units, p.rate)
-	totalCycles := int64(len(padded) / p.rate)
+	inputUnits := int64(len(input)) * int64(p.su)
+	totalCycles := (inputUnits + int64(p.rate) - 1) / int64(p.rate)
 	col := e.telemetryCollector()
 
-	spans, hits := p.planSpans(input, totalCycles, len(padded)-len(units))
+	spans, hits := p.planSpans(input, totalCycles, int(totalCycles*int64(p.rate)-inputUnits))
 
 	if len(spans) == 0 {
 		// No literal anywhere: the rule set cannot match, and no phantom
 		// pad report can fire. Skip the entire input.
 		notePrefilter(col, hits, 0, 0, totalCycles)
-		out := &ScanResult{
-			Stats: Stats{SkippedCycles: totalCycles},
-			PerPU: make([]PUStats, e.proto.NumPUs()),
-		}
-		for i := range out.PerPU {
-			out.PerPU[i].PU = i
-		}
-		return out, nil
+		return e.result(runOutput{stats: Stats{SkippedCycles: totalCycles}})
 	}
 
-	if !p.bounded {
+	units := funcsim.BytesToUnits(input, 4)
+	rc := sched.RunConfig{Workers: workers, RecordEvents: true, Collector: col}
+	var rr *sched.RunResult
+	windows := int64(1)
+	if p.bounded {
+		shards := sched.PlanWindows(spans, totalCycles, p.align, p.overlap)
+		rr = sched.WindowedRun(e.proto, e.nibble, units, shards, rc)
+		windows = int64(len(shards))
+	} else {
 		// Cyclic automaton: windows cannot bound warm-up replay, so a hit
-		// anywhere forces a full run. The filter still wins on hit-free
-		// inputs (handled above).
-		rr := sched.ParallelRun(e.proto, e.nibble, units, sched.RunConfig{
-			Workers: workers, RecordEvents: true, Collector: col,
-		})
-		notePrefilter(col, hits, 1, rr.KernelCycles, 0)
-		return e.resultFromRun(rr, len(units), 1, 0), nil
+		// anywhere forces a full run — one window, nothing skipped. The
+		// filter still wins on hit-free inputs (handled above).
+		rr = sched.ParallelRun(e.proto, e.nibble, units, rc)
 	}
-
-	shards := sched.PlanWindows(spans, totalCycles, p.align, p.overlap)
-	rr := sched.WindowedRun(e.proto, e.nibble, padded, shards, sched.RunConfig{
-		Workers: workers, RecordEvents: true, Collector: col,
-	})
 	skipped := totalCycles - rr.KernelCycles
-	notePrefilter(col, hits, int64(len(shards)), rr.KernelCycles, skipped)
-	return e.resultFromRun(rr, len(units), int64(len(shards)), skipped), nil
+	notePrefilter(col, hits, windows, rr.KernelCycles, skipped)
+	return e.schedResult(rr, input, windows, skipped)
 }
 
-// resultFromRun assembles a ScanResult from a scheduler run, applying the
-// same pad-tail phantom filter as the unfiltered paths.
-func (e *Engine) resultFromRun(rr *sched.RunResult, inputUnits int, windows, skipped int64) *ScanResult {
-	out := &ScanResult{
-		Stats: Stats{
+// schedResult turns a scheduler run over input into a ScanResult: its
+// merged events go through the same reduction tail (phantom filter, Match
+// construction) as a runner's report cycles.
+func (e *Engine) schedResult(rr *sched.RunResult, input []byte, windows, skipped int64) *ScanResult {
+	red := reduction{su: int64(e.nibble.SymbolUnits), fed: int64(len(input))}
+	red.deliver(rr.Events)
+	return e.result(runOutput{
+		stats: Stats{
 			KernelCycles:     rr.KernelCycles,
 			StallCycles:      rr.StallCycles,
 			Flushes:          rr.Flushes,
@@ -248,18 +234,9 @@ func (e *Engine) resultFromRun(rr *sched.RunResult, inputUnits int, windows, ski
 			PrefilterWindows: windows,
 			SkippedCycles:    skipped,
 		},
-		PerPU: toPUStats(rr.PerPU),
-	}
-	for _, ev := range rr.Events {
-		if ev.Unit >= int64(inputUnits) {
-			continue
-		}
-		out.Matches = append(out.Matches, Match{
-			Position: ev.Unit / int64(e.nibble.SymbolUnits),
-			Code:     ev.Code,
-		})
-	}
-	return out
+		matches: red.matches,
+		perPU:   rr.PerPU,
+	})
 }
 
 // PrefilterInfo describes the compiled prefilter for diagnostics.

@@ -3,6 +3,7 @@ package sunder
 import (
 	"errors"
 
+	"sunder/internal/automata"
 	"sunder/internal/funcsim"
 	"sunder/internal/prefilter"
 	"sunder/internal/sched"
@@ -41,14 +42,16 @@ var ErrDeferredBufferFull = errors.New(
 // whole buffer (provably silent before the hit) and the stream goes live,
 // executing everything from then on. A hit-free stream skips every cycle.
 type streamFilter struct {
-	s *Stream
-	p *prefilterPlan
+	// reduction.fed doubles as the absolute byte offset the literal scanner
+	// has covered.
+	reduction
+	e   *Engine
+	p   *prefilterPlan
+	ids []automata.StateID
 
 	// carry holds the last maxLit-1 raw bytes so literals straddling a
-	// Write boundary are still found; scanned is the absolute byte offset
-	// the scanner has covered.
-	carry   []byte
-	scanned int64
+	// Write boundary are still found.
+	carry []byte
 
 	// hist buffers input units for warm-up replay (bounded mode trims it
 	// to the dependence window behind the decision frontier; deferred mode
@@ -83,20 +86,25 @@ type streamFilter struct {
 // bounding memory.
 const maxDeferredUnits = 4 << 20
 
-func newStreamFilter(s *Stream) *streamFilter {
+// reset starts the (freshly built) filter on the engine's shared machine.
+func (f *streamFilter) reset(onMatch func(Match)) error {
+	m := f.e.machine
+	m.Reset()
 	// A previous filtered stream's window warm-up may have left
 	// start-of-data injection suppressed on the shared machine; a fresh
 	// stream starts at true input start.
-	s.eng.machine.SuppressStartOfData(false)
-	return &streamFilter{s: s, p: s.eng.pre, hot: true}
+	m.SuppressStartOfData(false)
+	f.hot = true
+	f.begin(m, onMatch)
+	return nil
 }
 
-// write scans the chunk for literals and advances execution up to the
+// feed scans the chunk for literals and advances execution up to the
 // decision frontier. The only error it can return is ErrDeferredBufferFull
 // (unbounded automata whose deferred-start buffer hits the cap).
-func (f *streamFilter) write(p []byte) error {
+func (f *streamFilter) feed(p []byte) error {
 	f.scanChunk(p)
-	f.hist = append(f.hist, funcsim.BytesToUnits(p, 4)...)
+	f.hist = funcsim.AppendNibbles(f.hist, p)
 	if !f.p.bounded {
 		return f.advanceDeferred()
 	}
@@ -114,19 +122,19 @@ func (f *streamFilter) write(p []byte) error {
 // previous call), and converts them to candidate cycle spans.
 func (f *streamFilter) scanChunk(p []byte) {
 	data := p
-	base := f.scanned
+	base := f.fed
 	if len(f.carry) > 0 {
 		data = append(f.carry, p...)
 		base -= int64(len(f.carry))
 	}
 	f.p.scanner.Scan(data, func(q, e int) {
-		if base+int64(e) <= f.scanned {
+		if base+int64(e) <= f.fed {
 			return
 		}
 		f.hits++
 		f.spans = append(f.spans, f.p.hitSpan(int(base)+q, int(base)+e))
 	})
-	f.scanned += int64(len(p))
+	f.fed += int64(len(p))
 	if keep := f.p.maxLit - 1; keep > 0 {
 		if len(data) < keep {
 			keep = len(data)
@@ -161,7 +169,7 @@ func (f *streamFilter) advance(limit int64) {
 			// A short gap is cheaper to execute through than to re-warm
 			// after; skip only gaps wider than the warm-up window.
 			if !f.hot || start-f.proc > f.p.overlap {
-				f.skip(min64(start, limit))
+				f.skip(min(start, limit))
 				if f.proc >= limit {
 					return
 				}
@@ -171,7 +179,7 @@ func (f *streamFilter) advance(limit int64) {
 		if !f.hot {
 			f.openWindow(f.proc)
 		}
-		end := min64(roundUp(sp.End, f.p.align), limit)
+		end := min(sched.RoundUp(sp.End, f.p.align), limit)
 		if end <= f.proc {
 			// Span tail beyond the frontier: wait for more input.
 			return
@@ -188,15 +196,15 @@ func (f *streamFilter) skip(to int64) {
 	}
 }
 
-// exec steps cycles [from, to) with emission through the stream's
-// deduplicating emit, exactly as the unfiltered stream does.
+// exec steps cycles [from, to) with their report cycles going through the
+// reduction, exactly as the unfiltered stream's do.
 func (f *streamFilter) exec(from, to int64) {
-	m := f.s.eng.machine
+	m := f.e.machine
 	for c := from; c < to; c++ {
-		f.s.scratch = m.Step(f.vec(c), f.s.scratch[:0])
+		f.ids = m.Step(f.vec(c), f.ids[:0])
 		f.kernel++
-		if len(f.s.scratch) > 0 {
-			f.s.emit(c, f.s.scratch)
+		if len(f.ids) > 0 {
+			f.cycle(c, f.ids)
 		}
 	}
 	f.proc = to
@@ -208,10 +216,10 @@ func (f *streamFilter) exec(from, to int64) {
 // replayed silently from the history buffer. Mid-stream bases suppress
 // start-of-data injection exactly like batch shard warm-up.
 func (f *streamFilter) openWindow(start int64) {
-	m := f.s.eng.machine
+	m := f.e.machine
 	f.stall += m.StallCycles()
 	f.flushes += m.Flushes()
-	col := f.s.eng.telemetryCollector()
+	col := f.e.telemetryCollector()
 	if col != nil {
 		m.AttachTelemetry(nil)
 	}
@@ -226,7 +234,7 @@ func (f *streamFilter) openWindow(start int64) {
 	}
 	m.SuppressStartOfData(base > 0)
 	for c := base; c < start; c++ {
-		f.s.scratch = m.Step(f.vec(c), f.s.scratch[:0])
+		f.ids = m.Step(f.vec(c), f.ids[:0])
 	}
 	if col != nil {
 		m.AttachTelemetry(col)
@@ -275,12 +283,12 @@ func (f *streamFilter) advanceDeferred() error {
 	return nil
 }
 
-// close pads the final vector, folds in the pad-tail hazard, executes the
+// finish pads the final vector, folds in the pad-tail hazard, executes the
 // remaining undecided cycles and returns the filtered stream statistics.
-func (f *streamFilter) close() Stats {
+func (f *streamFilter) finish() (runOutput, error) {
 	su := f.p.su
-	totalUnits := f.scanned * int64(su)
-	padded := roundUp(totalUnits, int64(f.p.rate))
+	totalUnits := f.fed * int64(su)
+	padded := sched.RoundUp(totalUnits, int64(f.p.rate))
 	padUnits := int(padded - totalUnits)
 	for i := 0; i < padUnits; i++ {
 		f.hist = append(f.hist, funcsim.Pad)
@@ -309,32 +317,13 @@ func (f *streamFilter) close() Stats {
 			f.skip(totalCycles)
 		}
 	}
-	m := f.s.eng.machine
-	notePrefilter(f.s.eng.telemetryCollector(), f.hits, f.windows, f.kernel, f.skipped)
-	return Stats{
+	m := f.e.machine
+	notePrefilter(f.e.telemetryCollector(), f.hits, f.windows, f.kernel, f.skipped)
+	return f.end(Stats{
 		KernelCycles:     f.kernel,
 		StallCycles:      f.stall + m.StallCycles(),
 		Flushes:          f.flushes + m.Flushes(),
-		Reports:          f.s.reports,
-		ReportCycles:     f.s.reportCycles,
 		PrefilterWindows: f.windows,
 		SkippedCycles:    f.skipped,
-	}
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func roundUp(v, align int64) int64 {
-	if align <= 1 {
-		return v
-	}
-	if r := v % align; r != 0 {
-		return v + align - r
-	}
-	return v
+	}, nil), nil
 }

@@ -1,0 +1,5 @@
+//go:build !race
+
+package sunder
+
+const raceEnabled = false

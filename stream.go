@@ -1,14 +1,6 @@
 package sunder
 
-import (
-	"errors"
-
-	"sunder/internal/automata"
-	"sunder/internal/dfa"
-	"sunder/internal/faults"
-	"sunder/internal/funcsim"
-	"sunder/internal/meta"
-)
+import "errors"
 
 // ErrClosedStream is returned by Stream.Write after Close.
 var ErrClosedStream = errors.New("sunder: write to closed stream")
@@ -25,40 +17,13 @@ var ErrClosedStream = errors.New("sunder: write to closed stream")
 // back. An unrecoverable fault (spare PUs exhausted) surfaces as an error
 // from Write and from Err.
 type Stream struct {
-	eng     *Engine
-	onMatch func(Match)
-	// guard is non-nil when the engine has a fault policy armed; input
-	// then flows through it instead of directly into the machine.
-	guard *faults.Guard
-	err   error
-	// pending buffers input units until a full vector is available.
-	pending []funcsim.Unit
-	// filt is the incremental literal prefilter; non-nil when the engine
-	// compiled with Options.Prefilter (input then flows through it instead
-	// of pending/consume).
-	filt *streamFilter
-	// filtStats memoizes the filtered Close result (Close is idempotent).
-	filtStats Stats
-	// dfaRun is the engine's sequential lazy-DFA runner; non-nil when the
-	// resolved backend is "dfa" (and neither a fault guard nor the
-	// prefilter owns the stream). pendB then buffers the bytes of an
-	// incomplete cycle and dfaCycles counts cycles stepped.
-	dfaRun    *dfa.Runner
-	pendB     []byte
-	dfaCycles int64
-	scratch   []automata.StateID
-	seen      map[streamKey]bool
-	bytesIn   int64
-	closed    bool
-	// reports / reportCycles accumulate the same per-cycle deduplicated
-	// counts as Engine.Scan, so Close returns identical Stats.
-	reports      int64
-	reportCycles int64
-}
-
-type streamKey struct {
-	offset uint8
-	origin int32
+	// run is the resolved leg's runner: Write feeds it, Close finishes it.
+	run     runner
+	err     error
+	bytesIn int64
+	closed  bool
+	// stats memoizes the Close result (Close is idempotent).
+	stats Stats
 }
 
 // NewStream resets the engine and returns a streaming scanner. onMatch may
@@ -69,31 +34,30 @@ type streamKey struct {
 // stream at a time; for concurrent streams, open each on its own
 // Engine.Clone — clones share the compiled artifacts, so this is cheap.
 func (e *Engine) NewStream(onMatch func(Match)) (*Stream, error) {
-	s := &Stream{eng: e, onMatch: onMatch, seen: make(map[streamKey]bool)}
-	if e.injector != nil {
-		g, err := e.newGuard()
-		if err != nil {
-			return nil, err
-		}
-		g.OnReportCycle(s.emit)
-		s.guard = g
-		return s, nil
+	// Streams are inherently sequential: the "parallel" backend streams on
+	// the machine like "nfa".
+	l, err := e.resolve("", shardNever)
+	if err != nil {
+		return nil, err
 	}
-	e.machine.Reset()
-	if e.pre.enabled() {
-		s.filt = newStreamFilter(s)
-	} else if e.backend == meta.BackendDFA {
-		// Streams are inherently sequential, so the "parallel" backend
-		// streams on the machine like "nfa"; only "dfa" changes substrate.
-		s.dfaRun = e.dfaRunnerFor()
-		s.dfaRun.Reset()
+	if onMatch == nil {
+		onMatch = func(Match) {}
+	}
+	s := &Stream{run: e.runner(l, false)}
+	if l == legPrefilter {
+		s.run = &streamFilter{reduction: newReduction(e.nibble), e: e, p: e.pre}
+	}
+	if err := s.run.reset(onMatch); err != nil {
+		return nil, err
 	}
 	return s, nil
 }
 
 // Write feeds more input. It returns ErrClosedStream after Close and the
-// guard's sticky error after an unrecoverable fault; the signature
-// satisfies io.Writer.
+// stream's sticky error after an unrecoverable fault or a full prefilter
+// deferred-start buffer (ErrDeferredBufferFull; the chunk was consumed and
+// Close accounts for it, but the stream accepts no more input). The
+// signature satisfies io.Writer.
 func (s *Stream) Write(p []byte) (int, error) {
 	if s.closed {
 		return 0, ErrClosedStream
@@ -101,116 +65,12 @@ func (s *Stream) Write(p []byte) (int, error) {
 	if s.err != nil {
 		return 0, s.err
 	}
-	if s.guard != nil {
-		// Count the bytes before feeding: emit callbacks fired during Feed
-		// compare report units against the fed length to reject phantoms.
-		s.bytesIn += int64(len(p))
-		if err := s.guard.Feed(funcsim.BytesToUnits(p, 4)); err != nil {
-			s.err = err
-			s.eng.adoptGuard(s.guard)
-			return 0, err
-		}
-		return len(p), nil
-	}
 	s.bytesIn += int64(len(p))
-	if s.filt != nil {
-		if err := s.filt.write(p); err != nil {
-			// Sticky, like a guard failure: the chunk was consumed into the
-			// deferred buffer (Close accounts for it), but the stream
-			// accepts no more input.
-			s.err = err
-			return 0, err
-		}
-		return len(p), nil
+	if err := s.run.feed(p); err != nil {
+		s.err = err
+		return 0, err
 	}
-	if s.dfaRun != nil {
-		s.pendB = append(s.pendB, p...)
-		s.consumeDFA()
-		return len(p), nil
-	}
-	s.pending = append(s.pending, funcsim.BytesToUnits(p, 4)...)
-	s.consume()
 	return len(p), nil
-}
-
-// consume executes all complete vectors in the pending buffer.
-func (s *Stream) consume() {
-	rate := s.eng.machine.Config().Rate
-	off := 0
-	for off+rate <= len(s.pending) {
-		s.step(s.pending[off : off+rate])
-		off += rate
-	}
-	s.pending = append(s.pending[:0], s.pending[off:]...)
-}
-
-// consumeDFA executes all complete cycles in the buffered bytes on the
-// lazy DFA.
-func (s *Stream) consumeDFA() {
-	sb := s.eng.dfaPlan.StepBytes()
-	off := 0
-	for off+sb <= len(s.pendB) {
-		s.stepDFA(s.pendB[off:off+sb], 0)
-		off += sb
-	}
-	s.pendB = append(s.pendB[:0], s.pendB[off:]...)
-}
-
-// flushDFA pads and executes the final partial cycle at Close.
-func (s *Stream) flushDFA() {
-	if len(s.pendB) == 0 {
-		return
-	}
-	s.stepDFA(s.pendB, s.eng.dfaPlan.StepBytes()-len(s.pendB))
-	s.pendB = s.pendB[:0]
-}
-
-func (s *Stream) stepDFA(data []byte, pad int) {
-	cycle := s.dfaCycles
-	s.dfaCycles++
-	if ids := s.dfaRun.Step(data, pad); len(ids) > 0 {
-		s.emit(cycle, ids)
-	}
-}
-
-func (s *Stream) step(vec []funcsim.Unit) {
-	cycle := s.eng.machine.KernelCycles()
-	s.scratch = s.eng.machine.Step(vec, s.scratch[:0])
-	if len(s.scratch) == 0 {
-		return
-	}
-	s.emit(cycle, s.scratch)
-}
-
-// emit deduplicates one report cycle's states by (offset, origin) — the
-// same per-cycle semantics as Engine.Scan — and delivers the matches.
-func (s *Stream) emit(cycle int64, ids []automata.StateID) {
-	clear(s.seen)
-	rate := int64(s.eng.machine.Config().Rate)
-	for _, id := range ids {
-		for _, r := range s.eng.nibble.States[id].Reports {
-			k := streamKey{offset: r.Offset, origin: r.Origin}
-			if s.seen[k] {
-				continue
-			}
-			s.seen[k] = true
-			s.reports++
-			if s.onMatch == nil {
-				continue
-			}
-			// A report ending past the bytes written so far sits in the pad
-			// tail of the final vector — phantom, not a real occurrence.
-			unit := cycle*rate + int64(r.Offset)
-			if unit >= s.bytesIn*int64(s.eng.nibble.SymbolUnits) {
-				continue
-			}
-			s.onMatch(Match{
-				Position: unit / int64(s.eng.nibble.SymbolUnits),
-				Code:     r.Code,
-			})
-		}
-	}
-	s.reportCycles++
 }
 
 // Close pads and executes the final partial vector (matches ending on the
@@ -219,46 +79,15 @@ func (s *Stream) emit(cycle int64, ids []automata.StateID) {
 // further writes return ErrClosedStream. Under a fault policy, a failure
 // in the final window is reported through Err.
 func (s *Stream) Close() Stats {
-	if s.filt != nil {
-		if !s.closed {
-			s.closed = true
-			s.filtStats = s.filt.close()
-		}
-		return s.filtStats
-	}
 	if !s.closed {
 		s.closed = true
-		if s.guard != nil {
-			if err := s.guard.Finish(); err != nil {
-				s.err = err
-			}
-			s.eng.adoptGuard(s.guard)
-		} else if s.dfaRun != nil {
-			s.flushDFA()
-		} else if len(s.pending) > 0 {
-			rate := s.eng.machine.Config().Rate
-			s.pending = funcsim.PadUnits(s.pending, rate)
-			s.consume()
+		out, err := s.run.finish()
+		if err != nil {
+			s.err = err
 		}
+		s.stats = out.stats
 	}
-	if s.dfaRun != nil {
-		// Same documented divergence as Scan on the "dfa" backend: the
-		// report-region stall model is not simulated, so StallCycles and
-		// Flushes read zero.
-		return Stats{
-			KernelCycles: s.dfaCycles,
-			Reports:      s.reports,
-			ReportCycles: s.reportCycles,
-		}
-	}
-	m := s.eng.machine
-	return Stats{
-		KernelCycles: m.KernelCycles(),
-		StallCycles:  m.StallCycles(),
-		Flushes:      m.Flushes(),
-		Reports:      s.reports,
-		ReportCycles: s.reportCycles,
-	}
+	return s.stats
 }
 
 // Err returns the error that stopped the stream, if any: an unrecoverable
@@ -268,17 +97,10 @@ func (s *Stream) Err() error { return s.err }
 // Faults summarizes the stream's fault activity so far; nil when no fault
 // policy is armed.
 func (s *Stream) Faults() *FaultReport {
-	if s.guard == nil {
-		return nil
+	if g, ok := s.run.(*guardRunner); ok {
+		return faultReport(g.g.Stats())
 	}
-	fstats := s.guard.Stats()
-	return &FaultReport{
-		Injected:       fstats.Injected.Total(),
-		Detected:       fstats.Detected(),
-		Recoveries:     fstats.Recoveries,
-		QuarantinedPUs: fstats.QuarantinedPUs,
-		Slowdown:       fstats.Slowdown(),
-	}
+	return nil
 }
 
 // BytesIn returns the number of input bytes consumed so far.

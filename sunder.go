@@ -34,11 +34,11 @@ import (
 	"sunder/internal/core"
 	"sunder/internal/dfa"
 	"sunder/internal/faults"
-	"sunder/internal/funcsim"
 	"sunder/internal/hardware"
 	"sunder/internal/mapping"
 	"sunder/internal/meta"
 	"sunder/internal/regex"
+	"sunder/internal/sched"
 	"sunder/internal/telemetry"
 	"sunder/internal/transform"
 )
@@ -99,8 +99,10 @@ type Options struct {
 	// Info().Backend for the choice and its reason). Every backend produces
 	// byte-identical matches and Reports/ReportCycles accounting. "dfa"
 	// requires whole-byte cycles (Rate 2 or 4) and fails compilation
-	// otherwise; "auto" never fails. An armed fault policy or an engaged
-	// literal prefilter takes precedence over the backend at scan time.
+	// otherwise; "auto" never fails. Every entry point resolves what it
+	// executes through one precedence: an armed fault policy, then an
+	// engaged literal prefilter, then the backend (this field, or a per-call
+	// ScanOptions.Backend override).
 	Backend string
 }
 
@@ -168,19 +170,40 @@ type ScanResult struct {
 // artifact), so any number of them may run concurrently with each other;
 // use Clone to get independent engines for concurrent sequential use.
 type Engine struct {
-	opts    Options
-	byteNFA *automata.Automaton
-	nibble  *automata.UnitAutomaton
-	machine *core.Machine
-	// proto is the never-executed machine produced at compile time; the
-	// parallel paths clone workers from it (cloning e.machine would race
-	// with sequential scans mutating it).
-	proto *core.Machine
-	place *mapping.Placement
+	// compiledArtifact is everything compilation produced. It is immutable
+	// and shared by clones and compile-cache hits; every other field is
+	// per-engine mutable state (TestEngineStateOutsideArtifact).
+	*compiledArtifact
+	// machine is the engine's own device and machinePlace the placement it
+	// was configured from: the artifact's until a guarded scan quarantines
+	// a PU and rebuilds both.
+	machine      *core.Machine
+	machinePlace *mapping.Placement
 	// faultPol/injector are armed by SetFaultPolicy; with an injector set,
 	// scans run under the fault-recovery guard.
 	faultPol *faults.Policy
 	injector *faults.Injector
+	// tel mirrors the collector attached by SetTelemetry. The parallel
+	// paths read it instead of e.machine.Telemetry(): they promise never to
+	// touch the shared machine, which a concurrent sequential scan may be
+	// mutating (and, under a fault guard, replacing outright).
+	tel atomic.Pointer[telemetry.Collector]
+	// nfaRun and dfaRun are the sequential entry points' runners, built on
+	// first use. Like the shared machine they belong to Scan/NewStream and
+	// are never touched by the parallel paths.
+	nfaRun *machineRunner
+	dfaRun *dfaRunner
+}
+
+// compiledArtifact is the immutable product of one compilation.
+type compiledArtifact struct {
+	opts    Options
+	byteNFA *automata.Automaton
+	nibble  *automata.UnitAutomaton
+	place   *mapping.Placement
+	// proto is the never-executed machine configured at compile time;
+	// engines and parallel workers clone it.
+	proto *core.Machine
 	// pruned counts the dead states removed at compile time (Options.Prune,
 	// plus the prune rounds inside Options.Minimize).
 	pruned int
@@ -190,13 +213,7 @@ type Engine struct {
 	// size), zero unless Minimize computed it.
 	minSum     analysis.MinimizeSummary
 	symClasses int
-	// tel mirrors the collector attached by SetTelemetry. The parallel
-	// paths read it instead of e.machine.Telemetry(): they promise never to
-	// touch the shared machine, which a concurrent sequential scan may be
-	// mutating (and, under a fault guard, replacing outright).
-	tel atomic.Pointer[telemetry.Collector]
-	// pre is the compiled literal-prefilter plan; nil unless
-	// Options.Prefilter is on. Immutable after compile, shared by clones.
+	// pre is the literal-prefilter plan; nil unless Options.Prefilter is on.
 	pre *prefilterPlan
 	// backend is the resolved scan backend (meta.Backend* constant) and
 	// backendNote its Info() annotation; autoChoice is what "auto" resolves
@@ -206,12 +223,14 @@ type Engine struct {
 	backendNote string
 	autoChoice  meta.Choice
 	metaIn      meta.Inputs
-	// dfaPlan is the lazy-DFA stepping plan (nil when the geometry is
-	// unsupported; immutable, shared by clones). dfaRunner is the
-	// sequential-path runner, built lazily — like the shared machine it
-	// belongs to Scan/NewStream and is never touched by the parallel paths.
-	dfaPlan   *dfa.Plan
-	dfaRunner *dfa.Runner
+	// dfaPlan is the lazy-DFA stepping plan; nil when the geometry is
+	// unsupported. Runners built from it are mutable and per engine.
+	dfaPlan *dfa.Plan
+}
+
+// newEngine returns an engine over art with its own pristine machine.
+func newEngine(art *compiledArtifact) *Engine {
+	return &Engine{compiledArtifact: art, machine: art.proto.Clone(), machinePlace: art.place}
 }
 
 // Compile builds an Engine from a pattern set.
@@ -224,18 +243,7 @@ func Compile(patterns []Pattern, opts Options) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	eng, err := fromByteNFA(nfa, opts)
-	if err != nil {
-		return nil, err
-	}
-	// Re-derive the prefilter from the pattern ASTs, which usually beat
-	// the automaton suffix walk fromByteNFA already ran (see buildPrefilter),
-	// then re-resolve the backend: "auto" defers to an engaged prefilter.
-	buildPrefilter(eng, patterns)
-	if err := resolveBackend(eng); err != nil {
-		return nil, err
-	}
-	return eng, nil
+	return compile(nfa, patterns, opts)
 }
 
 // CompileANML builds an Engine from an ANML automata network (the Micron
@@ -245,10 +253,14 @@ func CompileANML(r io.Reader, opts Options) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	return fromByteNFA(nfa, opts)
+	return compile(nfa, nil, opts)
 }
 
-func fromByteNFA(nfa *automata.Automaton, opts Options) (*Engine, error) {
+// compile is the one compile function: byte automaton in, an engine over a
+// new immutable artifact out. patterns is the regex source of nfa when
+// there is one (nil for ANML and programmatic automata); only the
+// prefilter's AST literal extraction reads it. Every analysis runs once.
+func compile(nfa *automata.Automaton, patterns []Pattern, opts Options) (*Engine, error) {
 	if opts.Rate == 0 {
 		opts.Rate = 4
 	}
@@ -256,12 +268,10 @@ func fromByteNFA(nfa *automata.Automaton, opts Options) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	var pruned int
+	art := &compiledArtifact{opts: opts, byteNFA: nfa, nibble: ua}
 	if opts.Prune {
-		pruned = analysis.Prune(ua).Removed()
+		art.pruned = analysis.Prune(ua).Removed()
 	}
-	var minSum analysis.MinimizeSummary
-	var symClasses int
 	if opts.Minimize {
 		pre := ua.Clone()
 		res := analysis.Minimize(ua)
@@ -271,14 +281,29 @@ func fromByteNFA(nfa *automata.Automaton, opts Options) (*Engine, error) {
 		if err := analysis.CheckCertificate(pre, ua, res.Cert); err != nil {
 			return nil, fmt.Errorf("sunder: minimization certificate rejected: %w", err)
 		}
+		art.minSum = res.Summary()
+		art.pruned += res.Pruned
+	}
+	// The certified symbol-class partition of the byte automaton serves both
+	// Minimize's Info().SymbolClasses and the lazy DFA's row indexing.
+	dfaOK, dfaReason := dfa.Supported(ua)
+	classes := 0
+	if opts.Minimize || dfaOK {
 		sc := analysis.SymbolClasses(nfa)
 		if err := analysis.CheckSymbolClasses(nfa, sc); err != nil {
 			return nil, fmt.Errorf("sunder: symbol-class certificate rejected: %w", err)
 		}
-		minSum = res.Summary()
-		symClasses = sc.Count()
-		pruned += res.Pruned
+		if opts.Minimize {
+			art.symClasses = sc.Count()
+		}
+		if dfaOK {
+			classes = sc.Count()
+			if art.dfaPlan, err = dfa.NewPlan(ua, sc.Class, classes); err != nil {
+				return nil, err
+			}
+		}
 	}
+
 	cfg := core.DefaultConfig(opts.Rate)
 	if opts.ReportColumns > 0 {
 		cfg.ReportColumns = opts.ReportColumns
@@ -293,26 +318,35 @@ func fromByteNFA(nfa *automata.Automaton, opts Options) (*Engine, error) {
 		return nil, fmt.Errorf("sunder: rule set does not fit the device: %w", err)
 	}
 	cfg.ReportColumns = budget
-	place, err := mapping.Place(ua, cfg.ReportColumns)
-	if err != nil {
+	if art.place, err = mapping.Place(ua, cfg.ReportColumns); err != nil {
 		return nil, fmt.Errorf("sunder: rule set does not fit the device: %w", err)
 	}
-	m, err := core.Configure(ua, place, cfg)
-	if err != nil {
+	if art.proto, err = core.Configure(ua, art.place, cfg); err != nil {
 		return nil, err
 	}
-	eng := &Engine{
-		opts: opts, byteNFA: nfa, nibble: ua, machine: m, proto: m.Clone(),
-		place: place, pruned: pruned, minSum: minSum, symClasses: symClasses,
+
+	depth, bounded := sched.DependenceCycles(ua)
+	if opts.Prefilter == PrefilterOn {
+		art.pre = buildPrefilter(nfa, ua, depth, bounded, patterns)
 	}
-	if err := buildBackendShape(eng); err != nil {
+	art.metaIn = meta.Inputs{
+		ByteStates:       nfa.NumStates(),
+		DeviceStates:     ua.NumStates(),
+		ReportStates:     ua.NumReportStates(),
+		Rate:             ua.Rate,
+		SymbolUnits:      ua.SymbolUnits,
+		DependenceWindow: depth,
+		Bounded:          bounded,
+		SymbolClasses:    classes,
+		DFASupported:     dfaOK,
+		DFAReason:        dfaReason,
+		// An engaged prefilter owns scans, so "auto" must see it.
+		PrefilterEngaged: art.pre.enabled(),
+	}
+	if err := art.resolveBackend(); err != nil {
 		return nil, err
 	}
-	buildPrefilter(eng, nil)
-	if err := resolveBackend(eng); err != nil {
-		return nil, err
-	}
-	return eng, nil
+	return newEngine(art), nil
 }
 
 // CompileAutomaton builds an Engine directly from a byte-level automaton —
@@ -322,6 +356,11 @@ func CompileAutomaton(nfa *automata.Automaton, opts Options) (*Engine, error) {
 	return fromByteNFA(nfa, opts)
 }
 
+// fromByteNFA compiles a byte automaton that has no regex source.
+func fromByteNFA(nfa *automata.Automaton, opts Options) (*Engine, error) {
+	return compile(nfa, nil, opts)
+}
+
 // Analyze runs the static IR analyzer over the engine's compiled automaton
 // and placement, cross-checking against the source byte automaton on the
 // given sample (may be nil). The report is advisory; a compiled engine has
@@ -329,7 +368,7 @@ func CompileAutomaton(nfa *automata.Automaton, opts Options) (*Engine, error) {
 func (e *Engine) Analyze(sample []byte) *analysis.Report {
 	return analysis.Analyze(e.nibble, analysis.Options{
 		Source:        e.byteNFA,
-		Placement:     e.place,
+		Placement:     e.machinePlace,
 		ReportColumns: e.machine.Config().ReportColumns,
 		EquivSample:   sample,
 	})
@@ -339,46 +378,17 @@ func (e *Engine) Analyze(sample []byte) *analysis.Report {
 // match (the byte position where an occurrence ends, with its rule code)
 // and the device statistics.
 func (e *Engine) Scan(input []byte) (*ScanResult, error) {
-	if e.injector != nil {
-		return e.scanGuarded(funcsim.BytesToUnits(input, 4))
+	l, err := e.resolve("", shardIfParallel)
+	if err != nil {
+		return nil, err
 	}
-	if e.pre.enabled() {
-		// The filtered path runs on clones of the pristine compile
-		// artifact: the shared machine (and with it Summarize/ReadReports
-		// state) is left untouched.
-		return e.scanPrefiltered(input, 1)
+	// Scan is a sequential entry point: prefilter windows run inline, and
+	// only the "parallel" backend fans out.
+	workers := 1
+	if l == legSharded {
+		workers = ScanOptions{}.workers()
 	}
-	switch e.backend {
-	case meta.BackendDFA:
-		return e.scanDFA(input)
-	case meta.BackendParallel:
-		return e.scanSharded(input, ScanOptions{})
-	}
-	e.machine.Reset()
-	units := funcsim.BytesToUnits(input, 4)
-	res := e.machine.Run(units, core.RunOptions{RecordEvents: true})
-	out := &ScanResult{
-		Stats: Stats{
-			KernelCycles: res.KernelCycles,
-			StallCycles:  res.StallCycles,
-			Flushes:      res.Flushes,
-			Reports:      res.Reports,
-			ReportCycles: res.ReportCycles,
-		},
-		PerPU: e.PerPU(),
-	}
-	for _, ev := range res.Events {
-		// Drop phantom matches that "end" in the pad tail of the last
-		// vector (a Pad unit satisfies any-symbol positions like `.`).
-		if ev.Unit >= int64(len(units)) {
-			continue
-		}
-		out.Matches = append(out.Matches, Match{
-			Position: ev.Unit / int64(e.nibble.SymbolUnits),
-			Code:     ev.Code,
-		})
-	}
-	return out, nil
+	return e.scanOn(l, e.runner(l, false), input, workers)
 }
 
 // Summarize returns, per rule code, whether the rule has fired since the

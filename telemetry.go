@@ -191,12 +191,19 @@ type PUStats struct {
 // Reset/Scan. Summing any field across the slice reproduces the
 // corresponding aggregate in Stats.
 func (e *Engine) PerPU() []PUStats {
-	return toPUStats(e.machine.PerPU())
+	return toPUStats(e.machine.PerPU(), 0)
 }
 
-// toPUStats converts the core per-PU counters to the public type.
-func toPUStats(per []core.PUStats) []PUStats {
-	out := make([]PUStats, len(per))
+// toPUStats converts the core per-PU counters to the public type. A nil
+// per — a leg that models no report region — yields n zeroed rows.
+func toPUStats(per []core.PUStats, n int) []PUStats {
+	if per != nil {
+		n = len(per)
+	}
+	out := make([]PUStats, n)
+	for i := range out {
+		out[i].PU = i
+	}
 	for i, p := range per {
 		out[i] = PUStats{
 			PU:            i,

@@ -211,3 +211,57 @@ func TestStatsRenderers(t *testing.T) {
 		}
 	}
 }
+
+// TestTelemetryStreamCountersEqualStats extends the counters-equal-Stats
+// check from Scan to Stream: device_reports / device_report_cycles are
+// counted by the report reducer, so a stream (plain or prefiltered) feeds
+// them exactly like a scan instead of leaving them at zero.
+func TestTelemetryStreamCountersEqualStats(t *testing.T) {
+	patterns := []Pattern{{Expr: `ab`, Code: 1}, {Expr: `b+c`, Code: 2}}
+	input := []byte("xxabxxbbcxxabcab")
+	for _, pre := range []PrefilterMode{PrefilterOff, PrefilterOn} {
+		opts := DefaultOptions()
+		opts.Prefilter = pre
+		eng, err := Compile(patterns, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tel := NewTelemetry(TelemetryOptions{})
+		eng.SetTelemetry(tel)
+		res, err := eng.Scan(input)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Stats.Reports != 5 || res.Stats.ReportCycles != 4 {
+			t.Fatalf("prefilter=%d: scan reports %d/%d, want 5/4", pre, res.Stats.Reports, res.Stats.ReportCycles)
+		}
+		for _, chunk := range []int{1, 5, len(input)} {
+			tel.Reset()
+			st, err := eng.NewStream(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for off := 0; off < len(input); off += chunk {
+				if _, err := st.Write(input[off:min(off+chunk, len(input))]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			stats := st.Close()
+			if stats.Reports != res.Stats.Reports || stats.ReportCycles != res.Stats.ReportCycles {
+				t.Errorf("prefilter=%d chunk=%d: stream reports %d/%d, scan %d/%d", pre, chunk,
+					stats.Reports, stats.ReportCycles, res.Stats.Reports, res.Stats.ReportCycles)
+			}
+			if got := tel.CounterValue("device_reports"); got != stats.Reports {
+				t.Errorf("prefilter=%d chunk=%d: device_reports = %d, Stats.Reports = %d", pre, chunk, got, stats.Reports)
+			}
+			if got := tel.CounterValue("device_report_cycles"); got != stats.ReportCycles {
+				t.Errorf("prefilter=%d chunk=%d: device_report_cycles = %d, Stats.ReportCycles = %d", pre, chunk, got, stats.ReportCycles)
+			}
+			if pre == PrefilterOff {
+				if got := tel.CounterValue("device_kernel_cycles"); got != stats.KernelCycles {
+					t.Errorf("chunk=%d: device_kernel_cycles = %d, Stats.KernelCycles = %d", chunk, got, stats.KernelCycles)
+				}
+			}
+		}
+	}
+}
