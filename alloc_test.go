@@ -6,9 +6,10 @@ import (
 )
 
 // TestAllocationPins holds the steady-state allocation count of the hot
-// entry points at or under what the pre-pipeline code measured, so the
-// benchmark's 2% allocs_per_op bound is caught by `go test` first: runner
-// and reducer scratch must live on the engine, not be rebuilt per call.
+// entry points at what is measured — a handful for the result, nothing per
+// cycle, per chunk or per report — so the benchmark's 2% allocs_per_op
+// bound is caught by `go test` first: runner and reducer scratch must live
+// on the engine, not be rebuilt per call.
 func TestAllocationPins(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector changes allocation counts")
@@ -52,11 +53,11 @@ func TestAllocationPins(t *testing.T) {
 		op   func()
 		max  float64
 	}{
-		{"scan/nfa", scan(compile("nfa", PrefilterOff)), 5},
+		{"scan/nfa", scan(compile("nfa", PrefilterOff)), 3},
 		{"scan/dfa", scan(compile("dfa", PrefilterOff)), 2},
 		{"scan/prefilter-skip", scan(compile("nfa", PrefilterOn)), 6},
 		{"stream/dfa", stream(compile("dfa", PrefilterOff)), 3},
-		{"stream/nfa", stream(compile("nfa", PrefilterOff)), 48},
+		{"stream/nfa", stream(compile("nfa", PrefilterOff)), 2},
 	} {
 		if got := testing.AllocsPerRun(10, pin.op); got > pin.max {
 			t.Errorf("%s: %.1f allocs/op, want <= %.0f", pin.name, got, pin.max)

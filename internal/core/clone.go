@@ -1,35 +1,30 @@
 package core
 
-import "sunder/internal/bitvec"
-
-// Clone returns a new machine with the receiver's configuration — automaton,
-// placement, match rows, crossbar and global-switch images — and a pristine
-// execution state, as if freshly Configured. The immutable compile products
-// (automaton, placement, global switches) are shared with the receiver;
-// everything mutable (per-PU subarrays, active vectors, report regions,
-// cycle counters) is copied, so clones execute fully independently. This is
-// what makes cloning far cheaper than re-running Configure: it is the
-// mechanism behind parallel shard workers and cached-compile engines.
+// Clone returns a new machine with the receiver's configuration and a
+// pristine execution state, as if freshly Configured. The compile products
+// (automaton, placement) and the whole configuration image — match rows,
+// crossbar, global switches — are shared with the receiver; the clone
+// allocates only what execution mutates (active vectors, report regions,
+// counters), so clones execute fully independently at a fraction of the
+// footprint of re-running Configure. This is the mechanism behind parallel
+// shard workers and cached-compile engines. A receiver that has taken its
+// image private (see own) hands the clone a copy instead: a private image
+// may still change under its owner.
 //
 // Telemetry and fault attachments do not carry over (attach them to the
 // clone explicitly), and neither does a SuppressStartOfData setting. The
-// receiver must be in Automata Mode and must not be executing concurrently.
+// receiver must be in Automata Mode and must not be executing concurrently;
+// concurrent Clone calls on one receiver are safe.
 func (m *Machine) Clone() *Machine {
 	if m.mode != AutomataMode {
 		panic("core: Clone while in normal (cache) mode")
 	}
-	c := &Machine{
-		cfg:       m.cfg,
-		a:         m.a,
-		place:     m.place,
-		gx:        m.gx,
-		pus:       make([]pu, len(m.pus)),
-		newActive: make([]bitvec.V256, len(m.pus)),
-		enables:   make([]bitvec.V256, len(m.pus)),
-		v8:        make([]int8, m.cfg.Rate),
+	img := m.img
+	if m.owned {
+		img = img.clone()
 	}
-	copy(c.pus, m.pus)
-	c.Reset()
+	c := newMachine(m.cfg, m.a, m.place, img)
+	c.owned = m.owned
 	return c
 }
 

@@ -13,10 +13,19 @@
 // markers) and cycle-accounting faithful for the reporting studies (stalls,
 // flushes, FIFO drain, summarization). Its functional behaviour is asserted
 // equal to the functional simulator in the integration tests.
+//
+// Storage follows the per-cycle access pattern, not the per-PU packaging:
+// one immutable configuration image (match rows group-major across PUs,
+// crossbar, sparse global switches) is shared by a machine and all its
+// clones, and a Machine owns only what execution mutates (DESIGN.md §4.18).
+// Step's accounting is held equal, cycle by cycle, to the phase-by-phase
+// model kept in spec_test.go.
 package core
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 
 	"sunder/internal/mapping"
 )
@@ -111,6 +120,24 @@ func (c Config) EntriesPerRow() int { return ColsPerSubarray / c.EntryBits() }
 // RegionCapacity returns the report-entry capacity of one subarray's
 // report region.
 func (c Config) RegionCapacity() int { return c.ReportRows() * c.EntriesPerRow() }
+
+// MaxCycles returns how many cycles a machine of this configuration can
+// execute and still cycle-stamp a report: before its data entry, a report
+// in a fresh region chains stride markers of MetadataBits each, and the
+// chain must leave the entry one of the region's slots. A machine stepped
+// past it panics on its next report, so whatever feeds a machine input of
+// unbounded length checks this first. Saturates at math.MaxInt64.
+func (c Config) MaxCycles() int64 {
+	if c.MetadataBits >= 63 {
+		return math.MaxInt64
+	}
+	mask := uint64(1)<<uint(c.MetadataBits) - 1
+	hi, strides := bits.Mul64(uint64(c.RegionCapacity()-1), mask)
+	if hi != 0 || strides > math.MaxInt64>>uint(c.MetadataBits) {
+		return math.MaxInt64
+	}
+	return int64(strides << uint(c.MetadataBits))
+}
 
 // LocalCounterBits returns the size of the per-subarray report write
 // counter per Equation 1: ⌈log #ReportRows⌉ + ⌈log(256/(m+n))⌉.

@@ -34,11 +34,10 @@ type FaultHook interface {
 // faultState holds the detection bookkeeping allocated by AttachFaults.
 type faultState struct {
 	hook FaultHook
-	// goldenMatch/goldenXbar are the configuration image captured at
-	// attach time — the scrubbing reference. Only match rows are golden;
-	// the report region holds live data and is covered by parity instead.
-	goldenMatch [][]bitvec.V256 // [pu][row 0..MatchRows)
-	goldenXbar  [][ColsPerSubarray]bitvec.V256
+	// golden is the configuration image in force at attach time — the
+	// scrubbing reference. Only configuration is golden; the report region
+	// holds live data and is covered by parity instead.
+	golden *image
 	// parity[pu] holds one parity bit per report-entry slot; bit k is the
 	// even parity of slot k's m+n entry bits, written alongside the entry
 	// (modelling a dedicated parity column per slot).
@@ -50,7 +49,9 @@ type faultState struct {
 }
 
 // AttachFaults connects a fault hook to the machine, capturing the golden
-// configuration image and allocating parity state. Passing nil detaches and
+// configuration image and allocating parity state. The golden image is the
+// machine's current one, frozen by giving up ownership of it, so the first
+// configuration fault writes a private copy. Passing nil detaches and
 // releases the detection state, restoring the zero-overhead path.
 func (m *Machine) AttachFaults(h FaultHook) {
 	if h == nil {
@@ -58,17 +59,13 @@ func (m *Machine) AttachFaults(h FaultHook) {
 		return
 	}
 	fs := &faultState{
-		hook:        h,
-		goldenMatch: make([][]bitvec.V256, len(m.pus)),
-		goldenXbar:  make([][ColsPerSubarray]bitvec.V256, len(m.pus)),
-		parity:      make([]*bitvec.Vector, len(m.pus)),
-		parityErrs:  make([]int64, len(m.pus)),
+		hook:       h,
+		golden:     m.img,
+		parity:     make([]*bitvec.Vector, len(m.pus)),
+		parityErrs: make([]int64, len(m.pus)),
 	}
-	mr := m.cfg.MatchRows()
+	m.owned = false
 	for i := range m.pus {
-		fs.goldenMatch[i] = make([]bitvec.V256, mr)
-		copy(fs.goldenMatch[i], m.pus[i].rows[:mr])
-		fs.goldenXbar[i] = m.pus[i].xbar
 		fs.parity[i] = bitvec.New(m.cfg.RegionCapacity())
 	}
 	m.flt = fs
@@ -83,28 +80,20 @@ func (m *Machine) FlipRowBit(pu, row, col int) {
 	if pu < 0 || pu >= len(m.pus) || row < 0 || row >= RowsPerSubarray || col < 0 || col >= ColsPerSubarray {
 		panic(fmt.Sprintf("core: FlipRowBit(%d,%d,%d) out of range", pu, row, col))
 	}
-	r := &m.pus[pu].rows[row]
-	if r.Get(col) {
-		r.Clear(col)
-	} else {
-		r.Set(col)
-	}
+	r := m.row(pu, row, true)
+	setBit(r, col, !r.Get(col))
 }
 
 // XbarBit reads one local-crossbar switch bit.
 func (m *Machine) XbarBit(pu, src, dst int) bool {
-	return m.pus[pu].xbar[src].Get(dst)
+	return m.img.xbarRow(pu, src).Get(dst)
 }
 
 // SetXbarBit forces one local-crossbar switch — the mechanism a stuck-at
 // defect uses to re-assert itself after scrubbing restores the golden
 // configuration.
 func (m *Machine) SetXbarBit(pu, src, dst int, on bool) {
-	if on {
-		m.pus[pu].xbar[src].Set(dst)
-	} else {
-		m.pus[pu].xbar[src].Clear(dst)
-	}
+	setBit(m.own().xbarRow(pu, src), dst, on)
 }
 
 // Occupied returns the number of report entries resident in PU pu's region.
@@ -132,25 +121,25 @@ type ScrubResult struct {
 // through Port 1 and rewriting rows whose checksum diverges from the host's
 // copy of the mapping. Panics if no fault hook is attached.
 func (m *Machine) ScrubConfig() ScrubResult {
-	fs := m.mustFaults()
+	golden := m.mustFaults().golden
 	res := ScrubResult{PerPU: make([]int, len(m.pus))}
-	mr := m.cfg.MatchRows()
-	for i := range m.pus {
-		u := &m.pus[i]
-		n := 0
-		for r := 0; r < mr; r++ {
-			if u.rows[r] != fs.goldenMatch[i][r] {
-				n += diffBits(u.rows[r], fs.goldenMatch[i][r])
-				u.rows[r] = fs.goldenMatch[i][r]
-			}
+	if m.img == golden {
+		return res // never written since attach
+	}
+	img := m.own()
+	for k, ref := range golden.match {
+		if img.match[k] != ref {
+			res.PerPU[k%img.npu] += diffBits(img.match[k], ref)
+			img.match[k] = ref
 		}
-		for s := 0; s < ColsPerSubarray; s++ {
-			if u.xbar[s] != fs.goldenXbar[i][s] {
-				n += diffBits(u.xbar[s], fs.goldenXbar[i][s])
-				u.xbar[s] = fs.goldenXbar[i][s]
-			}
+	}
+	for k, ref := range golden.xbar {
+		if img.xbar[k] != ref {
+			res.PerPU[k/ColsPerSubarray] += diffBits(img.xbar[k], ref)
+			img.xbar[k] = ref
 		}
-		res.PerPU[i] = n
+	}
+	for _, n := range res.PerPU {
 		res.RepairedBits += n
 	}
 	return res
@@ -158,15 +147,7 @@ func (m *Machine) ScrubConfig() ScrubResult {
 
 // diffBits counts the differing bits of two rows.
 func diffBits(a, b bitvec.V256) int {
-	var n int
-	for w := 0; w < 4; w++ {
-		x := a[w] ^ b[w]
-		for x != 0 {
-			x &= x - 1
-			n++
-		}
-	}
-	return n
+	return bitvec.V256{a[0] ^ b[0], a[1] ^ b[1], a[2] ^ b[2], a[3] ^ b[3]}.Count()
 }
 
 // ParityResult summarizes a parity verification pass.
@@ -187,14 +168,13 @@ type ParityResult struct {
 func (m *Machine) VerifyParity() ParityResult {
 	fs := m.mustFaults()
 	res := ParityResult{PerPU: make([]int, len(m.pus))}
-	cap := m.cfg.RegionCapacity()
 	for i := range m.pus {
 		u := &m.pus[i]
 		n := int(fs.parityErrs[i])
 		fs.parityErrs[i] = 0
 		for e := 0; e < u.occupied; e++ {
-			slot := (u.counter - u.occupied + e + cap) % cap
-			if u.entryParity(m.cfg, slot) != fs.parity[i].Get(slot) {
+			slot := (u.counter - u.occupied + e + m.capacity) % m.capacity
+			if m.entryParity(i, slot) != fs.parity[i].Get(slot) {
 				n++
 			}
 		}
@@ -235,12 +215,8 @@ func (m *Machine) AuditRegions() AuditResult {
 // column across PUs — the device half of the recovery layer's end-of-window
 // cross-check against the functional simulator's active-state vector.
 func (m *Machine) ActiveStates(dst []automata.StateID) []automata.StateID {
-	for i := range m.pus {
-		m.pus[i].active.ForEach(func(col int) {
-			if s := m.place.StateAt[i][col]; s >= 0 {
-				dst = append(dst, automata.StateID(s))
-			}
-		})
+	for i, a := range m.active {
+		dst = appendStates(dst, m.place.StateAt[i], a)
 	}
 	return dst
 }
@@ -256,9 +232,8 @@ func (m *Machine) mustFaults() *faultState {
 // recordParity stores the parity bit for the slot written last (counter-1).
 func (m *Machine) recordParity(pu int) {
 	u := &m.pus[pu]
-	cap := m.cfg.RegionCapacity()
-	slot := (u.counter - 1 + cap) % cap
-	if u.entryParity(m.cfg, slot) {
+	slot := (u.counter - 1 + m.capacity) % m.capacity
+	if m.entryParity(pu, slot) {
 		m.flt.parity[pu].Set(slot)
 	} else {
 		m.flt.parity[pu].Clear(slot)
@@ -268,8 +243,7 @@ func (m *Machine) recordParity(pu int) {
 // checkSlotParity verifies one slot on a consume path, accumulating any
 // mismatch for the next VerifyParity sweep.
 func (m *Machine) checkSlotParity(pu, slot int) {
-	u := &m.pus[pu]
-	if u.entryParity(m.cfg, slot) != m.flt.parity[pu].Get(slot) {
+	if m.entryParity(pu, slot) != m.flt.parity[pu].Get(slot) {
 		m.flt.parityErrs[pu]++
 	}
 }
@@ -280,8 +254,7 @@ func (m *Machine) checkSlotParity(pu, slot int) {
 // verification.
 func (m *Machine) checkRegionParity(pu int) {
 	u := &m.pus[pu]
-	cap := m.cfg.RegionCapacity()
 	for e := 0; e < u.occupied; e++ {
-		m.checkSlotParity(pu, (u.counter-u.occupied+e+cap)%cap)
+		m.checkSlotParity(pu, (u.counter-u.occupied+e+m.capacity)%m.capacity)
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 
 	"sunder/internal/automata"
 	"sunder/internal/bitvec"
@@ -11,15 +12,34 @@ import (
 )
 
 // Machine is a configured Sunder device: a set of processing units holding
-// one transformed automaton, executing one input vector per cycle.
+// one transformed automaton, executing one input vector per cycle. It owns
+// only what execution mutates — active vectors, report regions, counters;
+// the configuration lives in an image shared with every clone.
 type Machine struct {
 	cfg   Config
 	a     *automata.UnitAutomaton
 	place *mapping.Placement
-	pus   []pu
-	// gx[pu][col][k] holds the columns of PU (clusterBase+k) activated
-	// by column col of pu — the per-cluster global switches (Figure 7).
-	gx [][ColsPerSubarray][mapping.PUsPerCluster]bitvec.V256
+	// img is the configuration image (see image). It is shared and
+	// read-only unless owned is set; every write goes through own.
+	img   *image
+	owned bool
+
+	// active[i] is PU i's active-state vector (the pink register of
+	// Figure 4); enables is the per-cycle scratch the next one is built in.
+	active, enables []bitvec.V256
+	// region holds the report rows of every PU, PU i's at
+	// [i*ReportRows, (i+1)*ReportRows): the part of the match/report
+	// subarray below the match rows, written in place through Port 1.
+	region []bitvec.V256
+	pus    []pu
+	// resident is the number of report entries stored across all regions,
+	// so an idle FIFO drain costs no scan over the PUs.
+	resident int
+	// entriesPerRow, capacity and maxCycles cache cfg.EntriesPerRow(),
+	// cfg.RegionCapacity() and cfg.MaxCycles() for the report path, where
+	// their divisions would cost more than the entry write itself.
+	entriesPerRow, capacity int
+	maxCycles               int64
 
 	kernelCycles int64
 	stallCycles  int64
@@ -33,16 +53,12 @@ type Machine struct {
 	// default) disables the fault surface at the same one-branch cost.
 	flt *faultState
 
-	// mode and configImage implement Normal Mode (see normalmode.go).
-	mode        Mode
-	configImage [][RowsPerSubarray]bitvec.V256
+	// mode and amImage implement Normal Mode (see normalmode.go).
+	mode    Mode
+	amImage *image
 	// noStartData suppresses start-of-data injection on cycle zero (see
 	// SuppressStartOfData); set on shard-worker clones replaying mid-stream.
 	noStartData bool
-	// scratch
-	newActive []bitvec.V256
-	enables   []bitvec.V256
-	v8        []int8
 }
 
 // Configure builds a Machine from a transformed automaton and a placement.
@@ -62,60 +78,41 @@ func Configure(a *automata.UnitAutomaton, place *mapping.Placement, cfg Config) 
 		return nil, fmt.Errorf("core: placement used %d report columns, config has %d",
 			place.ReportColumns, cfg.ReportColumns)
 	}
-	m := &Machine{
-		cfg:       cfg,
-		a:         a,
-		place:     place,
-		pus:       make([]pu, place.NumPUs),
-		gx:        make([][ColsPerSubarray][mapping.PUsPerCluster]bitvec.V256, place.NumPUs),
-		newActive: make([]bitvec.V256, place.NumPUs),
-		enables:   make([]bitvec.V256, place.NumPUs),
-		v8:        make([]int8, cfg.Rate),
+	img, err := buildImage(a, place, cfg)
+	if err != nil {
+		return nil, err
 	}
-	all := automata.AllUnits(4)
-	for s := range a.States {
-		st := &a.States[s]
-		loc := place.Of[s]
-		u := &m.pus[loc.PU]
-		for g := 0; g < cfg.Rate; g++ {
-			for v := 0; v < 16; v++ {
-				if st.Match[g].Has(v) {
-					u.rows[RowsPerNibble*g+v].Set(loc.Col)
-				}
-			}
-			if st.Match[g] == all {
-				u.dontCare[g].Set(loc.Col)
-			}
-		}
-		switch st.Start {
-		case automata.StartAllInput:
-			u.startAll.Set(loc.Col)
-		case automata.StartOfData:
-			u.startData.Set(loc.Col)
-		}
-		if len(st.Reports) > 0 {
-			if loc.Col < ColsPerSubarray-cfg.ReportColumns {
-				return nil, fmt.Errorf("core: report state %d placed outside report columns (col %d)", s, loc.Col)
-			}
-			u.reportMask.Set(loc.Col)
-		}
+	return newMachine(cfg, a, place, img), nil
+}
+
+// newMachine returns a machine in its post-configuration state over img.
+func newMachine(cfg Config, a *automata.UnitAutomaton, place *mapping.Placement, img *image) *Machine {
+	vecs := make([]bitvec.V256, 2*img.npu)
+	return &Machine{
+		cfg:     cfg,
+		a:       a,
+		place:   place,
+		img:     img,
+		active:  vecs[:img.npu:img.npu],
+		enables: vecs[img.npu:],
+		region:  make([]bitvec.V256, img.npu*cfg.ReportRows()),
+		pus:     make([]pu, img.npu),
+
+		entriesPerRow: cfg.EntriesPerRow(),
+		capacity:      cfg.RegionCapacity(),
+		maxCycles:     cfg.MaxCycles(),
 	}
-	for s := range a.States {
-		from := place.Of[s]
-		for _, t := range a.States[s].Succ {
-			to := place.Of[t]
-			switch {
-			case from.PU == to.PU:
-				m.pus[from.PU].xbar[from.Col].Set(to.Col)
-			case mapping.ClusterOf(from.PU) == mapping.ClusterOf(to.PU):
-				k := to.PU % mapping.PUsPerCluster
-				m.gx[from.PU][from.Col][k].Set(to.Col)
-			default:
-				return nil, fmt.Errorf("core: edge %d→%d crosses clusters (PU %d → PU %d)", s, t, from.PU, to.PU)
-			}
-		}
+}
+
+// own makes the configuration image private to m and returns it: the one
+// step every writer of configuration takes first, so a shared image is
+// never written.
+func (m *Machine) own() *image {
+	if !m.owned {
+		m.img = m.img.clone()
+		m.owned = true
 	}
-	return m, nil
+	return m.img
 }
 
 // Config returns the machine's configuration.
@@ -161,20 +158,10 @@ func (m *Machine) Overhead() float64 {
 
 // Reset returns the machine to its post-configuration state.
 func (m *Machine) Reset() {
-	for i := range m.pus {
-		u := &m.pus[i]
-		u.active = bitvec.V256{}
-		u.clearRegion(m.cfg)
-		u.summary = bitvec.V256{}
-		u.lastStride = 0
-		u.flushes = 0
-		u.summaries = 0
-		u.reportEntries = 0
-		u.strideMarkers = 0
-		u.stallCycles = 0
-		u.peakOccupied = 0
-		u.consumed = 0
-	}
+	clear(m.active)
+	clear(m.region)
+	clear(m.pus)
+	m.resident = 0
 	if m.flt != nil {
 		for i := range m.flt.parity {
 			m.flt.parity[i].Reset()
@@ -190,12 +177,19 @@ func (m *Machine) Reset() {
 
 // Step executes one cycle on a vector of Rate units (funcsim.Pad allowed)
 // and appends the active reporting states to dst, returning it.
+//
+// The loops work on whole words of the dense per-PU vectors and touch only
+// what a cycle needs: crossbar rows of active columns, global switches of
+// active columns that have any, match rows of PUs with a live enable. What
+// the device would have done regardless — one Port-2 match read per PU per
+// cycle — is still what the energy counters record.
 func (m *Machine) Step(vec []funcsim.Unit, dst []automata.StateID) []automata.StateID {
 	if m.mode != AutomataMode {
 		panic("core: Step while in normal (cache) mode")
 	}
-	if len(vec) != m.cfg.Rate {
-		panic(fmt.Sprintf("core: vector length %d != rate %d", len(vec), m.cfg.Rate))
+	rate := m.cfg.Rate
+	if len(vec) != rate {
+		panic(fmt.Sprintf("core: vector length %d != rate %d", len(vec), rate))
 	}
 	if m.flt != nil {
 		m.flt.hook.BeforeCycle(m, m.kernelCycles)
@@ -203,65 +197,108 @@ func (m *Machine) Step(vec []funcsim.Unit, dst []automata.StateID) []automata.St
 	if m.cfg.FIFO {
 		m.drain()
 	}
-	injectAll := (m.kernelCycles*int64(m.cfg.Rate))%int64(m.a.SymbolUnits) == 0
-	injectData := m.kernelCycles == 0 && !m.noStartData
+	img := m.img // read after the hook: a configuration fault re-homes it
+	npu := img.npu
+	act, en := m.active[:npu], m.enables[:npu]
+	cycle := m.kernelCycles
+	injectAll := (cycle*int64(rate))%int64(m.a.SymbolUnits) == 0
+	injectData := cycle == 0 && !m.noStartData
 
-	// Phase 1: enables from the previous active vectors (local crossbar +
-	// global switches + start enables).
-	m.energy.MatchReads += int64(len(m.pus))
-	for i := range m.pus {
-		m.energy.XbarRowReads += int64(m.pus[i].active.Count())
-		m.enables[i] = m.pus[i].localEnable()
+	// Enables from the previous active vectors: start enables, the local
+	// crossbar (one row per active column), then the global switches.
+	xbarReads := 0
+	for i := range act {
+		var e0, e1, e2, e3 uint64
 		if injectAll {
-			m.enables[i] = m.enables[i].Or(m.pus[i].startAll)
+			s := &img.startAll[i]
+			e0, e1, e2, e3 = s[0], s[1], s[2], s[3]
 		}
 		if injectData {
-			m.enables[i] = m.enables[i].Or(m.pus[i].startData)
+			s := &img.startData[i]
+			e0, e1, e2, e3 = e0|s[0], e1|s[1], e2|s[2], e3|s[3]
 		}
-	}
-	for i := range m.pus {
-		base := mapping.ClusterOf(i) * mapping.PUsPerCluster
-		m.pus[i].active.ForEach(func(col int) {
-			for k := 0; k < mapping.PUsPerCluster; k++ {
-				out := m.gx[i][col][k]
-				if out.Any() && base+k < len(m.pus) {
-					m.enables[base+k] = m.enables[base+k].Or(out)
+		if a := &act[i]; a[0]|a[1]|a[2]|a[3] != 0 {
+			xbar := img.xbar[i*ColsPerSubarray:][:ColsPerSubarray]
+			for w, x := range a {
+				for ; x != 0; x &= x - 1 {
+					r := &xbar[w<<6|bits.TrailingZeros64(x)]
+					e0, e1, e2, e3 = e0|r[0], e1|r[1], e2|r[2], e3|r[3]
+					xbarReads++
 				}
 			}
-		})
+		}
+		en[i] = bitvec.V256{e0, e1, e2, e3}
+	}
+	m.energy.MatchReads += int64(npu)
+	m.energy.XbarRowReads += int64(xbarReads)
+	if len(img.gxOut) > 0 {
+		for i := range act {
+			hot := act[i].And(img.gxCols[i])
+			if !hot.Any() {
+				continue
+			}
+			starts := img.gxStart[i*ColsPerSubarray:][:ColsPerSubarray+1]
+			for w, x := range hot {
+				for ; x != 0; x &= x - 1 {
+					src := w<<6 | bits.TrailingZeros64(x)
+					for _, out := range img.gxOut[starts[src]:starts[src+1]] {
+						en[out.pu] = en[out.pu].Or(out.cols)
+					}
+				}
+			}
+		}
 	}
 
-	// Phase 2: match (Port 2 multi-row activation) and activate.
-	for i, u := range vec {
-		m.v8[i] = int8(u)
+	// Match (Port 2 multi-row activation: the group rows selected by the
+	// 4:16 decoders, ANDed; a padding unit selects the don't-care row) and
+	// activate, then report (Port 1) — pipelined with matching in the
+	// device, so one pass per PU here; stalls are accounted when a region
+	// fills.
+	var rows [4][]bitvec.V256
+	for g, u := range vec {
+		if u < 0 {
+			rows[g] = img.dontCare[g*npu:][:npu]
+		} else {
+			rows[g] = img.match[(RowsPerNibble*g+int(u))*npu:][:npu]
+		}
 	}
-	for i := range m.pus {
-		match := m.pus[i].matchVector(m.cfg.Rate, m.v8)
-		m.newActive[i] = m.enables[i].And(match)
-	}
-	for i := range m.pus {
-		m.pus[i].active = m.newActive[i]
-	}
-
-	// Phase 3: reporting (Port 1), pipelined with matching; stalls are
-	// accounted when a region fills.
 	stalledThisCycle := false
-	cycle := m.kernelCycles
-	for i := range m.pus {
-		rep := m.pus[i].active.And(m.pus[i].reportMask)
-		if !rep.Any() {
+	for i := range act {
+		e := &en[i]
+		a0, a1, a2, a3 := e[0], e[1], e[2], e[3]
+		if a0|a1|a2|a3 == 0 {
+			act[i] = bitvec.V256{}
 			continue
 		}
+		for g := 0; g < rate; g++ {
+			r := &rows[g][i]
+			a0, a1, a2, a3 = a0&r[0], a1&r[1], a2&r[2], a3&r[3]
+		}
+		act[i] = bitvec.V256{a0, a1, a2, a3}
+		r := &img.reportMask[i]
+		a0, a1, a2, a3 = a0&r[0], a1&r[1], a2&r[2], a3&r[3]
+		if a0|a1|a2|a3 == 0 {
+			continue
+		}
+		rep := bitvec.V256{a0, a1, a2, a3}
 		m.storeReport(i, rep, cycle, &stalledThisCycle)
-		rep.ForEach(func(col int) {
-			if s := m.place.StateAt[i][col]; s >= 0 {
-				dst = append(dst, automata.StateID(s))
-			}
-		})
+		dst = appendStates(dst, m.place.StateAt[i], rep)
 	}
 	m.kernelCycles++
 	if m.tel != nil {
 		m.tel.kernelCycles.Inc()
+	}
+	return dst
+}
+
+// appendStates appends the automaton states placed at the set columns of v.
+func appendStates(dst []automata.StateID, stateAt []int32, v bitvec.V256) []automata.StateID {
+	for w, x := range v {
+		for ; x != 0; x &= x - 1 {
+			if s := stateAt[w<<6|bits.TrailingZeros64(x)]; s >= 0 {
+				dst = append(dst, automata.StateID(s))
+			}
+		}
 	}
 	return dst
 }
@@ -280,29 +317,24 @@ func (m *Machine) storeReport(i int, rep bitvec.V256, cycle int64, stalled *bool
 	u := &m.pus[i]
 	mask := int64(1)<<uint(m.cfg.MetadataBits) - 1
 	stride := cycle >> uint(m.cfg.MetadataBits)
-	// Guard against configurations whose marker chain could never fit
-	// (tiny metadata width vs. enormous silent gaps).
-	if stride/mask >= int64(m.cfg.RegionCapacity())-1 {
+	// Invariant: a marker chain that could never fit (tiny metadata width vs.
+	// enormous silent gaps) is refused by whoever feeds the machine, which
+	// checks its input against Config.MaxCycles before stepping.
+	if cycle >= m.maxCycles {
 		panic(fmt.Sprintf("core: MetadataBits=%d too small to mark stride %d within a %d-entry region",
-			m.cfg.MetadataBits, stride, m.cfg.RegionCapacity()))
+			m.cfg.MetadataBits, stride, m.capacity))
 	}
 	for {
 		m.ensureSpace(i, stalled)
 		// ensureSpace may have flushed the region, which restarts the
 		// marker chain from zero (lastStride == -1); derive the next
 		// chunk only after space is secured.
-		cur := u.lastStride
-		if cur < 0 {
-			cur = 0
-		}
+		cur := max(u.lastStride, 0)
 		if cur >= stride {
 			break
 		}
-		chunk := stride - cur
-		if chunk > mask {
-			chunk = mask
-		}
-		u.writeReportEntry(m.cfg, bitvec.V256{}, chunk)
+		chunk := min(stride-cur, mask)
+		m.writeEntry(i, bitvec.V256{}, chunk)
 		if m.flt != nil {
 			m.recordParity(i)
 		}
@@ -316,7 +348,7 @@ func (m *Machine) storeReport(i int, rep bitvec.V256, cycle int64, stalled *bool
 	}
 	// The loop exits immediately after an ensureSpace that wrote nothing,
 	// so one free slot is guaranteed for the data entry.
-	u.writeReportEntry(m.cfg, rep, cycle&mask)
+	m.writeEntry(i, rep, cycle&mask)
 	if m.flt != nil {
 		m.recordParity(i)
 	}
@@ -337,7 +369,7 @@ func (m *Machine) storeReport(i int, rep bitvec.V256, cycle int64, stalled *bool
 // PU, so the per-PU stallCycles fields sum to the aggregate exactly.
 func (m *Machine) ensureSpace(i int, stalled *bool) {
 	u := &m.pus[i]
-	if u.occupied < m.cfg.RegionCapacity() {
+	if u.occupied < m.capacity {
 		return
 	}
 	var charged int64
@@ -347,8 +379,8 @@ func (m *Machine) ensureSpace(i int, stalled *bool) {
 		if m.flt != nil {
 			m.checkRegionParity(i)
 		}
-		batches := u.summarize(m.cfg)
-		u.clearRegion(m.cfg)
+		batches := m.summarize(i)
+		m.clearRegion(i)
 		u.summaries++
 		kind = telemetry.EventSummarize
 		if !*stalled {
@@ -358,10 +390,10 @@ func (m *Machine) ensureSpace(i int, stalled *bool) {
 		// Overflow: wait for the drain to free one entry. Concurrent
 		// overflows share the wait window.
 		if m.flt != nil {
-			cap := m.cfg.RegionCapacity()
-			m.checkSlotParity(i, (u.counter-u.occupied+cap)%cap)
+			m.checkSlotParity(i, (u.counter-u.occupied+m.capacity)%m.capacity)
 		}
 		u.occupied--
+		m.resident--
 		u.consumed++
 		u.flushes++
 		m.energy.ExportedBits += int64(m.cfg.EntryBits())
@@ -375,13 +407,13 @@ func (m *Machine) ensureSpace(i int, stalled *bool) {
 		if m.flt != nil {
 			m.checkRegionParity(i)
 		}
-		u.clearRegion(m.cfg)
+		m.clearRegion(i)
 		u.flushes++
-		m.energy.ExportedBits += int64(m.cfg.ReportRows() * ColsPerSubarray)
+		region := m.cfg.ReportRows() * ColsPerSubarray
+		m.energy.ExportedBits += int64(region)
 		kind = telemetry.EventFlush
 		if !*stalled {
-			bits := m.cfg.ReportRows() * ColsPerSubarray
-			charged = int64((bits + m.cfg.ExportBitsPerCycle - 1) / m.cfg.ExportBitsPerCycle)
+			charged = int64((region + m.cfg.ExportBitsPerCycle - 1) / m.cfg.ExportBitsPerCycle)
 		}
 	}
 	if charged > 0 {
@@ -410,43 +442,38 @@ func (m *Machine) drain() {
 	m.drainCredit += int64(m.cfg.ExportBitsPerCycle)
 	entry := int64(m.cfg.EntryBits())
 	for m.drainCredit >= entry {
-		target := -1
-		for k := 0; k < len(m.pus); k++ {
-			idx := (m.drainRR + k) % len(m.pus)
-			if m.pus[idx].occupied > 0 {
-				target = idx
-				break
-			}
-		}
-		if target < 0 {
+		if m.resident == 0 {
 			// Nothing to drain; credit does not bank indefinitely.
-			if m.drainCredit > entry {
-				m.drainCredit = entry
-			}
+			m.drainCredit = entry
 			return
 		}
+		target := m.drainRR
+		for m.pus[target].occupied == 0 {
+			if target++; target == len(m.pus) {
+				target = 0
+			}
+		}
+		u := &m.pus[target]
+		delivered := true
 		if m.flt != nil {
 			// The popped head entry is about to be delivered: verify its
 			// parity, then let the hook decide whether the row is silently
 			// lost in flight. A dropped row still spends the read
 			// bandwidth (timing is unaffected) but is never delivered, so
 			// it does not count as consumed — the audit catches it.
-			u := &m.pus[target]
-			cap := m.cfg.RegionCapacity()
-			m.checkSlotParity(target, (u.counter-u.occupied+cap)%cap)
-			if m.flt.hook.DropDrain(target) {
-				u.occupied--
-			} else {
-				u.occupied--
-				u.consumed++
-			}
-		} else {
-			m.pus[target].occupied--
-			m.pus[target].consumed++
+			m.checkSlotParity(target, (u.counter-u.occupied+m.capacity)%m.capacity)
+			delivered = !m.flt.hook.DropDrain(target)
+		}
+		u.occupied--
+		m.resident--
+		if delivered {
+			u.consumed++
 		}
 		m.drainCredit -= entry
 		m.energy.ExportedBits += entry
-		m.drainRR = (target + 1) % len(m.pus)
+		if m.drainRR = target + 1; m.drainRR == len(m.pus) {
+			m.drainRR = 0
+		}
 		if m.tel != nil {
 			m.tel.drained.Inc()
 		}
@@ -466,18 +493,16 @@ func (m *Machine) Summarize() map[automata.StateID]bool {
 		if m.flt != nil {
 			m.checkRegionParity(i)
 		}
-		batches := u.summarize(m.cfg)
+		batches := m.summarize(i)
 		if batches > maxBatches {
 			maxBatches = batches
 			maxPU = i
 		}
-		u.summary.ForEach(func(col int) {
-			if s := m.place.StateAt[i][col]; s >= 0 {
-				out[automata.StateID(s)] = true
-			}
-		})
+		for _, s := range appendStates(nil, m.place.StateAt[i], u.summary) {
+			out[s] = true
+		}
 		u.summary = bitvec.V256{}
-		u.clearRegion(m.cfg)
+		m.clearRegion(i)
 		u.summaries++
 		if m.tel != nil {
 			m.tel.puSummaries.Inc(i)
@@ -512,16 +537,14 @@ type ReportRecord struct {
 // reading reports is just reading memory rows. Only meaningful without
 // FIFO drain (the host owns the read pointer there).
 func (m *Machine) ReadReports(i int) []ReportRecord {
-	u := &m.pus[i]
 	var out []ReportRecord
 	var stride int64
 	mBits := m.cfg.ReportColumns
-	for e := 0; e < u.occupied; e++ {
-		row := m.cfg.MatchRows() + e/m.cfg.EntriesPerRow()
-		base := (e % m.cfg.EntriesPerRow()) * m.cfg.EntryBits()
+	for e := 0; e < m.pus[i].occupied; e++ {
+		row, base := m.entryAt(i, e)
 		var states []automata.StateID
 		for k := 0; k < mBits; k++ {
-			if u.rows[row].Get(base + k) {
+			if row.Get(base + k) {
 				col := ColsPerSubarray - mBits + k
 				if s := m.place.StateAt[i][col]; s >= 0 {
 					states = append(states, automata.StateID(s))
@@ -530,7 +553,7 @@ func (m *Machine) ReadReports(i int) []ReportRecord {
 		}
 		var meta int64
 		for j := 0; j < m.cfg.MetadataBits; j++ {
-			if u.rows[row].Get(base + mBits + j) {
+			if row.Get(base + mBits + j) {
 				meta |= 1 << uint(j)
 			}
 		}

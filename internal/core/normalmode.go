@@ -37,12 +37,10 @@ func (m *Machine) EnterNormalMode() {
 		return
 	}
 	m.mode = NormalMode
-	// Preserve the configured match rows; the host may overwrite them
-	// with cache lines while in NM.
-	m.configImage = make([][RowsPerSubarray]bitvec.V256, len(m.pus))
-	for i := range m.pus {
-		m.configImage[i] = m.pus[i].rows
-	}
+	// Preserve the configured match rows: the image in force is frozen by
+	// giving up ownership of it, so a cache line the host writes over a
+	// match row lands in a private copy.
+	m.amImage, m.owned = m.img, false
 }
 
 // EnterAutomataMode restores the automaton configuration (reprogramming the
@@ -52,10 +50,7 @@ func (m *Machine) EnterAutomataMode() {
 	if m.mode == AutomataMode {
 		return
 	}
-	for i := range m.pus {
-		m.pus[i].rows = m.configImage[i]
-	}
-	m.configImage = nil
+	m.img, m.owned, m.amImage = m.amImage, false, nil
 	m.mode = AutomataMode
 	m.Reset()
 }
@@ -66,7 +61,7 @@ func (m *Machine) NormalWrite(pu, row int, data bitvec.V256) error {
 	if err := m.normalCheck(pu, row); err != nil {
 		return err
 	}
-	m.pus[pu].rows[row] = data
+	*m.row(pu, row, true) = data
 	return nil
 }
 
@@ -75,7 +70,7 @@ func (m *Machine) NormalRead(pu, row int) (bitvec.V256, error) {
 	if err := m.normalCheck(pu, row); err != nil {
 		return bitvec.V256{}, err
 	}
-	return m.pus[pu].rows[row], nil
+	return *m.row(pu, row, false), nil
 }
 
 func (m *Machine) normalCheck(pu, row int) error {

@@ -1,42 +1,18 @@
 package core
 
 import (
+	"math/bits"
+
 	"sunder/internal/bitvec"
 )
 
-// pu is one processing unit: a 256×256 match/report subarray plus a local
-// full-crossbar interconnect subarray (Figure 4). Bit i of a V256 row is
-// column i, i.e. state i of this PU.
+// pu is the execution state of one processing unit's report region: the
+// local write counter of Equation 1, occupancy bookkeeping and statistics.
+// The unit's subarrays are stored column-wise across the machine instead:
+// match rows and the local crossbar in the shared image, the active vector
+// in Machine.active, the report rows in Machine.region. Bit i of a V256 is
+// column i, i.e. state i of the PU.
 type pu struct {
-	// rows is the match/report subarray. Rows [0, 16·rate) are one-hot
-	// nibble encodings (row 16g+v has bit c set iff the state in column
-	// c accepts nibble value v at vector position g); the rest is the
-	// report region.
-	rows [RowsPerSubarray]bitvec.V256
-	// xbar is the local crossbar subarray: xbar[src] holds the columns
-	// activated when the state in column src is active. Reading all
-	// active source rows and wired-NORing the bitlines yields the
-	// enable vector.
-	xbar [ColsPerSubarray]bitvec.V256
-
-	// dontCare[g] marks columns whose entire 16-row group g is set: at a
-	// padding unit those columns still match ("don't care" positions of
-	// residual states).
-	dontCare [4]bitvec.V256
-	// startAll / startData are the columns injected by the start-enable
-	// configuration.
-	startAll  bitvec.V256
-	startData bitvec.V256
-	// reportMask marks the occupied report columns (the last m columns,
-	// Figure 5).
-	reportMask bitvec.V256
-
-	// active is the current active-state vector (the pink register of
-	// Figure 4).
-	active bitvec.V256
-
-	// Report-region write state: the local counter of Equation 1 plus
-	// occupancy bookkeeping.
 	counter    int // next entry slot (row-major within the region)
 	occupied   int // entries currently stored (unread)
 	lastStride int64
@@ -60,121 +36,145 @@ type pu struct {
 	consumed int64
 }
 
-// matchVector reads the subarray through Port 2: one row per nibble group
-// is activated by the 4:16 decoders and the per-group results are ANDed
-// (multi-row activation, Section 5.1.1). A negative unit is padding and
-// matches only don't-care groups.
-func (p *pu) matchVector(rate int, vec []int8) bitvec.V256 {
-	match := bitvec.V256{^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0)}
-	for g := 0; g < rate; g++ {
-		if vec[g] < 0 {
-			match = match.And(p.dontCare[g])
-		} else {
-			match = match.And(p.rows[RowsPerNibble*g+int(vec[g])])
-		}
-	}
-	return match
+// regionOf returns PU i's report rows.
+func (m *Machine) regionOf(i int) []bitvec.V256 {
+	rr := m.cfg.ReportRows()
+	return m.region[i*rr:][:rr]
 }
 
-// localEnable propagates the active vector through the local crossbar:
-// the OR of xbar rows of all active columns.
-func (p *pu) localEnable() bitvec.V256 {
-	var enable bitvec.V256
-	p.active.ForEach(func(col int) {
-		enable = enable.Or(p.xbar[col])
-	})
-	return enable
+// row resolves row r of PU i's match/report subarray to where it is
+// stored: a match row in the configuration image — taken private first
+// when the caller is going to write it — a report row in the region.
+func (m *Machine) row(i, r int, write bool) *bitvec.V256 {
+	if mr := m.cfg.MatchRows(); r >= mr {
+		return &m.regionOf(i)[r-mr]
+	}
+	if write {
+		return m.own().matchRow(i, r)
+	}
+	return m.img.matchRow(i, r)
 }
 
-// writeReportEntry stores the m-bit report vector plus metadata at the
-// local counter's position through Port 1. It assumes capacity was checked
-// by the machine.
-func (p *pu) writeReportEntry(cfg Config, reportBits bitvec.V256, meta int64) {
-	row := cfg.MatchRows() + p.counter/cfg.EntriesPerRow()
-	base := (p.counter % cfg.EntriesPerRow()) * cfg.EntryBits()
-	m := cfg.ReportColumns
-	for k := 0; k < m; k++ {
-		if reportBits.Get(ColsPerSubarray - m + k) {
-			p.rows[row].Set(base + k)
-		} else {
-			p.rows[row].Clear(base + k)
-		}
-	}
-	for j := 0; j < cfg.MetadataBits; j++ {
-		if meta&(1<<uint(j)) != 0 {
-			p.rows[row].Set(base + m + j)
-		} else {
-			p.rows[row].Clear(base + m + j)
-		}
-	}
-	p.counter++
-	if p.counter == cfg.RegionCapacity() {
-		p.counter = 0
-	}
-	p.occupied++
-	if p.occupied > p.peakOccupied {
-		p.peakOccupied = p.occupied
+// entryAt locates entry slot of PU i: its region row and bit offset.
+func (m *Machine) entryAt(i, slot int) (row *bitvec.V256, base int) {
+	epr := m.entriesPerRow
+	return &m.regionOf(i)[slot/epr], slot % epr * m.cfg.EntryBits()
+}
+
+// putBits stores the low n (1..64) bits of v at bit offset off of row; the
+// field may straddle two words.
+func putBits(row *bitvec.V256, off, n int, v uint64) {
+	mask := ^uint64(0) >> uint(64-n)
+	w, s := off>>6, uint(off&63)
+	row[w] = row[w]&^(mask<<s) | v&mask<<s
+	if s+uint(n) > 64 {
+		row[w+1] = row[w+1]&^(mask>>(64-s)) | v&mask>>(64-s)
 	}
 }
 
-// clearRegion resets the report region after a flush or summarization.
+// getBits loads the n (1..64) bits at bit offset off of row.
+func getBits(row *bitvec.V256, off, n int) uint64 {
+	w, s := off>>6, uint(off&63)
+	v := row[w] >> s
+	if s+uint(n) > 64 {
+		v |= row[w+1] << (64 - s)
+	}
+	return v & (^uint64(0) >> uint(64-n))
+}
+
+// writeEntry stores the m-bit report vector (the last m columns of rep)
+// plus metadata at PU i's local counter position through Port 1: one
+// shifted word for entries up to 64 bits, bit by bit for wider ones. It
+// assumes capacity was checked by the caller.
+func (m *Machine) writeEntry(i int, rep bitvec.V256, meta int64) {
+	u := &m.pus[i]
+	row, base := m.entryAt(i, u.counter)
+	mc, eb := m.cfg.ReportColumns, m.cfg.EntryBits()
+	if eb <= 64 {
+		putBits(row, base, eb, rep[3]>>uint(64-mc)|uint64(meta)<<uint(mc))
+	} else {
+		for k := 0; k < mc; k++ {
+			setBit(row, base+k, rep.Get(ColsPerSubarray-mc+k))
+		}
+		for j := 0; j < m.cfg.MetadataBits; j++ {
+			setBit(row, base+mc+j, j < 64 && meta>>uint(j)&1 != 0)
+		}
+	}
+	u.counter++
+	if u.counter == m.capacity {
+		u.counter = 0
+	}
+	u.occupied++
+	m.resident++
+	if u.occupied > u.peakOccupied {
+		u.peakOccupied = u.occupied
+	}
+}
+
+func setBit(row *bitvec.V256, i int, on bool) {
+	if on {
+		row.Set(i)
+	} else {
+		row.Clear(i)
+	}
+}
+
+// clearRegion resets PU i's report region after a flush or summarization.
 // lastStride is invalidated so the next report re-writes a stride marker,
 // keeping host-side cycle reconstruction correct across flushes. The
 // resident entries count as consumed: a flush exports them and a
 // summarization folds them into the summary vector.
-func (p *pu) clearRegion(cfg Config) {
-	for r := cfg.MatchRows(); r < RowsPerSubarray; r++ {
-		p.rows[r] = bitvec.V256{}
-	}
-	p.consumed += int64(p.occupied)
-	p.counter = 0
-	p.occupied = 0
-	p.lastStride = -1
+func (m *Machine) clearRegion(i int) {
+	u := &m.pus[i]
+	clear(m.regionOf(i))
+	u.consumed += int64(u.occupied)
+	m.resident -= u.occupied
+	u.counter = 0
+	u.occupied = 0
+	u.lastStride = -1
 }
 
-// entryParity computes the even parity of entry slot's m+n stored bits.
-func (p *pu) entryParity(cfg Config, slot int) bool {
-	row := cfg.MatchRows() + slot/cfg.EntriesPerRow()
-	base := (slot % cfg.EntriesPerRow()) * cfg.EntryBits()
+// entryParity computes the even parity of the m+n stored bits of PU i's
+// entry slot.
+func (m *Machine) entryParity(i, slot int) bool {
+	row, base := m.entryAt(i, slot)
+	eb := m.cfg.EntryBits()
+	if eb <= 64 {
+		return bits.OnesCount64(getBits(row, base, eb))&1 != 0
+	}
 	par := false
-	for k := 0; k < cfg.EntryBits(); k++ {
-		if p.rows[row].Get(base + k) {
+	for k := 0; k < eb; k++ {
+		if row.Get(base + k) {
 			par = !par
 		}
 	}
 	return par
 }
 
-// summarize performs the column-wise NOR of the report region through
+// summarize performs the column-wise NOR of PU i's report region through
 // Port 2 in 16-row batches (Section 5.1.2) and folds the result into the
 // per-column summary. It returns the number of batches (each stalls
 // matching for SummarizeStallCycles).
 //
 // The hardware's wired-NOR yields the complement of the column-wise OR;
 // the host inverts it, so the model records the OR directly.
-func (p *pu) summarize(cfg Config) int {
+func (m *Machine) summarize(i int) int {
+	cfg := &m.cfg
 	var or bitvec.V256
-	batches := 0
-	for r := cfg.MatchRows(); r < RowsPerSubarray; r += cfg.SummarizeBatchRows {
-		end := r + cfg.SummarizeBatchRows
-		if end > RowsPerSubarray {
-			end = RowsPerSubarray
-		}
-		for i := r; i < end; i++ {
-			or = or.Or(p.rows[i])
-		}
-		batches++
+	for _, row := range m.regionOf(i) {
+		or = or.Or(row)
 	}
 	// Collapse per-entry-slot report bits back onto report columns: slot
 	// k of any entry corresponds to report column 256-m+k.
-	m := cfg.ReportColumns
+	mc := cfg.ReportColumns
+	summary := &m.pus[i].summary
 	for slot := 0; slot < cfg.EntriesPerRow(); slot++ {
 		base := slot * cfg.EntryBits()
-		for k := 0; k < m; k++ {
+		for k := 0; k < mc; k++ {
 			if or.Get(base + k) {
-				p.summary.Set(ColsPerSubarray - m + k)
+				summary.Set(ColsPerSubarray - mc + k)
 			}
 		}
 	}
-	return batches
+	return (cfg.ReportRows() + cfg.SummarizeBatchRows - 1) / cfg.SummarizeBatchRows
 }

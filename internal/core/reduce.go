@@ -27,22 +27,42 @@ type Reducer struct {
 
 	a      *automata.UnitAutomaton
 	record bool
-	seen   map[dedupKey]struct{}
+	// stamp[offset*origins+origin] == gen marks the report point (offset,
+	// origin) as seen in the current cycle; bumping gen empties the set.
+	// Built on the first cycle that can hold a duplicate (see newCycle).
+	stamp   []uint32
+	origins int
+	gen     uint32
 	// telReports/telReportCycles are the device report counters of the
 	// machine named at Reset; nil when it has no collector attached.
 	telReports, telReportCycles *telemetry.Counter
-}
-
-type dedupKey struct {
-	offset uint8
-	origin int32
 }
 
 // NewReducer returns a reducer for report cycles of automaton a. With
 // record set, Cycle appends each cycle's surviving reports to its dst
 // argument; counting-only callers leave it off.
 func NewReducer(a *automata.UnitAutomaton, record bool) Reducer {
-	return Reducer{a: a, record: record, seen: make(map[dedupKey]struct{})}
+	return Reducer{a: a, record: record}
+}
+
+// newCycle empties the seen set: a new generation, with the stamps sized
+// from the automaton's report points on first use and wiped when the
+// generation counter wraps.
+func (r *Reducer) newCycle() {
+	if r.stamp == nil {
+		offsets := 0
+		for i := range r.a.States {
+			for _, rep := range r.a.States[i].Reports {
+				offsets = max(offsets, int(rep.Offset)+1)
+				r.origins = max(r.origins, int(rep.Origin)+1)
+			}
+		}
+		r.stamp = make([]uint32, offsets*r.origins)
+	}
+	if r.gen++; r.gen == 0 {
+		clear(r.stamp)
+		r.gen = 1
+	}
 }
 
 // Reset zeroes the counts for a new run. m is the machine whose cycles
@@ -67,18 +87,18 @@ func (r *Reducer) Cycle(cycle int64, ids []automata.StateID, dst []funcsim.Repor
 	// the set altogether.
 	lone := len(ids) == 1 && len(r.a.States[ids[0]].Reports) == 1
 	if !lone {
-		clear(r.seen)
+		r.newCycle()
 	}
 	base := cycle * int64(r.a.Rate)
 	nrep := 0
 	for _, id := range ids {
 		for _, rep := range r.a.States[id].Reports {
 			if !lone {
-				k := dedupKey{offset: rep.Offset, origin: rep.Origin}
-				if _, dup := r.seen[k]; dup {
+				seen := &r.stamp[int(rep.Offset)*r.origins+int(rep.Origin)]
+				if *seen == r.gen {
 					continue
 				}
-				r.seen[k] = struct{}{}
+				*seen = r.gen
 			}
 			nrep++
 			if r.record {

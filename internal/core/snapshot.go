@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"sunder/internal/bitvec"
 )
@@ -16,21 +17,10 @@ import (
 
 // puSnapshot is one PU's execution state.
 type puSnapshot struct {
-	active     bitvec.V256
-	region     []bitvec.V256 // rows[MatchRows():]
-	parity     *bitvec.Vector
-	counter    int
-	occupied   int
-	lastStride int64
-	summary    bitvec.V256
-
-	flushes       int64
-	summaries     int64
-	reportEntries int64
-	strideMarkers int64
-	stallCycles   int64
-	peakOccupied  int
-	consumed      int64
+	pu
+	active bitvec.V256
+	region []bitvec.V256
+	parity *bitvec.Vector
 }
 
 // Snapshot is a bounded checkpoint of a machine's execution state.
@@ -63,22 +53,10 @@ func (m *Machine) Snapshot() *Snapshot {
 		pus:          make([]puSnapshot, len(m.pus)),
 	}
 	for i := range m.pus {
-		u := &m.pus[i]
 		ps := &s.pus[i]
-		ps.active = u.active
-		ps.region = make([]bitvec.V256, RowsPerSubarray-mr)
-		copy(ps.region, u.rows[mr:])
-		ps.counter = u.counter
-		ps.occupied = u.occupied
-		ps.lastStride = u.lastStride
-		ps.summary = u.summary
-		ps.flushes = u.flushes
-		ps.summaries = u.summaries
-		ps.reportEntries = u.reportEntries
-		ps.strideMarkers = u.strideMarkers
-		ps.stallCycles = u.stallCycles
-		ps.peakOccupied = u.peakOccupied
-		ps.consumed = u.consumed
+		ps.pu = m.pus[i]
+		ps.active = m.active[i]
+		ps.region = slices.Clone(m.regionOf(i))
 		if m.flt != nil {
 			ps.parity = m.flt.parity[i].Clone()
 		}
@@ -116,20 +94,13 @@ func (m *Machine) Restore(s *Snapshot, puMap []int) error {
 		}
 		mapped[tgt] = old + 1
 	}
-	mr := s.matchRows
+	m.resident = 0
 	for tgt := range m.pus {
-		u := &m.pus[tgt]
 		if mapped[tgt] == 0 {
 			// Unmapped (spare or vacated) PU: pristine execution state.
-			u.active = bitvec.V256{}
-			for r := mr; r < RowsPerSubarray; r++ {
-				u.rows[r] = bitvec.V256{}
-			}
-			u.counter, u.occupied, u.lastStride = 0, 0, 0
-			u.summary = bitvec.V256{}
-			u.flushes, u.summaries, u.reportEntries, u.strideMarkers = 0, 0, 0, 0
-			u.stallCycles, u.consumed = 0, 0
-			u.peakOccupied = 0
+			m.active[tgt] = bitvec.V256{}
+			clear(m.regionOf(tgt))
+			m.pus[tgt] = pu{}
 			if m.flt != nil {
 				m.flt.parity[tgt].Reset()
 				m.flt.parityErrs[tgt] = 0
@@ -137,19 +108,10 @@ func (m *Machine) Restore(s *Snapshot, puMap []int) error {
 			continue
 		}
 		ps := &s.pus[mapped[tgt]-1]
-		u.active = ps.active
-		copy(u.rows[mr:], ps.region)
-		u.counter = ps.counter
-		u.occupied = ps.occupied
-		u.lastStride = ps.lastStride
-		u.summary = ps.summary
-		u.flushes = ps.flushes
-		u.summaries = ps.summaries
-		u.reportEntries = ps.reportEntries
-		u.strideMarkers = ps.strideMarkers
-		u.stallCycles = ps.stallCycles
-		u.peakOccupied = ps.peakOccupied
-		u.consumed = ps.consumed
+		m.pus[tgt] = ps.pu
+		m.active[tgt] = ps.active
+		copy(m.regionOf(tgt), ps.region)
+		m.resident += ps.occupied
 		if m.flt != nil {
 			if ps.parity != nil {
 				m.flt.parity[tgt].CopyFrom(ps.parity)

@@ -148,12 +148,14 @@ type shardOut struct {
 
 // runShards executes shards on clones of proto and merges their outputs in
 // shard order, which is cycle order. Shards are striped across workers
-// goroutines; each worker owns one clone and resets it between the shards
-// of its stripe. Every shard runs under a child span of sp named kind.
+// goroutines; each worker owns one clone and one report reducer and resets
+// them between the shards of its stripe. Every shard runs under a child
+// span of sp named kind.
 func runShards(proto *core.Machine, a *automata.UnitAutomaton, units []funcsim.Unit, shards []Shard, workers int, rc RunConfig, sp *telemetry.SpanCtx, kind string) *RunResult {
 	outs := make([]shardOut, len(shards))
 	runStripe := func(w int) {
 		m := proto.Clone()
+		red := core.NewReducer(a, rc.RecordEvents)
 		for i := w; i < len(shards); i += workers {
 			// A reused machine carries the previous shard's region state
 			// and telemetry attachment; runShard re-attaches after its
@@ -164,7 +166,7 @@ func runShards(proto *core.Machine, a *automata.UnitAutomaton, units []funcsim.U
 			ss.SetAttr(kind + "=" + strconv.Itoa(i) +
 				" warmup=" + strconv.FormatInt(shards[i].WarmupCycles(), 10) +
 				" owned=" + strconv.FormatInt(shards[i].OwnedCycles(), 10))
-			outs[i] = runShard(m, a, units, shards[i], rc, ss)
+			outs[i] = runShard(m, &red, units, shards[i], rc, ss)
 			ss.End()
 		}
 	}
@@ -214,9 +216,9 @@ func runShards(proto *core.Machine, a *automata.UnitAutomaton, units []funcsim.U
 
 // runShard replays the shard's warm-up prefix silently on m (a fresh or
 // reset machine, telemetry detached), then executes the owned range
-// through the report reducer, so the emitted events match the sequential
-// stream exactly.
-func runShard(m *core.Machine, a *automata.UnitAutomaton, units []funcsim.Unit, sh Shard, rc RunConfig, sp *telemetry.SpanCtx) shardOut {
+// through the report reducer red, so the emitted events match the
+// sequential stream exactly.
+func runShard(m *core.Machine, red *core.Reducer, units []funcsim.Unit, sh Shard, rc RunConfig, sp *telemetry.SpanCtx) shardOut {
 	rate := m.Config().Rate
 	// With BaseCycle > 0, local cycle zero is mid-stream: anchored states
 	// must stay quiet. When the warm-up clamps to the input start the
@@ -236,7 +238,6 @@ func runShard(m *core.Machine, a *automata.UnitAutomaton, units []funcsim.Unit, 
 		// so worker sums equal sequential totals (see RunConfig.Collector).
 		m.AttachTelemetry(rc.Collector)
 	}
-	red := core.NewReducer(a, rc.RecordEvents)
 	red.Reset(m)
 
 	var out shardOut

@@ -538,7 +538,12 @@ func (s *Server) handleScan(w http.ResponseWriter, r *http.Request) {
 	case o := <-done:
 		ssp.End()
 		if o.err != nil {
-			s.writeError(w, http.StatusInternalServerError, fmt.Sprintf("scan: %v", o.err))
+			status := http.StatusInternalServerError
+			if errors.Is(o.err, sunder.ErrCycleRangeExceeded) {
+				// The ruleset's own options.metadata_bits refuses the input.
+				status = http.StatusUnprocessableEntity
+			}
+			s.writeError(w, status, fmt.Sprintf("scan: %v", o.err))
 			return
 		}
 		resp := ScanResponse{Ruleset: rs.id, Results: make([]ScanResultJSON, len(o.results))}

@@ -734,3 +734,41 @@ func TestServerMetricsAndLimits(t *testing.T) {
 		t.Errorf("pprof index: status %d", pr.StatusCode)
 	}
 }
+
+// TestServerNarrowMetadataBits: options.metadata_bits is accepted over the
+// wire, and a width too narrow to cycle-stamp a long input used to panic
+// the device model mid-scan — with no recover() in the server, one tenant's
+// ruleset took every tenant down. It is a 422 now, on the raw, the sharded
+// and the batch path, and the server keeps serving.
+func TestServerNarrowMetadataBits(t *testing.T) {
+	_, ts := newTestServer(t, Config{PoolSize: 1})
+	putRuleset(t, ts.URL, "narrow", RulesetRequest{
+		Patterns: []PatternJSON{{Expr: "ab", Code: 1}}, Options: &OptionsJSON{MetadataBits: 1},
+	})
+	long := bytes.Repeat([]byte("ab"), 20<<10)
+	batch, err := json.Marshal(EncodeInputs([][]byte{[]byte("ab"), long}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, req := range []struct {
+		query, contentType string
+		body               []byte
+	}{
+		{"", "application/octet-stream", long},
+		{"?parallel=1", "application/octet-stream", long},
+		{"", "application/json", batch},
+	} {
+		resp, err := http.Post(ts.URL+"/rulesets/narrow/scan"+req.query, req.contentType, bytes.NewReader(req.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusUnprocessableEntity || !bytes.Contains(msg, []byte("cycle range")) {
+			t.Errorf("%s scan %q: status %d: %s", req.contentType, req.query, resp.StatusCode, msg)
+		}
+	}
+	if got := scanRaw(t, ts.URL, "narrow", []byte("xxabxx"), false); len(got.Results[0].Matches) != 1 {
+		t.Errorf("scan after the refusals: %+v", got)
+	}
+}

@@ -449,6 +449,14 @@ func bodyDiverts(b *ast.BlockStmt) bool {
 // side selects into such an identifier (`ua.States[i].Succ = …`,
 // `st.Match[0] |= …`); rebinding the identifier itself (`ua = other`) is
 // not a write to the IR.
+//
+// Config.FrozenFields extends the same rule to compile products that are
+// shared through an unexported struct field rather than an automata type —
+// the device core's configuration image (`Machine.img`), which every clone
+// of a machine points at. There a write is one that selects *through* the
+// field (`m.img.match[k] = …`) or through a local bound to it
+// (`img := m.img`); rebinding the field (`m.img = other`) is not, and a
+// copy the owner hands out through a call (`img := m.own()`) is writable.
 
 // irTypeNames are the automata type names whose fields the rule protects.
 var irTypeNames = map[string]bool{"UnitAutomaton": true, "UnitState": true}
@@ -456,6 +464,10 @@ var irTypeNames = map[string]bool{"UnitAutomaton": true, "UnitState": true}
 func lintIRMutate(fset *token.FileSet, p *Package, cfg Config) []Finding {
 	if cfg.IRMutators[p.Path] {
 		return nil
+	}
+	frozen := map[string]bool{}
+	for _, field := range cfg.FrozenFields[p.Path] {
+		frozen[field] = true
 	}
 	var out []Finding
 	for _, f := range p.Files {
@@ -465,7 +477,7 @@ func lintIRMutate(fset *token.FileSet, p *Package, cfg Config) []Finding {
 				automataName = local
 			}
 		}
-		if automataName == "" {
+		if automataName == "" && len(frozen) == 0 {
 			continue
 		}
 		for _, decl := range f.Decls {
@@ -513,16 +525,12 @@ func lintIRMutate(fset *token.FileSet, p *Package, cfg Config) []Finding {
 				case *ast.AssignStmt:
 					for _, lhs := range st.Lhs {
 						root, steps := selectorRoot(lhs)
-						if root != nil && steps > 0 && ir[root.Name] {
-							out = append(out, Finding{
-								Pos:  fset.Position(lhs.Pos()),
-								Rule: "irmutate",
-								Msg:  fmt.Sprintf("%s writes a field of the compiled IR through %s; the unit automaton is frozen after compile — mutate a Clone()", fd.Name.Name, root.Name),
-							})
+						if root != nil && steps > 0 && (ir[root.Name] || selectsThrough(lhs, frozen)) {
+							out = append(out, irWrite(fset.Position(lhs.Pos()), fd.Name.Name, root.Name))
 						}
 					}
 					for i, rhs := range st.Rhs {
-						if i >= len(st.Lhs) || !aliasesIR(rhs, ir) {
+						if i >= len(st.Lhs) || !aliasesIR(rhs, ir) && !isFrozenField(rhs, frozen) {
 							continue
 						}
 						if id, ok := st.Lhs[i].(*ast.Ident); ok {
@@ -531,12 +539,8 @@ func lintIRMutate(fset *token.FileSet, p *Package, cfg Config) []Finding {
 					}
 				case *ast.IncDecStmt:
 					root, steps := selectorRoot(st.X)
-					if root != nil && steps > 0 && ir[root.Name] {
-						out = append(out, Finding{
-							Pos:  fset.Position(st.X.Pos()),
-							Rule: "irmutate",
-							Msg:  fmt.Sprintf("%s writes a field of the compiled IR through %s; the unit automaton is frozen after compile — mutate a Clone()", fd.Name.Name, root.Name),
-						})
+					if root != nil && steps > 0 && (ir[root.Name] || selectsThrough(st.X, frozen)) {
+						out = append(out, irWrite(fset.Position(st.X.Pos()), fd.Name.Name, root.Name))
 					}
 				}
 				return true
@@ -584,6 +588,45 @@ func selectorRoot(e ast.Expr) (*ast.Ident, int) {
 			e = ee.X
 		default:
 			return nil, 0
+		}
+	}
+}
+
+func irWrite(pos token.Position, fn, root string) Finding {
+	return Finding{
+		Pos:  pos,
+		Rule: "irmutate",
+		Msg:  fmt.Sprintf("%s writes a compile product through %s; the unit automaton and the configuration image are shared and frozen after compile — mutate a Clone() or a privately owned copy", fn, root),
+	}
+}
+
+// isFrozenField reports whether an expression is a frozen field itself
+// (`m.img`): binding it to a local makes the local a view of the shared
+// product.
+func isFrozenField(e ast.Expr, frozen map[string]bool) bool {
+	sel, ok := e.(*ast.SelectorExpr)
+	return ok && frozen[sel.Sel.Name]
+}
+
+// selectsThrough reports whether a selector/index chain passes through a
+// frozen field with at least one step applied on top of it — a write into
+// what the field points at, not a rebinding of the field.
+func selectsThrough(e ast.Expr, frozen map[string]bool) bool {
+	for above := false; ; {
+		switch ee := e.(type) {
+		case *ast.SelectorExpr:
+			if above && frozen[ee.Sel.Name] {
+				return true
+			}
+			e, above = ee.X, true
+		case *ast.IndexExpr:
+			e, above = ee.X, true
+		case *ast.ParenExpr:
+			e = ee.X
+		case *ast.StarExpr:
+			e = ee.X
+		default:
+			return false
 		}
 	}
 }

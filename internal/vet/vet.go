@@ -78,6 +78,10 @@ type Config struct {
 	// and the minimizer's certificates are checked against it — so a
 	// field write must go through a Clone.
 	IRMutators map[string]bool
+	// FrozenFields lists, per package, the struct fields that hold a
+	// compile product shared the way the IR is (see the irmutate rule):
+	// writes that select through them are flagged like IR writes.
+	FrozenFields map[string][]string
 }
 
 // DefaultConfig returns the repository's rule configuration.
@@ -107,6 +111,11 @@ func DefaultConfig() Config {
 			"sunder/internal/automata":  true,
 			"sunder/internal/transform": true,
 			"sunder/internal/analysis":  true,
+		},
+		FrozenFields: map[string][]string{
+			// Machine.img: one image per compile, shared by every clone;
+			// Configure builds it and Machine.own hands out private copies.
+			"sunder/internal/core": {"img"},
 		},
 	}
 }

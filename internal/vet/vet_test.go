@@ -269,6 +269,37 @@ func rewrite(ua *automata.UnitAutomaton) { ua.States[0].Succ = nil }
 	}
 }
 
+func TestIRMutateFrozenFields(t *testing.T) {
+	src := `package core
+func (m *Machine) flip(k int) {
+	m.img.match[k][0] ^= 1 // through the shared field
+	img := m.img
+	img.xbar[k][1] = 0 // through a local bound to it
+	m.img.npu++
+}
+func (m *Machine) fine(k int, other *image) {
+	m.img = other          // rebinding the field
+	img := m.own()         // a private copy handed out by a call
+	img.match[k][0] ^= 1
+	built := &image{}
+	built.match = nil      // a product still being built
+	_ = m.img.match[k][0]  // a read
+}
+`
+	fs := byRule(lintOne(t, "sunder/internal/core", src), "irmutate")
+	if len(fs) != 3 {
+		t.Fatalf("got %d findings %v, want the three writes in flip", len(fs), fs)
+	}
+	for _, f := range fs {
+		if !strings.Contains(f.Msg, "flip") {
+			t.Fatalf("finding outside flip: %v", f)
+		}
+	}
+	if fs := byRule(lintOne(t, "sunder/internal/sched", src), "irmutate"); len(fs) != 0 {
+		t.Fatalf("field frozen outside its package: %v", fs)
+	}
+}
+
 // TestRepositoryIsClean self-lints the module: the shipped tree must have
 // zero findings, since CI runs sunder-vet as a hard gate.
 func TestRepositoryIsClean(t *testing.T) {

@@ -1,6 +1,8 @@
 package sunder
 
 import (
+	"errors"
+	"fmt"
 	"slices"
 
 	"sunder/internal/automata"
@@ -214,9 +216,35 @@ func (e *Engine) runner(l leg, private bool) runner {
 	return e.nfaRun
 }
 
+// ErrCycleRangeExceeded is returned by Scan, ScanParallel, ScanBatch and
+// Stream.Write for input longer than the compiled device can account for:
+// a report entry stamps its cycle through a chain of Options.MetadataBits-
+// wide stride markers that has to fit the report region, which bounds the
+// cycles a device may be stepped (core.Config.MaxCycles — about 10^15 at
+// the default 20 bits, a few thousand at 1). The bound is a property of
+// the compiled configuration, so it holds on every leg alike, whether or
+// not the leg models the region. On a stream the error is sticky; Close
+// still finishes what was accepted.
+var ErrCycleRangeExceeded = errors.New("sunder: input exceeds the device's report cycle range")
+
+// checkCycleRange refuses an input of n bytes in total that would step the
+// device past the last cycle its report entries can stamp.
+func (e *Engine) checkCycleRange(n int64) error {
+	cfg := e.proto.Config()
+	rate := int64(cfg.Rate)
+	if cycles := (n*int64(e.nibble.SymbolUnits) + rate - 1) / rate; cycles > cfg.MaxCycles() {
+		return fmt.Errorf("%w: %d bytes take %d cycles, MetadataBits=%d stamps %d",
+			ErrCycleRangeExceeded, n, cycles, cfg.MetadataBits, cfg.MaxCycles())
+	}
+	return nil
+}
+
 // scanOn runs one whole input on leg l: reset; feed; finish on rn, its
 // runner, or through the scheduler for the two legs that have none.
 func (e *Engine) scanOn(l leg, rn runner, input []byte, workers int) (*ScanResult, error) {
+	if err := e.checkCycleRange(int64(len(input))); err != nil {
+		return nil, err
+	}
 	switch l {
 	case legPrefilter:
 		return e.scanPrefiltered(input, workers), nil

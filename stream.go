@@ -17,6 +17,7 @@ var ErrClosedStream = errors.New("sunder: write to closed stream")
 // back. An unrecoverable fault (spare PUs exhausted) surfaces as an error
 // from Write and from Err.
 type Stream struct {
+	e *Engine
 	// run is the resolved leg's runner: Write feeds it, Close finishes it.
 	run     runner
 	err     error
@@ -43,7 +44,7 @@ func (e *Engine) NewStream(onMatch func(Match)) (*Stream, error) {
 	if onMatch == nil {
 		onMatch = func(Match) {}
 	}
-	s := &Stream{run: e.runner(l, false)}
+	s := &Stream{e: e, run: e.runner(l, false)}
 	if l == legPrefilter {
 		s.run = &streamFilter{reduction: newReduction(e.nibble), e: e, p: e.pre}
 	}
@@ -54,16 +55,22 @@ func (e *Engine) NewStream(onMatch func(Match)) (*Stream, error) {
 }
 
 // Write feeds more input. It returns ErrClosedStream after Close and the
-// stream's sticky error after an unrecoverable fault or a full prefilter
+// stream's sticky error after an unrecoverable fault, a full prefilter
 // deferred-start buffer (ErrDeferredBufferFull; the chunk was consumed and
-// Close accounts for it, but the stream accepts no more input). The
-// signature satisfies io.Writer.
+// Close accounts for it, but the stream accepts no more input) or a chunk
+// that would take the stream past the device's cycle range
+// (ErrCycleRangeExceeded; the chunk was not consumed). The signature
+// satisfies io.Writer.
 func (s *Stream) Write(p []byte) (int, error) {
 	if s.closed {
 		return 0, ErrClosedStream
 	}
 	if s.err != nil {
 		return 0, s.err
+	}
+	if err := s.e.checkCycleRange(s.bytesIn + int64(len(p))); err != nil {
+		s.err = err
+		return 0, err
 	}
 	s.bytesIn += int64(len(p))
 	if err := s.run.feed(p); err != nil {
@@ -91,7 +98,8 @@ func (s *Stream) Close() Stats {
 }
 
 // Err returns the error that stopped the stream, if any: an unrecoverable
-// device fault surfaced by the recovery guard.
+// device fault surfaced by the recovery guard, or the sticky error of the
+// Write that was refused.
 func (s *Stream) Err() error { return s.err }
 
 // Faults summarizes the stream's fault activity so far; nil when no fault
