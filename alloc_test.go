@@ -3,6 +3,8 @@ package sunder
 import (
 	"bytes"
 	"testing"
+
+	"sunder/internal/workload"
 )
 
 // TestAllocationPins holds the steady-state allocation count of the hot
@@ -48,6 +50,29 @@ func TestAllocationPins(t *testing.T) {
 			st.Close()
 		}
 	}
+	// The benchmark's dfa_thrash row: SPM overflows the lazy DFA's cache, so
+	// after a warm-up every scan falls back to direct NFA stepping. What is
+	// left is the result (SPM matches on most bytes): nothing per cycle.
+	spm := workload.MustGet("SPM", workload.DefaultScale, 16<<10)
+	auto := DefaultOptions()
+	auto.Backend = "auto"
+	thrash, err := CompileAutomaton(spm.Automaton, auto)
+	if err != nil {
+		t.Fatal(err)
+	}
+	thrashScan := func(off int) func() {
+		return func() {
+			if _, err := thrash.Scan(spm.Input[off : off+2<<10]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for off := 0; off+2<<10 <= len(spm.Input); off += 2 << 10 {
+		thrashScan(off)()
+	}
+	if st := thrash.DFAStats(); st.Fallbacks == 0 {
+		t.Fatalf("SPM no longer thrashes the DFA cache: %+v", st)
+	}
 	for _, pin := range []struct {
 		name string
 		op   func()
@@ -55,6 +80,7 @@ func TestAllocationPins(t *testing.T) {
 	}{
 		{"scan/nfa", scan(compile("nfa", PrefilterOff)), 3},
 		{"scan/dfa", scan(compile("dfa", PrefilterOff)), 2},
+		{"scan/dfa-thrash", thrashScan(0), 16},
 		{"scan/prefilter-skip", scan(compile("nfa", PrefilterOn)), 6},
 		{"stream/dfa", stream(compile("dfa", PrefilterOff)), 3},
 		{"stream/nfa", stream(compile("nfa", PrefilterOff)), 2},

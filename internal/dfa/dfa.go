@@ -12,27 +12,30 @@
 // cycles per byte with time-dependent start injection and are rejected by
 // Supported; callers fall back to the bitvec NFA core there.
 //
-// A DFA state is an NFA active-state set (a bitvec). Its transition row is
-// indexed not by the raw byte tuple but by the tuple of *symbol classes*
-// from the certified analysis.SymbolClasses partition of the byte
-// automaton: bytes in one class have identical match-matrix columns, so
-// they drive the byte automaton identically, and (by the transformation's
-// event-equivalence theorem) continuations from the sets they produce emit
-// identical deduplicated report streams. Sharing one cell per class tuple
-// is therefore output-sound even when the raw unit-level sets differ — see
+// A DFA state is an NFA active-state set, one bit per device state in
+// plain uint64 words. Its transition row is indexed not by the raw byte
+// tuple but by the tuple of *symbol classes* from the certified
+// analysis.SymbolClasses partition of the byte automaton: bytes in one
+// class have identical match-matrix columns, so they drive the byte
+// automaton identically, and (by the transformation's event-equivalence
+// theorem) continuations from the sets they produce emit identical
+// deduplicated report streams. Sharing one cell per class tuple is
+// therefore output-sound even when the raw unit-level sets differ — see
 // DESIGN.md §4.16 for the full argument and its proof obligations.
 //
-// Three cycles are never served from the cache and are stepped directly on
-// the NFA tables instead: cycle 0 (start-of-data injection is
-// time-dependent) and any cycle containing pad units (pad semantics depend
-// on where the input ends). Everything between is cached.
+// Cycle 0 (start-of-data injection is time-dependent), any cycle containing
+// pad units (pad semantics depend on where the input ends) and, once the
+// cache thrashes past Config.BlowupRatio, the rest of the run are not served
+// from the cache: Plan.step, the closure-free word-level NFA step that also
+// builds every missed transition, steps them on flat tables.
 package dfa
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
 
 	"sunder/internal/automata"
-	"sunder/internal/bitvec"
 )
 
 // Supported reports whether the lazy DFA can execute a, and if not, why.
@@ -47,42 +50,64 @@ func Supported(a *automata.UnitAutomaton) (bool, string) {
 }
 
 // Plan holds the immutable stepping tables shared by every Runner built
-// for one compiled automaton: per-byte-position transition tables (the two
-// nibble tables of each position pre-ANDed into one 256-entry byte table),
-// pad masks, start and report masks, and the symbol-class partition that
-// compresses transition rows. Plans are read-only after New and safe to
-// share across engines and goroutines.
+// for one compiled automaton, all flat []uint64 so that one NFA step is a
+// closure-free walk over words (layout and exactness: DESIGN.md §4.16).
+// State sets are `words` uint64s, bit i%64 of word i/64 for device state i.
+// Plans are read-only after NewPlan and safe to share across engines and
+// goroutines.
 type Plan struct {
-	a         *automata.UnitAutomaton
 	stepBytes int
 	classes   int
 	classOf   [256]uint16
 	rowSize   int
+	words     int
 
-	// byteTable[j][b] is the set of states whose nibble positions 2j and
-	// 2j+1 accept byte b's high and low nibble; padMask[j] is the set of
-	// states with both positions don't-care (only those survive a Pad
-	// byte at position j).
-	byteTable [][]*bitvec.Vector
-	padMask   []*bitvec.Vector
+	// planes holds, for each byte position j, 256 byte planes and one pad
+	// plane of `words` words each (see plane): byte plane b is the set of
+	// states whose nibble positions 2j and 2j+1 accept b's high and low
+	// nibble — the two nibble tables pre-ANDed — and the pad plane the set
+	// with both positions don't-care (only those survive a Pad byte).
+	planes []uint64
 
-	startAll   *bitvec.Vector
-	startData  *bitvec.Vector
-	reportMask *bitvec.Vector
-	// succMask[i] is non-nil for high-fanout states; low-fanout states walk
-	// their successor slices directly.
-	succMask []*bitvec.Vector
+	// startAll seeds every cycle with the unanchored starts; startFirst adds
+	// the start-of-data states and seeds cycle 0.
+	startAll, startFirst, reportMask []uint64
+
+	// succ[succOff[i]:succOff[i+1]] is state i's successor list, grouped
+	// into one (destination word, bits) entry per word it reaches.
+	succOff []int32
+	succ    []succEntry
+	// latch[w] is the self-looping states of source word w, and
+	// latchSucc[latchOff[w]:latchOff[w+1]] the OR of all their successor
+	// lists: when every latch of a word is active, step ORs that union once
+	// instead of walking them. The OR of a subset's successors equals the
+	// union exactly when the subset is fully active, so the shortcut is
+	// exact for any mask; self-loops are chosen because `.*`-style gap
+	// states, once on, stay on and saturate their words.
+	latch     []uint64
+	latchOff  []int32
+	latchSucc []succEntry
+	// satBase is startAll and all of latchSucc: what a source set with every
+	// latch active enables before its other states are walked. covered[w]
+	// is the states of word w whose successors lie inside it — every latch,
+	// and on dense automata most of the rest — which such a set need not walk.
+	satBase, covered []uint64
 }
 
-// succMaskThreshold mirrors the functional simulator: states with this
-// many successors or more get a precomputed OR mask.
-const succMaskThreshold = 8
+// succEntry ORs mask into word `word` of the enabled set.
+type succEntry struct {
+	word int32
+	mask uint64
+}
+
+// padPlane is the index of a position's pad plane, after its 256 byte planes.
+const padPlane = 256
 
 // NewPlan builds the stepping tables for a. classOf/classes must be the
 // certified symbol-class partition of the *byte* automaton a was
 // transformed from (analysis.SymbolClasses); passing a finer partition is
-// sound but wastes cells, a coarser one is unsound. New returns an error
-// when a is not Supported or the partition is malformed.
+// sound but wastes cells, a coarser one is unsound. NewPlan returns an
+// error when a is not Supported or the partition is malformed.
 func NewPlan(a *automata.UnitAutomaton, classOf [256]uint16, classes int) (*Plan, error) {
 	if ok, reason := Supported(a); !ok {
 		return nil, fmt.Errorf("dfa: %s", reason)
@@ -97,58 +122,168 @@ func NewPlan(a *automata.UnitAutomaton, classOf [256]uint16, classes int) (*Plan
 	}
 	n := a.NumStates()
 	sb := a.Rate / a.SymbolUnits
+	words := (n + 63) / 64
 	p := &Plan{
-		a:          a,
 		stepBytes:  sb,
 		classes:    classes,
 		classOf:    classOf,
 		rowSize:    pow(classes, sb),
-		byteTable:  make([][]*bitvec.Vector, sb),
-		padMask:    make([]*bitvec.Vector, sb),
-		startAll:   bitvec.New(n),
-		startData:  bitvec.New(n),
-		reportMask: bitvec.New(n),
-		succMask:   make([]*bitvec.Vector, n),
+		words:      words,
+		planes:     make([]uint64, sb*(padPlane+1)*words),
+		startAll:   make([]uint64, words),
+		startFirst: make([]uint64, words),
+		reportMask: make([]uint64, words),
+		succOff:    make([]int32, n+1),
+		latch:      make([]uint64, words),
+		latchOff:   make([]int32, words+1),
+	}
+	// add accumulates successor lists by destination word; flush appends
+	// the accumulated entries to a CSR and empties the accumulator.
+	acc := make([]uint64, words)
+	var touched []int32
+	add := func(succ []automata.StateID) {
+		for _, t := range succ {
+			if acc[t>>6] == 0 {
+				touched = append(touched, int32(t>>6))
+			}
+			acc[t>>6] |= 1 << (t & 63)
+		}
+	}
+	flush := func(dst []succEntry) []succEntry {
+		for _, w := range touched {
+			dst = append(dst, succEntry{w, acc[w]})
+			acc[w] = 0
+		}
+		touched = touched[:0]
+		return dst
 	}
 	all := automata.AllUnits(a.UnitBits)
-	for j := 0; j < sb; j++ {
-		p.byteTable[j] = make([]*bitvec.Vector, 256)
-		for b := 0; b < 256; b++ {
-			p.byteTable[j][b] = bitvec.New(n)
-		}
-		p.padMask[j] = bitvec.New(n)
-	}
 	for i := range a.States {
 		st := &a.States[i]
+		w, bit := i>>6, uint64(1)<<(i&63)
 		for j := 0; j < sb; j++ {
 			hi, lo := st.Match[2*j], st.Match[2*j+1]
 			for b := 0; b < 256; b++ {
 				if hi.Has(b>>4) && lo.Has(b&0x0f) {
-					p.byteTable[j][b].Set(i)
+					p.plane(j, b)[w] |= bit
 				}
 			}
 			if hi == all && lo == all {
-				p.padMask[j].Set(i)
+				p.plane(j, padPlane)[w] |= bit
 			}
 		}
 		switch st.Start {
 		case automata.StartAllInput:
-			p.startAll.Set(i)
+			p.startAll[w] |= bit
+			p.startFirst[w] |= bit
 		case automata.StartOfData:
-			p.startData.Set(i)
+			p.startFirst[w] |= bit
 		}
 		if len(st.Reports) > 0 {
-			p.reportMask.Set(i)
+			p.reportMask[w] |= bit
 		}
-		if len(st.Succ) >= succMaskThreshold {
-			mask := bitvec.New(n)
-			for _, t := range st.Succ {
-				mask.Set(int(t))
+		add(st.Succ)
+		p.succ = flush(p.succ)
+		p.succOff[i+1] = int32(len(p.succ))
+	}
+	for w := 0; w < words; w++ {
+		for i := w << 6; i < min(n, (w+1)<<6); i++ {
+			if succ := a.States[i].Succ; slices.Contains(succ, automata.StateID(i)) {
+				p.latch[w] |= 1 << (i & 63)
+				add(succ)
 			}
-			p.succMask[i] = mask
+		}
+		p.latchSucc = flush(p.latchSucc)
+		p.latchOff[w+1] = int32(len(p.latchSucc))
+	}
+	p.satBase, p.covered = slices.Clone(p.startAll), make([]uint64, words)
+	for _, e := range p.latchSucc {
+		p.satBase[e.word] |= e.mask
+	}
+	outside := func(e succEntry) bool { return e.mask&^p.satBase[e.word] != 0 }
+	for i := range a.States {
+		if !slices.ContainsFunc(p.succ[p.succOff[i]:p.succOff[i+1]], outside) {
+			p.covered[i>>6] |= 1 << (i & 63)
 		}
 	}
 	return p, nil
+}
+
+// plane returns plane b (a byte value, or padPlane) of byte position j.
+func (p *Plan) plane(j, b int) []uint64 {
+	off := (j*(padPlane+1) + b) * p.words
+	return p.planes[off : off+p.words : off+p.words]
+}
+
+// step computes one cycle transition on the NFA tables — the only NFA step
+// in the package: cycle 0, pad cycles, misses and the post-blowup fallback
+// all run it. The enabled set is the unanchored starts (every cycle begins
+// at a symbol boundary — see Supported) plus the successors of src; a nil
+// src is cycle 0: no predecessors, and the anchored starts join. The byte
+// planes of the input (pad planes for the last pad positions) then filter
+// it down to the next active set in dst, which must not alias src.
+func (p *Plan) step(dst, src []uint64, data []byte, pad int) {
+	saturated := src != nil && p.saturated(src)
+	switch {
+	case src == nil:
+		copy(dst, p.startFirst)
+	case saturated:
+		copy(dst, p.satBase)
+	default:
+		copy(dst, p.startAll)
+	}
+	for w, v := range src {
+		if saturated {
+			v &^= p.covered[w]
+		} else if l := p.latch[w]; l != 0 && v&l == l {
+			for _, e := range p.latchSucc[p.latchOff[w]:p.latchOff[w+1]] {
+				dst[e.word] |= e.mask
+			}
+			v &^= l
+		}
+		for ; v != 0; v &= v - 1 {
+			i := w<<6 | bits.TrailingZeros64(v)
+			for _, e := range p.succ[p.succOff[i]:p.succOff[i+1]] {
+				dst[e.word] |= e.mask
+			}
+		}
+	}
+	// Both positions in one pass; a one-byte cycle ANDs its plane twice.
+	a, b := p.inputPlane(0, data, pad), p.inputPlane(p.stepBytes-1, data, pad)
+	for w := range dst {
+		dst[w] &= a[w] & b[w]
+	}
+}
+
+// saturated reports whether every latch is active in src.
+func (p *Plan) saturated(src []uint64) bool {
+	for w, l := range p.latch {
+		if src[w]&l != l {
+			return false
+		}
+	}
+	return true
+}
+
+// inputPlane returns the plane a cycle selects at byte position j: its
+// byte's, or the pad plane for the last pad positions (data omits them).
+func (p *Plan) inputPlane(j int, data []byte, pad int) []uint64 {
+	if j < p.stepBytes-pad {
+		return p.plane(j, int(data[j]))
+	}
+	return p.plane(j, padPlane)
+}
+
+// appendReports appends the reporting states of set to dst in ascending ID
+// order — the one place a report row is built, for cached states (intern)
+// and raw sets (Step) alike.
+func (p *Plan) appendReports(dst []automata.StateID, set []uint64) []automata.StateID {
+	for w, v := range set {
+		for v &= p.reportMask[w]; v != 0; v &= v - 1 {
+			dst = append(dst, automata.StateID(w<<6|bits.TrailingZeros64(v)))
+		}
+	}
+	return dst
 }
 
 // StepBytes returns the number of input bytes one cycle consumes.
@@ -157,8 +292,7 @@ func (p *Plan) StepBytes() int { return p.stepBytes }
 // Classes returns the symbol-class count compressing the transition rows.
 func (p *Plan) Classes() int { return p.classes }
 
-// RowSize returns the transition cells per cached DFA state
-// (Classes^StepBytes).
+// RowSize returns the cells per cached DFA state (Classes^StepBytes).
 func (p *Plan) RowSize() int { return p.rowSize }
 
 func pow(base, exp int) int {
@@ -236,15 +370,18 @@ type Stats struct {
 	Fallbacks int64
 }
 
-// dstate is one cached DFA state. Evicted states stay in the slice as dead
-// husks (set and cells freed) so their IDs never get reused: a stale cell
-// in a surviving row detects the eviction via the dead flag and re-misses.
+// dstate is one cached DFA state. IDs are never reused: evicted states stay
+// in the slice as dead husks (set, cells and reports freed), so a stale cell
+// in a surviving row finds the dead flag and re-misses. State 0 is a
+// permanent husk that stands for "none" everywhere an ID is stored: a fresh
+// row is all zeros and needs no fill, the hit path's only test is the
+// target's dead flag, and the recency list ends in 0.
 type dstate struct {
-	set     *bitvec.Vector
+	set     []uint64
 	hash    uint64
 	cells   []int32
 	reports []automata.StateID
-	prev    int32
+	prev    int32 // recency list neighbours
 	next    int32
 	dead    bool
 }
@@ -262,16 +399,15 @@ type Runner struct {
 	states []dstate
 	index  map[uint64][]int32
 	live   int
-	// mru/lru are the ends of the doubly-linked recency list over live
-	// states (-1 when empty).
+	// mru/lru end the doubly-linked recency list of live states (0: empty).
 	mru, lru int32
 
-	// cur is the cached state the run sits in, or -1 when the run is in
-	// direct-NFA mode (cycle 0, pad cycles, or after fallback); active
-	// then holds the raw set.
+	// cur is the cached state the run sits in, or 0 when the run is in
+	// direct-NFA mode (cycle 0, after a pad cycle, or after fallback);
+	// active then holds the raw set. enabled is step's other buffer.
 	cur      int32
-	active   *bitvec.Vector
-	enabled  *bitvec.Vector
+	active   []uint64
+	enabled  []uint64
 	scratch  []automata.StateID
 	cycle    int64
 	fellBack bool
@@ -281,18 +417,21 @@ type Runner struct {
 
 // NewRunner builds a runner with the given cache bounds.
 func NewRunner(p *Plan, cfg Config) *Runner {
-	n := p.a.NumStates()
-	return &Runner{
+	r := &Runner{
 		p:       p,
 		cfg:     cfg,
 		max:     cfg.maxStates(p.rowSize),
-		index:   make(map[uint64][]int32),
-		mru:     -1,
-		lru:     -1,
-		cur:     -1,
-		active:  bitvec.New(n),
-		enabled: bitvec.New(n),
+		active:  make([]uint64, p.words),
+		enabled: make([]uint64, p.words),
 	}
+	r.emptyCache()
+	return r
+}
+
+func (r *Runner) emptyCache() {
+	r.states = []dstate{{dead: true}}
+	r.index = make(map[uint64][]int32)
+	r.live, r.mru, r.lru = 0, 0, 0
 }
 
 // Plan returns the runner's shared plan.
@@ -311,139 +450,77 @@ func (r *Runner) Cycle() int64 { return r.cycle }
 // kept hot unless dead husks dominate it, in which case it is rebuilt
 // empty (bounding the memory a past thrashing run left behind).
 func (r *Runner) Reset() {
-	r.cycle = 0
-	r.cur = -1
-	r.fellBack = false
-	r.active.Reset()
-	if len(r.states)-r.live > 4*r.max {
-		r.states = nil
-		r.index = make(map[uint64][]int32)
-		r.live = 0
-		r.mru, r.lru = -1, -1
+	r.cycle, r.cur, r.fellBack = 0, 0, false
+	if len(r.states)-1-r.live > 4*r.max {
+		r.emptyCache()
 	}
 }
 
 // Step consumes one cycle: the next StepBytes() input bytes, of which the
 // last pad positions are past the end of the input (the final cycle of an
-// odd-length input). It returns the active reporting states of the cycle
-// in ascending ID order. The slice is owned by the runner — read it before
-// the next Step and do not mutate or retain it (cached states hand out
-// their long-lived report rows).
+// odd-length input; data holds only the real bytes). It returns the active
+// reporting states of the cycle in ascending ID order. The slice is owned
+// by the runner — read it before the next Step and do not mutate or retain
+// it (cached states hand out their long-lived report rows).
+//
+// Order within a cycle is all the IDs promise. A cell is shared by every
+// byte tuple of its symbol-class tuple and leads to the set the first of
+// them built, which is event-equivalent to, not equal to, the set another
+// tuple of the class would reach: the cycle's deduplicated (offset, origin)
+// reports are exactly the oracle's as a set, but two of them may come out
+// in the other order. Consumers that compare runs sort within a cycle.
 func (r *Runner) Step(data []byte, pad int) []automata.StateID {
-	first := r.cycle == 0
 	r.cycle++
-	if first || pad > 0 || r.fellBack || r.cur < 0 {
-		// Directly-stepped cycles: time-dependent start injection (cycle
-		// 0), pad semantics (final cycle), or fallback mode.
-		var src *bitvec.Vector
-		if !first {
-			src = r.active
-			if r.cur >= 0 {
-				src = r.states[r.cur].set
-			}
+	curID, idx := r.cur, 0
+	if pad == 0 && curID != 0 {
+		idx = int(r.p.classOf[data[0]])
+		if r.p.stepBytes == 2 {
+			idx = idx*r.p.classes + int(r.p.classOf[data[1]])
 		}
-		r.nfaStep(r.enabled, src, data, pad, first)
-		r.active, r.enabled = r.enabled, r.active
-		if pad == 0 && !r.fellBack {
-			// Re-enter cached mode: the reached set is a valid DFA state
-			// (its outgoing transitions are time-invariant).
-			if id := r.intern(r.active); id >= 0 {
-				r.cur = id
-				return r.states[id].reports
-			}
-		} else {
-			r.cur = -1
+		if next := r.states[curID].cells[idx]; !r.states[next].dead {
+			r.stats.Hits++
+			r.cur = next
+			r.touch(next)
+			return r.states[next].reports
 		}
-		return r.listReports(r.active)
+		r.stats.Misses++
 	}
-
-	curID := r.cur
-	st := &r.states[curID]
-	idx := int(r.p.classOf[data[0]])
-	if r.p.stepBytes == 2 {
-		idx = idx*r.p.classes + int(r.p.classOf[data[1]])
+	// Stepped cycles: a miss, time-dependent start injection (cycle 0), pad
+	// semantics (final cycle), or fallback mode.
+	var src []uint64
+	switch {
+	case curID != 0:
+		src = r.states[curID].set
+	case r.cycle > 1:
+		src = r.active
 	}
-	if next := st.cells[idx]; next >= 0 && !r.states[next].dead {
-		r.stats.Hits++
-		r.cur = next
-		r.touch(next)
-		return r.states[next].reports
-	}
-	r.stats.Misses++
-	r.nfaStep(r.enabled, st.set, data, 0, false)
-	id := r.intern(r.enabled)
-	if id < 0 {
-		// Blowup fallback: continue the run on the raw set, no restart.
-		r.active.CopyFrom(r.enabled)
-		r.cur = -1
-		return r.listReports(r.active)
-	}
-	// intern may have grown the states slice or evicted rows; re-resolve
-	// the origin row before linking the cell. The origin itself is safe
-	// from eviction: it was most-recently-used before this step.
-	r.states[curID].cells[idx] = id
-	r.cur = id
-	return r.states[id].reports
-}
-
-// nfaStep computes one cycle transition on the NFA tables: enabled states
-// are the always-on unanchored starts (every cycle begins at a symbol
-// boundary — see Supported), the anchored starts on the first cycle, and
-// the successors of src; the per-position byte tables (pad masks for pad
-// positions) then filter them down to the next active set.
-func (r *Runner) nfaStep(dst, src *bitvec.Vector, data []byte, pad int, first bool) {
-	p := r.p
-	dst.Reset()
-	dst.Or(p.startAll)
-	if first {
-		dst.Or(p.startData)
-	}
-	if src != nil {
-		src.ForEach(func(i int) bool {
-			if m := p.succMask[i]; m != nil {
-				dst.Or(m)
-				return true
+	r.p.step(r.enabled, src, data, pad)
+	r.active, r.enabled = r.enabled, r.active
+	r.cur = 0
+	if pad == 0 && !r.fellBack {
+		// (Re-)enter cached mode: the reached set is a valid DFA state (its
+		// outgoing transitions are time-invariant). intern may grow the
+		// states slice, so the missed cell is resolved after it; its row is
+		// safe from eviction, being most recently used before this step.
+		if r.cur = r.intern(r.active); r.cur != 0 {
+			if curID != 0 {
+				r.states[curID].cells[idx] = r.cur
 			}
-			for _, t := range p.a.States[i].Succ {
-				dst.Set(int(t))
-			}
-			return true
-		})
-	}
-	real := p.stepBytes - pad
-	for j := 0; j < p.stepBytes; j++ {
-		if j < real {
-			dst.And(p.byteTable[j][data[j]])
-		} else {
-			dst.And(p.padMask[j])
+			return r.states[r.cur].reports
 		}
 	}
-}
-
-// listReports returns the reporting states of a raw set in ascending
-// order, reusing the runner's scratch buffer.
-func (r *Runner) listReports(set *bitvec.Vector) []automata.StateID {
-	if !set.Intersects(r.p.reportMask) {
-		return nil
-	}
-	out := r.scratch[:0]
-	set.ForEach(func(i int) bool {
-		if r.p.reportMask.Get(i) {
-			out = append(out, automata.StateID(i))
-		}
-		return true
-	})
-	r.scratch = out
-	return out
+	// Direct-NFA mode — after a blowup, on the same set and with no restart.
+	r.scratch = r.p.appendReports(r.scratch[:0], r.active)
+	return r.scratch
 }
 
 // intern returns the cached state ID for set, constructing (and possibly
-// evicting) as needed. It returns -1 when construction would thrash: the
+// evicting) as needed. It returns 0 when construction would thrash: the
 // caller then falls back to direct NFA stepping for the rest of the run.
-func (r *Runner) intern(set *bitvec.Vector) int32 {
+func (r *Runner) intern(set []uint64) int32 {
 	h := hashSet(set)
 	for _, id := range r.index[h] {
-		if !r.states[id].dead && r.states[id].set.Equal(set) {
+		if slices.Equal(r.states[id].set, set) {
 			r.touch(id)
 			return id
 		}
@@ -451,27 +528,14 @@ func (r *Runner) intern(set *bitvec.Vector) int32 {
 	if r.stats.Evictions > 0 && float64(r.stats.States) > r.cfg.blowupRatio()*float64(r.cycle) {
 		r.fellBack = true
 		r.stats.Fallbacks++
-		return -1
+		return 0
 	}
 	if r.live >= r.max {
 		r.evict()
 	}
 	id := int32(len(r.states))
-	cells := make([]int32, r.p.rowSize)
-	for i := range cells {
-		cells[i] = -1
-	}
-	var reports []automata.StateID
-	if set.Intersects(r.p.reportMask) {
-		set.ForEach(func(i int) bool {
-			if r.p.reportMask.Get(i) {
-				reports = append(reports, automata.StateID(i))
-			}
-			return true
-		})
-	}
 	r.states = append(r.states, dstate{
-		set: set.Clone(), hash: h, cells: cells, reports: reports, prev: -1, next: -1,
+		set: slices.Clone(set), hash: h, cells: make([]int32, r.p.rowSize), reports: r.p.appendReports(nil, set),
 	})
 	r.index[h] = append(r.index[h], id)
 	r.live++
@@ -480,27 +544,20 @@ func (r *Runner) intern(set *bitvec.Vector) int32 {
 	return id
 }
 
-// evict retires the least-recently-used state. Its ID is never reused:
-// rows still pointing at it re-miss via the dead flag.
+// evict retires the least-recently-used state and drops its index entry, so
+// that the husk is not rediscovered.
 func (r *Runner) evict() {
 	victim := r.lru
-	if victim < 0 {
+	if victim == 0 {
 		return
 	}
 	r.unlink(victim)
 	st := &r.states[victim]
-	st.dead = true
-	st.set = nil
-	st.cells = nil
-	st.reports = nil
-	// Drop the index entry so the husk is not rediscovered.
+	st.dead, st.set, st.cells, st.reports = true, nil, nil, nil
 	bucket := r.index[st.hash]
-	for i, id := range bucket {
-		if id == victim {
-			bucket[i] = bucket[len(bucket)-1]
-			bucket = bucket[:len(bucket)-1]
-			break
-		}
+	if i := slices.Index(bucket, victim); i >= 0 {
+		bucket[i] = bucket[len(bucket)-1]
+		bucket = bucket[:len(bucket)-1]
 	}
 	if len(bucket) == 0 {
 		delete(r.index, st.hash)
@@ -521,46 +578,41 @@ func (r *Runner) touch(id int32) {
 
 func (r *Runner) pushFront(id int32) {
 	st := &r.states[id]
-	st.prev = -1
+	st.prev = 0
 	st.next = r.mru
-	if r.mru >= 0 {
+	if r.mru != 0 {
 		r.states[r.mru].prev = id
 	}
 	r.mru = id
-	if r.lru < 0 {
+	if r.lru == 0 {
 		r.lru = id
 	}
 }
 
 func (r *Runner) unlink(id int32) {
 	st := &r.states[id]
-	if st.prev >= 0 {
+	if st.prev != 0 {
 		r.states[st.prev].next = st.next
 	} else if r.mru == id {
 		r.mru = st.next
 	}
-	if st.next >= 0 {
+	if st.next != 0 {
 		r.states[st.next].prev = st.prev
 	} else if r.lru == id {
 		r.lru = st.prev
 	}
-	st.prev, st.next = -1, -1
+	st.prev, st.next = 0, 0
 }
 
-// hashSet is FNV-1a over the set's member indices — deterministic across
-// processes (no seeding), cheap for the sparse sets NFA scans produce.
-func hashSet(set *bitvec.Vector) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	set.ForEach(func(i int) bool {
-		h ^= uint64(i)
-		h *= prime64
-		h ^= uint64(i) >> 8
-		h *= prime64
-		return true
-	})
+// hashSet folds the set's words FNV-1a style, with a shift so that a high
+// bit reaches the low ones before the next word — deterministic across
+// processes (no seeding), and a bijection of the running hash per round, so
+// sets that differ in one word never collide.
+func hashSet(set []uint64) uint64 {
+	h := uint64(14695981039346656037)
+	for _, v := range set {
+		h = (h ^ v) * 1099511628211
+		h ^= h >> 29
+	}
 	return h
 }

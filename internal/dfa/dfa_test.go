@@ -1,7 +1,9 @@
 package dfa
 
 import (
+	"cmp"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"sunder/internal/analysis"
@@ -9,11 +11,15 @@ import (
 	"sunder/internal/bitvec"
 	"sunder/internal/funcsim"
 	"sunder/internal/transform"
+	"sunder/internal/workload"
 )
 
 // event is one deduplicated report, the unit of output equivalence: the
 // lazy DFA must emit exactly the functional simulator's events even when
-// symbol-class row sharing makes its raw state sets differ.
+// symbol-class row sharing makes its raw state sets differ. Equal means
+// equal as a set per cycle (Runner.Step's order contract), so both sides
+// come back from canonical, which orders a cycle's events by (offset,
+// origin) — unique within a cycle after deduplication.
 type event struct {
 	cycle  int64
 	offset uint8
@@ -21,9 +27,16 @@ type event struct {
 	code   int32
 }
 
+func canonical(events []event) []event {
+	slices.SortFunc(events, func(a, b event) int {
+		return cmp.Or(cmp.Compare(a.cycle, b.cycle), cmp.Compare(a.offset, b.offset), cmp.Compare(a.origin, b.origin))
+	})
+	return events
+}
+
 // runDFA executes input on a fresh runner and returns the deduplicated
 // events plus reports/report-cycles accounting (the funcsim.Run contract).
-func runDFA(t *testing.T, r *Runner, input []byte) (events []event, reports, reportCycles int64) {
+func runDFA(t *testing.T, r *Runner, ua *automata.UnitAutomaton, input []byte) (events []event, reports, reportCycles int64) {
 	t.Helper()
 	r.Reset()
 	sb := r.Plan().StepBytes()
@@ -47,7 +60,7 @@ func runDFA(t *testing.T, r *Runner, input []byte) (events []event, reports, rep
 		clear(seen)
 		n := int64(0)
 		for _, id := range ids {
-			for _, rep := range r.Plan().a.States[id].Reports {
+			for _, rep := range ua.States[id].Reports {
 				k := [2]int64{int64(rep.Offset), int64(rep.Origin)}
 				if seen[k] {
 					continue
@@ -62,7 +75,7 @@ func runDFA(t *testing.T, r *Runner, input []byte) (events []event, reports, rep
 		reports += n
 		reportCycles++
 	}
-	return events, reports, reportCycles
+	return canonical(events), reports, reportCycles
 }
 
 // runSim is the reference: the functional simulator over the same padded
@@ -75,26 +88,20 @@ func runSim(a *automata.UnitAutomaton, input []byte) (events []event, reports, r
 			cycle: ev.Cycle, offset: uint8(ev.Unit - ev.Cycle*int64(a.Rate)), origin: ev.Origin, code: ev.Code,
 		})
 	}
-	return events, res.Reports, res.ReportCycles
+	return canonical(events), res.Reports, res.ReportCycles
 }
 
-func eventsEqual(a, b []event) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
+func eventsEqual(a, b []event) bool { return slices.Equal(a, b) }
 
 // randomByteNFA builds a small random byte automaton over a limited
 // alphabet (so symbol classes genuinely collapse) with random structure.
 func randomByteNFA(rng *rand.Rand) *automata.Automaton {
+	return randomByteNFAOf(rng, 2+rng.Intn(10))
+}
+
+// randomByteNFAOf is randomByteNFA with the state count given.
+func randomByteNFAOf(rng *rand.Rand, n int) *automata.Automaton {
 	nfa := automata.NewAutomaton()
-	n := 2 + rng.Intn(10)
 	alpha := []byte("abcABd.\x00\xff")
 	for i := 0; i < n; i++ {
 		var m bitvec.V256
@@ -148,7 +155,7 @@ func randomInput(rng *rand.Rand, n int) []byte {
 	return out
 }
 
-func certifiedPlan(t *testing.T, nfa *automata.Automaton, ua *automata.UnitAutomaton) *Plan {
+func certifiedPlan(t testing.TB, nfa *automata.Automaton, ua *automata.UnitAutomaton) *Plan {
 	t.Helper()
 	cert := analysis.SymbolClasses(nfa)
 	if err := analysis.CheckSymbolClasses(nfa, cert); err != nil {
@@ -184,7 +191,9 @@ func TestSupported(t *testing.T) {
 // TestDifferentialVsFuncsim drives random automata and inputs through the
 // lazy DFA under the certified symbol-class partition and the identity
 // partition, at both supported rates, including odd lengths (pad cycles)
-// and repeated runs on one runner (warm cache).
+// and repeated runs on one runner (warm cache). The plans run in a fixed
+// order: ranging over a map of them made the rng stream, and so the inputs
+// each plan saw, depend on the iteration order.
 func TestDifferentialVsFuncsim(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	var identity [256]uint16
@@ -198,29 +207,81 @@ func TestDifferentialVsFuncsim(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			plans := map[string]*Plan{"certified": certifiedPlan(t, nfa, ua)}
 			idp, err := NewPlan(ua, identity, 256)
 			if err != nil {
 				t.Fatal(err)
 			}
-			plans["identity"] = idp
-			for name, plan := range plans {
-				r := NewRunner(plan, DefaultConfig())
+			for _, pl := range []struct {
+				name string
+				plan *Plan
+			}{{"certified", certifiedPlan(t, nfa, ua)}, {"identity", idp}} {
+				r := NewRunner(pl.plan, DefaultConfig())
 				for run := 0; run < 2; run++ {
 					input := randomInput(rng, rng.Intn(40))
 					want, wantRep, wantRC := runSim(ua, input)
-					got, gotRep, gotRC := runDFA(t, r, input)
+					got, gotRep, gotRC := runDFA(t, r, ua, input)
 					if !eventsEqual(got, want) {
 						t.Fatalf("trial %d rate %d %s run %d: events diverge\n got %v\nwant %v",
-							trial, rate, name, run, got, want)
+							trial, rate, pl.name, run, got, want)
 					}
 					if gotRep != wantRep || gotRC != wantRC {
 						t.Fatalf("trial %d rate %d %s: reports %d/%d want %d/%d",
-							trial, rate, name, gotRep, gotRC, wantRep, wantRC)
+							trial, rate, pl.name, gotRep, gotRC, wantRep, wantRC)
 					}
 				}
 			}
 		}
+	}
+}
+
+// TestSharedCellReportOrder is the trial that made TestDifferentialVsFuncsim
+// fail one run in twelve when it compared events in emission order. At
+// cycle 17 the certified-class DFA takes a cell that another byte tuple of
+// the same class tuple built: the set it leads to reports (offset 3, origin
+// 6) from a lower state ID than (offset 1, origin 6), the oracle's raw set
+// the other way round. Same events, other order — which is all Step
+// promises, and what canonical compares.
+func TestSharedCellReportOrder(t *testing.T) {
+	var all bitvec.V256
+	for b := 0; b < 256; b++ {
+		all.Set(b)
+	}
+	set := func(bs string) (m bitvec.V256) {
+		for _, b := range []byte(bs) {
+			m.Set(int(b))
+		}
+		return m
+	}
+	nfa := automata.NewAutomaton()
+	for _, st := range []struct {
+		match bitvec.V256
+		start automata.StartKind
+		code  int32
+		succ  []automata.StateID
+	}{
+		{all, automata.StartAllInput, 0, []automata.StateID{3}},
+		{all, automata.StartAllInput, 2, []automata.StateID{2, 5}},
+		{all, automata.StartAllInput, 3, []automata.StateID{3}},
+		{set("d"), automata.StartNone, 4, []automata.StateID{2}},
+		{set("\xff"), automata.StartNone, 0, nil},
+		{all, automata.StartNone, 6, []automata.StateID{2, 6}},
+		{set(".Bc"), automata.StartAllInput, 7, nil},
+	} {
+		id := nfa.AddState(automata.State{Match: st.match, Start: st.start, Report: st.code != 0, ReportCode: st.code})
+		for _, to := range st.succ {
+			nfa.AddEdge(id, to)
+		}
+	}
+	nfa.Normalize()
+	ua, err := transform.ToRate(nfa, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	input := []byte("bBbycBxdb.\x00\x00dBydydxAa\xff\xffcAbb\x00z\xffz.\xffyBczaA")
+	want, wantRep, wantRC := runSim(ua, input)
+	got, gotRep, gotRC := runDFA(t, NewRunner(certifiedPlan(t, nfa, ua), DefaultConfig()), ua, input)
+	if !eventsEqual(got, want) || gotRep != wantRep || gotRC != wantRC {
+		t.Fatalf("events diverge\n got %v\nwant %v", got, want)
 	}
 }
 
@@ -240,7 +301,7 @@ func TestLRUEviction(t *testing.T) {
 		r := NewRunner(plan, Config{MaxStates: 2, BlowupRatio: 10})
 		input := randomInput(rng, 300)
 		want, wantRep, wantRC := runSim(ua, input)
-		got, gotRep, gotRC := runDFA(t, r, input)
+		got, gotRep, gotRC := runDFA(t, r, ua, input)
 		if !eventsEqual(got, want) || gotRep != wantRep || gotRC != wantRC {
 			t.Fatalf("trial %d: output diverges under eviction pressure", trial)
 		}
@@ -266,7 +327,7 @@ func TestBlowupFallback(t *testing.T) {
 		r := NewRunner(plan, Config{MaxStates: 2, BlowupRatio: 0.01})
 		input := randomInput(rng, 400)
 		want, wantRep, wantRC := runSim(ua, input)
-		got, gotRep, gotRC := runDFA(t, r, input)
+		got, gotRep, gotRC := runDFA(t, r, ua, input)
 		if !eventsEqual(got, want) || gotRep != wantRep || gotRC != wantRC {
 			t.Fatalf("trial %d: output diverges across fallback", trial)
 		}
@@ -294,9 +355,9 @@ func TestCacheSurvivesReset(t *testing.T) {
 	plan := certifiedPlan(t, nfa, ua)
 	r := NewRunner(plan, DefaultConfig())
 	input := randomInput(rng, 200)
-	runDFA(t, r, input)
+	runDFA(t, r, ua, input)
 	misses := r.Stats().Misses
-	runDFA(t, r, input)
+	runDFA(t, r, ua, input)
 	if r.Stats().Misses != misses {
 		t.Fatalf("second identical run missed the cache: %d -> %d misses", misses, r.Stats().Misses)
 	}
@@ -338,9 +399,77 @@ func TestEmptyAndTinyInputs(t *testing.T) {
 	for _, n := range []int{0, 1, 2, 3} {
 		input := randomInput(rng, n)
 		want, wantRep, wantRC := runSim(ua, input)
-		got, gotRep, gotRC := runDFA(t, r, input)
+		got, gotRep, gotRC := runDFA(t, r, ua, input)
 		if !eventsEqual(got, want) || gotRep != wantRep || gotRC != wantRC {
 			t.Fatalf("len %d: tiny-input divergence", n)
 		}
 	}
+}
+
+// spmFallback returns a runner over SPM at rate 4 that has thrashed its
+// cache and fallen back to direct NFA stepping — the benchmark's dfa_thrash
+// regime — and the input that drove it there.
+func spmFallback(tb testing.TB) (*Runner, []byte) {
+	tb.Helper()
+	w, err := workload.Get("SPM", workload.DefaultScale, 8<<10)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	ua, err := transform.ToRate(w.Automaton, 4)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	r := NewRunner(certifiedPlan(tb, w.Automaton, ua), DefaultConfig())
+	step := fallbackStepper(r, w.Input)
+	for range len(w.Input) / r.Plan().StepBytes() {
+		step()
+	}
+	if !r.FellBack() {
+		tb.Fatalf("SPM did not thrash the cache in %d bytes: %+v", len(w.Input), r.Stats())
+	}
+	return r, w.Input
+}
+
+// fallbackStepper returns a func that steps r through input one cycle per
+// call, wrapping at the end; it never Resets (which would leave fallback).
+func fallbackStepper(r *Runner, input []byte) func() {
+	sb, off := r.Plan().StepBytes(), 0
+	return func() {
+		r.Step(input[off:off+sb], 0)
+		if off += sb; off == len(input) {
+			off = 0
+		}
+	}
+}
+
+// TestFallbackStepZeroAllocs pins the miss path's steady state: a cycle
+// stepped on the NFA tables allocates nothing.
+func TestFallbackStepZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	r, input := spmFallback(t)
+	if got := testing.AllocsPerRun(2000, fallbackStepper(r, input)); got != 0 {
+		t.Errorf("%.2f allocs per fallback Step, want 0", got)
+	}
+}
+
+// BenchmarkDFAMiss times a cycle of the benchmark's dfa_thrash regime: SPM
+// on a thrashed runner, Reset every 1024 cycles (one 2 KiB scan), so each
+// run takes cycle 0, a few hits and misses, the fallback, and then Plan.step
+// every cycle — about a third of them before every latch is on, while the
+// active set grows to its mean of 872 of 3702 states.
+func BenchmarkDFAMiss(b *testing.B) {
+	r, input := spmFallback(b)
+	step := fallbackStepper(r, input)
+	b.ReportAllocs()
+	b.SetBytes(int64(r.Plan().StepBytes()))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%1024 == 0 {
+			r.Reset()
+		}
+		step()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/cycle")
 }
