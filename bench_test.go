@@ -190,16 +190,6 @@ func BenchmarkExtensionPower(b *testing.B) {
 	}
 }
 
-func BenchmarkExtensionHotCold(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := exp.HotColdStudy(benchOpts, []string{"Snort"}, 0.25)
-		if err != nil {
-			b.Fatal(err)
-		}
-		exp.FprintHotColdStudy(io.Discard, rows)
-	}
-}
-
 func BenchmarkExtensionWide(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		row, err := exp.WideStudy(20, 3, 4000)
@@ -426,7 +416,7 @@ func BenchmarkFaultOverhead(b *testing.B) {
 // BenchmarkScanParallel measures the sharded parallel runner on a mesh
 // workload (bounded dependence window, so it shards) against the
 // sequential machine, across worker counts. On a multi-core host the
-// 8-worker case is the scaling headline; scripts/bench.sh records it.
+// 8-worker case is the scaling headline.
 func BenchmarkScanParallel(b *testing.B) {
 	w := workload.MustGet("Levenshtein", 0.05, 1<<17)
 	cfg := core.DefaultConfig(4)

@@ -32,6 +32,16 @@ func run(t *testing.T, bin string, args ...string) string {
 	return string(out)
 }
 
+// runFails runs the tool expecting a non-zero exit and returns its output.
+func runFails(t *testing.T, bin string, args ...string) string {
+	t.Helper()
+	out, err := exec.Command(bin, args...).CombinedOutput()
+	if err == nil {
+		t.Errorf("%s %v: exit 0, want failure\n%s", bin, args, out)
+	}
+	return string(out)
+}
+
 func TestCLISmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
@@ -108,6 +118,26 @@ func TestCLISmoke(t *testing.T) {
 	for _, want := range []string{"Table 4", "device counters:", "device_kernel_cycles"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("sunder-bench -metrics missing %q:\n%s", want, out)
+		}
+	}
+
+	// -json honours the selectors: -table 5 alone is options + table5.
+	var doc5 map[string]json.RawMessage
+	if err := json.Unmarshal([]byte(run(t, bench, "-json", "-table", "5")), &doc5); err != nil {
+		t.Fatalf("sunder-bench -json -table 5: %v", err)
+	}
+	if len(doc5) != 2 || doc5["options"] == nil || doc5["table5"] == nil {
+		t.Errorf("sunder-bench -json -table 5: top-level keys %v, want options + table5", doc5)
+	}
+	// Studies without JSON rows are a usage error, not a silent substitution.
+	if out := runFails(t, bench, "-json", "-ablations"); !strings.Contains(out, "-json") {
+		t.Errorf("sunder-bench -json -ablations:\n%s", out)
+	}
+	// The retired study modes are deleted, not hidden: undefined flags.
+	serve := buildTool(t, dir, "sunder/cmd/sunder-serve")
+	for _, c := range []struct{ bin, flag string }{{bench, "-meta"}, {serve, "-loadgen"}} {
+		if out := runFails(t, c.bin, c.flag); !strings.Contains(out, "flag provided but not defined") {
+			t.Errorf("%s %s: want an undefined-flag error:\n%s", c.bin, c.flag, out)
 		}
 	}
 

@@ -1,16 +1,17 @@
 // sunder-bench regenerates every table and figure of the paper's evaluation
-// (Section 7) from simulation, plus the repository's ablation studies.
+// (Section 7) from simulation, plus the repository's ablation, extension
+// and fault studies. Software-engine speed is not measured here: that is
+// bench/ (bash bench/run.sh).
 //
 // Usage:
 //
-//	sunder-bench                 # everything at reduced scale
+//	sunder-bench                 # every table and figure, ablations, extensions; reduced scale
 //	sunder-bench -full           # paper scale (1MB inputs, full automata)
 //	sunder-bench -table 4        # one table (1,2,3,4,5)
 //	sunder-bench -fig 10         # one figure (8,9,10)
+//	sunder-bench -json           # the tables and figures as JSON; honours -table/-fig
 //	sunder-bench -ablations      # ablation studies only
-//	sunder-bench -par            # parallel scaling study (workers vs speedup)
-//	sunder-bench -par -json > BENCH_parallel.json
-//	sunder-bench -prune          # dead-state pruning study (footprint + output equality)
+//	sunder-bench -extensions     # extension studies only (power, 16-bit alphabets)
 //	sunder-bench -faults match=1e-4,report=1e-4,stuck=2,seed=1
 //	sunder-bench -scale 0.05 -input 50000
 //	sunder-bench -table 4 -metrics -trace /tmp/t4.json -cpuprofile cpu.out
@@ -19,44 +20,34 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 
 	"sunder/internal/cliutil"
 	"sunder/internal/exp"
-	"sunder/internal/exp/metastudy"
-	"sunder/internal/exp/prefilterstudy"
-	"sunder/internal/workload"
 )
 
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("sunder-bench: ")
 	var (
-		table      = flag.Int("table", 0, "regenerate one table (1-5); 0 = per -all")
-		fig        = flag.Int("fig", 0, "regenerate one figure (8-10); 0 = per -all")
+		table      = flag.Int("table", 0, "regenerate one table (1-5); 0 = all unless another selector is given")
+		fig        = flag.Int("fig", 0, "regenerate one figure (8-10); 0 = all unless another selector is given")
 		ablations  = flag.Bool("ablations", false, "run the ablation studies")
-		extensions = flag.Bool("extensions", false, "run the extension studies (power, hot/cold splitting)")
+		extensions = flag.Bool("extensions", false, "run the extension studies (power, 16-bit alphabets)")
 		full       = flag.Bool("full", false, "paper scale: full-size automata, 1MB input (slow)")
 		scale      = flag.Float64("scale", 0, "override benchmark scale (0,1]")
 		inputLen   = flag.Int("input", 0, "override input length in bytes")
-		jsonOut    = flag.Bool("json", false, "emit every table and figure as JSON instead of text")
-		prune      = flag.Bool("prune", false, "run the dead-state pruning study across all benchmarks")
-		pruneRate  = flag.Int("prunerate", 4, "processing rate for the -prune/-minimize study (1,2,4)")
-		minimize   = flag.Bool("minimize", false, "run the certified minimization study (compression ratio, certificate verification); fails on certificate rejection or output divergence")
-		prefilter  = flag.Bool("prefilter", false, "run the literal-prefilter study across all benchmarks")
-		prefMin    = flag.Float64("prefilter-min-speedup", 0, "fail unless every engaged benchmark beats this speedup on literal-free input")
-		meta       = flag.Bool("meta", false, "run the meta-engine backend-selection study across all benchmarks")
-		metaMax    = flag.Float64("meta-max-slowdown", 0, "fail if auto is more than this fraction slower than the best forced backend (e.g. 0.10)")
-		beFlags    = cliutil.RegisterBackendFlag()
+		jsonOut    = flag.Bool("json", false, "emit the selected tables and figures as JSON instead of text")
 		telFlags   = cliutil.RegisterTelemetryFlags()
 		faultFlags = cliutil.RegisterFaultFlags()
-		parFlags   = cliutil.RegisterParallelFlags()
 		profiles   = cliutil.ProfileFlags()
 	)
 	flag.Parse()
-	if err := beFlags.Validate(); err != nil {
-		log.Fatal(err)
+	// Only tables 1, 3, 4, 5 and the figures have JSON rows.
+	if *jsonOut && (*ablations || *extensions || faultFlags.Enabled() || *table == 2) {
+		log.Fatal("-json renders tables 1, 3, 4, 5 and figures 8-10 only; it cannot be combined with -ablations, -extensions, -faults or -table 2")
 	}
 
 	stopProfiles, err := profiles.Start()
@@ -65,8 +56,10 @@ func main() {
 	}
 
 	opts := exp.DefaultOptions()
+	figure10Input := 160000
 	if *full {
 		opts = exp.FullOptions()
+		figure10Input = 1 << 20
 	}
 	if *scale > 0 {
 		opts.Scale = *scale
@@ -74,170 +67,32 @@ func main() {
 	if *inputLen > 0 {
 		opts.InputLen = *inputLen
 	}
-	opts.Backend = beFlags.Backend
 	// The collector aggregates device counters and trace events across
 	// every machine the selected experiments build.
 	col := telFlags.Collector()
 	opts.Telemetry = col
 
 	out := os.Stdout
-	// finish emits any requested telemetry and finalizes profiles; it runs
-	// on every success path (JSON mode returns early).
-	finish := func() {
-		if err := telFlags.Emit(out, col); err != nil {
-			log.Fatal(err)
-		}
-		if err := stopProfiles(); err != nil {
-			log.Fatal(err)
-		}
-	}
-	// The scaling study's benchmark set: mesh and exact-match workloads
-	// that shard, plus one cyclic workload demonstrating the fallback.
-	scalingNames := []string{"Hamming", "Levenshtein", "ExactMatch", "Dotstar03"}
-	scalingWorkers := []int{1, 2, 4, 8}
-	if parFlags.Workers > 0 {
-		scalingWorkers = []int{parFlags.Workers}
+	// With no selector everything runs: every table and figure and, in text
+	// mode, the ablation and extension studies (the fault study needs a
+	// policy, so it only ever runs when asked for).
+	runAll := *table == 0 && *fig == 0 && !*ablations && !*extensions && !faultFlags.Enabled()
+	allStudies := runAll && !*jsonOut
+
+	sel := exp.Selection{All: runAll, Table: *table, Fig: *fig}
+	res, err := exp.Collect(opts, sel, figure10Input)
+	if err != nil {
+		log.Fatal(err)
 	}
 	if *jsonOut {
-		if *meta {
-			rows, err := metastudy.MetaStudy(opts, workload.Names())
-			if err != nil {
-				log.Fatal(err)
-			}
-			res := &exp.Results{Options: opts, Meta: rows}
-			if err := res.WriteJSON(out); err != nil {
-				log.Fatal(err)
-			}
-			if err := exp.CheckMetaStudy(rows, *metaMax); err != nil {
-				log.Fatal(err)
-			}
-			finish()
-			return
-		}
-		if *prefilter {
-			rows, err := prefilterstudy.PrefilterStudy(opts, workload.Names())
-			if err != nil {
-				log.Fatal(err)
-			}
-			res := &exp.Results{Options: opts, Prefilter: rows}
-			if err := res.WriteJSON(out); err != nil {
-				log.Fatal(err)
-			}
-			if err := exp.CheckPrefilterStudy(rows, *prefMin); err != nil {
-				log.Fatal(err)
-			}
-			finish()
-			return
-		}
-		if *prune || *minimize {
-			rows, err := exp.PruningStudy(opts, workload.Names(), *pruneRate)
-			if err != nil {
-				log.Fatal(err)
-			}
-			res := &exp.Results{Options: opts, Pruning: rows}
-			if err := res.WriteJSON(out); err != nil {
-				log.Fatal(err)
-			}
-			if *minimize {
-				// Minimization numbers are only publishable if every
-				// certificate verified and no output diverged.
-				if err := exp.CheckMinimizeStudy(rows); err != nil {
-					log.Fatal(err)
-				}
-			}
-			finish()
-			return
-		}
-		if parFlags.Enabled() {
-			rows, err := exp.ScalingStudy(opts, scalingNames, scalingWorkers)
-			if err != nil {
-				log.Fatal(err)
-			}
-			res := &exp.Results{Options: opts, Scaling: rows}
-			if err := res.WriteJSON(out); err != nil {
-				log.Fatal(err)
-			}
-			finish()
-			return
-		}
-		n := 160000
-		if *full {
-			n = 1 << 20
-		}
-		res, err := exp.CollectAll(opts, n)
-		if err != nil {
-			log.Fatal(err)
-		}
 		if err := res.WriteJSON(out); err != nil {
 			log.Fatal(err)
 		}
-		finish()
-		return
-	}
-	// The fault study runs only when a policy is given (like -ablations
-	// and the -par scaling study, it is excluded from the default
-	// everything run).
-	runAll := *table == 0 && *fig == 0 && !*ablations && !*extensions && !faultFlags.Enabled() && !parFlags.Enabled() && !*prune && !*minimize && !*prefilter && !*meta
-
-	var t4 []exp.Table4Row
-	needT4 := runAll || *table == 4 || *fig == 8
-	if needT4 {
-		var err error
-		t4, err = exp.Table4(opts)
-		if err != nil {
-			log.Fatal(err)
-		}
+	} else {
+		printResults(out, res, sel, figure10Input)
 	}
 
-	if runAll || *table == 1 {
-		rows, err := exp.Table1(opts)
-		if err != nil {
-			log.Fatal(err)
-		}
-		exp.FprintTable1(out, rows, opts)
-		fmt.Fprintln(out)
-	}
-	if runAll || *table == 2 {
-		exp.FprintTable2(out)
-		fmt.Fprintln(out)
-	}
-	if runAll || *table == 3 {
-		rows, err := exp.Table3(opts)
-		if err != nil {
-			log.Fatal(err)
-		}
-		exp.FprintTable3(out, rows, opts)
-		fmt.Fprintln(out)
-	}
-	if runAll || *table == 4 {
-		exp.FprintTable4(out, t4, opts)
-		fmt.Fprintln(out)
-	}
-	if runAll || *table == 5 {
-		exp.FprintTable5(out, exp.Table5())
-		fmt.Fprintln(out)
-	}
-	if runAll || *fig == 8 {
-		exp.FprintFigure8(out, exp.Figure8(t4))
-		fmt.Fprintln(out)
-	}
-	if runAll || *fig == 9 {
-		exp.FprintFigure9(out, exp.Figure9())
-		fmt.Fprintln(out)
-	}
-	if runAll || *fig == 10 {
-		n := 160000
-		if *full {
-			n = 1 << 20
-		}
-		pts, err := exp.Figure10(n)
-		if err != nil {
-			log.Fatal(err)
-		}
-		exp.FprintFigure10(out, pts, n)
-		fmt.Fprintln(out)
-	}
-	if runAll || *ablations {
+	if allStudies || *ablations {
 		names := []string{"Snort", "ExactMatch", "SPM", "Protomata"}
 		rate, err := exp.AblationRate(opts, names)
 		if err != nil {
@@ -260,54 +115,6 @@ func main() {
 		exp.FprintAblationCover(out, cover)
 		fmt.Fprintln(out)
 	}
-	if parFlags.Enabled() {
-		rows, err := exp.ScalingStudy(opts, scalingNames, scalingWorkers)
-		if err != nil {
-			log.Fatal(err)
-		}
-		exp.FprintScalingStudy(out, rows)
-		fmt.Fprintln(out)
-	}
-	if *prune || *minimize {
-		rows, err := exp.PruningStudy(opts, workload.Names(), *pruneRate)
-		if err != nil {
-			log.Fatal(err)
-		}
-		exp.FprintPruningStudy(out, rows)
-		fmt.Fprintln(out)
-		for _, r := range rows {
-			if !r.OutputOK {
-				log.Fatalf("pruning changed the output of %s at rate %d", r.Name, r.Rate)
-			}
-		}
-		if *minimize {
-			if err := exp.CheckMinimizeStudy(rows); err != nil {
-				log.Fatal(err)
-			}
-		}
-	}
-	if *prefilter {
-		rows, err := prefilterstudy.PrefilterStudy(opts, workload.Names())
-		if err != nil {
-			log.Fatal(err)
-		}
-		exp.FprintPrefilterStudy(out, rows)
-		fmt.Fprintln(out)
-		if err := exp.CheckPrefilterStudy(rows, *prefMin); err != nil {
-			log.Fatal(err)
-		}
-	}
-	if *meta {
-		rows, err := metastudy.MetaStudy(opts, workload.Names())
-		if err != nil {
-			log.Fatal(err)
-		}
-		exp.FprintMetaStudy(out, rows)
-		fmt.Fprintln(out)
-		if err := exp.CheckMetaStudy(rows, *metaMax); err != nil {
-			log.Fatal(err)
-		}
-	}
 	if faultFlags.Enabled() {
 		pol, err := faultFlags.Policy()
 		if err != nil {
@@ -320,7 +127,7 @@ func main() {
 		exp.FprintFaultStudy(out, rows, pol)
 		fmt.Fprintln(out)
 	}
-	if runAll || *extensions {
+	if allStudies || *extensions {
 		names := []string{"Brill", "Snort", "TCP", "SPM", "ClamAV"}
 		power, err := exp.PowerStudy(opts, names)
 		if err != nil {
@@ -329,18 +136,42 @@ func main() {
 		exp.FprintPowerStudy(out, power)
 		fmt.Fprintln(out)
 
-		hc, err := exp.HotColdStudy(opts, []string{"Brill", "Snort", "Protomata"}, 0.25)
-		if err != nil {
-			log.Fatal(err)
-		}
-		exp.FprintHotColdStudy(out, hc)
-		fmt.Fprintln(out)
-
 		wide, err := exp.WideStudy(40, 3, 20000)
 		if err != nil {
 			log.Fatal(err)
 		}
 		exp.FprintWideStudy(out, wide)
 	}
-	finish()
+
+	if err := telFlags.Emit(out, col); err != nil {
+		log.Fatal(err)
+	}
+	if err := stopProfiles(); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// printResults renders the selected tables and figures in the paper's
+// order, a blank line after each.
+func printResults(out io.Writer, res *exp.Results, sel exp.Selection, figure10Input int) {
+	opts := res.Options
+	sections := []struct {
+		on    bool
+		print func()
+	}{
+		{sel.HasTable(1), func() { exp.FprintTable1(out, res.Table1, opts) }},
+		{sel.HasTable(2), func() { exp.FprintTable2(out) }},
+		{sel.HasTable(3), func() { exp.FprintTable3(out, res.Table3, opts) }},
+		{sel.HasTable(4), func() { exp.FprintTable4(out, res.Table4, opts) }},
+		{sel.HasTable(5), func() { exp.FprintTable5(out, res.Table5) }},
+		{sel.HasFig(8), func() { exp.FprintFigure8(out, res.Figure8) }},
+		{sel.HasFig(9), func() { exp.FprintFigure9(out, res.Figure9) }},
+		{sel.HasFig(10), func() { exp.FprintFigure10(out, res.Figure10, figure10Input) }},
+	}
+	for _, s := range sections {
+		if s.on {
+			s.print()
+			fmt.Fprintln(out)
+		}
+	}
 }

@@ -6,11 +6,7 @@
 //
 //	sunder-serve                          # serve on 127.0.0.1:8080
 //	sunder-serve -addr :9090 -pool 8      # bigger engine pools
-//	sunder-serve -loadgen                 # drive all 19 benchmark inputs through an in-process server
-//	sunder-serve -loadgen -json > BENCH_serve.json
-//	sunder-serve -loadgen -bench Snort -clients 8 -requests 16
 //	sunder-serve -cluster 3 -replicas 2   # serve a replicated in-process cluster front door
-//	sunder-serve -loadgen -cluster 3 -chaos -json > BENCH_cluster.json
 //
 // Serving endpoints:
 //
@@ -31,23 +27,18 @@ package main
 import (
 	"context"
 	"flag"
-	"fmt"
 	"log"
 	"log/slog"
 	"net"
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
 	"sunder/internal/cliutil"
 	"sunder/internal/cluster"
-	"sunder/internal/exp"
-	"sunder/internal/loadgen"
 	"sunder/internal/server"
-	"sunder/internal/workload"
 )
 
 func main() {
@@ -63,17 +54,9 @@ func main() {
 		drain    = flag.Duration("drain", 0, "graceful shutdown budget (0 = 10s)")
 		traceN   = flag.Int("trace-sample", 0, "record a span tree for every Nth request and arm the device tracer for GET /trace (0 = tracing off)")
 		traceCap = flag.Int("trace-cap", 0, "max buffered spans (0 = 64k)")
-		loadgen  = flag.Bool("loadgen", false, "run the load generator against an in-process server instead of serving")
-		benches  = flag.String("bench", "", "loadgen: comma-separated benchmark names (default: all 19)")
-		clients  = flag.Int("clients", 4, "loadgen: concurrent HTTP clients")
-		requests = flag.Int("requests", 4, "loadgen: scan requests per client per benchmark")
-		scale    = flag.Float64("scale", 0, "loadgen: override benchmark scale (0,1]")
-		inputLen = flag.Int("input", 0, "loadgen: override input length in bytes")
-		jsonOut  = flag.Bool("json", false, "loadgen: emit rows as JSON (BENCH_serve.json shape)")
 		nodes    = flag.Int("cluster", 0, "run N in-process nodes behind a replicated front door (0 = single server)")
 		replicas = flag.Int("replicas", 2, "cluster: replicas per ruleset")
-		chaosOn  = flag.Bool("chaos", false, "cluster loadgen: inject the default deterministic fault mix")
-		seed     = flag.Int64("seed", 1, "cluster: seed for client jitter, arrivals and chaos")
+		seed     = flag.Int64("seed", 1, "cluster: seed for client retry jitter")
 		profiles = cliutil.ProfileFlags()
 	)
 	flag.Parse()
@@ -92,23 +75,6 @@ func main() {
 		DrainTimeout:     *drain,
 		TraceSampleEvery: *traceN,
 		TraceCapacity:    *traceCap,
-	}
-
-	if *loadgen {
-		var err error
-		if *nodes > 0 {
-			err = runClusterLoadgen(*benches, *requests, *scale, *inputLen, *jsonOut,
-				*nodes, *replicas, *chaosOn, *seed)
-		} else {
-			err = runLoadgen(cfg, *benches, *clients, *requests, *scale, *inputLen, *jsonOut)
-		}
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := stopProfiles(); err != nil {
-			log.Fatal(err)
-		}
-		return
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -175,92 +141,4 @@ func serveCluster(ctx context.Context, cfg server.Config, addr string, nodes, re
 	shutCtx, cancel := context.WithTimeout(context.Background(), drain)
 	defer cancel()
 	return hs.Shutdown(shutCtx)
-}
-
-func runLoadgen(cfg server.Config, benches string, clients, requests int, scale float64, inputLen int, jsonOut bool) error {
-	opts := exp.DefaultOptions()
-	if scale > 0 {
-		opts.Scale = scale
-	}
-	if inputLen > 0 {
-		opts.InputLen = inputLen
-	}
-	names := workload.Names()
-	if benches != "" {
-		names = nil
-		for _, n := range strings.Split(benches, ",") {
-			if n = strings.TrimSpace(n); n != "" {
-				names = append(names, n)
-			}
-		}
-	}
-	rows, err := loadgen.ServeStudy(opts, names, loadgen.Config{
-		Clients:    clients,
-		Requests:   requests,
-		PoolSize:   cfg.PoolSize,
-		QueueDepth: cfg.QueueDepth,
-	})
-	if err != nil {
-		return err
-	}
-	if jsonOut {
-		res := &exp.Results{Options: opts, Serve: rows}
-		return res.WriteJSON(os.Stdout)
-	}
-	exp.FprintServeStudy(os.Stdout, rows)
-	for _, r := range rows {
-		if !r.OutputOK || !r.StreamOK {
-			return fmt.Errorf("%s: service output diverged from local Scan", r.Name)
-		}
-	}
-	return nil
-}
-
-// runClusterLoadgen drives the benchmarks through an in-process replicated
-// cluster under open-loop arrivals, optionally with the default chaos mix,
-// and emits exp.Results{Cluster: rows} for -json (BENCH_cluster.json).
-func runClusterLoadgen(benches string, requests int, scale float64, inputLen int, jsonOut bool, nodes, replicas int, chaosOn bool, seed int64) error {
-	opts := exp.DefaultOptions()
-	if scale > 0 {
-		opts.Scale = scale
-	}
-	if inputLen > 0 {
-		opts.InputLen = inputLen
-	}
-	names := workload.Names()
-	if benches != "" {
-		names = nil
-		for _, n := range strings.Split(benches, ",") {
-			if n = strings.TrimSpace(n); n != "" {
-				names = append(names, n)
-			}
-		}
-	}
-	ccfg := loadgen.ClusterConfig{
-		Nodes:    nodes,
-		Replicas: replicas,
-		Requests: requests,
-		Seed:     seed,
-	}
-	if chaosOn {
-		ccfg.Chaos = loadgen.DefaultChaos(seed)
-	}
-	rows, err := loadgen.ClusterStudy(opts, names, ccfg)
-	if err != nil {
-		return err
-	}
-	if jsonOut {
-		res := &exp.Results{Options: opts, Cluster: rows}
-		return res.WriteJSON(os.Stdout)
-	}
-	exp.FprintClusterStudy(os.Stdout, rows)
-	for _, r := range rows {
-		if !r.OutputOK {
-			return fmt.Errorf("%s: cluster output diverged from local reference", r.Name)
-		}
-		if r.Availability < 0.999 {
-			return fmt.Errorf("%s: availability %.4f below 99.9%%", r.Name, r.Availability)
-		}
-	}
-	return nil
 }

@@ -17,8 +17,8 @@ import (
 	"sunder/internal/server"
 )
 
-// testRules mirrors the loadgen study's rule set: NIDS-style literals, a
-// dense character class and a prunable alternation.
+// testRules is a small NIDS-style rule set: literals, a dense character
+// class and a prunable alternation.
 func testRules() []server.PatternJSON {
 	return []server.PatternJSON{
 		{Expr: `GET /admin`, Code: 100},

@@ -36,7 +36,7 @@ func AblationRate(opts Options, names []string) ([]RateAblationRow, error) {
 		}
 		row := RateAblationRow{Name: name}
 		for i, rate := range table3Rates {
-			m, err := buildMachineTel(w, rate, core.DefaultConfig(rate), opts.Telemetry)
+			m, err := buildMachine(w, rate, core.DefaultConfig(rate), opts.Telemetry)
 			if err != nil {
 				return nil, err
 			}
@@ -88,7 +88,7 @@ func AblationReportWidth(opts Options, widths []int) ([]ReportWidthAblation, err
 	for _, m := range widths {
 		cfg := core.DefaultConfig(4)
 		cfg.ReportColumns = m
-		mach, err := buildMachineTel(w, 4, cfg, opts.Telemetry)
+		mach, err := buildMachine(w, 4, cfg, opts.Telemetry)
 		if err != nil {
 			return nil, err
 		}

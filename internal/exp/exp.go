@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"io"
 
-	"sunder/internal/automata"
 	"sunder/internal/core"
 	"sunder/internal/mapping"
 	"sunder/internal/telemetry"
@@ -29,11 +28,6 @@ type Options struct {
 	// events across all simulated workloads (per-PU labels then refer to
 	// each machine's own PU indices).
 	Telemetry *telemetry.Collector
-	// Backend, when non-empty, overrides the façade engine backend for
-	// the studies that drive the public façade (the -meta study gates
-	// this backend instead of "auto" against the best forced backend).
-	// The architectural-simulator tables and figures ignore it.
-	Backend string
 }
 
 // DefaultOptions returns the reduced-scale configuration used by tests and
@@ -51,50 +45,13 @@ func FullOptions() Options {
 // buildMachine transforms a byte automaton to the rate, places it with an
 // adaptive report-column budget (the paper's default is 12; benchmarks
 // whose transformed components need a different budget get the closest
-// feasible one, as m is a configuration parameter), and configures a
-// machine.
-func buildMachine(w *workload.Workload, rate int, cfg core.Config) (*core.Machine, error) {
-	return buildMachineTel(w, rate, cfg, nil)
-}
-
-// buildMachineTel is buildMachine plus an optional telemetry collector
-// attached to the configured machine.
-func buildMachineTel(w *workload.Workload, rate int, cfg core.Config, tel *telemetry.Collector) (*core.Machine, error) {
-	m, _, err := buildMachineUA(w, rate, cfg, tel)
-	return m, err
-}
-
-// buildMachineUA additionally returns the strided automaton the machine was
-// configured from, which the sharded parallel runner needs for report
-// resolution and dependence analysis.
-func buildMachineUA(w *workload.Workload, rate int, cfg core.Config, tel *telemetry.Collector) (*core.Machine, *automata.UnitAutomaton, error) {
+// feasible one, as m is a configuration parameter), configures a machine
+// and attaches the optional telemetry collector.
+func buildMachine(w *workload.Workload, rate int, cfg core.Config, tel *telemetry.Collector) (*core.Machine, error) {
 	ua, err := transform.ToRate(w.Automaton, rate)
 	if err != nil {
-		return nil, nil, fmt.Errorf("%s: transform: %w", w.Spec.Name, err)
+		return nil, fmt.Errorf("%s: transform: %w", w.Spec.Name, err)
 	}
-	m, err := mapping.AutoReportColumns(ua, cfg.ReportColumns)
-	if err != nil {
-		return nil, nil, fmt.Errorf("%s: %w", w.Spec.Name, err)
-	}
-	cfg.ReportColumns = m
-	place, err := mapping.Place(ua, cfg.ReportColumns)
-	if err != nil {
-		return nil, nil, fmt.Errorf("%s: place: %w", w.Spec.Name, err)
-	}
-	mach, err := core.Configure(ua, place, cfg)
-	if err != nil {
-		return nil, nil, fmt.Errorf("%s: configure: %w", w.Spec.Name, err)
-	}
-	if tel != nil {
-		mach.AttachTelemetry(tel)
-	}
-	return mach, ua, nil
-}
-
-// configureFrom places and configures a machine from an already-transformed
-// unit automaton (the pruning study transforms once and prunes a copy, so
-// re-transforming as buildMachine does would discard the pruning).
-func configureFrom(w *workload.Workload, ua *automata.UnitAutomaton, cfg core.Config) (*core.Machine, error) {
 	m, err := mapping.AutoReportColumns(ua, cfg.ReportColumns)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", w.Spec.Name, err)
@@ -107,6 +64,9 @@ func configureFrom(w *workload.Workload, ua *automata.UnitAutomaton, cfg core.Co
 	mach, err := core.Configure(ua, place, cfg)
 	if err != nil {
 		return nil, fmt.Errorf("%s: configure: %w", w.Spec.Name, err)
+	}
+	if tel != nil {
+		mach.AttachTelemetry(tel)
 	}
 	return mach, nil
 }

@@ -38,32 +38,6 @@ func TestPowerStudy(t *testing.T) {
 	}
 }
 
-func TestHotColdStudy(t *testing.T) {
-	rows, err := HotColdStudy(testOpts, []string{"Snort", "Brill"}, 0.25)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range rows {
-		if r.HotStates == 0 || r.ColdStates == 0 {
-			t.Errorf("%s: split degenerate: %+v", r.Name, r)
-		}
-		if r.SunderOverhead < 1 || r.APOverhead < 1 {
-			t.Errorf("%s: overheads below 1", r.Name)
-		}
-		// The complementarity claim: with intermediate reports added,
-		// Sunder's overhead stays at or below the AP's.
-		if r.SunderOverhead > r.APOverhead+1e-9 {
-			t.Errorf("%s: Sunder %.2f above AP %.2f on intermediate reports",
-				r.Name, r.SunderOverhead, r.APOverhead)
-		}
-	}
-	var sb strings.Builder
-	FprintHotColdStudy(&sb, rows)
-	if !strings.Contains(sb.String(), "interm/KB") {
-		t.Error("print missing header")
-	}
-}
-
 func TestCapacityPlan(t *testing.T) {
 	w := workload.MustGet("SPM", 0.02, 64)
 	ua, err := transform.ToRate(w.Automaton, 4)

@@ -38,7 +38,7 @@ func TestMachineMatchesFuncsimOnBenchmarks(t *testing.T) {
 				t.Fatalf("transform: %v", err)
 			}
 			// Machine equivalence against the unit simulator.
-			m, err := buildMachine(w, c.rate, core.DefaultConfig(c.rate))
+			m, err := buildMachine(w, c.rate, core.DefaultConfig(c.rate), nil)
 			if err != nil {
 				t.Fatal(err)
 			}

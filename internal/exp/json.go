@@ -5,9 +5,9 @@ import (
 	"io"
 )
 
-// Results bundles every experiment's rows for machine-readable export
-// (sunder-bench -json), so downstream plotting does not have to parse the
-// printed tables.
+// Results bundles the rows of the paper's tables and figures. sunder-bench
+// renders it as text (Fprint*) or, with -json, as is, so downstream
+// plotting does not have to parse the printed tables.
 type Results struct {
 	Options  Options         `json:"options"`
 	Table1   []Table1Row     `json:"table1,omitempty"`
@@ -17,48 +17,60 @@ type Results struct {
 	Figure8  []Figure8Row    `json:"figure8,omitempty"`
 	Figure9  []Figure9Row    `json:"figure9,omitempty"`
 	Figure10 []Figure10Point `json:"figure10,omitempty"`
-	// Scaling is populated by the -par study only (like the ablations, it
-	// is excluded from CollectAll).
-	Scaling []ScalingRow `json:"scaling,omitempty"`
-	// Pruning is populated by the -prune study only (excluded from
-	// CollectAll).
-	Pruning []PruningRow `json:"pruning,omitempty"`
-	// Serve is populated by `sunder-serve -loadgen` only (excluded from
-	// CollectAll): the network scan service driven over every benchmark
-	// input (BENCH_serve.json).
-	Serve []ServeRow `json:"serve,omitempty"`
-	// Cluster is populated by `sunder-serve -loadgen -cluster N` only
-	// (excluded from CollectAll): the replicated scan cluster under
-	// open-loop load, optionally with chaos (BENCH_cluster.json).
-	Cluster []ClusterRow `json:"cluster,omitempty"`
-	// Prefilter is populated by the -prefilter study only (excluded from
-	// CollectAll): the literal fast path, filtered vs unfiltered
-	// (BENCH_prefilter.json).
-	Prefilter []PrefilterRow `json:"prefilter,omitempty"`
-	// Meta is populated by the -meta study only (excluded from
-	// CollectAll): auto backend selection vs every forced backend
-	// (BENCH_meta.json).
-	Meta []MetaRow `json:"meta,omitempty"`
 }
 
-// CollectAll runs every table and figure and bundles the rows.
-func CollectAll(opts Options, figure10Input int) (*Results, error) {
+// Selection picks what Collect computes: everything, or one table (1-5)
+// and/or one figure (8-10) — sunder-bench's -table/-fig pair. The zero
+// value selects nothing.
+type Selection struct {
+	All        bool
+	Table, Fig int
+}
+
+// HasTable reports whether table n is selected.
+func (s Selection) HasTable(n int) bool { return s.All || s.Table == n }
+
+// HasFig reports whether figure n is selected.
+func (s Selection) HasFig(n int) bool { return s.All || s.Fig == n }
+
+// Collect runs the selected tables and figures and bundles their rows; the
+// text and JSON renderers both start from its result. Table 2 is published
+// constants with no rows (FprintTable2).
+func Collect(opts Options, sel Selection, figure10Input int) (*Results, error) {
 	res := &Results{Options: opts}
 	var err error
-	if res.Table1, err = Table1(opts); err != nil {
-		return nil, err
+	if sel.HasTable(1) {
+		if res.Table1, err = Table1(opts); err != nil {
+			return nil, err
+		}
 	}
-	if res.Table3, err = Table3(opts); err != nil {
-		return nil, err
+	if sel.HasTable(3) {
+		if res.Table3, err = Table3(opts); err != nil {
+			return nil, err
+		}
 	}
-	if res.Table4, err = Table4(opts); err != nil {
-		return nil, err
+	if sel.HasTable(4) || sel.HasFig(8) {
+		t4, err := Table4(opts)
+		if err != nil {
+			return nil, err
+		}
+		if sel.HasTable(4) {
+			res.Table4 = t4
+		}
+		if sel.HasFig(8) {
+			res.Figure8 = Figure8(t4)
+		}
 	}
-	res.Table5 = Table5()
-	res.Figure8 = Figure8(res.Table4)
-	res.Figure9 = Figure9()
-	if res.Figure10, err = Figure10(figure10Input); err != nil {
-		return nil, err
+	if sel.HasTable(5) {
+		res.Table5 = Table5()
+	}
+	if sel.HasFig(9) {
+		res.Figure9 = Figure9()
+	}
+	if sel.HasFig(10) {
+		if res.Figure10, err = Figure10(figure10Input); err != nil {
+			return nil, err
+		}
 	}
 	return res, nil
 }

@@ -52,7 +52,7 @@ func PowerStudy(opts Options, names []string) ([]PowerRow, error) {
 		}
 		cfg := core.DefaultConfig(4)
 		cfg.FIFO = true
-		if m, err := buildMachineTel(w, 4, cfg, opts.Telemetry); err == nil {
+		if m, err := buildMachine(w, 4, cfg, opts.Telemetry); err == nil {
 			m.Run(funcsim.BytesToUnits(w.Input, 4), core.RunOptions{})
 			row.MeasuredSunderPJ = m.EnergyPerByte() / float64(m.NumPUs())
 		}

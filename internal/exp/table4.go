@@ -45,7 +45,7 @@ func Table4(opts Options) ([]Table4Row, error) {
 		for _, fifo := range []bool{false, true} {
 			cfg := core.DefaultConfig(4)
 			cfg.FIFO = fifo
-			m, err := buildMachineTel(w, 4, cfg, opts.Telemetry)
+			m, err := buildMachine(w, 4, cfg, opts.Telemetry)
 			if err != nil {
 				return nil, err
 			}

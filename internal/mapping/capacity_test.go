@@ -1,6 +1,8 @@
 package mapping
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"sunder/internal/automata"
@@ -103,9 +105,27 @@ func TestAutoReportColumnsLowers(t *testing.T) {
 }
 
 func TestAutoReportColumnsInfeasible(t *testing.T) {
-	ua := manyChains(1, StatesPerCluster+5)
-	if _, err := AutoReportColumns(ua, 12); err == nil {
-		t.Error("oversized component accepted")
+	// A component no cluster can hold is reported as such, in Place's
+	// words, not as a negative budget bound ("need >= 1, <= -1").
+	for _, n := range []int{StatesPerCluster + 5, 500 * StatesPerCluster} {
+		ua := manyChains(1, n)
+		_, err := AutoReportColumns(ua, 12)
+		if err == nil {
+			t.Fatalf("%d-state component accepted", n)
+		}
+		_, placeErr := Place(ua, 12)
+		if placeErr == nil || err.Error() != placeErr.Error() {
+			t.Errorf("AutoReportColumns: %v\nPlace:             %v", err, placeErr)
+		}
+		if want := fmt.Sprintf("component with %d states exceeds cluster capacity %d", n, StatesPerCluster); !strings.Contains(err.Error(), want) || strings.Contains(err.Error(), "-") {
+			t.Errorf("error %q, want it to contain %q and no negative number", err, want)
+		}
+	}
+	// Bounds that genuinely cross keep the budget message: 600 report
+	// states fit a cluster but need 150 columns per PU, over the 128 cap.
+	_, err := AutoReportColumns(chainUA(600, 1), 12)
+	if err == nil || !strings.Contains(err.Error(), "need >= 150, <= 128") {
+		t.Errorf("crossing bounds: %v", err)
 	}
 }
 

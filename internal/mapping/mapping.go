@@ -61,6 +61,12 @@ func ClusterOf(pu int) int { return pu / PUsPerCluster }
 func AutoReportColumns(a *automata.UnitAutomaton, preferred int) (int, error) {
 	mMin, mMax := 1, StatesPerPU/2
 	for _, comp := range components(a) {
+		if len(comp) > StatesPerCluster {
+			// No budget helps and the bounds below would go negative;
+			// fail with the words Place uses for the same component.
+			return 0, fmt.Errorf("mapping: component with %d states exceeds cluster capacity %d",
+				len(comp), StatesPerCluster)
+		}
 		reports := 0
 		for _, s := range comp {
 			if len(a.States[s].Reports) > 0 {

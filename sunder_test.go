@@ -2,6 +2,7 @@ package sunder
 
 import (
 	"math/rand"
+	"regexp"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -87,6 +88,14 @@ func TestCompileErrors(t *testing.T) {
 	long := strings.Repeat("abcdefghijklmnopqrstuvwxyz", 96)
 	if _, err := Compile([]Pattern{{Expr: long, Code: 1}}, DefaultOptions()); err == nil {
 		t.Error("oversized rule set accepted")
+	}
+	// A nested bounded repeat is the same failure and must say so: the
+	// error names the component's size, not a negative column budget
+	// ("need >= 1, <= -256").
+	_, err := Compile([]Pattern{{Expr: `(a{64}){64}`, Code: 1}}, DefaultOptions())
+	if err == nil || !strings.Contains(err.Error(), "component with 2048 states exceeds cluster capacity 1024") ||
+		regexp.MustCompile(`-\d`).MatchString(err.Error()) {
+		t.Errorf("nested bounded repeat: %v", err)
 	}
 	// Zero-value options default the rate.
 	eng, err := Compile([]Pattern{{Expr: `ab`, Code: 1}}, Options{})
