@@ -73,6 +73,16 @@ func TestAllocationPins(t *testing.T) {
 	if st := thrash.DFAStats(); st.Fallbacks == 0 {
 		t.Fatalf("SPM no longer thrashes the DFA cache: %+v", st)
 	}
+	// ScanBatch on the lazy DFA: the workers' runners come back from the
+	// artifact's pool with their state caches, so a call after the first
+	// allocates the results and the worker pool and nothing per DFA state.
+	batchEng, batchIn := compile("dfa", PrefilterOff), [][]byte{input[:16<<10], input[:16<<10]}
+	batch := func() {
+		if _, err := batchEng.ScanBatch(batchIn, ScanOptions{Workers: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	batch()
 	for _, pin := range []struct {
 		name string
 		op   func()
@@ -84,6 +94,7 @@ func TestAllocationPins(t *testing.T) {
 		{"scan/prefilter-skip", scan(compile("nfa", PrefilterOn)), 6},
 		{"stream/dfa", stream(compile("dfa", PrefilterOff)), 3},
 		{"stream/nfa", stream(compile("nfa", PrefilterOff)), 2},
+		{"batch/dfa-warm", batch, 14},
 	} {
 		if got := testing.AllocsPerRun(10, pin.op); got > pin.max {
 			t.Errorf("%s: %.1f allocs/op, want <= %.0f", pin.name, got, pin.max)
@@ -93,11 +104,13 @@ func TestAllocationPins(t *testing.T) {
 	}
 }
 
-// TestRunnerReleasesMatches: the engine's persistent runners hand a scan's
-// matches to its result and keep no reference, so a large result is not
-// pinned on the engine until the next scan (it showed as live heap in the
-// benchmark when it was).
+// TestRunnerReleasesMatches: the engine's persistent runners, and the
+// pooled ones of the parallel entry points, hand a scan's matches to its
+// result and keep no reference, so a large result is not pinned on the
+// engine (or in the pool) until the next scan (it showed as live heap in
+// the benchmark when it was).
 func TestRunnerReleasesMatches(t *testing.T) {
+	input := bytes.Repeat([]byte("a"), 1024)
 	for _, backend := range []string{"nfa", "dfa"} {
 		opts := DefaultOptions()
 		opts.Backend = backend
@@ -105,12 +118,28 @@ func TestRunnerReleasesMatches(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := eng.Scan(bytes.Repeat([]byte("a"), 1024))
+		res, err := eng.Scan(input)
 		if err != nil || len(res.Matches) != 1024 {
 			t.Fatalf("%s: %v, %d matches", backend, err, len(res.Matches))
 		}
 		if eng.nfaRun != nil && eng.nfaRun.matches != nil || eng.dfaRun != nil && eng.dfaRun.matches != nil {
 			t.Errorf("%s: runner still references the result's matches", backend)
+		}
+		// A sync.Pool may drop what it is given (at random under the race
+		// detector, or when the goroutine changes P between Put and Get), so
+		// batches repeat until one's runner is found in it.
+		var pooled *dfaRunner
+		for try := 0; pooled == nil && try < 100; try++ {
+			batch, err := eng.ScanBatch([][]byte{input}, ScanOptions{Workers: 1})
+			if err != nil || len(batch[0].Matches) != 1024 {
+				t.Fatalf("%s: batch: %v", backend, err)
+			}
+			pooled, _ = eng.dfaPool.Get().(*dfaRunner)
+		}
+		if (pooled != nil) != (backend == "dfa") {
+			t.Errorf("%s: ScanBatch left a runner in the DFA pool: %v", backend, pooled != nil)
+		} else if pooled != nil && pooled.matches != nil {
+			t.Errorf("%s: pooled runner still references the batch result's matches", backend)
 		}
 	}
 }

@@ -47,7 +47,9 @@ func (e *compiledArtifact) effectiveBackend(override string) (string, error) {
 }
 
 // DFAStats reports the lazy-DFA backend's cache behaviour on this engine's
-// sequential runner (zero until the first DFA scan). Like Scan, it reads
+// sequential runner, the one Scan and NewStream use (zero until the first
+// DFA scan), and on that runner only: the pooled runners of ScanBatch and
+// ScanParallel belong to no engine and are not counted. Like Scan, it reads
 // sequential-path state and must not race a concurrent sequential scan.
 type DFAStats struct {
 	// Supported reports whether the compiled geometry admits the lazy DFA

@@ -488,7 +488,10 @@ func TestInfoIdenticalOnHitAndClone(t *testing.T) {
 // Clone and the compile cache never copy compile products field by field.
 // A new Engine field fails here until it is classified — immutable compile
 // products go into compiledArtifact, per-engine mutable state is listed
-// below.
+// below. The artifact's one field that is not immutable, dfaPool, is
+// neither: it is a cache of lazy-DFA runners every engine over the artifact
+// shares, and a runner taken from it is indistinguishable from a new one
+// (TestDFAPoolConcurrent, TestEntryPointsAgree's warm pass).
 func TestEngineStateOutsideArtifact(t *testing.T) {
 	mutable := map[string]string{
 		"compiledArtifact": "the shared immutable compile product itself",

@@ -12,7 +12,8 @@ import (
 
 // TestEntryPointsAgree runs option *combinations* through every entry
 // point: for each small rule set × Backend × Prefilter × Minimize × fault
-// policy, Scan, ScanParallel, ScanBatch, Stream (three chunkings), a Clone
+// policy, Scan, ScanParallel, ScanBatch (both twice: the second pass takes
+// the lazy DFA's pooled runners back warm), Stream (three chunkings), a Clone
 // and a CompileCached hit must all return the functional-simulator
 // oracle's matches and Reports/ReportCycles, and account for every device
 // cycle. Within one engine the entry points must also agree on match order
@@ -144,16 +145,18 @@ func checkEntryPoints(t *testing.T, label string, patterns []Pattern, opts Optio
 		check(entry, res.Matches, res.Stats, err)
 	}
 	result("Scan", ref, nil)
-	for _, w := range []int{1, 3} {
-		res, err := eng.ScanParallel(input, ScanOptions{Workers: w})
-		result(fmt.Sprintf("ScanParallel/w=%d", w), res, err)
+	for _, pass := range []string{"cold", "warm"} {
+		for _, w := range []int{1, 3} {
+			res, err := eng.ScanParallel(input, ScanOptions{Workers: w})
+			result(fmt.Sprintf("ScanParallel/%s/w=%d", pass, w), res, err)
+		}
+		batch, err := eng.ScanBatch([][]byte{input, input[:len(input)/2], input}, ScanOptions{Workers: 2})
+		if err != nil {
+			batch = []*ScanResult{nil, nil, nil}
+		}
+		result("ScanBatch[0]/"+pass, batch[0], err)
+		result("ScanBatch[2]/"+pass, batch[2], err)
 	}
-	batch, err := eng.ScanBatch([][]byte{input, input[:len(input)/2], input}, ScanOptions{Workers: 2})
-	if err != nil {
-		batch = []*ScanResult{nil, nil, nil}
-	}
-	result("ScanBatch[0]", batch[0], err)
-	result("ScanBatch[2]", batch[2], err)
 	for _, chunk := range []int{1, 7, len(input)} {
 		var got []Match
 		st, err := eng.NewStream(func(m Match) { got = append(got, m) })

@@ -1,6 +1,6 @@
 // Package dfa is the lazy-DFA software backend: on-demand subset
 // construction over a compiled unit automaton, with a bounded LRU cache of
-// DFA states and byte-class-compressed transition rows.
+// DFA states and byte-class-compressed, two-level transition rows.
 //
 // The determinization runs at cycle granularity. It is defined only for
 // nibble automata whose rate is a whole number of symbols per cycle
@@ -13,7 +13,7 @@
 // Supported; callers fall back to the bitvec NFA core there.
 //
 // A DFA state is an NFA active-state set, one bit per device state in
-// plain uint64 words. Its transition row is indexed not by the raw byte
+// plain uint64 words. Its transitions are indexed not by the raw byte
 // tuple but by the tuple of *symbol classes* from the certified
 // analysis.SymbolClasses partition of the byte automaton: bytes in one
 // class have identical match-matrix columns, so they drive the byte
@@ -22,6 +22,13 @@
 // deduplicated report streams. Sharing one cell per class tuple is
 // therefore output-sound even when the raw unit-level sets differ — see
 // DESIGN.md §4.16 for the full argument and its proof obligations.
+//
+// A state uses a handful of its Classes^StepBytes class tuples, so the cells
+// are stored in two levels of Classes-wide rows, one level per input byte: a
+// first-level row per state, found by state ID, whose cell for the first
+// byte's class names a second-level row, allocated on first use, whose cell
+// for the second byte's class is the next state. A hit stays three dependent
+// loads (Runner; DESIGN.md §4.16 has the layouts that lost).
 //
 // Cycle 0 (start-of-data injection is time-dependent), any cycle containing
 // pad units (pad semantics depend on where the input ends) and, once the
@@ -289,10 +296,12 @@ func (p *Plan) appendReports(dst []automata.StateID, set []uint64) []automata.St
 // StepBytes returns the number of input bytes one cycle consumes.
 func (p *Plan) StepBytes() int { return p.stepBytes }
 
-// Classes returns the symbol-class count compressing the transition rows.
+// Classes returns the symbol-class count: the width of a transition row.
 func (p *Plan) Classes() int { return p.classes }
 
-// RowSize returns the cells per cached DFA state (Classes^StepBytes).
+// RowSize returns the class tuples a cycle can present to a cached DFA state
+// (Classes^StepBytes): the cells a dense row would hold, which is what the
+// default state cap is derived from (Config.CellBudget), not what is stored.
 func (p *Plan) RowSize() int { return p.rowSize }
 
 func pow(base, exp int) int {
@@ -308,8 +317,12 @@ type Config struct {
 	// MaxStates caps the live cached DFA states. 0 derives the cap from
 	// CellBudget and the plan's row size, clamped to [2, 32768].
 	MaxStates int
-	// CellBudget is the total transition-cell budget across live states
-	// when MaxStates is 0 (default 1<<22 cells, i.e. 16 MiB of int32).
+	// CellBudget sizes the state cap when MaxStates is 0: the cap is
+	// CellBudget / Plan.RowSize states (default 1<<22), as many as dense rows
+	// of that many cells would hold. It is not a measure of memory — two-level
+	// rows store a few percent of those cells — and the cap is not re-derived
+	// from what they do store: it decides which runs evict and fall back, so
+	// moving it is a cache-policy change with its own measurements.
 	CellBudget int
 	// BlowupRatio triggers the NFA fallback: once any state has been
 	// evicted and the number of states constructed exceeds
@@ -370,19 +383,19 @@ type Stats struct {
 	Fallbacks int64
 }
 
-// dstate is one cached DFA state. IDs are never reused: evicted states stay
-// in the slice as dead husks (set, cells and reports freed), so a stale cell
-// in a surviving row finds the dead flag and re-misses. State 0 is a
-// permanent husk that stands for "none" everywhere an ID is stored: a fresh
-// row is all zeros and needs no fill, the hit path's only test is the
-// target's dead flag, and the recency list ends in 0.
+// dstate is one cached DFA state. IDs are never reused while the cache
+// lives: evicted states stay in the slice as dead husks (set and reports
+// freed, second-level rows recycled), so a stale cell in a surviving row
+// finds the dead flag and re-misses. State 0 is a permanent husk that stands
+// for "none" everywhere an ID is stored: a fresh row is all zeros and needs
+// no fill, the hit path's only test is the target's dead flag, and the
+// recency list ends in 0.
 type dstate struct {
 	set     []uint64
 	hash    uint64
-	cells   []int32
 	reports []automata.StateID
-	prev    int32 // recency list neighbours
-	next    int32
+	prev    uint32 // recency list neighbours
+	next    uint32
 	dead    bool
 }
 
@@ -391,21 +404,34 @@ type dstate struct {
 // Reset — repeated scans of one engine reuse the hot cache. A Runner is
 // not safe for concurrent use; build one per goroutine (they share the
 // Plan).
+//
+// Memory is bounded inside a run as well as across runs: at most max states
+// are live, and once more than 4*max dead husks have piled up the next
+// construction rebuilds the cache empty (trim), so len(states) <= 5*max+2
+// however long a run evicts.
 type Runner struct {
 	p   *Plan
 	cfg Config
 	max int
 
 	states []dstate
-	index  map[uint64][]int32
-	live   int
+	// first holds one row of `classes` cells per state, husks included, at
+	// [id*classes:]: indexed by ID and not reached through states[id], which
+	// would put a fourth load on the hit path. A cell is the next state for a
+	// one-byte cycle, else the offset in cells of the second-level row for
+	// that first-byte class. Second-level rows are allocated on first use,
+	// zeroed and put on the free list when their state is evicted; offset 0
+	// is a shared row that stays all zeros (every cell a miss).
+	first, cells, free []uint32
+	index              map[uint64][]uint32
+	live               int
 	// mru/lru end the doubly-linked recency list of live states (0: empty).
-	mru, lru int32
+	mru, lru uint32
 
 	// cur is the cached state the run sits in, or 0 when the run is in
 	// direct-NFA mode (cycle 0, after a pad cycle, or after fallback);
 	// active then holds the raw set. enabled is step's other buffer.
-	cur      int32
+	cur      uint32
 	active   []uint64
 	enabled  []uint64
 	scratch  []automata.StateID
@@ -428,10 +454,21 @@ func NewRunner(p *Plan, cfg Config) *Runner {
 	return r
 }
 
+// emptyCache drops every state. IDs start over, so the one ID held outside
+// the cache, cur, is dropped with them.
 func (r *Runner) emptyCache() {
 	r.states = []dstate{{dead: true}}
-	r.index = make(map[uint64][]int32)
-	r.live, r.mru, r.lru = 0, 0, 0
+	r.first, r.cells, r.free = make([]uint32, r.p.classes), make([]uint32, r.p.classes), nil
+	r.index = make(map[uint64][]uint32)
+	r.live, r.mru, r.lru, r.cur = 0, 0, 0, 0
+}
+
+// trim rebuilds the cache empty once dead husks dominate it: the bound on
+// what evictions leave behind (see Runner).
+func (r *Runner) trim() {
+	if len(r.states)-1-r.live > 4*r.max {
+		r.emptyCache()
+	}
 }
 
 // Plan returns the runner's shared plan.
@@ -451,9 +488,7 @@ func (r *Runner) Cycle() int64 { return r.cycle }
 // empty (bounding the memory a past thrashing run left behind).
 func (r *Runner) Reset() {
 	r.cycle, r.cur, r.fellBack = 0, 0, false
-	if len(r.states)-1-r.live > 4*r.max {
-		r.emptyCache()
-	}
+	r.trim()
 }
 
 // Step consumes one cycle: the next StepBytes() input bytes, of which the
@@ -471,13 +506,16 @@ func (r *Runner) Reset() {
 // in the other order. Consumers that compare runs sort within a cycle.
 func (r *Runner) Step(data []byte, pad int) []automata.StateID {
 	r.cycle++
-	curID, idx := r.cur, 0
+	curID, cell, c1 := r.cur, 0, 0
 	if pad == 0 && curID != 0 {
-		idx = int(r.p.classOf[data[0]])
-		if r.p.stepBytes == 2 {
-			idx = idx*r.p.classes + int(r.p.classOf[data[1]])
+		p := r.p
+		cell = int(curID)*p.classes + int(p.classOf[data[0]])
+		next := r.first[cell]
+		if len(data) == 2 { // stepBytes: without pad, data is a whole cycle
+			c1 = int(p.classOf[data[1]])
+			next = r.cells[int(next)+c1]
 		}
-		if next := r.states[curID].cells[idx]; !r.states[next].dead {
+		if !r.states[next].dead {
 			r.stats.Hits++
 			r.cur = next
 			r.touch(next)
@@ -496,19 +534,22 @@ func (r *Runner) Step(data []byte, pad int) []automata.StateID {
 	}
 	r.p.step(r.enabled, src, data, pad)
 	r.active, r.enabled = r.enabled, r.active
-	r.cur = 0
 	if pad == 0 && !r.fellBack {
 		// (Re-)enter cached mode: the reached set is a valid DFA state (its
-		// outgoing transitions are time-invariant). intern may grow the
-		// states slice, so the missed cell is resolved after it; its row is
-		// safe from eviction, being most recently used before this step.
-		if r.cur = r.intern(r.active); r.cur != 0 {
-			if curID != 0 {
-				r.states[curID].cells[idx] = r.cur
+		// outgoing transitions are time-invariant). The missed cell is
+		// written after intern, which may grow the arenas. The source state is
+		// safe from eviction, being most recently used before this step, but
+		// not from a rebuild: cur still names it unless intern emptied the
+		// cache, and the cell of a stale ID must not be written.
+		if next := r.intern(r.active); next != 0 {
+			if r.cur != 0 {
+				r.link(cell, c1, next)
 			}
-			return r.states[r.cur].reports
+			r.cur = next
+			return r.states[next].reports
 		}
 	}
+	r.cur = 0
 	// Direct-NFA mode — after a blowup, on the same set and with no restart.
 	r.scratch = r.p.appendReports(r.scratch[:0], r.active)
 	return r.scratch
@@ -517,7 +558,7 @@ func (r *Runner) Step(data []byte, pad int) []automata.StateID {
 // intern returns the cached state ID for set, constructing (and possibly
 // evicting) as needed. It returns 0 when construction would thrash: the
 // caller then falls back to direct NFA stepping for the rest of the run.
-func (r *Runner) intern(set []uint64) int32 {
+func (r *Runner) intern(set []uint64) uint32 {
 	h := hashSet(set)
 	for _, id := range r.index[h] {
 		if slices.Equal(r.states[id].set, set) {
@@ -530,13 +571,12 @@ func (r *Runner) intern(set []uint64) int32 {
 		r.stats.Fallbacks++
 		return 0
 	}
-	if r.live >= r.max {
+	if r.trim(); r.live >= r.max {
 		r.evict()
 	}
-	id := int32(len(r.states))
-	r.states = append(r.states, dstate{
-		set: slices.Clone(set), hash: h, cells: make([]int32, r.p.rowSize), reports: r.p.appendReports(nil, set),
-	})
+	id := uint32(len(r.states))
+	r.states = append(r.states, dstate{set: slices.Clone(set), hash: h, reports: r.p.appendReports(nil, set)})
+	r.first = append(r.first, make([]uint32, r.p.classes)...)
 	r.index[h] = append(r.index[h], id)
 	r.live++
 	r.stats.States++
@@ -544,8 +584,29 @@ func (r *Runner) intern(set []uint64) int32 {
 	return id
 }
 
-// evict retires the least-recently-used state and drops its index entry, so
-// that the husk is not rediscovered.
+// link records next as the transition of the first-level cell `cell` (a
+// live state's) under second-byte class c1.
+func (r *Runner) link(cell, c1 int, next uint32) {
+	if r.p.stepBytes == 1 {
+		r.first[cell] = next
+		return
+	}
+	row := r.first[cell]
+	if row == 0 {
+		if n := len(r.free); n > 0 {
+			row, r.free = r.free[n-1], r.free[:n-1]
+		} else {
+			row = uint32(len(r.cells))
+			r.cells = append(r.cells, make([]uint32, r.p.classes)...)
+		}
+		r.first[cell] = row
+	}
+	r.cells[int(row)+c1] = next
+}
+
+// evict retires the least-recently-used state, drops its index entry, so
+// that the husk is not rediscovered, and recycles its second-level rows. Its
+// first-level row stays: a dead state is never stepped from.
 func (r *Runner) evict() {
 	victim := r.lru
 	if victim == 0 {
@@ -553,7 +614,15 @@ func (r *Runner) evict() {
 	}
 	r.unlink(victim)
 	st := &r.states[victim]
-	st.dead, st.set, st.cells, st.reports = true, nil, nil, nil
+	st.dead, st.set, st.reports = true, nil, nil
+	if c := r.p.classes; r.p.stepBytes == 2 {
+		for _, row := range r.first[int(victim)*c : int(victim+1)*c] {
+			if row != 0 {
+				clear(r.cells[row : int(row)+c])
+				r.free = append(r.free, row)
+			}
+		}
+	}
 	bucket := r.index[st.hash]
 	if i := slices.Index(bucket, victim); i >= 0 {
 		bucket[i] = bucket[len(bucket)-1]
@@ -568,7 +637,7 @@ func (r *Runner) evict() {
 	r.stats.Evictions++
 }
 
-func (r *Runner) touch(id int32) {
+func (r *Runner) touch(id uint32) {
 	if r.mru == id {
 		return
 	}
@@ -576,7 +645,7 @@ func (r *Runner) touch(id int32) {
 	r.pushFront(id)
 }
 
-func (r *Runner) pushFront(id int32) {
+func (r *Runner) pushFront(id uint32) {
 	st := &r.states[id]
 	st.prev = 0
 	st.next = r.mru
@@ -589,7 +658,7 @@ func (r *Runner) pushFront(id int32) {
 	}
 }
 
-func (r *Runner) unlink(id int32) {
+func (r *Runner) unlink(id uint32) {
 	st := &r.states[id]
 	if st.prev != 0 {
 		r.states[st.prev].next = st.next

@@ -38,6 +38,12 @@ func canonical(events []event) []event {
 // events plus reports/report-cycles accounting (the funcsim.Run contract).
 func runDFA(t *testing.T, r *Runner, ua *automata.UnitAutomaton, input []byte) (events []event, reports, reportCycles int64) {
 	t.Helper()
+	return runDFAEach(r, ua, input, func() {})
+}
+
+// runDFAEach is runDFA calling each after every Step, for tests that watch
+// the cache while it runs.
+func runDFAEach(r *Runner, ua *automata.UnitAutomaton, input []byte, each func()) (events []event, reports, reportCycles int64) {
 	r.Reset()
 	sb := r.Plan().StepBytes()
 	cycles := (len(input) + sb - 1) / sb
@@ -54,6 +60,7 @@ func runDFA(t *testing.T, r *Runner, ua *automata.UnitAutomaton, input []byte) (
 			end = len(input)
 		}
 		ids := r.Step(input[start:end], pad)
+		each()
 		if len(ids) == 0 {
 			continue
 		}
@@ -311,6 +318,84 @@ func TestLRUEviction(t *testing.T) {
 	}
 }
 
+// TestRowRecycling forces second-level rows through the free list: with a
+// tiny cache every eviction recycles the victim's rows and the next misses
+// take them back. A recycled row must read as empty — a stale cell in it
+// would be a wrong transition, not a miss — so every row on the free list is
+// checked to be all zeros after every cycle, and the output against the
+// reference. Rate 2 (one byte per cycle) has no second level and must not
+// grow one.
+func TestRowRecycling(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	for _, rate := range []int{2, 4} {
+		reused := 0
+		for trial := 0; trial < 20; trial++ {
+			nfa := randomByteNFA(rng)
+			ua, err := transform.ToRate(nfa, rate)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r := NewRunner(certifiedPlan(t, nfa, ua), Config{MaxStates: 3, BlowupRatio: 1e9})
+			classes, free := r.p.classes, 0
+			input := randomInput(rng, 600)
+			want, wantRep, wantRC := runSim(ua, input)
+			got, gotRep, gotRC := runDFAEach(r, ua, input, func() {
+				if len(r.free) < free {
+					reused++
+				}
+				free = len(r.free)
+				for _, row := range r.free {
+					if row == 0 || slices.ContainsFunc(r.cells[row:int(row)+classes], func(c uint32) bool { return c != 0 }) {
+						t.Fatalf("rate %d trial %d: free row %d is the shared row or holds a stale cell", rate, trial, row)
+					}
+				}
+			})
+			if !eventsEqual(got, want) || gotRep != wantRep || gotRC != wantRC {
+				t.Fatalf("rate %d trial %d: output diverges across row recycling", rate, trial)
+			}
+			if rate == 2 && (len(r.cells) != classes || len(r.free) != 0) {
+				t.Fatalf("rate 2 trial %d: one-byte cycles built a second level (%d cells, %d free rows)", trial, len(r.cells), len(r.free))
+			}
+			if slices.ContainsFunc(r.cells[:classes], func(c uint32) bool { return c != 0 }) {
+				t.Fatalf("rate %d trial %d: the shared all-zero row was written", rate, trial)
+			}
+		}
+		if rate == 4 && reused == 0 {
+			t.Fatal("no trial took a row back from the free list; tighten the config")
+		}
+	}
+}
+
+// TestHusksBoundedWithinRun: one long run on a cache that evicts steadily
+// but never thrashes past BlowupRatio must not grow without bound — dead
+// husks are reclaimed where states are created, not only at Reset. The
+// bound is the one Runner documents; both arenas follow from it.
+func TestHusksBoundedWithinRun(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	nfa := randomByteNFAOf(rng, 12)
+	ua, err := transform.ToRate(nfa, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := NewRunner(certifiedPlan(t, nfa, ua), Config{MaxStates: 4, BlowupRatio: 1e9})
+	classes, peak := r.p.classes, 0
+	input := randomInput(rng, 2<<20) // 1M cycles
+	want, wantRep, wantRC := runSim(ua, input)
+	got, gotRep, gotRC := runDFAEach(r, ua, input, func() {
+		peak = max(peak, len(r.states))
+		if len(r.states) > 5*r.max+2 || len(r.first) != len(r.states)*classes || len(r.cells) > (1+r.max*classes)*classes {
+			t.Fatalf("cycle %d: %d states, %d first-level and %d second-level cells with max %d live states",
+				r.Cycle(), len(r.states), len(r.first), len(r.cells), r.max)
+		}
+	})
+	if !eventsEqual(got, want) || gotRep != wantRep || gotRC != wantRC {
+		t.Fatal("output diverges across in-run cache rebuilds")
+	}
+	if st := r.Stats(); r.FellBack() || st.Evictions < 100*int64(r.max) || peak <= 4*r.max {
+		t.Fatalf("the run did not evict its way to a rebuild: peak %d states, stats %+v", peak, st)
+	}
+}
+
 // TestBlowupFallback pins the fallback path: a thrashing cache must abandon
 // determinization mid-run and finish on direct NFA stepping with identical
 // output.
@@ -472,4 +557,40 @@ func BenchmarkDFAMiss(b *testing.B) {
 		step()
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/cycle")
+}
+
+// BenchmarkDFAHit times a cycle of the benchmark's dfa_sparse regime: Hamming
+// over 64 KiB on a warm runner, so every cycle but the first of a run is a
+// cached transition — the dependent-load chain r.cur → row → cell and the
+// recency touch.
+func BenchmarkDFAHit(b *testing.B) {
+	w, err := workload.Get("Hamming", workload.DefaultScale, 64<<10)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ua, err := transform.ToRate(w.Automaton, 4)
+	if err != nil {
+		b.Fatal(err)
+	}
+	r := NewRunner(certifiedPlan(b, w.Automaton, ua), DefaultConfig())
+	sb := r.Plan().StepBytes()
+	run := func() {
+		r.Reset()
+		for off := 0; off+sb <= len(w.Input); off += sb {
+			r.Step(w.Input[off:off+sb], 0)
+		}
+	}
+	run()
+	misses := r.Stats().Misses
+	b.ReportAllocs()
+	b.SetBytes(int64(len(w.Input)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run()
+	}
+	b.StopTimer()
+	if got := r.Stats().Misses; got != misses {
+		b.Fatalf("warm runs missed the cache: %d -> %d misses", misses, got)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*(len(w.Input)/sb)), "ns/cycle")
 }

@@ -318,6 +318,10 @@ func TestTracedRequestsConcurrent(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+	// A client has its answer once the last byte of the JSON arrives, which
+	// can be before the handler's deferred root-span End has run (1 run in
+	// 12 read 31 root spans here). Close returns when every handler has.
+	ts.Close()
 
 	rs, _ := s.lookup("nids")
 	if got := rs.lat.Count(); got != workers*perWorker {

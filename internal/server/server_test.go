@@ -640,7 +640,25 @@ func TestServerRunGracefulShutdown(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	cancel()
-	pw.Write(input) // pass a chunk boundary so the drain is observed
+	// Run begins the drain on its own goroutine. A chunk that passes the
+	// handler before that leaves it waiting in Read for one that never
+	// comes (the hang this test had under load), so wait for the drain.
+	for !s.Draining() {
+		if time.Now().After(deadline) {
+			t.Fatal("cancel never began the drain")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	// Pass a chunk boundary so that a handler waiting in Read observes the
+	// drain. One that observed it before reading again has already ended the
+	// response, and whether the transport still reads the pipe then is its
+	// business: the write goes on its own goroutine, and pw.Close below
+	// releases it.
+	wrote := make(chan struct{})
+	go func() {
+		defer close(wrote)
+		pw.Write(input)
+	}()
 	events := <-streamDone
 	if len(events) == 0 {
 		t.Fatal("mid-shutdown stream returned no events")
@@ -649,6 +667,7 @@ func TestServerRunGracefulShutdown(t *testing.T) {
 		t.Fatalf("terminal event = %+v, want done/draining", final)
 	}
 	pw.Close()
+	<-wrote
 	if err := <-runErr; err != nil {
 		t.Fatalf("Run returned %v, want nil on graceful shutdown", err)
 	}

@@ -18,9 +18,10 @@ type ScanOptions struct {
 	BatchSize int
 	// Backend overrides the engine's compiled backend for this call; ""
 	// keeps the compiled choice and "auto" resolves as Options.Backend
-	// "auto" would have. A "dfa" override on these entry points runs the
-	// lazy DFA sequentially on a private runner (the DFA's state cache is
-	// inherently serial), ignoring Workers — output stays byte-identical.
+	// "auto" would have. A "dfa" override runs the lazy DFA on pooled
+	// runners, one per ScanBatch worker; ScanParallel takes one and ignores
+	// Workers (a DFA state cache is inherently serial) — output stays
+	// byte-identical.
 	// The override sits where Options.Backend does in the one precedence
 	// (armed fault policy > engaged prefilter > backend) and is validated
 	// before it: an unknown name or an unsupported "dfa" is an error even
@@ -57,7 +58,9 @@ func (e *Engine) ScanParallel(input []byte, opts ScanOptions) (*ScanResult, erro
 	if err != nil {
 		return nil, err
 	}
-	return e.scanOn(l, e.runner(l, true), input, opts.workers())
+	rn := e.runner(l, true)
+	defer e.release(rn)
+	return e.scanOn(l, rn, input, opts.workers())
 }
 
 // scanSharded is the sharded parallel run ScanParallel (and Scan on the
@@ -76,6 +79,10 @@ func (e *Engine) scanSharded(input []byte, workers int) *ScanResult {
 // pool: opts.Workers machine clones serve the queue, and at most
 // opts.BatchSize scans wait in flight. results[i] corresponds to inputs[i]
 // and is identical to what Scan(inputs[i]) on a fresh engine would return.
+// On the lazy-DFA backend the workers' runners come from a pool shared by
+// the engine, its clones and compile-cache hits, and go back to it with the
+// states they determinized: the cache outlives the call, and an idle rule
+// set's runners are the garbage collector's to reclaim.
 //
 // Like ScanParallel it leaves the engine's shared machine alone and is
 // safe to call concurrently. Under an armed fault policy the batch runs
@@ -97,8 +104,8 @@ func (e *Engine) ScanBatch(inputs [][]byte, opts ScanOptions) ([]*ScanResult, er
 		queue = 2 * workers
 	}
 	// Each worker owns a private runner: inputs are independent, so runners
-	// reset per input but keep their scratch (and the DFA its cache) warm
-	// across the batch. errs holds each worker's first error.
+	// reset per input but keep their scratch warm across the batch (and the
+	// DFA its cache across calls). errs holds each worker's first error.
 	runners := make([]runner, workers)
 	for i := range runners {
 		runners[i] = e.runner(l, true)
@@ -114,6 +121,9 @@ func (e *Engine) ScanBatch(inputs [][]byte, opts ScanOptions) ([]*ScanResult, er
 		})
 	}
 	pool.Wait()
+	for _, rn := range runners {
+		e.release(rn)
+	}
 	for _, err := range errs {
 		if err != nil {
 			return nil, err

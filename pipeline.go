@@ -183,11 +183,12 @@ func machineStats(m *core.Machine) Stats {
 
 // runner returns the runner of leg l. The sequential entry points (Scan,
 // NewStream) share the engine's persistent machine and DFA runners — the
-// DFA state cache stays hot across scans; private builds one that touches
-// no engine state, for the parallel entry points' workers. The guard
-// always drives the shared machine. The prefilter and sharded legs have no
-// runner: whole inputs go through the scheduler (scanOn), and a stream's
-// prefilter leg is its streamFilter (NewStream).
+// DFA state cache stays hot across scans; private hands out one that touches
+// no engine state, for the parallel entry points' workers, who release it
+// when their call ends. The guard always drives the shared machine. The
+// prefilter and sharded legs have no runner: whole inputs go through the
+// scheduler (scanOn), and a stream's prefilter leg is its streamFilter
+// (NewStream).
 func (e *Engine) runner(l leg, private bool) runner {
 	switch l {
 	case legPrefilter, legSharded:
@@ -196,6 +197,9 @@ func (e *Engine) runner(l leg, private bool) runner {
 		return &guardRunner{reduction: newReduction(e.nibble), e: e}
 	case legDFA:
 		if private {
+			if d, ok := e.dfaPool.Get().(*dfaRunner); ok {
+				return d
+			}
 			return e.newDFARunner()
 		}
 		if e.dfaRun == nil {
@@ -214,6 +218,15 @@ func (e *Engine) runner(l leg, private bool) runner {
 	// Re-read every time: a guarded scan may have replaced the machine.
 	e.nfaRun.m = e.machine
 	return e.nfaRun
+}
+
+// release ends a private runner's call. A DFA runner goes back to the
+// artifact's pool with its state cache: reset restores everything else, so
+// the next call, on this engine or a clone, starts warm.
+func (e *Engine) release(rn runner) {
+	if d, ok := rn.(*dfaRunner); ok {
+		e.dfaPool.Put(d)
+	}
 }
 
 // ErrCycleRangeExceeded is returned by Scan, ScanParallel, ScanBatch and

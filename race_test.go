@@ -81,6 +81,56 @@ func TestScanBatchConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
+// TestDFAPoolConcurrent hammers the runner pool the artifact shares: batch
+// scans from eight goroutines over four clones of one lazy-DFA engine take
+// and return the same pooled runners, and every result must equal a fresh
+// engine's Scan — on the first pass, which builds the caches, and on the
+// second, which is served from whatever the pool kept of them (warm ≡ cold;
+// the order of one cycle's matches is the substrate's, so sets compare).
+func TestDFAPoolConcurrent(t *testing.T) {
+	patterns := []Pattern{{Expr: `ab+c`, Code: 1}, {Expr: `b[cd]a`, Code: 2}, {Expr: `x.y`, Code: 3}}
+	opts := DefaultOptions()
+	opts.Backend = "dfa"
+	inputs := make([][]byte, 12)
+	wants := make([]*ScanResult, len(inputs))
+	for i := range inputs {
+		inputs[i] = bytes.Repeat([]byte("xabbcayybdax-y"), 40+30*i)[i:]
+		fresh, err := Compile(patterns, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if wants[i], err = fresh.Scan(inputs[i]); err != nil || len(wants[i].Matches) == 0 {
+			t.Fatalf("reference %d: %v, %d matches", i, err, len(wants[i].Matches))
+		}
+	}
+	eng, err := Compile(patterns, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	engines := []*Engine{eng, eng.Clone(), eng.Clone(), eng.Clone()}
+	for _, pass := range []string{"cold", "warm"} {
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				got, err := engines[g%len(engines)].ScanBatch(inputs, ScanOptions{Workers: 3, BatchSize: 2})
+				if err != nil {
+					t.Errorf("%s batch %d: %v", pass, g, err)
+					return
+				}
+				for i, want := range wants {
+					if !matchesEqual(sortedMatches(got[i].Matches), sortedMatches(want.Matches)) || got[i].Stats != want.Stats {
+						t.Errorf("%s batch %d input %d: %d matches, stats %+v; a fresh engine has %d, %+v",
+							pass, g, i, len(got[i].Matches), got[i].Stats, len(want.Matches), want.Stats)
+					}
+				}
+			}(g)
+		}
+		wg.Wait()
+	}
+}
+
 // TestScanConcurrentSequentialAndBatch audits the contract the docs make
 // for the parallel paths: ScanBatch (and ScanParallel) never touch the
 // engine's shared machine, so they may overlap a sequential Scan that is

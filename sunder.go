@@ -27,6 +27,7 @@ package sunder
 import (
 	"fmt"
 	"io"
+	"sync"
 	"sync/atomic"
 
 	"sunder/internal/analysis"
@@ -171,8 +172,9 @@ type ScanResult struct {
 // use Clone to get independent engines for concurrent sequential use.
 type Engine struct {
 	// compiledArtifact is everything compilation produced. It is immutable
-	// and shared by clones and compile-cache hits; every other field is
-	// per-engine mutable state (TestEngineStateOutsideArtifact).
+	// (but for dfaPool, a cache) and shared by clones and compile-cache hits;
+	// every other field is per-engine mutable state
+	// (TestEngineStateOutsideArtifact).
 	*compiledArtifact
 	// machine is the engine's own device and machinePlace the placement it
 	// was configured from: the artifact's until a guarded scan quarantines
@@ -195,7 +197,10 @@ type Engine struct {
 	dfaRun *dfaRunner
 }
 
-// compiledArtifact is the immutable product of one compilation.
+// compiledArtifact is the immutable product of one compilation. Its one
+// field that changes after compile, dfaPool, is a cache and not state: a
+// runner taken from it is indistinguishable from a new one in everything a
+// scan returns.
 type compiledArtifact struct {
 	opts    Options
 	byteNFA *automata.Automaton
@@ -224,8 +229,13 @@ type compiledArtifact struct {
 	autoChoice  meta.Choice
 	metaIn      meta.Inputs
 	// dfaPlan is the lazy-DFA stepping plan; nil when the geometry is
-	// unsupported. Runners built from it are mutable and per engine.
+	// unsupported. Runners built from it are mutable: an engine owns its
+	// sequential one, and the parallel entry points' private ones wait in
+	// dfaPool between calls, with the states they have determinized, so
+	// that every engine over this artifact warms one set of caches. It is a
+	// sync.Pool so that an idle rule set retains none of them.
 	dfaPlan *dfa.Plan
+	dfaPool sync.Pool
 }
 
 // newEngine returns an engine over art with its own pristine machine.
