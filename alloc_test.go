@@ -2,6 +2,8 @@ package sunder
 
 import (
 	"bytes"
+	"runtime"
+	"slices"
 	"testing"
 
 	"sunder/internal/workload"
@@ -83,6 +85,21 @@ func TestAllocationPins(t *testing.T) {
 		}
 	}
 	batch()
+	// Prefiltered on the lazy DFA: the windows run on the engine's warm
+	// runner; what is left is the literal scan's spans, the window plan,
+	// the matches and the result — nothing per window or per cycle.
+	hitIn := bytes.Clone(input[:16<<10])
+	for off := 1000; off+16 < len(hitIn); off += 4000 {
+		copy(hitIn[off:], "needle42x haystack")
+	}
+	window := compile("dfa", PrefilterOn)
+	windowScan := func() {
+		res, err := window.Scan(hitIn)
+		if err != nil || len(res.Matches) != 8 || res.Stats.PrefilterWindows == 0 {
+			t.Fatalf("windowed scan: %v, %d matches, %d windows", err, len(res.Matches), res.Stats.PrefilterWindows)
+		}
+	}
+	windowScan()
 	for _, pin := range []struct {
 		name string
 		op   func()
@@ -95,6 +112,7 @@ func TestAllocationPins(t *testing.T) {
 		{"stream/dfa", stream(compile("dfa", PrefilterOff)), 3},
 		{"stream/nfa", stream(compile("nfa", PrefilterOff)), 2},
 		{"batch/dfa-warm", batch, 14},
+		{"prefilter/dfa-window", windowScan, 14},
 	} {
 		if got := testing.AllocsPerRun(10, pin.op); got > pin.max {
 			t.Errorf("%s: %.1f allocs/op, want <= %.0f", pin.name, got, pin.max)
@@ -107,8 +125,8 @@ func TestAllocationPins(t *testing.T) {
 // TestRunnerReleasesMatches: the engine's persistent runners, and the
 // pooled ones of the parallel entry points, hand a scan's matches to its
 // result and keep no reference, so a large result is not pinned on the
-// engine (or in the pool) until the next scan (it showed as live heap in
-// the benchmark when it was).
+// engine (or on the artifact's free list) until the next scan (it showed as
+// live heap in the benchmark when it was).
 func TestRunnerReleasesMatches(t *testing.T) {
 	input := bytes.Repeat([]byte("a"), 1024)
 	for _, backend := range []string{"nfa", "dfa"} {
@@ -125,21 +143,82 @@ func TestRunnerReleasesMatches(t *testing.T) {
 		if eng.nfaRun != nil && eng.nfaRun.matches != nil || eng.dfaRun != nil && eng.dfaRun.matches != nil {
 			t.Errorf("%s: runner still references the result's matches", backend)
 		}
-		// A sync.Pool may drop what it is given (at random under the race
-		// detector, or when the goroutine changes P between Put and Get), so
-		// batches repeat until one's runner is found in it.
-		var pooled *dfaRunner
-		for try := 0; pooled == nil && try < 100; try++ {
-			batch, err := eng.ScanBatch([][]byte{input}, ScanOptions{Workers: 1})
-			if err != nil || len(batch[0].Matches) != 1024 {
-				t.Fatalf("%s: batch: %v", backend, err)
+		batch, err := eng.ScanBatch([][]byte{input}, ScanOptions{Workers: 1})
+		if err != nil || len(batch[0].Matches) != 1024 {
+			t.Fatalf("%s: batch: %v", backend, err)
+		}
+		pooled := idleDFARunners(eng)
+		if (len(pooled) == 1) != (backend == "dfa") {
+			t.Errorf("%s: ScanBatch left %d runners on the DFA free list", backend, len(pooled))
+		}
+		for _, d := range pooled {
+			if d.matches != nil {
+				t.Errorf("%s: pooled runner still references the batch result's matches", backend)
 			}
-			pooled, _ = eng.dfaPool.Get().(*dfaRunner)
 		}
-		if (pooled != nil) != (backend == "dfa") {
-			t.Errorf("%s: ScanBatch left a runner in the DFA pool: %v", backend, pooled != nil)
-		} else if pooled != nil && pooled.matches != nil {
-			t.Errorf("%s: pooled runner still references the batch result's matches", backend)
-		}
+	}
+}
+
+// idleDFARunners returns the runners on eng's artifact's free list.
+func idleDFARunners(eng *Engine) []*dfaRunner {
+	eng.dfaMu.Lock()
+	defer eng.dfaMu.Unlock()
+	if l := eng.dfaIdle.Value(); l != nil {
+		return slices.Clone(*l)
+	}
+	return nil
+}
+
+// TestDFAPoolSurvivesCollection: a runner released on one goroutine is
+// what the next call, on another, gets back, even across a collection — the
+// free list is one list, not a slot per P, and one collection does not drop
+// it. (A sync.Pool stranded it in the releasing P's private slot about half
+// the time, and the call that missed it re-warmed a cold runner.)
+func TestDFAPoolSurvivesCollection(t *testing.T) {
+	if raceEnabled {
+		t.Skip("under the race detector a sync.Pool drops entries at random, the list's anchors among them")
+	}
+	opts := DefaultOptions()
+	opts.Backend = "dfa"
+	eng, err := Compile([]Pattern{{Expr: `ab+c`, Code: 1}}, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	released := eng.runner(legDFA, true)
+	done := make(chan bool)
+	go func() {
+		eng.release([]runner{released})
+		done <- true
+	}()
+	<-done
+	runtime.GC()
+	got := make(chan runner)
+	go func() { got <- eng.runner(legDFA, true) }()
+	if rn := <-got; rn != released {
+		t.Fatal("a call after one collection built a new runner while the released one was idle")
+	}
+}
+
+// TestDFAPoolDroppedWhenIdle: two collections with no call in between drop
+// the free list and its runners, exactly as a sync.Pool's entries would
+// be: an idle rule set retains nothing.
+func TestDFAPoolDroppedWhenIdle(t *testing.T) {
+	opts := DefaultOptions()
+	opts.Backend = "dfa"
+	eng, err := Compile([]Pattern{{Expr: `ab+c`, Code: 1}}, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := bytes.Repeat([]byte("xabbbcy"), 200)
+	if _, err := eng.ScanBatch([][]byte{in, in}, ScanOptions{Workers: 2}); err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.GC()
+	eng.dfaMu.Lock()
+	l := eng.dfaIdle.Value()
+	eng.dfaMu.Unlock()
+	if l != nil {
+		t.Fatalf("two idle collections left the free list alive with %d runners", len(*l))
 	}
 }

@@ -270,6 +270,31 @@ func BenchmarkEngineScan(b *testing.B) {
 	}
 }
 
+// BenchmarkScanPrefilterHit is the benchmark's prefilter_hit row as a
+// testing.B: EntityResolution (rule scale 0.02) prefiltered, Backend "auto",
+// an 8 KiB literal-dense input whose candidate windows cover nearly all of
+// it, scanned by a warm engine.
+func BenchmarkScanPrefilterHit(b *testing.B) {
+	w := workload.MustGet("EntityResolution", 0.02, 8<<10)
+	opts := DefaultOptions()
+	opts.Backend, opts.Prefilter = "auto", PrefilterOn
+	eng, err := CompileAutomaton(w.Automaton, opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := eng.Scan(w.Input); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(w.Input)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := eng.Scan(w.Input); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkTelemetryOverhead measures the cost of the telemetry hooks on
 // the machine hot path in its three modes: detached (the default; the
 // guard branch only), counters attached, and counters plus event tracing.

@@ -488,10 +488,11 @@ func TestInfoIdenticalOnHitAndClone(t *testing.T) {
 // Clone and the compile cache never copy compile products field by field.
 // A new Engine field fails here until it is classified — immutable compile
 // products go into compiledArtifact, per-engine mutable state is listed
-// below. The artifact's one field that is not immutable, dfaPool, is
-// neither: it is a cache of lazy-DFA runners every engine over the artifact
-// shares, and a runner taken from it is indistinguishable from a new one
-// (TestDFAPoolConcurrent, TestEntryPointsAgree's warm pass).
+// below. The artifact's fields that are not immutable, its free list of
+// lazy-DFA runners (held weakly, anchored by a sync.Pool), are neither: a
+// cache every engine over the artifact shares, and a runner taken from it is
+// indistinguishable from a new one (TestDFAPoolConcurrent,
+// TestEntryPointsAgree's warm pass).
 func TestEngineStateOutsideArtifact(t *testing.T) {
 	mutable := map[string]string{
 		"compiledArtifact": "the shared immutable compile product itself",

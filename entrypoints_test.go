@@ -3,6 +3,7 @@ package sunder
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"testing"
 
 	"sunder/internal/funcsim"
@@ -13,10 +14,13 @@ import (
 // TestEntryPointsAgree runs option *combinations* through every entry
 // point: for each small rule set × Backend × Prefilter × Minimize × fault
 // policy, Scan, ScanParallel, ScanBatch (both twice: the second pass takes
-// the lazy DFA's pooled runners back warm), Stream (three chunkings), a Clone
-// and a CompileCached hit must all return the functional-simulator
-// oracle's matches and Reports/ReportCycles, and account for every device
-// cycle. Within one engine the entry points must also agree on match order
+// the lazy DFA's pooled runners back warm; under the prefilter also with a
+// "dfa" and an "nfa" override), Stream (three chunkings), a Clone and a
+// CompileCached hit must all return the functional-simulator oracle's
+// matches and Reports/ReportCycles, account for every device cycle, and
+// have run on the substrate the route names — the lazy DFA for a "dfa"
+// backend, prefiltered or not, the machine for the others and under the
+// guard. Within one engine the entry points must also agree on match order
 // with Scan (substrates order a cycle's reports differently, so across
 // engines the comparison is order-insensitive).
 func TestEntryPointsAgree(t *testing.T) {
@@ -117,13 +121,22 @@ func checkEntryPoints(t *testing.T, label string, patterns []Pattern, opts Optio
 	if err != nil {
 		t.Fatalf("%s: %v", label, err)
 	}
-	check := func(entry string, got []Match, st Stats, err error) {
+	// onDFA is the substrate a call with the given override must run on.
+	onDFA := func(override string) bool {
+		if override == "" {
+			return pol == nil && strings.HasPrefix(eng.Backend(), "dfa")
+		}
+		return pol == nil && override == "dfa"
+	}
+	// check holds a call to the oracle, and to Scan's match order when it
+	// ran on Scan's substrate.
+	check := func(entry string, ordered bool, got []Match, st Stats, err error) {
 		t.Helper()
 		if err != nil {
 			t.Errorf("%s/%s: %v", label, entry, err)
 			return
 		}
-		if !matchesEqual(ref.Matches, got) {
+		if ordered && !matchesEqual(ref.Matches, got) {
 			t.Errorf("%s/%s: matches differ from Scan in content or order (%d vs %d)", label, entry, len(got), len(ref.Matches))
 		}
 		if !matchesEqual(sortedMatches(want.Matches), sortedMatches(got)) {
@@ -137,28 +150,44 @@ func checkEntryPoints(t *testing.T, label string, patterns []Pattern, opts Optio
 			t.Errorf("%s/%s: kernel+skipped = %d cycles, input has %d", label, entry, got, want.Stats.KernelCycles)
 		}
 	}
-	result := func(entry string, res *ScanResult, err error) {
+	// A result's substrate shows in its per-PU rows: the machine writes
+	// report entries into its regions, the lazy DFA models none.
+	result := func(entry, override string, res *ScanResult, err error) {
 		t.Helper()
 		if err != nil {
 			res = &ScanResult{}
 		}
-		check(entry, res.Matches, res.Stats, err)
+		check(entry, onDFA(override) == onDFA(""), res.Matches, res.Stats, err)
+		entries := int64(0)
+		for _, pu := range res.PerPU {
+			entries += pu.ReportEntries
+		}
+		if err == nil && (entries == 0) != onDFA(override) {
+			t.Errorf("%s/%s: ran on the wrong substrate (%d report entries, backend %s)", label, entry, entries, eng.Backend())
+		}
 	}
-	result("Scan", ref, nil)
+	result("Scan", "", ref, nil)
+	overrides := []string{""}
+	if opts.Prefilter == PrefilterOn {
+		overrides = append(overrides, "dfa", "nfa")
+	}
 	for _, pass := range []string{"cold", "warm"} {
-		for _, w := range []int{1, 3} {
-			res, err := eng.ScanParallel(input, ScanOptions{Workers: w})
-			result(fmt.Sprintf("ScanParallel/%s/w=%d", pass, w), res, err)
+		for _, override := range overrides {
+			for _, w := range []int{1, 3} {
+				res, err := eng.ScanParallel(input, ScanOptions{Workers: w, Backend: override})
+				result(fmt.Sprintf("ScanParallel/%s/%q/w=%d", pass, override, w), override, res, err)
+			}
+			batch, err := eng.ScanBatch([][]byte{input, input[:len(input)/2], input}, ScanOptions{Workers: 2, Backend: override})
+			if err != nil {
+				batch = []*ScanResult{nil, nil, nil}
+			}
+			result(fmt.Sprintf("ScanBatch[0]/%s/%q", pass, override), override, batch[0], err)
+			result(fmt.Sprintf("ScanBatch[2]/%s/%q", pass, override), override, batch[2], err)
 		}
-		batch, err := eng.ScanBatch([][]byte{input, input[:len(input)/2], input}, ScanOptions{Workers: 2})
-		if err != nil {
-			batch = []*ScanResult{nil, nil, nil}
-		}
-		result("ScanBatch[0]/"+pass, batch[0], err)
-		result("ScanBatch[2]/"+pass, batch[2], err)
 	}
 	for _, chunk := range []int{1, 7, len(input)} {
 		var got []Match
+		lookups := eng.DFAStats()
 		st, err := eng.NewStream(func(m Match) { got = append(got, m) })
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
@@ -170,10 +199,13 @@ func checkEntryPoints(t *testing.T, label string, patterns []Pattern, opts Optio
 		if err == nil {
 			err = st.Err()
 		}
-		check(fmt.Sprintf("Stream/chunk=%d", chunk), got, stats, err)
+		check(fmt.Sprintf("Stream/chunk=%d", chunk), true, got, stats, err)
+		if after := eng.DFAStats(); (after.Hits+after.Misses > lookups.Hits+lookups.Misses) != onDFA("") {
+			t.Errorf("%s/Stream/chunk=%d: ran on the wrong substrate (backend %s)", label, chunk, eng.Backend())
+		}
 	}
 	res, err := arm(eng.Clone(), nil).Scan(input)
-	result("Clone", res, err)
+	result("Clone", "", res, err)
 
 	ResetCompileCache()
 	if _, hit, err := CompileCachedTraced(patterns, opts); err != nil || hit {
@@ -184,5 +216,5 @@ func checkEntryPoints(t *testing.T, label string, patterns []Pattern, opts Optio
 		t.Fatalf("%s: second CompileCached missed", label)
 	}
 	res, err = arm(cached, err).Scan(input)
-	result("CompileCached", res, err)
+	result("CompileCached", "", res, err)
 }

@@ -41,20 +41,24 @@ func FuzzCompile(f *testing.F) {
 // filtered scan must agree with an unfiltered engine exactly — and when
 // the extracted literals do not occur in the input (and cannot complete in
 // the pad tail), the unfiltered engine must report nothing, proving every
-// extracted literal really is required.
+// extracted literal really is required. dfa draws the substrate the
+// candidate windows run on.
 func FuzzPrefilterExtract(f *testing.F) {
-	f.Add(`needle`, "a needle in a haystack")
-	f.Add(`foo[01]bar`, "xfoo0barx")
-	f.Add(`ab+c`, "xabbcx")
-	f.Add(`abc|wxyz`, "no hits here")
-	f.Add(`a.{2}b`, "axxb")
-	f.Add(`(up|dn)load`, "upload dnload")
-	f.Fuzz(func(t *testing.T, expr string, input string) {
+	f.Add(`needle`, "a needle in a haystack", false)
+	f.Add(`foo[01]bar`, "xfoo0barx", true)
+	f.Add(`ab+c`, "xabbcx", false)
+	f.Add(`abc|wxyz`, "no hits here", true)
+	f.Add(`a.{2}b`, "axxb", true)
+	f.Add(`(up|dn)load`, "upload dnload", false)
+	f.Fuzz(func(t *testing.T, expr string, input string, dfa bool) {
 		if len(expr) > 48 || len(input) > 256 {
 			t.Skip("cap work per case")
 		}
 		opts := DefaultOptions()
 		opts.Prefilter = PrefilterOn
+		if dfa {
+			opts.Backend = "dfa"
+		}
 		filt, err := Compile([]Pattern{{Expr: expr, Code: 1}}, opts)
 		if err != nil {
 			return
@@ -231,17 +235,26 @@ func FuzzMinimize(f *testing.F) {
 }
 
 // FuzzStream fuzzes the incremental front end: chunked streaming must
-// produce exactly the matches of a batch scan of the same bytes.
+// produce exactly the matches of a batch scan of the same bytes. mode
+// draws the backend (bit 0: the lazy DFA, else the machine) and the
+// literal prefilter (bit 1).
 func FuzzStream(f *testing.F) {
-	f.Add("xabbczzx", uint8(3))
-	f.Add(strings.Repeat("abz", 40), uint8(1))
-	f.Add("", uint8(7))
-	f.Fuzz(func(t *testing.T, input string, chunk uint8) {
+	f.Add("xabbczzx", uint8(3), uint8(0))
+	f.Add(strings.Repeat("abz", 40), uint8(1), uint8(3))
+	f.Add("", uint8(7), uint8(2))
+	f.Fuzz(func(t *testing.T, input string, chunk, mode uint8) {
 		if len(input) > 512 {
 			t.Skip("cap work per case")
 		}
 		n := int(chunk%63) + 1
-		eng, err := Compile([]Pattern{{Expr: `ab+c`, Code: 1}, {Expr: `zz`, Code: 2}}, DefaultOptions())
+		opts := DefaultOptions()
+		if mode&1 != 0 {
+			opts.Backend = "dfa"
+		}
+		if mode&2 != 0 {
+			opts.Prefilter = PrefilterOn
+		}
+		eng, err := Compile([]Pattern{{Expr: `ab+c`, Code: 1}, {Expr: `zz`, Code: 2}}, opts)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -156,6 +156,12 @@ func (m *Machine) Overhead() float64 {
 	return float64(m.kernelCycles+m.stallCycles) / float64(m.kernelCycles)
 }
 
+// Rewind clears the active states, so the next cycle starts from an empty
+// set as a cold machine's does, and keeps everything else: the cycle count,
+// the report region and the counters. A prefiltered run rewinds between its
+// candidate windows and stays one device run.
+func (m *Machine) Rewind() { clear(m.active) }
+
 // Reset returns the machine to its post-configuration state.
 func (m *Machine) Reset() {
 	clear(m.active)

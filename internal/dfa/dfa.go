@@ -30,7 +30,8 @@
 // for the second byte's class is the next state. A hit stays three dependent
 // loads (Runner; DESIGN.md §4.16 has the layouts that lost).
 //
-// Cycle 0 (start-of-data injection is time-dependent), any cycle containing
+// Cycle 0 (start-of-data injection is time-dependent; ResetMidStream's first
+// cycle steps from an empty set instead), any cycle containing
 // pad units (pad semantics depend on where the input ends) and, once the
 // cache thrashes past Config.BlowupRatio, the rest of the run are not served
 // from the cache: Plan.step, the closure-free word-level NFA step that also
@@ -437,6 +438,10 @@ type Runner struct {
 	scratch  []automata.StateID
 	cycle    int64
 	fellBack bool
+	// midStream marks a run started by ResetMidStream: its first cycle
+	// steps from the (cleared) active set instead of seeding the anchored
+	// starts.
+	midStream bool
 
 	stats Stats
 }
@@ -487,8 +492,19 @@ func (r *Runner) Cycle() int64 { return r.cycle }
 // kept hot unless dead husks dominate it, in which case it is rebuilt
 // empty (bounding the memory a past thrashing run left behind).
 func (r *Runner) Reset() {
-	r.cycle, r.cur, r.fellBack = 0, 0, false
+	r.cycle, r.cur, r.fellBack, r.midStream = 0, 0, false, false
 	r.trim()
+}
+
+// ResetMidStream is Reset for a stream that starts in the middle of the
+// input, as a window's warm-up replay does: its first cycle is not the
+// input's first, so it steps from an empty source set — the unanchored
+// starts join, the start-of-data states do not. That is the contract of
+// core.Machine.SuppressStartOfData; every later cycle is as after Reset.
+func (r *Runner) ResetMidStream() {
+	r.Reset()
+	clear(r.active)
+	r.midStream = true
 }
 
 // Step consumes one cycle: the next StepBytes() input bytes, of which the
@@ -529,7 +545,7 @@ func (r *Runner) Step(data []byte, pad int) []automata.StateID {
 	switch {
 	case curID != 0:
 		src = r.states[curID].set
-	case r.cycle > 1:
+	case r.cycle > 1 || r.midStream:
 		src = r.active
 	}
 	r.p.step(r.enabled, src, data, pad)

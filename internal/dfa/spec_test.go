@@ -303,3 +303,53 @@ func TestStepLatchCases(t *testing.T) {
 	t.Logf("source words: %d saturated, %d one short, %d/%d single latch on/off, %d without latch; %d saturated sets, %d covered states skipped, %d walked",
 		saturated, oneShort, singleOn, singleOff, none, wholeSet, skipped, walked)
 }
+
+// TestDFAMidStreamStart holds ResetMidStream to its contract in lockstep: a run
+// started at byte k reports, cycle for cycle, what Plan.step and the spec
+// step from an all-zero source set (the unanchored starts join, the
+// start-of-data states do not), on a warm runner and again on the same one.
+// The identity partition makes every cached state the raw set, so the
+// runner's report rows must equal the plan's exactly.
+func TestDFAMidStreamStart(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	var identity [256]uint16
+	for b := range identity {
+		identity[b] = uint16(b)
+	}
+	for trial := 0; trial < 20; trial++ {
+		nfa := randomByteNFAOf(rng, 8+rng.Intn(40))
+		nfa.States[0].Start = automata.StartOfData // an anchored start to keep quiet
+		for _, rate := range []int{2, 4} {
+			ua, err := transform.ToRate(nfa, rate)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p, err := NewPlan(ua, identity, 256)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r := NewRunner(p, DefaultConfig())
+			input := randomInput(rng, 80+rng.Intn(40))
+			for _, k := range []int{0, p.stepBytes, 2 * p.stepBytes, 10 * p.stepBytes, 10 * p.stepBytes} {
+				r.ResetMidStream()
+				s := newSpec(ua)
+				src := make([]uint64, p.words)
+				dst := make([]uint64, p.words)
+				for c := 0; k+c*p.stepBytes < len(input); c++ {
+					data := input[k+c*p.stepBytes:]
+					pad := max(0, p.stepBytes-len(data))
+					data = data[:p.stepBytes-pad]
+					p.step(dst, src, data, pad)
+					s.step(data, pad, false)
+					if want := s.words(); !slices.Equal(dst, want) {
+						t.Fatalf("trial %d rate %d from byte %d, cycle %d: plan and spec diverge", trial, rate, k, c)
+					}
+					if got, want := r.Step(data, pad), p.appendReports(nil, dst); !slices.Equal(got, want) {
+						t.Fatalf("trial %d rate %d from byte %d, cycle %d: runner reports %v, plan %v", trial, rate, k, c, got, want)
+					}
+					src, dst = dst, src
+				}
+			}
+		}
+	}
+}

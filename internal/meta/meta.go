@@ -7,9 +7,6 @@
 // which follows the DFA-vs-NFA crossover study (Siddique et al. 2022):
 // which substrate wins is a function of automaton shape, not input.
 //
-//   - An engaged literal prefilter dominates everything on the inputs it
-//     was built for (match-free regions skip entirely), so it keeps the
-//     NFA core behind it untouched.
 //   - The lazy DFA steps one cached transition per cycle regardless of
 //     active-set width, so it wins wherever determinization is supported
 //     and the subset space fits its cache — in practice everything up to
@@ -19,6 +16,9 @@
 //     NFA bitvec words dominate a sequential scan.
 //   - Everything else (rate-1 engines, huge cyclic automata) stays on the
 //     sequential bitvec NFA core.
+//
+// An engaged literal prefilter is not an input: it decides which windows
+// of an input run, and the backend chosen here runs them.
 //
 // The package is deliberately pure: Select is a function of its inputs,
 // takes no clocks and no randomness, and returns the same choice for the
@@ -75,9 +75,6 @@ type Inputs struct {
 	// SymbolClasses is the certified effective alphabet size of the byte
 	// automaton (compresses DFA transition rows).
 	SymbolClasses int
-	// PrefilterEngaged reports that the literal prefilter compiled a
-	// usable plan — the prefiltered path then owns scans.
-	PrefilterEngaged bool
 	// DFASupported/DFAReason is the lazy-DFA support verdict
 	// (dfa.Supported): determinization needs whole-byte cycles.
 	DFASupported bool
@@ -116,12 +113,6 @@ func (c Choice) String() string {
 // Select resolves "auto" for a compiled shape. It never returns an invalid
 // choice: the fallback is always the sequential NFA core.
 func Select(in Inputs) Choice {
-	if in.PrefilterEngaged {
-		// The prefiltered path skips match-free regions outright; the
-		// backend behind it only runs inside candidate windows, where the
-		// warmed-up NFA core is already the cheapest to clone and replay.
-		return Choice{Backend: BackendNFA, Reason: "literal prefilter engaged"}
-	}
 	if !in.DFASupported {
 		if in.Bounded && in.DeviceStates >= MinParallelDeviceStates {
 			return Choice{Backend: BackendParallel, Reason: fmt.Sprintf(

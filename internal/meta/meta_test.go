@@ -31,7 +31,6 @@ func TestSelectDispatch(t *testing.T) {
 		reason string
 	}{
 		{"small supported -> dfa", func(*Inputs) {}, BackendDFA, "cached transitions"},
-		{"prefilter wins", func(in *Inputs) { in.PrefilterEngaged = true }, BackendNFA, "prefilter engaged"},
 		{"unsupported rate -> nfa", func(in *Inputs) {
 			in.DFASupported = false
 			in.DFAReason = "rate below symbol units (cycles split bytes)"

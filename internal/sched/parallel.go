@@ -85,8 +85,8 @@ func ParallelRun(proto *core.Machine, a *automata.UnitAutomaton, units []funcsim
 	}
 
 	depth, bounded := DependenceCycles(a)
-	align := alignmentCycles(rate, a.SymbolUnits)
-	overlap := roundUpTo(int64(depth)+1, align)
+	align := Alignment(rate, a.SymbolUnits)
+	overlap := Overlap(depth, align)
 
 	// Wall-clock span instrumentation. All clocks live inside the
 	// telemetry package (this package is vet-enforced deterministic and
@@ -106,7 +106,7 @@ func ParallelRun(proto *core.Machine, a *automata.UnitAutomaton, units []funcsim
 		" shards=" + strconv.Itoa(len(shards)) +
 		" overlap=" + strconv.FormatInt(overlap, 10))
 
-	res := runShards(proto, a, units, shards, len(shards), rc, sp, "shard")
+	res := runShards(proto, a, units, shards, rc, sp)
 	res.OverlapCycles = overlap
 	return res
 }
@@ -146,45 +146,28 @@ type shardOut struct {
 	perPU        []core.PUStats
 }
 
-// runShards executes shards on clones of proto and merges their outputs in
-// shard order, which is cycle order. Shards are striped across workers
-// goroutines; each worker owns one clone and one report reducer and resets
-// them between the shards of its stripe. Every shard runs under a child
-// span of sp named kind.
-func runShards(proto *core.Machine, a *automata.UnitAutomaton, units []funcsim.Unit, shards []Shard, workers int, rc RunConfig, sp *telemetry.SpanCtx, kind string) *RunResult {
+// runShards executes each shard on its own goroutine and clone of proto
+// and merges their outputs in shard order, which is cycle order. Every
+// shard runs under a child span of sp.
+func runShards(proto *core.Machine, a *automata.UnitAutomaton, units []funcsim.Unit, shards []Shard, rc RunConfig, sp *telemetry.SpanCtx) *RunResult {
 	outs := make([]shardOut, len(shards))
-	runStripe := func(w int) {
-		m := proto.Clone()
-		red := core.NewReducer(a, rc.RecordEvents)
-		for i := w; i < len(shards); i += workers {
-			// A reused machine carries the previous shard's region state
-			// and telemetry attachment; runShard re-attaches after its
-			// warm-up so shared counters see owned cycles only.
-			m.AttachTelemetry(nil)
-			m.Reset()
-			ss := sp.Child(kind)
-			ss.SetAttr(kind + "=" + strconv.Itoa(i) +
-				" warmup=" + strconv.FormatInt(shards[i].WarmupCycles(), 10) +
-				" owned=" + strconv.FormatInt(shards[i].OwnedCycles(), 10))
-			outs[i] = runShard(m, &red, units, shards[i], rc, ss)
+	var wg sync.WaitGroup
+	for i, sh := range shards {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			red := core.NewReducer(a, rc.RecordEvents)
+			ss := sp.Child("shard")
+			ss.SetAttr("shard=" + strconv.Itoa(i) +
+				" warmup=" + strconv.FormatInt(sh.WarmupCycles(), 10) +
+				" owned=" + strconv.FormatInt(sh.OwnedCycles(), 10))
+			outs[i] = runShard(proto.Clone(), &red, units, sh, rc, ss)
 			ss.End()
-		}
+		}()
 	}
-	if workers == 1 {
-		runStripe(0)
-	} else {
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				runStripe(w)
-			}(w)
-		}
-		wg.Wait()
-	}
+	wg.Wait()
 
-	res := &RunResult{Workers: workers, Sharded: true}
+	res := &RunResult{Workers: len(shards), Sharded: true}
 	nev := 0
 	for i := range outs {
 		nev += len(outs[i].events)
@@ -208,22 +191,22 @@ func runShards(proto *core.Machine, a *automata.UnitAutomaton, units []funcsim.U
 		if res.PerPU == nil {
 			res.PerPU = o.perPU
 		} else {
-			addPerPU(res.PerPU, o.perPU)
+			AddPerPU(res.PerPU, o.perPU)
 		}
 	}
 	return res
 }
 
-// runShard replays the shard's warm-up prefix silently on m (a fresh or
-// reset machine, telemetry detached), then executes the owned range
-// through the report reducer red, so the emitted events match the
-// sequential stream exactly.
+// runShard replays the shard's warm-up prefix silently on m (a fresh
+// clone, telemetry detached), then executes the owned range through the
+// report reducer red, so the emitted events match the sequential stream
+// exactly.
 func runShard(m *core.Machine, red *core.Reducer, units []funcsim.Unit, sh Shard, rc RunConfig, sp *telemetry.SpanCtx) shardOut {
 	rate := m.Config().Rate
 	// With BaseCycle > 0, local cycle zero is mid-stream: anchored states
 	// must stay quiet. When the warm-up clamps to the input start the
 	// replay *is* the sequential prefix and start-of-data injection stays
-	// live. Set unconditionally — a reused machine may carry either state.
+	// live.
 	m.SuppressStartOfData(sh.BaseCycle > 0)
 	warm := sp.Child("warmup")
 	var scratch []automata.StateID
@@ -259,7 +242,9 @@ func runShard(m *core.Machine, red *core.Reducer, units []funcsim.Unit, sh Shard
 	return out
 }
 
-func addPerPU(dst, src []core.PUStats) {
+// AddPerPU adds src's per-PU rows into dst: counts sum, peaks take the
+// maximum.
+func AddPerPU(dst, src []core.PUStats) {
 	for i := range dst {
 		dst[i].ReportEntries += src[i].ReportEntries
 		dst[i].StrideMarkers += src[i].StrideMarkers

@@ -18,6 +18,21 @@ func (s Shard) WarmupCycles() int64 { return s.StartCycle - s.BaseCycle }
 // OwnedCycles returns the shard's owned range length.
 func (s Shard) OwnedCycles() int64 { return s.EndCycle - s.StartCycle }
 
+// CycleSpan is a half-open range of device cycles [Start, End) that a
+// prefilter marked as a candidate: some literal occurrence makes a report
+// inside it possible. Spans may overlap and arrive unsorted.
+type CycleSpan struct {
+	Start int64
+	End   int64
+}
+
+// Overlap returns the warm-up replay length for a dependence window of
+// depth cycles: D+1 rounded up to the alignment, exactly what ParallelRun
+// plans between shards and a prefilter window replays.
+func Overlap(depth int, alignCycles int64) int64 {
+	return RoundUp(int64(depth)+1, alignCycles)
+}
+
 // PlanShards partitions totalCycles of input into up to workers contiguous
 // owned ranges. Every boundary (and every warm-up base) lands on a multiple
 // of alignCycles, so a worker's local injection cadence — start-all
@@ -38,7 +53,7 @@ func PlanShards(totalCycles int64, workers int, alignCycles, overlapCycles, minO
 	if overlapCycles < 0 {
 		overlapCycles = 0
 	}
-	overlapCycles = roundUpTo(overlapCycles, alignCycles)
+	overlapCycles = RoundUp(overlapCycles, alignCycles)
 	if minOwnedCycles < alignCycles {
 		minOwnedCycles = alignCycles
 	}
@@ -69,11 +84,13 @@ func PlanShards(totalCycles int64, workers int, alignCycles, overlapCycles, minO
 	return shards
 }
 
-// alignmentCycles returns the shard-boundary alignment for a machine
-// processing rate units/cycle over an automaton whose input symbols span
-// symbolUnits units: boundaries must land where whole symbols land on
-// whole cycles, i.e. on multiples of lcm(rate, symbolUnits)/rate cycles.
-func alignmentCycles(rate, symbolUnits int) int64 {
+// Alignment returns the shard-boundary alignment for a machine processing
+// rate units/cycle over an automaton whose input symbols span symbolUnits
+// units: boundaries — of shards, and of the prefilter's windows — must land
+// where whole symbols land on whole cycles, i.e. on multiples of
+// lcm(rate, symbolUnits)/rate cycles, so that a machine's local injection
+// cadence agrees with the absolute one.
+func Alignment(rate, symbolUnits int) int64 {
 	if rate < 1 || symbolUnits < 1 {
 		return 1
 	}
@@ -87,7 +104,9 @@ func gcd(a, b int) int {
 	return a
 }
 
-func roundUpTo(v, m int64) int64 {
+// RoundUp rounds v up to the next multiple of m (v itself when m <= 1), the
+// rounding every plan in this package aligns with.
+func RoundUp(v, m int64) int64 {
 	if m <= 1 {
 		return v
 	}

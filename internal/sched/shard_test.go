@@ -42,7 +42,7 @@ func TestPlanShardsPartition(t *testing.T) {
 				t.Errorf("PlanShards(%+v): shard %d end %d not aligned to %d", c, i, s.EndCycle, c.align)
 			}
 			// The warm-up must cover the dependence window or reach input start.
-			wantOverlap := roundUpTo(c.overlap, c.align)
+			wantOverlap := RoundUp(c.overlap, c.align)
 			if got := s.StartCycle - s.BaseCycle; s.BaseCycle > 0 && got < wantOverlap {
 				t.Errorf("PlanShards(%+v): shard %d warm-up %d < overlap %d", c, i, got, wantOverlap)
 			}
@@ -76,8 +76,8 @@ func TestAlignmentCycles(t *testing.T) {
 		{1, 2, 2}, {2, 2, 1}, {4, 2, 1}, {1, 1, 1}, {4, 1, 1},
 	}
 	for _, c := range cases {
-		if got := alignmentCycles(c.rate, c.symbolUnits); got != c.want {
-			t.Errorf("alignmentCycles(%d,%d) = %d, want %d", c.rate, c.symbolUnits, got, c.want)
+		if got := Alignment(c.rate, c.symbolUnits); got != c.want {
+			t.Errorf("Alignment(%d,%d) = %d, want %d", c.rate, c.symbolUnits, got, c.want)
 		}
 	}
 }

@@ -19,13 +19,15 @@ type ScanOptions struct {
 	// Backend overrides the engine's compiled backend for this call; ""
 	// keeps the compiled choice and "auto" resolves as Options.Backend
 	// "auto" would have. A "dfa" override runs the lazy DFA on pooled
-	// runners, one per ScanBatch worker; ScanParallel takes one and ignores
-	// Workers (a DFA state cache is inherently serial) — output stays
-	// byte-identical.
+	// runners, one per ScanBatch worker; unfiltered, ScanParallel takes one
+	// and ignores Workers (a DFA state cache is inherently serial) — output
+	// stays byte-identical. Under an engaged prefilter the override picks
+	// the substrate of the candidate windows: the lazy DFA for "dfa", the
+	// machine otherwise.
 	// The override sits where Options.Backend does in the one precedence
-	// (armed fault policy > engaged prefilter > backend) and is validated
-	// before it: an unknown name or an unsupported "dfa" is an error even
-	// when the guard or the prefilter ends up owning the scan.
+	// (an armed fault policy owns the scan, else the backend runs it) and is
+	// validated before it: an unknown name or an unsupported "dfa" is an
+	// error even when the guard ends up owning the scan.
 	Backend string
 }
 
@@ -49,53 +51,74 @@ func (o ScanOptions) workers() int {
 // is unbounded (`.*`-style self-loops) and inputs too small to shard fall
 // back to a sequential run internally — same results, one worker.
 //
+// Under an engaged prefilter the workers split the candidate windows
+// instead: each runs a contiguous share of the input's cycles on a private
+// runner of the resolved backend, and the shares merge in input order (a
+// window two shares straddle counts once for each in PrefilterWindows).
+//
 // ScanParallel never touches the engine's shared machine, so concurrent
 // calls on one engine are safe. Under an armed fault policy it runs the
 // guarded sequential scan Scan does, on the shared machine: the recovery
 // protocol is strictly sequential (see SetFaultPolicy).
 func (e *Engine) ScanParallel(input []byte, opts ScanOptions) (*ScanResult, error) {
-	l, err := e.resolve(opts.Backend, shardAlways)
+	rt, err := e.resolve(opts.Backend, shardAlways)
 	if err != nil {
 		return nil, err
 	}
-	rn := e.runner(l, true)
-	defer e.release(rn)
-	return e.scanOn(l, rn, input, opts.workers())
+	workers := opts.workers()
+	rs := make([]runner, workers)
+	defer e.release(rs)
+	return e.scanOn(rt, rs, true, input, workers)
 }
 
 // scanSharded is the sharded parallel run ScanParallel (and Scan on the
 // "parallel" backend) execute: worker clones with dependence-window warm-up
-// replay, merged back into sequential order.
+// replay, merged back into sequential order. Its merged events go through
+// the same reduction tail (phantom filter, Match construction) as a
+// runner's report cycles.
 func (e *Engine) scanSharded(input []byte, workers int) *ScanResult {
 	rr := sched.ParallelRun(e.proto, e.nibble, funcsim.BytesToUnits(input, 4), sched.RunConfig{
 		Workers:      workers,
 		RecordEvents: true,
 		Collector:    e.telemetryCollector(),
 	})
-	return e.schedResult(rr, input, 0, 0)
+	red := reduction{su: int64(e.nibble.SymbolUnits), fed: int64(len(input))}
+	red.deliver(rr.Events)
+	return e.result(runOutput{
+		stats: Stats{
+			KernelCycles: rr.KernelCycles,
+			StallCycles:  rr.StallCycles,
+			Flushes:      rr.Flushes,
+			Reports:      rr.Reports,
+			ReportCycles: rr.ReportCycles,
+		},
+		matches: red.matches,
+		perPU:   rr.PerPU,
+	})
 }
 
 // ScanBatch scans many independent inputs concurrently on a bounded worker
-// pool: opts.Workers machine clones serve the queue, and at most
+// pool: opts.Workers private runners serve the queue, and at most
 // opts.BatchSize scans wait in flight. results[i] corresponds to inputs[i]
-// and is identical to what Scan(inputs[i]) on a fresh engine would return.
-// On the lazy-DFA backend the workers' runners come from a pool shared by
-// the engine, its clones and compile-cache hits, and go back to it with the
-// states they determinized: the cache outlives the call, and an idle rule
-// set's runners are the garbage collector's to reclaim.
+// and is identical to what Scan(inputs[i]) on a fresh engine would return;
+// under an engaged prefilter a worker runs its input's candidate windows on
+// its runner. On the lazy-DFA backend the workers' runners come from a free
+// list shared by the engine, its clones and compile-cache hits, and go back
+// to it with the states they determinized: the cache outlives the call, and
+// an idle rule set's runners are the garbage collector's to reclaim.
 //
 // Like ScanParallel it leaves the engine's shared machine alone and is
 // safe to call concurrently. Under an armed fault policy the batch runs
 // its inputs one after another under the guard on the shared machine, and
 // stops at the first error.
 func (e *Engine) ScanBatch(inputs [][]byte, opts ScanOptions) ([]*ScanResult, error) {
-	l, err := e.resolve(opts.Backend, shardNever)
+	rt, err := e.resolve(opts.Backend, shardNever)
 	if err != nil {
 		return nil, err
 	}
 	results := make([]*ScanResult, len(inputs))
 	workers := max(min(opts.workers(), len(inputs)), 1)
-	if l == legGuard {
+	if rt.leg == legGuard {
 		// The recovery protocol owns the shared machine: one worker.
 		workers = 1
 	}
@@ -103,13 +126,11 @@ func (e *Engine) ScanBatch(inputs [][]byte, opts ScanOptions) ([]*ScanResult, er
 	if queue <= 0 {
 		queue = 2 * workers
 	}
-	// Each worker owns a private runner: inputs are independent, so runners
-	// reset per input but keep their scratch warm across the batch (and the
-	// DFA its cache across calls). errs holds each worker's first error.
+	// Each worker owns a private runner, acquired by its first input that
+	// needs one: inputs are independent, so runners reset per input but keep
+	// their scratch warm across the batch (and the DFA its cache across
+	// calls). errs holds each worker's first error.
 	runners := make([]runner, workers)
-	for i := range runners {
-		runners[i] = e.runner(l, true)
-	}
 	errs := make([]error, workers)
 	pool := sched.NewPool(workers, queue)
 	for i, in := range inputs {
@@ -117,13 +138,11 @@ func (e *Engine) ScanBatch(inputs [][]byte, opts ScanOptions) ([]*ScanResult, er
 			if errs[worker] != nil {
 				return
 			}
-			results[i], errs[worker] = e.scanOn(l, runners[worker], in, 1)
+			results[i], errs[worker] = e.scanOn(rt, runners[worker:worker+1], true, in, 1)
 		})
 	}
 	pool.Wait()
-	for _, rn := range runners {
-		e.release(rn)
-	}
+	e.release(runners)
 	for _, err := range errs {
 		if err != nil {
 			return nil, err

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"weak"
 
 	"sunder/internal/automata"
 	"sunder/internal/core"
@@ -11,24 +12,22 @@ import (
 	"sunder/internal/faults"
 	"sunder/internal/funcsim"
 	"sunder/internal/meta"
+	"sunder/internal/sched"
 )
 
 // This file is the one execution pipeline behind Scan, ScanParallel,
-// ScanBatch and Stream (DESIGN.md §4.17): resolve picks the leg, a runner
-// executes it span by span, the reduction turns its report cycles into
-// matches and counts, and result turns a finished run into a ScanResult.
+// ScanBatch and Stream (DESIGN.md §4.17): resolve picks the route, a runner
+// executes it span by span — the whole input, or a prefilter's candidate
+// windows — the reduction turns its report cycles into matches and counts,
+// and result turns a finished run into a ScanResult.
 
-// leg is the resolved execution plan of one call.
+// leg is the substrate that executes one call.
 type leg int
 
 const (
 	// legGuard runs sequentially on the shared machine under the fault-
 	// recovery guard.
 	legGuard leg = iota
-	// legPrefilter runs the literal prefilter: candidate windows on machine
-	// clones for whole inputs (scanPrefiltered), the incremental
-	// streamFilter for streams.
-	legPrefilter
 	// legDFA steps the lazy DFA.
 	legDFA
 	// legNFA steps one bitvec machine sequentially.
@@ -50,29 +49,37 @@ const (
 	shardAlways
 )
 
-// resolve decides the leg of one call. It is the only place an entry point
-// asks "guard, prefilter or backend?": an armed fault policy owns the scan
-// (the recovery protocol is machine-level and sequential), an engaged
-// literal prefilter comes next (its windows replay on NFA clones), and the
-// backend — the compiled one or a validated per-call override — selects the
-// substrate for everything else. The override is validated first, so a bad
-// one is an error whatever leg would have run.
-func (e *Engine) resolve(override string, sh sharding) (leg, error) {
+// route is the resolved execution plan of one call: its leg, and whether an
+// engaged prefilter confines it to candidate windows.
+type route struct {
+	leg      leg
+	filtered bool
+}
+
+// resolve decides the route of one call. It is the only place an entry
+// point asks "guard, prefilter or backend?": an armed fault policy owns the
+// scan (the recovery protocol is machine-level and sequential); otherwise
+// the backend — the compiled one or a validated per-call override — picks
+// the substrate, which an engaged prefilter confines to candidate windows
+// (they, not shards, are then the unit of parallelism). The override is
+// validated first, so a bad one is an error whatever route would have run.
+func (e *Engine) resolve(override string, sh sharding) (route, error) {
 	backend, err := e.effectiveBackend(override)
 	if err != nil {
-		return 0, err
+		return route{}, err
 	}
+	if e.injector != nil {
+		return route{leg: legGuard}, nil
+	}
+	rt := route{leg: legNFA, filtered: e.pre.enabled()}
 	switch {
-	case e.injector != nil:
-		return legGuard, nil
-	case e.pre.enabled():
-		return legPrefilter, nil
 	case backend == meta.BackendDFA:
-		return legDFA, nil
+		rt.leg = legDFA
+	case rt.filtered:
 	case sh == shardAlways || sh == shardIfParallel && backend == meta.BackendParallel:
-		return legSharded, nil
+		rt.leg = legSharded
 	}
-	return legNFA, nil
+	return rt, nil
 }
 
 // runner is the execution contract every substrate implements: rewind,
@@ -81,13 +88,26 @@ func (e *Engine) resolve(override string, sh sharding) (leg, error) {
 // and hands only report cycles to its reduction — so a whole-input scan is
 // reset; feed(input); finish and a stream is reset; feed per Write; finish.
 type runner interface {
-	// reset rewinds to cycle zero. Matches go to onMatch as they are
+	// reset starts a run at cycle zero. Matches go to onMatch as they are
 	// reduced; with nil they are collected into finish's output.
 	reset(onMatch func(Match)) error
 	// feed consumes the next span of input. An error is sticky.
 	feed(p []byte) error
 	// finish pads and executes the final partial cycle and returns the run.
 	finish() (runOutput, error)
+}
+
+// windowRunner is a runner that can also move within a run to a
+// prefilter's next candidate window: the lazy DFA's and the machine's,
+// whose methods never fail (only the guard's can).
+type windowRunner interface {
+	runner
+	// resetAt rewinds the substrate, cold, to the absolute input cycle base
+	// (anchored starts quiet when base > 0) and replays warm, whole cycles
+	// from base on, without reporting. Later feeds report with absolute
+	// cycles and byte positions into the same run, whose KernelCycles leave
+	// warm-ups out. Windows come in input order.
+	resetAt(base int64, warm []byte)
 }
 
 // runOutput is a finished run, whichever leg produced it.
@@ -98,6 +118,21 @@ type runOutput struct {
 	// prefilter full skip): the result then carries zeroed rows.
 	perPU  []core.PUStats
 	faults *FaultReport
+}
+
+// add appends run o, which covers later cycles of the same input on the
+// same leg.
+func (out *runOutput) add(o runOutput) {
+	s := &out.stats
+	s.KernelCycles += o.stats.KernelCycles
+	s.StallCycles += o.stats.StallCycles
+	s.Flushes += o.stats.Flushes
+	s.Reports += o.stats.Reports
+	s.ReportCycles += o.stats.ReportCycles
+	out.matches = append(out.matches, o.matches...)
+	if out.perPU != nil {
+		sched.AddPerPU(out.perPU, o.perPU)
+	}
 }
 
 // result turns a finished run into the public ScanResult — the one place
@@ -118,26 +153,46 @@ func (e *Engine) result(out runOutput) *ScanResult {
 type reduction struct {
 	red core.Reducer
 	evs []funcsim.ReportEvent
-	// su is units per input byte; fed counts the input bytes consumed since
-	// begin, which bounds real reports (see deliver).
-	su, fed int64
-	matches []Match
-	onMatch func(Match)
+	// su and rate are units per input byte and per cycle; fed is the input
+	// byte the run has reached, which bounds real reports (see deliver).
+	su, rate, fed int64
+	// base is the absolute cycle minus the substrate's own cycle count,
+	// from the first cycle that may report, and warmed the warm-up cycles
+	// the run has replayed (see at); all three are 0 unless resetAt moved
+	// the run.
+	base, from, warmed int64
+	matches            []Match
+	onMatch            func(Match)
 }
 
 func newReduction(a *automata.UnitAutomaton) reduction {
-	return reduction{red: core.NewReducer(a, true), su: int64(a.SymbolUnits)}
+	return reduction{red: core.NewReducer(a, true), su: int64(a.SymbolUnits), rate: int64(a.Rate)}
 }
 
 // begin starts a run whose cycles are stepped by m (nil: not by a device;
 // see core.Reducer.Reset).
 func (r *reduction) begin(m *core.Machine, onMatch func(Match)) {
 	r.red.Reset(m)
-	r.fed, r.matches, r.onMatch = 0, nil, onMatch
+	r.fed, r.base, r.from, r.warmed = 0, 0, 0, 0
+	r.matches, r.onMatch = nil, onMatch
 }
 
-// cycle reduces the report cycle c and delivers its matches.
+// at is resetAt's bookkeeping: the substrate, at its own cycle local,
+// stands at absolute cycle base, and the warm bytes it is about to replay
+// report nothing and are not KernelCycles.
+func (r *reduction) at(base, local int64, warm int) {
+	cycles := int64(warm) * r.su / r.rate
+	r.base, r.fed = base-local, base*r.rate/r.su
+	r.from = base + cycles
+	r.warmed += cycles
+}
+
+// cycle reduces the report cycle c and delivers its matches. A cycle of
+// warm-up replay (before from) reports nothing.
 func (r *reduction) cycle(c int64, ids []automata.StateID) {
+	if c < r.from {
+		return
+	}
 	r.evs = r.red.Cycle(c, ids, r.evs[:0])
 	r.deliver(r.evs)
 }
@@ -181,23 +236,19 @@ func machineStats(m *core.Machine) Stats {
 	}
 }
 
-// runner returns the runner of leg l. The sequential entry points (Scan,
-// NewStream) share the engine's persistent machine and DFA runners — the
-// DFA state cache stays hot across scans; private hands out one that touches
-// no engine state, for the parallel entry points' workers, who release it
-// when their call ends. The guard always drives the shared machine. The
-// prefilter and sharded legs have no runner: whole inputs go through the
-// scheduler (scanOn), and a stream's prefilter leg is its streamFilter
-// (NewStream).
+// runner returns the runner of leg l (the sharded leg has none). The
+// sequential entry points (Scan, NewStream) share the engine's persistent
+// machine and DFA runners — the DFA state cache stays hot across scans;
+// private hands out one that touches no engine state, for the parallel
+// entry points' workers, who release it when their call ends. The guard
+// always drives the shared machine.
 func (e *Engine) runner(l leg, private bool) runner {
 	switch l {
-	case legPrefilter, legSharded:
-		return nil
 	case legGuard:
 		return &guardRunner{reduction: newReduction(e.nibble), e: e}
 	case legDFA:
 		if private {
-			if d, ok := e.dfaPool.Get().(*dfaRunner); ok {
+			if d := e.takeDFA(); d != nil {
 				return d
 			}
 			return e.newDFARunner()
@@ -220,13 +271,62 @@ func (e *Engine) runner(l leg, private bool) runner {
 	return e.nfaRun
 }
 
-// release ends a private runner's call. A DFA runner goes back to the
-// artifact's pool with its state cache: reset restores everything else, so
-// the next call, on this engine or a clone, starts warm.
-func (e *Engine) release(rn runner) {
-	if d, ok := rn.(*dfaRunner); ok {
-		e.dfaPool.Put(d)
+// acquire returns rs[i], filled with a runner of leg l on first use.
+func (e *Engine) acquire(rs []runner, i int, l leg, private bool) runner {
+	if rs[i] == nil {
+		rs[i] = e.runner(l, private)
 	}
+	return rs[i]
+}
+
+// release ends the call of the private runners in rs. A DFA runner goes
+// back to the artifact's free list with its state cache: reset restores
+// everything else, so the next call, on this engine or a clone, starts
+// warm.
+func (e *Engine) release(rs []runner) {
+	for _, rn := range rs {
+		if d, ok := rn.(*dfaRunner); ok {
+			e.putDFA(d)
+		}
+	}
+}
+
+// idleDFA is the free list of an artifact's private DFA runners.
+type idleDFA []*dfaRunner
+
+// takeDFA pops an idle private DFA runner of the artifact, or returns nil.
+//
+// The list is one, behind a mutex, so a call on any P finds every idle
+// runner — a sync.Pool strands a runner in the private slot of the P that
+// put it, and the call that misses it re-warms a cold one. The artifact
+// reaches the list only through a weak pointer; what keeps it alive is
+// dfaPool, whose entries are the list itself, one put per release and one
+// dropped per take. So the list lives exactly as long as a pool entry does,
+// and an idle rule set's runners are gone after two collections.
+func (a *compiledArtifact) takeDFA() *dfaRunner {
+	a.dfaPool.Get()
+	a.dfaMu.Lock()
+	defer a.dfaMu.Unlock()
+	l := a.dfaIdle.Value()
+	if l == nil || len(*l) == 0 {
+		return nil
+	}
+	d := (*l)[len(*l)-1]
+	*l = (*l)[:len(*l)-1]
+	return d
+}
+
+// putDFA returns a private DFA runner to the artifact's free list.
+func (a *compiledArtifact) putDFA(d *dfaRunner) {
+	a.dfaMu.Lock()
+	l := a.dfaIdle.Value()
+	if l == nil {
+		l = new(idleDFA)
+		a.dfaIdle = weak.Make(l)
+	}
+	*l = append(*l, d)
+	a.dfaMu.Unlock()
+	a.dfaPool.Put(l)
 }
 
 // ErrCycleRangeExceeded is returned by Scan, ScanParallel, ScanBatch and
@@ -252,18 +352,20 @@ func (e *Engine) checkCycleRange(n int64) error {
 	return nil
 }
 
-// scanOn runs one whole input on leg l: reset; feed; finish on rn, its
-// runner, or through the scheduler for the two legs that have none.
-func (e *Engine) scanOn(l leg, rn runner, input []byte, workers int) (*ScanResult, error) {
+// scanOn runs one whole input on route rt: its candidate windows
+// (scanPrefiltered), shards (scanSharded), or reset; feed; finish on the
+// call's runner. rs holds the call's runners, acquired on first use.
+func (e *Engine) scanOn(rt route, rs []runner, private bool, input []byte, workers int) (*ScanResult, error) {
 	if err := e.checkCycleRange(int64(len(input))); err != nil {
 		return nil, err
 	}
-	switch l {
-	case legPrefilter:
-		return e.scanPrefiltered(input, workers), nil
-	case legSharded:
+	switch {
+	case rt.filtered:
+		return e.scanPrefiltered(rt.leg, rs, private, input), nil
+	case rt.leg == legSharded:
 		return e.scanSharded(input, workers), nil
 	}
+	rn := e.acquire(rs, 0, rt.leg, private)
 	if err := rn.reset(nil); err != nil {
 		return nil, err
 	}
@@ -294,9 +396,30 @@ type machineRunner struct {
 
 func (r *machineRunner) reset(onMatch func(Match)) error {
 	r.m.Reset()
+	r.m.SuppressStartOfData(false)
 	r.units = r.units[:0]
 	r.begin(r.m, onMatch)
 	return nil
+}
+
+// resetAt rewinds the machine's active states only: a run's windows share
+// one report region and its counters, as on a device that executes only
+// them (start-of-data injection can fire on a first window alone). warm
+// replays with telemetry detached, so device counters see owned cycles
+// only, as a sharded run's do.
+func (r *machineRunner) resetAt(base int64, warm []byte) {
+	r.m.Rewind()
+	r.m.SuppressStartOfData(base > 0)
+	r.units = r.units[:0]
+	r.at(base, r.m.KernelCycles(), len(warm))
+	tel := r.m.Telemetry()
+	if tel != nil {
+		r.m.AttachTelemetry(nil)
+	}
+	r.feed(warm)
+	if tel != nil {
+		r.m.AttachTelemetry(tel)
+	}
 }
 
 func (r *machineRunner) feed(p []byte) error {
@@ -315,7 +438,7 @@ func (r *machineRunner) step() {
 	rate := r.m.Config().Rate
 	off := 0
 	for ; off+rate <= len(r.units); off += rate {
-		c := r.m.KernelCycles()
+		c := r.base + r.m.KernelCycles()
 		r.ids = r.m.Step(r.units[off:off+rate], r.ids[:0])
 		if len(r.ids) > 0 {
 			r.cycle(c, r.ids)
@@ -329,7 +452,9 @@ func (r *machineRunner) finish() (runOutput, error) {
 		r.units = funcsim.PadUnits(r.units, r.m.Config().Rate)
 		r.step()
 	}
-	return r.end(machineStats(r.m), r.m.PerPU()), nil
+	st := machineStats(r.m)
+	st.KernelCycles -= r.warmed
+	return r.end(st, r.m.PerPU()), nil
 }
 
 // dfaRunner steps the lazy DFA over raw bytes. KernelCycles equals the
@@ -343,6 +468,8 @@ type dfaRunner struct {
 	r *dfa.Runner
 	// pend holds the bytes of an incomplete cycle between feeds.
 	pend []byte
+	// prior counts the cycles stepped before the run's last resetAt.
+	prior int64
 }
 
 func (e *Engine) newDFARunner() *dfaRunner {
@@ -351,9 +478,23 @@ func (e *Engine) newDFARunner() *dfaRunner {
 
 func (d *dfaRunner) reset(onMatch func(Match)) error {
 	d.r.Reset()
-	d.pend = d.pend[:0]
+	d.pend, d.prior = d.pend[:0], 0
 	d.begin(nil, onMatch)
 	return nil
+}
+
+// resetAt starts the lazy DFA mid-stream when base > 0: the state cache
+// stays warm, and the first cycle steps from the empty set.
+func (d *dfaRunner) resetAt(base int64, warm []byte) {
+	d.prior += d.r.Cycle()
+	if base > 0 {
+		d.r.ResetMidStream()
+	} else {
+		d.r.Reset()
+	}
+	d.pend = d.pend[:0]
+	d.at(base, 0, len(warm))
+	d.feed(warm)
 }
 
 func (d *dfaRunner) feed(p []byte) error {
@@ -371,7 +512,7 @@ func (d *dfaRunner) feed(p []byte) error {
 		d.pend = d.pend[:0]
 	}
 	// The hot loop: a cycle without reports costs one Step and nothing else.
-	r, c := d.r, d.r.Cycle()
+	r, c := d.r, d.base+d.r.Cycle()
 	for ; len(p) >= sb; p = p[sb:] {
 		if ids := r.Step(p[:sb], 0); len(ids) > 0 {
 			d.cycle(c, ids)
@@ -383,7 +524,7 @@ func (d *dfaRunner) feed(p []byte) error {
 }
 
 func (d *dfaRunner) step(data []byte, pad int) {
-	c := d.r.Cycle()
+	c := d.base + d.r.Cycle()
 	if ids := d.r.Step(data, pad); len(ids) > 0 {
 		d.cycle(c, ids)
 	}
@@ -394,7 +535,7 @@ func (d *dfaRunner) finish() (runOutput, error) {
 		d.step(d.pend, d.r.Plan().StepBytes()-len(d.pend))
 		d.pend = d.pend[:0]
 	}
-	return d.end(Stats{KernelCycles: d.r.Cycle()}, nil), nil
+	return d.end(Stats{KernelCycles: d.prior + d.r.Cycle() - d.warmed}, nil), nil
 }
 
 // guardRunner executes under the fault-recovery guard: input runs in

@@ -1,10 +1,12 @@
 package sunder
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
+	"sync"
 
 	"sunder/internal/automata"
-	"sunder/internal/funcsim"
 	"sunder/internal/prefilter"
 	"sunder/internal/regex"
 	"sunder/internal/sched"
@@ -179,12 +181,12 @@ func (p *prefilterPlan) planSpans(input []byte, totalCycles int64, padUnits int)
 	return spans, hits
 }
 
-// scanPrefiltered is the filtered whole-input scan: literal scan, window
-// planning, windowed execution on clones of the pristine compile artifact.
-// It never touches the engine's shared machine (and with it the
-// Summarize/ReadReports state), so it serves Scan, ScanParallel and
-// ScanBatch alike.
-func (e *Engine) scanPrefiltered(input []byte, workers int) *ScanResult {
+// scanPrefiltered is the filtered whole-input scan: the literal scan plans
+// candidate spans, and runners of leg l execute their windows (runShares) —
+// one for Scan and a ScanBatch worker, up to len(rs) for ScanParallel.
+// Runners are acquired only once there is a span, so a literal-free input
+// touches none.
+func (e *Engine) scanPrefiltered(l leg, rs []runner, private bool, input []byte) *ScanResult {
 	p := e.pre
 	inputUnits := int64(len(input)) * int64(p.su)
 	totalCycles := (inputUnits + int64(p.rate) - 1) / int64(p.rate)
@@ -198,46 +200,142 @@ func (e *Engine) scanPrefiltered(input []byte, workers int) *ScanResult {
 		notePrefilter(col, hits, 0, 0, totalCycles)
 		return e.result(runOutput{stats: Stats{SkippedCycles: totalCycles}})
 	}
-
-	units := funcsim.BytesToUnits(input, 4)
-	rc := sched.RunConfig{Workers: workers, RecordEvents: true, Collector: col}
-	var rr *sched.RunResult
-	windows := int64(1)
-	if p.bounded {
-		shards := sched.PlanWindows(spans, totalCycles, p.align, p.overlap)
-		rr = sched.WindowedRun(e.proto, e.nibble, units, shards, rc)
-		windows = int64(len(shards))
-	} else {
+	if !p.bounded {
 		// Cyclic automaton: windows cannot bound warm-up replay, so a hit
 		// anywhere forces a full run — one window, nothing skipped. The
 		// filter still wins on hit-free inputs (handled above).
-		rr = sched.ParallelRun(e.proto, e.nibble, units, rc)
+		spans = append(spans[:0], sched.CycleSpan{End: totalCycles})
 	}
-	skipped := totalCycles - rr.KernelCycles
-	notePrefilter(col, hits, windows, rr.KernelCycles, skipped)
-	return e.schedResult(rr, input, windows, skipped)
+	slices.SortFunc(spans, bySpanStart)
+	out := e.runShares(l, rs, private, input, spans, totalCycles)
+	out.stats.SkippedCycles = totalCycles - out.stats.KernelCycles
+	notePrefilter(col, hits, out.stats.PrefilterWindows, out.stats.KernelCycles, out.stats.SkippedCycles)
+	return e.result(out)
 }
 
-// schedResult turns a scheduler run over input into a ScanResult: its
-// merged events go through the same reduction tail (phantom filter, Match
-// construction) as a runner's report cycles.
-func (e *Engine) schedResult(rr *sched.RunResult, input []byte, windows, skipped int64) *ScanResult {
-	red := reduction{su: int64(e.nibble.SymbolUnits), fed: int64(len(input))}
-	red.deliver(rr.Events)
-	return e.result(runOutput{
-		stats: Stats{
-			KernelCycles:     rr.KernelCycles,
-			StallCycles:      rr.StallCycles,
-			Flushes:          rr.Flushes,
-			Reports:          rr.Reports,
-			ReportCycles:     rr.ReportCycles,
-			PrefilterWindows: windows,
-			SkippedCycles:    skipped,
-		},
-		matches: red.matches,
-		perPU:   rr.PerPU,
-	})
+// runShares runs the windows of spans, sorted, on up to len(rs) runners of
+// leg l: runner g takes the cycles from its share of the spans to the next
+// share's (a window that straddles two shares is opened by both), and the
+// runs merge in input order.
+func (e *Engine) runShares(l leg, rs []runner, private bool, input []byte, spans []sched.CycleSpan, total int64) runOutput {
+	k := min(len(rs), len(spans))
+	if k == 1 {
+		return e.runWindows(e.acquire(rs, 0, l, private).(windowRunner), input, spans, 0, total)
+	}
+	cuts := make([]int64, k+1)
+	for g := 1; g < k; g++ {
+		c := max(spans[g*len(spans)/k].Start, 0)
+		cuts[g] = c - c%e.pre.align
+	}
+	cuts[k] = total
+	outs := make([]runOutput, k)
+	var wg sync.WaitGroup
+	for g := range k {
+		rn := e.acquire(rs, g, l, private).(windowRunner)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			outs[g] = e.runWindows(rn, input, spans, cuts[g], cuts[g+1])
+		}()
+	}
+	wg.Wait()
+	for _, o := range outs[1:] {
+		outs[0].add(o)
+	}
+	return outs[0]
 }
+
+// runWindows executes, as one run on rn, the windows spans call for among
+// cycles [from, to) of input; finish pads the final cycle if a window
+// holds it.
+func (e *Engine) runWindows(rn windowRunner, input []byte, spans []sched.CycleSpan, from, to int64) runOutput {
+	rn.reset(nil)
+	w := windowLoop{rn: rn, p: e.pre, hist: input, fed: int64(len(input)), spans: spans, proc: from}
+	w.advance(to)
+	out, _ := rn.finish()
+	out.stats.PrefilterWindows = w.windows
+	return out
+}
+
+// windowLoop is the one loop that runs a prefilter's candidate windows, for
+// whole inputs (runWindows) and streams (streamFilter) alike: it decides the
+// cycles from proc on in order, skipping those no span covers and having rn
+// execute the rest. A window opens cold with a silent warm-up replay of the
+// dependence window (windowRunner.resetAt) and closes at a gap wider than
+// that replay; a shorter gap is executed through. Windows open and close on
+// aligned cycles, which fall between two bytes.
+type windowLoop struct {
+	rn windowRunner
+	p  *prefilterPlan
+	// hist holds input bytes [histBase, fed).
+	hist          []byte
+	histBase, fed int64
+	// spans are the candidate spans not yet passed, in Start order; proc is
+	// the next cycle to decide; hot reports that rn's state equals the
+	// sequential state entering cycle proc.
+	spans []sched.CycleSpan
+	proc  int64
+	hot   bool
+	// skipped counts the cycles proven match-free, windows those opened;
+	// rn counts the executed ones.
+	skipped, windows int64
+}
+
+// bySpanStart orders spans as windowLoop decides them.
+func bySpanStart(a, b sched.CycleSpan) int { return cmp.Compare(a.Start, b.Start) }
+
+// bytes returns the buffered input of the aligned cycles [from, to), cut at
+// the bytes fed so far: the final cycle's pad is the runner's.
+func (w *windowLoop) bytes(from, to int64) []byte {
+	lo, hi := w.p.cycleByte(from), min(w.p.cycleByte(to), w.fed)
+	return w.hist[lo-w.histBase : hi-w.histBase]
+}
+
+// advance decides every cycle below limit.
+func (w *windowLoop) advance(limit int64) {
+	for w.proc < limit {
+		// Drop spans fully behind the frontier (their cycles executed).
+		for len(w.spans) > 0 && w.spans[0].End <= w.proc {
+			w.spans = w.spans[1:]
+		}
+		if len(w.spans) == 0 {
+			w.skip(limit)
+			return
+		}
+		sp := w.spans[0]
+		start := sp.Start - sp.Start%w.p.align
+		if start > w.proc && (!w.hot || start-w.proc > w.p.overlap) {
+			w.skip(min(start, limit))
+			continue
+		}
+		if !w.hot {
+			// Open a window at proc: warm up cold from the aligned base
+			// one dependence window back.
+			base := max(w.proc-w.p.overlap, 0)
+			base -= base % w.p.align
+			w.rn.resetAt(base, w.bytes(base, w.proc))
+			w.windows++
+		}
+		end := min(sched.RoundUp(sp.End, w.p.align), limit)
+		if end <= w.proc {
+			// Span tail beyond the frontier: wait for more input.
+			return
+		}
+		w.rn.feed(w.bytes(w.proc, end))
+		w.proc, w.hot = end, true
+	}
+}
+
+func (w *windowLoop) skip(to int64) {
+	if to > w.proc {
+		w.skipped += to - w.proc
+		w.proc, w.hot = to, false
+	}
+}
+
+// cycleByte is the input offset of the first byte of cycle c, an aligned
+// cycle.
+func (p *prefilterPlan) cycleByte(c int64) int64 { return c * int64(p.rate) / int64(p.su) }
 
 // PrefilterInfo describes the compiled prefilter for diagnostics.
 func (p *prefilterPlan) describe() (strategy string, literals []string) {

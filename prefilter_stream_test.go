@@ -1,7 +1,9 @@
 package sunder
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
 	"testing"
 )
 
@@ -9,175 +11,130 @@ import (
 // candidate window overlapping a chunk boundary must carry its warm-up
 // state into the next chunk. Literals are planted exactly at every chunk
 // edge and one byte to each side, for every chunk size the stream tests
-// use; matches and statistics must equal the whole-input Scan regardless.
+// use, on both substrates; matches and statistics must equal the
+// whole-input Scan and the unfiltered scan regardless.
 func TestPrefilterStreamChunkEdges(t *testing.T) {
-	opts := DefaultOptions()
-	opts.Prefilter = PrefilterOn
-	eng, err := Compile([]Pattern{
+	patterns := []Pattern{
 		{Expr: `EDGE[0-9]`, Code: 1},
 		{Expr: `mark\d\d`, Code: 2},
-	}, opts)
-	if err != nil {
-		t.Fatal(err)
 	}
-	if !eng.pre.enabled() {
-		t.Fatalf("filter not enabled: %s", eng.Info().PrefilterStrategy)
-	}
-	for _, chunk := range []int{1, 2, 7, 13, 64, 97} {
-		input := make([]byte, 6*chunk+5)
-		for i := range input {
-			input[i] = '.'
-		}
-		// Plant a literal starting at a boundary, one straddling it from
-		// one byte before, and one ending exactly on it.
-		plant := func(at int, s string) {
-			if at >= 0 && at+len(s) <= len(input) {
-				copy(input[at:], s)
+	for _, backend := range substrates {
+		eng := compileFiltered(t, patterns, backend)
+		for _, chunk := range []int{1, 2, 7, 13, 64, 97} {
+			input := bytes.Repeat([]byte("."), 6*chunk+5)
+			// Plant a literal starting at a boundary, one straddling it from
+			// one byte before, and one ending exactly on it.
+			plant := func(at int, s string) {
+				if at >= 0 && at+len(s) <= len(input) {
+					copy(input[at:], s)
+				}
 			}
-		}
-		plant(chunk, "EDGE1")
-		plant(3*chunk-1, "mark22")
-		plant(5*chunk-len("EDGE3"), "EDGE3")
+			plant(chunk, "EDGE1")
+			plant(3*chunk-1, "mark22")
+			plant(5*chunk-len("EDGE3"), "EDGE3")
 
-		want, err := eng.Clone().Scan(input)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var got []Match
-		st, err := eng.Clone().NewStream(func(m Match) { got = append(got, m) })
-		if err != nil {
-			t.Fatal(err)
-		}
-		for off := 0; off < len(input); off += chunk {
-			end := off + chunk
-			if end > len(input) {
-				end = len(input)
-			}
-			if _, err := st.Write(input[off:end]); err != nil {
+			want, err := eng.Clone().Scan(input)
+			if err != nil {
 				t.Fatal(err)
 			}
-		}
-		stats := st.Close()
-		if !matchesEqual(sortedMatches(want.Matches), sortedMatches(got)) {
-			t.Errorf("chunk=%d: stream matches %v != scan %v", chunk, got, want.Matches)
-		}
-		if stats.Reports != want.Stats.Reports || stats.ReportCycles != want.Stats.ReportCycles {
-			t.Errorf("chunk=%d: reports %d/%d, want %d/%d",
-				chunk, stats.Reports, stats.ReportCycles, want.Stats.Reports, want.Stats.ReportCycles)
-		}
-		if got := stats.KernelCycles + stats.SkippedCycles; got != want.Stats.KernelCycles+want.Stats.SkippedCycles {
-			t.Errorf("chunk=%d: cycle accounting %d, want %d", chunk, got,
-				want.Stats.KernelCycles+want.Stats.SkippedCycles)
-		}
-		if len(want.Matches) == 0 {
-			t.Fatalf("chunk=%d: test is vacuous, no matches planted", chunk)
+			if len(want.Matches) == 0 {
+				t.Fatalf("chunk=%d: test is vacuous, no matches planted", chunk)
+			}
+			label := fmt.Sprintf("%s/chunk=%d", backend, chunk)
+			got, stats := streamChunks(t, eng.Clone(), input, chunk)
+			compareStream(t, label, want, got, stats)
+			compareStream(t, label+"/unfiltered", unfiltered(t, patterns, input), got, stats)
 		}
 	}
 }
 
 // TestPrefilterStreamTailLiteral pins the pad-tail hazard on the filtered
-// stream: a literal ending exactly at the last input byte, and input whose
-// suffix is a literal prefix completed only by the pad, must both produce
-// Stats identical to Scan.
+// stream, on both substrates: a literal ending exactly at the last input
+// byte, and input whose suffix is a literal prefix completed only by the
+// pad (the phantom span), must both produce Stats identical to Scan and to
+// the unfiltered scan.
 func TestPrefilterStreamTailLiteral(t *testing.T) {
-	opts := DefaultOptions()
-	opts.Prefilter = PrefilterOn
-	eng, err := Compile([]Pattern{{Expr: `tail.`, Code: 9}}, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, input := range []string{
-		"......tailX",   // match ends at the last byte
-		"1234567tail",   // literal "tail" at the end; `.` satisfied by pad only
-		"odd bytes tai", // literal prefix at the end, odd length
-	} {
-		want, err := eng.Clone().Scan([]byte(input))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var got []Match
-		st, err := eng.Clone().NewStream(func(m Match) { got = append(got, m) })
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range input {
-			if _, err := st.Write([]byte{input[i]}); err != nil {
+	patterns := []Pattern{{Expr: `tail.`, Code: 9}}
+	for _, backend := range substrates {
+		eng := compileFiltered(t, patterns, backend)
+		for _, input := range []string{
+			"......tailX",   // match ends at the last byte
+			"1234567tail",   // literal "tail" at the end; `.` satisfied by pad only
+			"odd bytes tai", // literal prefix at the end, odd length
+		} {
+			want, err := eng.Clone().Scan([]byte(input))
+			if err != nil {
 				t.Fatal(err)
 			}
-		}
-		stats := st.Close()
-		if !matchesEqual(sortedMatches(want.Matches), sortedMatches(got)) {
-			t.Errorf("%q: stream matches %v != scan %v", input, got, want.Matches)
-		}
-		if stats.Reports != want.Stats.Reports || stats.ReportCycles != want.Stats.ReportCycles {
-			t.Errorf("%q: reports %d/%d, want %d/%d",
-				input, stats.Reports, stats.ReportCycles, want.Stats.Reports, want.Stats.ReportCycles)
+			label := fmt.Sprintf("%s/%q", backend, input)
+			got, stats := streamChunks(t, eng.Clone(), []byte(input), 1)
+			compareStream(t, label, want, got, stats)
+			compareStream(t, label+"/unfiltered", unfiltered(t, patterns, []byte(input)), got, stats)
 		}
 	}
 }
 
-// TestPrefilterStreamUnboundedDeferred covers the deferred-start path: a
-// cyclic pattern (unbounded dependence window) streams correctly both when
-// a hit arrives mid-stream and when the stream is hit-free.
+// TestPrefilterStreamUnboundedDeferred covers the deferred-start path on
+// both substrates: a cyclic pattern (unbounded dependence window) streams
+// correctly both when a hit arrives mid-stream and when the stream is
+// hit-free.
 func TestPrefilterStreamUnboundedDeferred(t *testing.T) {
-	opts := DefaultOptions()
-	opts.Prefilter = PrefilterOn
-	eng, err := Compile([]Pattern{{Expr: `begin.*end`, Code: 3}}, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !eng.pre.enabled() {
-		t.Fatalf("filter not enabled: %s", eng.Info().PrefilterStrategy)
-	}
-	if eng.pre.bounded {
-		t.Fatal("pattern must have an unbounded dependence window")
-	}
-
+	patterns := []Pattern{{Expr: `begin.*end`, Code: 3}}
 	input := []byte("xxxx begin middle end yyyy begin-end zz")
-	want, err := eng.Clone().Scan(input)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(want.Matches) == 0 {
-		t.Fatal("vacuous: pattern did not match")
-	}
-	for _, chunk := range []int{1, 5, 100} {
-		var got []Match
-		st, err := eng.Clone().NewStream(func(m Match) { got = append(got, m) })
+	for _, backend := range substrates {
+		eng := compileFiltered(t, patterns, backend)
+		if eng.pre.bounded {
+			t.Fatal("pattern must have an unbounded dependence window")
+		}
+		want, err := eng.Clone().Scan(input)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for off := 0; off < len(input); off += chunk {
-			end := off + chunk
-			if end > len(input) {
-				end = len(input)
-			}
-			if _, err := st.Write(input[off:end]); err != nil {
-				t.Fatal(err)
-			}
+		if len(want.Matches) == 0 {
+			t.Fatal("vacuous: pattern did not match")
 		}
-		stats := st.Close()
-		if !matchesEqual(sortedMatches(want.Matches), sortedMatches(got)) {
-			t.Errorf("chunk=%d: matches %v != %v", chunk, got, want.Matches)
+		for _, chunk := range []int{1, 5, 100} {
+			label := fmt.Sprintf("%s/chunk=%d", backend, chunk)
+			got, stats := streamChunks(t, eng.Clone(), input, chunk)
+			compareStream(t, label, want, got, stats)
+			compareStream(t, label+"/unfiltered", unfiltered(t, patterns, input), got, stats)
 		}
-		if stats.Reports != want.Stats.Reports || stats.ReportCycles != want.Stats.ReportCycles {
-			t.Errorf("chunk=%d: reports %d/%d, want %d/%d",
-				chunk, stats.Reports, stats.ReportCycles, want.Stats.Reports, want.Stats.ReportCycles)
+
+		// Hit-free stream: everything skipped, zero reports.
+		got, stats := streamChunks(t, eng.Clone(), make([]byte, 4096), 4096)
+		if len(got) != 0 || stats.KernelCycles != 0 || stats.SkippedCycles == 0 || stats.Reports != 0 {
+			t.Errorf("%s: hit-free deferred stream: %d matches, %+v", backend, len(got), stats)
 		}
 	}
+}
 
-	// Hit-free stream: everything skipped, zero reports.
-	st, err := eng.Clone().NewStream(func(m Match) { t.Errorf("unexpected match %+v", m) })
+// streamChunks streams input into a new stream on eng in chunks of chunk
+// bytes and returns its matches and final statistics.
+func streamChunks(t *testing.T, eng *Engine, input []byte, chunk int) ([]Match, Stats) {
+	t.Helper()
+	var got []Match
+	st, err := eng.NewStream(func(m Match) { got = append(got, m) })
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.Write(make([]byte, 4096)); err != nil {
-		t.Fatal(err)
+	for off := 0; off < len(input); off += chunk {
+		if _, err := st.Write(input[off:min(off+chunk, len(input))]); err != nil {
+			t.Fatal(err)
+		}
 	}
-	stats := st.Close()
-	if stats.KernelCycles != 0 || stats.SkippedCycles == 0 || stats.Reports != 0 {
-		t.Errorf("hit-free deferred stream: %+v", stats)
-	}
+	return got, st.Close()
+}
+
+// compareStream holds a filtered stream's output to want, a scan of the
+// same input: same matches and Reports/ReportCycles, and its executed and
+// skipped cycles sum to want's.
+func compareStream(t *testing.T, label string, want *ScanResult, got []Match, st Stats) {
+	t.Helper()
+	comparePrefiltered(t, label, &ScanResult{Matches: want.Matches, Stats: Stats{
+		KernelCycles: want.Stats.KernelCycles + want.Stats.SkippedCycles,
+		Reports:      want.Stats.Reports,
+		ReportCycles: want.Stats.ReportCycles,
+	}}, &ScanResult{Matches: got, Stats: st})
 }
 
 // TestPrefilterStreamDeferredBufferFull pins the deferred-buffer cap: an
@@ -185,15 +142,9 @@ func TestPrefilterStreamUnboundedDeferred(t *testing.T) {
 // literal hit must surface ErrDeferredBufferFull from Write (sticky) rather
 // than silently degrade, and Close must stay valid and idempotent after it.
 func TestPrefilterStreamDeferredBufferFull(t *testing.T) {
-	opts := DefaultOptions()
-	opts.Prefilter = PrefilterOn
-	eng, err := Compile([]Pattern{{Expr: `begin.*end`, Code: 3}}, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !eng.pre.enabled() || eng.pre.bounded {
-		t.Fatalf("want engaged unbounded filter, got %s bounded=%v",
-			eng.Info().PrefilterStrategy, eng.pre.bounded)
+	eng := compileFiltered(t, []Pattern{{Expr: `begin.*end`, Code: 3}}, "")
+	if eng.pre.bounded {
+		t.Fatal("want an unbounded filter")
 	}
 	st, err := eng.NewStream(func(m Match) { t.Errorf("unexpected match %+v", m) })
 	if err != nil {

@@ -81,12 +81,14 @@ func TestScanBatchConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
-// TestDFAPoolConcurrent hammers the runner pool the artifact shares: batch
-// scans from eight goroutines over four clones of one lazy-DFA engine take
-// and return the same pooled runners, and every result must equal a fresh
-// engine's Scan — on the first pass, which builds the caches, and on the
-// second, which is served from whatever the pool kept of them (warm ≡ cold;
-// the order of one cycle's matches is the substrate's, so sets compare).
+// TestDFAPoolConcurrent hammers the runner free list the artifact shares:
+// batch scans from eight goroutines over four clones of one lazy-DFA engine
+// take and return the same pooled runners, and every result must equal a
+// fresh engine's Scan — on the first pass, which builds the caches, and on
+// the second, which is served from whatever the list kept of them (warm ≡
+// cold; the order of one cycle's matches is the substrate's, so sets
+// compare). Afterwards the list holds distinct runners, no more than the
+// calls ever held at once.
 func TestDFAPoolConcurrent(t *testing.T) {
 	patterns := []Pattern{{Expr: `ab+c`, Code: 1}, {Expr: `b[cd]a`, Code: 2}, {Expr: `x.y`, Code: 3}}
 	opts := DefaultOptions()
@@ -128,6 +130,14 @@ func TestDFAPoolConcurrent(t *testing.T) {
 			}(g)
 		}
 		wg.Wait()
+	}
+	idle := idleDFARunners(eng)
+	distinct := map[*dfaRunner]bool{}
+	for _, d := range idle {
+		distinct[d] = true
+	}
+	if len(distinct) != len(idle) || len(idle) > 8*3 {
+		t.Errorf("free list holds %d runners, %d distinct; at most 8 calls x 3 workers ran at once", len(idle), len(distinct))
 	}
 }
 

@@ -31,22 +31,23 @@ type Stream struct {
 // be nil if only the final Stats are of interest. The returned error is
 // non-nil only when a fault policy is armed and its guard cannot be built.
 //
-// A stream drives the engine's shared machine, so one engine supports one
-// stream at a time; for concurrent streams, open each on its own
-// Engine.Clone — clones share the compiled artifacts, so this is cheap.
+// A stream drives the engine's sequential runner (its shared machine, or
+// its lazy DFA), so one engine supports one stream at a time; for
+// concurrent streams, open each on its own Engine.Clone — clones share the
+// compiled artifacts, so this is cheap.
 func (e *Engine) NewStream(onMatch func(Match)) (*Stream, error) {
 	// Streams are inherently sequential: the "parallel" backend streams on
 	// the machine like "nfa".
-	l, err := e.resolve("", shardNever)
+	rt, err := e.resolve("", shardNever)
 	if err != nil {
 		return nil, err
 	}
 	if onMatch == nil {
 		onMatch = func(Match) {}
 	}
-	s := &Stream{e: e, run: e.runner(l, false)}
-	if l == legPrefilter {
-		s.run = &streamFilter{reduction: newReduction(e.nibble), e: e, p: e.pre}
+	s := &Stream{e: e, run: e.runner(rt.leg, false)}
+	if rt.filtered {
+		s.run = &streamFilter{windowLoop: windowLoop{rn: s.run.(windowRunner), p: e.pre}, e: e}
 	}
 	if err := s.run.reset(onMatch); err != nil {
 		return nil, err

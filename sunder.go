@@ -29,6 +29,7 @@ import (
 	"io"
 	"sync"
 	"sync/atomic"
+	"weak"
 
 	"sunder/internal/analysis"
 	"sunder/internal/automata"
@@ -101,9 +102,11 @@ type Options struct {
 	// byte-identical matches and Reports/ReportCycles accounting. "dfa"
 	// requires whole-byte cycles (Rate 2 or 4) and fails compilation
 	// otherwise; "auto" never fails. Every entry point resolves what it
-	// executes through one precedence: an armed fault policy, then an
-	// engaged literal prefilter, then the backend (this field, or a per-call
-	// ScanOptions.Backend override).
+	// executes through one precedence: an armed fault policy owns the scan;
+	// otherwise the backend (this field, or a per-call ScanOptions.Backend
+	// override) executes it, and an engaged literal prefilter confines it to
+	// candidate windows — on the lazy DFA under "dfa", on the machine under
+	// the others.
 	Backend string
 }
 
@@ -172,8 +175,8 @@ type ScanResult struct {
 // use Clone to get independent engines for concurrent sequential use.
 type Engine struct {
 	// compiledArtifact is everything compilation produced. It is immutable
-	// (but for dfaPool, a cache) and shared by clones and compile-cache hits;
-	// every other field is per-engine mutable state
+	// (but for its free list of DFA runners, a cache) and shared by clones
+	// and compile-cache hits; every other field is per-engine mutable state
 	// (TestEngineStateOutsideArtifact).
 	*compiledArtifact
 	// machine is the engine's own device and machinePlace the placement it
@@ -197,10 +200,10 @@ type Engine struct {
 	dfaRun *dfaRunner
 }
 
-// compiledArtifact is the immutable product of one compilation. Its one
-// field that changes after compile, dfaPool, is a cache and not state: a
-// runner taken from it is indistinguishable from a new one in everything a
-// scan returns.
+// compiledArtifact is the immutable product of one compilation. The fields
+// that change after compile, the free list of DFA runners (dfaMu, dfaIdle,
+// dfaPool), are a cache and not state: a runner taken from it is
+// indistinguishable from a new one in everything a scan returns.
 type compiledArtifact struct {
 	opts    Options
 	byteNFA *automata.Automaton
@@ -230,11 +233,13 @@ type compiledArtifact struct {
 	metaIn      meta.Inputs
 	// dfaPlan is the lazy-DFA stepping plan; nil when the geometry is
 	// unsupported. Runners built from it are mutable: an engine owns its
-	// sequential one, and the parallel entry points' private ones wait in
-	// dfaPool between calls, with the states they have determinized, so
-	// that every engine over this artifact warms one set of caches. It is a
-	// sync.Pool so that an idle rule set retains none of them.
+	// sequential one, and the parallel entry points' private ones wait
+	// between calls on one free list, dfaIdle (guarded by dfaMu, anchored
+	// by dfaPool; see takeDFA), so that every engine over this artifact
+	// warms one set of caches.
 	dfaPlan *dfa.Plan
+	dfaMu   sync.Mutex
+	dfaIdle weak.Pointer[idleDFA]
 	dfaPool sync.Pool
 }
 
@@ -350,8 +355,6 @@ func compile(nfa *automata.Automaton, patterns []Pattern, opts Options) (*Engine
 		SymbolClasses:    classes,
 		DFASupported:     dfaOK,
 		DFAReason:        dfaReason,
-		// An engaged prefilter owns scans, so "auto" must see it.
-		PrefilterEngaged: art.pre.enabled(),
 	}
 	if err := art.resolveBackend(); err != nil {
 		return nil, err
@@ -388,17 +391,18 @@ func (e *Engine) Analyze(sample []byte) *analysis.Report {
 // match (the byte position where an occurrence ends, with its rule code)
 // and the device statistics.
 func (e *Engine) Scan(input []byte) (*ScanResult, error) {
-	l, err := e.resolve("", shardIfParallel)
+	rt, err := e.resolve("", shardIfParallel)
 	if err != nil {
 		return nil, err
 	}
-	// Scan is a sequential entry point: prefilter windows run inline, and
-	// only the "parallel" backend fans out.
+	// Scan is a sequential entry point: prefilter windows run on its one
+	// runner, and only the "parallel" backend fans out.
 	workers := 1
-	if l == legSharded {
+	if rt.leg == legSharded {
 		workers = ScanOptions{}.workers()
 	}
-	return e.scanOn(l, e.runner(l, false), input, workers)
+	var rs [1]runner
+	return e.scanOn(rt, rs[:], false, input, workers)
 }
 
 // Summarize returns, per rule code, whether the rule has fired since the
