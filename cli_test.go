@@ -133,9 +133,12 @@ func TestCLISmoke(t *testing.T) {
 	if out := runFails(t, bench, "-json", "-ablations"); !strings.Contains(out, "-json") {
 		t.Errorf("sunder-bench -json -ablations:\n%s", out)
 	}
-	// The retired study modes are deleted, not hidden: undefined flags.
+	// The retired study modes and the retired in-process cluster are
+	// deleted, not hidden: undefined flags.
 	serve := buildTool(t, dir, "sunder/cmd/sunder-serve")
-	for _, c := range []struct{ bin, flag string }{{bench, "-meta"}, {serve, "-loadgen"}} {
+	for _, c := range []struct{ bin, flag string }{
+		{bench, "-meta"}, {serve, "-loadgen"}, {serve, "-cluster"}, {serve, "-replicas"}, {serve, "-seed"},
+	} {
 		if out := runFails(t, c.bin, c.flag); !strings.Contains(out, "flag provided but not defined") {
 			t.Errorf("%s %s: want an undefined-flag error:\n%s", c.bin, c.flag, out)
 		}

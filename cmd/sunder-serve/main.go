@@ -1,12 +1,12 @@
 // sunder-serve runs the network scan service: the Sunder engine behind a
 // stdlib net/http API, serving compiled rule sets for batched and
-// streaming pattern matching (see internal/server and DESIGN.md §4.11).
+// streaming pattern matching on one node (see internal/server and
+// DESIGN.md §4.11).
 //
 // Usage:
 //
 //	sunder-serve                          # serve on 127.0.0.1:8080
 //	sunder-serve -addr :9090 -pool 8      # bigger engine pools
-//	sunder-serve -cluster 3 -replicas 2   # serve a replicated in-process cluster front door
 //
 // Serving endpoints:
 //
@@ -30,14 +30,11 @@ import (
 	"log"
 	"log/slog"
 	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"syscall"
-	"time"
 
 	"sunder/internal/cliutil"
-	"sunder/internal/cluster"
 	"sunder/internal/server"
 )
 
@@ -54,9 +51,6 @@ func main() {
 		drain    = flag.Duration("drain", 0, "graceful shutdown budget (0 = 10s)")
 		traceN   = flag.Int("trace-sample", 0, "record a span tree for every Nth request and arm the device tracer for GET /trace (0 = tracing off)")
 		traceCap = flag.Int("trace-cap", 0, "max buffered spans (0 = 64k)")
-		nodes    = flag.Int("cluster", 0, "run N in-process nodes behind a replicated front door (0 = single server)")
-		replicas = flag.Int("replicas", 2, "cluster: replicas per ruleset")
-		seed     = flag.Int64("seed", 1, "cluster: seed for client retry jitter")
 		profiles = cliutil.ProfileFlags()
 	)
 	flag.Parse()
@@ -66,7 +60,10 @@ func main() {
 		log.Fatal(err)
 	}
 
-	cfg := server.Config{
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+
+	srv := server.New(server.Config{
 		PoolSize:         *pool,
 		QueueDepth:       *queue,
 		ScanWorkers:      *workers,
@@ -75,23 +72,8 @@ func main() {
 		DrainTimeout:     *drain,
 		TraceSampleEvery: *traceN,
 		TraceCapacity:    *traceCap,
-	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	if *nodes > 0 {
-		if err := serveCluster(ctx, cfg, *addr, *nodes, *replicas, *seed, *drain); err != nil {
-			log.Fatal(err)
-		}
-		if err := stopProfiles(); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
-
-	cfg.Logger = slog.New(slog.NewTextHandler(os.Stderr, nil))
-	srv := server.New(cfg)
+		Logger:           slog.New(slog.NewTextHandler(os.Stderr, nil)),
+	})
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		log.Fatal(err)
@@ -102,43 +84,4 @@ func main() {
 	if err := stopProfiles(); err != nil {
 		log.Fatal(err)
 	}
-}
-
-// serveCluster runs N in-process nodes behind the replicated front door on
-// one listener: requests route through the resilient client (retries,
-// hedging, circuit breaking), so a drained or failed node is invisible to
-// callers as long as a replica survives.
-func serveCluster(ctx context.Context, cfg server.Config, addr string, nodes, replicas int, seed int64, drain time.Duration) error {
-	logger := slog.New(slog.NewTextHandler(os.Stderr, nil))
-	cl := cluster.New(cluster.Config{
-		Nodes:    nodes,
-		Replicas: replicas,
-		Node:     cfg,
-		Client:   cluster.ClientConfig{Seed: seed},
-		Logger:   logger,
-	})
-	probeCtx, stopProbes := context.WithCancel(context.Background())
-	defer stopProbes()
-	cl.StartProbes(probeCtx, time.Second)
-
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	hs := &http.Server{Handler: cl.Handler()}
-	logger.Info("cluster front door listening", "addr", ln.Addr().String(),
-		"nodes", nodes, "replicas", replicas)
-	errc := make(chan error, 1)
-	go func() { errc <- hs.Serve(ln) }()
-	select {
-	case err := <-errc:
-		return err
-	case <-ctx.Done():
-	}
-	if drain <= 0 {
-		drain = 10 * time.Second
-	}
-	shutCtx, cancel := context.WithTimeout(context.Background(), drain)
-	defer cancel()
-	return hs.Shutdown(shutCtx)
 }

@@ -371,8 +371,8 @@ func TestTracedRequestsConcurrent(t *testing.T) {
 	}
 }
 
-// TestResetRequestMetrics: the per-benchmark isolation hook used by the
-// load generator zeroes every request-scoped instrument but keeps the
+// TestResetRequestMetrics: the isolation hook the benchmark's traced load
+// phase calls zeroes every request-scoped instrument but keeps the
 // rulesets serving.
 func TestResetRequestMetrics(t *testing.T) {
 	s, ts := newTestServer(t, Config{PoolSize: 2, TraceSampleEvery: 1})

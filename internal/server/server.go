@@ -15,8 +15,6 @@ package server
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -37,15 +35,9 @@ import (
 	"sunder/internal/telemetry"
 )
 
-// DigestHeader carries the hex sha256 of the exact scan response body. It
-// is the end-to-end integrity check for proxies and the cluster client: a
-// truncated or bit-flipped response fails the digest and is retried on a
-// replica instead of being delivered as silently wrong matches.
-const DigestHeader = "X-Sunder-Scan-Digest"
-
 // RetryAfterHeader is the standard header set on every 503 shed response,
-// telling well-behaved clients (the cluster's resilient client included)
-// how many seconds to back off before retrying this node.
+// telling well-behaved clients how many seconds to back off before
+// retrying this node.
 const RetryAfterHeader = "Retry-After"
 
 // Config tunes the service. The zero value serves with sensible defaults.
@@ -566,7 +558,7 @@ func (s *Server) handleScan(w http.ResponseWriter, r *http.Request) {
 		rs.lat.Observe(total.Nanoseconds())
 		rs.waitNS.Add(waitDur.Nanoseconds())
 		rs.servedNS.Add(total.Nanoseconds())
-		s.writeScanResponse(w, resp)
+		s.writeJSON(w, http.StatusOK, resp)
 	}
 }
 
@@ -932,8 +924,8 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 // counters, per-ruleset latency and pool-wait histograms, shed counters,
 // pool-wait share accumulators, the compile-path histogram and any
 // buffered spans. Cumulative compile-cache statistics are process-wide and
-// not reset. The load generator calls it between benchmarks so each row's
-// server-side SLO columns describe only that benchmark's requests.
+// not reset. The benchmark's traced load phase calls it first, so the
+// server-side quantiles it reads describe only that phase's requests.
 func (s *Server) ResetRequestMetrics() {
 	s.requests.Store(0)
 	s.scans.Store(0)
@@ -997,25 +989,6 @@ func (c Config) retryAfterDraining() int {
 func (s *Server) writeShed(w http.ResponseWriter, retryAfterSecs int, msg string) {
 	w.Header().Set(RetryAfterHeader, strconv.Itoa(retryAfterSecs))
 	s.writeError(w, http.StatusServiceUnavailable, msg)
-}
-
-// writeScanResponse writes a scan response with the end-to-end integrity
-// digest header (hex sha256 of the exact body bytes, trailing newline
-// included, matching json.Encoder framing).
-func (s *Server) writeScanResponse(w http.ResponseWriter, resp ScanResponse) {
-	body, err := json.Marshal(resp)
-	if err != nil {
-		s.writeError(w, http.StatusInternalServerError, fmt.Sprintf("encode response: %v", err))
-		return
-	}
-	body = append(body, '\n')
-	sum := sha256.Sum256(body)
-	w.Header().Set(DigestHeader, hex.EncodeToString(sum[:]))
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	if _, err := w.Write(body); err != nil {
-		s.log.Warn("write response", "err", err)
-	}
 }
 
 func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {

@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"sunder"
+	"sunder/internal/workload"
 )
 
 var testRules = []PatternJSON{
@@ -154,13 +155,35 @@ func TestServerEndToEnd(t *testing.T) {
 		t.Fatal("test traffic produces no matches; the equivalence check would be vacuous")
 	}
 
-	// Raw single-input scan, sequential and parallel.
-	for _, parallel := range []bool{false, true} {
-		got := scanRaw(t, ts.URL, "nids", input, parallel)
-		if len(got.Results) != 1 {
-			t.Fatalf("raw scan: %d results", len(got.Results))
+	// Raw single-input scans: the synthetic traffic sequential and parallel,
+	// then each of the 19 benchmark workload inputs. testRules fire once in
+	// all 19, so those run on a second ruleset that adds a dense class
+	// (~170 matches per input).
+	wlRules := append(append([]PatternJSON(nil), testRules...), PatternJSON{Expr: `[0-3A-Da-d]{3}`, Code: 301})
+	putRuleset(t, ts.URL, "wl", RulesetRequest{Patterns: wlRules})
+	type rawCase struct {
+		label, id string
+		rules     []PatternJSON
+		input     []byte
+		parallel  bool
+	}
+	raw := []rawCase{
+		{"raw parallel=false", "nids", testRules, input, false},
+		{"raw parallel=true", "nids", testRules, input, true},
+	}
+	for _, name := range workload.Names() {
+		w, err := workload.Get(name, workload.DefaultScale, workload.DefaultInputLen)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
 		}
-		sameMatches(t, fmt.Sprintf("raw parallel=%v", parallel), got.Results[0].Matches, want)
+		raw = append(raw, rawCase{"raw " + name, "wl", wlRules, w.Input, false})
+	}
+	for _, c := range raw {
+		got := scanRaw(t, ts.URL, c.id, c.input, c.parallel)
+		if len(got.Results) != 1 {
+			t.Fatalf("%s: %d results", c.label, len(got.Results))
+		}
+		sameMatches(t, c.label, got.Results[0].Matches, wantMatches(t, c.rules, nil, c.input))
 	}
 
 	// Batched JSON scan: several inputs, each equivalent to its own Scan.

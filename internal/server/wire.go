@@ -8,8 +8,8 @@ import (
 )
 
 // This file defines the service's JSON wire types. They are exported so
-// the benchmark's HTTP client (bench/), the cluster router and external
-// clients share one schema with the handlers.
+// the benchmark's HTTP client (bench/) and external clients share one
+// schema with the handlers.
 
 // PatternJSON is one rule on the wire.
 type PatternJSON struct {

@@ -9,9 +9,9 @@ import (
 // NearestRankIndex returns the 0-based index of the q-quantile of n
 // sorted samples under the nearest-rank definition, ceil(q·n)-1, clamped
 // to [0, n-1]. It is the single quantile-position rule shared by the
-// client-side load generator (exact, over raw sorted latencies) and the
-// server-side duration histograms (over cumulative bucket counts), so the
-// two views of one latency population are directly comparable.
+// benchmark's client-side percentiles (exact, over raw sorted latencies)
+// and the server-side duration histograms (over cumulative bucket counts),
+// so the two views of one latency population are directly comparable.
 func NearestRankIndex(n int, q float64) int {
 	if n <= 0 {
 		return 0

@@ -36,13 +36,11 @@ func lintDeterminism(fset *token.FileSet, p *Package, cfg Config) []Finding {
 }
 
 // ---------------------------------------------------------------------------
-// seededrand: the cluster's retry jitter and the chaos transport must stay
-// replayable, so their packages may only use math/rand through explicitly
-// seeded generators — a package-level rand call (rand.Intn, rand.Float64,
-// …) draws from the process-global source and destroys determinism. In the
-// same packages, functions on the retry/jitter path (names matching
-// Config.ClockFreeFuncs) must not call time.Now() directly: the clock is an
-// input there, threaded in so tests can replay schedules virtually.
+// seededrand: the workload generators, the fault injector and the
+// experiment runners must stay replayable, so their packages may only use
+// math/rand through explicitly seeded generators — a package-level rand
+// call (rand.Intn, rand.Float64, …) draws from the process-global source
+// and destroys determinism.
 
 // seededRandAllowed are the math/rand functions that construct seeded
 // generators rather than drawing from the global source.
@@ -56,80 +54,39 @@ func lintSeededRand(fset *token.FileSet, p *Package, cfg Config) []Finding {
 	}
 	var out []Finding
 	for _, f := range p.Files {
-		randName, timeName := "", ""
+		randName := ""
 		for local, path := range importTable(f) {
-			switch path {
-			case "math/rand", "math/rand/v2":
+			if path == "math/rand" || path == "math/rand/v2" {
 				randName = local
-			case "time":
-				timeName = local
 			}
 		}
-		if randName != "" {
-			ast.Inspect(f, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				fun, ok := call.Fun.(*ast.SelectorExpr)
-				if !ok {
-					return true
-				}
-				if x, ok := fun.X.(*ast.Ident); !ok || x.Name != randName {
-					return true
-				}
-				if seededRandAllowed[fun.Sel.Name] {
-					return true
-				}
-				out = append(out, Finding{
-					Pos:  fset.Position(call.Pos()),
-					Rule: "seededrand",
-					Msg:  fmt.Sprintf("%s.%s draws from the global rand source in %s; construct a seeded generator (rand.New(rand.NewSource(seed)))", randName, fun.Sel.Name, p.Path),
-				})
-				return true
-			})
-		}
-		if timeName == "" {
+		if randName == "" {
 			continue
 		}
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil || !clockFreeFunc(fd.Name.Name, cfg.ClockFreeFuncs) {
-				continue
-			}
-			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				fun, ok := call.Fun.(*ast.SelectorExpr)
-				if !ok || fun.Sel.Name != "Now" {
-					return true
-				}
-				if x, ok := fun.X.(*ast.Ident); !ok || x.Name != timeName {
-					return true
-				}
-				out = append(out, Finding{
-					Pos:  fset.Position(call.Pos()),
-					Rule: "seededrand",
-					Msg:  fmt.Sprintf("raw time.Now() inside %s; retry/jitter paths must take the clock as an input so schedules replay", fd.Name.Name),
-				})
+		ast.Inspect(f, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
 				return true
+			}
+			fun, ok := call.Fun.(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			if x, ok := fun.X.(*ast.Ident); !ok || x.Name != randName {
+				return true
+			}
+			if seededRandAllowed[fun.Sel.Name] {
+				return true
+			}
+			out = append(out, Finding{
+				Pos:  fset.Position(call.Pos()),
+				Rule: "seededrand",
+				Msg:  fmt.Sprintf("%s.%s draws from the global rand source in %s; construct a seeded generator (rand.New(rand.NewSource(seed)))", randName, fun.Sel.Name, p.Path),
 			})
-		}
+			return true
+		})
 	}
 	return out
-}
-
-// clockFreeFunc reports whether a function name marks a retry/jitter path.
-func clockFreeFunc(name string, subs []string) bool {
-	lower := strings.ToLower(name)
-	for _, s := range subs {
-		if strings.Contains(lower, s) {
-			return true
-		}
-	}
-	return false
 }
 
 // ---------------------------------------------------------------------------

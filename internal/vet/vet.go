@@ -63,14 +63,8 @@ type Config struct {
 	// SeededRandPkgs are import paths that may use math/rand, but only
 	// through explicitly seeded generators (rand.New, rand.NewSource):
 	// calling package-level rand functions there draws from the global
-	// source and breaks chaos/jitter replay. The same packages must not
-	// read the wall clock inside retry/jitter paths (see ClockFreeFuncs).
+	// source and breaks seeded replay.
 	SeededRandPkgs map[string]bool
-	// ClockFreeFuncs are lowercase substrings of function names that mark
-	// retry/jitter paths in SeededRandPkgs: a raw time.Now() call inside
-	// such a function is flagged — those paths must take the clock as an
-	// input so tests can replay them virtually.
-	ClockFreeFuncs []string
 	// IRMutators are the packages allowed to write to the compiled
 	// unit-level IR (automata.UnitAutomaton / UnitState) in place: the
 	// IR's home package and the compile-time rewrite passes. Everywhere
@@ -102,11 +96,14 @@ func DefaultConfig() Config {
 			"sunder/internal/meta":      true,
 		},
 		BannedImports: []string{"time", "math/rand", "math/rand/v2"},
+		// The workload generators, the fault injector and the experiment
+		// runners seed their generators: the benchmark's inputs and the
+		// fault-study replays depend on it.
 		SeededRandPkgs: map[string]bool{
-			"sunder/internal/cluster":       true,
-			"sunder/internal/cluster/chaos": true,
+			"sunder/internal/workload": true,
+			"sunder/internal/faults":   true,
+			"sunder/internal/exp":      true,
 		},
-		ClockFreeFuncs: []string{"retry", "backoff", "jitter", "hedge"},
 		IRMutators: map[string]bool{
 			"sunder/internal/automata":  true,
 			"sunder/internal/transform": true,

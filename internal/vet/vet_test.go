@@ -66,41 +66,20 @@ var r = rand.Int()
 }
 
 func TestSeededRandFlagsGlobalSource(t *testing.T) {
-	src := `package cluster
+	src := `package workload
 import "math/rand"
-func jitterDelay() float64 {
+func plantOffset() float64 {
 	r := rand.New(rand.NewSource(42))
 	return r.Float64() + rand.Float64()
 }
 `
-	fs := byRule(lintOne(t, "sunder/internal/cluster", src), "seededrand")
+	fs := byRule(lintOne(t, "sunder/internal/workload", src), "seededrand")
 	if len(fs) != 1 || !strings.Contains(fs[0].Msg, "rand.Float64") {
 		t.Fatalf("got %v, want exactly the global-source draw flagged", fs)
 	}
 	// The same code is fine outside the seeded-rand set.
-	if fs := byRule(lintOne(t, "sunder/internal/workload", src), "seededrand"); len(fs) != 0 {
-		t.Fatalf("workload flagged: %v", fs)
-	}
-}
-
-func TestSeededRandFlagsWallClockInRetryPaths(t *testing.T) {
-	src := `package chaos
-import "time"
-func backoffFor(retry int) time.Duration {
-	_ = time.Now()
-	return time.Duration(retry)
-}
-func nextHedgeDelay() time.Time { return time.Now() }
-func Probe() time.Time { return time.Now() }
-`
-	fs := byRule(lintOne(t, "sunder/internal/cluster/chaos", src), "seededrand")
-	if len(fs) != 2 {
-		t.Fatalf("got %v, want the two retry/hedge-path time.Now calls (Probe is exempt)", fs)
-	}
-	for _, f := range fs {
-		if strings.Contains(f.Msg, "Probe") {
-			t.Fatalf("Probe flagged: %v", f)
-		}
+	if fs := byRule(lintOne(t, "sunder/internal/server", src), "seededrand"); len(fs) != 0 {
+		t.Fatalf("server flagged: %v", fs)
 	}
 }
 

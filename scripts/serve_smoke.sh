@@ -101,50 +101,4 @@ grep -q '"name":"pool_wait"' <<<"$spans" || {
 kill -TERM "$srv_pid"
 wait "$srv_pid" || { echo "serve_smoke: server exited non-zero on SIGTERM" >&2; exit 1; }
 trap - EXIT
-
-# Cluster mode: the same front door served by N replicated in-process nodes
-# behind the resilient client. Scans must carry the end-to-end digest, and
-# the cluster metrics must account for the traffic.
-cluster_nodes="${SERVE_CLUSTER:-3}"
-if [ "$cluster_nodes" != "0" ]; then
-  caddr="127.0.0.1:${SERVE_CLUSTER_PORT:-8472}"
-  cbase="http://$caddr"
-  /tmp/sunder-serve -addr "$caddr" -cluster "$cluster_nodes" -replicas 2 &
-  csrv_pid=$!
-  cleanup_cluster() { kill "$csrv_pid" 2>/dev/null || true; }
-  trap cleanup_cluster EXIT
-
-  for _ in $(seq 1 50); do
-    if curl -sf "$cbase/healthz" >/dev/null 2>&1; then break; fi
-    sleep 0.1
-  done
-  curl -sf "$cbase/healthz" >/dev/null || { echo "serve_smoke: cluster never came up" >&2; exit 1; }
-
-  curl -sf -X PUT "$cbase/rulesets/smoke" -d '{
-    "patterns": [{"expr": "GET /admin", "code": 100}],
-    "options": {"prune": true}
-  }' >/dev/null
-
-  cscan_headers=$(curl -sfi -X POST "$cbase/rulesets/smoke/scan" \
-    -H 'Content-Type: application/octet-stream' \
-    --data-binary 'xx GET /admin yy')
-  grep -qiE '^x-sunder-scan-digest: [0-9a-f]{64}' <<<"$cscan_headers" || {
-    echo "serve_smoke: cluster scan missing end-to-end digest header" >&2; exit 1; }
-  grep -q '"code":100' <<<"$cscan_headers" || {
-    echo "serve_smoke: cluster scan missing match" >&2; exit 1; }
-
-  cnodes=$(curl -sf "$cbase/nodes")
-  [ "$(grep -o '"healthy":true' <<<"$cnodes" | wc -l)" -eq "$cluster_nodes" ] || {
-    echo "serve_smoke: want $cluster_nodes healthy nodes, got: $cnodes" >&2; exit 1; }
-
-  cmetrics=$(curl -sf "$cbase/metrics")
-  grep -q '^cluster_requests_total [1-9]' <<<"$cmetrics" || {
-    echo "serve_smoke: cluster metrics missing request count" >&2; exit 1; }
-  grep -q "^cluster_nodes $cluster_nodes" <<<"$cmetrics" || {
-    echo "serve_smoke: cluster metrics missing node count" >&2; exit 1; }
-
-  kill -TERM "$csrv_pid"
-  wait "$csrv_pid" || { echo "serve_smoke: cluster exited non-zero on SIGTERM" >&2; exit 1; }
-  trap - EXIT
-fi
 echo "serve_smoke: OK"
