@@ -35,7 +35,9 @@
 // pad units (pad semantics depend on where the input ends) and, once the
 // cache thrashes past Config.BlowupRatio, the rest of the run are not served
 // from the cache: Plan.step, the closure-free word-level NFA step that also
-// builds every missed transition, steps them on flat tables.
+// builds every missed transition, steps them on flat tables. The successors
+// of the self-looping states it steps from come from the runner's latch
+// cache, which changes only when one of them comes on or goes off.
 package dfa
 
 import (
@@ -87,19 +89,17 @@ type Plan struct {
 	succ    []succEntry
 	// latch[w] is the self-looping states of source word w, and
 	// latchSucc[latchOff[w]:latchOff[w+1]] the OR of all their successor
-	// lists: when every latch of a word is active, step ORs that union once
-	// instead of walking them. The OR of a subset's successors equals the
-	// union exactly when the subset is fully active, so the shortcut is
-	// exact for any mask; self-loops are chosen because `.*`-style gap
-	// states, once on, stay on and saturate their words.
+	// lists: the row a runner's latchCache ORs at once when a word's latches
+	// all come on together. Self-loops are chosen because `.*`-style gap
+	// states, once on, stay on, so their successors are worth remembering.
 	latch     []uint64
 	latchOff  []int32
 	latchSucc []succEntry
-	// satBase is startAll and all of latchSucc: what a source set with every
-	// latch active enables before its other states are walked. covered[w]
-	// is the states of word w whose successors lie inside it — every latch,
-	// and on dense automata most of the rest — which such a set need not walk.
-	satBase, covered []uint64
+	// covered[w] is the states of word w whose successors lie inside
+	// startAll ∪ all of latchSucc — every latch, and on dense automata most
+	// of the rest: with every latch on, that is the cache's union, and a
+	// source set need not walk them.
+	covered []uint64
 }
 
 // succEntry ORs mask into word `word` of the enabled set.
@@ -204,11 +204,10 @@ func NewPlan(a *automata.UnitAutomaton, classOf [256]uint16, classes int) (*Plan
 		p.latchSucc = flush(p.latchSucc)
 		p.latchOff[w+1] = int32(len(p.latchSucc))
 	}
-	p.satBase, p.covered = slices.Clone(p.startAll), make([]uint64, words)
-	for _, e := range p.latchSucc {
-		p.satBase[e.word] |= e.mask
-	}
-	outside := func(e succEntry) bool { return e.mask&^p.satBase[e.word] != 0 }
+	satBase := slices.Clone(p.startAll)
+	p.covered = make([]uint64, words)
+	orEntries(satBase, p.latchSucc)
+	outside := func(e succEntry) bool { return e.mask&^satBase[e.word] != 0 }
 	for i := range a.States {
 		if !slices.ContainsFunc(p.succ[p.succOff[i]:p.succOff[i+1]], outside) {
 			p.covered[i>>6] |= 1 << (i & 63)
@@ -223,37 +222,78 @@ func (p *Plan) plane(j, b int) []uint64 {
 	return p.planes[off : off+p.words : off+p.words]
 }
 
+// latchCache is a runner's memo of its latches' successors, which step keeps
+// from cycle to cycle: on is the source set's active latches, union is
+// startAll ∪ succ(on), and full says every latch is on (union is then
+// startAll ∪ all of latchSucc). The union depends on on alone, so it is exact
+// for any source set in any order — cycle 0, misses from cached states,
+// mid-stream starts, the fallback — and across Reset (DESIGN.md §4.16).
+type latchCache struct {
+	on, union []uint64
+	full      bool
+}
+
+func (p *Plan) newLatchCache() latchCache {
+	none := !slices.ContainsFunc(p.latch, func(l uint64) bool { return l != 0 })
+	return latchCache{make([]uint64, p.words), slices.Clone(p.startAll), none}
+}
+
+// sync brings c to on = src ∩ latch. Latches that came on add their
+// successors — a word's latchSucc row when all of its latches came on at
+// once — and a latch that went off rebuilds c from empty.
+func (c *latchCache) sync(p *Plan, src []uint64) {
+	for w, v := range src {
+		if c.on[w]&^v != 0 {
+			clear(c.on)
+			copy(c.union, p.startAll)
+			break
+		}
+	}
+	c.full = true
+	for w, v := range src {
+		l := v & p.latch[w]
+		if add := l &^ c.on[w]; add != 0 && add == p.latch[w] {
+			orEntries(c.union, p.latchSucc[p.latchOff[w]:p.latchOff[w+1]])
+		} else {
+			for ; add != 0; add &= add - 1 {
+				p.orSucc(c.union, w<<6|bits.TrailingZeros64(add))
+			}
+		}
+		c.on[w] = l
+		c.full = c.full && l == p.latch[w]
+	}
+}
+
 // step computes one cycle transition on the NFA tables — the only NFA step
 // in the package: cycle 0, pad cycles, misses and the post-blowup fallback
 // all run it. The enabled set is the unanchored starts (every cycle begins
 // at a symbol boundary — see Supported) plus the successors of src; a nil
-// src is cycle 0: no predecessors, and the anchored starts join. The byte
-// planes of the input (pad planes for the last pad positions) then filter
-// it down to the next active set in dst, which must not alias src.
-func (p *Plan) step(dst, src []uint64, data []byte, pad int) {
-	saturated := src != nil && p.saturated(src)
-	switch {
-	case src == nil:
+// src is cycle 0: no predecessors, and the anchored starts join. c, synced
+// to src's latches when they changed, supplies the starts and the latches'
+// successors, so only src's other states are walked — none of the covered
+// ones once every latch is on. The byte planes of the input (pad planes for
+// the last pad positions) then filter it down to the next active set in dst,
+// which must not alias src.
+func (p *Plan) step(dst, src []uint64, data []byte, pad int, c *latchCache) {
+	latch, on := p.latch[:len(src)], c.on[:len(src)] // no bounds checks
+	for w, v := range src {
+		if v&latch[w] != on[w] {
+			c.sync(p, src)
+			break
+		}
+	}
+	skip := p.latch
+	if c.full {
+		skip = p.covered
+	}
+	if src == nil {
 		copy(dst, p.startFirst)
-	case saturated:
-		copy(dst, p.satBase)
-	default:
-		copy(dst, p.startAll)
+	} else {
+		copy(dst, c.union)
 	}
 	for w, v := range src {
-		if saturated {
-			v &^= p.covered[w]
-		} else if l := p.latch[w]; l != 0 && v&l == l {
-			for _, e := range p.latchSucc[p.latchOff[w]:p.latchOff[w+1]] {
-				dst[e.word] |= e.mask
-			}
-			v &^= l
-		}
-		for ; v != 0; v &= v - 1 {
-			i := w<<6 | bits.TrailingZeros64(v)
-			for _, e := range p.succ[p.succOff[i]:p.succOff[i+1]] {
-				dst[e.word] |= e.mask
-			}
+		for v &^= skip[w]; v != 0; v &= v - 1 {
+			p.orSucc(dst, w<<6|bits.TrailingZeros64(v))
 		}
 	}
 	// Both positions in one pass; a one-byte cycle ANDs its plane twice.
@@ -263,14 +303,13 @@ func (p *Plan) step(dst, src []uint64, data []byte, pad int) {
 	}
 }
 
-// saturated reports whether every latch is active in src.
-func (p *Plan) saturated(src []uint64) bool {
-	for w, l := range p.latch {
-		if src[w]&l != l {
-			return false
-		}
+// orSucc ORs state i's successors into dst.
+func (p *Plan) orSucc(dst []uint64, i int) { orEntries(dst, p.succ[p.succOff[i]:p.succOff[i+1]]) }
+
+func orEntries(dst []uint64, es []succEntry) {
+	for _, e := range es {
+		dst[e.word] |= e.mask
 	}
-	return true
 }
 
 // inputPlane returns the plane a cycle selects at byte position j: its
@@ -330,7 +369,10 @@ type Config struct {
 	// BlowupRatio × cycles executed, the run stops caching and steps the
 	// NFA tables directly for its remainder (default 0.25). The cache is
 	// thrashing at that point — subset construction per cycle costs more
-	// than plain NFA stepping.
+	// than plain NFA stepping. The states counted are the runner's lifetime
+	// constructions, the cycles the current run's, on purpose: counting per
+	// run was measured to cost more allocations than it saves (DESIGN.md
+	// §4.16).
 	BlowupRatio float64
 }
 
@@ -431,10 +473,12 @@ type Runner struct {
 
 	// cur is the cached state the run sits in, or 0 when the run is in
 	// direct-NFA mode (cycle 0, after a pad cycle, or after fallback);
-	// active then holds the raw set. enabled is step's other buffer.
+	// active then holds the raw set. enabled is step's other buffer, and
+	// latches its memo of the latches' successors.
 	cur      uint32
 	active   []uint64
 	enabled  []uint64
+	latches  latchCache
 	scratch  []automata.StateID
 	cycle    int64
 	fellBack bool
@@ -454,6 +498,7 @@ func NewRunner(p *Plan, cfg Config) *Runner {
 		max:     cfg.maxStates(p.rowSize),
 		active:  make([]uint64, p.words),
 		enabled: make([]uint64, p.words),
+		latches: p.newLatchCache(),
 	}
 	r.emptyCache()
 	return r
@@ -548,7 +593,7 @@ func (r *Runner) Step(data []byte, pad int) []automata.StateID {
 	case r.cycle > 1 || r.midStream:
 		src = r.active
 	}
-	r.p.step(r.enabled, src, data, pad)
+	r.p.step(r.enabled, src, data, pad, &r.latches)
 	r.active, r.enabled = r.enabled, r.active
 	if pad == 0 && !r.fellBack {
 		// (Re-)enter cached mode: the reached set is a valid DFA state (its

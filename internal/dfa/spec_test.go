@@ -120,11 +120,22 @@ func (s *spec) reportIDs() (out []automata.StateID) {
 	return out
 }
 
-// lockstep runs input through Plan.step and the spec side by side — cycle
-// 0, the middle cycles, and a pad cycle when the length leaves one — and
-// fails on the first cycle whose active sets or report rows differ. visit
-// sees every source set step is given.
-func lockstep(t *testing.T, ua *automata.UnitAutomaton, input []byte, visit func(p *Plan, src []uint64)) {
+// load makes set, in the plan's layout, the spec's active set.
+func (s *spec) load(set []uint64) {
+	s.active.Reset()
+	for w, v := range set {
+		for ; v != 0; v &= v - 1 {
+			s.active.Set(w<<6 | bits.TrailingZeros64(v))
+		}
+	}
+}
+
+// lockstep runs input through Plan.step, on one latch cache as a runner
+// does, and the spec side by side — cycle 0, the middle cycles, and a pad
+// cycle when the length leaves one — and fails on the first cycle whose
+// active sets or report rows differ. visit sees every source set step is
+// given, with the cache as step finds it.
+func lockstep(t testing.TB, ua *automata.UnitAutomaton, input []byte, visit func(p *Plan, src []uint64, c *latchCache)) {
 	t.Helper()
 	var identity [256]uint16
 	p, err := NewPlan(ua, identity, 1)
@@ -132,27 +143,71 @@ func lockstep(t *testing.T, ua *automata.UnitAutomaton, input []byte, visit func
 		t.Fatal(err)
 	}
 	s := newSpec(ua)
+	c := p.newLatchCache()
 	var src []uint64
 	bufs := [2][]uint64{make([]uint64, p.words), make([]uint64, p.words)}
-	for c := 0; c*p.stepBytes < len(input); c++ {
-		dst := bufs[c&1]
-		data := input[c*p.stepBytes:]
+	for cyc := 0; cyc*p.stepBytes < len(input); cyc++ {
+		dst := bufs[cyc&1]
+		data := input[cyc*p.stepBytes:]
 		pad := max(0, p.stepBytes-len(data))
 		data = data[:p.stepBytes-pad]
 		if visit != nil && src != nil {
-			visit(p, src)
+			visit(p, src, &c)
 		}
-		p.step(dst, src, data, pad)
-		s.step(data, pad, c == 0)
+		p.step(dst, src, data, pad, &c)
+		s.step(data, pad, cyc == 0)
 		if want := s.words(); !slices.Equal(dst, want) {
 			t.Fatalf("cycle %d (pad %d) of %d states at rate %d: active set diverges\n got %x\nwant %x",
-				c, pad, ua.NumStates(), ua.Rate, dst, want)
+				cyc, pad, ua.NumStates(), ua.Rate, dst, want)
 		}
 		if got, want := p.appendReports(nil, dst), s.reportIDs(); !slices.Equal(got, want) {
-			t.Fatalf("cycle %d: report row %v, want %v", c, got, want)
+			t.Fatalf("cycle %d: report row %v, want %v", cyc, got, want)
 		}
 		src = dst
 	}
+}
+
+// replay steps sets, in the order given, through one latch cache and holds
+// each result to the spec's step from the same set on input's next bytes:
+// the miss path's access pattern, where a runner steps from whichever cached
+// state missed, a mid-stream start's empty set, or the fallback's raw set.
+func replay(t testing.TB, ua *automata.UnitAutomaton, sets [][]uint64, input []byte) {
+	t.Helper()
+	var identity [256]uint16
+	p, err := NewPlan(ua, identity, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, c, dst := newSpec(ua), p.newLatchCache(), make([]uint64, p.words)
+	for k, src := range sets {
+		off := k * p.stepBytes % (len(input) - p.stepBytes + 1)
+		data := input[off : off+p.stepBytes]
+		p.step(dst, src, data, 0, &c)
+		s.load(src)
+		s.step(data, 0, false)
+		if want := s.words(); !slices.Equal(dst, want) {
+			t.Fatalf("set %d of %d (%d states, rate %d): active set diverges\n got %x\nwant %x",
+				k, len(sets), ua.NumStates(), ua.Rate, dst, want)
+		}
+	}
+}
+
+// visited runs input in lockstep and returns the source sets it stepped
+// from, led by the empty one a mid-stream start steps from.
+func visited(t testing.TB, ua *automata.UnitAutomaton, input []byte) [][]uint64 {
+	sets := [][]uint64{make([]uint64, (ua.NumStates()+63)/64)}
+	lockstep(t, ua, input, func(_ *Plan, src []uint64, _ *latchCache) { sets = append(sets, slices.Clone(src)) })
+	return sets
+}
+
+// saturated reports whether every latch is active in src.
+func saturated(p *Plan, src []uint64) bool {
+	for w, l := range p.latch {
+		if src[w]&l != l {
+			return false
+		}
+	}
+	return true
 }
 
 // TestStepMatchesSpec holds Plan.step to the spec on random byte automata
@@ -248,17 +303,35 @@ func latchAutomaton(rng *rand.Rand, rate, n int, allOn bool) *automata.UnitAutom
 	return ua
 }
 
-// TestStepLatchCases forces every branch of the two saturated-latch
-// shortcuts and checks each was taken. Per word, in a set that is not
-// saturated as a whole: all of several latches on (the word's union is ORed
-// at once), exactly one of them off, a single latch on and off, an active
-// word without latches. And whole sets with every latch on, whose active
-// states are some covered (skipped) and some not (walked).
+// TestStepLatchCases forces every branch of the latch cache and of the
+// saturated-set shortcut and checks each was taken. Per word, in a set that
+// is not saturated as a whole: all of several latches on, exactly one of
+// them off, a single latch on and off, an active word without latches. Per
+// step: the cache extended by latches that came on (a whole word of them at
+// once among them) and rebuilt because a latch went off. And whole sets with
+// every latch on, whose active states are some covered (skipped) and some
+// not (walked).
 func TestStepLatchCases(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
-	var saturated, oneShort, singleOn, singleOff, none, wholeSet, skipped, walked int
-	tally := func(p *Plan, src []uint64) {
-		if p.saturated(src) {
+	var saturatedWord, oneShort, singleOn, singleOff, none, wholeSet, skipped, walked int
+	var extended, wholeWord, rebuilt int
+	tally := func(p *Plan, src []uint64, c *latchCache) {
+		grew, shrank := false, false
+		for w, v := range src {
+			l := v & p.latch[w]
+			grew = grew || l&^c.on[w] != 0
+			shrank = shrank || c.on[w]&^l != 0
+			if c.on[w] == 0 && l == p.latch[w] && bits.OnesCount64(l) > 1 {
+				wholeWord++
+			}
+		}
+		switch {
+		case shrank:
+			rebuilt++
+		case grew:
+			extended++
+		}
+		if saturated(p, src) {
 			wholeSet++
 			for w, v := range src {
 				skipped += bits.OnesCount64(v & p.covered[w] &^ p.latch[w])
@@ -276,7 +349,7 @@ func TestStepLatchCases(t *testing.T) {
 			case bits.OnesCount64(l) == 1:
 				singleOff++
 			case missing == 0 && l != 0:
-				saturated++
+				saturatedWord++
 			case missing == 1:
 				oneShort++
 			}
@@ -292,16 +365,73 @@ func TestStepLatchCases(t *testing.T) {
 		}
 	}
 	for name, n := range map[string]int{
-		"saturated word": saturated, "one latch short": oneShort, "single latch on": singleOn,
+		"saturated word": saturatedWord, "one latch short": oneShort, "single latch on": singleOn,
 		"single latch off": singleOff, "no latch": none, "saturated set": wholeSet,
 		"covered state skipped": skipped, "uncovered state walked": walked,
+		"cache extended": extended, "word's latches came on at once": wholeWord,
+		"cache rebuilt (a latch went off)": rebuilt,
 	} {
 		if n == 0 {
 			t.Errorf("no source set was in the %q case; the generator no longer forces it", name)
 		}
 	}
-	t.Logf("source words: %d saturated, %d one short, %d/%d single latch on/off, %d without latch; %d saturated sets, %d covered states skipped, %d walked",
-		saturated, oneShort, singleOn, singleOff, none, wholeSet, skipped, walked)
+	t.Logf("source words: %d saturated, %d one short, %d/%d single latch on/off, %d without latch; %d saturated sets, %d covered states skipped, %d walked; cache %d extended (%d whole words), %d rebuilt",
+		saturatedWord, oneShort, singleOn, singleOff, none, wholeSet, skipped, walked, extended, wholeWord, rebuilt)
+}
+
+// TestStepCacheOutOfOrder steps the source sets that runs on random automata,
+// latch-heavy ones and SPM visit through one latch cache in shuffled order,
+// each checked against the spec's step from the same set. A runner's misses
+// step from whichever cached state missed, in no order the cache can
+// predict, so in-order lockstep alone leaves the rebuild path barely tested.
+func TestStepCacheOutOfOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	check := func(ua *automata.UnitAutomaton, input []byte) {
+		sets := visited(t, ua, input)
+		rng.Shuffle(len(sets), func(i, j int) { sets[i], sets[j] = sets[j], sets[i] })
+		replay(t, ua, sets, input)
+	}
+	for trial := 0; trial < 10; trial++ {
+		for _, rate := range []int{2, 4} {
+			ua, err := transform.ToRate(randomByteNFAOf(rng, 40+rng.Intn(60)), rate)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(ua, randomInput(rng, 100))
+			input := make([]byte, 200)
+			rng.Read(input)
+			check(latchAutomaton(rng, rate, 64*5+rng.Intn(64), trial%2 == 0), input)
+		}
+	}
+	w, err := workload.Get("SPM", workload.DefaultScale, 2<<10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ua, err := transform.ToRate(w.Automaton, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check(ua, w.Input)
+}
+
+// FuzzStepCache is TestStepCacheOutOfOrder with the automaton's seed, the
+// input and the order of the visited sets chosen by the fuzzer.
+func FuzzStepCache(f *testing.F) {
+	f.Add(int64(1), []byte("latches come and go"), []byte{3, 1, 4, 1, 5, 9, 2, 6})
+	f.Add(int64(2), []byte{0x00, 0xff, 0x10, 0xef, 0x7f, 0x80}, []byte{})
+	f.Fuzz(func(t *testing.T, seed int64, input, order []byte) {
+		if len(input) < 2 || len(input) > 512 {
+			t.Skip()
+		}
+		rng := rand.New(rand.NewSource(seed))
+		ua := latchAutomaton(rng, 2+2*rng.Intn(2), 64+rng.Intn(64*4), rng.Intn(2) == 0)
+		sets := visited(t, ua, input)
+		for i := len(sets) - 1; i > 0 && len(order) > 0; i, order = i-1, order[1:] {
+			j := int(order[0]) % (i + 1)
+			sets[i], sets[j] = sets[j], sets[i]
+		}
+		replay(t, ua, sets, input)
+	})
 }
 
 // TestDFAMidStreamStart holds ResetMidStream to its contract in lockstep: a run
@@ -335,11 +465,12 @@ func TestDFAMidStreamStart(t *testing.T) {
 				s := newSpec(ua)
 				src := make([]uint64, p.words)
 				dst := make([]uint64, p.words)
+				lc := p.newLatchCache()
 				for c := 0; k+c*p.stepBytes < len(input); c++ {
 					data := input[k+c*p.stepBytes:]
 					pad := max(0, p.stepBytes-len(data))
 					data = data[:p.stepBytes-pad]
-					p.step(dst, src, data, pad)
+					p.step(dst, src, data, pad, &lc)
 					s.step(data, pad, false)
 					if want := s.words(); !slices.Equal(dst, want) {
 						t.Fatalf("trial %d rate %d from byte %d, cycle %d: plan and spec diverge", trial, rate, k, c)
