@@ -187,12 +187,12 @@ func TestDFAPoolSurvivesCollection(t *testing.T) {
 	released := eng.runner(legDFA, true)
 	done := make(chan bool)
 	go func() {
-		eng.release([]runner{released})
+		eng.release([]windowRunner{released})
 		done <- true
 	}()
 	<-done
 	runtime.GC()
-	got := make(chan runner)
+	got := make(chan windowRunner)
 	go func() { got <- eng.runner(legDFA, true) }()
 	if rn := <-got; rn != released {
 		t.Fatal("a call after one collection built a new runner while the released one was idle")

@@ -8,9 +8,8 @@ import (
 
 // resolveBackend validates Options.Backend and resolves the artifact's
 // scan backend from its shape statistics. It is the last step of compile.
-// Which route a call then executes — the guard, or this backend on the
-// whole input or on a prefilter's candidate windows — is Engine.resolve's
-// decision.
+// Whether a call runs this backend on the whole input or on a prefilter's
+// candidate windows is Engine.resolve's decision.
 func (a *compiledArtifact) resolveBackend() error {
 	a.autoChoice = meta.Select(a.metaIn)
 	// Options.Backend resolves like an override of the default, "nfa".

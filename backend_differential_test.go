@@ -172,31 +172,23 @@ func FuzzDFA(f *testing.F) {
 // TestBackendOverrideValidatedOnEveryLeg: a per-call ScanOptions.Backend is
 // validated by the plan resolver before any leg is chosen, so an unknown
 // name or an unsupported "dfa" is an error on a plain engine and on one
-// whose fault policy (or prefilter) would have ignored the backend anyway —
-// an armed policy used to accept both silently.
+// whose prefilter confines the backend to candidate windows.
 func TestBackendOverrideValidatedOnEveryLeg(t *testing.T) {
 	input := []byte("xabbczzx")
-	detection := DefaultFaultPolicy()
 	for _, tc := range []struct {
 		name     string
 		rate     int
 		pre      PrefilterMode
-		pol      *FaultPolicy
 		override string
 	}{
-		{"plain/unknown", 4, PrefilterOff, nil, "bogus"},
-		{"plain/unsupported-dfa", 1, PrefilterOff, nil, "dfa"},
-		{"prefilter/unknown", 4, PrefilterOn, nil, "bogus"},
-		{"guarded/unknown", 4, PrefilterOff, &detection, "bogus"},
-		{"guarded/unsupported-dfa", 1, PrefilterOff, &detection, "dfa"},
+		{"plain/unknown", 4, PrefilterOff, "bogus"},
+		{"plain/unsupported-dfa", 1, PrefilterOff, "dfa"},
+		{"prefilter/unknown", 4, PrefilterOn, "bogus"},
 	} {
 		opts := DefaultOptions()
 		opts.Rate, opts.Prefilter = tc.rate, tc.pre
 		eng, err := Compile([]Pattern{{Expr: `ab+c`, Code: 1}, {Expr: `zz`, Code: 2}}, opts)
 		if err != nil {
-			t.Fatal(err)
-		}
-		if err := eng.SetFaultPolicy(tc.pol); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := eng.ScanParallel(input, ScanOptions{Backend: tc.override}); err == nil {

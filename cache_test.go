@@ -497,9 +497,6 @@ func TestEngineStateOutsideArtifact(t *testing.T) {
 	mutable := map[string]string{
 		"compiledArtifact": "the shared immutable compile product itself",
 		"machine":          "the engine's own device, stepped by sequential scans",
-		"machinePlace":     "the device's placement, replaced by quarantine",
-		"faultPol":         "armed by SetFaultPolicy",
-		"injector":         "armed by SetFaultPolicy",
 		"tel":              "attached by SetTelemetry",
 		"nfaRun":           "sequential runner scratch",
 		"dfaRun":           "sequential runner scratch and DFA state cache",

@@ -12,17 +12,17 @@ import (
 )
 
 // TestEntryPointsAgree runs option *combinations* through every entry
-// point: for each small rule set × Backend × Prefilter × Minimize × fault
-// policy, Scan, ScanParallel, ScanBatch (both twice: the second pass takes
-// the lazy DFA's pooled runners back warm; under the prefilter also with a
-// "dfa" and an "nfa" override), Stream (three chunkings), a Clone and a
-// CompileCached hit must all return the functional-simulator oracle's
-// matches and Reports/ReportCycles, account for every device cycle, and
-// have run on the substrate the route names — the lazy DFA for a "dfa"
-// backend, prefiltered or not, the machine for the others and under the
-// guard. Within one engine the entry points must also agree on match order
-// with Scan (substrates order a cycle's reports differently, so across
-// engines the comparison is order-insensitive).
+// point: for each small rule set × Backend × Prefilter × Minimize, Scan,
+// ScanParallel, ScanBatch (both twice: the second pass takes the lazy DFA's
+// pooled runners back warm; under the prefilter also with a "dfa" and an
+// "nfa" override), Stream (three chunkings), a Clone and a CompileCached
+// hit must all return the functional-simulator oracle's matches and
+// Reports/ReportCycles, account for every device cycle, and have run on the
+// substrate the route names — the lazy DFA for a "dfa" backend, prefiltered
+// or not, the machine for the others. Within one engine the entry points
+// must also agree on match order with Scan (substrates order a cycle's
+// reports differently, so across engines the comparison is
+// order-insensitive).
 func TestEntryPointsAgree(t *testing.T) {
 	filler := bytes.Repeat([]byte("the quick brown fox 0 jumps 12 over; "), 64)
 	plant := func(frags ...string) []byte {
@@ -50,7 +50,6 @@ func TestEntryPointsAgree(t *testing.T) {
 		{"pad-tail", []Pattern{{Expr: `q.`, Code: 9}, {Expr: `qz`, Code: 10}},
 			append(plant("qz", "q!"), "..q"...)},
 	}
-	detection := DefaultFaultPolicy()
 	for _, rs := range ruleSets {
 		if len(rs.input)%2 == 0 {
 			rs.input = rs.input[1:]
@@ -62,12 +61,10 @@ func TestEntryPointsAgree(t *testing.T) {
 		for _, backend := range []string{"nfa", "dfa", "parallel", "auto"} {
 			for _, pre := range []PrefilterMode{PrefilterOff, PrefilterOn} {
 				for _, minimize := range []bool{false, true} {
-					for _, pol := range []*FaultPolicy{nil, &detection} {
-						opts := DefaultOptions()
-						opts.Backend, opts.Prefilter, opts.Minimize = backend, pre, minimize
-						label := fmt.Sprintf("%s/%s/pre=%d/min=%v/guard=%v", rs.name, backend, pre, minimize, pol != nil)
-						checkEntryPoints(t, label, rs.patterns, opts, pol, rs.input, want)
-					}
+					opts := DefaultOptions()
+					opts.Backend, opts.Prefilter, opts.Minimize = backend, pre, minimize
+					label := fmt.Sprintf("%s/%s/pre=%d/min=%v", rs.name, backend, pre, minimize)
+					checkEntryPoints(t, label, rs.patterns, opts, rs.input, want)
 				}
 			}
 		}
@@ -105,18 +102,12 @@ func oracleRun(t *testing.T, patterns []Pattern, input []byte) *ScanResult {
 	return out
 }
 
-func checkEntryPoints(t *testing.T, label string, patterns []Pattern, opts Options, pol *FaultPolicy, input []byte, want *ScanResult) {
+func checkEntryPoints(t *testing.T, label string, patterns []Pattern, opts Options, input []byte, want *ScanResult) {
 	t.Helper()
-	arm := func(eng *Engine, err error) *Engine {
-		if err == nil {
-			err = eng.SetFaultPolicy(pol)
-		}
-		if err != nil {
-			t.Fatalf("%s: %v", label, err)
-		}
-		return eng
+	eng, err := Compile(patterns, opts)
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
 	}
-	eng := arm(Compile(patterns, opts))
 	ref, err := eng.Scan(input)
 	if err != nil {
 		t.Fatalf("%s: %v", label, err)
@@ -124,9 +115,9 @@ func checkEntryPoints(t *testing.T, label string, patterns []Pattern, opts Optio
 	// onDFA is the substrate a call with the given override must run on.
 	onDFA := func(override string) bool {
 		if override == "" {
-			return pol == nil && strings.HasPrefix(eng.Backend(), "dfa")
+			return strings.HasPrefix(eng.Backend(), "dfa")
 		}
-		return pol == nil && override == "dfa"
+		return override == "dfa"
 	}
 	// check holds a call to the oracle, and to Scan's match order when it
 	// ran on Scan's substrate.
@@ -204,7 +195,7 @@ func checkEntryPoints(t *testing.T, label string, patterns []Pattern, opts Optio
 			t.Errorf("%s/Stream/chunk=%d: ran on the wrong substrate (backend %s)", label, chunk, eng.Backend())
 		}
 	}
-	res, err := arm(eng.Clone(), nil).Scan(input)
+	res, err := eng.Clone().Scan(input)
 	result("Clone", "", res, err)
 
 	ResetCompileCache()
@@ -212,9 +203,9 @@ func checkEntryPoints(t *testing.T, label string, patterns []Pattern, opts Optio
 		t.Fatalf("%s: priming CompileCached: hit=%v err=%v", label, hit, err)
 	}
 	cached, hit, err := CompileCachedTraced(patterns, opts)
-	if !hit {
-		t.Fatalf("%s: second CompileCached missed", label)
+	if err != nil || !hit {
+		t.Fatalf("%s: second CompileCached: hit=%v err=%v", label, hit, err)
 	}
-	res, err = arm(cached, err).Scan(input)
+	res, err = cached.Scan(input)
 	result("CompileCached", "", res, err)
 }

@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"errors"
 	"sort"
 	"strings"
 	"testing"
@@ -162,6 +163,9 @@ func TestMatchFlipCoverage(t *testing.T) {
 		if stats.Recoveries != 1 {
 			t.Fatalf("flip %+v: %d recoveries, want 1", flip, stats.Recoveries)
 		}
+		if stats.BackoffCycles != int64(pol.BackoffCycles) {
+			t.Fatalf("flip %+v: %d backoff cycles, want one first-retry penalty (%d)", flip, stats.BackoffCycles, pol.BackoffCycles)
+		}
 		if s := stats.Slowdown(); s <= 1 {
 			t.Fatalf("flip %+v: slowdown %v, want > 1", flip, s)
 		}
@@ -229,7 +233,7 @@ func TestReportFlipDuringFlushWindow(t *testing.T) {
 }
 
 // TestFaultInLastVector schedules the fault on the run's final cycle: the
-// partial window executed by Finish must still detect and recover it.
+// partial window executed at the end of Run must still detect and recover it.
 func TestFaultInLastVector(t *testing.T) {
 	pats := []regex.Pattern{{Expr: `abc`, Code: 1}}
 	input := []byte(strings.Repeat("zabcz", 30)) // 150 bytes → 300 cycles at rate 1
@@ -330,8 +334,8 @@ func TestSpareExhaustion(t *testing.T) {
 	if g.Err() == nil {
 		t.Fatal("error must be sticky")
 	}
-	if g.Feed(units) == nil {
-		t.Fatal("Feed after failure must return the sticky error")
+	if _, err := g.Run(units); !errors.Is(err, g.Err()) {
+		t.Fatalf("Run after failure returned %v, want the sticky error %v", err, g.Err())
 	}
 }
 

@@ -1,10 +1,8 @@
 package faults
 
 import (
-	"errors"
 	"fmt"
 	"sort"
-	"sync/atomic"
 
 	"sunder/internal/automata"
 	"sunder/internal/core"
@@ -12,15 +10,6 @@ import (
 	"sunder/internal/mapping"
 	"sunder/internal/telemetry"
 )
-
-// ErrConcurrentUse is returned by Feed, Finish and Run when another call
-// is already executing on the same guard. The recovery protocol is
-// strictly sequential — checkpoints, the shadow simulator and the audit
-// baselines all describe one machine at one point in one input stream —
-// so concurrent use is rejected outright rather than silently corrupting
-// checkpoint state. The error is not sticky: the in-flight call is
-// unaffected and the guard remains usable once it returns.
-var ErrConcurrentUse = errors.New("faults: concurrent use of Guard (the recovery protocol is strictly sequential)")
 
 // Stats summarizes one guarded run.
 type Stats struct {
@@ -81,6 +70,9 @@ type reportCycle struct {
 // attaches the injector as its fault hook, and may replace it wholesale
 // when a quarantine remaps states onto spare PUs — always read the current
 // machine and placement through Machine() and Placement().
+//
+// A guard is single-use — one Run over one input — and, like most Go
+// values, not safe for concurrent use.
 type Guard struct {
 	pol   Policy
 	a     *automata.UnitAutomaton
@@ -101,8 +93,6 @@ type Guard struct {
 	window      int
 	finished    bool
 	err         error
-	// busy serializes the exported entry points (see ErrConcurrentUse).
-	busy atomic.Bool
 
 	ckpt      *core.Snapshot
 	ckptSim   *funcsim.SimSnapshot
@@ -191,34 +181,13 @@ func (g *Guard) Stats() Stats {
 	return s
 }
 
-// acquire claims the guard for one exported call, rejecting overlap
-// before any state is touched; release undoes it.
-func (g *Guard) acquire() error {
-	if !g.busy.CompareAndSwap(false, true) {
-		return ErrConcurrentUse
-	}
-	return nil
-}
-
-func (g *Guard) release() { g.busy.Store(false) }
-
-// Feed appends input units and executes every complete window they form.
-// It returns ErrConcurrentUse (without touching guard state) when another
-// Feed, Finish or Run is already executing.
-func (g *Guard) Feed(units []funcsim.Unit) error {
-	if err := g.acquire(); err != nil {
-		return err
-	}
-	defer g.release()
-	return g.feed(units)
-}
-
+// feed appends input units and executes every complete window they form.
 func (g *Guard) feed(units []funcsim.Unit) error {
 	if g.err != nil {
 		return g.err
 	}
 	if g.finished {
-		g.err = fmt.Errorf("faults: Feed after Finish")
+		g.err = fmt.Errorf("faults: Run on a finished guard")
 		return g.err
 	}
 	g.pending = append(g.pending, units...)
@@ -231,21 +200,9 @@ func (g *Guard) feed(units []funcsim.Unit) error {
 	return nil
 }
 
-// Finish executes the remaining partial window (padded to the rate) and
-// seals the guard. It is idempotent, and returns ErrConcurrentUse when it
-// overlaps another exported call.
-func (g *Guard) Finish() error {
-	if err := g.acquire(); err != nil {
-		return err
-	}
-	defer g.release()
-	return g.finish()
-}
-
+// finish executes the remaining partial window (padded to the rate) and
+// seals the guard.
 func (g *Guard) finish() error {
-	if g.err != nil || g.finished {
-		return g.err
-	}
 	g.finished = true
 	if len(g.pending) == 0 {
 		return nil
@@ -255,19 +212,14 @@ func (g *Guard) finish() error {
 	return g.executeWindow(units)
 }
 
-// Run is Feed followed by Finish under one claim on the guard.
+// Run executes units to the end of the input: every complete window, then
+// the final partial one padded to the rate. An error is sticky.
 func (g *Guard) Run(units []funcsim.Unit) (Stats, error) {
-	if err := g.acquire(); err != nil {
-		return Stats{}, err
+	err := g.feed(units)
+	if err == nil {
+		err = g.finish()
 	}
-	defer g.release()
-	if err := g.feed(units); err != nil {
-		return g.Stats(), err
-	}
-	if err := g.finish(); err != nil {
-		return g.Stats(), err
-	}
-	return g.Stats(), nil
+	return g.Stats(), err
 }
 
 // executeWindow runs one window to commit, rolling back and retrying on

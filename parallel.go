@@ -23,11 +23,8 @@ type ScanOptions struct {
 	// and ignores Workers (a DFA state cache is inherently serial) — output
 	// stays byte-identical. Under an engaged prefilter the override picks
 	// the substrate of the candidate windows: the lazy DFA for "dfa", the
-	// machine otherwise.
-	// The override sits where Options.Backend does in the one precedence
-	// (an armed fault policy owns the scan, else the backend runs it) and is
-	// validated before it: an unknown name or an unsupported "dfa" is an
-	// error even when the guard ends up owning the scan.
+	// machine otherwise. An unknown name or an unsupported "dfa" is an
+	// error on every route.
 	Backend string
 }
 
@@ -57,16 +54,14 @@ func (o ScanOptions) workers() int {
 // window two shares straddle counts once for each in PrefilterWindows).
 //
 // ScanParallel never touches the engine's shared machine, so concurrent
-// calls on one engine are safe. Under an armed fault policy it runs the
-// guarded sequential scan Scan does, on the shared machine: the recovery
-// protocol is strictly sequential (see SetFaultPolicy).
+// calls on one engine are safe.
 func (e *Engine) ScanParallel(input []byte, opts ScanOptions) (*ScanResult, error) {
 	rt, err := e.resolve(opts.Backend, shardAlways)
 	if err != nil {
 		return nil, err
 	}
 	workers := opts.workers()
-	rs := make([]runner, workers)
+	rs := make([]windowRunner, workers)
 	defer e.release(rs)
 	return e.scanOn(rt, rs, true, input, workers)
 }
@@ -108,9 +103,7 @@ func (e *Engine) scanSharded(input []byte, workers int) *ScanResult {
 // an idle rule set's runners are the garbage collector's to reclaim.
 //
 // Like ScanParallel it leaves the engine's shared machine alone and is
-// safe to call concurrently. Under an armed fault policy the batch runs
-// its inputs one after another under the guard on the shared machine, and
-// stops at the first error.
+// safe to call concurrently.
 func (e *Engine) ScanBatch(inputs [][]byte, opts ScanOptions) ([]*ScanResult, error) {
 	rt, err := e.resolve(opts.Backend, shardNever)
 	if err != nil {
@@ -118,10 +111,6 @@ func (e *Engine) ScanBatch(inputs [][]byte, opts ScanOptions) ([]*ScanResult, er
 	}
 	results := make([]*ScanResult, len(inputs))
 	workers := max(min(opts.workers(), len(inputs)), 1)
-	if rt.leg == legGuard {
-		// The recovery protocol owns the shared machine: one worker.
-		workers = 1
-	}
 	queue := opts.BatchSize
 	if queue <= 0 {
 		queue = 2 * workers
@@ -130,7 +119,7 @@ func (e *Engine) ScanBatch(inputs [][]byte, opts ScanOptions) ([]*ScanResult, er
 	// needs one: inputs are independent, so runners reset per input but keep
 	// their scratch warm across the batch (and the DFA its cache across
 	// calls). errs holds each worker's first error.
-	runners := make([]runner, workers)
+	runners := make([]windowRunner, workers)
 	errs := make([]error, workers)
 	pool := sched.NewPool(workers, queue)
 	for i, in := range inputs {
@@ -154,6 +143,6 @@ func (e *Engine) ScanBatch(inputs [][]byte, opts ScanOptions) ([]*ScanResult, er
 // Clone returns an independent engine sharing this engine's immutable
 // compile artifacts (automata, placement) but owning its own pristine
 // machine. Sequential scans and streams on different clones may run fully
-// concurrently. Fault policies and telemetry attachments do not carry
-// over — arm them per clone as needed.
+// concurrently. Telemetry attachments do not carry over — attach them per
+// clone as needed.
 func (e *Engine) Clone() *Engine { return newEngine(e.compiledArtifact) }

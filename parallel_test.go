@@ -243,42 +243,6 @@ func TestScanBatchMatchesScan(t *testing.T) {
 	}
 }
 
-// TestScanParallelGuardedFallback: with a fault policy armed the parallel
-// paths serialize through the recovery guard and still match.
-func TestScanParallelGuardedFallback(t *testing.T) {
-	eng, err := Compile([]Pattern{{Expr: "abbc", Code: 1}}, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	input := bytes.Repeat([]byte("xabbcy"), 500)
-	want, err := eng.Scan(input)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pol := DefaultFaultPolicy()
-	pol.MatchFlipRate = 1e-4
-	pol.Seed = 3
-	if err := eng.SetFaultPolicy(&pol); err != nil {
-		t.Fatal(err)
-	}
-	got, err := eng.ScanParallel(input, ScanOptions{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Faults == nil {
-		t.Error("guarded parallel scan lost its fault report")
-	}
-	sameScan(t, "guarded", got, want)
-
-	batch, err := eng.ScanBatch([][]byte{input, input}, ScanOptions{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, res := range batch {
-		sameScan(t, fmt.Sprint("guarded batch ", i), res, want)
-	}
-}
-
 func TestEngineClone(t *testing.T) {
 	eng, err := Compile([]Pattern{{Expr: "abc", Code: 1}}, DefaultOptions())
 	if err != nil {

@@ -9,7 +9,6 @@ import (
 	"sunder/internal/automata"
 	"sunder/internal/core"
 	"sunder/internal/dfa"
-	"sunder/internal/faults"
 	"sunder/internal/funcsim"
 	"sunder/internal/meta"
 	"sunder/internal/sched"
@@ -25,11 +24,8 @@ import (
 type leg int
 
 const (
-	// legGuard runs sequentially on the shared machine under the fault-
-	// recovery guard.
-	legGuard leg = iota
 	// legDFA steps the lazy DFA.
-	legDFA
+	legDFA leg = iota
 	// legNFA steps one bitvec machine sequentially.
 	legNFA
 	// legSharded shards a whole input across machine clones (scanSharded).
@@ -57,19 +53,15 @@ type route struct {
 }
 
 // resolve decides the route of one call. It is the only place an entry
-// point asks "guard, prefilter or backend?": an armed fault policy owns the
-// scan (the recovery protocol is machine-level and sequential); otherwise
-// the backend — the compiled one or a validated per-call override — picks
-// the substrate, which an engaged prefilter confines to candidate windows
-// (they, not shards, are then the unit of parallelism). The override is
-// validated first, so a bad one is an error whatever route would have run.
+// point asks "prefilter or backend?": the backend — the compiled one or a
+// validated per-call override — picks the substrate, which an engaged
+// prefilter confines to candidate windows (they, not shards, are then the
+// unit of parallelism). A bad override is an error whatever route would
+// have run.
 func (e *Engine) resolve(override string, sh sharding) (route, error) {
 	backend, err := e.effectiveBackend(override)
 	if err != nil {
 		return route{}, err
-	}
-	if e.injector != nil {
-		return route{leg: legGuard}, nil
 	}
 	rt := route{leg: legNFA, filtered: e.pre.enabled()}
 	switch {
@@ -90,16 +82,16 @@ func (e *Engine) resolve(override string, sh sharding) (route, error) {
 type runner interface {
 	// reset starts a run at cycle zero. Matches go to onMatch as they are
 	// reduced; with nil they are collected into finish's output.
-	reset(onMatch func(Match)) error
-	// feed consumes the next span of input. An error is sticky.
+	reset(onMatch func(Match))
+	// feed consumes the next span of input. An error, which only a
+	// stream's prefilter returns, is sticky.
 	feed(p []byte) error
 	// finish pads and executes the final partial cycle and returns the run.
-	finish() (runOutput, error)
+	finish() runOutput
 }
 
 // windowRunner is a runner that can also move within a run to a
-// prefilter's next candidate window: the lazy DFA's and the machine's,
-// whose methods never fail (only the guard's can).
+// prefilter's next candidate window: the lazy DFA's and the machine's.
 type windowRunner interface {
 	runner
 	// resetAt rewinds the substrate, cold, to the absolute input cycle base
@@ -116,8 +108,7 @@ type runOutput struct {
 	matches []Match
 	// perPU is nil when the leg models no report region (lazy DFA, a
 	// prefilter full skip): the result then carries zeroed rows.
-	perPU  []core.PUStats
-	faults *FaultReport
+	perPU []core.PUStats
 }
 
 // add appends run o, which covers later cycles of the same input on the
@@ -142,7 +133,6 @@ func (e *Engine) result(out runOutput) *ScanResult {
 		Matches: out.matches,
 		Stats:   out.stats,
 		PerPU:   toPUStats(out.perPU, e.proto.NumPUs()),
-		Faults:  out.faults,
 	}
 }
 
@@ -240,13 +230,9 @@ func machineStats(m *core.Machine) Stats {
 // sequential entry points (Scan, NewStream) share the engine's persistent
 // machine and DFA runners — the DFA state cache stays hot across scans;
 // private hands out one that touches no engine state, for the parallel
-// entry points' workers, who release it when their call ends. The guard
-// always drives the shared machine.
-func (e *Engine) runner(l leg, private bool) runner {
-	switch l {
-	case legGuard:
-		return &guardRunner{reduction: newReduction(e.nibble), e: e}
-	case legDFA:
+// entry points' workers, who release it when their call ends.
+func (e *Engine) runner(l leg, private bool) windowRunner {
+	if l == legDFA {
 		if private {
 			if d := e.takeDFA(); d != nil {
 				return d
@@ -264,15 +250,13 @@ func (e *Engine) runner(l leg, private bool) runner {
 		return &machineRunner{reduction: newReduction(e.nibble), m: m}
 	}
 	if e.nfaRun == nil {
-		e.nfaRun = &machineRunner{reduction: newReduction(e.nibble)}
+		e.nfaRun = &machineRunner{reduction: newReduction(e.nibble), m: e.machine}
 	}
-	// Re-read every time: a guarded scan may have replaced the machine.
-	e.nfaRun.m = e.machine
 	return e.nfaRun
 }
 
 // acquire returns rs[i], filled with a runner of leg l on first use.
-func (e *Engine) acquire(rs []runner, i int, l leg, private bool) runner {
+func (e *Engine) acquire(rs []windowRunner, i int, l leg, private bool) windowRunner {
 	if rs[i] == nil {
 		rs[i] = e.runner(l, private)
 	}
@@ -283,7 +267,7 @@ func (e *Engine) acquire(rs []runner, i int, l leg, private bool) runner {
 // back to the artifact's free list with its state cache: reset restores
 // everything else, so the next call, on this engine or a clone, starts
 // warm.
-func (e *Engine) release(rs []runner) {
+func (e *Engine) release(rs []windowRunner) {
 	for _, rn := range rs {
 		if d, ok := rn.(*dfaRunner); ok {
 			e.putDFA(d)
@@ -355,7 +339,7 @@ func (e *Engine) checkCycleRange(n int64) error {
 // scanOn runs one whole input on route rt: its candidate windows
 // (scanPrefiltered), shards (scanSharded), or reset; feed; finish on the
 // call's runner. rs holds the call's runners, acquired on first use.
-func (e *Engine) scanOn(rt route, rs []runner, private bool, input []byte, workers int) (*ScanResult, error) {
+func (e *Engine) scanOn(rt route, rs []windowRunner, private bool, input []byte, workers int) (*ScanResult, error) {
 	if err := e.checkCycleRange(int64(len(input))); err != nil {
 		return nil, err
 	}
@@ -366,17 +350,11 @@ func (e *Engine) scanOn(rt route, rs []runner, private bool, input []byte, worke
 		return e.scanSharded(input, workers), nil
 	}
 	rn := e.acquire(rs, 0, rt.leg, private)
-	if err := rn.reset(nil); err != nil {
-		return nil, err
-	}
+	rn.reset(nil)
 	if err := rn.feed(input); err != nil {
 		return nil, err
 	}
-	out, err := rn.finish()
-	if err != nil {
-		return nil, err
-	}
-	return e.result(out), nil
+	return e.result(rn.finish()), nil
 }
 
 // feedChunk bounds the unit-expansion scratch of the machine runners: input
@@ -394,12 +372,11 @@ type machineRunner struct {
 	ids   []automata.StateID
 }
 
-func (r *machineRunner) reset(onMatch func(Match)) error {
+func (r *machineRunner) reset(onMatch func(Match)) {
 	r.m.Reset()
 	r.m.SuppressStartOfData(false)
 	r.units = r.units[:0]
 	r.begin(r.m, onMatch)
-	return nil
 }
 
 // resetAt rewinds the machine's active states only: a run's windows share
@@ -447,14 +424,14 @@ func (r *machineRunner) step() {
 	r.units = append(r.units[:0], r.units[off:]...)
 }
 
-func (r *machineRunner) finish() (runOutput, error) {
+func (r *machineRunner) finish() runOutput {
 	if len(r.units) > 0 {
 		r.units = funcsim.PadUnits(r.units, r.m.Config().Rate)
 		r.step()
 	}
 	st := machineStats(r.m)
 	st.KernelCycles -= r.warmed
-	return r.end(st, r.m.PerPU()), nil
+	return r.end(st, r.m.PerPU())
 }
 
 // dfaRunner steps the lazy DFA over raw bytes. KernelCycles equals the
@@ -476,11 +453,10 @@ func (e *Engine) newDFARunner() *dfaRunner {
 	return &dfaRunner{reduction: newReduction(e.nibble), r: dfa.NewRunner(e.dfaPlan, dfa.DefaultConfig())}
 }
 
-func (d *dfaRunner) reset(onMatch func(Match)) error {
+func (d *dfaRunner) reset(onMatch func(Match)) {
 	d.r.Reset()
 	d.pend, d.prior = d.pend[:0], 0
 	d.begin(nil, onMatch)
-	return nil
 }
 
 // resetAt starts the lazy DFA mid-stream when base > 0: the state cache
@@ -530,51 +506,10 @@ func (d *dfaRunner) step(data []byte, pad int) {
 	}
 }
 
-func (d *dfaRunner) finish() (runOutput, error) {
+func (d *dfaRunner) finish() runOutput {
 	if len(d.pend) > 0 {
 		d.step(d.pend, d.r.Plan().StepBytes()-len(d.pend))
 		d.pend = d.pend[:0]
 	}
-	return d.end(Stats{KernelCycles: d.prior + d.r.Cycle() - d.warmed}, nil), nil
-}
-
-// guardRunner executes under the fault-recovery guard: input runs in
-// checkpointed windows on the engine's shared machine, and a window's
-// report cycles reach the reduction only when it commits, so a recovered
-// run is identical to a fault-free one and a rolled-back attempt is never
-// counted or delivered.
-type guardRunner struct {
-	reduction
-	e     *Engine
-	g     *faults.Guard
-	units []funcsim.Unit
-}
-
-func (r *guardRunner) reset(onMatch func(Match)) error {
-	g, err := r.e.newGuard()
-	if err != nil {
-		return err
-	}
-	r.g = g
-	g.OnReportCycle(r.cycle)
-	r.begin(g.Machine(), onMatch)
-	return nil
-}
-
-func (r *guardRunner) feed(p []byte) error {
-	r.fed += int64(len(p))
-	r.units = funcsim.AppendNibbles(r.units[:0], p)
-	err := r.g.Feed(r.units)
-	// A quarantine inside the feed replaces the machine.
-	r.e.adoptGuard(r.g)
-	return err
-}
-
-func (r *guardRunner) finish() (runOutput, error) {
-	err := r.g.Finish()
-	r.e.adoptGuard(r.g)
-	m := r.g.Machine()
-	out := r.end(machineStats(m), m.PerPU())
-	out.faults = faultReport(r.g.Stats())
-	return out, err
+	return d.end(Stats{KernelCycles: d.prior + d.r.Cycle() - d.warmed}, nil)
 }

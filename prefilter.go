@@ -186,7 +186,7 @@ func (p *prefilterPlan) planSpans(input []byte, totalCycles int64, padUnits int)
 // one for Scan and a ScanBatch worker, up to len(rs) for ScanParallel.
 // Runners are acquired only once there is a span, so a literal-free input
 // touches none.
-func (e *Engine) scanPrefiltered(l leg, rs []runner, private bool, input []byte) *ScanResult {
+func (e *Engine) scanPrefiltered(l leg, rs []windowRunner, private bool, input []byte) *ScanResult {
 	p := e.pre
 	inputUnits := int64(len(input)) * int64(p.su)
 	totalCycles := (inputUnits + int64(p.rate) - 1) / int64(p.rate)
@@ -217,10 +217,10 @@ func (e *Engine) scanPrefiltered(l leg, rs []runner, private bool, input []byte)
 // leg l: runner g takes the cycles from its share of the spans to the next
 // share's (a window that straddles two shares is opened by both), and the
 // runs merge in input order.
-func (e *Engine) runShares(l leg, rs []runner, private bool, input []byte, spans []sched.CycleSpan, total int64) runOutput {
+func (e *Engine) runShares(l leg, rs []windowRunner, private bool, input []byte, spans []sched.CycleSpan, total int64) runOutput {
 	k := min(len(rs), len(spans))
 	if k == 1 {
-		return e.runWindows(e.acquire(rs, 0, l, private).(windowRunner), input, spans, 0, total)
+		return e.runWindows(e.acquire(rs, 0, l, private), input, spans, 0, total)
 	}
 	cuts := make([]int64, k+1)
 	for g := 1; g < k; g++ {
@@ -231,7 +231,7 @@ func (e *Engine) runShares(l leg, rs []runner, private bool, input []byte, spans
 	outs := make([]runOutput, k)
 	var wg sync.WaitGroup
 	for g := range k {
-		rn := e.acquire(rs, g, l, private).(windowRunner)
+		rn := e.acquire(rs, g, l, private)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -252,7 +252,7 @@ func (e *Engine) runWindows(rn windowRunner, input []byte, spans []sched.CycleSp
 	rn.reset(nil)
 	w := windowLoop{rn: rn, p: e.pre, hist: input, fed: int64(len(input)), spans: spans, proc: from}
 	w.advance(to)
-	out, _ := rn.finish()
+	out := rn.finish()
 	out.stats.PrefilterWindows = w.windows
 	return out
 }

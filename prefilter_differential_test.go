@@ -264,9 +264,9 @@ func forWindowedBackends(t *testing.T, f func(windowTest)) {
 			ref:     ref,
 			total:   total,
 			run: func(spans []sched.CycleSpan, from, to int64) runOutput {
-				rs := []runner{nil}
+				rs := []windowRunner{nil}
 				defer eng.release(rs)
-				return eng.runWindows(eng.acquire(rs, 0, scanLeg(t, eng), true).(windowRunner), w.Input, spans, from, to)
+				return eng.runWindows(eng.acquire(rs, 0, scanLeg(t, eng), true), w.Input, spans, from, to)
 			},
 			check: func(label string, out runOutput) {
 				t.Helper()

@@ -51,7 +51,7 @@ type streamFilter struct {
 const maxDeferredUnits = 4 << 20
 
 // reset starts the (freshly built) filter with its runner at cycle zero.
-func (f *streamFilter) reset(onMatch func(Match)) error { return f.rn.reset(onMatch) }
+func (f *streamFilter) reset(onMatch func(Match)) { f.rn.reset(onMatch) }
 
 // feed scans the chunk for literals and advances execution up to the
 // decision frontier. The only error it can return is ErrDeferredBufferFull
@@ -138,7 +138,7 @@ func (f *streamFilter) advanceDeferred() error {
 
 // finish folds in the pad-tail hazard, executes the remaining undecided
 // cycles, and seals the runner's run with the filtered stream statistics.
-func (f *streamFilter) finish() (runOutput, error) {
+func (f *streamFilter) finish() runOutput {
 	su, rate := int64(f.p.su), int64(f.p.rate)
 	totalCycles := (f.fed*su + rate - 1) / rate
 	if padUnits := int(totalCycles*rate - f.fed*su); padUnits > 0 && f.p.maxLit > 0 {
@@ -163,8 +163,8 @@ func (f *streamFilter) finish() (runOutput, error) {
 		// stream): every buffered cycle is provably match-free.
 		f.skip(totalCycles)
 	}
-	out, err := f.rn.finish()
+	out := f.rn.finish()
 	out.stats.PrefilterWindows, out.stats.SkippedCycles = f.windows, f.skipped
 	notePrefilter(f.e.telemetryCollector(), f.hits, f.windows, out.stats.KernelCycles, f.skipped)
-	return out, err
+	return out
 }

@@ -9,13 +9,6 @@ var ErrClosedStream = errors.New("sunder: write to closed stream")
 // intrusion detection, where packets arrive one at a time and matches must
 // surface immediately. It implements io.Writer; matches are delivered to
 // the OnMatch callback as they occur.
-//
-// With a fault policy armed on the engine, the stream runs under the
-// recovery guard: matches are delivered when their checkpoint window
-// commits (at most FaultPolicy.CheckpointInterval cycles after they occur),
-// so a consumer never sees a match from device state that is later rolled
-// back. An unrecoverable fault (spare PUs exhausted) surfaces as an error
-// from Write and from Err.
 type Stream struct {
 	e *Engine
 	// run is the resolved leg's runner: Write feeds it, Close finishes it.
@@ -29,7 +22,7 @@ type Stream struct {
 
 // NewStream resets the engine and returns a streaming scanner. onMatch may
 // be nil if only the final Stats are of interest. The returned error is
-// non-nil only when a fault policy is armed and its guard cannot be built.
+// currently always nil.
 //
 // A stream drives the engine's sequential runner (its shared machine, or
 // its lazy DFA), so one engine supports one stream at a time; for
@@ -45,23 +38,21 @@ func (e *Engine) NewStream(onMatch func(Match)) (*Stream, error) {
 	if onMatch == nil {
 		onMatch = func(Match) {}
 	}
-	s := &Stream{e: e, run: e.runner(rt.leg, false)}
+	rn := e.runner(rt.leg, false)
+	s := &Stream{e: e, run: rn}
 	if rt.filtered {
-		s.run = &streamFilter{windowLoop: windowLoop{rn: s.run.(windowRunner), p: e.pre}, e: e}
+		s.run = &streamFilter{windowLoop: windowLoop{rn: rn, p: e.pre}, e: e}
 	}
-	if err := s.run.reset(onMatch); err != nil {
-		return nil, err
-	}
+	s.run.reset(onMatch)
 	return s, nil
 }
 
 // Write feeds more input. It returns ErrClosedStream after Close and the
-// stream's sticky error after an unrecoverable fault, a full prefilter
-// deferred-start buffer (ErrDeferredBufferFull; the chunk was consumed and
-// Close accounts for it, but the stream accepts no more input) or a chunk
-// that would take the stream past the device's cycle range
-// (ErrCycleRangeExceeded; the chunk was not consumed). The signature
-// satisfies io.Writer.
+// stream's sticky error after a full prefilter deferred-start buffer
+// (ErrDeferredBufferFull; the chunk was consumed and Close accounts for it,
+// but the stream accepts no more input) or a chunk that would take the
+// stream past the device's cycle range (ErrCycleRangeExceeded; the chunk
+// was not consumed). The signature satisfies io.Writer.
 func (s *Stream) Write(p []byte) (int, error) {
 	if s.closed {
 		return 0, ErrClosedStream
@@ -84,33 +75,17 @@ func (s *Stream) Write(p []byte) (int, error) {
 // Close pads and executes the final partial vector (matches ending on the
 // last input bytes are still found) and returns the device statistics.
 // Close is idempotent: further calls return the same statistics, and
-// further writes return ErrClosedStream. Under a fault policy, a failure
-// in the final window is reported through Err.
+// further writes return ErrClosedStream.
 func (s *Stream) Close() Stats {
 	if !s.closed {
 		s.closed = true
-		out, err := s.run.finish()
-		if err != nil {
-			s.err = err
-		}
-		s.stats = out.stats
+		s.stats = s.run.finish().stats
 	}
 	return s.stats
 }
 
-// Err returns the error that stopped the stream, if any: an unrecoverable
-// device fault surfaced by the recovery guard, or the sticky error of the
-// Write that was refused.
+// Err returns the sticky error of the Write that was refused, if any.
 func (s *Stream) Err() error { return s.err }
-
-// Faults summarizes the stream's fault activity so far; nil when no fault
-// policy is armed.
-func (s *Stream) Faults() *FaultReport {
-	if g, ok := s.run.(*guardRunner); ok {
-		return faultReport(g.g.Stats())
-	}
-	return nil
-}
 
 // BytesIn returns the number of input bytes consumed so far.
 func (s *Stream) BytesIn() int64 { return s.bytesIn }

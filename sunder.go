@@ -35,7 +35,6 @@ import (
 	"sunder/internal/automata"
 	"sunder/internal/core"
 	"sunder/internal/dfa"
-	"sunder/internal/faults"
 	"sunder/internal/hardware"
 	"sunder/internal/mapping"
 	"sunder/internal/meta"
@@ -101,12 +100,10 @@ type Options struct {
 	// Info().Backend for the choice and its reason). Every backend produces
 	// byte-identical matches and Reports/ReportCycles accounting. "dfa"
 	// requires whole-byte cycles (Rate 2 or 4) and fails compilation
-	// otherwise; "auto" never fails. Every entry point resolves what it
-	// executes through one precedence: an armed fault policy owns the scan;
-	// otherwise the backend (this field, or a per-call ScanOptions.Backend
-	// override) executes it, and an engaged literal prefilter confines it to
-	// candidate windows — on the lazy DFA under "dfa", on the machine under
-	// the others.
+	// otherwise; "auto" never fails. Every entry point executes on the
+	// backend (this field, or a per-call ScanOptions.Backend override), and
+	// an engaged literal prefilter confines it to candidate windows — on the
+	// lazy DFA under "dfa", on the machine under the others.
 	Backend string
 }
 
@@ -160,9 +157,6 @@ type ScanResult struct {
 	// PerPU breaks the device activity down by processing unit; summing
 	// a field across it reproduces the corresponding Stats aggregate.
 	PerPU []PUStats
-	// Faults summarizes injection/detection/recovery activity; nil unless
-	// a fault policy is armed (see SetFaultPolicy).
-	Faults *FaultReport
 }
 
 // Engine is a compiled rule set configured on the simulated device.
@@ -179,19 +173,12 @@ type Engine struct {
 	// and compile-cache hits; every other field is per-engine mutable state
 	// (TestEngineStateOutsideArtifact).
 	*compiledArtifact
-	// machine is the engine's own device and machinePlace the placement it
-	// was configured from: the artifact's until a guarded scan quarantines
-	// a PU and rebuilds both.
-	machine      *core.Machine
-	machinePlace *mapping.Placement
-	// faultPol/injector are armed by SetFaultPolicy; with an injector set,
-	// scans run under the fault-recovery guard.
-	faultPol *faults.Policy
-	injector *faults.Injector
+	// machine is the engine's own device, a clone of the artifact's proto.
+	machine *core.Machine
 	// tel mirrors the collector attached by SetTelemetry. The parallel
 	// paths read it instead of e.machine.Telemetry(): they promise never to
 	// touch the shared machine, which a concurrent sequential scan may be
-	// mutating (and, under a fault guard, replacing outright).
+	// mutating.
 	tel atomic.Pointer[telemetry.Collector]
 	// nfaRun and dfaRun are the sequential entry points' runners, built on
 	// first use. Like the shared machine they belong to Scan/NewStream and
@@ -245,7 +232,7 @@ type compiledArtifact struct {
 
 // newEngine returns an engine over art with its own pristine machine.
 func newEngine(art *compiledArtifact) *Engine {
-	return &Engine{compiledArtifact: art, machine: art.proto.Clone(), machinePlace: art.place}
+	return &Engine{compiledArtifact: art, machine: art.proto.Clone()}
 }
 
 // Compile builds an Engine from a pattern set.
@@ -381,8 +368,8 @@ func fromByteNFA(nfa *automata.Automaton, opts Options) (*Engine, error) {
 func (e *Engine) Analyze(sample []byte) *analysis.Report {
 	return analysis.Analyze(e.nibble, analysis.Options{
 		Source:        e.byteNFA,
-		Placement:     e.machinePlace,
-		ReportColumns: e.machine.Config().ReportColumns,
+		Placement:     e.place,
+		ReportColumns: e.proto.Config().ReportColumns,
 		EquivSample:   sample,
 	})
 }
@@ -401,7 +388,7 @@ func (e *Engine) Scan(input []byte) (*ScanResult, error) {
 	if rt.leg == legSharded {
 		workers = ScanOptions{}.workers()
 	}
-	var rs [1]runner
+	var rs [1]windowRunner
 	return e.scanOn(rt, rs[:], false, input, workers)
 }
 
@@ -518,9 +505,9 @@ func (e *Engine) Info() Info {
 		Rate:              e.opts.Rate,
 		ByteStates:        e.byteNFA.NumStates(),
 		DeviceStates:      e.nibble.NumStates(),
-		PUs:               e.machine.NumPUs(),
-		ReportColumns:     e.machine.Config().ReportColumns,
-		RegionCapacity:    e.machine.Config().RegionCapacity(),
+		PUs:               e.proto.NumPUs(),
+		ReportColumns:     e.proto.Config().ReportColumns,
+		RegionCapacity:    e.proto.Config().RegionCapacity(),
 		PrunedStates:      e.pruned,
 		MergedStates:      e.minSum.BisimMerged + e.minSum.PrefixMerged,
 		SymbolClasses:     e.symClasses,

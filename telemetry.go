@@ -70,8 +70,7 @@ func (e *Engine) SetTelemetry(t *Telemetry) {
 // from the engine's atomic mirror rather than the shared machine. The
 // parallel paths (ScanParallel, ScanBatch) must use this accessor:
 // e.machine.Telemetry() would touch the machine those paths document they
-// never touch, and a concurrent guarded sequential scan can even replace
-// e.machine mid-flight (adoptGuard).
+// never touch, and SetTelemetry may run concurrently with them.
 func (e *Engine) telemetryCollector() *telemetry.Collector { return e.tel.Load() }
 
 // Reset zeroes all counters and drops buffered trace events.
