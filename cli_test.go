@@ -1,7 +1,10 @@
 package sunder
 
 // End-to-end smoke tests of the command-line tools: build each binary and
-// run a fast invocation, checking for the expected output markers.
+// run a fast invocation, checking for the expected output markers. The
+// paper-surface runs (every table and figure, the ablations, one simulated
+// benchmark's device counters) are deterministic and are compared byte for
+// byte against testdata/golden.
 
 import (
 	"encoding/json"
@@ -30,6 +33,33 @@ func run(t *testing.T, bin string, args ...string) string {
 		t.Fatalf("%s %v: %v\n%s", bin, args, err, out)
 	}
 	return string(out)
+}
+
+// matchGolden fails the test unless out equals testdata/golden/name byte for
+// byte, reporting the first line that differs.
+func matchGolden(t *testing.T, out, name string) {
+	t.Helper()
+	want, err := os.ReadFile(filepath.Join("testdata", "golden", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out == string(want) {
+		return
+	}
+	got, exp := strings.Split(out, "\n"), strings.Split(string(want), "\n")
+	for i := 0; ; i++ {
+		var g, w string
+		if i < len(got) {
+			g = got[i]
+		}
+		if i < len(exp) {
+			w = exp[i]
+		}
+		if g != w || i >= len(got) || i >= len(exp) {
+			t.Errorf("output differs from testdata/golden/%s at line %d:\n got: %q\nwant: %q", name, i+1, g, w)
+			return
+		}
+	}
 }
 
 // runFails runs the tool expecting a non-zero exit and returns its output.
@@ -86,6 +116,8 @@ func TestCLISmoke(t *testing.T) {
 			t.Errorf("sunder-sim -metrics/-trace missing %q:\n%s", want, out)
 		}
 	}
+	out = run(t, sim, "-benchmark", "Bro217", "-scale", "0.01", "-input", "4000", "-metrics")
+	matchGolden(t, out, "sunder-sim-metrics.txt")
 	raw, err := os.ReadFile(tracePath)
 	if err != nil {
 		t.Fatal(err)
@@ -106,6 +138,8 @@ func TestCLISmoke(t *testing.T) {
 	}
 
 	bench := buildTool(t, dir, "sunder/cmd/sunder-bench")
+	matchGolden(t, run(t, bench, "-scale", "0.01", "-input", "2000"), "sunder-bench.txt")
+	matchGolden(t, run(t, bench, "-scale", "0.01", "-input", "2000", "-ablations"), "sunder-bench-ablations.txt")
 	out = run(t, bench, "-table", "5")
 	if !strings.Contains(out, "Table 5") || !strings.Contains(out, "AP (50nm)") {
 		t.Errorf("sunder-bench -table 5:\n%s", out)
