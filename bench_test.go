@@ -16,7 +16,6 @@ import (
 
 	"sunder/internal/core"
 	"sunder/internal/exp"
-	"sunder/internal/faults"
 	"sunder/internal/funcsim"
 	"sunder/internal/mapping"
 	"sunder/internal/sched"
@@ -369,71 +368,6 @@ func BenchmarkSpanOverhead(b *testing.B) {
 			}
 		})
 	}
-}
-
-// BenchmarkFaultOverhead measures the cost of the fault machinery on the
-// machine hot path: "off" (no hook attached; one nil-check per site — must
-// stay within noise of BenchmarkMachineSnort), "hook-idle" (a zero-rate
-// injector attached, paying the hook call per cycle), and "guarded" (the
-// full detection-only recovery guard: checkpoints, scrubbing, parity,
-// audits, and the lockstep shadow simulator).
-func BenchmarkFaultOverhead(b *testing.B) {
-	w := workload.MustGet("Snort", benchOpts.Scale, benchOpts.InputLen)
-	units := funcsim.BytesToUnits(w.Input, 4)
-	b.Run("off", func(b *testing.B) {
-		m := mustMachine(b, w, core.DefaultConfig(4))
-		b.SetBytes(int64(len(w.Input)))
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			m.Reset()
-			m.Run(units, core.RunOptions{})
-		}
-	})
-	b.Run("hook-idle", func(b *testing.B) {
-		m := mustMachine(b, w, core.DefaultConfig(4))
-		inj, err := faults.NewInjector(faults.DefaultPolicy())
-		if err != nil {
-			b.Fatal(err)
-		}
-		m.AttachFaults(inj)
-		b.SetBytes(int64(len(w.Input)))
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			m.Reset()
-			m.Run(units, core.RunOptions{})
-		}
-	})
-	b.Run("guarded", func(b *testing.B) {
-		cfg := core.DefaultConfig(4)
-		ua, err := transform.ToRate(w.Automaton, cfg.Rate)
-		if err != nil {
-			b.Fatal(err)
-		}
-		budget, err := mapping.AutoReportColumns(ua, cfg.ReportColumns)
-		if err != nil {
-			b.Fatal(err)
-		}
-		cfg.ReportColumns = budget
-		place, err := mapping.Place(ua, cfg.ReportColumns)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.SetBytes(int64(len(w.Input)))
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			m, err := core.Configure(ua, place, cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			g, err := faults.NewGuard(m, ua, place, faults.DefaultPolicy(), nil)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := g.Run(units); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
 // Parallel-scan and compile-cache benches (DESIGN.md §4.9).

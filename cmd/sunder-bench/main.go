@@ -1,6 +1,6 @@
 // sunder-bench regenerates every table and figure of the paper's evaluation
-// (Section 7) from simulation, plus the repository's ablation, extension
-// and fault studies. Software-engine speed is not measured here: that is
+// (Section 7) from simulation, plus the repository's ablation and
+// extension studies. Software-engine speed is not measured here: that is
 // bench/ (bash bench/run.sh).
 //
 // Usage:
@@ -12,7 +12,6 @@
 //	sunder-bench -json           # the tables and figures as JSON; honours -table/-fig
 //	sunder-bench -ablations      # ablation studies only
 //	sunder-bench -extensions     # extension studies only (power, 16-bit alphabets)
-//	sunder-bench -faults match=1e-4,report=1e-4,stuck=2,seed=1
 //	sunder-bench -scale 0.05 -input 50000
 //	sunder-bench -table 4 -metrics -trace /tmp/t4.json -cpuprofile cpu.out
 package main
@@ -41,13 +40,12 @@ func main() {
 		inputLen   = flag.Int("input", 0, "override input length in bytes")
 		jsonOut    = flag.Bool("json", false, "emit the selected tables and figures as JSON instead of text")
 		telFlags   = cliutil.RegisterTelemetryFlags()
-		faultFlags = cliutil.RegisterFaultFlags()
 		profiles   = cliutil.ProfileFlags()
 	)
 	flag.Parse()
 	// Only tables 1, 3, 4, 5 and the figures have JSON rows.
-	if *jsonOut && (*ablations || *extensions || faultFlags.Enabled() || *table == 2) {
-		log.Fatal("-json renders tables 1, 3, 4, 5 and figures 8-10 only; it cannot be combined with -ablations, -extensions, -faults or -table 2")
+	if *jsonOut && (*ablations || *extensions || *table == 2) {
+		log.Fatal("-json renders tables 1, 3, 4, 5 and figures 8-10 only; it cannot be combined with -ablations, -extensions or -table 2")
 	}
 
 	stopProfiles, err := profiles.Start()
@@ -74,9 +72,8 @@ func main() {
 
 	out := os.Stdout
 	// With no selector everything runs: every table and figure and, in text
-	// mode, the ablation and extension studies (the fault study needs a
-	// policy, so it only ever runs when asked for).
-	runAll := *table == 0 && *fig == 0 && !*ablations && !*extensions && !faultFlags.Enabled()
+	// mode, the ablation and extension studies.
+	runAll := *table == 0 && *fig == 0 && !*ablations && !*extensions
 	allStudies := runAll && !*jsonOut
 
 	sel := exp.Selection{All: runAll, Table: *table, Fig: *fig}
@@ -113,18 +110,6 @@ func main() {
 			log.Fatal(err)
 		}
 		exp.FprintAblationCover(out, cover)
-		fmt.Fprintln(out)
-	}
-	if faultFlags.Enabled() {
-		pol, err := faultFlags.Policy()
-		if err != nil {
-			log.Fatal(err)
-		}
-		rows, err := exp.FaultStudy(opts, []string{"Snort", "ExactMatch", "SPM", "Protomata"}, pol)
-		if err != nil {
-			log.Fatal(err)
-		}
-		exp.FprintFaultStudy(out, rows, pol)
 		fmt.Fprintln(out)
 	}
 	if allStudies || *extensions {

@@ -8,7 +8,6 @@
 //	sunder-sim -benchmark SPM -rate 2 -fifo=false -scale 0.05 -input 100000
 //	sunder-sim -benchmark Hamming -par -workers 8
 //	sunder-sim -benchmark Snort -trace /tmp/t.json -metrics
-//	sunder-sim -benchmark Snort -faults match=1e-4,report=1e-4,seed=1
 //	sunder-sim -benchmark Snort -cpuprofile cpu.out -memprofile mem.out
 //	sunder-sim -list
 package main
@@ -25,7 +24,6 @@ import (
 	"sunder/internal/automata"
 	"sunder/internal/cliutil"
 	"sunder/internal/core"
-	"sunder/internal/exp"
 	"sunder/internal/funcsim"
 	"sunder/internal/mapping"
 	"sunder/internal/report"
@@ -38,19 +36,18 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("sunder-sim: ")
 	var (
-		name       = flag.String("benchmark", "Snort", "benchmark name (see -list)")
-		list       = flag.Bool("list", false, "list benchmarks and exit")
-		scale      = flag.Float64("scale", workload.DefaultScale, "benchmark scale (0,1]")
-		inputLen   = flag.Int("input", workload.DefaultInputLen, "input length in bytes")
-		rate       = flag.Int("rate", 4, "processing rate in nibbles/cycle (1,2,4)")
-		fifo       = flag.Bool("fifo", true, "enable the FIFO report drain")
-		summarize  = flag.Bool("summarize", false, "summarize on full instead of flushing")
-		anFlags    = cliutil.RegisterAnalysisFlags()
-		beFlags    = cliutil.RegisterBackendFlag()
-		telFlags   = cliutil.RegisterTelemetryFlags()
-		faultFlags = cliutil.RegisterFaultFlags()
-		parFlags   = cliutil.RegisterParallelFlags()
-		profiles   = cliutil.ProfileFlags()
+		name      = flag.String("benchmark", "Snort", "benchmark name (see -list)")
+		list      = flag.Bool("list", false, "list benchmarks and exit")
+		scale     = flag.Float64("scale", workload.DefaultScale, "benchmark scale (0,1]")
+		inputLen  = flag.Int("input", workload.DefaultInputLen, "input length in bytes")
+		rate      = flag.Int("rate", 4, "processing rate in nibbles/cycle (1,2,4)")
+		fifo      = flag.Bool("fifo", true, "enable the FIFO report drain")
+		summarize = flag.Bool("summarize", false, "summarize on full instead of flushing")
+		anFlags   = cliutil.RegisterAnalysisFlags()
+		beFlags   = cliutil.RegisterBackendFlag()
+		telFlags  = cliutil.RegisterTelemetryFlags()
+		parFlags  = cliutil.RegisterParallelFlags()
+		profiles  = cliutil.ProfileFlags()
 	)
 	flag.Parse()
 	if err := beFlags.Validate(); err != nil {
@@ -249,25 +246,6 @@ func main() {
 		fmt.Printf("  sequential %.2f ms, parallel %.2f ms: %.2fx speedup (%.1f MB/s simulated); report stream %s\n",
 			float64(seqNS)/1e6, float64(parNS)/1e6, float64(seqNS)/float64(parNS),
 			float64(len(w.Input))/1e6/(float64(parNS)/1e9), verdict)
-	}
-
-	if faultFlags.Enabled() {
-		pol, err := faultFlags.Policy()
-		if err != nil {
-			log.Fatal(err)
-		}
-		row, err := exp.FaultRun(w, *rate, cfg, pol, col)
-		if err != nil {
-			log.Fatal(err)
-		}
-		verdict := "identical to fault-free reference"
-		if !row.OutputOK {
-			verdict = "DIVERGED from fault-free reference"
-		}
-		fmt.Printf("\nfault injection and recovery (-faults %s):\n", faultFlags.Spec)
-		fmt.Printf("  injected %d, detected %d (coverage %.0f%%), recoveries %d, quarantined PUs %d\n",
-			row.Injected, row.Detected, 100*row.Coverage, row.Recoveries, row.Quarantined)
-		fmt.Printf("  recovery slowdown %.3fx; recovered report stream %s\n", row.Slowdown, verdict)
 	}
 
 	if err := telFlags.Emit(os.Stdout, col); err != nil {

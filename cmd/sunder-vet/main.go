@@ -1,8 +1,8 @@
 // Command sunder-vet lints the repository for Sunder-specific invariants
 // that go vet cannot know: determinism of the simulation packages (no
 // wall clock, no global randomness), no by-value copies of lock-bearing
-// structs, fault-hook nil-check discipline, and atomic-only access to
-// fields handed to sync/atomic.
+// structs, atomic-only access to fields handed to sync/atomic, and no
+// writes to the compiled IR or to frozen fields outside their owners.
 //
 // Usage:
 //

@@ -125,13 +125,6 @@ func (v *Vector) AndNot(o *Vector) {
 	}
 }
 
-// CopyFrom overwrites v with the contents of o. The vectors must have equal
-// length.
-func (v *Vector) CopyFrom(o *Vector) {
-	v.sameLen(o)
-	copy(v.words, o.words)
-}
-
 // Equal reports whether v and o hold identical bits. Vectors of different
 // lengths are never equal.
 func (v *Vector) Equal(o *Vector) bool {

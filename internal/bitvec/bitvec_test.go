@@ -141,11 +141,6 @@ func TestEqualCloneCopy(t *testing.T) {
 	if a.Equal(c) {
 		t.Error("mutated clone still equal")
 	}
-	d := New(99)
-	d.CopyFrom(a)
-	if !a.Equal(d) {
-		t.Error("CopyFrom not equal")
-	}
 	if a.Equal(New(98)) {
 		t.Error("different lengths compare equal")
 	}

@@ -1,7 +1,7 @@
 // Package cliutil holds the observability flag plumbing shared by the
 // cmd/ binaries: runtime/pprof capture (-cpuprofile/-memprofile),
-// device-telemetry emission (-metrics/-trace), and the -faults policy
-// parser.
+// device-telemetry emission (-metrics/-trace), and the engine-selection
+// and analysis flags.
 package cliutil
 
 import (
@@ -11,10 +11,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"strconv"
-	"strings"
 
-	"sunder/internal/faults"
 	"sunder/internal/telemetry"
 )
 
@@ -184,74 +181,6 @@ func RegisterAnalysisFlags() *AnalysisFlags {
 	flag.BoolVar(&a.Prune, "prune", false, "prune dead automaton states (unreachable, useless, never-matching, subsumed) before placement")
 	flag.BoolVar(&a.Minimize, "minimize", false, "run the certified ruleset minimizer (prune+bisimulation+prefix collapse) before placement, verifying its equivalence certificate")
 	return a
-}
-
-// FaultFlags carries the -faults flag value: a fault-injection policy
-// written as a comma-separated k=v list.
-type FaultFlags struct {
-	Spec string
-}
-
-// RegisterFaultFlags registers -faults on the default flag set.
-func RegisterFaultFlags() *FaultFlags {
-	f := &FaultFlags{}
-	flag.StringVar(&f.Spec, "faults", "",
-		`fault policy, e.g. "match=1e-5,report=1e-5,stuck=2,drop=0.001,seed=1,interval=256" `+
-			`(keys: match/report/drop rates, stuck, seed, interval, retries, backoff, spares; "on" = detection only)`)
-	return f
-}
-
-// Enabled reports whether a fault policy was requested.
-func (f *FaultFlags) Enabled() bool { return f.Spec != "" }
-
-// Policy parses the -faults value into a validated fault policy.
-// Unspecified recovery parameters keep the package defaults; the literal
-// "on" arms detection and recovery without injecting anything.
-func (f *FaultFlags) Policy() (faults.Policy, error) {
-	pol := faults.DefaultPolicy()
-	if f.Spec == "on" {
-		return pol, nil
-	}
-	for _, part := range strings.Split(f.Spec, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		k, v, ok := strings.Cut(part, "=")
-		if !ok {
-			return pol, fmt.Errorf("-faults: %q is not key=value", part)
-		}
-		var err error
-		switch k {
-		case "match":
-			pol.MatchFlipRate, err = strconv.ParseFloat(v, 64)
-		case "report":
-			pol.ReportFlipRate, err = strconv.ParseFloat(v, 64)
-		case "drop":
-			pol.DrainDropRate, err = strconv.ParseFloat(v, 64)
-		case "stuck":
-			pol.StuckXbarFaults, err = strconv.Atoi(v)
-		case "seed":
-			pol.Seed, err = strconv.ParseInt(v, 10, 64)
-		case "interval":
-			pol.CheckpointInterval, err = strconv.Atoi(v)
-		case "retries":
-			pol.MaxRetries, err = strconv.Atoi(v)
-		case "backoff":
-			pol.BackoffCycles, err = strconv.Atoi(v)
-		case "spares":
-			pol.SparePUs, err = strconv.Atoi(v)
-		default:
-			return pol, fmt.Errorf("-faults: unknown key %q (want match, report, drop, stuck, seed, interval, retries, backoff, spares)", k)
-		}
-		if err != nil {
-			return pol, fmt.Errorf("-faults: %s: %w", k, err)
-		}
-	}
-	if err := pol.Validate(); err != nil {
-		return pol, fmt.Errorf("-faults: %w", err)
-	}
-	return pol, nil
 }
 
 // Emit writes the requested outputs: the metrics dump to w and the

@@ -48,59 +48,3 @@ func TestBackendFlags(t *testing.T) {
 		t.Error("unknown backend accepted")
 	}
 }
-
-func TestFaultFlagsPolicy(t *testing.T) {
-	f := &FaultFlags{Spec: "match=1e-5,report=2e-5,stuck=2,drop=0.001,seed=9,interval=128,retries=5,backoff=32,spares=12"}
-	if !f.Enabled() {
-		t.Fatal("non-empty spec not enabled")
-	}
-	pol, err := f.Policy()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pol.MatchFlipRate != 1e-5 || pol.ReportFlipRate != 2e-5 || pol.DrainDropRate != 0.001 {
-		t.Errorf("rates = %+v", pol)
-	}
-	if pol.StuckXbarFaults != 2 || pol.Seed != 9 || pol.CheckpointInterval != 128 {
-		t.Errorf("ints = %+v", pol)
-	}
-	if pol.MaxRetries != 5 || pol.BackoffCycles != 32 || pol.SparePUs != 12 {
-		t.Errorf("recovery = %+v", pol)
-	}
-}
-
-func TestFaultFlagsDetectionOnly(t *testing.T) {
-	f := &FaultFlags{Spec: "on"}
-	pol, err := f.Policy()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pol.MatchFlipRate != 0 || pol.StuckXbarFaults != 0 || pol.CheckpointInterval != 256 {
-		t.Errorf("detection-only policy = %+v", pol)
-	}
-	if (&FaultFlags{}).Enabled() {
-		t.Error("empty spec enabled")
-	}
-}
-
-func TestFaultFlagsPartialAndDefaults(t *testing.T) {
-	f := &FaultFlags{Spec: "match=0.001, seed=3"} // spaces tolerated
-	pol, err := f.Policy()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pol.MatchFlipRate != 0.001 || pol.Seed != 3 {
-		t.Errorf("policy = %+v", pol)
-	}
-	if pol.CheckpointInterval != 256 || pol.MaxRetries != 3 || pol.SparePUs != 8 {
-		t.Errorf("defaults not kept: %+v", pol)
-	}
-}
-
-func TestFaultFlagsErrors(t *testing.T) {
-	for _, spec := range []string{"match", "bogus=1", "match=x", "match=2"} {
-		if _, err := (&FaultFlags{Spec: spec}).Policy(); err == nil {
-			t.Errorf("spec %q accepted", spec)
-		}
-	}
-}

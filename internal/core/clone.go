@@ -7,25 +7,19 @@ package core
 // allocates only what execution mutates (active vectors, report regions,
 // counters), so clones execute fully independently at a fraction of the
 // footprint of re-running Configure. This is the mechanism behind parallel
-// shard workers and cached-compile engines. A receiver that has taken its
-// image private (see own) hands the clone a copy instead: a private image
-// may still change under its owner.
+// shard workers and cached-compile engines. The image is never written in
+// Automata Mode (only Normal Mode writes take it private, see own), so
+// sharing it is safe.
 //
-// Telemetry and fault attachments do not carry over (attach them to the
-// clone explicitly), and neither does a SuppressStartOfData setting. The
+// A telemetry attachment does not carry over (attach it to the clone
+// explicitly), and neither does a SuppressStartOfData setting. The
 // receiver must be in Automata Mode and must not be executing concurrently;
 // concurrent Clone calls on one receiver are safe.
 func (m *Machine) Clone() *Machine {
 	if m.mode != AutomataMode {
 		panic("core: Clone while in normal (cache) mode")
 	}
-	img := m.img
-	if m.owned {
-		img = img.clone()
-	}
-	c := newMachine(m.cfg, m.a, m.place, img)
-	c.owned = m.owned
-	return c
+	return newMachine(m.cfg, m.a, m.place, m.img)
 }
 
 // SuppressStartOfData disables the start-of-data injection that normally

@@ -13,8 +13,8 @@ import (
 // automaton and the placement, and nothing a cycle changes. One image is
 // shared by a configured machine and every clone of it, so it is immutable
 // from the moment Configure returns; a machine that has to write
-// configuration (a fault flipping a match-row bit, scrubbing, a normal-mode
-// cache write) first takes a private copy through Machine.own.
+// configuration (a normal-mode cache write over a match row) first takes a
+// private copy through Machine.own.
 //
 // The tables are laid out for the per-cycle access pattern, not per PU: a
 // cycle reads one match row per nibble group in *every* PU, so rows are

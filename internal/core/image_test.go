@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math/bits"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -13,8 +12,8 @@ import (
 
 // TestReportEntryRoundTrip writes entries of every interesting shape —
 // word-aligned, straddling a 64-bit word, exactly 64 bits, wider than a
-// word — through the word-level path and checks the stored bits, the
-// parity and the host-side decode against a bit-by-bit reference.
+// word — through the word-level path and checks the stored bits and the
+// host-side decode against a bit-by-bit reference.
 func TestReportEntryRoundTrip(t *testing.T) {
 	for _, shape := range []struct{ reportColumns, metadataBits int }{
 		{12, 20}, // 32: the paper's entry, never straddles
@@ -65,11 +64,7 @@ func TestReportEntryRoundTrip(t *testing.T) {
 		for i, entries := range written {
 			var want []ReportRecord
 			var stride int64
-			for slot, e := range entries {
-				par := (e.rep.Count()+bits.OnesCount64(uint64(e.meta)))&1 != 0
-				if got := m.entryParity(i, slot); got != par || got != ref.entryParity(i, slot) {
-					t.Fatalf("%+v: PU %d slot %d parity %v, written %v", shape, i, slot, got, par)
-				}
+			for _, e := range entries {
 				if !e.rep.Any() {
 					stride += e.meta
 					continue
@@ -86,17 +81,10 @@ func TestReportEntryRoundTrip(t *testing.T) {
 	}
 }
 
-// idleHook is a fault hook that injects nothing.
-type idleHook struct{}
-
-func (idleHook) BeforeCycle(*Machine, int64) {}
-func (idleHook) DropDrain(int) bool          { return false }
-
-// TestCloneImageIsolation is the own() contract: whatever one clone does to
-// its configuration — a flipped match-row bit, a forced crossbar switch, a
-// scrub, a cache line written over a match row in normal mode — the
-// prototype and its sibling clones keep the image they share, bit for bit,
-// and keep stepping on it concurrently (run under -race).
+// TestCloneImageIsolation is the own() contract: when clones write cache
+// lines over match rows in normal mode, the prototype and its sibling
+// clones keep the image they share, bit for bit, and keep stepping on it
+// concurrently (run under -race).
 func TestCloneImageIsolation(t *testing.T) {
 	cfg := DefaultConfig(4)
 	cfg.FIFO = true
@@ -121,43 +109,24 @@ func TestCloneImageIsolation(t *testing.T) {
 			}
 		}()
 	}
-	mutators := []func(c *Machine){
-		func(c *Machine) { c.FlipRowBit(0, 3, 5) },
-		func(c *Machine) { c.SetXbarBit(1, 7, 9, !c.XbarBit(1, 7, 9)) },
-		func(c *Machine) {
-			c.AttachFaults(idleHook{})
-			c.FlipRowBit(2, cfg.MatchRows()-1, 200)
-			c.SetXbarBit(0, 0, 0, !c.XbarBit(0, 0, 0))
-			if res := c.ScrubConfig(); res.RepairedBits != 2 || res.PerPU[2] != 1 || res.PerPU[0] != 1 {
-				t.Errorf("scrub repaired %+v, want one bit each in PUs 0 and 2", res)
-			}
-			if res := c.ScrubConfig(); res.RepairedBits != 0 {
-				t.Errorf("second scrub repaired %d bits", res.RepairedBits)
-			}
-		},
-		func(c *Machine) {
+	for w := 0; w < 3; w++ {
+		wg.Add(1)
+		go func() { // normal-mode writers: one match row each, then back
+			defer wg.Done()
+			c := proto.Clone()
 			c.EnterNormalMode()
-			if err := c.NormalWrite(0, 1, bitvec.V256{}.Not()); err != nil {
+			if err := c.NormalWrite(w, 1+w, bitvec.V256{}.Not()); err != nil {
 				t.Error(err)
 			}
-			if got, _ := c.NormalRead(0, 1); got != (bitvec.V256{}.Not()) {
+			if got, _ := c.NormalRead(w, 1+w); got != (bitvec.V256{}.Not()) {
 				t.Error("normal-mode write not read back")
+			}
+			if c.img == shared {
+				t.Error("a normal-mode write did not take the image private")
 			}
 			c.EnterAutomataMode()
 			if c.img != shared {
 				t.Error("automata mode did not restore the shared image")
-			}
-		},
-	}
-	for _, mutate := range mutators {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			c := proto.Clone()
-			mutate(c)
-			// A clone of a machine with a private image gets its own copy.
-			if cc := c.Clone(); c.owned && cc.img == c.img {
-				t.Error("clone shares a private image with its owner")
 			}
 		}()
 	}
@@ -166,10 +135,13 @@ func TestCloneImageIsolation(t *testing.T) {
 	if proto.img != shared || !slices.Equal(shared.match, golden.match) || !slices.Equal(shared.xbar, golden.xbar) {
 		t.Fatal("the shared image changed under a mutating clone")
 	}
-	// A report-region flip is execution state: it never takes the image.
+	// A report-region write is execution state: it never takes the image.
 	c := proto.Clone()
-	c.FlipRowBit(0, cfg.MatchRows(), 0)
+	c.EnterNormalMode()
+	if err := c.NormalWrite(0, cfg.MatchRows(), bitvec.V256{1}); err != nil {
+		t.Fatal(err)
+	}
 	if c.img != shared || !c.regionOf(0)[0].Get(0) {
-		t.Error("report-row flip should land in the clone's region only")
+		t.Error("a report-row write should land in the clone's region only")
 	}
 }

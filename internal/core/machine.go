@@ -49,9 +49,6 @@ type Machine struct {
 	// tel is the attached telemetry sink; nil (the default) disables all
 	// instrumentation at the cost of one branch per site.
 	tel *telemetrySink
-	// flt is the attached fault-injection state (see faults.go); nil (the
-	// default) disables the fault surface at the same one-branch cost.
-	flt *faultState
 
 	// mode and amImage implement Normal Mode (see normalmode.go).
 	mode    Mode
@@ -156,6 +153,15 @@ func (m *Machine) Overhead() float64 {
 	return float64(m.kernelCycles+m.stallCycles) / float64(m.kernelCycles)
 }
 
+// ActiveStates appends the automaton state IDs of every currently active
+// column across PUs.
+func (m *Machine) ActiveStates(dst []automata.StateID) []automata.StateID {
+	for i, a := range m.active {
+		dst = appendStates(dst, m.place.StateAt[i], a)
+	}
+	return dst
+}
+
 // Rewind clears the active states, so the next cycle starts from an empty
 // set as a cold machine's does, and keeps everything else: the cycle count,
 // the report region and the counters. A prefiltered run rewinds between its
@@ -168,12 +174,6 @@ func (m *Machine) Reset() {
 	clear(m.region)
 	clear(m.pus)
 	m.resident = 0
-	if m.flt != nil {
-		for i := range m.flt.parity {
-			m.flt.parity[i].Reset()
-			m.flt.parityErrs[i] = 0
-		}
-	}
 	m.kernelCycles = 0
 	m.stallCycles = 0
 	m.drainCredit = 0
@@ -197,13 +197,10 @@ func (m *Machine) Step(vec []funcsim.Unit, dst []automata.StateID) []automata.St
 	if len(vec) != rate {
 		panic(fmt.Sprintf("core: vector length %d != rate %d", len(vec), rate))
 	}
-	if m.flt != nil {
-		m.flt.hook.BeforeCycle(m, m.kernelCycles)
-	}
 	if m.cfg.FIFO {
 		m.drain()
 	}
-	img := m.img // read after the hook: a configuration fault re-homes it
+	img := m.img
 	npu := img.npu
 	act, en := m.active[:npu], m.enables[:npu]
 	cycle := m.kernelCycles
@@ -341,9 +338,6 @@ func (m *Machine) storeReport(i int, rep bitvec.V256, cycle int64, stalled *bool
 		}
 		chunk := min(stride-cur, mask)
 		m.writeEntry(i, bitvec.V256{}, chunk)
-		if m.flt != nil {
-			m.recordParity(i)
-		}
 		m.energy.ReportWrites++
 		u.strideMarkers++
 		u.lastStride = cur + chunk
@@ -355,9 +349,6 @@ func (m *Machine) storeReport(i int, rep bitvec.V256, cycle int64, stalled *bool
 	// The loop exits immediately after an ensureSpace that wrote nothing,
 	// so one free slot is guaranteed for the data entry.
 	m.writeEntry(i, rep, cycle&mask)
-	if m.flt != nil {
-		m.recordParity(i)
-	}
 	m.energy.ReportWrites++
 	u.reportEntries++
 	u.lastStride = stride
@@ -382,9 +373,6 @@ func (m *Machine) ensureSpace(i int, stalled *bool) {
 	var kind telemetry.EventKind
 	switch {
 	case m.cfg.SummarizeOnFull:
-		if m.flt != nil {
-			m.checkRegionParity(i)
-		}
 		batches := m.summarize(i)
 		m.clearRegion(i)
 		u.summaries++
@@ -395,12 +383,8 @@ func (m *Machine) ensureSpace(i int, stalled *bool) {
 	case m.cfg.FIFO:
 		// Overflow: wait for the drain to free one entry. Concurrent
 		// overflows share the wait window.
-		if m.flt != nil {
-			m.checkSlotParity(i, (u.counter-u.occupied+m.capacity)%m.capacity)
-		}
 		u.occupied--
 		m.resident--
-		u.consumed++
 		u.flushes++
 		m.energy.ExportedBits += int64(m.cfg.EntryBits())
 		kind = telemetry.EventOverflow
@@ -410,9 +394,6 @@ func (m *Machine) ensureSpace(i int, stalled *bool) {
 	default:
 		// Whole-region flush; all full PUs flush in the same stall
 		// window since each drains through its own Port 1.
-		if m.flt != nil {
-			m.checkRegionParity(i)
-		}
 		m.clearRegion(i)
 		u.flushes++
 		region := m.cfg.ReportRows() * ColsPerSubarray
@@ -459,22 +440,8 @@ func (m *Machine) drain() {
 				target = 0
 			}
 		}
-		u := &m.pus[target]
-		delivered := true
-		if m.flt != nil {
-			// The popped head entry is about to be delivered: verify its
-			// parity, then let the hook decide whether the row is silently
-			// lost in flight. A dropped row still spends the read
-			// bandwidth (timing is unaffected) but is never delivered, so
-			// it does not count as consumed — the audit catches it.
-			m.checkSlotParity(target, (u.counter-u.occupied+m.capacity)%m.capacity)
-			delivered = !m.flt.hook.DropDrain(target)
-		}
-		u.occupied--
+		m.pus[target].occupied--
 		m.resident--
-		if delivered {
-			u.consumed++
-		}
 		m.drainCredit -= entry
 		m.energy.ExportedBits += entry
 		if m.drainRR = target + 1; m.drainRR == len(m.pus) {
@@ -496,9 +463,6 @@ func (m *Machine) Summarize() map[automata.StateID]bool {
 	maxBatches, maxPU := 0, 0
 	for i := range m.pus {
 		u := &m.pus[i]
-		if m.flt != nil {
-			m.checkRegionParity(i)
-		}
 		batches := m.summarize(i)
 		if batches > maxBatches {
 			maxBatches = batches

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"math/bits"
-
-	"sunder/internal/bitvec"
-)
+import "sunder/internal/bitvec"
 
 // pu is the execution state of one processing unit's report region: the
 // local write counter of Equation 1, occupancy bookkeeping and statistics.
@@ -30,10 +26,6 @@ type pu struct {
 	strideMarkers int64 // stride-marker entries written
 	stallCycles   int64 // stall cycles attributed to this PU's region
 	peakOccupied  int   // high-water mark of region occupancy
-	// consumed counts entries removed from the region through legitimate
-	// paths (drain delivery, overflow wait, flush, summarization); the
-	// write/consume balance is the fault layer's drop-detection audit.
-	consumed int64
 }
 
 // regionOf returns PU i's report rows.
@@ -70,16 +62,6 @@ func putBits(row *bitvec.V256, off, n int, v uint64) {
 	if s+uint(n) > 64 {
 		row[w+1] = row[w+1]&^(mask>>(64-s)) | v&mask>>(64-s)
 	}
-}
-
-// getBits loads the n (1..64) bits at bit offset off of row.
-func getBits(row *bitvec.V256, off, n int) uint64 {
-	w, s := off>>6, uint(off&63)
-	v := row[w] >> s
-	if s+uint(n) > 64 {
-		v |= row[w+1] << (64 - s)
-	}
-	return v & (^uint64(0) >> uint(64-n))
 }
 
 // writeEntry stores the m-bit report vector (the last m columns of rep)
@@ -121,34 +103,14 @@ func setBit(row *bitvec.V256, i int, on bool) {
 
 // clearRegion resets PU i's report region after a flush or summarization.
 // lastStride is invalidated so the next report re-writes a stride marker,
-// keeping host-side cycle reconstruction correct across flushes. The
-// resident entries count as consumed: a flush exports them and a
-// summarization folds them into the summary vector.
+// keeping host-side cycle reconstruction correct across flushes.
 func (m *Machine) clearRegion(i int) {
 	u := &m.pus[i]
 	clear(m.regionOf(i))
-	u.consumed += int64(u.occupied)
 	m.resident -= u.occupied
 	u.counter = 0
 	u.occupied = 0
 	u.lastStride = -1
-}
-
-// entryParity computes the even parity of the m+n stored bits of PU i's
-// entry slot.
-func (m *Machine) entryParity(i, slot int) bool {
-	row, base := m.entryAt(i, slot)
-	eb := m.cfg.EntryBits()
-	if eb <= 64 {
-		return bits.OnesCount64(getBits(row, base, eb))&1 != 0
-	}
-	par := false
-	for k := 0; k < eb; k++ {
-		if row.Get(base + k) {
-			par = !par
-		}
-	}
-	return par
 }
 
 // summarize performs the column-wise NOR of PU i's report region through

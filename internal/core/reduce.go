@@ -12,9 +12,8 @@ import (
 // compared): reports deduplicate per cycle by (offset, origin), every
 // surviving report counts in Reports, and every cycle that reaches the
 // reducer counts in ReportCycles. Whatever stepped the cycle — a Machine,
-// a scheduler shard, the lazy DFA, a recovery guard releasing a committed
-// window — feeds its report cycles through one of these, so all of them
-// agree with the oracle by construction.
+// a scheduler shard, the lazy DFA — feeds its report cycles through one of
+// these, so all of them agree with the oracle by construction.
 //
 // A Reducer is single-goroutine scratch: one per machine run, shard, or
 // façade runner.

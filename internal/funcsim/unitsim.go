@@ -141,25 +141,6 @@ func (s *UnitSimulator) Reset() {
 	s.cycle = 0
 }
 
-// SimSnapshot captures a UnitSimulator's execution state so the fault-
-// recovery layer can rewind its shadow reference alongside the machine.
-type SimSnapshot struct {
-	active *bitvec.Vector
-	cycle  int64
-}
-
-// Snapshot captures the simulator's current state.
-func (s *UnitSimulator) Snapshot() *SimSnapshot {
-	return &SimSnapshot{active: s.active.Clone(), cycle: s.cycle}
-}
-
-// Restore rewinds the simulator to a snapshot taken from the same
-// simulator (or one built for the same automaton).
-func (s *UnitSimulator) Restore(snap *SimSnapshot) {
-	s.active.CopyFrom(snap.active)
-	s.cycle = snap.cycle
-}
-
 // Active returns the current active-state vector (live view; do not mutate).
 func (s *UnitSimulator) Active() *bitvec.Vector { return s.active }
 

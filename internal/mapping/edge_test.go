@@ -94,67 +94,3 @@ func TestPlaceZeroStates(t *testing.T) {
 		t.Fatalf("stats %+v, want 0 used columns in 1 cluster", st)
 	}
 }
-
-// TestQuarantineRepeated relocates the same logical cluster twice —
-// exhausting two spare clusters — and checks each hop preserves columns and
-// leaves the failed cluster empty. The spare *budget* is enforced by the
-// fault layer (faults.TestSpareExhaustion); here the mapping must stay
-// self-consistent however many spares the caller grants.
-func TestQuarantineRepeated(t *testing.T) {
-	ua := chainUA(300, 0) // spans a full cluster (large-component path)
-	p, err := Place(ua, 12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.NumPUs != PUsPerCluster {
-		t.Fatalf("got %d PUs, want one full cluster", p.NumPUs)
-	}
-
-	q1, map1, err := Quarantine(p, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if q1.NumPUs != 2*PUsPerCluster {
-		t.Fatalf("first quarantine: %d PUs, want %d", q1.NumPUs, 2*PUsPerCluster)
-	}
-	// Quarantine the relocated cluster again: states move to a third.
-	q2, map2, err := Quarantine(q1, map1[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if q2.NumPUs != 3*PUsPerCluster {
-		t.Fatalf("second quarantine: %d PUs, want %d", q2.NumPUs, 3*PUsPerCluster)
-	}
-	for s, loc0 := range p.Of {
-		loc2 := q2.Of[s]
-		if loc2.Col != loc0.Col {
-			t.Fatalf("state %d changed column %d -> %d", s, loc0.Col, loc2.Col)
-		}
-		if want := map2[map1[loc0.PU]]; loc2.PU != want {
-			t.Fatalf("state %d on PU %d, want %d", s, loc2.PU, want)
-		}
-	}
-	// Both abandoned clusters are empty.
-	for pu := 0; pu < 2*PUsPerCluster; pu++ {
-		for _, col := range q2.StateAt[pu] {
-			if col != -1 {
-				t.Fatalf("abandoned PU %d still hosts state %d", pu, col)
-			}
-		}
-	}
-}
-
-// TestQuarantineOutOfRange pins the error path.
-func TestQuarantineOutOfRange(t *testing.T) {
-	ua := chainUA(4, 0)
-	p, err := Place(ua, 12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := Quarantine(p, p.NumPUs); err == nil {
-		t.Fatal("quarantine of a PU past NumPUs succeeded")
-	}
-	if _, _, err := Quarantine(p, -1); err == nil {
-		t.Fatal("quarantine of PU -1 succeeded")
-	}
-}

@@ -68,8 +68,8 @@ type RunResult struct {
 // from automaton a) across shard workers and merges the result
 // deterministically: events are concatenated in shard order, which is
 // cycle order, so the merged stream equals the sequential one exactly.
-// proto itself is never stepped — any configured, fault-free machine
-// works, concurrent ParallelRun calls on the same proto included.
+// proto itself is never stepped — any configured machine works,
+// concurrent ParallelRun calls on the same proto included.
 func ParallelRun(proto *core.Machine, a *automata.UnitAutomaton, units []funcsim.Unit, rc RunConfig) *RunResult {
 	cfg := proto.Config()
 	rate := cfg.Rate

@@ -11,7 +11,7 @@ import (
 // determinism: deterministic simulation packages must not import wall-clock
 // or randomness packages. Reproducibility of every simulation, test and
 // recorded table depends on it; seeded randomness lives in the workload
-// generators and the fault injector, which are outside the set.
+// generators and the experiment runners, which are outside the set.
 
 func lintDeterminism(fset *token.FileSet, p *Package, cfg Config) []Finding {
 	if !cfg.DeterministicPkgs[p.Path] {
@@ -36,8 +36,8 @@ func lintDeterminism(fset *token.FileSet, p *Package, cfg Config) []Finding {
 }
 
 // ---------------------------------------------------------------------------
-// seededrand: the workload generators, the fault injector and the
-// experiment runners must stay replayable, so their packages may only use
+// seededrand: the workload generators and the experiment runners must
+// stay replayable, so their packages may only use
 // math/rand through explicitly seeded generators — a package-level rand
 // call (rand.Intn, rand.Float64, …) draws from the process-global source
 // and destroys determinism.
@@ -255,127 +255,6 @@ func lintNocopy(fset *token.FileSet, p *Package, nocopy map[string]bool) []Findi
 		}
 	}
 	return out
-}
-
-// ---------------------------------------------------------------------------
-// faulthook: the fault layer is optional — m.flt is nil on machines without
-// an armed policy — so every `.flt.hook` access must be dominated by a nil
-// check: either inside an `if x.flt != nil { ... }` body or after an
-// `if x.flt == nil { return }` early exit in the same function.
-
-type posRange struct{ lo, hi token.Pos }
-
-func lintFaultHook(fset *token.FileSet, p *Package) []Finding {
-	var out []Finding
-	for _, f := range p.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			guards := faultGuardRanges(fd)
-			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				sel, ok := n.(*ast.SelectorExpr)
-				if !ok || sel.Sel.Name != "hook" {
-					return true
-				}
-				inner, ok := sel.X.(*ast.SelectorExpr)
-				if !ok || inner.Sel.Name != "flt" {
-					return true
-				}
-				for _, g := range guards {
-					if sel.Pos() >= g.lo && sel.Pos() < g.hi {
-						return true
-					}
-				}
-				out = append(out, Finding{
-					Pos:  fset.Position(sel.Pos()),
-					Rule: "faulthook",
-					Msg:  fmt.Sprintf("fault-hook access in %s is not guarded by a `flt != nil` check", fd.Name.Name),
-				})
-				return true
-			})
-		}
-	}
-	return out
-}
-
-// faultGuardRanges collects the position ranges within fd where `.flt` is
-// known non-nil.
-func faultGuardRanges(fd *ast.FuncDecl) []posRange {
-	var out []posRange
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		ifs, ok := n.(*ast.IfStmt)
-		if !ok {
-			return true
-		}
-		op, found := fltNilComparison(ifs.Cond)
-		if !found {
-			return true
-		}
-		switch {
-		case op == token.NEQ:
-			// if x.flt != nil { <guarded> }
-			out = append(out, posRange{lo: ifs.Body.Pos(), hi: ifs.Body.End()})
-		case op == token.EQL && bodyDiverts(ifs.Body):
-			// if x.flt == nil { return } — guarded until the function ends.
-			// (Approximating the enclosing block with the function body is
-			// conservative in the safe direction only for straight-line
-			// code, which is how the machine uses this pattern.)
-			out = append(out, posRange{lo: ifs.End(), hi: fd.Body.End()})
-		}
-		return true
-	})
-	return out
-}
-
-// fltNilComparison finds a `<expr>.flt ==/!= nil` comparison anywhere in a
-// condition and returns its operator.
-func fltNilComparison(cond ast.Expr) (token.Token, bool) {
-	var op token.Token
-	found := false
-	ast.Inspect(cond, func(n ast.Node) bool {
-		be, ok := n.(*ast.BinaryExpr)
-		if !ok || (be.Op != token.NEQ && be.Op != token.EQL) {
-			return true
-		}
-		if isFltSelector(be.X) && isNil(be.Y) || isFltSelector(be.Y) && isNil(be.X) {
-			op, found = be.Op, true
-			return false
-		}
-		return true
-	})
-	return op, found
-}
-
-func isFltSelector(e ast.Expr) bool {
-	sel, ok := e.(*ast.SelectorExpr)
-	return ok && sel.Sel.Name == "flt"
-}
-
-func isNil(e ast.Expr) bool {
-	id, ok := e.(*ast.Ident)
-	return ok && id.Name == "nil"
-}
-
-// bodyDiverts reports whether a block's last statement leaves the function
-// (return or panic).
-func bodyDiverts(b *ast.BlockStmt) bool {
-	if len(b.List) == 0 {
-		return false
-	}
-	switch last := b.List[len(b.List)-1].(type) {
-	case *ast.ReturnStmt:
-		return true
-	case *ast.ExprStmt:
-		call, ok := last.X.(*ast.CallExpr)
-		if !ok {
-			return false
-		}
-		id, ok := call.Fun.(*ast.Ident)
-		return ok && id.Name == "panic"
-	}
-	return false
 }
 
 // ---------------------------------------------------------------------------

@@ -3,9 +3,9 @@
 // checker, no module loading): it parses every package of the module
 // syntactically and checks invariants that generic tooling cannot know —
 // determinism of the simulation packages, no copying of lock-bearing
-// structs, fault-hook nil-check discipline, and atomic-only access to
-// fields handed to sync/atomic. cmd/sunder-vet is the CLI; CI runs it as a
-// hard gate.
+// structs, atomic-only access to fields handed to sync/atomic, and no
+// writes to the compiled IR or to frozen fields outside their owners.
+// cmd/sunder-vet is the CLI; CI runs it as a hard gate.
 //
 // Being syntactic, the rules resolve types by name rather than by type
 // identity; that is precise enough for this repository's conventions and
@@ -27,7 +27,7 @@ import (
 type Finding struct {
 	// Pos locates the violation.
 	Pos token.Position
-	// Rule names the rule ("determinism", "nocopy", "faulthook",
+	// Rule names the rule ("determinism", "seededrand", "nocopy",
 	// "atomicfield", "irmutate").
 	Rule string
 	// Msg describes the violation.
@@ -96,12 +96,10 @@ func DefaultConfig() Config {
 			"sunder/internal/meta":      true,
 		},
 		BannedImports: []string{"time", "math/rand", "math/rand/v2"},
-		// The workload generators, the fault injector and the experiment
-		// runners seed their generators: the benchmark's inputs and the
-		// fault-study replays depend on it.
+		// The workload generators and the experiment runners seed their
+		// generators: the benchmark's inputs depend on it.
 		SeededRandPkgs: map[string]bool{
 			"sunder/internal/workload": true,
-			"sunder/internal/faults":   true,
 			"sunder/internal/exp":      true,
 		},
 		IRMutators: map[string]bool{
@@ -200,7 +198,6 @@ func Lint(fset *token.FileSet, pkgs []*Package, cfg Config) []Finding {
 		out = append(out, lintDeterminism(fset, p, cfg)...)
 		out = append(out, lintSeededRand(fset, p, cfg)...)
 		out = append(out, lintNocopy(fset, p, nocopy)...)
-		out = append(out, lintFaultHook(fset, p)...)
 		out = append(out, lintAtomicField(fset, p)...)
 		out = append(out, lintIRMutate(fset, p, cfg)...)
 	}

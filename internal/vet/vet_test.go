@@ -132,31 +132,6 @@ func Run(tr telemetry.Tracer) {}
 	}
 }
 
-func TestFaultHookGuardDiscipline(t *testing.T) {
-	src := `package core
-type hooks struct{ hook func() }
-type M struct{ flt *hooks }
-func (m *M) guarded() {
-	if m.flt != nil {
-		m.flt.hook()
-	}
-}
-func (m *M) early() {
-	if m.flt == nil {
-		return
-	}
-	m.flt.hook()
-}
-func (m *M) bad() {
-	m.flt.hook()
-}
-`
-	fs := byRule(lintOne(t, "sunder/internal/core", src), "faulthook")
-	if len(fs) != 1 || !strings.Contains(fs[0].Msg, "bad") {
-		t.Fatalf("got %v, want exactly the unguarded access in bad()", fs)
-	}
-}
-
 func TestAtomicFieldMixedAccess(t *testing.T) {
 	src := `package a
 import "sync/atomic"
