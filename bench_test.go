@@ -294,6 +294,35 @@ func BenchmarkScanPrefilterHit(b *testing.B) {
 	}
 }
 
+// BenchmarkScanPrefilterSkip is the benchmark's prefilter_skip row as a
+// testing.B: ClamAV (rule scale 0.02) prefiltered, Backend "auto", a 64 KiB
+// input that holds no literal, so the literal scanner is the whole cost and
+// every device cycle is skipped. The engine is warm.
+func BenchmarkScanPrefilterSkip(b *testing.B) {
+	w := workload.MustGet("ClamAV", 0.02, 64<<10)
+	opts := DefaultOptions()
+	opts.Backend, opts.Prefilter = "auto", PrefilterOn
+	eng, err := CompileAutomaton(w.Automaton, opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	res, err := eng.Scan(w.Input)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if res.Stats.PrefilterWindows != 0 {
+		b.Fatalf("input is not literal-free: %d candidate windows", res.Stats.PrefilterWindows)
+	}
+	b.SetBytes(int64(len(w.Input)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := eng.Scan(w.Input); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkTelemetryOverhead measures the cost of the telemetry hooks on
 // the machine hot path in its three modes: detached (the default; the
 // guard branch only), counters attached, and counters plus event tracing.

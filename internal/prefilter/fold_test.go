@@ -58,7 +58,7 @@ func mixCase(rng *rand.Rand, data []byte) []byte {
 	return out
 }
 
-// TestScannerFoldMatchesNaive drives the fold mode of all three strategies
+// TestScannerFoldMatchesNaive drives the fold mode of all four strategies
 // against the folding reference on haystacks with case-mangled plants.
 func TestScannerFoldMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
@@ -73,8 +73,9 @@ func TestScannerFoldMatchesNaive(t *testing.T) {
 			for i := 0; i < 12; i++ {
 				ls = append(ls, []byte(fmt.Sprintf("LiT%02d", i)))
 			}
-			return ls
+			return append(ls, []byte("qX"))
 		}(),
+		"shift": {[]byte("NeedleInHay"), []byte("haystack"), []byte("HAYRICK-9")},
 	}
 	for name, lits := range sets {
 		s := NewScannerFold(lits, true)
@@ -93,7 +94,7 @@ func TestScannerFoldMatchesNaive(t *testing.T) {
 			}
 			data = mixCase(rng, data)
 			want := naiveFoldSpans(data, lits)
-			got := scanSpans(s, data)
+			got := scanSpans(t, s, data)
 			if !spansEqual(got, want) {
 				t.Fatalf("%s trial %d: fold scanner spans %v != naive %v\ndata=%q lits=%q",
 					name, trial, got, want, data, lits)
@@ -110,7 +111,7 @@ func TestScannerFoldExactUnchanged(t *testing.T) {
 		{[]byte("needle"), []byte("hay")},
 	} {
 		s := NewScannerFold(lits, false)
-		if got := scanSpans(s, []byte("..NEEDLE..HAY..")); len(got) != 0 {
+		if got := scanSpans(t, s, []byte("..NEEDLE..HAY..")); len(got) != 0 {
 			t.Fatalf("exact scanner found case variants: %v", got)
 		}
 	}

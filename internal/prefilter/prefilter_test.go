@@ -163,9 +163,24 @@ func naiveSpans(data []byte, lits [][]byte) map[[2]int]bool {
 	return out
 }
 
-func scanSpans(s Scanner, data []byte) map[[2]int]bool {
+// scanSpans runs s over data and returns the emitted spans, failing t on a
+// breach of the Scanner contract: an occurrence emitted twice, or a start
+// lower than one emitted before it.
+func scanSpans(t testing.TB, s Scanner, data []byte) map[[2]int]bool {
+	t.Helper()
 	out := map[[2]int]bool{}
-	s.Scan(data, func(st, en int) { out[[2]int{st, en}] = true })
+	var order [][2]int
+	s.Scan(data, func(st, en int) {
+		sp := [2]int{st, en}
+		if out[sp] {
+			t.Errorf("%s emitted %v twice", s.Strategy(), sp)
+		}
+		if n := len(order); n > 0 && st < order[n-1][0] {
+			t.Errorf("%s emitted start %d after %v", s.Strategy(), st, order[n-1])
+		}
+		out[sp] = true
+		order = append(order, sp)
+	})
 	return out
 }
 
@@ -181,7 +196,21 @@ func spansEqual(a, b map[[2]int]bool) bool {
 	return true
 }
 
-// TestScannerMatchesNaive drives all three strategies against the naive
+// randomLits draws n random literals of lengths lo..hi over the first alpha
+// letters and returns them minimized.
+func randomLits(rng *rand.Rand, n, lo, hi, alpha int) [][]byte {
+	var ls [][]byte
+	for i := 0; i < n; i++ {
+		l := make([]byte, lo+rng.Intn(hi-lo+1))
+		for j := range l {
+			l[j] = byte('a' + rng.Intn(alpha))
+		}
+		ls = append(ls, l)
+	}
+	return Minimize(ls)
+}
+
+// TestScannerMatchesNaive drives all four strategies against the naive
 // reference on seeded random haystacks with planted literals, including
 // overlapping and boundary placements.
 func TestScannerMatchesNaive(t *testing.T) {
@@ -192,17 +221,10 @@ func TestScannerMatchesNaive(t *testing.T) {
 			[]byte("ab"), []byte("abc"), []byte("neat"),
 			[]byte{0x00, 0x80, 0xff}, []byte("zzq"),
 		},
-		"aho-corasick": func() [][]byte {
-			var ls [][]byte
-			for i := 0; i < 20; i++ {
-				l := make([]byte, 2+rng.Intn(6))
-				for j := range l {
-					l[j] = byte('a' + rng.Intn(4))
-				}
-				ls = append(ls, l)
-			}
-			return Minimize(ls)
-		}(),
+		"aho-corasick": randomLits(rng, 20, 2, 7, 4),
+		// Literals longer than the window, sharing blocks, some shorter than
+		// a shift: every window offset and the end of data get exercised.
+		"shift": randomLits(rng, 12, 3, 10, 4),
 	}
 	for name, lits := range sets {
 		s := NewScanner(lits)
@@ -223,7 +245,7 @@ func TestScannerMatchesNaive(t *testing.T) {
 				copy(data[at:], l)
 			}
 			want := naiveSpans(data, lits)
-			got := scanSpans(s, data)
+			got := scanSpans(t, s, data)
 			if !spansEqual(got, want) {
 				t.Fatalf("%s trial %d: scanner spans %v != naive %v\ndata=%q lits=%q",
 					name, trial, got, want, data, lits)
@@ -242,53 +264,96 @@ func TestScannerWordBoundary(t *testing.T) {
 		copy(data[shift:], "xy")
 		copy(data[shift+17:], "qr")
 		want := naiveSpans(data, lits)
-		if got := scanSpans(s, data); !spansEqual(got, want) {
+		if got := scanSpans(t, s, data); !spansEqual(got, want) {
 			t.Fatalf("shift %d: %v != %v", shift, got, want)
 		}
 	}
 }
 
-// FuzzScannerMatchesNaive cross-checks every scanner strategy against the
-// naive reference on fuzz-chosen haystacks and literal sets.
+// everyScanner builds each strategy whose precondition lits meets, whatever
+// NewScannerFold would pick. lits must be canonical under fold.
+func everyScanner(lits [][]byte, fold bool) []Scanner {
+	ss := []Scanner{newSWARScanner(lits, fold), newACScanner(lits, fold)}
+	if len(lits) == 1 {
+		ss = append(ss, newMemchrScanner(lits[0], fold))
+	}
+	if shortest(lits) >= 2 {
+		ss = append(ss, newShiftScanner(lits, fold))
+	}
+	return ss
+}
+
+// FuzzScannerMatchesNaive cross-checks every scanner strategy, exact and
+// folded, against the naive reference on fuzz-chosen haystacks and literal
+// sets.
 func FuzzScannerMatchesNaive(f *testing.F) {
-	f.Add([]byte("the needle in the haystack"), []byte("needle"), []byte("hay"), uint8(3))
-	f.Add([]byte("aaaaaaa"), []byte("aa"), []byte("aaa"), uint8(20))
-	f.Add([]byte{0, 1, 2, 0x80, 0xff}, []byte{0x80, 0xff}, []byte{0}, uint8(1))
-	f.Fuzz(func(t *testing.T, data, l1, l2 []byte, extra uint8) {
+	f.Add([]byte("the needle in the haystack"), []byte("needle"), []byte("hay"), uint8(3), false)
+	f.Add([]byte("aaaaaaa"), []byte("aa"), []byte("aaa"), uint8(20), false)
+	f.Add([]byte{0, 1, 2, 0x80, 0xff}, []byte{0x80, 0xff}, []byte{0}, uint8(1), false)
+	f.Add([]byte("The NEEDLE in the Haystack"), []byte("needle"), []byte("HAY"), uint8(2), true)
+	// ClamAV-like: several 24-byte literals, so shifts above 1 and literals
+	// longer than the window are verified.
+	f.Add([]byte("..X5O!P%@AP[4\\PZX54(P^)7CC)7}$EICAR-STANDARD-ANTIVIRUS-TEST-FILE!$H+H*.."),
+		[]byte("X5O!P%@AP[4\\PZX54(P^)7CC"), []byte("EICAR-STANDARD-ANTIVIRUS"), uint8(6), false)
+	f.Fuzz(func(t *testing.T, data, l1, l2 []byte, extra uint8, fold bool) {
 		if len(l1) == 0 || len(l1) > 32 || len(l2) == 0 || len(l2) > 32 {
 			t.Skip()
 		}
 		lits := [][]byte{l1, l2}
-		// extra synthesizes larger sets so the AC path is exercised too.
+		// extra synthesizes larger sets so the wide-set paths are exercised too.
 		for i := 0; i < int(extra)%24; i++ {
 			lits = append(lits, append([]byte{byte('A' + i)}, l1...))
+		}
+		want := naiveSpans
+		if fold {
+			lits, want = FoldLiterals(lits), naiveFoldSpans
 		}
 		lits = Minimize(lits)
 		if len(lits) == 0 {
 			t.Skip()
 		}
-		want := naiveSpans(data, lits)
-		if got := scanSpans(NewScanner(lits), data); !spansEqual(got, want) {
-			t.Fatalf("scanner != naive on %q / %q", data, lits)
+		wantSpans := want(data, lits)
+		for _, s := range everyScanner(lits, fold) {
+			if got := scanSpans(t, s, data); !spansEqual(got, wantSpans) {
+				t.Fatalf("%s (fold=%v) != naive on %q / %q", s.Strategy(), fold, data, lits)
+			}
 		}
 	})
 }
 
+// TestNewScannerStrategies pins each cell of the selection rule.
 func TestNewScannerStrategies(t *testing.T) {
-	mk := func(n int) [][]byte {
+	mk := func(k, minLen int) [][]byte {
 		var ls [][]byte
-		for i := 0; i < n; i++ {
-			ls = append(ls, []byte(fmt.Sprintf("lit%02d", i)))
+		for i := 0; i < k; i++ {
+			l := []byte(fmt.Sprintf("%0*d", minLen+i%2, i))
+			ls = append(ls, l)
 		}
 		return ls
 	}
-	if got := NewScanner(mk(1)).Strategy(); got != "memchr" {
-		t.Fatalf("1 literal -> %s", got)
-	}
-	if got := NewScanner(mk(8)).Strategy(); got != "swar" {
-		t.Fatalf("8 literals -> %s", got)
-	}
-	if got := NewScanner(mk(9)).Strategy(); got != "aho-corasick" {
-		t.Fatalf("9 literals -> %s", got)
+	for _, c := range []struct {
+		k, minLen int
+		want      string
+	}{
+		{1, 2, "memchr"},
+		{1, 15, "memchr"},
+		{1, 16, "shift"},
+		{2, 8, "shift"},
+		{8, 24, "shift"},
+		{9, 3, "shift"},
+		{512, 4, "shift"},
+		{2, 7, "swar"},
+		{8, 2, "swar"},
+		{8, 4, "swar"},
+		{9, 2, "aho-corasick"},
+		{512, 2, "aho-corasick"},
+	} {
+		lits := mk(c.k, c.minLen)
+		if got := NewScanner(lits).Strategy(); got != c.want {
+			t.Errorf("k=%d minLen=%d -> %s, want %s", c.k, c.minLen, got, c.want)
+		}
+		if got := NewScannerFold(lits, true).Strategy(); got != c.want {
+			t.Errorf("fold k=%d minLen=%d -> %s, want %s", c.k, c.minLen, got, c.want)
+		}
 	}
 }

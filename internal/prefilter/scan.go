@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math/bits"
+	"slices"
 )
 
 // Scanner locates every occurrence of every literal in a byte stream.
@@ -14,19 +15,30 @@ import (
 // stateless after construction and safe for concurrent Scan calls.
 type Scanner interface {
 	Scan(data []byte, emit func(start, end int))
-	// Strategy names the scanning algorithm ("memchr", "swar",
+	// Strategy names the scanning algorithm ("memchr", "shift", "swar",
 	// "aho-corasick") for Info() and telemetry.
 	Strategy() string
 }
 
-// swarMaxLiterals is the widest literal set the SWAR bucketed-fingerprint
-// scanner accepts; beyond it Aho-Corasick wins.
-const swarMaxLiterals = 8
+// Selection constants over the set's size k and shortest length minLen,
+// from BenchmarkScanners. shift jumps up to minLen-1 bytes per read, so it
+// takes long literals and wide sets that leave something to skip; SWAR the
+// other small sets; Aho-Corasick the rest (2-byte literals cannot skip).
+const (
+	swarMaxLiterals   = 8
+	shiftMinLen       = 8
+	shiftSingleMinLen = 16
+	shiftWideMinLen   = 3
+)
 
-// NewScanner builds the best scanner for a literal set: memchr-style
-// single-byte skipping for one literal, the SWAR bucketed-fingerprint path
-// for 2..8 literals, Aho-Corasick beyond that. The set must be non-empty
-// with non-empty literals (Extract guarantees both).
+// shortest returns the length of the shortest literal in a non-empty set.
+func shortest(lits [][]byte) int {
+	return len(slices.MinFunc(lits, func(a, b []byte) int { return len(a) - len(b) }))
+}
+
+// NewScanner builds the best scanner for a literal set by the selection
+// constants above. The set must be non-empty with non-empty literals
+// (Extract guarantees both).
 func NewScanner(lits [][]byte) Scanner {
 	return NewScannerFold(lits, false)
 }
@@ -39,18 +51,19 @@ func NewScannerFold(lits [][]byte, fold bool) Scanner {
 	if len(lits) == 0 {
 		panic("prefilter: NewScanner on empty literal set")
 	}
-	for _, l := range lits {
-		if len(l) == 0 {
-			panic("prefilter: NewScanner on empty literal")
-		}
+	minLen := shortest(lits)
+	if minLen == 0 {
+		panic("prefilter: NewScanner on empty literal")
 	}
 	if fold {
 		lits = FoldLiterals(lits)
 	}
-	switch {
-	case len(lits) == 1:
+	switch k := len(lits); {
+	case k == 1 && minLen < shiftSingleMinLen:
 		return newMemchrScanner(lits[0], fold)
-	case len(lits) <= swarMaxLiterals:
+	case k < 1<<14 && (minLen >= shiftMinLen || k > swarMaxLiterals && minLen >= shiftWideMinLen):
+		return newShiftScanner(lits, fold)
+	case k <= swarMaxLiterals:
 		return newSWARScanner(lits, fold)
 	default:
 		return newACScanner(lits, fold)

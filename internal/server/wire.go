@@ -90,9 +90,9 @@ type RulesetInfo struct {
 }
 
 // InfoJSON mirrors sunder.Info. PrefilterStrategy is present when the
-// ruleset was compiled with the prefilter option ("memchr", "swar",
-// "aho-corasick", or "off (<reason>)" when the rule set yields no usable
-// literal); PrefilterLiterals lists the extracted required literals.
+// ruleset was compiled with the prefilter option ("memchr", "shift",
+// "swar", "aho-corasick", or "off (<reason>)" when the rule set yields no
+// usable literal); PrefilterLiterals lists the extracted required literals.
 type InfoJSON struct {
 	Rate              int      `json:"rate"`
 	ByteStates        int      `json:"byte_states"`

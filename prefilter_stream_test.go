@@ -12,38 +12,50 @@ import (
 // state into the next chunk. Literals are planted exactly at every chunk
 // edge and one byte to each side, for every chunk size the stream tests
 // use, on both substrates; matches and statistics must equal the
-// whole-input Scan and the unfiltered scan regardless.
+// whole-input Scan and the unfiltered scan regardless. The second rule
+// pair's required literals are long enough for the shift scanner, whose
+// skips must find a straddling literal from the maxLit-1 byte carry alone.
 func TestPrefilterStreamChunkEdges(t *testing.T) {
-	patterns := []Pattern{
-		{Expr: `EDGE[0-9]`, Code: 1},
-		{Expr: `mark\d\d`, Code: 2},
-	}
-	for _, backend := range substrates {
-		eng := compileFiltered(t, patterns, backend)
-		for _, chunk := range []int{1, 2, 7, 13, 64, 97} {
-			input := bytes.Repeat([]byte("."), 6*chunk+5)
-			// Plant a literal starting at a boundary, one straddling it from
-			// one byte before, and one ending exactly on it.
-			plant := func(at int, s string) {
-				if at >= 0 && at+len(s) <= len(input) {
-					copy(input[at:], s)
+	for _, c := range []struct {
+		patterns []Pattern
+		strategy string
+		plants   [3]string
+	}{
+		{[]Pattern{{Expr: `EDGE[0-9]`, Code: 1}, {Expr: `mark\d\d`, Code: 2}},
+			"swar", [3]string{"EDGE1", "mark22", "EDGE3"}},
+		{[]Pattern{{Expr: `BOUNDARY-EDGE[0-9]`, Code: 1}, {Expr: `watermark-line\d\d`, Code: 2}},
+			"shift", [3]string{"BOUNDARY-EDGE1", "watermark-line22", "BOUNDARY-EDGE3"}},
+	} {
+		for _, backend := range substrates {
+			eng := compileFiltered(t, c.patterns, backend)
+			if got := eng.Info().PrefilterStrategy; got != c.strategy {
+				t.Fatalf("%s: strategy %q, want %q", backend, got, c.strategy)
+			}
+			for _, chunk := range []int{1, 2, 7, 13, 64, 97} {
+				input := bytes.Repeat([]byte("."), 6*chunk+5+len(c.plants[1]))
+				// Plant a literal starting at a boundary, one straddling it from
+				// one byte before, and one ending exactly on it.
+				plant := func(at int, s string) {
+					if at >= 0 && at+len(s) <= len(input) {
+						copy(input[at:], s)
+					}
 				}
-			}
-			plant(chunk, "EDGE1")
-			plant(3*chunk-1, "mark22")
-			plant(5*chunk-len("EDGE3"), "EDGE3")
+				plant(chunk, c.plants[0])
+				plant(3*chunk-1, c.plants[1])
+				plant(5*chunk-len(c.plants[2]), c.plants[2])
 
-			want, err := eng.Clone().Scan(input)
-			if err != nil {
-				t.Fatal(err)
+				want, err := eng.Clone().Scan(input)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(want.Matches) == 0 {
+					t.Fatalf("chunk=%d: test is vacuous, no matches planted", chunk)
+				}
+				label := fmt.Sprintf("%s/%s/chunk=%d", c.strategy, backend, chunk)
+				got, stats := streamChunks(t, eng.Clone(), input, chunk)
+				compareStream(t, label, want, got, stats)
+				compareStream(t, label+"/unfiltered", unfiltered(t, c.patterns, input), got, stats)
 			}
-			if len(want.Matches) == 0 {
-				t.Fatalf("chunk=%d: test is vacuous, no matches planted", chunk)
-			}
-			label := fmt.Sprintf("%s/chunk=%d", backend, chunk)
-			got, stats := streamChunks(t, eng.Clone(), input, chunk)
-			compareStream(t, label, want, got, stats)
-			compareStream(t, label+"/unfiltered", unfiltered(t, patterns, input), got, stats)
 		}
 	}
 }

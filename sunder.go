@@ -439,7 +439,7 @@ type Info struct {
 	MergedStates  int
 	SymbolClasses int
 	// PrefilterStrategy is the literal scanner chosen at compile time
-	// ("memchr", "swar", "aho-corasick"), "off" when prefiltering is
+	// ("memchr", "shift", "swar", "aho-corasick"), "off" when prefiltering is
 	// disabled, or "off (<reason>)" when the rule set admits matches
 	// without a usable literal and the filter disabled itself.
 	PrefilterStrategy string
