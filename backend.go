@@ -58,7 +58,10 @@ type DFAStats struct {
 	// States is the number of DFA states constructed; Hits/Misses count
 	// cached-transition lookups; Evictions counts LRU evictions;
 	// Fallbacks counts runs that abandoned caching for direct NFA
-	// stepping after the cache thrashed.
+	// stepping after the cache thrashed. Hits are added, and the LRU
+	// recency refreshed, each time the hit loop stops (on a report, a
+	// miss or the end of a chunk), not per cycle; the counts are exact
+	// once a call returns.
 	States    int64
 	Hits      int64
 	Misses    int64

@@ -24,11 +24,12 @@
 // DESIGN.md §4.16 for the full argument and its proof obligations.
 //
 // A state uses a handful of its Classes^StepBytes class tuples, so the cells
-// are stored in two levels of Classes-wide rows, one level per input byte: a
-// first-level row per state, found by state ID, whose cell for the first
-// byte's class names a second-level row, allocated on first use, whose cell
-// for the second byte's class is the next state. A hit stays three dependent
-// loads (Runner; DESIGN.md §4.16 has the layouts that lost).
+// are stored in two levels of rows, one level per input byte: a first-level
+// row per state at its premultiplied ID, ID×(Classes+1), whose cell for the
+// first byte's class names a second-level row, allocated on first use, whose
+// cell for the second byte's class is the next premultiplied ID. A row's
+// extra slot flags husks and reporting states, so a hit in Runner.Run is two
+// dependent loads and one flag test (DESIGN.md §4.16 has the layouts that lost).
 //
 // Cycle 0 (start-of-data injection is time-dependent; ResetMidStream's first
 // cycle steps from an empty set instead), any cycle containing
@@ -411,7 +412,8 @@ func (c Config) blowupRatio() float64 {
 
 // Stats counts a Runner's cache behaviour since construction (Reset does
 // not clear them: the cache persists across runs, so the counters describe
-// its whole life).
+// its whole life). Run adds its hits once per exit, and refreshes recency
+// only for the state it stops in.
 type Stats struct {
 	// States is the number of DFA states constructed (subset
 	// constructions performed).
@@ -427,11 +429,11 @@ type Stats struct {
 }
 
 // dstate is one cached DFA state. IDs are never reused while the cache
-// lives: evicted states stay in the slice as dead husks (set and reports
-// freed, second-level rows recycled), so a stale cell in a surviving row
-// finds the dead flag and re-misses. State 0 is a permanent husk that stands
-// for "none" everywhere an ID is stored: a fresh row is all zeros and needs
-// no fill, the hit path's only test is the target's dead flag, and the
+// lives: evicted states stay in the slice as husks (set == nil, reports
+// freed, second-level rows recycled, stop flag set), so a stale cell in a
+// surviving row finds the husk and re-misses. State 0 is a permanent husk
+// that stands for "none" everywhere an ID is stored: a fresh row is all
+// zeros and needs no fill, an empty cell stops Run like any husk, and the
 // recency list ends in 0.
 type dstate struct {
 	set     []uint64
@@ -439,7 +441,6 @@ type dstate struct {
 	reports []automata.StateID
 	prev    uint32 // recency list neighbours
 	next    uint32
-	dead    bool
 }
 
 // Runner executes one input stream at a time against a Plan, memoizing
@@ -449,7 +450,7 @@ type dstate struct {
 // Plan).
 //
 // Memory is bounded inside a run as well as across runs: at most max states
-// are live, and once more than 4*max dead husks have piled up the next
+// are live, and once more than 4*max husks have piled up the next
 // construction rebuilds the cache empty (trim), so len(states) <= 5*max+2
 // however long a run evicts.
 type Runner struct {
@@ -458,13 +459,14 @@ type Runner struct {
 	max int
 
 	states []dstate
-	// first holds one row of `classes` cells per state, husks included, at
-	// [id*classes:]: indexed by ID and not reached through states[id], which
-	// would put a fourth load on the hit path. A cell is the next state for a
-	// one-byte cycle, else the offset in cells of the second-level row for
-	// that first-byte class. Second-level rows are allocated on first use,
-	// zeroed and put on the free list when their state is evicted; offset 0
-	// is a shared row that stays all zeros (every cell a miss).
+	// first holds a row of classes+1 cells per state, husks included, at its
+	// premultiplied ID id*(classes+1), not reached through states[id]. A cell
+	// is the next premultiplied ID for a one-byte cycle, else the offset in
+	// cells of the second-level row (of premultiplied IDs) for that class. The
+	// last cell is the stop flag, set for husks (state 0, evict) and
+	// reporting states (intern). Second-level rows are allocated on first
+	// use, zeroed and freed when their state is evicted; offset 0 is a shared
+	// row that stays all zeros (every cell names state 0, a husk).
 	first, cells, free []uint32
 	index              map[uint64][]uint32
 	live               int
@@ -507,8 +509,8 @@ func NewRunner(p *Plan, cfg Config) *Runner {
 // emptyCache drops every state. IDs start over, so the one ID held outside
 // the cache, cur, is dropped with them.
 func (r *Runner) emptyCache() {
-	r.states = []dstate{{dead: true}}
-	r.first, r.cells, r.free = make([]uint32, r.p.classes), make([]uint32, r.p.classes), nil
+	r.states = []dstate{{}}
+	r.first, r.cells, r.free = append(make([]uint32, r.p.classes), 1), make([]uint32, r.p.classes), nil
 	r.index = make(map[uint64][]uint32)
 	r.live, r.mru, r.lru, r.cur = 0, 0, 0, 0
 }
@@ -559,6 +561,9 @@ func (r *Runner) ResetMidStream() {
 // by the runner — read it before the next Step and do not mutate or retain
 // it (cached states hand out their long-lived report rows).
 //
+// Step is the slow path for the cycles Run stops before: cycle 0, pad
+// cycles, misses and the fallback (a hit, too, one cycle at a time).
+//
 // Order within a cycle is all the IDs promise. A cell is shared by every
 // byte tuple of its symbol-class tuple and leads to the set the first of
 // them built, which is event-equivalent to, not equal to, the set another
@@ -570,13 +575,13 @@ func (r *Runner) Step(data []byte, pad int) []automata.StateID {
 	curID, cell, c1 := r.cur, 0, 0
 	if pad == 0 && curID != 0 {
 		p := r.p
-		cell = int(curID)*p.classes + int(p.classOf[data[0]])
+		cell = int(curID)*(p.classes+1) + int(p.classOf[data[0]])
 		next := r.first[cell]
 		if len(data) == 2 { // stepBytes: without pad, data is a whole cycle
 			c1 = int(p.classOf[data[1]])
 			next = r.cells[int(next)+c1]
 		}
-		if !r.states[next].dead {
+		if next /= uint32(p.classes + 1); r.states[next].set != nil {
 			r.stats.Hits++
 			r.cur = next
 			r.touch(next)
@@ -604,7 +609,7 @@ func (r *Runner) Step(data []byte, pad int) []automata.StateID {
 		// cache, and the cell of a stale ID must not be written.
 		if next := r.intern(r.active); next != 0 {
 			if r.cur != 0 {
-				r.link(cell, c1, next)
+				r.link(cell, c1, next*uint32(r.p.classes+1))
 			}
 			r.cur = next
 			return r.states[next].reports
@@ -614,6 +619,38 @@ func (r *Runner) Step(data []byte, pad int) []automata.StateID {
 	// Direct-NFA mode — after a blowup, on the same set and with no restart.
 	r.scratch = r.p.appendReports(r.scratch[:0], r.active)
 	return r.scratch
+}
+
+// Run is the hit path. From the cached state it steps whole cycles of data on
+// cached transitions and returns the cycles consumed: when the data runs out,
+// after a cycle that lands on a reporting state (with its reports, as Step
+// returns them), or before a cycle whose cell is empty or names a husk, which
+// the caller steps with Step, as every cycle outside a cached state. Hits and
+// cycles are counted once per call; recency is refreshed for the stop state.
+func (r *Runner) Run(data []byte) (n int, reports []automata.StateID) {
+	if r.cur == 0 {
+		return 0, nil
+	}
+	p, first, cells := r.p, r.first, r.cells
+	sb, stop, stride := p.stepBytes, p.classes, p.classes+1
+	cur := int(r.cur) * stride
+	for ; len(data) >= sb; data, n = data[sb:], n+1 {
+		next := int(first[cur+int(p.classOf[data[0]])])
+		if sb == 2 {
+			next = int(cells[next+int(p.classOf[data[1]])])
+		}
+		if first[next+stop] != 0 {
+			if st := &r.states[next/stride]; st.set != nil {
+				cur, reports, n = next, st.reports, n+1
+			}
+			break
+		}
+		cur = next
+	}
+	r.stats.Hits, r.cycle = r.stats.Hits+int64(n), r.cycle+int64(n)
+	r.cur = uint32(cur / stride)
+	r.touch(r.cur)
+	return n, reports
 }
 
 // intern returns the cached state ID for set, constructing (and possibly
@@ -637,7 +674,7 @@ func (r *Runner) intern(set []uint64) uint32 {
 	}
 	id := uint32(len(r.states))
 	r.states = append(r.states, dstate{set: slices.Clone(set), hash: h, reports: r.p.appendReports(nil, set)})
-	r.first = append(r.first, make([]uint32, r.p.classes)...)
+	r.first = append(append(r.first, make([]uint32, r.p.classes)...), uint32(min(len(r.states[id].reports), 1)))
 	r.index[h] = append(r.index[h], id)
 	r.live++
 	r.stats.States++
@@ -645,8 +682,8 @@ func (r *Runner) intern(set []uint64) uint32 {
 	return id
 }
 
-// link records next as the transition of the first-level cell `cell` (a
-// live state's) under second-byte class c1.
+// link records the premultiplied ID next as the transition of the
+// first-level cell `cell` (a live state's) under second-byte class c1.
 func (r *Runner) link(cell, c1 int, next uint32) {
 	if r.p.stepBytes == 1 {
 		r.first[cell] = next
@@ -666,8 +703,8 @@ func (r *Runner) link(cell, c1 int, next uint32) {
 }
 
 // evict retires the least-recently-used state, drops its index entry, so
-// that the husk is not rediscovered, and recycles its second-level rows. Its
-// first-level row stays: a dead state is never stepped from.
+// that the husk is not rediscovered, recycles its second-level rows and sets
+// its stop flag. Its first-level row stays: a husk is never stepped from.
 func (r *Runner) evict() {
 	victim := r.lru
 	if victim == 0 {
@@ -675,9 +712,11 @@ func (r *Runner) evict() {
 	}
 	r.unlink(victim)
 	st := &r.states[victim]
-	st.dead, st.set, st.reports = true, nil, nil
-	if c := r.p.classes; r.p.stepBytes == 2 {
-		for _, row := range r.first[int(victim)*c : int(victim+1)*c] {
+	st.set, st.reports = nil, nil
+	c, row0 := r.p.classes, int(victim)*(r.p.classes+1)
+	r.first[row0+c] = 1
+	if r.p.stepBytes == 2 {
+		for _, row := range r.first[row0 : row0+c] {
 			if row != 0 {
 				clear(r.cells[row : int(row)+c])
 				r.free = append(r.free, row)

@@ -383,7 +383,7 @@ func TestHusksBoundedWithinRun(t *testing.T) {
 	want, wantRep, wantRC := runSim(ua, input)
 	got, gotRep, gotRC := runDFAEach(r, ua, input, func() {
 		peak = max(peak, len(r.states))
-		if len(r.states) > 5*r.max+2 || len(r.first) != len(r.states)*classes || len(r.cells) > (1+r.max*classes)*classes {
+		if len(r.states) > 5*r.max+2 || len(r.first) != len(r.states)*(classes+1) || len(r.cells) > (1+r.max*classes)*classes {
 			t.Fatalf("cycle %d: %d states, %d first-level and %d second-level cells with max %d live states",
 				r.Cycle(), len(r.states), len(r.first), len(r.cells), r.max)
 		}
@@ -591,38 +591,79 @@ func latchesOn(r *Runner) bool {
 	return saturated(r.p, set)
 }
 
-// BenchmarkDFAHit times a cycle of the benchmark's dfa_sparse regime: Hamming
-// over 64 KiB on a warm runner, so every cycle but the first of a run is a
-// cached transition — the dependent-load chain r.cur → row → cell and the
-// recency touch.
-func BenchmarkDFAHit(b *testing.B) {
+// hammingWarm returns a runner over Hamming at rate 4 and a 64 KiB input it
+// has already run once, so every cycle but the first of a later run is a
+// cached transition: the benchmark's dfa_sparse regime. run steps the input
+// whole cycles at a time from Reset with Step per cycle or, with loop, with
+// Run and Step on the cycles it stops before.
+func hammingWarm(tb testing.TB) (r *Runner, input []byte, run func(loop bool)) {
+	tb.Helper()
 	w, err := workload.Get("Hamming", workload.DefaultScale, 64<<10)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	ua, err := transform.ToRate(w.Automaton, 4)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	r := NewRunner(certifiedPlan(b, w.Automaton, ua), DefaultConfig())
+	r = NewRunner(certifiedPlan(tb, w.Automaton, ua), DefaultConfig())
 	sb := r.Plan().StepBytes()
-	run := func() {
+	run = func(loop bool) {
 		r.Reset()
-		for off := 0; off+sb <= len(w.Input); off += sb {
-			r.Step(w.Input[off:off+sb], 0)
+		for p := w.Input[:len(w.Input)/sb*sb]; len(p) > 0; {
+			if loop {
+				n, _ := r.Run(p)
+				if p = p[n*sb:]; len(p) == 0 {
+					break
+				}
+			}
+			r.Step(p[:sb], 0)
+			p = p[sb:]
 		}
 	}
-	run()
+	run(false)
+	return r, w.Input, run
+}
+
+// TestRunZeroAllocs pins the hit path's steady state: a warm Hamming run
+// through Run allocates nothing.
+func TestRunZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	r, _, run := hammingWarm(t)
 	misses := r.Stats().Misses
-	b.ReportAllocs()
-	b.SetBytes(int64(len(w.Input)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		run()
+	if got := testing.AllocsPerRun(20, func() { run(true) }); got != 0 {
+		t.Errorf("%.2f allocs per warm run, want 0", got)
 	}
-	b.StopTimer()
 	if got := r.Stats().Misses; got != misses {
-		b.Fatalf("warm runs missed the cache: %d -> %d misses", misses, got)
+		t.Fatalf("warm runs missed the cache: %d -> %d misses", misses, got)
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*(len(w.Input)/sb)), "ns/cycle")
+}
+
+// BenchmarkDFAHit times a cycle of the benchmark's dfa_sparse regime: Hamming
+// over 64 KiB on a warm runner. /run is the hit path — Run's loop over
+// premultiplied IDs, exiting on reports; /step is the same cycles through
+// Step one at a time, the slow path's cost for a hit.
+func BenchmarkDFAHit(b *testing.B) {
+	for _, mode := range []struct {
+		name string
+		loop bool
+	}{{"step", false}, {"run", true}} {
+		b.Run(mode.name, func(b *testing.B) {
+			r, input, run := hammingWarm(b)
+			misses := r.Stats().Misses
+			b.ReportAllocs()
+			b.SetBytes(int64(len(input)))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				run(mode.loop)
+			}
+			b.StopTimer()
+			if got := r.Stats().Misses; got != misses {
+				b.Fatalf("warm runs missed the cache: %d -> %d misses", misses, got)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*(len(input)/r.Plan().StepBytes())), "ns/cycle")
+		})
+	}
 }

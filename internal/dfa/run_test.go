@@ -1,0 +1,245 @@
+package dfa
+
+import (
+	"math/rand"
+	"slices"
+	"testing"
+
+	"sunder/internal/automata"
+	"sunder/internal/transform"
+	"sunder/internal/workload"
+)
+
+// stepReports steps input through r one cycle at a time with Step, the
+// reference for Run, and returns each cycle's report set, sorted.
+func stepReports(r *Runner, input []byte) [][]automata.StateID {
+	sb := r.Plan().StepBytes()
+	var out [][]automata.StateID
+	for off := 0; off < len(input); off += sb {
+		end := min(off+sb, len(input))
+		out = append(out, sortedIDs(r.Step(input[off:end], off+sb-end)))
+	}
+	return out
+}
+
+// runReports steps input through r as the façade's feed does, in chunks of
+// the lengths next picks: Run over a chunk's whole cycles and Step on each
+// cycle Run stops before, on a cycle a chunk boundary splits (its bytes
+// carried to the next chunk) and on the final pad cycle. It returns each
+// cycle's report set, sorted.
+func runReports(t *testing.T, r *Runner, input []byte, next func() int) [][]automata.StateID {
+	t.Helper()
+	sb := r.Plan().StepBytes()
+	var out [][]automata.StateID
+	var pend []byte
+	step := func(data []byte, pad int) { out = append(out, sortedIDs(r.Step(data, pad))) }
+	for len(input) > 0 {
+		p := input[:min(next(), len(input))]
+		input = input[len(p):]
+		if len(pend) > 0 {
+			k := min(sb-len(pend), len(p))
+			pend, p = append(pend, p[:k]...), p[k:]
+			if len(pend) < sb {
+				continue
+			}
+			step(pend, 0)
+			pend = pend[:0]
+		}
+		for len(p) >= sb {
+			n, ids := r.Run(p)
+			if n == 0 && ids != nil {
+				t.Fatal("Run returned reports without consuming a cycle")
+			}
+			out = append(out, make([][]automata.StateID, n)...)
+			if p = p[n*sb:]; ids != nil {
+				out[len(out)-1] = sortedIDs(ids)
+			} else if len(p) >= sb {
+				step(p[:sb], 0)
+				p = p[sb:]
+			}
+		}
+		pend = append(pend, p...)
+	}
+	if len(pend) > 0 {
+		step(pend, sb-len(pend))
+	}
+	return out
+}
+
+// sortedIDs returns a sorted copy of ids, nil when there are none: Step
+// promises a cycle's reports as a set, and the two paths may reach sets
+// that are event-equivalent rather than equal (see Step).
+func sortedIDs(ids []automata.StateID) []automata.StateID {
+	if len(ids) == 0 {
+		return nil
+	}
+	out := slices.Clone(ids)
+	slices.Sort(out)
+	return out
+}
+
+// twin drives two runners of one plan and config over the same inputs, one
+// run per input on a warm cache, every third run started mid-stream: one
+// runner with Step per cycle, the other with Run at chunk boundaries that
+// next picks. It returns whether the runners were compared exactly, and how
+// many states the Step runner evicted.
+//
+// Every cycle's deduplicated report events must agree. Run refreshes recency
+// only for the state it stops in, so the two LRU orders can differ once a
+// cache holding more than two states has evicted: the current state is the
+// most recent in both, and a third state's place may not be. Until then, and
+// throughout with a cap of two states, the caches are the same, so the report
+// sets (sorted within a cycle), FellBack and every Stats counter must be
+// equal; past it, each runner may evict another victim.
+func twin(t *testing.T, name string, ua *automata.UnitAutomaton, p *Plan, cfg Config, inputs [][]byte, next func() int) (exact bool, evictions int64) {
+	t.Helper()
+	step, run := NewRunner(p, cfg), NewRunner(p, cfg)
+	exact = true
+	for i, input := range inputs {
+		if i%3 == 2 {
+			step.ResetMidStream()
+			run.ResetMidStream()
+		} else {
+			step.Reset()
+			run.Reset()
+		}
+		want, got := stepReports(step, input), runReports(t, run, input, next)
+		exact = exact && (step.max == 2 || step.Stats().Evictions == 0)
+		if len(got) != len(want) {
+			t.Fatalf("%s %+v run %d: %d cycles stepped, %d through Run", name, cfg, i, len(want), len(got))
+		}
+		for c := range want {
+			if exact && !slices.Equal(got[c], want[c]) ||
+				!eventsEqual(cycleEvents(ua, got[c]), cycleEvents(ua, want[c])) {
+				t.Fatalf("%s %+v run %d cycle %d: Run reports %v, Step %v", name, cfg, i, c, got[c], want[c])
+			}
+		}
+		if exact && (step.FellBack() != run.FellBack() || step.Stats() != run.Stats()) {
+			t.Fatalf("%s %+v run %d: Step runner fell back %v with %+v, Run runner %v with %+v",
+				name, cfg, i, step.FellBack(), step.Stats(), run.FellBack(), run.Stats())
+		}
+	}
+	return exact, step.Stats().Evictions
+}
+
+// cycleEvents returns one cycle's deduplicated report events in canonical
+// order, the unit both runners must agree on whatever their caches hold.
+func cycleEvents(ua *automata.UnitAutomaton, ids []automata.StateID) []event {
+	var out []event
+	for _, id := range ids {
+		for _, rep := range ua.States[id].Reports {
+			if !slices.ContainsFunc(out, func(e event) bool { return e.offset == rep.Offset && e.origin == rep.Origin }) {
+				out = append(out, event{offset: rep.Offset, origin: rep.Origin, code: rep.Code})
+			}
+		}
+	}
+	return canonical(out)
+}
+
+// chunker returns random feed lengths: mostly a few bytes, so that odd
+// lengths split cycles, sometimes up to 64.
+func chunker(rng *rand.Rand) func() int {
+	return func() int { return 1 + rng.Intn(1+rng.Intn(64)) }
+}
+
+// twinConfigs are the cache bounds the twin runners are held to: the
+// default, and caches small enough that Run meets husks' stop flags and
+// recycled second-level rows.
+var twinConfigs = []Config{
+	DefaultConfig(),
+	{MaxStates: 2, BlowupRatio: 10},
+	{MaxStates: 3, BlowupRatio: 10},
+	{MaxStates: 4, BlowupRatio: 10},
+	{MaxStates: 2, BlowupRatio: 0.05},
+}
+
+// TestRunMatchesStep holds Run to Step cycle for cycle on random automata,
+// latch-heavy ones and the Hamming, TCP and SPM workloads, at rates 2 and 4
+// and under every twin config.
+func TestRunMatchesStep(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	var identity [256]uint16
+	for b := range identity {
+		identity[b] = uint16(b)
+	}
+	inputs := func(n int, gen func(int) []byte) [][]byte {
+		out := make([][]byte, 4)
+		for i := range out {
+			out[i] = gen(n + rng.Intn(8))
+		}
+		return out
+	}
+	randomBytes := func(n int) []byte {
+		b := make([]byte, n)
+		rng.Read(b)
+		return b
+	}
+	evicted := 0 // exact comparisons across evictions
+	check := func(name string, ua *automata.UnitAutomaton, p *Plan, inputs [][]byte) {
+		for _, cfg := range twinConfigs {
+			if exact, evictions := twin(t, name, ua, p, cfg, inputs, chunker(rng)); exact && evictions > 0 {
+				evicted++
+			}
+		}
+	}
+	for _, rate := range []int{2, 4} {
+		for trial := 0; trial < 20; trial++ {
+			nfa := randomByteNFA(rng)
+			ua, err := transform.ToRate(nfa, rate)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check("random", ua, certifiedPlan(t, nfa, ua), inputs(200, func(n int) []byte { return randomInput(rng, n) }))
+		}
+		for trial := 0; trial < 4; trial++ {
+			ua := latchAutomaton(rng, rate, 64*3+rng.Intn(64), trial%2 == 0)
+			p, err := NewPlan(ua, identity, 256)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check("latch", ua, p, inputs(200, randomBytes))
+		}
+		for _, name := range []string{"Hamming", "TCP", "SPM"} {
+			w, err := workload.Get(name, workload.DefaultScale, 2<<10)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ua, err := transform.ToRate(w.Automaton, rate)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(name, ua, certifiedPlan(t, w.Automaton, ua), [][]byte{w.Input, w.Input[1:], w.Input[:len(w.Input)/2], w.Input})
+		}
+	}
+	if evicted == 0 {
+		t.Fatal("no exact comparison crossed an eviction; tighten the configs")
+	}
+}
+
+// FuzzRun is TestRunMatchesStep on a random automaton with its seed, rate and
+// config, the input and the chunk lengths chosen by the fuzzer.
+func FuzzRun(f *testing.F) {
+	f.Add(int64(1), []byte("abcABd.\x00\xffxyzabcabc"), []byte{3, 1, 4, 1, 5, 9, 2, 6})
+	f.Add(int64(2), []byte("aaaaaaaaaaaaaaaaaaaaBBBBBBBBd.d.d."), []byte{1})
+	f.Fuzz(func(t *testing.T, seed int64, input, cuts []byte) {
+		if len(input) > 1024 {
+			t.Skip()
+		}
+		rng := rand.New(rand.NewSource(seed))
+		nfa := randomByteNFA(rng)
+		ua, err := transform.ToRate(nfa, 2+2*rng.Intn(2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		i := 0
+		next := func() int {
+			if len(cuts) == 0 {
+				return len(input)
+			}
+			i++
+			return 1 + int(cuts[i%len(cuts)])%67
+		}
+		cfg := twinConfigs[rng.Intn(len(twinConfigs))]
+		twin(t, "fuzz", ua, certifiedPlan(t, nfa, ua), cfg, [][]byte{input, input, input}, next)
+	})
+}

@@ -487,13 +487,16 @@ func (d *dfaRunner) feed(p []byte) error {
 		d.step(d.pend, 0)
 		d.pend = d.pend[:0]
 	}
-	// The hot loop: a cycle without reports costs one Step and nothing else.
-	r, c := d.r, d.base+d.r.Cycle()
-	for ; len(p) >= sb; p = p[sb:] {
-		if ids := r.Step(p[:sb], 0); len(ids) > 0 {
-			d.cycle(c, ids)
+	// The hot loop: Run takes the cached hits up to the next report, and
+	// Step the one cycle Run stops before.
+	for r := d.r; len(p) >= sb; {
+		n, ids := r.Run(p)
+		if p = p[n*sb:]; len(ids) > 0 {
+			d.cycle(d.base+r.Cycle()-1, ids)
+		} else if len(p) >= sb {
+			d.step(p[:sb], 0)
+			p = p[sb:]
 		}
-		c++
 	}
 	d.pend = append(d.pend, p...)
 	return nil
