@@ -224,6 +224,32 @@ func BenchmarkTransformRate4(b *testing.B) {
 	}
 }
 
+// BenchmarkCompileWorkload times one cold CompileAutomaton on the rule sets
+// of the dfa_thrash and prefilter_hit bench rows, at their scale and options:
+// the transform, symbol classes, DFA plan, placement and configuration that
+// setup_s pays before the first scan.
+func BenchmarkCompileWorkload(b *testing.B) {
+	for _, c := range []struct {
+		name      string
+		prefilter bool
+	}{{"SPM", false}, {"EntityResolution", true}} {
+		w := workload.MustGet(c.name, 0.02, 64)
+		opts := DefaultOptions()
+		if c.prefilter {
+			opts.Prefilter = PrefilterOn
+		}
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				ResetCompileCache()
+				if _, err := CompileAutomaton(w.Automaton, opts); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 func BenchmarkFuncsimSnort(b *testing.B) {
 	w := workload.MustGet("Snort", benchOpts.Scale, benchOpts.InputLen)
 	sim := funcsim.NewByteSimulator(w.Automaton)

@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -323,17 +324,36 @@ func TestSymbolClassesSmall(t *testing.T) {
 	if err := CheckSymbolClasses(w.Automaton, cert); err != nil {
 		t.Fatalf("pristine symbol-class certificate rejected: %v", err)
 	}
-	// Merging two distinct classes must break the witness-column check.
+	// The partition is numbered by first occurrence: each witness is its
+	// class's lowest member.
+	for b := 0; b < 256; b++ {
+		if w := cert.Witness[cert.Class[b]]; int(w) > b {
+			t.Fatalf("byte 0x%02x precedes its class witness 0x%02x", b, w)
+		}
+	}
+	// Moving a non-witness byte into another class must break the
+	// per-byte column check.
+	moved := *cert
+	for b := 255; b >= 0; b-- {
+		if c := moved.Class[b]; int(moved.Witness[c]) != b {
+			moved.Class[b] = (c + 1) % uint16(moved.Count())
+			break
+		}
+	}
+	if err := CheckSymbolClasses(w.Automaton, &moved); err == nil || !strings.Contains(err.Error(), "distinguishes byte") {
+		t.Fatalf("moved-byte corruption: got %v, want a column mismatch", err)
+	}
+	// Merging two distinct classes must break the witness check.
 	bad := *cert
-	moved := -1
+	merged := -1
 	for b := 0; b < 256; b++ {
 		if bad.Class[b] != bad.Class[0] {
-			moved = b
+			merged = b
 			bad.Class[b] = bad.Class[0]
 			break
 		}
 	}
-	if moved < 0 {
+	if merged < 0 {
 		t.Fatal("automaton has a single symbol class; cannot corrupt")
 	}
 	if err := CheckSymbolClasses(w.Automaton, &bad); err == nil {
@@ -344,5 +364,39 @@ func TestSymbolClassesSmall(t *testing.T) {
 	split.Witness = append(append([]byte(nil), split.Witness...), split.Witness[0])
 	if err := CheckSymbolClasses(w.Automaton, &split); err == nil {
 		t.Fatal("duplicate-witness corruption accepted")
+	}
+	// A class split off with its own witness must fail maximality.
+	fine := *cert
+	fine.Witness = append([]byte(nil), cert.Witness...)
+	for b := 255; b >= 0; b-- {
+		if int(fine.Witness[fine.Class[b]]) != b {
+			fine.Class[b] = uint16(len(fine.Witness))
+			fine.Witness = append(fine.Witness, byte(b))
+			break
+		}
+	}
+	if err := CheckSymbolClasses(w.Automaton, &fine); err == nil || !strings.Contains(err.Error(), "indistinguishable") {
+		t.Fatalf("split-class corruption: got %v, want a maximality failure", err)
+	}
+}
+
+// TestTranspose64 holds the checker's bit-matrix transpose to the
+// bit-by-bit definition.
+func TestTranspose64(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 20; trial++ {
+		var a [64]uint64
+		for i := range a {
+			a[i] = rng.Uint64()
+		}
+		got := a
+		transpose64(&got)
+		for i := range a {
+			for j := 0; j < 64; j++ {
+				if a[i]>>j&1 != got[j]>>i&1 {
+					t.Fatalf("trial %d: bit %d of row %d did not become bit %d of row %d", trial, j, i, i, j)
+				}
+			}
+		}
 	}
 }

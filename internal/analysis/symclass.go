@@ -1,7 +1,10 @@
 package analysis
 
 import (
+	"cmp"
 	"fmt"
+	"math/bits"
+	"slices"
 
 	"sunder/internal/automata"
 )
@@ -30,18 +33,21 @@ func (c *SymbolClassCert) Count() int { return len(c.Witness) }
 // equality over the automaton's states.
 func SymbolClasses(nfa *automata.Automaton) *SymbolClassCert {
 	cert := &SymbolClassCert{}
-	keys := make(map[string]uint16)
+	// cols[b*nb:(b+1)*nb] is byte b's column, one bit per state, filled
+	// by one transposing pass over each state's set match bits.
 	nb := (len(nfa.States) + 7) / 8
-	col := make([]byte, nb)
-	for b := 0; b < 256; b++ {
-		for i := range col {
-			col[i] = 0
-		}
-		for s := range nfa.States {
-			if nfa.States[s].Match.Get(b) {
-				col[s/8] |= 1 << uint(s%8)
+	cols := make([]byte, 256*nb)
+	for s := range nfa.States {
+		for w, word := range nfa.States[s].Match {
+			for ; word != 0; word &= word - 1 {
+				b := w*64 + bits.TrailingZeros64(word)
+				cols[b*nb+s/8] |= 1 << uint(s%8)
 			}
 		}
+	}
+	keys := make(map[string]uint16)
+	for b := 0; b < 256; b++ {
+		col := cols[b*nb : (b+1)*nb]
 		id, ok := keys[string(col)]
 		if !ok {
 			id = uint16(len(cert.Witness))
@@ -71,37 +77,65 @@ func CheckSymbolClasses(nfa *automata.Automaton, cert *SymbolClassCert) error {
 			return fmt.Errorf("symclass: witness 0x%02x of class %d is assigned to class %d", w, c, cert.Class[w])
 		}
 	}
-	// One match-matrix column per witness, extracted state by state.
-	column := func(b int) string {
-		col := make([]byte, (len(nfa.States)+7)/8)
-		for s := range nfa.States {
-			if nfa.States[s].Match.Get(b) {
-				col[s/8] |= 1 << uint(s%8)
+	// Match-matrix columns, extracted word-wise: a 64×64 bit transpose
+	// per block of 64 states and match word turns states' rows into 64
+	// column slices at once. cols[b*nw+k] holds states 64k..64k+63 of
+	// byte b's column.
+	nw := (len(nfa.States) + 63) / 64
+	cols := make([]uint64, 256*nw)
+	var blk [64]uint64
+	for k := 0; k < nw; k++ {
+		for w := 0; w < 4; w++ {
+			for r := range blk {
+				blk[r] = 0
+				if s := k*64 + r; s < len(nfa.States) {
+					blk[r] = nfa.States[s].Match[w]
+				}
+			}
+			transpose64(&blk)
+			for i, v := range blk {
+				cols[(w*64+i)*nw+k] = v
 			}
 		}
-		return string(col)
 	}
-	wcol := make([]string, nc)
-	for c, w := range cert.Witness {
-		wcol[c] = column(int(w))
-	}
+	column := func(b int) []uint64 { return cols[b*nw : (b+1)*nw] }
 	for b := 0; b < 256; b++ {
 		c := cert.Class[b]
 		if int(c) >= nc {
 			return fmt.Errorf("symclass: byte 0x%02x assigned to class %d, only %d classes", b, c, nc)
 		}
-		if column(b) != wcol[c] {
+		if !slices.Equal(column(b), column(int(cert.Witness[c]))) {
 			return fmt.Errorf("symclass: some state distinguishes byte 0x%02x from its class witness 0x%02x", b, cert.Witness[c])
 		}
 	}
-	// Maximality: no two witnesses may share a column.
-	seen := make(map[string]int, nc)
-	for c, col := range wcol {
-		if prev, dup := seen[col]; dup {
+	// Maximality: no two witnesses may share a column. Sorted by column,
+	// equal columns are adjacent.
+	order := make([]int, nc)
+	for c := range order {
+		order[c] = c
+	}
+	wcol := func(c int) []uint64 { return column(int(cert.Witness[c])) }
+	slices.SortFunc(order, func(x, y int) int { return cmp.Or(slices.Compare(wcol(x), wcol(y)), cmp.Compare(x, y)) })
+	for i := 1; i < nc; i++ {
+		if prev, c := order[i-1], order[i]; slices.Equal(wcol(prev), wcol(c)) {
 			return fmt.Errorf("symclass: classes %d and %d are indistinguishable (witnesses 0x%02x, 0x%02x)",
 				prev, c, cert.Witness[prev], cert.Witness[c])
 		}
-		seen[col] = c
 	}
 	return nil
+}
+
+// transpose64 transposes a 64×64 bit matrix in place: bit j of a[i]
+// becomes bit i of a[j]. Each round swaps the off-diagonal j×j blocks of
+// every 2j×2j block (Hacker's Delight, §7-3).
+func transpose64(a *[64]uint64) {
+	m := uint64(0x00000000ffffffff)
+	for j := 32; j != 0; j >>= 1 {
+		for k := 0; k < 64; k = (k + j + 1) &^ j {
+			t := (a[k]>>j ^ a[k+j]) & m
+			a[k] ^= t << j
+			a[k+j] ^= t
+		}
+		m ^= m << (j >> 1)
+	}
 }

@@ -19,7 +19,7 @@ package automata
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"sunder/internal/bitvec"
 )
@@ -127,14 +127,8 @@ func normalizeSucc(succ []StateID) []StateID {
 	if len(succ) < 2 {
 		return succ
 	}
-	sort.Slice(succ, func(i, j int) bool { return succ[i] < succ[j] })
-	out := succ[:1]
-	for _, s := range succ[1:] {
-		if s != out[len(out)-1] {
-			out = append(out, s)
-		}
-	}
-	return out
+	slices.Sort(succ)
+	return slices.Compact(succ)
 }
 
 // Validate checks structural invariants: successor IDs in range, successor

@@ -1,8 +1,9 @@
 package automata
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // MaxRate is the maximum number of units a UnitAutomaton state can consume
@@ -115,25 +116,21 @@ func (a *UnitAutomaton) BitsPerCycle() int { return a.UnitBits * a.Rate }
 // Normalize sorts and deduplicates successor lists and report lists.
 func (a *UnitAutomaton) Normalize() {
 	for i := range a.States {
-		a.States[i].Succ = normalizeSucc(a.States[i].Succ)
-		rs := a.States[i].Reports
-		sort.Slice(rs, func(x, y int) bool {
-			if rs[x].Offset != rs[y].Offset {
-				return rs[x].Offset < rs[y].Offset
-			}
-			if rs[x].Origin != rs[y].Origin {
-				return rs[x].Origin < rs[y].Origin
-			}
-			return rs[x].Code < rs[y].Code
-		})
-		out := rs[:0]
-		for j, r := range rs {
-			if j == 0 || r != rs[j-1] {
-				out = append(out, r)
-			}
-		}
-		a.States[i].Reports = out
+		a.States[i].Normalize()
 	}
+}
+
+// Normalize sorts and deduplicates the state's successor list and its
+// report list, reports ordered by (Offset, Origin, Code).
+func (s *UnitState) Normalize() {
+	s.Succ = normalizeSucc(s.Succ)
+	if len(s.Reports) < 2 {
+		return
+	}
+	slices.SortFunc(s.Reports, func(x, y Report) int {
+		return cmp.Or(cmp.Compare(x.Offset, y.Offset), cmp.Compare(x.Origin, y.Origin), cmp.Compare(x.Code, y.Code))
+	})
+	s.Reports = slices.Compact(s.Reports)
 }
 
 // Validate checks structural invariants.

@@ -171,10 +171,14 @@ func NewPlan(a *automata.UnitAutomaton, classOf [256]uint16, classes int) (*Plan
 		st := &a.States[i]
 		w, bit := i>>6, uint64(1)<<(i&63)
 		for j := 0; j < sb; j++ {
+			// Word w of plane b is col[b*words]; set it for every byte
+			// b = h<<4|l with h in hi and l in lo.
 			hi, lo := st.Match[2*j], st.Match[2*j+1]
-			for b := 0; b < 256; b++ {
-				if hi.Has(b>>4) && lo.Has(b&0x0f) {
-					p.plane(j, b)[w] |= bit
+			col := p.planes[j*(padPlane+1)*words+w:]
+			for hs := uint16(hi); hs != 0; hs &= hs - 1 {
+				h := bits.TrailingZeros16(hs) << 4
+				for ls := uint16(lo); ls != 0; ls &= ls - 1 {
+					col[(h|bits.TrailingZeros16(ls))*words] |= bit
 				}
 			}
 			if hi == all && lo == all {

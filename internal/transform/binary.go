@@ -93,15 +93,8 @@ func (b *bitBuilder) build(depth int, set bitMask, w int) []automata.StateID {
 	var ids []automata.StateID
 	if w == 2 {
 		// Leaf level: the final bit of the byte.
-		var match automata.UnitSet
-		if set[0]&1 != 0 {
-			match |= 1 << 0
-		}
-		if set[0]&2 != 0 {
-			match |= 1 << 1
-		}
 		id := b.out.AddState(automata.UnitState{
-			Match:   [automata.MaxRate]automata.UnitSet{match},
+			Match:   [automata.MaxRate]automata.UnitSet{automata.UnitSet(set[0] & 0b11)},
 			Reports: append([]automata.Report(nil), b.leafReports...),
 		})
 		b.leaves = append(b.leaves, id)

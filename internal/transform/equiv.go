@@ -1,8 +1,9 @@
 package transform
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"sunder/internal/automata"
 	"sunder/internal/funcsim"
@@ -60,14 +61,8 @@ func EquivalentOnInput(a *automata.Automaton, ua *automata.UnitAutomaton, input 
 }
 
 func sortReports(rs []reportAt) {
-	sort.Slice(rs, func(i, j int) bool {
-		if rs[i].symbol != rs[j].symbol {
-			return rs[i].symbol < rs[j].symbol
-		}
-		if rs[i].origin != rs[j].origin {
-			return rs[i].origin < rs[j].origin
-		}
-		return rs[i].code < rs[j].code
+	slices.SortFunc(rs, func(x, y reportAt) int {
+		return cmp.Or(cmp.Compare(x.symbol, y.symbol), cmp.Compare(x.origin, y.origin), cmp.Compare(x.code, y.code))
 	})
 }
 

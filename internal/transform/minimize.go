@@ -1,12 +1,13 @@
 package transform
 
 import (
-	"encoding/binary"
+	"math/bits"
+	"slices"
 
 	"sunder/internal/automata"
 )
 
-// Minimize shrinks a unit automaton by alternating two sound merge passes
+// Minimize shrinks a unit automaton by alternating sound merge passes
 // until a fixed point, then pruning unreachable states. It returns the
 // number of states removed.
 //
@@ -21,6 +22,8 @@ import (
 // the union of their successors and reports. This is the sharing FlexAmata
 // exploits in Figure 3, where the first six bits of symbols A and B merge.
 //
+// Union pass: see unionMergePass.
+//
 // Merging two predecessor-less start states can join two previously
 // independent patterns into one connected component. Sunder's interconnect
 // hosts a component within one four-PU cluster (1024 states), so such
@@ -29,8 +32,10 @@ import (
 // mappability.
 func Minimize(a *automata.UnitAutomaton) int {
 	total := a.PruneUnreachable()
+	a.Normalize()
+	m := &minimizer{a: a}
 	for {
-		merged := mergePass(a) + prefixMergePass(a) + unionMergePass(a)
+		merged := m.mergeBy(suffixFields, nil) + m.mergeBy(prefixFields, m.joinable) + m.unionMergePass()
 		if merged == 0 {
 			break
 		}
@@ -43,187 +48,275 @@ func Minimize(a *automata.UnitAutomaton) int {
 // component the interconnect can host.
 const componentCap = 1024
 
-// prefixMergePass performs one round of co-activation merging and returns
-// the number of states removed. Merges between predecessor-less states are
-// capped so no connected component grows beyond componentCap (see Minimize).
-func prefixMergePass(a *automata.UnitAutomaton) int {
-	a.Normalize()
-	preds := make([][]automata.StateID, len(a.States))
-	for i := range a.States {
-		for _, t := range a.States[i].Succ {
-			preds[t] = append(preds[t], automata.StateID(i))
-		}
-	}
-	comps := newSizedUnionFind(a)
-	canon := make(map[string][]automata.StateID, len(a.States))
-	remap := make([]automata.StateID, len(a.States))
-	reps := make([]automata.StateID, 0, len(a.States))
-	merged := make(map[automata.StateID][]automata.StateID)
-	repID := make(map[automata.StateID]automata.StateID) // old rep state -> new id
-	var buf []byte
-	for i := range a.States {
-		s := &a.States[i]
-		buf = buf[:0]
-		buf = append(buf, byte(s.Start))
-		for _, m := range s.Match {
-			buf = binary.LittleEndian.AppendUint16(buf, uint16(m))
-		}
-		for _, p := range preds[i] {
-			buf = binary.LittleEndian.AppendUint32(buf, uint32(p))
-		}
-		k := string(buf)
-		placed := false
-		for _, rep := range canon[k] {
-			// States with predecessors share a component with them
-			// already; only predecessor-less merges can join two
-			// components, and those must respect the cluster cap.
-			if len(preds[i]) == 0 && !comps.sameSet(rep, automata.StateID(i)) &&
-				comps.size(rep)+comps.size(automata.StateID(i)) > componentCap {
-				continue
-			}
-			id := repID[rep]
-			remap[i] = id
-			merged[id] = append(merged[id], automata.StateID(i))
-			comps.union(rep, automata.StateID(i))
-			placed = true
-			break
-		}
-		if placed {
-			continue
-		}
-		id := automata.StateID(len(reps))
-		canon[k] = append(canon[k], automata.StateID(i))
-		repID[automata.StateID(i)] = id
-		remap[i] = id
-		reps = append(reps, automata.StateID(i))
-	}
-	removed := len(a.States) - len(reps)
-	if removed == 0 {
-		return 0
-	}
-	out := make([]automata.UnitState, len(reps))
-	for newID, oldID := range reps {
-		s := a.States[oldID]
-		succ := append([]automata.StateID(nil), s.Succ...)
-		reports := append([]automata.Report(nil), s.Reports...)
-		for _, other := range merged[automata.StateID(newID)] {
-			succ = append(succ, a.States[other].Succ...)
-			reports = append(reports, a.States[other].Reports...)
-		}
-		for j, t := range succ {
-			succ[j] = remap[t]
-		}
-		s.Succ = succ
-		s.Reports = reports
-		out[newID] = s
-	}
-	a.States = out
-	a.Normalize()
-	return removed
+// minimizer holds what the merge passes share within one Minimize. Every
+// pass reads and leaves a normalized automaton, and the predecessor lists
+// are rebuilt only after a pass that merged.
+//
+// Merge keys are hashed from a state's fields directly into chains of
+// states (head/tail per chain, next per state, in insertion order). States
+// of different keys can share a chain; a hit is confirmed field by field
+// (same), so they never merge.
+type minimizer struct {
+	a *automata.UnitAutomaton
+	// State i's predecessors, ascending, are pred[predOff[i]:predOff[i+1]].
+	predOff []int32
+	pred    []automata.StateID
+	predsOK bool
+	// Chain h>>shift runs head[c], next[head[c]], ... tail[c]; -1 ends it.
+	shift            uint
+	head, tail, next []automata.StateID
+	// repOf[i] is the state i merges into: itself, or an earlier state.
+	repOf []automata.StateID
+	comps components // the prefix pass's, built on first use
+	// The union pass's candidates: states whose group (every key field
+	// but the match vector), named by its first state, has two or more.
+	cand, group []automata.StateID
 }
 
-// mergePass performs one round of signature-based merging and returns the
+// Merge keys are built from these fields of a state, plus its start kind.
+type keyFields uint8
+
+const (
+	keyMatch keyFields = 1 << iota
+	keyReports
+	keySucc
+	keyPreds
+
+	suffixFields = keyMatch | keyReports | keySucc
+	prefixFields = keyMatch | keyPreds
+	groupFields  = keyReports | keySucc | keyPreds
+)
+
+// mix folds v into h (the rotate-xor-multiply step of FxHash).
+func mix(h, v uint64) uint64 { return (bits.RotateLeft64(h, 5) ^ v) * 0x517cc1b727220a95 }
+
+// packMatch packs a match vector into one word, position p in bits 16p..16p+15.
+func packMatch(s *automata.UnitState) uint64 {
+	var w uint64
+	for p, m := range s.Match {
+		w |= uint64(m) << (16 * p)
+	}
+	return w
+}
+
+// hash hashes state i's start kind and the fields f selects.
+func (m *minimizer) hash(i automata.StateID, f keyFields) uint64 {
+	s := &m.a.States[i]
+	h := mix(0, uint64(s.Start))
+	if f&keyMatch != 0 {
+		h = mix(h, packMatch(s))
+	}
+	if f&keyReports != 0 {
+		for _, r := range s.Reports {
+			h = mix(mix(h, uint64(r.Offset)), uint64(uint32(r.Code))<<32|uint64(uint32(r.Origin)))
+		}
+	}
+	if f&keySucc != 0 {
+		h = mix(h, uint64(len(s.Succ)))
+		for _, t := range s.Succ {
+			h = mix(h, uint64(t))
+		}
+	}
+	if f&keyPreds != 0 {
+		for _, t := range m.preds(i) {
+			h = mix(h, uint64(t))
+		}
+	}
+	return h
+}
+
+// same reports whether states i and j agree on their start kinds and the
+// fields f selects.
+func (m *minimizer) same(i, j automata.StateID, f keyFields) bool {
+	x, y := &m.a.States[i], &m.a.States[j]
+	return x.Start == y.Start &&
+		(f&keyMatch == 0 || x.Match == y.Match) &&
+		(f&keyReports == 0 || slices.Equal(x.Reports, y.Reports)) &&
+		(f&keySucc == 0 || slices.Equal(x.Succ, y.Succ)) &&
+		(f&keyPreds == 0 || slices.Equal(m.preds(i), m.preds(j)))
+}
+
+// begin starts a pass over n states: each its own representative, every
+// chain empty.
+func (m *minimizer) begin() {
+	n := len(m.a.States)
+	b := bits.Len(uint(n)) + 1 // at least 2n chains
+	m.shift = uint(64 - b)
+	m.head = slices.Grow(m.head[:0], 1<<b)[:1<<b]
+	m.tail = slices.Grow(m.tail[:0], 1<<b)[:1<<b]
+	m.next = slices.Grow(m.next[:0], n)[:n]
+	m.repOf = slices.Grow(m.repOf[:0], n)[:n]
+	for c := range m.head {
+		m.head[c] = -1
+	}
+	for i := range m.repOf {
+		m.repOf[i] = automata.StateID(i)
+	}
+	m.comps = nil
+}
+
+// intern returns the earliest interned state whose f-key equals i's and
+// that ok (if not nil) accepts, or interns i and returns it.
+func (m *minimizer) intern(i automata.StateID, f keyFields, ok func(rep, i automata.StateID) bool) automata.StateID {
+	h := m.hash(i, f)
+	c := h >> m.shift
+	for j := m.head[c]; j >= 0; j = m.next[j] {
+		if m.same(j, i, f) && (ok == nil || ok(j, i)) {
+			return j
+		}
+	}
+	if m.next[i] = -1; m.head[c] < 0 {
+		m.head[c] = i
+	} else {
+		m.next[m.tail[c]] = i
+	}
+	m.tail[c] = i
+	return i
+}
+
+// mergeBy performs one round of merging on key f, each state into the
+// earliest representative with its key that ok accepts, and returns the
 // number of states removed.
-func mergePass(a *automata.UnitAutomaton) int {
-	a.Normalize()
-	canon := make(map[string]automata.StateID, len(a.States))
-	remap := make([]automata.StateID, len(a.States))
-	reps := make([]automata.StateID, 0, len(a.States))
-	var buf []byte
-	for i := range a.States {
-		buf = signature(buf[:0], &a.States[i])
-		k := string(buf)
-		if id, ok := canon[k]; ok {
-			remap[i] = id
-			continue
+func (m *minimizer) mergeBy(f keyFields, ok func(rep, i automata.StateID) bool) int {
+	m.begin()
+	merged := 0
+	for i := range m.a.States {
+		if rep := m.intern(automata.StateID(i), f, ok); rep != automata.StateID(i) {
+			m.repOf[i] = rep
+			merged++
 		}
-		id := automata.StateID(len(reps))
-		canon[k] = id
-		remap[i] = id
-		reps = append(reps, automata.StateID(i))
 	}
-	removed := len(a.States) - len(reps)
-	if removed == 0 {
+	return m.rebuild(merged)
+}
+
+// joinable is the prefix pass's component cap: it reports whether merging
+// i into rep keeps every component within componentCap, and if so joins
+// their components. States with predecessors share a component with them
+// already; only predecessor-less merges can join two components.
+func (m *minimizer) joinable(rep, i automata.StateID) bool {
+	if len(m.preds(i)) > 0 {
+		return true
+	}
+	if m.comps == nil {
+		m.comps = newComponents(m.a)
+	}
+	r, s := m.comps.find(rep), m.comps.find(i)
+	if r != s && -(m.comps[r]+m.comps[s]) > componentCap {
+		return false
+	}
+	m.comps.union(r, s)
+	return true
+}
+
+// preds returns state i's predecessors, rebuilding every list if a merge
+// made them stale.
+func (m *minimizer) preds(i automata.StateID) []automata.StateID {
+	if !m.predsOK {
+		a := m.a
+		n := len(a.States)
+		m.predOff = slices.Grow(m.predOff[:0], n+1)[:n+1]
+		clear(m.predOff)
+		for j := range a.States {
+			for _, t := range a.States[j].Succ {
+				m.predOff[t]++
+			}
+		}
+		for j := 1; j <= n; j++ {
+			m.predOff[j] += m.predOff[j-1]
+		}
+		// predOff[t] is the end of t's list. Filling from the last
+		// predecessor down leaves it at the start, the list ascending.
+		m.pred = slices.Grow(m.pred[:0], int(m.predOff[n]))[:m.predOff[n]]
+		for j := n - 1; j >= 0; j-- {
+			for _, t := range a.States[j].Succ {
+				m.predOff[t]--
+				m.pred[m.predOff[t]] = automata.StateID(j)
+			}
+		}
+		m.predsOK = true
+	}
+	return m.pred[m.predOff[i]:m.predOff[i+1]]
+}
+
+// rebuild replaces the automaton's states by one per representative, in
+// index order. Each carries the union of its members' reports and
+// successors, remapped and normalized. It returns merged, and a merge
+// makes the predecessor lists stale.
+func (m *minimizer) rebuild(merged int) int {
+	if merged == 0 {
 		return 0
 	}
-	out := make([]automata.UnitState, len(reps))
-	for newID, oldID := range reps {
-		s := a.States[oldID]
-		succ := make([]automata.StateID, len(s.Succ))
-		for j, t := range s.Succ {
-			succ[j] = remap[t]
+	a := m.a
+	newID := make([]automata.StateID, len(a.States))
+	off := make([]int, len(a.States)-merged+1)
+	k := 0
+	for i, rep := range m.repOf {
+		if newID[i] = newID[rep]; rep == automata.StateID(i) {
+			newID[i] = automata.StateID(k)
+			k++
 		}
-		s.Succ = succ
-		out[newID] = s
+		off[newID[i]+1] += len(a.States[i].Succ)
+	}
+	for j := 1; j <= k; j++ {
+		off[j] += off[j-1]
+	}
+	arena := make([]automata.StateID, off[k])
+	out := make([]automata.UnitState, k)
+	for i := range a.States {
+		s, id := &a.States[i], newID[i]
+		o := &out[id]
+		if m.repOf[i] == automata.StateID(i) {
+			*o = automata.UnitState{Match: s.Match, Start: s.Start, Reports: s.Reports,
+				Succ: arena[off[id]:off[id]:off[id+1]]}
+		} else {
+			o.Reports = append(slices.Clip(o.Reports), s.Reports...)
+		}
+		for _, t := range s.Succ {
+			o.Succ = append(o.Succ, newID[t])
+		}
+	}
+	for j := range out {
+		out[j].Normalize()
 	}
 	a.States = out
-	a.Normalize()
-	return removed
+	m.predsOK = false
+	return merged
 }
 
-// sizedUnionFind tracks connected-component membership and sizes during a
-// merge pass.
-type sizedUnionFind struct {
-	parent []int32
-	sz     []int32
-}
+// components is a union-find over states: a root holds minus its
+// component's size, any other state its parent.
+type components []int32
 
-func newSizedUnionFind(a *automata.UnitAutomaton) *sizedUnionFind {
-	u := &sizedUnionFind{
-		parent: make([]int32, len(a.States)),
-		sz:     make([]int32, len(a.States)),
-	}
-	for i := range u.parent {
-		u.parent[i] = int32(i)
-		u.sz[i] = 1
+func newComponents(a *automata.UnitAutomaton) components {
+	c := make(components, len(a.States))
+	for i := range c {
+		c[i] = -1
 	}
 	for i := range a.States {
 		for _, t := range a.States[i].Succ {
-			u.union(automata.StateID(i), t)
+			c.union(c.find(automata.StateID(i)), c.find(t))
 		}
 	}
-	return u
+	return c
 }
 
-func (u *sizedUnionFind) find(x automata.StateID) int32 {
+func (c components) find(x automata.StateID) int32 {
 	r := int32(x)
-	for u.parent[r] != r {
-		u.parent[r] = u.parent[u.parent[r]]
-		r = u.parent[r]
+	for c[r] >= 0 {
+		r = c[r]
 	}
 	return r
 }
 
-func (u *sizedUnionFind) sameSet(a, b automata.StateID) bool { return u.find(a) == u.find(b) }
-
-func (u *sizedUnionFind) size(x automata.StateID) int32 { return u.sz[u.find(x)] }
-
-func (u *sizedUnionFind) union(a, b automata.StateID) {
-	ra, rb := u.find(a), u.find(b)
-	if ra == rb {
+// union joins the components of roots r and s, the smaller under the
+// larger, so every path stays logarithmic.
+func (c components) union(r, s int32) {
+	if r == s {
 		return
 	}
-	if u.sz[ra] < u.sz[rb] {
-		ra, rb = rb, ra
+	if c[r] > c[s] {
+		r, s = s, r
 	}
-	u.parent[rb] = ra
-	u.sz[ra] += u.sz[rb]
-}
-
-// signature encodes the merge key of a state into buf.
-func signature(buf []byte, s *automata.UnitState) []byte {
-	buf = append(buf, byte(s.Start))
-	for _, m := range s.Match {
-		buf = binary.LittleEndian.AppendUint16(buf, uint16(m))
-	}
-	buf = append(buf, byte(len(s.Reports)))
-	for _, r := range s.Reports {
-		buf = append(buf, r.Offset)
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(r.Code))
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(r.Origin))
-	}
-	for _, t := range s.Succ {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(t))
-	}
-	return buf
+	c[r] += c[s]
+	c[s] = r
 }

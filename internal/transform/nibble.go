@@ -11,7 +11,7 @@
 package transform
 
 import (
-	"sort"
+	"slices"
 
 	"sunder/internal/automata"
 )
@@ -30,30 +30,28 @@ type nibbleTerm struct {
 // suffix behaviour share states (Figure 3: "the first 6 bits of symbols A
 // and B can be merged"). The cover is exact and uses at most 16 terms.
 func decompose(match [4]uint64) []nibbleTerm {
-	// rows[h] = set of low nibbles accepted together with high nibble h.
-	var rows [16]uint16
+	// One term per distinct non-empty row lo (the low nibbles accepted
+	// with high nibble h), hi the high nibbles sharing it, kept in lo
+	// order; lo is unique per term, so that is (lo, hi) order.
+	var terms [16]nibbleTerm
+	n := 0
 	for h := 0; h < 16; h++ {
-		word := match[h/4]
-		rows[h] = uint16(word >> (uint(h%4) * 16))
-	}
-	byRow := make(map[uint16]uint16) // low-nibble row -> set of high nibbles
-	for h, r := range rows {
-		if r != 0 {
-			byRow[r] |= 1 << uint(h)
+		lo := automata.UnitSet(match[h/4] >> (uint(h%4) * 16))
+		if lo == 0 {
+			continue
 		}
-	}
-	terms := make([]nibbleTerm, 0, len(byRow))
-	for lo, hi := range byRow {
-		terms = append(terms, nibbleTerm{hi: automata.UnitSet(hi), lo: automata.UnitSet(lo)})
-	}
-	// Map iteration order is random; sort for deterministic output.
-	sort.Slice(terms, func(i, j int) bool {
-		if terms[i].lo != terms[j].lo {
-			return terms[i].lo < terms[j].lo
+		j := 0
+		for j < n && terms[j].lo < lo {
+			j++
 		}
-		return terms[i].hi < terms[j].hi
-	})
-	return terms
+		if j == n || terms[j].lo != lo {
+			copy(terms[j+1:n+1], terms[j:n])
+			terms[j] = nibbleTerm{lo: lo}
+			n++
+		}
+		terms[j].hi |= 1 << uint(h)
+	}
+	return slices.Clone(terms[:n])
 }
 
 // naiveDecompose covers a symbol set with one product term per accepted

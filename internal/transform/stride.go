@@ -2,6 +2,7 @@ package transform
 
 import (
 	"fmt"
+	"slices"
 
 	"sunder/internal/automata"
 )
@@ -41,24 +42,34 @@ type strideKey struct {
 }
 
 type strider struct {
-	in   *automata.UnitAutomaton
-	out  *automata.UnitAutomaton
-	ids  map[strideKey]automata.StateID
-	work []strideKey
+	in  *automata.UnitAutomaton
+	out *automata.UnitAutomaton
+	// The interned strided states' IDs, -1 until first use: lift and
+	// shift per input state, pair per input edge, numbering q1's
+	// successor list from edge[q1].
+	lift, shift, pair []automata.StateID
+	edge              []int
+	work              []strideKey
 }
 
 // Stride2 doubles the processing rate of a unit automaton. The result
 // consumes 2×Rate units per cycle and generates the identical multiset of
-// (unit-position, report-code) events.
+// (unit-position, report-code) events. in must be normalized, as every
+// constructor in this package leaves it.
 func Stride2(in *automata.UnitAutomaton) (*automata.UnitAutomaton, error) {
 	if in.Rate*2 > automata.MaxRate {
 		return nil, fmt.Errorf("transform: striding rate %d exceeds maximum rate %d", in.Rate*2, automata.MaxRate)
 	}
-	s := &strider{
-		in:  in,
-		out: automata.NewUnitAutomaton(in.UnitBits, in.Rate*2, in.SymbolUnits),
-		ids: make(map[strideKey]automata.StateID),
+	n := len(in.States)
+	s := &strider{in: in, out: automata.NewUnitAutomaton(in.UnitBits, in.Rate*2, in.SymbolUnits), edge: make([]int, n+1)}
+	for q := range in.States {
+		s.edge[q+1] = s.edge[q] + len(in.States[q].Succ)
 	}
+	ids := make([]automata.StateID, 2*n+s.edge[n])
+	for i := range ids {
+		ids[i] = -1
+	}
+	s.lift, s.shift, s.pair = ids[:n], ids[n:2*n], ids[2*n:]
 	s.seedStarts()
 	for len(s.work) > 0 {
 		k := s.work[len(s.work)-1]
@@ -93,11 +104,24 @@ func (s *strider) reportsShifted(q automata.StateID, delta int) []automata.Repor
 	return out
 }
 
+// slot returns where the ID of the state for key k is kept.
+func (s *strider) slot(k strideKey) *automata.StateID {
+	switch k.kind {
+	case 'L':
+		return &s.lift[k.q1]
+	case 'S':
+		return &s.shift[k.q1]
+	}
+	j, _ := slices.BinarySearch(s.in.States[k.q1].Succ, k.q2)
+	return &s.pair[s.edge[k.q1]+j]
+}
+
 // get interns the state for key k, allocating it (and queueing it for
 // wiring) on first use.
 func (s *strider) get(k strideKey) automata.StateID {
-	if id, ok := s.ids[k]; ok {
-		return id
+	slot := s.slot(k)
+	if *slot >= 0 {
+		return *slot
 	}
 	r := s.in.Rate
 	dontCare := automata.AllUnits(s.in.UnitBits)
@@ -127,7 +151,7 @@ func (s *strider) get(k strideKey) automata.StateID {
 		st.Reports = s.reportsShifted(k.q1, r)
 	}
 	id := s.out.AddState(st)
-	s.ids[k] = id
+	*slot = id
 	s.work = append(s.work, k)
 	return id
 }
@@ -139,10 +163,7 @@ func (s *strider) get(k strideKey) automata.StateID {
 func (s *strider) continueFrom(q automata.StateID) []automata.StateID {
 	var out []automata.StateID
 	for _, q3 := range s.in.States[q].Succ {
-		if s.isResidual(q3) {
-			out = append(out, s.get(strideKey{kind: 'L', q1: q3}))
-			continue
-		}
+		// A residual reports and has no successors: its lift alone.
 		if len(s.in.States[q3].Reports) > 0 {
 			out = append(out, s.get(strideKey{kind: 'L', q1: q3}))
 		}
@@ -155,18 +176,14 @@ func (s *strider) continueFrom(q automata.StateID) []automata.StateID {
 
 // wire fills in the successor list of the already-allocated state for k.
 func (s *strider) wire(k strideKey) {
-	id := s.ids[k]
-	switch k.kind {
-	case 'P':
-		if !s.isResidual(k.q2) {
-			s.out.States[id].Succ = s.continueFrom(k.q2)
-		}
-	case 'L':
-		// Residual in the output: no successors.
-	case 'S':
-		if !s.isResidual(k.q1) {
-			s.out.States[id].Succ = s.continueFrom(k.q1)
-		}
+	// A lift is residual in the output: no successors. A pair continues
+	// from its second state, a shifted start from its only one.
+	q := k.q1
+	if k.kind == 'P' {
+		q = k.q2
+	}
+	if k.kind != 'L' && !s.isResidual(q) {
+		s.out.States[*s.slot(k)].Succ = s.continueFrom(q)
 	}
 }
 
@@ -182,18 +199,14 @@ func (s *strider) seedStarts() {
 			continue
 		}
 		qid := automata.StateID(i)
-		if s.isResidual(qid) {
+		// A residual reports and has no successors: its lift alone.
+		if len(q.Reports) > 0 {
 			id := s.get(strideKey{kind: 'L', q1: qid})
 			s.out.States[id].Start = q.Start
-		} else {
-			if len(q.Reports) > 0 {
-				id := s.get(strideKey{kind: 'L', q1: qid})
-				s.out.States[id].Start = q.Start
-			}
-			for _, q2 := range q.Succ {
-				id := s.get(strideKey{kind: 'P', q1: qid, q2: q2})
-				s.out.States[id].Start = q.Start
-			}
+		}
+		for _, q2 := range q.Succ {
+			id := s.get(strideKey{kind: 'P', q1: qid, q2: q2})
+			s.out.States[id].Start = q.Start
 		}
 		if q.Start == automata.StartAllInput && shiftAligned {
 			s.get(strideKey{kind: 'S', q1: qid}) // marks itself StartAllInput
@@ -208,12 +221,16 @@ func ToRate(a *automata.Automaton, rate int) (*automata.UnitAutomaton, error) {
 	if rate != 1 && rate != 2 && rate != 4 {
 		return nil, fmt.Errorf("transform: unsupported rate %d (want 1, 2 or 4 nibbles)", rate)
 	}
-	ua := ToNibble(a)
+	return strideTo(ToNibble(a), rate)
+}
+
+// strideTo minimizes ua, then strides and minimizes it until it consumes
+// rate units per cycle.
+func strideTo(ua *automata.UnitAutomaton, rate int) (*automata.UnitAutomaton, error) {
 	Minimize(ua)
 	for ua.Rate < rate {
 		var err error
-		ua, err = Stride2(ua)
-		if err != nil {
+		if ua, err = Stride2(ua); err != nil {
 			return nil, err
 		}
 		Minimize(ua)

@@ -1,7 +1,8 @@
 package transform
 
 import (
-	"encoding/binary"
+	"cmp"
+	"slices"
 
 	"sunder/internal/automata"
 )
@@ -21,81 +22,53 @@ import (
 // activation has the same effect. The union therefore accepts exactly the
 // union of the two original languages with no cross products.
 //
-// The pass returns the number of states removed.
-func unionMergePass(a *automata.UnitAutomaton) int {
-	removedTotal := 0
-	for p := 0; p < a.Rate; p++ {
-		removedTotal += unionMergeAt(a, p)
+// The pass returns the number of states removed. States are grouped once by
+// every key field but the match vector, and only groups of two or more are
+// tried at each position; a merge at one position regroups for the next.
+func (m *minimizer) unionMergePass() int {
+	removed, merged := 0, 1
+	for p := 0; p < m.a.Rate; p++ {
+		if merged > 0 {
+			m.begin()
+			m.group = slices.Grow(m.group[:0], len(m.a.States))[:len(m.a.States)]
+			size := make([]int32, len(m.a.States))
+			for i := range m.a.States {
+				m.group[i] = m.intern(automata.StateID(i), groupFields, nil)
+				size[m.group[i]]++
+			}
+			m.cand = m.cand[:0]
+			for i, g := range m.group {
+				if size[g] > 1 {
+					m.cand = append(m.cand, automata.StateID(i))
+				}
+			}
+		}
+		merged = m.unionMergeAt(p)
+		removed += merged
 	}
-	return removedTotal
+	return removed
 }
 
-// unionMergeAt merges along position p.
-func unionMergeAt(a *automata.UnitAutomaton, p int) int {
-	a.Normalize()
-	preds := make([][]automata.StateID, len(a.States))
-	for i := range a.States {
-		for _, t := range a.States[i].Succ {
-			preds[t] = append(preds[t], automata.StateID(i))
-		}
-	}
-	canon := make(map[string]automata.StateID, len(a.States))
-	remap := make([]automata.StateID, len(a.States))
-	reps := make([]automata.StateID, 0, len(a.States))
-	var buf []byte
-	for i := range a.States {
-		s := &a.States[i]
-		buf = buf[:0]
-		buf = append(buf, byte(s.Start))
-		for q := 0; q < automata.MaxRate; q++ {
-			if q == p {
-				continue
-			}
-			buf = binary.LittleEndian.AppendUint16(buf, uint16(s.Match[q]))
-		}
-		buf = append(buf, byte(len(s.Reports)))
-		for _, r := range s.Reports {
-			buf = append(buf, r.Offset)
-			buf = binary.LittleEndian.AppendUint32(buf, uint32(r.Code))
-			buf = binary.LittleEndian.AppendUint32(buf, uint32(r.Origin))
-		}
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(s.Succ)))
-		for _, t := range s.Succ {
-			buf = binary.LittleEndian.AppendUint32(buf, uint32(t))
-		}
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(preds[i])))
-		for _, q := range preds[i] {
-			buf = binary.LittleEndian.AppendUint32(buf, uint32(q))
-		}
-		k := string(buf)
-		if id, ok := canon[k]; ok {
-			remap[i] = id
-			// Fold this state's position-p match into the
-			// representative.
-			rep := reps[id]
-			a.States[rep].Match[p] |= s.Match[p]
-			continue
-		}
-		id := automata.StateID(len(reps))
-		canon[k] = id
-		remap[i] = id
-		reps = append(reps, automata.StateID(i))
-	}
-	removed := len(a.States) - len(reps)
-	if removed == 0 {
+// unionMergeAt merges along position p: within a group, states whose match
+// vectors agree everywhere but at p fold into the earliest of them.
+func (m *minimizer) unionMergeAt(p int) int {
+	if len(m.cand) == 0 {
 		return 0
 	}
-	out := make([]automata.UnitState, len(reps))
-	for newID, oldID := range reps {
-		s := a.States[oldID]
-		succ := make([]automata.StateID, len(s.Succ))
-		for j, t := range s.Succ {
-			succ[j] = remap[t]
+	m.begin()
+	s := m.a.States
+	rest := func(i automata.StateID) uint64 { return packMatch(&s[i]) &^ (0xffff << (16 * p)) }
+	slices.SortFunc(m.cand, func(x, y automata.StateID) int {
+		return cmp.Or(cmp.Compare(m.group[x], m.group[y]), cmp.Compare(rest(x), rest(y)), cmp.Compare(x, y))
+	})
+	merged := 0
+	for k, i := range m.cand[1:] {
+		// The previous candidate's representative heads its run.
+		if rep := m.repOf[m.cand[k]]; m.group[i] == m.group[rep] && rest(i) == rest(rep) {
+			s[rep].Match[p] |= s[i].Match[p]
+			m.repOf[i] = rep
+			merged++
 		}
-		s.Succ = succ
-		out[newID] = s
 	}
-	a.States = out
-	a.Normalize()
-	return removed
+	return m.rebuild(merged)
 }

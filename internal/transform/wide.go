@@ -2,7 +2,7 @@ package transform
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"sunder/internal/automata"
@@ -102,7 +102,7 @@ func (b *wideBuilder) build(depth int, suffixes []uint16) []automata.StateID {
 		for k := range bySub {
 			keys = append(keys, k)
 		}
-		sort.Strings(keys) // deterministic output
+		slices.Sort(keys) // deterministic output
 		for _, k := range keys {
 			child := b.build(depth+1, childSet[k])
 			var match automata.UnitSet
@@ -120,14 +120,8 @@ func (b *wideBuilder) build(depth int, suffixes []uint16) []automata.StateID {
 }
 
 func dedupSorted(vs []uint16) []uint16 {
-	sort.Slice(vs, func(i, j int) bool { return vs[i] < vs[j] })
-	out := vs[:0]
-	for i, v := range vs {
-		if i == 0 || v != vs[i-1] {
-			out = append(out, v)
-		}
-	}
-	return out
+	slices.Sort(vs)
+	return slices.Compact(vs)
 }
 
 func suffixKey(depth int, suffixes []uint16) string {
@@ -147,17 +141,7 @@ func WideToRate(a *automata.WideAutomaton, rate int) (*automata.UnitAutomaton, e
 	if rate != 1 && rate != 2 && rate != 4 {
 		return nil, fmt.Errorf("transform: unsupported rate %d", rate)
 	}
-	ua := WideToNibble(a)
-	Minimize(ua)
-	for ua.Rate < rate {
-		var err error
-		ua, err = Stride2(ua)
-		if err != nil {
-			return nil, err
-		}
-		Minimize(ua)
-	}
-	return ua, nil
+	return strideTo(WideToNibble(a), rate)
 }
 
 // WideEquivalentOnInput checks that a transformed wide automaton generates
