@@ -18,6 +18,7 @@ import (
 	"sunder/internal/exp"
 	"sunder/internal/funcsim"
 	"sunder/internal/mapping"
+	"sunder/internal/report"
 	"sunder/internal/sched"
 	"sunder/internal/telemetry"
 	"sunder/internal/transform"
@@ -109,13 +110,15 @@ func BenchmarkAblationFIFO(b *testing.B) {
 			cfg := core.DefaultConfig(4)
 			cfg.FIFO = fifo
 			m := mustMachine(b, w, cfg)
+			md := report.NewSunder(m.Placement(), m.Config())
 			b.SetBytes(int64(len(w.Input)))
 			b.ResetTimer()
 			var overhead float64
 			for i := 0; i < b.N; i++ {
 				m.Reset()
-				res := m.Run(units, core.RunOptions{})
-				overhead = res.Overhead()
+				md.Reset()
+				res := m.Run(units, core.RunOptions{OnReportCycle: md.OnReportCycle})
+				overhead = md.Result().Overhead(res.KernelCycles)
 			}
 			b.ReportMetric(overhead, "overhead-x")
 		})
@@ -134,13 +137,15 @@ func BenchmarkAblationSummarize(b *testing.B) {
 			cfg := core.DefaultConfig(4)
 			cfg.SummarizeOnFull = sum
 			m := mustMachine(b, w, cfg)
+			md := report.NewSunder(m.Placement(), m.Config())
 			b.SetBytes(int64(len(w.Input)))
 			b.ResetTimer()
 			var overhead float64
 			for i := 0; i < b.N; i++ {
 				m.Reset()
-				res := m.Run(units, core.RunOptions{})
-				overhead = res.Overhead()
+				md.Reset()
+				res := m.Run(units, core.RunOptions{OnReportCycle: md.OnReportCycle})
+				overhead = md.Result().Overhead(res.KernelCycles)
 			}
 			b.ReportMetric(overhead, "overhead-x")
 		})
@@ -350,9 +355,9 @@ func BenchmarkScanPrefilterSkip(b *testing.B) {
 }
 
 // BenchmarkTelemetryOverhead measures the cost of the telemetry hooks on
-// the machine hot path in its three modes: detached (the default; the
-// guard branch only), counters attached, and counters plus event tracing.
-// "off" must stay within noise of BenchmarkMachineSnort.
+// the machine and report-model hot paths in their three modes: detached
+// (the default; the guard branch only), counters attached, and counters
+// plus event tracing, read against "off".
 func BenchmarkTelemetryOverhead(b *testing.B) {
 	w := workload.MustGet("Snort", benchOpts.Scale, benchOpts.InputLen)
 	units := funcsim.BytesToUnits(w.Input, 4)
@@ -367,15 +372,18 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 				col = telemetry.NewCollector()
 				col.EnableTrace(0)
 			}
+			md := report.NewSunder(m.Placement(), m.Config())
 			m.AttachTelemetry(col)
+			md.AttachTelemetry(col)
 			b.SetBytes(int64(len(w.Input)))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				m.Reset()
+				md.Reset()
 				if col != nil {
 					col.Reset()
 				}
-				m.Run(units, core.RunOptions{})
+				m.Run(units, core.RunOptions{OnReportCycle: md.OnReportCycle})
 			}
 		})
 	}

@@ -497,6 +497,7 @@ func TestEngineStateOutsideArtifact(t *testing.T) {
 	mutable := map[string]string{
 		"compiledArtifact": "the shared immutable compile product itself",
 		"machine":          "the engine's own device, stepped by sequential scans",
+		"model":            "the engine's device's report regions, fed by sequential scans",
 		"tel":              "attached by SetTelemetry",
 		"nfaRun":           "sequential runner scratch",
 		"dfaRun":           "sequential runner scratch and DFA state cache",

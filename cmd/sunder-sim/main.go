@@ -147,27 +147,32 @@ func main() {
 	}
 	col := telFlags.Collector()
 	m.AttachTelemetry(col)
-	mres := m.Run(funcsim.BytesToUnits(w.Input, 4), core.RunOptions{})
+	model := report.NewSunder(place, cfg)
+	model.AttachTelemetry(col)
+	mres := m.Run(funcsim.BytesToUnits(w.Input, 4), core.RunOptions{OnReportCycle: model.OnReportCycle})
+	model.Finish(mres.KernelCycles)
+	sres := model.Result()
 	fmt.Printf("\nSunder @ %d-bit/cycle (FIFO=%v, summarize=%v): %d states on %d PUs (m=%d)\n",
 		4**rate, *fifo, *summarize, ua.NumStates(), m.NumPUs(), cfg.ReportColumns)
 	stats := sunder.Stats{
 		KernelCycles: mres.KernelCycles,
-		StallCycles:  mres.StallCycles,
-		Flushes:      mres.Flushes,
+		StallCycles:  sres.StallCycles,
+		Flushes:      sres.Flushes,
 		Reports:      mres.Reports,
 		ReportCycles: mres.ReportCycles,
 	}
 	if err := stats.WriteText(os.Stdout, 4**rate); err != nil {
 		log.Fatal(err)
 	}
+	energy := model.Energy(m.Energy())
 	fmt.Printf("  %d summaries; measured energy %.2f pJ/byte (%d report writes)\n",
-		mres.Summaries, m.EnergyPerByte(), m.Energy().ReportWrites)
+		sres.Summaries, energy.PerByte(mres.KernelCycles, *rate), energy.ReportWrites)
 
 	apo := ap.Result()
 	rado := rad.Result()
 	fmt.Printf("\nreporting-architecture comparison (same workload):\n")
 	fmt.Printf("  %-12s overhead %8.2fx  (%d flushes, reports stored in place)\n",
-		"Sunder", mres.Overhead(), mres.Flushes)
+		"Sunder", sres.Overhead(mres.KernelCycles), sres.Flushes)
 	fmt.Printf("  %-12s overhead %8.2fx  (%d flushes, %.1f KB offloaded)\n",
 		"AP", apo.Overhead(res.Cycles), apo.Flushes, float64(apo.OffloadedBits)/8192)
 	fmt.Printf("  %-12s overhead %8.2fx  (%d flushes, %.1f KB offloaded)\n",

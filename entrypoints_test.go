@@ -22,7 +22,12 @@ import (
 // or not, the machine for the others. Within one engine the entry points
 // must also agree on match order with Scan (substrates order a cycle's
 // reports differently, so across engines the comparison is
-// order-insensitive).
+// order-insensitive), and every run on the machine must leave the report
+// model where Scan leaves it (StallCycles, Flushes, PerPU) — a prefiltered
+// Scan where the unfiltered one does. The "flushing" rule set makes that
+// non-vacuous: with the FIFO off and one wide entry per row, its dense rule
+// flushes the regions several times, and its literal engages the
+// prefilter.
 func TestEntryPointsAgree(t *testing.T) {
 	filler := bytes.Repeat([]byte("the quick brown fox 0 jumps 12 over; "), 64)
 	plant := func(frags ...string) []byte {
@@ -32,23 +37,40 @@ func TestEntryPointsAgree(t *testing.T) {
 		}
 		return in
 	}
+	// spread plants n copies of frag evenly over in.
+	spread := func(in []byte, frag string, n int) []byte {
+		for i := 0; i < n; i++ {
+			copy(in[i*len(in)/n:], frag)
+		}
+		return in
+	}
 	ruleSets := []struct {
 		name     string
 		patterns []Pattern
 		input    []byte
+		opts     func(*Options)
 	}{
 		{"anchored", []Pattern{{Expr: `^GET /a`, Code: 1}, {Expr: `bc+d`, Code: 2}},
-			append([]byte("GET /a"), plant("GET /a", "bccd", "bcd")...)},
+			append([]byte("GET /a"), plant("GET /a", "bccd", "bcd")...), nil},
 		{"dotstar", []Pattern{{Expr: `ab.*yz`, Code: 3}, {Expr: `needle`, Code: 4}},
-			plant("ab", "needle", "yz", "yz")},
+			plant("ab", "needle", "yz", "yz"), nil},
 		{"bounded-repeat", []Pattern{{Expr: `ab{2,4}c`, Code: 5}, {Expr: `[0-9]{3}`, Code: 6}},
-			plant("abbc", "abbbbbc", "2024", "abbbbc")},
+			plant("abbc", "abbbbbc", "2024", "abbbbc"), nil},
 		{"fold", []Pattern{{Expr: `(?i)select`, Code: 7}, {Expr: `(?i)union`, Code: 8}},
-			plant("SeLeCt", "UNION", "select")},
+			plant("SeLeCt", "UNION", "select"), nil},
 		// Odd length with the any-symbol position in the pad tail: the final
 		// vector reports a phantom that counts in Reports but is no match.
 		{"pad-tail", []Pattern{{Expr: `q.`, Code: 9}, {Expr: `qz`, Code: 10}},
-			append(plant("qz", "q!"), "..q"...)},
+			append(plant("qz", "q!"), "..q"...), nil},
+		{"flushing", []Pattern{{Expr: `ZQ`, Code: 11}},
+			spread(bytes.Repeat(filler, 2), strings.Repeat("ZQ", 20), 40),
+			func(o *Options) { o.FIFO, o.MetadataBits = false, 200 }},
+		// The same with the FIFO on: an entry wider than the drain's
+		// bandwidth leaves a backlog at a window's end, which the skipped
+		// cycles after it drain.
+		{"draining", []Pattern{{Expr: `ZQ`, Code: 12}},
+			spread(bytes.Repeat(filler, 2), strings.Repeat("ZQ", 20), 12),
+			func(o *Options) { o.MetadataBits = 200 }},
 	}
 	for _, rs := range ruleSets {
 		if len(rs.input)%2 == 0 {
@@ -59,15 +81,38 @@ func TestEntryPointsAgree(t *testing.T) {
 			t.Fatalf("%s: oracle found no match", rs.name)
 		}
 		for _, backend := range []string{"nfa", "dfa", "parallel", "auto"} {
-			for _, pre := range []PrefilterMode{PrefilterOff, PrefilterOn} {
-				for _, minimize := range []bool{false, true} {
+			for _, minimize := range []bool{false, true} {
+				var unfiltered *ScanResult
+				for _, pre := range []PrefilterMode{PrefilterOff, PrefilterOn} {
 					opts := DefaultOptions()
 					opts.Backend, opts.Prefilter, opts.Minimize = backend, pre, minimize
+					if rs.opts != nil {
+						rs.opts(&opts)
+					}
 					label := fmt.Sprintf("%s/%s/pre=%d/min=%v", rs.name, backend, pre, minimize)
-					checkEntryPoints(t, label, rs.patterns, opts, rs.input, want)
+					ref, onMachine := checkEntryPoints(t, label, rs.patterns, opts, rs.input, want)
+					if !onMachine {
+						continue
+					}
+					if unfiltered == nil {
+						unfiltered = ref
+					} else {
+						sameDevice(t, label+"/Scan vs unfiltered Scan", ref, unfiltered)
+					}
 				}
 			}
 		}
+	}
+	// The flushing rule set must flush on the machine, or its device
+	// checks above are vacuous.
+	flushing := ruleSets[len(ruleSets)-2]
+	eng, err := Compile(flushing.patterns, Options{Rate: 4, MetadataBits: 200, Prefilter: PrefilterOn})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res, err := eng.Scan(flushing.input); err != nil || res.Stats.Flushes < 3 || res.Stats.PrefilterWindows < 2 {
+		t.Fatalf("flushing rule set: %d flushes in %d prefilter windows (err %v), want several of each",
+			res.Stats.Flushes, res.Stats.PrefilterWindows, err)
 	}
 }
 
@@ -102,7 +147,9 @@ func oracleRun(t *testing.T, patterns []Pattern, input []byte) *ScanResult {
 	return out
 }
 
-func checkEntryPoints(t *testing.T, label string, patterns []Pattern, opts Options, input []byte, want *ScanResult) {
+// checkEntryPoints runs every entry point on one engine and returns its
+// Scan and whether Scan ran on the machine.
+func checkEntryPoints(t *testing.T, label string, patterns []Pattern, opts Options, input []byte, want *ScanResult) (*ScanResult, bool) {
 	t.Helper()
 	eng, err := Compile(patterns, opts)
 	if err != nil {
@@ -142,13 +189,17 @@ func checkEntryPoints(t *testing.T, label string, patterns []Pattern, opts Optio
 		}
 	}
 	// A result's substrate shows in its per-PU rows: the machine writes
-	// report entries into its regions, the lazy DFA models none.
+	// report entries into its regions, the lazy DFA models none. A run on
+	// the machine leaves the report model where Scan's does.
 	result := func(entry, override string, res *ScanResult, err error) {
 		t.Helper()
 		if err != nil {
 			res = &ScanResult{}
 		}
 		check(entry, onDFA(override) == onDFA(""), res.Matches, res.Stats, err)
+		if err == nil && !onDFA(override) && !onDFA("") {
+			sameDevice(t, label+"/"+entry, res, ref)
+		}
 		entries := int64(0)
 		for _, pu := range res.PerPU {
 			entries += pu.ReportEntries
@@ -191,6 +242,10 @@ func checkEntryPoints(t *testing.T, label string, patterns []Pattern, opts Optio
 			err = st.Err()
 		}
 		check(fmt.Sprintf("Stream/chunk=%d", chunk), true, got, stats, err)
+		if err == nil && !onDFA("") && (stats.StallCycles != ref.Stats.StallCycles || stats.Flushes != ref.Stats.Flushes) {
+			t.Errorf("%s/Stream/chunk=%d: StallCycles/Flushes %d/%d, Scan %d/%d", label, chunk,
+				stats.StallCycles, stats.Flushes, ref.Stats.StallCycles, ref.Stats.Flushes)
+		}
 		if after := eng.DFAStats(); (after.Hits+after.Misses > lookups.Hits+lookups.Misses) != onDFA("") {
 			t.Errorf("%s/Stream/chunk=%d: ran on the wrong substrate (backend %s)", label, chunk, eng.Backend())
 		}
@@ -208,4 +263,5 @@ func checkEntryPoints(t *testing.T, label string, patterns []Pattern, opts Optio
 	}
 	res, err = cached.Scan(input)
 	result("CompileCached", "", res, err)
+	return ref, !onDFA("")
 }

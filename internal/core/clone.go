@@ -3,22 +3,17 @@ package core
 // Clone returns a new machine with the receiver's configuration and a
 // pristine execution state, as if freshly Configured. The compile products
 // (automaton, placement) and the whole configuration image — match rows,
-// crossbar, global switches — are shared with the receiver; the clone
-// allocates only what execution mutates (active vectors, report regions,
-// counters), so clones execute fully independently at a fraction of the
-// footprint of re-running Configure. This is the mechanism behind parallel
-// shard workers and cached-compile engines. The image is never written in
-// Automata Mode (only Normal Mode writes take it private, see own), so
-// sharing it is safe.
+// crossbar, global switches — are shared with the receiver, which never
+// writes them; the clone allocates only what execution mutates (active
+// vectors, counters), so clones execute fully independently at a fraction
+// of the footprint of re-running Configure. This is the mechanism behind
+// parallel shard workers and cached-compile engines.
 //
 // A telemetry attachment does not carry over (attach it to the clone
 // explicitly), and neither does a SuppressStartOfData setting. The
-// receiver must be in Automata Mode and must not be executing concurrently;
-// concurrent Clone calls on one receiver are safe.
+// receiver must not be executing concurrently; concurrent Clone calls on
+// one receiver are safe.
 func (m *Machine) Clone() *Machine {
-	if m.mode != AutomataMode {
-		panic("core: Clone while in normal (cache) mode")
-	}
 	return newMachine(m.cfg, m.a, m.place, m.img)
 }
 

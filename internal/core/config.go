@@ -2,24 +2,24 @@
 // paper's contribution. A Machine models processing units built from
 // 256×256 dual-port 8T subarrays (Figure 4): the upper 16·rate rows hold
 // one-hot nibble encodings read through the four 4:16 decoders and combined
-// by multi-row activation; the remaining rows store report entries written
-// in place through Port 1 while Port 2 performs state matching — the
-// memory-mapped reporting architecture of Section 5.1.2. Local full-
-// crossbar switches and per-cluster global switches implement the
-// interconnect of Section 5.2.
+// by multi-row activation, and Port 2 performs state matching on them.
+// Local full-crossbar switches and per-cluster global switches implement
+// the interconnect of Section 5.2. The remaining rows of each subarray are
+// the report region of Section 5.1.2; the Machine only matches and returns
+// each cycle's reporting states, and report.NewSunder models the region —
+// the one reporting model every device path feeds. Config carries both
+// halves' parameters.
 //
 // The simulator is bit-faithful at the subarray level (rows, columns,
-// decoders, wired-NOR reads, the local report counter of Equation 1, stride
-// markers) and cycle-accounting faithful for the reporting studies (stalls,
-// flushes, FIFO drain, summarization). Its functional behaviour is asserted
-// equal to the functional simulator in the integration tests.
+// decoders, wired-NOR reads). Its functional behaviour is asserted equal to
+// the functional simulator in the integration tests.
 //
 // Storage follows the per-cycle access pattern, not the per-PU packaging:
 // one immutable configuration image (match rows group-major across PUs,
 // crossbar, sparse global switches) is shared by a machine and all its
 // clones, and a Machine owns only what execution mutates (DESIGN.md §4.18).
-// Step's accounting is held equal, cycle by cycle, to the phase-by-phase
-// model kept in spec_test.go.
+// Step is held equal, cycle by cycle, to the phase-by-phase model kept in
+// spec_test.go.
 package core
 
 import (
@@ -39,7 +39,9 @@ const (
 	RowsPerNibble = 16
 )
 
-// Config selects the reconfigurable parameters of a Machine.
+// Config selects the reconfigurable parameters of a device: the rate, which
+// the Machine executes at, and the report-region parameters, which its
+// reporting model (report.NewSunder) takes.
 type Config struct {
 	// Rate is the symbol processing rate in nibbles per cycle (1, 2 or
 	// 4, i.e. 4-, 8- or 16-bit symbols), Section 5.1.1.
@@ -124,8 +126,8 @@ func (c Config) RegionCapacity() int { return c.ReportRows() * c.EntriesPerRow()
 // MaxCycles returns how many cycles a machine of this configuration can
 // execute and still cycle-stamp a report: before its data entry, a report
 // in a fresh region chains stride markers of MetadataBits each, and the
-// chain must leave the entry one of the region's slots. A machine stepped
-// past it panics on its next report, so whatever feeds a machine input of
+// chain must leave the entry one of the region's slots. A reporting model
+// fed a report past it panics, so whatever feeds a device input of
 // unbounded length checks this first. Saturates at math.MaxInt64.
 func (c Config) MaxCycles() int64 {
 	if c.MetadataBits >= 63 {

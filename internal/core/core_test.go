@@ -118,207 +118,6 @@ func TestMachineMultiPU(t *testing.T) {
 	}
 }
 
-// TestReadReportsDecodes checks the memory-mapped report region: entries
-// written in place decode back to the exact report cycles and states.
-func TestReadReportsDecodes(t *testing.T) {
-	cfg := DefaultConfig(2)
-	m, _ := build(t, []regex.Pattern{{Expr: `ab`, Code: 7}}, cfg)
-	input := []byte("abxxabxxxxab")
-	got := m.Run(funcsim.BytesToUnits(input, 4), RunOptions{RecordEvents: true})
-	if got.Reports != 3 {
-		t.Fatalf("reports = %d, want 3", got.Reports)
-	}
-	var recs []ReportRecord
-	for i := 0; i < m.NumPUs(); i++ {
-		recs = append(recs, m.ReadReports(i)...)
-	}
-	if len(recs) != 3 {
-		t.Fatalf("decoded %d records, want 3", len(recs))
-	}
-	wantCycles := map[int64]bool{}
-	for _, ev := range got.Events {
-		wantCycles[ev.Cycle] = true
-	}
-	for _, r := range recs {
-		if !wantCycles[r.Cycle] {
-			t.Errorf("decoded cycle %d not in %v", r.Cycle, wantCycles)
-		}
-		if len(r.States) != 1 {
-			t.Errorf("record states = %v", r.States)
-		}
-	}
-}
-
-// TestStrideMarkers runs past the metadata counter range and checks cycle
-// reconstruction still works.
-func TestStrideMarkers(t *testing.T) {
-	cfg := DefaultConfig(2)
-	cfg.MetadataBits = 6 // wraps every 64 cycles
-	m, _ := build(t, []regex.Pattern{{Expr: `ab`, Code: 1}}, cfg)
-	// Reports at byte cycles 1, then around 200, then 400.
-	input := make([]byte, 500)
-	for i := range input {
-		input[i] = 'x'
-	}
-	copy(input[0:], "ab")
-	copy(input[200:], "ab")
-	copy(input[400:], "ab")
-	got := m.Run(funcsim.BytesToUnits(input, 4), RunOptions{RecordEvents: true})
-	if got.Reports != 3 {
-		t.Fatalf("reports = %d", got.Reports)
-	}
-	var recs []ReportRecord
-	for i := 0; i < m.NumPUs(); i++ {
-		recs = append(recs, m.ReadReports(i)...)
-	}
-	if len(recs) != 3 {
-		t.Fatalf("decoded %d records, want 3", len(recs))
-	}
-	want := map[int64]bool{}
-	for _, ev := range got.Events {
-		want[ev.Cycle] = true
-	}
-	for _, r := range recs {
-		if !want[r.Cycle] {
-			t.Errorf("reconstructed cycle %d wrong (want one of %v)", r.Cycle, want)
-		}
-	}
-}
-
-// TestFlushOnFull drives a region to overflow without FIFO and checks
-// flush/stall accounting.
-func TestFlushOnFull(t *testing.T) {
-	cfg := DefaultConfig(4)
-	m, _ := build(t, []regex.Pattern{{Expr: `a`, Code: 1}}, cfg)
-	capacity := cfg.RegionCapacity()
-	// 'a' reports every byte; at rate 4 every cycle carries 2 reports but
-	// one region entry. Run enough cycles to overflow twice.
-	n := (capacity + 2) * 2 * 2 // bytes
-	input := make([]byte, n)
-	for i := range input {
-		input[i] = 'a'
-	}
-	res := m.Run(funcsim.BytesToUnits(input, 4), RunOptions{})
-	if res.Flushes < 2 {
-		t.Fatalf("flushes = %d, want >= 2 (capacity %d, cycles %d)", res.Flushes, capacity, res.KernelCycles)
-	}
-	wantStallPer := int64((cfg.ReportRows()*ColsPerSubarray + cfg.ExportBitsPerCycle - 1) / cfg.ExportBitsPerCycle)
-	if res.StallCycles != res.Flushes*wantStallPer {
-		t.Errorf("stalls = %d, want %d per flush × %d", res.StallCycles, wantStallPer, res.Flushes)
-	}
-	if res.Overhead() <= 1.0 {
-		t.Error("overhead not above 1 despite flushes")
-	}
-}
-
-// TestFIFOReducesStalls compares FIFO and non-FIFO on the same overflow
-// load: the FIFO drain must cut stalls (Table 4's two Sunder columns).
-func TestFIFOReducesStalls(t *testing.T) {
-	mk := func(fifo bool) *Result {
-		cfg := DefaultConfig(4)
-		cfg.FIFO = fifo
-		m, _ := build(t, []regex.Pattern{{Expr: `a`, Code: 1}}, cfg)
-		input := make([]byte, 40000)
-		for i := range input {
-			input[i] = 'a'
-		}
-		return m.Run(funcsim.BytesToUnits(input, 4), RunOptions{})
-	}
-	plain := mk(false)
-	fifo := mk(true)
-	if plain.Flushes == 0 {
-		t.Fatal("load did not overflow")
-	}
-	if fifo.StallCycles >= plain.StallCycles {
-		t.Errorf("FIFO stalls %d not below plain %d", fifo.StallCycles, plain.StallCycles)
-	}
-}
-
-// TestFIFOKeepsUpWithModerateLoad: at a report rate below the drain
-// bandwidth the FIFO never overflows — the "zero stalls for 95% of
-// applications" claim.
-func TestFIFOKeepsUpWithModerateLoad(t *testing.T) {
-	cfg := DefaultConfig(4)
-	cfg.FIFO = true
-	m, _ := build(t, []regex.Pattern{{Expr: `zq`, Code: 1}}, cfg)
-	input := make([]byte, 60000)
-	for i := range input {
-		input[i] = 'x'
-	}
-	for i := 0; i+20 < len(input); i += 20 { // report every 10th cycle
-		copy(input[i:], "zq")
-	}
-	res := m.Run(funcsim.BytesToUnits(input, 4), RunOptions{})
-	if res.Flushes != 0 || res.StallCycles != 0 {
-		t.Errorf("moderate load stalled: flushes=%d stalls=%d", res.Flushes, res.StallCycles)
-	}
-	if res.Overhead() != 1.0 {
-		t.Errorf("overhead = %v", res.Overhead())
-	}
-}
-
-// TestSummarizeOnFull checks the Figure 10 summarization mode: far less
-// stall than flushing, with summaries recorded.
-func TestSummarizeOnFull(t *testing.T) {
-	mk := func(summarize bool) *Result {
-		cfg := DefaultConfig(4)
-		cfg.SummarizeOnFull = summarize
-		m, _ := build(t, []regex.Pattern{{Expr: `a`, Code: 1}}, cfg)
-		input := make([]byte, 30000)
-		for i := range input {
-			input[i] = 'a'
-		}
-		return m.Run(funcsim.BytesToUnits(input, 4), RunOptions{})
-	}
-	flush := mk(false)
-	sum := mk(true)
-	if sum.Summaries == 0 {
-		t.Fatal("no summaries recorded")
-	}
-	if sum.StallCycles >= flush.StallCycles {
-		t.Errorf("summarize stalls %d not below flush stalls %d", sum.StallCycles, flush.StallCycles)
-	}
-}
-
-// TestSummarizeAPI checks on-demand summarization reports exactly the
-// states that reported since the last summarize.
-func TestSummarizeAPI(t *testing.T) {
-	cfg := DefaultConfig(2)
-	m, ua := build(t, []regex.Pattern{{Expr: `ab`, Code: 1}, {Expr: `cd`, Code: 2}}, cfg)
-	m.Run(funcsim.BytesToUnits([]byte("abxxab"), 4), RunOptions{})
-	got := m.Summarize()
-	// Exactly the `ab` report states must be flagged.
-	want := map[automata.StateID]bool{}
-	for s := range ua.States {
-		for _, r := range ua.States[s].Reports {
-			if r.Code == 1 {
-				want[automata.StateID(s)] = true
-			}
-		}
-	}
-	for s := range got {
-		found := false
-		for _, r := range ua.States[s].Reports {
-			if r.Code == 1 {
-				found = true
-			}
-		}
-		if !found {
-			t.Errorf("summary flagged wrong state %d", s)
-		}
-	}
-	if len(got) == 0 {
-		t.Fatal("summary empty")
-	}
-	if m.StallCycles() == 0 {
-		t.Error("summarize did not stall")
-	}
-	// After summarize, the region is clear: a new summarize is empty.
-	if len(m.Summarize()) != 0 {
-		t.Error("second summarize not empty")
-	}
-}
-
 func TestConfigValidate(t *testing.T) {
 	bad := []Config{
 		{Rate: 3, ReportColumns: 12, MetadataBits: 20, ExportBitsPerCycle: 128, SummarizeBatchRows: 16},

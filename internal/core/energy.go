@@ -3,11 +3,12 @@ package core
 import "sunder/internal/hardware"
 
 // Measured-activity energy accounting. The power study in internal/exp
-// assumes constant activity; the machine can do better because it knows
+// assumes constant activity; the simulator can do better because it knows
 // exactly which arrays it touched: every kernel cycle each PU performs one
 // Port-2 multi-row match read and one crossbar read per active source
-// column, and every report entry is one Port-1 write. Access energy is
-// derived from Table 2 as read-power × access-delay.
+// column (the machine counts these), and every report entry is one Port-1
+// write (the reporting model counts those, report.Sunder.Energy). Access energy is derived from
+// Table 2 as read-power × access-delay.
 
 // EnergyCounters accumulates array-access counts during execution.
 type EnergyCounters struct {
@@ -45,14 +46,16 @@ func (c EnergyCounters) EnergyPJ() float64 {
 		float64(c.ExportedBits)/256*arr
 }
 
-// Energy returns the counters accumulated since configuration or Reset.
-func (m *Machine) Energy() EnergyCounters { return m.energy }
-
-// EnergyPerByte returns measured picojoules per input byte processed.
-func (m *Machine) EnergyPerByte() float64 {
-	bytes := m.kernelCycles * int64(m.cfg.Rate) / 2 // 2 nibbles per byte
+// PerByte returns measured picojoules per input byte for a run of
+// kernelCycles cycles at rate nibbles per cycle.
+func (c EnergyCounters) PerByte(kernelCycles int64, rate int) float64 {
+	bytes := kernelCycles * int64(rate) / 2 // 2 nibbles per byte
 	if bytes == 0 {
 		return 0
 	}
-	return m.energy.EnergyPJ() / float64(bytes)
+	return c.EnergyPJ() / float64(bytes)
 }
+
+// Energy returns the matching counters accumulated since configuration or
+// Reset; ReportWrites and ExportedBits are the reporting model's.
+func (m *Machine) Energy() EnergyCounters { return m.energy }

@@ -12,9 +12,7 @@ import (
 // image is a machine's configuration: everything Configure derives from the
 // automaton and the placement, and nothing a cycle changes. One image is
 // shared by a configured machine and every clone of it, so it is immutable
-// from the moment Configure returns; a machine that has to write
-// configuration (a normal-mode cache write over a match row) first takes a
-// private copy through Machine.own.
+// from the moment Configure returns.
 //
 // The tables are laid out for the per-cycle access pattern, not per PU: a
 // cycle reads one match row per nibble group in *every* PU, so rows are
@@ -55,15 +53,6 @@ type gxEdge struct {
 
 func (g *image) matchRow(i, row int) *bitvec.V256 { return &g.match[row*g.npu+i] }
 func (g *image) xbarRow(i, src int) *bitvec.V256  { return &g.xbar[i*ColsPerSubarray+src] }
-
-// clone copies what a machine may write — match rows and the local
-// crossbar — and shares the rest.
-func (g *image) clone() *image {
-	c := *g
-	c.match = slices.Clone(g.match)
-	c.xbar = slices.Clone(g.xbar)
-	return &c
-}
 
 // buildImage programs the configuration of automaton a under placement
 // place.

@@ -10,8 +10,9 @@ import (
 	"sunder/internal/regex"
 )
 
-// Direct unit tests of the subarray model: row layout, multi-row
-// activation, report-entry bit packing, and summarization collapse.
+// Direct unit tests of the subarray model: row layout and multi-row
+// activation. (The report region's entry packing and summarization are the
+// report model's; report_test.go tests them.)
 
 // bare returns a machine of npu PUs with an empty configuration; the tests
 // below program its image by hand.
@@ -81,154 +82,16 @@ func TestMatchVectorPad(t *testing.T) {
 	}
 }
 
-func TestWriteReportEntryLayout(t *testing.T) {
-	cfg := DefaultConfig(4) // m=12, n=20, entry=32 bits, 8 per row
-	m := bare(t, cfg, 1)
-	var rep bitvec.V256
-	rep.Set(ColsPerSubarray - 12) // report column k=0
-	rep.Set(ColsPerSubarray - 1)  // report column k=11
-	m.writeEntry(0, rep, 0xABCDE)
-
-	rows := m.regionOf(0)
-	if !rows[0].Get(0) || !rows[0].Get(11) {
-		t.Error("report bits not at expected positions")
-	}
-	if rows[0].Get(1) {
-		t.Error("unset report column leaked")
-	}
-	// Metadata 0xABCDE in bits [12, 32).
-	var meta int64
-	for j := 0; j < cfg.MetadataBits; j++ {
-		if rows[0].Get(12 + j) {
-			meta |= 1 << uint(j)
-		}
-	}
-	if meta != 0xABCDE {
-		t.Errorf("metadata = %#x", meta)
-	}
-	if p := m.pus[0]; p.counter != 1 || p.occupied != 1 {
-		t.Errorf("counter=%d occupied=%d", p.counter, p.occupied)
-	}
-
-	// Second entry lands in the same row at bit offset 32.
-	var rep2 bitvec.V256
-	rep2.Set(ColsPerSubarray - 12)
-	m.writeEntry(0, rep2, 1)
-	if !rows[0].Get(32) {
-		t.Error("second entry not packed at offset 32")
-	}
-
-	// Entry 8 rolls to the next row.
-	for i := 2; i < 9; i++ {
-		m.writeEntry(0, rep2, int64(i))
-	}
-	if !rows[1].Get(0) {
-		t.Error("ninth entry not in the next row")
-	}
-}
-
-func TestCounterWrapsAtCapacity(t *testing.T) {
-	cfg := DefaultConfig(4)
-	m := bare(t, cfg, 1)
-	var rep bitvec.V256
-	rep.Set(ColsPerSubarray - 1)
-	for i := 0; i < cfg.RegionCapacity(); i++ {
-		m.writeEntry(0, rep, int64(i))
-	}
-	if p := m.pus[0]; p.counter != 0 {
-		t.Errorf("counter = %d after full region, want wrap to 0", p.counter)
-	} else if p.occupied != cfg.RegionCapacity() || m.resident != p.occupied {
-		t.Errorf("occupied = %d, resident = %d", p.occupied, m.resident)
-	}
-}
-
-func TestClearRegionInvalidatesStride(t *testing.T) {
-	m := bare(t, DefaultConfig(2), 2)
-	var rep bitvec.V256
-	rep.Set(ColsPerSubarray - 1)
-	m.writeEntry(0, rep, 7)
-	m.writeEntry(1, rep, 7)
-	m.clearRegion(1)
-	p := m.pus[1]
-	if p.occupied != 0 || p.counter != 0 {
-		t.Error("region not cleared")
-	}
-	if p.lastStride != -1 {
-		t.Errorf("lastStride = %d, want -1 (forces a fresh marker)", p.lastStride)
-	}
-	for r, row := range m.regionOf(1) {
-		if row.Any() {
-			t.Fatalf("row %d not cleared", r)
-		}
-	}
-	if m.pus[0].occupied != 1 || m.resident != 1 || !m.regionOf(0)[0].Any() {
-		t.Error("clearing PU 1 disturbed PU 0")
-	}
-}
-
-func TestSummarizeCollapsesSlots(t *testing.T) {
-	cfg := DefaultConfig(4)
-	m := bare(t, cfg, 1)
-	// Two entries in different slots reporting different columns.
-	var rep1, rep2 bitvec.V256
-	rep1.Set(ColsPerSubarray - 12) // k=0
-	rep2.Set(ColsPerSubarray - 6)  // k=6
-	m.writeEntry(0, rep1, 1)
-	m.writeEntry(0, rep2, 2)
-	batches := m.summarize(0)
-	if want := (cfg.ReportRows() + cfg.SummarizeBatchRows - 1) / cfg.SummarizeBatchRows; batches != want {
-		t.Errorf("batches = %d, want %d", batches, want)
-	}
-	summary := m.pus[0].summary
-	if !summary.Get(ColsPerSubarray-12) || !summary.Get(ColsPerSubarray-6) {
-		t.Errorf("summary = %v", summary.Bits())
-	}
-	if summary.Count() != 2 {
-		t.Errorf("summary count = %d", summary.Count())
-	}
-}
-
 func TestMachineGetters(t *testing.T) {
 	m, _ := build(t, []regex.Pattern{{Expr: `ab`, Code: 1}}, DefaultConfig(2))
 	if m.Config().Rate != 2 {
 		t.Error("Config getter wrong")
 	}
-	if m.KernelCycles() != 0 || m.StallCycles() != 0 || m.Overhead() != 1.0 {
+	if m.KernelCycles() != 0 || m.NumPUs() != 1 || m.Placement() == nil {
 		t.Error("fresh machine getters wrong")
 	}
 	m.Run(funcsim.BytesToUnits([]byte("ab"), 4), RunOptions{})
 	if m.KernelCycles() != 2 {
 		t.Errorf("kernel cycles = %d", m.KernelCycles())
-	}
-}
-
-// TestFIFODrainRoundRobin: with several PUs holding unread entries, the
-// shared drain serves them all.
-func TestFIFODrainRoundRobin(t *testing.T) {
-	// Two independent always-reporting patterns in different PUs: force
-	// multi-PU by exceeding one PU's report budget with many patterns.
-	var ps []regex.Pattern
-	for i := 0; i < 32; i++ {
-		expr := string(rune('a'+i%4)) + string(rune('a'+(i/4)%4))
-		ps = append(ps, regex.Pattern{Expr: expr, Code: int32(i)})
-	}
-	cfg := DefaultConfig(2)
-	cfg.FIFO = true
-	m, _ := build(t, ps, cfg)
-	if m.NumPUs() < 2 {
-		t.Skip("placement fit one PU; round-robin not exercised")
-	}
-	input := make([]byte, 8000)
-	for i := range input {
-		input[i] = byte('a' + i%4)
-	}
-	res := m.Run(funcsim.BytesToUnits(input, 4), RunOptions{})
-	if res.Reports == 0 {
-		t.Fatal("no reports generated")
-	}
-	// With continuous drain the machine must not accumulate stalls at
-	// this rate.
-	if res.StallCycles != 0 {
-		t.Errorf("stalls = %d", res.StallCycles)
 	}
 }

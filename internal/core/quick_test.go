@@ -104,69 +104,3 @@ func TestQuickMachineMatchesFuncsim(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-// TestQuickReportRegionRoundTrip fuzzes the in-place report region: decoded
-// records must reproduce exactly the report cycles that occurred, under
-// random metadata widths (forcing stride markers).
-func TestQuickReportRegionRoundTrip(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		a := randomByteAutomaton(seed)
-		ua, err := transform.ToRate(a, 2)
-		if err != nil {
-			return false
-		}
-		budget, err := mapping.AutoReportColumns(ua, 12)
-		if err != nil {
-			return false
-		}
-		place, err := mapping.Place(ua, budget)
-		if err != nil {
-			return false
-		}
-		cfg := DefaultConfig(2)
-		cfg.ReportColumns = budget
-		cfg.MetadataBits = rng.Intn(10) + 4 // small: forces stride markers
-		m, err := Configure(ua, place, cfg)
-		if err != nil {
-			return false
-		}
-		n := rng.Intn(300) + 10
-		input := make([]byte, n)
-		for i := range input {
-			input[i] = byte('a' + rng.Intn(12))
-		}
-		res := m.Run(funcsim.BytesToUnits(input, 4), RunOptions{RecordEvents: true})
-		if res.Flushes > 0 {
-			return true // flushed entries are gone by design; skip
-		}
-		wantCycles := map[int64]int{}
-		for _, ev := range res.Events {
-			wantCycles[ev.Cycle] = 0
-		}
-		for _, ev := range res.Events {
-			wantCycles[ev.Cycle]++
-		}
-		got := 0
-		for pu := 0; pu < m.NumPUs(); pu++ {
-			for _, rec := range m.ReadReports(pu) {
-				if _, ok := wantCycles[rec.Cycle]; !ok {
-					t.Logf("seed %d: decoded cycle %d never reported", seed, rec.Cycle)
-					return false
-				}
-				got++
-			}
-		}
-		// One record per (PU, report cycle); must be ≥ report cycles and
-		// ≤ total events.
-		if int64(got) < res.ReportCycles || int64(got) > res.Reports {
-			t.Logf("seed %d: %d records for %d report cycles / %d reports",
-				seed, got, res.ReportCycles, res.Reports)
-			return false
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Error(err)
-	}
-}

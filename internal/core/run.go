@@ -5,32 +5,23 @@ import (
 	"sunder/internal/funcsim"
 )
 
-// Result aggregates a machine run; the stall/flush fields are the Table 4
-// columns.
+// Result aggregates a machine run.
 type Result struct {
-	KernelCycles int64
-	StallCycles  int64
-	Flushes      int64
-	Summaries    int64
-
+	KernelCycles       int64
 	Reports            int64
 	ReportCycles       int64
 	MaxReportsPerCycle int
 	Events             []funcsim.ReportEvent
 }
 
-// Overhead returns the reporting slowdown (kernel+stall)/kernel.
-func (r *Result) Overhead() float64 {
-	if r.KernelCycles == 0 {
-		return 1
-	}
-	return float64(r.KernelCycles+r.StallCycles) / float64(r.KernelCycles)
-}
-
 // RunOptions configures a Machine run.
 type RunOptions struct {
 	// RecordEvents keeps the full report event list.
 	RecordEvents bool
+	// OnReportCycle, when non-nil, receives every report cycle's reporting
+	// states in cycle order, as a reporting model consumes them
+	// (report.Sunder.OnReportCycle). The slice is not retained.
+	OnReportCycle func(cycle int64, states []automata.StateID)
 }
 
 // Run streams a unit input (padded to the rate) through the machine and
@@ -48,14 +39,14 @@ func (m *Machine) Run(units []funcsim.Unit, opts RunOptions) *Result {
 		if len(scratch) == 0 {
 			continue
 		}
+		if opts.OnReportCycle != nil {
+			opts.OnReportCycle(cycle, scratch)
+		}
 		res.Events = red.Cycle(cycle, scratch, res.Events)
 	}
 	res.Reports = red.Reports
 	res.ReportCycles = red.ReportCycles
 	res.MaxReportsPerCycle = red.MaxReportsPerCycle
 	res.KernelCycles = m.kernelCycles
-	res.StallCycles = m.stallCycles
-	res.Flushes = m.Flushes()
-	res.Summaries = m.Summaries()
 	return res
 }

@@ -4,23 +4,14 @@ import (
 	"sunder/internal/telemetry"
 )
 
-// Instrument names registered by AttachTelemetry. The pu_* families are
-// CounterVecs indexed by PU; their registry dump includes a *_total line,
-// which by construction equals the corresponding aggregate counter /
-// Machine getter (pu_flushes_total == Flushes(), pu_stall_cycles_total ==
-// device_stall_cycles == StallCycles()).
+// Instrument names registered by AttachTelemetry: the cycles a machine
+// steps, and the reports and report cycles its Reducer counts. The report
+// region's instruments (stalls, flushes, per-PU families, occupancy) are
+// the reporting model's (report.Sunder.AttachTelemetry).
 const (
-	MetricKernelCycles  = "device_kernel_cycles"
-	MetricStallCycles   = "device_stall_cycles"
-	MetricReports       = "device_reports"
-	MetricReportCycles  = "device_report_cycles"
-	MetricDrainedEnts   = "device_drained_entries"
-	MetricPUEntries     = "pu_report_entries"
-	MetricPUMarkers     = "pu_stride_markers"
-	MetricPUFlushes     = "pu_flushes"
-	MetricPUSummaries   = "pu_summarizations"
-	MetricPUStallCycles = "pu_stall_cycles"
-	MetricOccupancy     = "report_region_occupancy"
+	MetricKernelCycles = "device_kernel_cycles"
+	MetricReports      = "device_reports"
+	MetricReportCycles = "device_report_cycles"
 )
 
 // telemetrySink holds instruments pre-resolved at attach time, so that
@@ -30,46 +21,25 @@ const (
 type telemetrySink struct {
 	col          *telemetry.Collector
 	kernelCycles *telemetry.Counter
-	stallCycles  *telemetry.Counter
 	reports      *telemetry.Counter
 	reportCycles *telemetry.Counter
-	drained      *telemetry.Counter
-	puEntries    *telemetry.CounterVec
-	puMarkers    *telemetry.CounterVec
-	puFlushes    *telemetry.CounterVec
-	puSummaries  *telemetry.CounterVec
-	puStalls     *telemetry.CounterVec
-	occupancy    *telemetry.Histogram
-	tracer       *telemetry.Tracer
 }
 
-// AttachTelemetry connects a collector to the machine: counters and the
-// occupancy histogram are registered in the collector's registry, and if
-// the collector has a tracer, flush/overflow/summarize/report-write
-// events are recorded with cycle timestamps. Passing nil detaches and
+// AttachTelemetry connects a collector to the machine: its counters are
+// registered in the collector's registry. Passing nil detaches and
 // restores the zero-overhead disabled path. The collector is not reset by
-// Machine.Reset, so it can aggregate across runs; call Collector.Reset
-// for per-run snapshots.
+// Machine.Reset, so it can aggregate across runs; call Collector.Reset for
+// per-run snapshots.
 func (m *Machine) AttachTelemetry(c *telemetry.Collector) {
 	if c == nil {
 		m.tel = nil
 		return
 	}
-	n := len(m.pus)
 	m.tel = &telemetrySink{
 		col:          c,
 		kernelCycles: c.Counter(MetricKernelCycles),
-		stallCycles:  c.Counter(MetricStallCycles),
 		reports:      c.Counter(MetricReports),
 		reportCycles: c.Counter(MetricReportCycles),
-		drained:      c.Counter(MetricDrainedEnts),
-		puEntries:    c.CounterVec(MetricPUEntries, n),
-		puMarkers:    c.CounterVec(MetricPUMarkers, n),
-		puFlushes:    c.CounterVec(MetricPUFlushes, n),
-		puSummaries:  c.CounterVec(MetricPUSummaries, n),
-		puStalls:     c.CounterVec(MetricPUStallCycles, n),
-		occupancy:    c.Histogram(MetricOccupancy, telemetry.LinearBounds(m.cfg.RegionCapacity(), 8)),
-		tracer:       c.Tracer(),
 	}
 }
 
@@ -79,62 +49,4 @@ func (m *Machine) Telemetry() *telemetry.Collector {
 		return nil
 	}
 	return m.tel.col
-}
-
-// event records one trace event if tracing is enabled. The sink is never
-// nil here; callers guard with m.tel != nil.
-func (t *telemetrySink) event(kind telemetry.EventKind, cycle, stall int64, pu, occ int) {
-	if t.tracer == nil {
-		return
-	}
-	t.tracer.Record(telemetry.Event{
-		Cycle: cycle,
-		Stall: stall,
-		PU:    int32(pu),
-		Occ:   int32(occ),
-		Kind:  kind,
-	})
-}
-
-// PUStats is a per-processing-unit statistics snapshot. The counters are
-// always maintained (they only move on the report path); telemetry
-// attachment is not required.
-type PUStats struct {
-	// ReportEntries is the number of data entries written into this PU's
-	// report region; StrideMarkers counts the all-zero marker entries.
-	ReportEntries int64
-	StrideMarkers int64
-	// Flushes counts whole-region flushes (without FIFO) or overflow
-	// waits (with FIFO); Summaries counts in-place summarizations.
-	Flushes   int64
-	Summaries int64
-	// StallCycles is the stall cycles attributed to this PU: when several
-	// regions fill in the same cycle they share one stall window, charged
-	// to the first full PU. Summing across PUs therefore reproduces the
-	// machine's aggregate StallCycles exactly.
-	StallCycles int64
-	// PeakOccupancy is the region's entry high-water mark; Occupancy is
-	// the current (unread) entry count.
-	PeakOccupancy int
-	Occupancy     int
-}
-
-// PerPU returns per-PU statistics for the current run. Summing any field
-// across the slice yields the corresponding aggregate (Flushes,
-// StallCycles, …).
-func (m *Machine) PerPU() []PUStats {
-	out := make([]PUStats, len(m.pus))
-	for i := range m.pus {
-		u := &m.pus[i]
-		out[i] = PUStats{
-			ReportEntries: u.reportEntries,
-			StrideMarkers: u.strideMarkers,
-			Flushes:       u.flushes,
-			Summaries:     u.summaries,
-			StallCycles:   u.stallCycles,
-			PeakOccupancy: u.peakOccupied,
-			Occupancy:     u.occupied,
-		}
-	}
-	return out
 }

@@ -92,12 +92,13 @@ func AblationReportWidth(opts Options, widths []int) ([]ReportWidthAblation, err
 		if err != nil {
 			return nil, err
 		}
-		res := mach.Run(units, core.RunOptions{})
+		flush := reportModel(mach, false, false, opts.Telemetry)
+		res := runReporting(mach, units, flush)
 		rows = append(rows, ReportWidthAblation{
 			ReportColumns:  mach.Config().ReportColumns,
 			RegionCapacity: mach.Config().RegionCapacity(),
-			Flushes:        res.Flushes,
-			Overhead:       res.Overhead(),
+			Flushes:        flush.Result().Flushes,
+			Overhead:       flush.Result().Overhead(res.KernelCycles),
 		})
 	}
 	return rows, nil

@@ -9,8 +9,11 @@ import (
 	"fmt"
 	"io"
 
+	"sunder/internal/automata"
 	"sunder/internal/core"
+	"sunder/internal/funcsim"
 	"sunder/internal/mapping"
+	"sunder/internal/report"
 	"sunder/internal/telemetry"
 	"sunder/internal/transform"
 	"sunder/internal/workload"
@@ -23,10 +26,10 @@ type Options struct {
 	Scale float64
 	// InputLen is the input stream length in bytes.
 	InputLen int
-	// Telemetry, when non-nil, is attached to every machine the
-	// experiment runners build, aggregating device counters and trace
-	// events across all simulated workloads (per-PU labels then refer to
-	// each machine's own PU indices).
+	// Telemetry, when non-nil, is attached to every machine and report
+	// model the experiment runners build, aggregating device counters and
+	// trace events across all simulated workloads (per-PU labels then refer
+	// to each machine's own PU indices).
 	Telemetry *telemetry.Collector
 }
 
@@ -69,6 +72,30 @@ func buildMachine(w *workload.Workload, rate int, cfg core.Config, tel *telemetr
 		mach.AttachTelemetry(tel)
 	}
 	return mach, nil
+}
+
+// reportModel returns a report model of m's device, with the FIFO drain
+// and summarize-on-full strategies as chosen, fed telemetry into tel.
+func reportModel(m *core.Machine, fifo, summarize bool, tel *telemetry.Collector) *report.Sunder {
+	cfg := m.Config()
+	cfg.FIFO, cfg.SummarizeOnFull = fifo, summarize
+	md := report.NewSunder(m.Placement(), cfg)
+	md.AttachTelemetry(tel)
+	return md
+}
+
+// runReporting steps m over units once and feeds its report-state stream
+// to every model, each finished at the run's end.
+func runReporting(m *core.Machine, units []funcsim.Unit, models ...*report.Sunder) *core.Result {
+	res := m.Run(units, core.RunOptions{OnReportCycle: func(cycle int64, states []automata.StateID) {
+		for _, md := range models {
+			md.OnReportCycle(cycle, states)
+		}
+	}})
+	for _, md := range models {
+		md.Finish(res.KernelCycles)
+	}
+	return res
 }
 
 // fprintf writes, ignoring errors — the runners print to a caller-supplied

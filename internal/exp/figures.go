@@ -138,28 +138,23 @@ func Figure10(inputLen int) ([]Figure10Point, error) {
 				input[pos] = 'R'
 			}
 		}
-		pt := Figure10Point{ReportCyclePct: pct}
-		for mode := 0; mode < 3; mode++ {
-			cfg := core.DefaultConfig(4)
-			cfg.SummarizeOnFull = mode == 1
-			cfg.FIFO = mode == 2
-			place, err := mapping.Place(ua, cfg.ReportColumns)
-			if err != nil {
-				return nil, err
-			}
-			m, err := core.Configure(ua, place, cfg)
-			if err != nil {
-				return nil, err
-			}
-			res := m.Run(funcsim.BytesToUnits(input, 4), core.RunOptions{})
-			switch mode {
-			case 0:
-				pt.NoSummarization = res.Overhead()
-			case 1:
-				pt.WithSummarization = res.Overhead()
-			case 2:
-				pt.WithFIFO = res.Overhead()
-			}
+		// One device run feeds the three reporting strategies.
+		cfg := core.DefaultConfig(4)
+		place, err := mapping.Place(ua, cfg.ReportColumns)
+		if err != nil {
+			return nil, err
+		}
+		m, err := core.Configure(ua, place, cfg)
+		if err != nil {
+			return nil, err
+		}
+		flush, summarize, fifo := reportModel(m, false, false, nil), reportModel(m, false, true, nil), reportModel(m, true, false, nil)
+		res := runReporting(m, funcsim.BytesToUnits(input, 4), flush, summarize, fifo)
+		pt := Figure10Point{
+			ReportCyclePct:    pct,
+			NoSummarization:   flush.Result().Overhead(res.KernelCycles),
+			WithSummarization: summarize.Result().Overhead(res.KernelCycles),
+			WithFIFO:          fifo.Result().Overhead(res.KernelCycles),
 		}
 		points = append(points, pt)
 	}

@@ -50,11 +50,10 @@ func PowerStudy(opts Options, names []string) ([]PowerRow, error) {
 			ImpalaPJ:        hardware.EnergyPerByte(hardware.ArchImpala, rc),
 			APPJ:            hardware.EnergyPerByte(hardware.ArchAP14, rc),
 		}
-		cfg := core.DefaultConfig(4)
-		cfg.FIFO = true
-		if m, err := buildMachine(w, 4, cfg, opts.Telemetry); err == nil {
-			m.Run(funcsim.BytesToUnits(w.Input, 4), core.RunOptions{})
-			row.MeasuredSunderPJ = m.EnergyPerByte() / float64(m.NumPUs())
+		if m, err := buildMachine(w, 4, core.DefaultConfig(4), opts.Telemetry); err == nil {
+			fifo := reportModel(m, true, false, opts.Telemetry)
+			res := runReporting(m, funcsim.BytesToUnits(w.Input, 4), fifo)
+			row.MeasuredSunderPJ = fifo.Energy(m.Energy()).PerByte(res.KernelCycles, 4) / float64(m.NumPUs())
 		}
 		rows = append(rows, row)
 	}

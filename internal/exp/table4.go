@@ -40,26 +40,21 @@ func Table4(opts Options) ([]Table4Row, error) {
 		}
 		row := Table4Row{Name: spec.Name}
 
-		// Sunder at 4-nibble processing, w/o and w/ FIFO.
-		units := funcsim.BytesToUnits(w.Input, 4)
-		for _, fifo := range []bool{false, true} {
-			cfg := core.DefaultConfig(4)
-			cfg.FIFO = fifo
-			m, err := buildMachine(w, 4, cfg, opts.Telemetry)
-			if err != nil {
-				return nil, err
-			}
-			res := m.Run(units, core.RunOptions{})
-			if fifo {
-				row.SunderFIFOFlushes = res.Flushes
-				row.SunderFIFOOverhead = res.Overhead()
-			} else {
-				row.SunderFlushes = res.Flushes
-				row.SunderOverhead = res.Overhead()
-				row.ReportColumns = m.Config().ReportColumns
-				row.PUs = m.NumPUs()
-			}
+		// Sunder at 4-nibble processing: one device run feeds the report
+		// models w/o and w/ FIFO.
+		m, err := buildMachine(w, 4, core.DefaultConfig(4), opts.Telemetry)
+		if err != nil {
+			return nil, err
 		}
+		flush := reportModel(m, false, false, opts.Telemetry)
+		fifo := reportModel(m, true, false, opts.Telemetry)
+		kernel := runReporting(m, funcsim.BytesToUnits(w.Input, 4), flush, fifo).KernelCycles
+		row.SunderFlushes = flush.Result().Flushes
+		row.SunderOverhead = flush.Result().Overhead(kernel)
+		row.SunderFIFOFlushes = fifo.Result().Flushes
+		row.SunderFIFOOverhead = fifo.Result().Overhead(kernel)
+		row.ReportColumns = m.Config().ReportColumns
+		row.PUs = m.NumPUs()
 
 		// AP and AP+RAD driven by the byte-level report trace.
 		p := report.DefaultParams()

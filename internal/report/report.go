@@ -1,12 +1,14 @@
-// Package report models the reporting architectures Sunder is compared
-// against: the Micron Automata Processor's hierarchical two-level buffer
-// design (Section 2.2, Figure 2) and its Report Aggregator Division (RAD)
-// refinement by Wadden et al. Both are trace-driven: they consume the
-// per-cycle report trace produced by the functional simulator and account
-// stalls, offloaded entries and buffer flushes, yielding the AP and AP+RAD
-// columns of Table 4.
+// Package report models reporting architectures, all trace-driven: each
+// consumes a per-cycle report trace (the reporting states of every cycle
+// that reported) and accounts stalls, flushes and exported data. Sunder's
+// own in-place, memory-mapped reporting (Section 5.1.2, NewSunder) is fed
+// the device core's report-state stream; the Micron Automata Processor's
+// hierarchical two-level buffer design (Section 2.2, Figure 2) and its
+// Report Aggregator Division (RAD) refinement by Wadden et al. are fed the
+// functional simulator's byte-level trace. Together they yield the columns
+// of Table 4.
 //
-// Model in brief: report STEs are grouped into reporting regions of
+// AP model in brief: report STEs are grouped into reporting regions of
 // RegionSize states. In any cycle where a region has at least one active
 // report STE, the AP offloads that region's full vector plus metadata into
 // the region's L1 buffer; RAD offloads only the non-empty chunks of the
@@ -63,6 +65,9 @@ type Result struct {
 	Flushes int64
 	// OffloadedBits counts all report data and metadata pushed into L1.
 	OffloadedBits int64
+	// Summaries counts in-place summarizations (Sunder with
+	// SummarizeOnFull, or a host Summarize).
+	Summaries int64
 }
 
 // Overhead returns the Table 4 slowdown: (kernel + stalls) / kernel.

@@ -1,12 +1,14 @@
 package sched
 
 import (
+	"slices"
 	"testing"
 
 	"sunder/internal/automata"
 	"sunder/internal/core"
 	"sunder/internal/funcsim"
 	"sunder/internal/mapping"
+	"sunder/internal/report"
 	"sunder/internal/telemetry"
 	"sunder/internal/transform"
 	"sunder/internal/workload"
@@ -54,7 +56,8 @@ func diffEvents(t *testing.T, label string, got, want []funcsim.ReportEvent) {
 
 // TestParallelMatchesSequentialAllBenchmarks is the acceptance battery:
 // for every benchmark in internal/workload and workers in {1,2,4,8}, a
-// parallel run's reports are exactly equal to a sequential run's.
+// parallel run's reports are exactly equal to a sequential run's, and so
+// is what a report model makes of its merged report-state stream.
 func TestParallelMatchesSequentialAllBenchmarks(t *testing.T) {
 	workers := []int{1, 2, 4, 8}
 	scale, inputLen := 0.02, 4000
@@ -68,15 +71,23 @@ func TestParallelMatchesSequentialAllBenchmarks(t *testing.T) {
 			w := workload.MustGet(spec.Name, scale, inputLen)
 			m, ua := buildTestMachine(t, w, 4)
 			units := funcsim.BytesToUnits(w.Input, 4)
-			ref := m.Clone().Run(units, core.RunOptions{RecordEvents: true})
+			seq := report.NewSunder(m.Placement(), m.Config())
+			ref := m.Clone().Run(units, core.RunOptions{RecordEvents: true, OnReportCycle: seq.OnReportCycle})
+			seq.Finish(ref.KernelCycles)
 			for _, wk := range workers {
+				par := report.NewSunder(m.Placement(), m.Config())
 				rr := ParallelRun(m, ua, units, RunConfig{
-					Workers:      wk,
-					RecordEvents: true,
+					Workers:       wk,
+					RecordEvents:  true,
+					OnReportCycle: par.OnReportCycle,
 					// Small floor so these reduced-scale inputs do shard.
 					MinShardCycles: 64,
 				})
+				par.Finish(rr.KernelCycles)
 				label := spec.Name
+				if par.Result() != seq.Result() || !slices.Equal(par.PerPU(), seq.PerPU()) {
+					t.Errorf("%s workers=%d: report model %+v, sequential %+v", label, wk, par.Result(), seq.Result())
+				}
 				if rr.Reports != ref.Reports {
 					t.Errorf("%s workers=%d: Reports %d, want %d", label, wk, rr.Reports, ref.Reports)
 				}

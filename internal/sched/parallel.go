@@ -8,6 +8,7 @@ import (
 	"sunder/internal/automata"
 	"sunder/internal/core"
 	"sunder/internal/funcsim"
+	"sunder/internal/report"
 	"sunder/internal/telemetry"
 )
 
@@ -22,35 +23,29 @@ type RunConfig struct {
 	// RecordEvents keeps the full report event list (required when the
 	// caller needs matches, not just counts).
 	RecordEvents bool
-	// Collector, when non-nil, aggregates device telemetry across the
-	// workers. Each worker attaches it only after warm-up replay, so the
-	// device_kernel_cycles, device_reports and device_report_cycles
-	// counters sum to exactly the sequential totals; stall, flush and
-	// occupancy instruments reflect per-shard region state and differ from
-	// a sequential run by design.
+	// Collector, when non-nil, aggregates the machines' telemetry across
+	// the workers. Each worker attaches it only after warm-up replay, so
+	// the device_kernel_cycles, device_reports and device_report_cycles
+	// counters sum to exactly the sequential totals.
 	Collector *telemetry.Collector
+	// OnReportCycle, when non-nil, receives the run's report-state stream
+	// in cycle order — the sequential one exactly, for a reporting model
+	// to consume: each shard records its owned cycles' stream, and the
+	// merge replays them in shard order.
+	OnReportCycle func(cycle int64, states []automata.StateID)
 	// MinShardCycles overrides DefaultMinShardCycles when > 0.
 	MinShardCycles int64
 }
 
 // RunResult aggregates a parallel run. Reports, ReportCycles,
 // MaxReportsPerCycle, KernelCycles and Events are byte-identical to a
-// sequential core.Machine.Run of the same input. StallCycles, Flushes,
-// Summaries and PerPU are summed across the worker clones — each worker
-// has its own report region filling on the shard's local history (warm-up
-// included), so these device-accounting fields are *not* comparable to a
-// sequential run cycle for cycle.
+// sequential core.Machine.Run of the same input.
 type RunResult struct {
 	KernelCycles       int64
 	Reports            int64
 	ReportCycles       int64
 	MaxReportsPerCycle int
 	Events             []funcsim.ReportEvent
-
-	StallCycles int64
-	Flushes     int64
-	Summaries   int64
-	PerPU       []core.PUStats
 
 	// Workers is the number of shards actually executed; WarmupCycles the
 	// total replay overhead across them; OverlapCycles the per-shard
@@ -66,8 +61,9 @@ type RunResult struct {
 
 // ParallelRun executes units on clones of proto (the machine configured
 // from automaton a) across shard workers and merges the result
-// deterministically: events are concatenated in shard order, which is
-// cycle order, so the merged stream equals the sequential one exactly.
+// deterministically: events are concatenated, and report-state streams
+// replayed, in shard order, which is cycle order, so the merged streams
+// equal the sequential ones exactly.
 // proto itself is never stepped — any configured machine works,
 // concurrent ParallelRun calls on the same proto included.
 func ParallelRun(proto *core.Machine, a *automata.UnitAutomaton, units []funcsim.Unit, rc RunConfig) *RunResult {
@@ -120,17 +116,13 @@ func runSequential(proto *core.Machine, units []funcsim.Unit, rc RunConfig, sp *
 	if rc.Collector != nil {
 		m.AttachTelemetry(rc.Collector)
 	}
-	r := m.Run(units, core.RunOptions{RecordEvents: rc.RecordEvents})
+	r := m.Run(units, core.RunOptions{RecordEvents: rc.RecordEvents, OnReportCycle: rc.OnReportCycle})
 	return &RunResult{
 		KernelCycles:       r.KernelCycles,
 		Reports:            r.Reports,
 		ReportCycles:       r.ReportCycles,
 		MaxReportsPerCycle: r.MaxReportsPerCycle,
 		Events:             r.Events,
-		StallCycles:        r.StallCycles,
-		Flushes:            r.Flushes,
-		Summaries:          r.Summaries,
-		PerPU:              m.PerPU(),
 		Workers:            1,
 	}
 }
@@ -140,10 +132,9 @@ type shardOut struct {
 	reports      int64
 	reportCycles int64
 	maxPerCycle  int
-	stallCycles  int64
-	flushes      int64
-	summaries    int64
-	perPU        []core.PUStats
+	// trace is the owned cycles' report-state stream, recorded only when
+	// the run has an OnReportCycle to replay it to.
+	trace *report.Trace
 }
 
 // runShards executes each shard on its own goroutine and clone of proto
@@ -185,13 +176,8 @@ func runShards(proto *core.Machine, a *automata.UnitAutomaton, units []funcsim.U
 		if o.maxPerCycle > res.MaxReportsPerCycle {
 			res.MaxReportsPerCycle = o.maxPerCycle
 		}
-		res.StallCycles += o.stallCycles
-		res.Flushes += o.flushes
-		res.Summaries += o.summaries
-		if res.PerPU == nil {
-			res.PerPU = o.perPU
-		} else {
-			AddPerPU(res.PerPU, o.perPU)
+		if o.trace != nil {
+			o.trace.Replay(rc.OnReportCycle)
 		}
 	}
 	return res
@@ -224,6 +210,9 @@ func runShard(m *core.Machine, red *core.Reducer, units []funcsim.Unit, sh Shard
 	red.Reset(m)
 
 	var out shardOut
+	if rc.OnReportCycle != nil {
+		out.trace = new(report.Trace)
+	}
 	scan := sp.Child("scan")
 	defer scan.End()
 	for c := sh.StartCycle; c < sh.EndCycle; c++ {
@@ -232,28 +221,11 @@ func runShard(m *core.Machine, red *core.Reducer, units []funcsim.Unit, sh Shard
 		if len(scratch) == 0 {
 			continue
 		}
+		if out.trace != nil {
+			out.trace.OnReportCycle(c, scratch)
+		}
 		out.events = red.Cycle(c, scratch, out.events)
 	}
 	out.reports, out.reportCycles, out.maxPerCycle = red.Reports, red.ReportCycles, red.MaxReportsPerCycle
-	out.stallCycles = m.StallCycles()
-	out.flushes = m.Flushes()
-	out.summaries = m.Summaries()
-	out.perPU = m.PerPU()
 	return out
-}
-
-// AddPerPU adds src's per-PU rows into dst: counts sum, peaks take the
-// maximum.
-func AddPerPU(dst, src []core.PUStats) {
-	for i := range dst {
-		dst[i].ReportEntries += src[i].ReportEntries
-		dst[i].StrideMarkers += src[i].StrideMarkers
-		dst[i].Flushes += src[i].Flushes
-		dst[i].Summaries += src[i].Summaries
-		dst[i].StallCycles += src[i].StallCycles
-		if src[i].PeakOccupancy > dst[i].PeakOccupancy {
-			dst[i].PeakOccupancy = src[i].PeakOccupancy
-		}
-		dst[i].Occupancy += src[i].Occupancy
-	}
 }

@@ -291,8 +291,8 @@ func lintNocopy(fset *token.FileSet, p *Package, nocopy map[string]bool) []Findi
 // the device core's configuration image (`Machine.img`), which every clone
 // of a machine points at. There a write is one that selects *through* the
 // field (`m.img.match[k] = …`) or through a local bound to it
-// (`img := m.img`); rebinding the field (`m.img = other`) is not, and a
-// copy the owner hands out through a call (`img := m.own()`) is writable.
+// (`img := m.img`); rebinding the field (`m.img = other`) is not, and
+// neither is a write to a value a call returns.
 
 // irTypeNames are the automata type names whose fields the rule protects.
 var irTypeNames = map[string]bool{"UnitAutomaton": true, "UnitState": true}

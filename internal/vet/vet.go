@@ -109,7 +109,7 @@ func DefaultConfig() Config {
 		},
 		FrozenFields: map[string][]string{
 			// Machine.img: one image per compile, shared by every clone;
-			// Configure builds it and Machine.own hands out private copies.
+			// Configure builds it and nothing writes it afterwards.
 			"sunder/internal/core": {"img"},
 		},
 	}

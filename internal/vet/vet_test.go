@@ -233,7 +233,7 @@ func (m *Machine) flip(k int) {
 }
 func (m *Machine) fine(k int, other *image) {
 	m.img = other          // rebinding the field
-	img := m.own()         // a private copy handed out by a call
+	img := newImage()      // a value a call returns
 	img.match[k][0] ^= 1
 	built := &image{}
 	built.match = nil      // a product still being built

@@ -41,12 +41,11 @@ func (o ScanOptions) workers() int {
 // the merged output is byte-identical to sequential Scan — same matches in
 // the same order, and the same KernelCycles, Reports and ReportCycles.
 //
-// StallCycles and Flushes are summed across the worker clones; each clone's
-// report region fills on its shard's local history, so these two fields
-// (and PerPU) describe the parallel execution itself and are not
-// cycle-comparable to a sequential scan. Automata whose dependence window
-// is unbounded (`.*`-style self-loops) and inputs too small to shard fall
-// back to a sequential run internally — same results, one worker.
+// The shards' report cycles merge in cycle order into one report model, so
+// StallCycles, Flushes and PerPU equal sequential Scan's too. Automata
+// whose dependence window is unbounded (`.*`-style self-loops) and inputs
+// too small to shard fall back to a sequential run internally — same
+// results, one worker.
 //
 // Under an engaged prefilter the workers split the candidate windows
 // instead: each runs a contiguous share of the input's cycles on a private
@@ -70,26 +69,28 @@ func (e *Engine) ScanParallel(input []byte, opts ScanOptions) (*ScanResult, erro
 // "parallel" backend) execute: worker clones with dependence-window warm-up
 // replay, merged back into sequential order. Its merged events go through
 // the same reduction tail (phantom filter, Match construction) as a
-// runner's report cycles.
+// runner's report cycles, and its merged report-state stream feeds one
+// report model.
 func (e *Engine) scanSharded(input []byte, workers int) *ScanResult {
+	model := e.newModel()
 	rr := sched.ParallelRun(e.proto, e.nibble, funcsim.BytesToUnits(input, 4), sched.RunConfig{
-		Workers:      workers,
-		RecordEvents: true,
-		Collector:    e.telemetryCollector(),
+		Workers:       workers,
+		RecordEvents:  true,
+		Collector:     e.telemetryCollector(),
+		OnReportCycle: model.OnReportCycle,
 	})
 	red := reduction{su: int64(e.nibble.SymbolUnits), fed: int64(len(input))}
 	red.deliver(rr.Events)
-	return e.result(runOutput{
+	out := runOutput{
 		stats: Stats{
 			KernelCycles: rr.KernelCycles,
-			StallCycles:  rr.StallCycles,
-			Flushes:      rr.Flushes,
 			Reports:      rr.Reports,
 			ReportCycles: rr.ReportCycles,
 		},
 		matches: red.matches,
-		perPU:   rr.PerPU,
-	})
+	}
+	out.reportOn(model, rr.KernelCycles)
+	return e.result(out)
 }
 
 // ScanBatch scans many independent inputs concurrently on a bounded worker

@@ -4,14 +4,14 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 )
 
 // sameScan asserts the fields ScanParallel promises to reproduce exactly:
-// the match stream and the Kernel/Reports/ReportCycles statistics.
-// StallCycles and Flushes are per-execution device accounting and are
-// deliberately excluded.
+// the match stream, the Kernel/Reports/ReportCycles statistics and the
+// device's report accounting (sameDevice).
 func sameScan(t *testing.T, label string, got, want *ScanResult) {
 	t.Helper()
 	if len(got.Matches) != len(want.Matches) {
@@ -32,6 +32,20 @@ func sameScan(t *testing.T, label string, got, want *ScanResult) {
 	}
 	if got.Stats.ReportCycles != want.Stats.ReportCycles {
 		t.Errorf("%s: ReportCycles %d, want %d", label, got.Stats.ReportCycles, want.Stats.ReportCycles)
+	}
+	sameDevice(t, label, got, want)
+}
+
+// sameDevice asserts that two runs of one device's report stream agree on
+// what the report model makes of it: StallCycles, Flushes and PerPU.
+func sameDevice(t *testing.T, label string, got, want *ScanResult) {
+	t.Helper()
+	if got.Stats.StallCycles != want.Stats.StallCycles || got.Stats.Flushes != want.Stats.Flushes {
+		t.Errorf("%s: StallCycles/Flushes %d/%d, want %d/%d", label,
+			got.Stats.StallCycles, got.Stats.Flushes, want.Stats.StallCycles, want.Stats.Flushes)
+	}
+	if !slices.Equal(got.PerPU, want.PerPU) {
+		t.Errorf("%s: PerPU differs", label)
 	}
 }
 

@@ -11,7 +11,7 @@ import (
 	"sunder/internal/dfa"
 	"sunder/internal/funcsim"
 	"sunder/internal/meta"
-	"sunder/internal/sched"
+	"sunder/internal/report"
 )
 
 // This file is the one execution pipeline behind Scan, ScanParallel,
@@ -100,6 +100,10 @@ type windowRunner interface {
 	// cycles and byte positions into the same run, whose KernelCycles leave
 	// warm-ups out. Windows come in input order.
 	resetAt(base int64, warm []byte)
+	// skipTo moves the run past the cycles below to without executing
+	// them, which a prefilter proved match-free; a machine's report model
+	// still drains through them.
+	skipTo(to int64)
 }
 
 // runOutput is a finished run, whichever leg produced it.
@@ -108,7 +112,10 @@ type runOutput struct {
 	matches []Match
 	// perPU is nil when the leg models no report region (lazy DFA, a
 	// prefilter full skip): the result then carries zeroed rows.
-	perPU []core.PUStats
+	perPU []report.PUStats
+	// trace is the report-state stream of a share of a parallel
+	// prefiltered run, which feeds the merged run's model (runShares).
+	trace *report.Trace
 }
 
 // add appends run o, which covers later cycles of the same input on the
@@ -116,14 +123,18 @@ type runOutput struct {
 func (out *runOutput) add(o runOutput) {
 	s := &out.stats
 	s.KernelCycles += o.stats.KernelCycles
-	s.StallCycles += o.stats.StallCycles
-	s.Flushes += o.stats.Flushes
 	s.Reports += o.stats.Reports
 	s.ReportCycles += o.stats.ReportCycles
 	out.matches = append(out.matches, o.matches...)
-	if out.perPU != nil {
-		sched.AddPerPU(out.perPU, o.perPU)
-	}
+}
+
+// reportOn finishes model, fed a run's report cycles, at the run's end
+// cycle and takes the run's device report accounting from it.
+func (out *runOutput) reportOn(model *report.Sunder, end int64) {
+	model.Finish(end)
+	res := model.Result()
+	out.stats.StallCycles, out.stats.Flushes = res.StallCycles, res.Flushes
+	out.perPU = model.PerPU()
 }
 
 // result turns a finished run into the public ScanResult — the one place
@@ -139,10 +150,14 @@ func (e *Engine) result(out runOutput) *ScanResult {
 // reduction is the façade half of the report reducer, embedded in every
 // runner: core.Reducer owns the per-cycle (offset, origin) de-duplication
 // and the Reports/ReportCycles and device report counters; the reduction
-// adds the pad-tail phantom filter and builds the matches.
+// adds the pad-tail phantom filter, builds the matches, and feeds the
+// report cycles the run owns, with absolute cycles, to sink.
 type reduction struct {
 	red core.Reducer
 	evs []funcsim.ReportEvent
+	// sink receives the report-state stream: a machine runner's report
+	// model or share trace; nil on the lazy DFA, which models no region.
+	sink reportSink
 	// su and rate are units per input byte and per cycle; fed is the input
 	// byte the run has reached, which bounds real reports (see deliver).
 	su, rate, fed int64
@@ -151,21 +166,32 @@ type reduction struct {
 	// the run has replayed (see at); all three are 0 unless resetAt moved
 	// the run.
 	base, from, warmed int64
-	matches            []Match
-	onMatch            func(Match)
+	// reached is the cycle the run's last prefilter skip reached.
+	reached int64
+	matches []Match
+	onMatch func(Match)
 }
 
-func newReduction(a *automata.UnitAutomaton) reduction {
-	return reduction{red: core.NewReducer(a, true), su: int64(a.SymbolUnits), rate: int64(a.Rate)}
+// reportSink is what a machine run's report cycles feed: a *report.Sunder,
+// or the *report.Trace of a share the merge replays into one.
+type reportSink interface {
+	OnReportCycle(cycle int64, states []automata.StateID)
+	Reset()
+}
+
+func newReduction(a *automata.UnitAutomaton, sink reportSink) reduction {
+	return reduction{red: core.NewReducer(a, true), sink: sink, su: int64(a.SymbolUnits), rate: int64(a.Rate)}
 }
 
 // begin starts a run whose cycles are stepped by m (nil: not by a device;
 // see core.Reducer.Reset).
 func (r *reduction) begin(m *core.Machine, onMatch func(Match)) {
 	r.red.Reset(m)
-	r.fed, r.base, r.from, r.warmed = 0, 0, 0, 0
+	r.fed, r.base, r.from, r.warmed, r.reached = 0, 0, 0, 0, 0
 	r.matches, r.onMatch = nil, onMatch
 }
+
+func (r *reduction) skipTo(to int64) { r.reached = max(r.reached, to) }
 
 // at is resetAt's bookkeeping: the substrate, at its own cycle local,
 // stands at absolute cycle base, and the warm bytes it is about to replay
@@ -182,6 +208,9 @@ func (r *reduction) at(base, local int64, warm int) {
 func (r *reduction) cycle(c int64, ids []automata.StateID) {
 	if c < r.from {
 		return
+	}
+	if r.sink != nil {
+		r.sink.OnReportCycle(c, ids)
 	}
 	r.evs = r.red.Cycle(c, ids, r.evs[:0])
 	r.deliver(r.evs)
@@ -206,24 +235,14 @@ func (r *reduction) deliver(evs []funcsim.ReportEvent) {
 	}
 }
 
-// end seals a run: the reducer's report counts complete st, and the
-// collected matches move out — a persistent runner must not keep a
-// result's memory alive on the engine.
-func (r *reduction) end(st Stats, perPU []core.PUStats) runOutput {
-	st.Reports, st.ReportCycles = r.red.Reports, r.red.ReportCycles
-	out := runOutput{stats: st, matches: r.matches, perPU: perPU}
+// end seals a run of kernel executed cycles: the reducer's report counts
+// complete its stats, and the collected matches move out — a persistent
+// runner must not keep a result's memory alive on the engine.
+func (r *reduction) end(kernel int64) runOutput {
+	st := Stats{KernelCycles: kernel, Reports: r.red.Reports, ReportCycles: r.red.ReportCycles}
+	out := runOutput{stats: st, matches: r.matches}
 	r.matches = nil
 	return out
-}
-
-// machineStats reads a device run's cycle accounting from the machine's
-// report-region model.
-func machineStats(m *core.Machine) Stats {
-	return Stats{
-		KernelCycles: m.KernelCycles(),
-		StallCycles:  m.StallCycles(),
-		Flushes:      m.Flushes(),
-	}
 }
 
 // runner returns the runner of leg l (the sharded leg has none). The
@@ -245,14 +264,28 @@ func (e *Engine) runner(l leg, private bool) windowRunner {
 		return e.dfaRun
 	}
 	if private {
-		m := e.proto.Clone()
-		m.AttachTelemetry(e.telemetryCollector())
-		return &machineRunner{reduction: newReduction(e.nibble), m: m}
+		return e.privateMachineRunner(e.newModel())
 	}
 	if e.nfaRun == nil {
-		e.nfaRun = &machineRunner{reduction: newReduction(e.nibble), m: e.machine}
+		e.nfaRun = &machineRunner{reduction: newReduction(e.nibble, e.model), m: e.machine}
 	}
 	return e.nfaRun
+}
+
+// newModel returns a report model of the compiled device, fed telemetry
+// into the engine's collector.
+func (e *Engine) newModel() *report.Sunder {
+	m := report.NewSunder(e.place, e.proto.Config())
+	m.AttachTelemetry(e.telemetryCollector())
+	return m
+}
+
+// privateMachineRunner returns a runner on a private clone of the pristine
+// machine whose report cycles feed sink.
+func (e *Engine) privateMachineRunner(sink reportSink) *machineRunner {
+	m := e.proto.Clone()
+	m.AttachTelemetry(e.telemetryCollector())
+	return &machineRunner{reduction: newReduction(e.nibble, sink), m: m}
 }
 
 // acquire returns rs[i], filled with a runner of leg l on first use.
@@ -375,15 +408,16 @@ type machineRunner struct {
 func (r *machineRunner) reset(onMatch func(Match)) {
 	r.m.Reset()
 	r.m.SuppressStartOfData(false)
+	r.sink.Reset()
 	r.units = r.units[:0]
 	r.begin(r.m, onMatch)
 }
 
-// resetAt rewinds the machine's active states only: a run's windows share
-// one report region and its counters, as on a device that executes only
-// them (start-of-data injection can fire on a first window alone). warm
-// replays with telemetry detached, so device counters see owned cycles
-// only, as a sharded run's do.
+// resetAt rewinds the machine's active states only: a run's windows are
+// one device run (start-of-data injection can fire on a first window
+// alone), and their owned report cycles feed its report model at their
+// absolute cycles. warm replays with telemetry detached, so device
+// counters see owned cycles only, as a sharded run's do.
 func (r *machineRunner) resetAt(base int64, warm []byte) {
 	r.m.Rewind()
 	r.m.SuppressStartOfData(base > 0)
@@ -429,17 +463,22 @@ func (r *machineRunner) finish() runOutput {
 		r.units = funcsim.PadUnits(r.units, r.m.Config().Rate)
 		r.step()
 	}
-	st := machineStats(r.m)
-	st.KernelCycles -= r.warmed
-	return r.end(st, r.m.PerPU())
+	out := r.end(r.m.KernelCycles() - r.warmed)
+	switch s := r.sink.(type) {
+	case *report.Trace:
+		out.trace, r.sink = s, new(report.Trace)
+	case *report.Sunder:
+		out.reportOn(s, max(r.reached, r.base+r.m.KernelCycles()))
+	}
+	return out
 }
 
 // dfaRunner steps the lazy DFA over raw bytes. KernelCycles equals the
 // device's padded cycle count; StallCycles, Flushes and the per-PU
-// breakdown are artifacts of the simulated report region, which the DFA
-// does not model, and read zero — the same documented divergence as
-// ScanParallel's clone-local stall accounting. Device telemetry counters
-// stay untouched for the same reason.
+// breakdown are the report model's, which the DFA leg does not feed, and
+// read zero. Device telemetry counters stay untouched for the same reason.
+// Feeding the model costs about 38 ns per entry written, which on a
+// report-dense stream would cost this leg more than its stepping does.
 type dfaRunner struct {
 	reduction
 	r *dfa.Runner
@@ -450,7 +489,7 @@ type dfaRunner struct {
 }
 
 func (e *Engine) newDFARunner() *dfaRunner {
-	return &dfaRunner{reduction: newReduction(e.nibble), r: dfa.NewRunner(e.dfaPlan, dfa.DefaultConfig())}
+	return &dfaRunner{reduction: newReduction(e.nibble, nil), r: dfa.NewRunner(e.dfaPlan, dfa.DefaultConfig())}
 }
 
 func (d *dfaRunner) reset(onMatch func(Match)) {
@@ -514,5 +553,5 @@ func (d *dfaRunner) finish() runOutput {
 		d.step(d.pend, d.r.Plan().StepBytes()-len(d.pend))
 		d.pend = d.pend[:0]
 	}
-	return d.end(Stats{KernelCycles: d.prior + d.r.Cycle() - d.warmed}, nil)
+	return d.end(d.prior + d.r.Cycle() - d.warmed)
 }

@@ -9,6 +9,7 @@ import (
 	"sunder/internal/automata"
 	"sunder/internal/prefilter"
 	"sunder/internal/regex"
+	"sunder/internal/report"
 	"sunder/internal/sched"
 	"sunder/internal/telemetry"
 )
@@ -216,7 +217,9 @@ func (e *Engine) scanPrefiltered(l leg, rs []windowRunner, private bool, input [
 // runShares runs the windows of spans, sorted, on up to len(rs) runners of
 // leg l: runner g takes the cycles from its share of the spans to the next
 // share's (a window that straddles two shares is opened by both), and the
-// runs merge in input order.
+// runs merge in input order. On the machine the shares record their report
+// cycles, and the merge feeds them to one report model, as a sequential
+// run would have.
 func (e *Engine) runShares(l leg, rs []windowRunner, private bool, input []byte, spans []sched.CycleSpan, total int64) runOutput {
 	k := min(len(rs), len(spans))
 	if k == 1 {
@@ -231,7 +234,12 @@ func (e *Engine) runShares(l leg, rs []windowRunner, private bool, input []byte,
 	outs := make([]runOutput, k)
 	var wg sync.WaitGroup
 	for g := range k {
-		rn := e.acquire(rs, g, l, private)
+		var rn windowRunner
+		if l == legDFA {
+			rn = e.acquire(rs, g, l, private)
+		} else {
+			rn = e.privateMachineRunner(new(report.Trace))
+		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -239,10 +247,18 @@ func (e *Engine) runShares(l leg, rs []windowRunner, private bool, input []byte,
 		}()
 	}
 	wg.Wait()
+	out := outs[0]
 	for _, o := range outs[1:] {
-		outs[0].add(o)
+		out.add(o)
 	}
-	return outs[0]
+	if l != legDFA {
+		model := e.newModel()
+		for _, o := range outs {
+			o.trace.Replay(model.OnReportCycle)
+		}
+		out.reportOn(model, total)
+	}
+	return out
 }
 
 // runWindows executes, as one run on rn, the windows spans call for among
@@ -330,6 +346,7 @@ func (w *windowLoop) skip(to int64) {
 	if to > w.proc {
 		w.skipped += to - w.proc
 		w.proc, w.hot = to, false
+		w.rn.skipTo(to)
 	}
 }
 

@@ -39,6 +39,7 @@ import (
 	"sunder/internal/mapping"
 	"sunder/internal/meta"
 	"sunder/internal/regex"
+	"sunder/internal/report"
 	"sunder/internal/sched"
 	"sunder/internal/telemetry"
 	"sunder/internal/transform"
@@ -173,8 +174,11 @@ type Engine struct {
 	// and compile-cache hits; every other field is per-engine mutable state
 	// (TestEngineStateOutsideArtifact).
 	*compiledArtifact
-	// machine is the engine's own device, a clone of the artifact's proto.
+	// machine is the engine's own device, a clone of the artifact's proto,
+	// and model its report region, which the sequential entry points'
+	// machine runs feed (Summarize and ReadReports read it).
 	machine *core.Machine
+	model   *report.Sunder
 	// tel mirrors the collector attached by SetTelemetry. The parallel
 	// paths read it instead of e.machine.Telemetry(): they promise never to
 	// touch the shared machine, which a concurrent sequential scan may be
@@ -232,7 +236,7 @@ type compiledArtifact struct {
 
 // newEngine returns an engine over art with its own pristine machine.
 func newEngine(art *compiledArtifact) *Engine {
-	return &Engine{compiledArtifact: art, machine: art.proto.Clone()}
+	return &Engine{compiledArtifact: art, machine: art.proto.Clone(), model: report.NewSunder(art.place, art.proto.Config())}
 }
 
 // Compile builds an Engine from a pattern set.
@@ -398,7 +402,7 @@ func (e *Engine) Scan(input []byte) (*ScanResult, error) {
 // region).
 func (e *Engine) Summarize() map[int32]bool {
 	out := make(map[int32]bool)
-	for s := range e.machine.Summarize() {
+	for s := range e.model.Summarize() {
 		for _, r := range e.nibble.States[s].Reports {
 			out[r.Code] = true
 		}
@@ -477,7 +481,7 @@ func (e *Engine) ReadReports() []ReportRecord {
 	rate := int64(e.machine.Config().Rate)
 	symbolUnits := int64(e.nibble.SymbolUnits)
 	for pu := 0; pu < e.machine.NumPUs(); pu++ {
-		for _, rec := range e.machine.ReadReports(pu) {
+		for _, rec := range e.model.ReadReports(pu) {
 			r := ReportRecord{
 				// The entry's cycle covers rate units; report at the
 				// last symbol of the cycle.

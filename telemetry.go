@@ -3,7 +3,7 @@ package sunder
 import (
 	"io"
 
-	"sunder/internal/core"
+	"sunder/internal/report"
 	"sunder/internal/telemetry"
 )
 
@@ -33,10 +33,8 @@ type TelemetryOptions struct {
 // trace. Attach it to an Engine with SetTelemetry; it accumulates across
 // scans until Reset. Counters and the trace may be snapshotted
 // concurrently with running scans, and parallel scan workers aggregate
-// into the same instruments: after a ScanParallel, device_kernel_cycles,
-// device_reports and device_report_cycles equal the sequential totals
-// exactly, while the stall/flush/occupancy instruments reflect per-shard
-// region state (see ScanParallel).
+// into the same instruments: after a ScanParallel on the machine, every
+// device instrument equals the sequential scan's (see ScanParallel).
 type Telemetry struct {
 	col *telemetry.Collector
 }
@@ -60,10 +58,12 @@ func (e *Engine) SetTelemetry(t *Telemetry) {
 	if t == nil {
 		e.tel.Store(nil)
 		e.machine.AttachTelemetry(nil)
+		e.model.AttachTelemetry(nil)
 		return
 	}
 	e.tel.Store(t.col)
 	e.machine.AttachTelemetry(t.col)
+	e.model.AttachTelemetry(t.col)
 }
 
 // telemetryCollector returns the collector armed by SetTelemetry, read
@@ -190,12 +190,13 @@ type PUStats struct {
 // Reset/Scan. Summing any field across the slice reproduces the
 // corresponding aggregate in Stats.
 func (e *Engine) PerPU() []PUStats {
-	return toPUStats(e.machine.PerPU(), 0)
+	return toPUStats(e.model.PerPU(), 0)
 }
 
-// toPUStats converts the core per-PU counters to the public type. A nil
-// per — a leg that models no report region — yields n zeroed rows.
-func toPUStats(per []core.PUStats, n int) []PUStats {
+// toPUStats converts the report model's per-PU counters to the public
+// type. A nil per — a leg that models no report region — yields n zeroed
+// rows.
+func toPUStats(per []report.PUStats, n int) []PUStats {
 	if per != nil {
 		n = len(per)
 	}
