@@ -84,7 +84,9 @@ func matchesAny(root, file string, patterns []string) bool {
 	rel = filepath.ToSlash(rel)
 	for _, pat := range patterns {
 		pat = filepath.ToSlash(strings.TrimPrefix(pat, "./"))
-		if rec, ok := strings.CutSuffix(pat, "/..."); ok {
+		if rec, ok := strings.CutSuffix(pat, "..."); ok {
+			// "./..." has lost its "./" above and is "..." here.
+			rec = strings.TrimSuffix(rec, "/")
 			if rec == "." || rec == "" || rel == rec || strings.HasPrefix(rel, rec+"/") {
 				return true
 			}

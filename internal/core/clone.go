@@ -2,11 +2,11 @@ package core
 
 // Clone returns a new machine with the receiver's configuration and a
 // pristine execution state, as if freshly Configured. The compile products
-// (automaton, placement) and the whole configuration image — match rows,
-// crossbar, global switches — are shared with the receiver, which never
-// writes them; the clone allocates only what execution mutates (active
-// vectors, counters), so clones execute fully independently at a fraction
-// of the footprint of re-running Configure. This is the mechanism behind
+// (automaton, placement) and the NFA plan the machine steps on are shared
+// with the receiver, which never writes them; the clone allocates only what
+// execution mutates (active set, latch memo, counters), so clones execute
+// fully independently at a fraction of the footprint of re-running
+// Configure. This is the mechanism behind
 // parallel shard workers and cached-compile engines.
 //
 // A telemetry attachment does not carry over (attach it to the clone
@@ -14,7 +14,7 @@ package core
 // receiver must not be executing concurrently; concurrent Clone calls on
 // one receiver are safe.
 func (m *Machine) Clone() *Machine {
-	return newMachine(m.cfg, m.a, m.place, m.img)
+	return newMachine(m.cfg, m.a, m.place, m.plan)
 }
 
 // SuppressStartOfData disables the start-of-data injection that normally

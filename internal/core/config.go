@@ -10,16 +10,16 @@
 // the one reporting model every device path feeds. Config carries both
 // halves' parameters.
 //
-// The simulator is bit-faithful at the subarray level (rows, columns,
-// decoders, wired-NOR reads). Its functional behaviour is asserted equal to
-// the functional simulator in the integration tests.
-//
-// Storage follows the per-cycle access pattern, not the per-PU packaging:
-// one immutable configuration image (match rows group-major across PUs,
-// crossbar, sparse global switches) is shared by a machine and all its
-// clones, and a Machine owns only what execution mutates (DESIGN.md §4.18).
-// Step is held equal, cycle by cycle, to the phase-by-phase model kept in
-// spec_test.go.
+// The device's observable behaviour — which states are active, which
+// report, and the architectural counters — is exact; how a cycle is
+// computed is not part of it. A Machine steps the word-level NFA plan of
+// package nfa over its states in placement order, shared by the machine,
+// its clones and the lazy DFA of the same compile, and owns only what
+// execution mutates (DESIGN.md §4.18). Configure checks once that the
+// placement routes every edge; spec_test.go programs the subarray tables
+// (match rows, crossbars, global switches) from the placement and holds
+// Step to them, phase by phase and cycle by cycle, and the functional
+// simulator holds it to the automaton.
 package core
 
 import (

@@ -8,24 +8,29 @@ import (
 	"sunder/internal/bitvec"
 	"sunder/internal/funcsim"
 	"sunder/internal/mapping"
+	"sunder/internal/nfa"
 )
 
 // Machine is a configured Sunder device: a set of processing units holding
 // one transformed automaton, executing one input vector per cycle. It only
-// matches: it owns what execution mutates — the active vectors and the
-// cycle and access counters — and the configuration lives in an image
-// shared with every clone. The reports it returns feed a reporting model
-// (report.NewSunder models the in-place report regions).
+// matches: it owns what execution mutates — the active states and the cycle
+// and access counters — and steps on an NFA plan shared with every clone
+// (and with the lazy DFA of the same compile). The reports it returns feed
+// a reporting model (report.NewSunder models the in-place report regions).
 type Machine struct {
 	cfg   Config
 	a     *automata.UnitAutomaton
 	place *mapping.Placement
-	// img is the configuration image (see image), shared and read-only.
-	img *image
+	// plan is the word-level NFA step over the states in placement order
+	// (PU-major, column-minor), shared and read-only.
+	plan *nfa.Plan
 
-	// active[i] is PU i's active-state vector (the pink register of
-	// Figure 4); enables is the per-cycle scratch the next one is built in.
-	active, enables []bitvec.V256
+	// active is the active set in the plan's rank order — every PU's
+	// active-state vector (the pink register of Figure 4) end to end;
+	// next is the scratch the next one is built in, and latches the plan's
+	// memo of the active latches' successors.
+	active, next []uint64
+	latches      nfa.Latches
 
 	kernelCycles int64
 	energy       EnergyCounters
@@ -39,7 +44,10 @@ type Machine struct {
 
 // Configure builds a Machine from a transformed automaton and a placement.
 // The automaton's rate must equal the configuration's, and the placement
-// must have been produced with the same report-column budget.
+// must have been produced with the same report-column budget. The
+// placement's routes are checked once here: every report state sits in a
+// report column and no edge crosses clusters, so the device's crossbars and
+// global switches carry every successor list the plan steps on.
 func Configure(a *automata.UnitAutomaton, place *mapping.Placement, cfg Config) (*Machine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -54,23 +62,43 @@ func Configure(a *automata.UnitAutomaton, place *mapping.Placement, cfg Config) 
 		return nil, fmt.Errorf("core: placement used %d report columns, config has %d",
 			place.ReportColumns, cfg.ReportColumns)
 	}
-	img, err := buildImage(a, place, cfg)
-	if err != nil {
-		return nil, err
+	for s := range a.States {
+		st, loc := &a.States[s], place.Of[s]
+		if len(st.Reports) > 0 && loc.Col < ColsPerSubarray-cfg.ReportColumns {
+			return nil, fmt.Errorf("core: report state %d placed outside report columns (col %d)", s, loc.Col)
+		}
+		for _, t := range st.Succ {
+			if to := place.Of[t]; mapping.ClusterOf(loc.PU) != mapping.ClusterOf(to.PU) {
+				return nil, fmt.Errorf("core: edge %d→%d crosses clusters (PU %d → PU %d)", s, t, loc.PU, to.PU)
+			}
+		}
 	}
-	return newMachine(cfg, a, place, img), nil
+	order := make([]automata.StateID, 0, a.NumStates())
+	for _, stateAt := range place.StateAt {
+		for _, s := range stateAt {
+			if s >= 0 {
+				order = append(order, automata.StateID(s))
+			}
+		}
+	}
+	if len(order) != a.NumStates() {
+		return nil, fmt.Errorf("core: placement holds %d of %d states", len(order), a.NumStates())
+	}
+	return newMachine(cfg, a, place, nfa.NewPlan(a, order)), nil
 }
 
-// newMachine returns a machine in its post-configuration state over img.
-func newMachine(cfg Config, a *automata.UnitAutomaton, place *mapping.Placement, img *image) *Machine {
-	vecs := make([]bitvec.V256, 2*img.npu)
+// newMachine returns a machine in its post-configuration state over plan.
+func newMachine(cfg Config, a *automata.UnitAutomaton, place *mapping.Placement, plan *nfa.Plan) *Machine {
+	w := plan.Words()
+	vecs := make([]uint64, 2*w)
 	return &Machine{
 		cfg:     cfg,
 		a:       a,
 		place:   place,
-		img:     img,
-		active:  vecs[:img.npu:img.npu],
-		enables: vecs[img.npu:],
+		plan:    plan,
+		active:  vecs[:w:w],
+		next:    vecs[w:],
+		latches: plan.NewLatches(),
 	}
 }
 
@@ -81,19 +109,20 @@ func (m *Machine) Config() Config { return m.cfg }
 // each state sits, which is what a reporting model maps reports through.
 func (m *Machine) Placement() *mapping.Placement { return m.place }
 
+// Plan returns the NFA plan the machine steps on, shared with its clones: a
+// lazy DFA built over it (dfa.PlanOver) shares the tables too.
+func (m *Machine) Plan() *nfa.Plan { return m.plan }
+
 // NumPUs returns the number of processing units in use.
-func (m *Machine) NumPUs() int { return m.img.npu }
+func (m *Machine) NumPUs() int { return m.place.NumPUs }
 
 // KernelCycles returns the cycles executed since configuration or Reset.
 func (m *Machine) KernelCycles() int64 { return m.kernelCycles }
 
 // ActiveStates appends the automaton state IDs of every currently active
-// column across PUs.
+// column across PUs, PU by PU in column order.
 func (m *Machine) ActiveStates(dst []automata.StateID) []automata.StateID {
-	for i, a := range m.active {
-		dst = AppendStates(dst, m.place.StateAt[i], a)
-	}
-	return dst
+	return m.plan.AppendStates(dst, m.active)
 }
 
 // Rewind clears the active states, so the next cycle starts from an empty
@@ -109,102 +138,30 @@ func (m *Machine) Reset() {
 	m.energy = EnergyCounters{}
 }
 
-// Step executes one cycle on a vector of Rate units (funcsim.Pad allowed)
-// and appends the active reporting states to dst, returning it.
+// Step executes one cycle on a vector of Rate units and appends the active
+// reporting states to dst, PU by PU in column order, returning it. A Pad
+// unit only ever arrives as part of a whole padded byte at the tail of the
+// final vector, as funcsim.PadUnits pads byte input; a byte with one Pad
+// unit is taken as a padded byte.
 //
-// The loops work on whole words of the dense per-PU vectors and touch only
-// what a cycle needs: crossbar rows of active columns, global switches of
-// active columns that have any, match rows of PUs with a live enable. What
-// the device would have done regardless — one Port-2 match read per PU per
-// cycle — is still what the energy counters record.
+// The cycle is the plan's step over the active set. The architectural
+// counters follow from that set: every PU does one Port-2 match read per
+// cycle, and every active column one crossbar row read.
 func (m *Machine) Step(vec []funcsim.Unit, dst []automata.StateID) []automata.StateID {
 	rate := m.cfg.Rate
 	if len(vec) != rate {
 		panic(fmt.Sprintf("core: vector length %d != rate %d", len(vec), rate))
 	}
-	img := m.img
-	npu := img.npu
-	act, en := m.active[:npu], m.enables[:npu]
-	cycle := m.kernelCycles
-	injectAll := (cycle*int64(rate))%int64(m.a.SymbolUnits) == 0
-	injectData := cycle == 0 && !m.noStartData
-
-	// Enables from the previous active vectors: start enables, the local
-	// crossbar (one row per active column), then the global switches.
-	xbarReads := 0
-	for i := range act {
-		var e0, e1, e2, e3 uint64
-		if injectAll {
-			s := &img.startAll[i]
-			e0, e1, e2, e3 = s[0], s[1], s[2], s[3]
-		}
-		if injectData {
-			s := &img.startData[i]
-			e0, e1, e2, e3 = e0|s[0], e1|s[1], e2|s[2], e3|s[3]
-		}
-		if a := &act[i]; a[0]|a[1]|a[2]|a[3] != 0 {
-			xbar := img.xbar[i*ColsPerSubarray:][:ColsPerSubarray]
-			for w, x := range a {
-				for ; x != 0; x &= x - 1 {
-					r := &xbar[w<<6|bits.TrailingZeros64(x)]
-					e0, e1, e2, e3 = e0|r[0], e1|r[1], e2|r[2], e3|r[3]
-					xbarReads++
-				}
-			}
-		}
-		en[i] = bitvec.V256{e0, e1, e2, e3}
+	// uint16 of a Pad unit is all ones, which selects the pad plane.
+	in := nfa.Input{uint16(vec[0]), uint16(vec[rate-1])}
+	if rate > 1 {
+		in[0] = uint16(vec[0])<<4 | uint16(vec[1])
+		in[1] = uint16(vec[rate-2])<<4 | uint16(vec[rate-1])
 	}
-	m.energy.MatchReads += int64(npu)
-	m.energy.XbarRowReads += int64(xbarReads)
-	if len(img.gxOut) > 0 {
-		for i := range act {
-			hot := act[i].And(img.gxCols[i])
-			if !hot.Any() {
-				continue
-			}
-			starts := img.gxStart[i*ColsPerSubarray:][:ColsPerSubarray+1]
-			for w, x := range hot {
-				for ; x != 0; x &= x - 1 {
-					src := w<<6 | bits.TrailingZeros64(x)
-					for _, out := range img.gxOut[starts[src]:starts[src+1]] {
-						en[out.pu] = en[out.pu].Or(out.cols)
-					}
-				}
-			}
-		}
-	}
-
-	// Match (Port 2 multi-row activation: the group rows selected by the
-	// 4:16 decoders, ANDed; a padding unit selects the don't-care row) and
-	// activate, then collect the active report columns, which the device
-	// writes to its report region through Port 1 in the same cycle.
-	var rows [4][]bitvec.V256
-	for g, u := range vec {
-		if u < 0 {
-			rows[g] = img.dontCare[g*npu:][:npu]
-		} else {
-			rows[g] = img.match[(RowsPerNibble*g+int(u))*npu:][:npu]
-		}
-	}
-	for i := range act {
-		e := &en[i]
-		a0, a1, a2, a3 := e[0], e[1], e[2], e[3]
-		if a0|a1|a2|a3 == 0 {
-			act[i] = bitvec.V256{}
-			continue
-		}
-		for g := 0; g < rate; g++ {
-			r := &rows[g][i]
-			a0, a1, a2, a3 = a0&r[0], a1&r[1], a2&r[2], a3&r[3]
-		}
-		act[i] = bitvec.V256{a0, a1, a2, a3}
-		r := &img.reportMask[i]
-		a0, a1, a2, a3 = a0&r[0], a1&r[1], a2&r[2], a3&r[3]
-		if a0|a1|a2|a3 == 0 {
-			continue
-		}
-		dst = AppendStates(dst, m.place.StateAt[i], bitvec.V256{a0, a1, a2, a3})
-	}
+	reads, dst := m.plan.Step(m.next, m.active, in, m.kernelCycles, m.kernelCycles == 0 && !m.noStartData, &m.latches, dst)
+	m.active, m.next = m.next, m.active
+	m.energy.MatchReads += int64(m.place.NumPUs)
+	m.energy.XbarRowReads += int64(reads)
 	m.kernelCycles++
 	if m.tel != nil {
 		m.tel.kernelCycles.Inc()

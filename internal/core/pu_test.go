@@ -1,84 +1,77 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"sunder/internal/automata"
-	"sunder/internal/bitvec"
 	"sunder/internal/funcsim"
 	"sunder/internal/mapping"
 	"sunder/internal/regex"
 )
 
-// Direct unit tests of the subarray model: row layout and multi-row
-// activation. (The report region's entry packing and summarization are the
+// Direct unit tests of the subarray model's matching: multi-row activation
+// and the pad. (The report region's entry packing and summarization are the
 // report model's; report_test.go tests them.)
 
-// bare returns a machine of npu PUs with an empty configuration; the tests
-// below program its image by hand.
-func bare(t *testing.T, cfg Config, npu int) *Machine {
+// matchVector configures a machine at rate over one hand-built unit state
+// per match tuple, every one an unanchored start, steps vec on it and
+// returns the states that came on — the columns of the match vector for vec
+// — after checking them against the functional simulator's step.
+func matchVector(t *testing.T, rate int, vec []funcsim.Unit, states ...[automata.MaxRate]automata.UnitSet) []automata.StateID {
 	t.Helper()
-	place := &mapping.Placement{ReportColumns: cfg.ReportColumns, NumPUs: npu, StateAt: make([][]int32, npu)}
-	for i := range place.StateAt {
-		place.StateAt[i] = make([]int32, ColsPerSubarray)
-		for c := range place.StateAt[i] {
-			place.StateAt[i][c] = -1
-		}
+	ua := automata.NewUnitAutomaton(4, rate, 2)
+	for _, match := range states {
+		ua.AddState(automata.UnitState{Match: match, Start: automata.StartAllInput})
 	}
-	m, err := Configure(automata.NewUnitAutomaton(4, cfg.Rate, 2), place, cfg)
+	place, err := mapping.Place(ua, 12)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return m
-}
-
-// stepActive enables every column of PU 0, steps one vector and returns
-// the PU's new active vector — its match vector for vec.
-func stepActive(m *Machine, vec ...funcsim.Unit) bitvec.V256 {
-	m.Reset()
-	m.img.startAll[0] = bitvec.V256{}.Not()
+	m, err := Configure(ua, place, DefaultConfig(rate))
+	if err != nil {
+		t.Fatal(err)
+	}
 	m.Step(vec, nil)
-	return m.active[0]
+	got := m.ActiveStates(nil)
+	slices.Sort(got)
+	sim := funcsim.NewUnitSimulator(ua)
+	sim.Step(vec, nil)
+	var want []automata.StateID
+	for _, i := range sim.Active().Bits() {
+		want = append(want, automata.StateID(i))
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("vector %v: machine activates %v, funcsim %v", vec, got, want)
+	}
+	return got
 }
 
 func TestMatchVectorMultiRowActivation(t *testing.T) {
-	m := bare(t, DefaultConfig(2), 1)
-	// Column 3 accepts nibble 0xA at position 0 and nibble 0x1 at
-	// position 1; column 7 accepts 0xA at position 0 only.
-	m.img.matchRow(0, 0xA).Set(3)
-	m.img.matchRow(0, RowsPerNibble+0x1).Set(3)
-	m.img.matchRow(0, 0xA).Set(7)
-
-	got := stepActive(m, 0xA, 0x1)
-	if !got.Get(3) {
-		t.Error("column 3 should match (both groups)")
+	// State 0 accepts nibble 0xA at position 0 and 0x1 at position 1;
+	// state 1 accepts 0xA at position 0 and nothing at position 1.
+	states := [][automata.MaxRate]automata.UnitSet{{1 << 0xA, 1 << 0x1}, {1 << 0xA, 0}}
+	if got := matchVector(t, 2, []funcsim.Unit{0xA, 0x1}, states...); !slices.Equal(got, []automata.StateID{0}) {
+		t.Errorf("active %v, want state 0 only (state 1 must fail the AND: no group-1 row)", got)
 	}
-	if got.Get(7) {
-		t.Error("column 7 must fail the AND (no group-1 row)")
-	}
-	// Different nibble at position 0: nothing matches.
-	if stepActive(m, 0xB, 0x1).Any() {
-		t.Error("wrong nibble matched")
+	// A different nibble at position 0: nothing matches.
+	if got := matchVector(t, 2, []funcsim.Unit{0xB, 0x1}, states...); len(got) != 0 {
+		t.Errorf("wrong nibble matched: %v", got)
 	}
 }
 
 func TestMatchVectorPad(t *testing.T) {
-	m := bare(t, DefaultConfig(2), 1)
-	m.img.matchRow(0, 0x5).Set(1) // col 1 accepts nibble 5 at pos 0
-	for v := 0; v < 16; v++ {
-		m.img.matchRow(0, RowsPerNibble+v).Set(1) // col 1: don't care at pos 1
-	}
-	m.img.dontCare[1].Set(1)
-	// col 2 requires a real nibble at pos 1.
-	m.img.matchRow(0, 0x5).Set(2)
-	m.img.matchRow(0, RowsPerNibble+0x6).Set(2)
-
-	got := stepActive(m, 0x5, funcsim.Pad)
-	if !got.Get(1) {
-		t.Error("don't-care column must match pad")
-	}
-	if got.Get(2) {
-		t.Error("real-nibble column must not match pad")
+	// Byte 0x53 then a whole padded byte, at rate 4. State 0 does not care
+	// about the second byte, state 1 requires 0x6 in its high nibble and
+	// state 2 0x7 in its low nibble.
+	all := automata.AllUnits(4)
+	vec := []funcsim.Unit{0x5, 0x3, funcsim.Pad, funcsim.Pad}
+	got := matchVector(t, 4, vec,
+		[automata.MaxRate]automata.UnitSet{1 << 0x5, 1 << 0x3, all, all},
+		[automata.MaxRate]automata.UnitSet{1 << 0x5, 1 << 0x3, 1 << 0x6, all},
+		[automata.MaxRate]automata.UnitSet{1 << 0x5, 1 << 0x3, all, 1 << 0x7})
+	if !slices.Equal(got, []automata.StateID{0}) {
+		t.Errorf("active %v, want the don't-care state 0 only", got)
 	}
 }
 

@@ -17,29 +17,72 @@ import (
 )
 
 // spec is the device model as it was first written, kept as the executable
-// specification Machine.Step is held to: one phase after another over
-// whole vectors, a callback per set bit, and a dense global-switch table
-// built straight from the automaton. It runs on a Machine's storage so the
-// two can be compared field by field, but shares none of the machine's
-// execution code. Its report half — the region the reporting states are
-// written to — is report.Sunder's, held to the same phase-by-phase model in
-// that package's spec_test.go, fed this Step's report stream.
+// specification Machine.Step is held to: the subarray tables — match rows,
+// don't-care rows, start and report masks, local crossbars and global
+// switches — programmed from the automaton and the placement, then stepped
+// one phase after another over whole per-PU vectors, a callback per set
+// bit. It shares no table and no execution code with the machine, only the
+// counters of a clone, so that the two can be compared field by field; its
+// agreement with Step is the evidence that the placement-routed device and
+// the plan the machine steps on are one device. Its report half — the
+// region the reporting states are written to — is report.Sunder's, held to
+// the same phase-by-phase model in that package's spec_test.go, fed this
+// Step's report stream.
 type spec struct {
 	*Machine
-	gx        [][ColsPerSubarray][mapping.PUsPerCluster]bitvec.V256
-	newActive []bitvec.V256
+	npu int
+	// match[(16g+v)*npu+i] is match row 16g+v of PU i: the columns whose
+	// state accepts nibble v at vector position g; dontCare[g*npu+i] the
+	// columns whose whole group g is set, the only ones a Pad unit matches.
+	match, dontCare []bitvec.V256
+	// startAll, startData and reportMask are per PU; xbar[i][src] is PU i's
+	// local crossbar row src, and gx[i][src][k] the columns of PU k of the
+	// cluster that source column src of PU i enables through the global
+	// switch.
+	startAll, startData, reportMask []bitvec.V256
+	xbar                            [][ColsPerSubarray]bitvec.V256
+	gx                              [][ColsPerSubarray][mapping.PUsPerCluster]bitvec.V256
+	active, enables, newActive      []bitvec.V256
 }
 
 func newSpec(m *Machine) *spec {
+	npu := m.NumPUs()
+	vecs := func(n int) []bitvec.V256 { return make([]bitvec.V256, n) }
 	s := &spec{
-		Machine:   m.Clone(),
-		gx:        make([][ColsPerSubarray][mapping.PUsPerCluster]bitvec.V256, m.NumPUs()),
-		newActive: make([]bitvec.V256, m.NumPUs()),
+		Machine: m.Clone(), npu: npu,
+		match: vecs(m.cfg.MatchRows() * npu), dontCare: vecs(m.cfg.Rate * npu),
+		startAll: vecs(npu), startData: vecs(npu), reportMask: vecs(npu),
+		xbar:   make([][ColsPerSubarray]bitvec.V256, npu),
+		gx:     make([][ColsPerSubarray][mapping.PUsPerCluster]bitvec.V256, npu),
+		active: vecs(npu), enables: vecs(npu), newActive: vecs(npu),
 	}
+	s.noStartData = m.noStartData
+	all := automata.AllUnits(4)
 	for st := range m.a.States {
-		from := m.place.Of[st]
-		for _, t := range m.a.States[st].Succ {
-			if to := m.place.Of[t]; to.PU != from.PU {
+		state, from := &m.a.States[st], m.place.Of[st]
+		for g := 0; g < m.cfg.Rate; g++ {
+			for v := 0; v < RowsPerNibble; v++ {
+				if state.Match[g].Has(v) {
+					s.match[(RowsPerNibble*g+v)*npu+from.PU].Set(from.Col)
+				}
+			}
+			if state.Match[g] == all {
+				s.dontCare[g*npu+from.PU].Set(from.Col)
+			}
+		}
+		switch state.Start {
+		case automata.StartAllInput:
+			s.startAll[from.PU].Set(from.Col)
+		case automata.StartOfData:
+			s.startData[from.PU].Set(from.Col)
+		}
+		if len(state.Reports) > 0 {
+			s.reportMask[from.PU].Set(from.Col)
+		}
+		for _, t := range state.Succ {
+			if to := m.place.Of[t]; to.PU == from.PU {
+				s.xbar[from.PU][from.Col].Set(to.Col)
+			} else {
 				s.gx[from.PU][from.Col][to.PU%mapping.PUsPerCluster].Set(to.Col)
 			}
 		}
@@ -48,8 +91,7 @@ func newSpec(m *Machine) *spec {
 }
 
 func (s *spec) step(vec []funcsim.Unit, dst []automata.StateID) []automata.StateID {
-	m := s.Machine
-	npu := m.NumPUs()
+	m, npu := s.Machine, s.npu
 	injectAll := (m.kernelCycles*int64(m.cfg.Rate))%int64(m.a.SymbolUnits) == 0
 	injectData := m.kernelCycles == 0 && !m.noStartData
 
@@ -57,25 +99,25 @@ func (s *spec) step(vec []funcsim.Unit, dst []automata.StateID) []automata.State
 	// global switches + start enables).
 	m.energy.MatchReads += int64(npu)
 	for i := 0; i < npu; i++ {
-		m.energy.XbarRowReads += int64(m.active[i].Count())
+		m.energy.XbarRowReads += int64(s.active[i].Count())
 		var enable bitvec.V256
-		m.active[i].ForEach(func(col int) {
-			enable = enable.Or(*m.img.xbarRow(i, col))
+		s.active[i].ForEach(func(col int) {
+			enable = enable.Or(s.xbar[i][col])
 		})
 		if injectAll {
-			enable = enable.Or(m.img.startAll[i])
+			enable = enable.Or(s.startAll[i])
 		}
 		if injectData {
-			enable = enable.Or(m.img.startData[i])
+			enable = enable.Or(s.startData[i])
 		}
-		m.enables[i] = enable
+		s.enables[i] = enable
 	}
 	for i := 0; i < npu; i++ {
 		base := mapping.ClusterOf(i) * mapping.PUsPerCluster
-		m.active[i].ForEach(func(col int) {
+		s.active[i].ForEach(func(col int) {
 			for k := 0; k < mapping.PUsPerCluster; k++ {
 				if out := s.gx[i][col][k]; out.Any() && base+k < npu {
-					m.enables[base+k] = m.enables[base+k].Or(out)
+					s.enables[base+k] = s.enables[base+k].Or(out)
 				}
 			}
 		})
@@ -86,18 +128,18 @@ func (s *spec) step(vec []funcsim.Unit, dst []automata.StateID) []automata.State
 		match := bitvec.V256{}.Not()
 		for g, u := range vec {
 			if u < 0 {
-				match = match.And(m.img.dontCare[g*npu+i])
+				match = match.And(s.dontCare[g*npu+i])
 			} else {
-				match = match.And(*m.img.matchRow(i, RowsPerNibble*g+int(u)))
+				match = match.And(s.match[(RowsPerNibble*g+int(u))*npu+i])
 			}
 		}
-		s.newActive[i] = m.enables[i].And(match)
+		s.newActive[i] = s.enables[i].And(match)
 	}
-	copy(m.active, s.newActive)
+	copy(s.active, s.newActive)
 
 	// Phase 3: the reporting states (what Port 1 writes to the region).
 	for i := 0; i < npu; i++ {
-		m.active[i].And(m.img.reportMask[i]).ForEach(func(col int) {
+		s.active[i].And(s.reportMask[i]).ForEach(func(col int) {
 			if st := m.place.StateAt[i][col]; st >= 0 {
 				dst = append(dst, automata.StateID(st))
 			}
@@ -110,9 +152,17 @@ func (s *spec) step(vec []funcsim.Unit, dst []automata.StateID) []automata.State
 	return dst
 }
 
+// activeStates appends the states of the spec's active columns, PU by PU.
+func (s *spec) activeStates(dst []automata.StateID) []automata.StateID {
+	for i, a := range s.active {
+		dst = AppendStates(dst, s.place.StateAt[i], a)
+	}
+	return dst
+}
+
 // lockstep steps m and its spec over units, one cycle at a time, and fails
 // on the first difference: the reporting states returned, the active
-// vectors, the cycle and energy counters, and at the end the telemetry
+// states, the cycle and energy counters, and at the end the telemetry
 // counters.
 func lockstep(t *testing.T, label string, m *Machine, units []funcsim.Unit) {
 	t.Helper()
@@ -121,23 +171,21 @@ func lockstep(t *testing.T, label string, m *Machine, units []funcsim.Unit) {
 	m.AttachTelemetry(colM)
 	s.AttachTelemetry(colS)
 	rate := m.cfg.Rate
-	var got, want []automata.StateID
+	var got, want, gotActive, wantActive []automata.StateID
 	for off := 0; off+rate <= len(units); off += rate {
 		got = m.Step(units[off:off+rate], got[:0])
 		want = s.step(units[off:off+rate], want[:0])
+		gotActive, wantActive = m.ActiveStates(gotActive[:0]), s.activeStates(wantActive[:0])
 		c := m.kernelCycles
 		switch {
 		case !slices.Equal(got, want):
 			t.Fatalf("%s cycle %d: reporting states %v, spec %v", label, c, got, want)
-		case !slices.Equal(m.active, s.active):
-			t.Fatalf("%s cycle %d: active vectors differ", label, c)
+		case !slices.Equal(gotActive, wantActive):
+			t.Fatalf("%s cycle %d: active states %v, spec %v", label, c, gotActive, wantActive)
 		case m.energy != s.energy:
 			t.Fatalf("%s cycle %d: energy %+v, spec %+v", label, c, m.energy, s.energy)
 		case m.kernelCycles != s.kernelCycles:
 			t.Fatalf("%s cycle %d: cycle count differs", label, c)
-		}
-		if c%61 == 0 && !slices.Equal(m.ActiveStates(nil), s.ActiveStates(nil)) {
-			t.Fatalf("%s cycle %d: ActiveStates differ", label, c)
 		}
 	}
 	var bufM, bufS bytes.Buffer
@@ -201,6 +249,7 @@ func TestQuickStepMatchesSpec(t *testing.T) {
 			input[i] = byte('a' + rng.Intn(12))
 		}
 		units := funcsim.PadUnits(funcsim.BytesToUnits(input, 4), rate)
+		m.SuppressStartOfData(rng.Intn(4) == 0) // a shard worker's mid-stream replay
 		lockstep(t, fmt.Sprintf("seed %d", seed), m, units)
 		return true
 	}

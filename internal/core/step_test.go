@@ -38,26 +38,39 @@ func workloadMachine(tb testing.TB, name string, cfg Config, inputLen int) (*Mac
 }
 
 // BenchmarkMachineStep is the named benchmark of the device core's hot
-// loop: Snort at rate 4 with the FIFO drain, as the nfa_dense workload of
-// the repository benchmark runs it. ns/cycle is the figure of merit and
-// must not regress; allocs/op must stay 0.
+// loop, one sub-benchmark per workload: rate 4 with the FIFO drain, as the
+// nfa_dense workload of the repository benchmark runs Snort, and Snort at
+// rate 1, where the cycles alternate between injecting the unanchored
+// starts and not. ns/cycle is the figure of merit and must not regress;
+// allocs/op must stay 0.
 func BenchmarkMachineStep(b *testing.B) {
-	cfg := DefaultConfig(4)
-	cfg.FIFO = true
-	m, units := workloadMachine(b, "Snort", cfg, 64<<10)
-	var ids []automata.StateID
-	b.ReportAllocs()
-	b.ResetTimer()
-	off := 0
-	for i := 0; i < b.N; i++ {
-		if off == len(units) {
-			off = 0
-			m.Reset()
-		}
-		ids = m.Step(units[off:off+cfg.Rate], ids[:0])
-		off += cfg.Rate
+	for _, bc := range []struct {
+		name     string
+		workload string
+		rate     int
+	}{
+		{"Snort", "Snort", 4}, {"SPM", "SPM", 4}, {"Hamming", "Hamming", 4},
+		{"EntityResolution", "EntityResolution", 4}, {"Snort/rate1", "Snort", 1},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			cfg := DefaultConfig(bc.rate)
+			cfg.FIFO = true
+			m, units := workloadMachine(b, bc.workload, cfg, 64<<10)
+			var ids []automata.StateID
+			b.ReportAllocs()
+			b.ResetTimer()
+			off := 0
+			for i := 0; i < b.N; i++ {
+				if off == len(units) {
+					off = 0
+					m.Reset()
+				}
+				ids = m.Step(units[off:off+cfg.Rate], ids[:0])
+				off += cfg.Rate
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/cycle")
+		})
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/cycle")
 }
 
 // TestStepZeroAllocs pins the hot loop at zero allocations per cycle, with

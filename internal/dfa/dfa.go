@@ -35,90 +35,69 @@
 // cycle steps from an empty set instead), any cycle containing
 // pad units (pad semantics depend on where the input ends) and, once the
 // cache thrashes past Config.BlowupRatio, the rest of the run are not served
-// from the cache: Plan.step, the closure-free word-level NFA step that also
-// builds every missed transition, steps them on flat tables. The successors
+// from the cache: nfa.Plan.Step, the word-level NFA step the device core
+// runs too, steps them and builds every missed transition. The successors
 // of the self-looping states it steps from come from the runner's latch
-// cache, which changes only when one of them comes on or goes off.
+// memo (nfa.Latches), which changes only when one of them comes on or goes
+// off.
 package dfa
 
 import (
 	"fmt"
-	"math/bits"
 	"slices"
 
 	"sunder/internal/automata"
+	"sunder/internal/nfa"
 )
 
 // Supported reports whether the lazy DFA can execute a, and if not, why.
 func Supported(a *automata.UnitAutomaton) (bool, string) {
-	if a.UnitBits != 4 || a.SymbolUnits != 2 {
+	if a.UnitBits != 4 {
 		return false, "not a nibble automaton"
 	}
-	if a.Rate%a.SymbolUnits != 0 {
+	return supported(a.SymbolUnits, a.Rate)
+}
+
+func supported(symbolUnits, rate int) (bool, string) {
+	if symbolUnits != 2 {
+		return false, "not a nibble automaton"
+	}
+	if rate%symbolUnits != 0 {
 		return false, "rate below symbol units (cycles split bytes)"
 	}
 	return true, ""
 }
 
-// Plan holds the immutable stepping tables shared by every Runner built
-// for one compiled automaton, all flat []uint64 so that one NFA step is a
-// closure-free walk over words (layout and exactness: DESIGN.md §4.16).
-// State sets are `words` uint64s, bit i%64 of word i/64 for device state i.
-// Plans are read-only after NewPlan and safe to share across engines and
-// goroutines.
+// Plan is the lazy DFA's view of an nfa.Plan: the word-level NFA step it
+// builds every missed transition with, plus the certified symbol-class
+// partition its rows are indexed by. Plans are read-only after construction
+// and safe to share across engines and goroutines.
 type Plan struct {
+	nfa       *nfa.Plan
 	stepBytes int
 	classes   int
 	classOf   [256]uint16
 	rowSize   int
-	words     int
-
-	// planes holds, for each byte position j, 256 byte planes and one pad
-	// plane of `words` words each (see plane): byte plane b is the set of
-	// states whose nibble positions 2j and 2j+1 accept b's high and low
-	// nibble — the two nibble tables pre-ANDed — and the pad plane the set
-	// with both positions don't-care (only those survive a Pad byte).
-	planes []uint64
-
-	// startAll seeds every cycle with the unanchored starts; startFirst adds
-	// the start-of-data states and seeds cycle 0.
-	startAll, startFirst, reportMask []uint64
-
-	// succ[succOff[i]:succOff[i+1]] is state i's successor list, grouped
-	// into one (destination word, bits) entry per word it reaches.
-	succOff []int32
-	succ    []succEntry
-	// latch[w] is the self-looping states of source word w, and
-	// latchSucc[latchOff[w]:latchOff[w+1]] the OR of all their successor
-	// lists: the row a runner's latchCache ORs at once when a word's latches
-	// all come on together. Self-loops are chosen because `.*`-style gap
-	// states, once on, stay on, so their successors are worth remembering.
-	latch     []uint64
-	latchOff  []int32
-	latchSucc []succEntry
-	// covered[w] is the states of word w whose successors lie inside
-	// startAll ∪ all of latchSucc — every latch, and on dense automata most
-	// of the rest: with every latch on, that is the cache's union, and a
-	// source set need not walk them.
-	covered []uint64
 }
 
-// succEntry ORs mask into word `word` of the enabled set.
-type succEntry struct {
-	word int32
-	mask uint64
-}
-
-// padPlane is the index of a position's pad plane, after its 256 byte planes.
-const padPlane = 256
-
-// NewPlan builds the stepping tables for a. classOf/classes must be the
-// certified symbol-class partition of the *byte* automaton a was
-// transformed from (analysis.SymbolClasses); passing a finer partition is
-// sound but wastes cells, a coarser one is unsound. NewPlan returns an
-// error when a is not Supported or the partition is malformed.
+// NewPlan builds the stepping tables for a, its states in ID order.
+// classOf/classes must be the certified symbol-class partition of the
+// *byte* automaton a was transformed from (analysis.SymbolClasses); passing a
+// finer partition is sound but wastes cells, a coarser one is unsound.
+// NewPlan returns an error when a is not Supported or the partition is
+// malformed.
 func NewPlan(a *automata.UnitAutomaton, classOf [256]uint16, classes int) (*Plan, error) {
 	if ok, reason := Supported(a); !ok {
+		return nil, fmt.Errorf("dfa: %s", reason)
+	}
+	return PlanOver(nfa.NewPlan(a, nil), classOf, classes)
+}
+
+// PlanOver is NewPlan on an NFA plan that already exists — a configured
+// machine's (core.Machine.Plan), so that the device core and the lazy DFA
+// step one set of tables. Report rows come out in np's rank order.
+func PlanOver(np *nfa.Plan, classOf [256]uint16, classes int) (*Plan, error) {
+	if ok, reason := supported(np.SymbolUnits(), np.Rate()); !ok {
 		return nil, fmt.Errorf("dfa: %s", reason)
 	}
 	if classes < 1 || classes > 256 {
@@ -129,213 +108,22 @@ func NewPlan(a *automata.UnitAutomaton, classOf [256]uint16, classes int) (*Plan
 			return nil, fmt.Errorf("dfa: byte 0x%02x assigned to class %d of %d", b, c, classes)
 		}
 	}
-	n := a.NumStates()
-	sb := a.Rate / a.SymbolUnits
-	words := (n + 63) / 64
-	p := &Plan{
-		stepBytes:  sb,
-		classes:    classes,
-		classOf:    classOf,
-		rowSize:    pow(classes, sb),
-		words:      words,
-		planes:     make([]uint64, sb*(padPlane+1)*words),
-		startAll:   make([]uint64, words),
-		startFirst: make([]uint64, words),
-		reportMask: make([]uint64, words),
-		succOff:    make([]int32, n+1),
-		latch:      make([]uint64, words),
-		latchOff:   make([]int32, words+1),
-	}
-	// add accumulates successor lists by destination word; flush appends
-	// the accumulated entries to a CSR and empties the accumulator.
-	acc := make([]uint64, words)
-	var touched []int32
-	add := func(succ []automata.StateID) {
-		for _, t := range succ {
-			if acc[t>>6] == 0 {
-				touched = append(touched, int32(t>>6))
-			}
-			acc[t>>6] |= 1 << (t & 63)
-		}
-	}
-	flush := func(dst []succEntry) []succEntry {
-		for _, w := range touched {
-			dst = append(dst, succEntry{w, acc[w]})
-			acc[w] = 0
-		}
-		touched = touched[:0]
-		return dst
-	}
-	all := automata.AllUnits(a.UnitBits)
-	for i := range a.States {
-		st := &a.States[i]
-		w, bit := i>>6, uint64(1)<<(i&63)
-		for j := 0; j < sb; j++ {
-			// Word w of plane b is col[b*words]; set it for every byte
-			// b = h<<4|l with h in hi and l in lo.
-			hi, lo := st.Match[2*j], st.Match[2*j+1]
-			col := p.planes[j*(padPlane+1)*words+w:]
-			for hs := uint16(hi); hs != 0; hs &= hs - 1 {
-				h := bits.TrailingZeros16(hs) << 4
-				for ls := uint16(lo); ls != 0; ls &= ls - 1 {
-					col[(h|bits.TrailingZeros16(ls))*words] |= bit
-				}
-			}
-			if hi == all && lo == all {
-				p.plane(j, padPlane)[w] |= bit
-			}
-		}
-		switch st.Start {
-		case automata.StartAllInput:
-			p.startAll[w] |= bit
-			p.startFirst[w] |= bit
-		case automata.StartOfData:
-			p.startFirst[w] |= bit
-		}
-		if len(st.Reports) > 0 {
-			p.reportMask[w] |= bit
-		}
-		add(st.Succ)
-		p.succ = flush(p.succ)
-		p.succOff[i+1] = int32(len(p.succ))
-	}
-	for w := 0; w < words; w++ {
-		for i := w << 6; i < min(n, (w+1)<<6); i++ {
-			if succ := a.States[i].Succ; slices.Contains(succ, automata.StateID(i)) {
-				p.latch[w] |= 1 << (i & 63)
-				add(succ)
-			}
-		}
-		p.latchSucc = flush(p.latchSucc)
-		p.latchOff[w+1] = int32(len(p.latchSucc))
-	}
-	satBase := slices.Clone(p.startAll)
-	p.covered = make([]uint64, words)
-	orEntries(satBase, p.latchSucc)
-	outside := func(e succEntry) bool { return e.mask&^satBase[e.word] != 0 }
-	for i := range a.States {
-		if !slices.ContainsFunc(p.succ[p.succOff[i]:p.succOff[i+1]], outside) {
-			p.covered[i>>6] |= 1 << (i & 63)
-		}
-	}
-	return p, nil
+	sb := np.Positions()
+	return &Plan{nfa: np, stepBytes: sb, classes: classes, classOf: classOf, rowSize: pow(classes, sb)}, nil
 }
 
-// plane returns plane b (a byte value, or padPlane) of byte position j.
-func (p *Plan) plane(j, b int) []uint64 {
-	off := (j*(padPlane+1) + b) * p.words
-	return p.planes[off : off+p.words : off+p.words]
-}
-
-// latchCache is a runner's memo of its latches' successors, which step keeps
-// from cycle to cycle: on is the source set's active latches, union is
-// startAll ∪ succ(on), and full says every latch is on (union is then
-// startAll ∪ all of latchSucc). The union depends on on alone, so it is exact
-// for any source set in any order — cycle 0, misses from cached states,
-// mid-stream starts, the fallback — and across Reset (DESIGN.md §4.16).
-type latchCache struct {
-	on, union []uint64
-	full      bool
-}
-
-func (p *Plan) newLatchCache() latchCache {
-	none := !slices.ContainsFunc(p.latch, func(l uint64) bool { return l != 0 })
-	return latchCache{make([]uint64, p.words), slices.Clone(p.startAll), none}
-}
-
-// sync brings c to on = src ∩ latch. Latches that came on add their
-// successors — a word's latchSucc row when all of its latches came on at
-// once — and a latch that went off rebuilds c from empty.
-func (c *latchCache) sync(p *Plan, src []uint64) {
-	for w, v := range src {
-		if c.on[w]&^v != 0 {
-			clear(c.on)
-			copy(c.union, p.startAll)
-			break
-		}
+// step is one NFA cycle from src into dst (see nfa.Plan.Step) on the next
+// StepBytes of input, of which the last pad are past its end, and returns
+// dst's reporting states appended to reports; a nil src is cycle 0, where
+// the start-of-data states join. Every cycle of a Supported automaton
+// injects the unanchored starts, so the cycle number is moot.
+func (p *Plan) step(dst, src []uint64, data []byte, pad int, c *nfa.Latches, reports []automata.StateID) []automata.StateID {
+	in := nfa.Input{nfa.Pad, nfa.Pad}
+	for j := 0; j < p.stepBytes-pad; j++ {
+		in[j] = uint16(data[j])
 	}
-	c.full = true
-	for w, v := range src {
-		l := v & p.latch[w]
-		if add := l &^ c.on[w]; add != 0 && add == p.latch[w] {
-			orEntries(c.union, p.latchSucc[p.latchOff[w]:p.latchOff[w+1]])
-		} else {
-			for ; add != 0; add &= add - 1 {
-				p.orSucc(c.union, w<<6|bits.TrailingZeros64(add))
-			}
-		}
-		c.on[w] = l
-		c.full = c.full && l == p.latch[w]
-	}
-}
-
-// step computes one cycle transition on the NFA tables — the only NFA step
-// in the package: cycle 0, pad cycles, misses and the post-blowup fallback
-// all run it. The enabled set is the unanchored starts (every cycle begins
-// at a symbol boundary — see Supported) plus the successors of src; a nil
-// src is cycle 0: no predecessors, and the anchored starts join. c, synced
-// to src's latches when they changed, supplies the starts and the latches'
-// successors, so only src's other states are walked — none of the covered
-// ones once every latch is on. The byte planes of the input (pad planes for
-// the last pad positions) then filter it down to the next active set in dst,
-// which must not alias src.
-func (p *Plan) step(dst, src []uint64, data []byte, pad int, c *latchCache) {
-	latch, on := p.latch[:len(src)], c.on[:len(src)] // no bounds checks
-	for w, v := range src {
-		if v&latch[w] != on[w] {
-			c.sync(p, src)
-			break
-		}
-	}
-	skip := p.latch
-	if c.full {
-		skip = p.covered
-	}
-	if src == nil {
-		copy(dst, p.startFirst)
-	} else {
-		copy(dst, c.union)
-	}
-	for w, v := range src {
-		for v &^= skip[w]; v != 0; v &= v - 1 {
-			p.orSucc(dst, w<<6|bits.TrailingZeros64(v))
-		}
-	}
-	// Both positions in one pass; a one-byte cycle ANDs its plane twice.
-	a, b := p.inputPlane(0, data, pad), p.inputPlane(p.stepBytes-1, data, pad)
-	for w := range dst {
-		dst[w] &= a[w] & b[w]
-	}
-}
-
-// orSucc ORs state i's successors into dst.
-func (p *Plan) orSucc(dst []uint64, i int) { orEntries(dst, p.succ[p.succOff[i]:p.succOff[i+1]]) }
-
-func orEntries(dst []uint64, es []succEntry) {
-	for _, e := range es {
-		dst[e.word] |= e.mask
-	}
-}
-
-// inputPlane returns the plane a cycle selects at byte position j: its
-// byte's, or the pad plane for the last pad positions (data omits them).
-func (p *Plan) inputPlane(j int, data []byte, pad int) []uint64 {
-	if j < p.stepBytes-pad {
-		return p.plane(j, int(data[j]))
-	}
-	return p.plane(j, padPlane)
-}
-
-// appendReports appends the reporting states of set to dst in ascending ID
-// order — the one place a report row is built, for cached states (intern)
-// and raw sets (Step) alike.
-func (p *Plan) appendReports(dst []automata.StateID, set []uint64) []automata.StateID {
-	for w, v := range set {
-		for v &= p.reportMask[w]; v != 0; v &= v - 1 {
-			dst = append(dst, automata.StateID(w<<6|bits.TrailingZeros64(v)))
-		}
-	}
-	return dst
+	_, reports = p.nfa.Step(dst, src, in, 0, src == nil, c, reports)
+	return reports
 }
 
 // StepBytes returns the number of input bytes one cycle consumes.
@@ -484,7 +272,7 @@ type Runner struct {
 	cur      uint32
 	active   []uint64
 	enabled  []uint64
-	latches  latchCache
+	latches  nfa.Latches
 	scratch  []automata.StateID
 	cycle    int64
 	fellBack bool
@@ -502,9 +290,9 @@ func NewRunner(p *Plan, cfg Config) *Runner {
 		p:       p,
 		cfg:     cfg,
 		max:     cfg.maxStates(p.rowSize),
-		active:  make([]uint64, p.words),
-		enabled: make([]uint64, p.words),
-		latches: p.newLatchCache(),
+		active:  make([]uint64, p.nfa.Words()),
+		enabled: make([]uint64, p.nfa.Words()),
+		latches: p.nfa.NewLatches(),
 	}
 	r.emptyCache()
 	return r
@@ -602,7 +390,7 @@ func (r *Runner) Step(data []byte, pad int) []automata.StateID {
 	case r.cycle > 1 || r.midStream:
 		src = r.active
 	}
-	r.p.step(r.enabled, src, data, pad, &r.latches)
+	r.scratch = r.p.step(r.enabled, src, data, pad, &r.latches, r.scratch[:0])
 	r.active, r.enabled = r.enabled, r.active
 	if pad == 0 && !r.fellBack {
 		// (Re-)enter cached mode: the reached set is a valid DFA state (its
@@ -611,7 +399,7 @@ func (r *Runner) Step(data []byte, pad int) []automata.StateID {
 		// safe from eviction, being most recently used before this step, but
 		// not from a rebuild: cur still names it unless intern emptied the
 		// cache, and the cell of a stale ID must not be written.
-		if next := r.intern(r.active); next != 0 {
+		if next := r.intern(r.active, r.scratch); next != 0 {
 			if r.cur != 0 {
 				r.link(cell, c1, next*uint32(r.p.classes+1))
 			}
@@ -621,7 +409,6 @@ func (r *Runner) Step(data []byte, pad int) []automata.StateID {
 	}
 	r.cur = 0
 	// Direct-NFA mode — after a blowup, on the same set and with no restart.
-	r.scratch = r.p.appendReports(r.scratch[:0], r.active)
 	return r.scratch
 }
 
@@ -657,10 +444,11 @@ func (r *Runner) Run(data []byte) (n int, reports []automata.StateID) {
 	return n, reports
 }
 
-// intern returns the cached state ID for set, constructing (and possibly
-// evicting) as needed. It returns 0 when construction would thrash: the
-// caller then falls back to direct NFA stepping for the rest of the run.
-func (r *Runner) intern(set []uint64) uint32 {
+// intern returns the cached state ID for set, whose reporting states are
+// reports, constructing (and possibly evicting) as needed. It returns 0 when
+// construction would thrash: the caller then falls back to direct NFA
+// stepping for the rest of the run.
+func (r *Runner) intern(set []uint64, reports []automata.StateID) uint32 {
 	h := hashSet(set)
 	for _, id := range r.index[h] {
 		if slices.Equal(r.states[id].set, set) {
@@ -677,7 +465,7 @@ func (r *Runner) intern(set []uint64) uint32 {
 		r.evict()
 	}
 	id := uint32(len(r.states))
-	r.states = append(r.states, dstate{set: slices.Clone(set), hash: h, reports: r.p.appendReports(nil, set)})
+	r.states = append(r.states, dstate{set: slices.Clone(set), hash: h, reports: append([]automata.StateID(nil), reports...)})
 	r.first = append(append(r.first, make([]uint32, r.p.classes)...), uint32(min(len(r.states[id].reports), 1)))
 	r.index[h] = append(r.index[h], id)
 	r.live++

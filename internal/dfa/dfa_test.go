@@ -494,7 +494,7 @@ func TestEmptyAndTinyInputs(t *testing.T) {
 // spmFallback returns a runner over SPM at rate 4 that has thrashed its
 // cache and fallen back to direct NFA stepping — the benchmark's dfa_thrash
 // regime — and the input that drove it there.
-func spmFallback(tb testing.TB) (*Runner, []byte) {
+func spmFallback(tb testing.TB) (r *Runner, input []byte, latches []uint64) {
 	tb.Helper()
 	w, err := workload.Get("SPM", workload.DefaultScale, 8<<10)
 	if err != nil {
@@ -504,7 +504,7 @@ func spmFallback(tb testing.TB) (*Runner, []byte) {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	r := NewRunner(certifiedPlan(tb, w.Automaton, ua), DefaultConfig())
+	r = NewRunner(certifiedPlan(tb, w.Automaton, ua), DefaultConfig())
 	step := fallbackStepper(r, w.Input)
 	for range len(w.Input) / r.Plan().StepBytes() {
 		step()
@@ -512,7 +512,13 @@ func spmFallback(tb testing.TB) (*Runner, []byte) {
 	if !r.FellBack() {
 		tb.Fatalf("SPM did not thrash the cache in %d bytes: %+v", len(w.Input), r.Stats())
 	}
-	return r, w.Input
+	latches = make([]uint64, r.p.nfa.Words())
+	for i := range ua.States {
+		if slices.Contains(ua.States[i].Succ, automata.StateID(i)) {
+			latches[i>>6] |= 1 << (i & 63)
+		}
+	}
+	return r, w.Input, latches
 }
 
 // fallbackStepper returns a func that steps r through input one cycle per
@@ -533,7 +539,7 @@ func TestFallbackStepZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector changes allocation counts")
 	}
-	r, input := spmFallback(t)
+	r, input, _ := spmFallback(t)
 	if got := testing.AllocsPerRun(2000, fallbackStepper(r, input)); got != 0 {
 		t.Errorf("%.2f allocs per fallback Step, want 0", got)
 	}
@@ -541,11 +547,11 @@ func TestFallbackStepZeroAllocs(t *testing.T) {
 
 // BenchmarkDFAMiss times a cycle of the benchmark's dfa_thrash regime: SPM
 // on a thrashed runner, Reset every 1024 cycles (one 2 KiB scan), so each
-// run takes cycle 0, a few hits and misses, the fallback, and then Plan.step
-// every cycle while the active set grows to its mean of 709 of 3702 states.
+// run takes cycle 0, a few hits and misses, the fallback, and then the NFA
+// step every cycle while the active set grows to its mean of 709 of 3702 states.
 // The two regimes of that step are timed apart: /unsaturated is the cycles
 // after Reset until every latch is on (about a third of a scan), when the
-// runner's latch cache grows and rebuilds; /saturated is the rest, when the
+// runner's latch memo grows and rebuilds; /saturated is the rest, when the
 // union is constant and no covered state is walked.
 func BenchmarkDFAMiss(b *testing.B) {
 	for _, regime := range []struct {
@@ -553,14 +559,14 @@ func BenchmarkDFAMiss(b *testing.B) {
 		saturated bool
 	}{{"unsaturated", false}, {"saturated", true}} {
 		b.Run(regime.name, func(b *testing.B) {
-			r, input := spmFallback(b)
+			r, input, latches := spmFallback(b)
 			step := fallbackStepper(r, input)
 			b.ReportAllocs()
 			b.SetBytes(int64(r.Plan().StepBytes()))
 			b.ResetTimer()
 			for i := 0; i < b.N; {
 				if !regime.saturated {
-					if i == 0 || latchesOn(r) {
+					if i == 0 || latchesOn(r, latches) {
 						r.Reset()
 					}
 					step()
@@ -569,7 +575,7 @@ func BenchmarkDFAMiss(b *testing.B) {
 				}
 				b.StopTimer()
 				r.Reset()
-				for step(); !latchesOn(r); step() {
+				for step(); !latchesOn(r, latches); step() {
 				}
 				b.StartTimer()
 				for ; r.Cycle() < 1024 && i < b.N; i++ {
@@ -581,14 +587,19 @@ func BenchmarkDFAMiss(b *testing.B) {
 	}
 }
 
-// latchesOn reports whether every latch is on in the set r sits in: the
-// source set of its next stepped cycle.
-func latchesOn(r *Runner) bool {
+// latchesOn reports whether every latch (self-looping state) is on in the
+// set r sits in: the source set of its next stepped cycle.
+func latchesOn(r *Runner, latches []uint64) bool {
 	set := r.active
 	if r.cur != 0 {
 		set = r.states[r.cur].set
 	}
-	return saturated(r.p, set)
+	for w, l := range latches {
+		if set[w]&l != l {
+			return false
+		}
+	}
+	return true
 }
 
 // hammingWarm returns a runner over Hamming at rate 4 and a 64 KiB input it
@@ -665,5 +676,59 @@ func BenchmarkDFAHit(b *testing.B) {
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*(len(input)/r.Plan().StepBytes())), "ns/cycle")
 		})
+	}
+}
+
+// TestDFAMidStreamStart holds ResetMidStream to its contract in lockstep: a run
+// started at byte k reports, cycle for cycle, what the plan steps from an
+// all-zero source set — the unanchored starts join, the start-of-data
+// states do not — on a warm runner and again on the same one. The identity
+// partition makes every cached state the raw set, so the runner's report
+// rows must equal the plan's exactly.
+func TestDFAMidStreamStart(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	var identity [256]uint16
+	for b := range identity {
+		identity[b] = uint16(b)
+	}
+	for trial := 0; trial < 20; trial++ {
+		nfa := randomByteNFAOf(rng, 8+rng.Intn(40))
+		nfa.States[0].Start = automata.StartOfData // an anchored start to keep quiet
+		for _, rate := range []int{2, 4} {
+			ua, err := transform.ToRate(nfa, rate)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p, err := NewPlan(ua, identity, 256)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r := NewRunner(p, DefaultConfig())
+			input := randomInput(rng, 80+rng.Intn(40))
+			for _, k := range []int{0, p.stepBytes, 2 * p.stepBytes, 10 * p.stepBytes, 10 * p.stepBytes} {
+				r.ResetMidStream()
+				src := make([]uint64, p.nfa.Words())
+				dst := make([]uint64, p.nfa.Words())
+				lc := p.nfa.NewLatches()
+				var want []automata.StateID
+				for c := 0; k+c*p.stepBytes < len(input); c++ {
+					data := input[k+c*p.stepBytes:]
+					pad := max(0, p.stepBytes-len(data))
+					data = data[:p.stepBytes-pad]
+					want = p.step(dst, src, data, pad, &lc, want[:0])
+					if c == 0 {
+						for _, s := range p.nfa.AppendStates(nil, dst) {
+							if ua.States[s].Start == automata.StartOfData {
+								t.Fatalf("trial %d rate %d from byte %d: start-of-data state %d came on", trial, rate, k, s)
+							}
+						}
+					}
+					if got := r.Step(data, pad); !slices.Equal(got, want) {
+						t.Fatalf("trial %d rate %d from byte %d, cycle %d: runner reports %v, plan %v", trial, rate, k, c, got, want)
+					}
+					src, dst = dst, src
+				}
+			}
+		}
 	}
 }

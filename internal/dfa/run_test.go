@@ -243,3 +243,60 @@ func FuzzRun(f *testing.F) {
 		twin(t, "fuzz", ua, certifiedPlan(t, nfa, ua), cfg, [][]byte{input, input, input}, next)
 	})
 }
+
+// latchAutomaton builds a unit automaton of n states directly, one latch
+// layout per word by index mod 4: (0) many always-on latches, so the word
+// saturates and the shortcut fires; (1) the same plus one latch that is
+// rarely on, so the word is usually one bit short; (2) a single latch that
+// comes and goes; (3) no latch. The other states of every word are random.
+// With allOn, layouts 1 and 2 are replaced by 0 and 3: every latch is always
+// on, so from the second cycle the whole source set is saturated.
+func latchAutomaton(rng *rand.Rand, rate, n int, allOn bool) *automata.UnitAutomaton {
+	ua := automata.NewUnitAutomaton(4, rate, 2)
+	all := automata.AllUnits(4)
+	other := func(i int) automata.StateID {
+		for {
+			if t := rng.Intn(n); t != i {
+				return automata.StateID(t)
+			}
+		}
+	}
+	for i := 0; i < n; i++ {
+		var st automata.UnitState
+		for j := 0; j < rate; j++ {
+			st.Match[j] = automata.UnitSet(rng.Intn(1<<16)) | 1<<rng.Intn(16)
+			if rng.Intn(3) == 0 {
+				st.Match[j] = all
+			}
+		}
+		for e := rng.Intn(4); e > 0; e-- {
+			st.Succ = append(st.Succ, other(i))
+		}
+		if rng.Intn(4) == 0 {
+			st.Start = automata.StartKind(1 + rng.Intn(2))
+		}
+		layout, bit := (i>>6)%4, i&63
+		if allOn {
+			layout = layout / 2 * 3
+		}
+		switch {
+		case layout <= 1 && bit%3 == 0:
+			// Always on: enabled every cycle, matches every input.
+			st.Start = automata.StartAllInput
+			st.Match = [automata.MaxRate]automata.UnitSet{all, all, all, all}
+			st.Succ = append(st.Succ, automata.StateID(i))
+		case layout == 1 && bit == 1, layout == 2 && bit == 1:
+			// Comes and goes: set by random predecessors, holds while the
+			// input's first nibble is low.
+			st.Start = automata.StartNone
+			st.Match[0] = 0x00ff
+			st.Succ = append(st.Succ, automata.StateID(i))
+		}
+		if rng.Intn(5) == 0 {
+			st.Reports = []automata.Report{{Offset: uint8(rng.Intn(rate)), Code: int32(i), Origin: int32(i)}}
+		}
+		ua.AddState(st)
+	}
+	ua.Normalize()
+	return ua
+}

@@ -288,11 +288,13 @@ func lintNocopy(fset *token.FileSet, p *Package, nocopy map[string]bool) []Findi
 //
 // Config.FrozenFields extends the same rule to compile products that are
 // shared through an unexported struct field rather than an automata type —
-// the device core's configuration image (`Machine.img`), which every clone
-// of a machine points at. There a write is one that selects *through* the
-// field (`m.img.match[k] = …`) or through a local bound to it
-// (`img := m.img`); rebinding the field (`m.img = other`) is not, and
-// neither is a write to a value a call returns.
+// the NFA plan a machine steps on (`Machine.plan`), which every clone of a
+// machine and the lazy DFA point at, and the plan's own tables
+// (`Plan.planes`, `Plan.succ`, …). There a write is one that selects
+// *through* the field (`m.plan.order[k] = …`, `p.latch[w] |= …`) or through
+// a local bound to it (`plan := m.plan`); rebinding the field
+// (`m.plan = other`) is not, and neither is a write to a value a call
+// returns or to a local a constructor builds a table in.
 
 // irTypeNames are the automata type names whose fields the rule protects.
 var irTypeNames = map[string]bool{"UnitAutomaton": true, "UnitState": true}
@@ -432,12 +434,12 @@ func irWrite(pos token.Position, fn, root string) Finding {
 	return Finding{
 		Pos:  pos,
 		Rule: "irmutate",
-		Msg:  fmt.Sprintf("%s writes a compile product through %s; the unit automaton and the configuration image are shared and frozen after compile — mutate a Clone() or a privately owned copy", fn, root),
+		Msg:  fmt.Sprintf("%s writes a compile product through %s; the unit automaton and the NFA plan are shared and frozen after compile — mutate a Clone() or a privately owned copy", fn, root),
 	}
 }
 
 // isFrozenField reports whether an expression is a frozen field itself
-// (`m.img`): binding it to a local makes the local a view of the shared
+// (`m.plan`): binding it to a local makes the local a view of the shared
 // product.
 func isFrozenField(e ast.Expr, frozen map[string]bool) bool {
 	sel, ok := e.(*ast.SelectorExpr)

@@ -108,9 +108,14 @@ func DefaultConfig() Config {
 			"sunder/internal/analysis":  true,
 		},
 		FrozenFields: map[string][]string{
-			// Machine.img: one image per compile, shared by every clone;
-			// Configure builds it and nothing writes it afterwards.
-			"sunder/internal/core": {"img"},
+			// Machine.plan: one NFA plan per compile, shared by every clone
+			// and by the lazy DFA; Configure builds it and nothing writes it
+			// afterwards.
+			"sunder/internal/core": {"plan"},
+			// The plan's own tables: NewPlan builds them in locals, and
+			// nothing writes them once they are in a Plan.
+			"sunder/internal/nfa": {"order", "planes", "startAll", "startFirst", "reportMask", "none",
+				"succOff", "succ", "latch", "latchOff", "latchSucc", "covered"},
 		},
 	}
 }

@@ -226,18 +226,18 @@ func rewrite(ua *automata.UnitAutomaton) { ua.States[0].Succ = nil }
 func TestIRMutateFrozenFields(t *testing.T) {
 	src := `package core
 func (m *Machine) flip(k int) {
-	m.img.match[k][0] ^= 1 // through the shared field
-	img := m.img
-	img.xbar[k][1] = 0 // through a local bound to it
-	m.img.npu++
+	m.plan.order[k] ^= 1 // through the shared field
+	plan := m.plan
+	plan.planes[k] = 0 // through a local bound to it
+	m.plan.words++
 }
-func (m *Machine) fine(k int, other *image) {
-	m.img = other          // rebinding the field
-	img := newImage()      // a value a call returns
-	img.match[k][0] ^= 1
-	built := &image{}
-	built.match = nil      // a product still being built
-	_ = m.img.match[k][0]  // a read
+func (m *Machine) fine(k int, other *nfa.Plan) {
+	m.plan = other         // rebinding the field
+	plan := newPlan()      // a value a call returns
+	plan.order[k] ^= 1
+	built := &nfa.Plan{}
+	built.order = nil      // a product still being built
+	_ = m.plan.order[k]    // a read
 }
 `
 	fs := byRule(lintOne(t, "sunder/internal/core", src), "irmutate")
@@ -251,6 +251,20 @@ func (m *Machine) fine(k int, other *image) {
 	}
 	if fs := byRule(lintOne(t, "sunder/internal/sched", src), "irmutate"); len(fs) != 0 {
 		t.Fatalf("field frozen outside its package: %v", fs)
+	}
+	// The plan's own tables: frozen in a Plan, free in the locals NewPlan
+	// builds them in.
+	tables := `package nfa
+func (p *Plan) flip(w int) { p.latch[w] = 0 }
+func build(words int) *Plan {
+	latch := make([]uint64, words)
+	latch[0] = 1
+	return &Plan{latch: latch}
+}
+`
+	fs = byRule(lintOne(t, "sunder/internal/nfa", tables), "irmutate")
+	if len(fs) != 1 || !strings.Contains(fs[0].Msg, "flip") {
+		t.Fatalf("got findings %v, want the one write in flip", fs)
 	}
 }
 

@@ -222,7 +222,8 @@ type compiledArtifact struct {
 	backendNote string
 	autoChoice  meta.Choice
 	metaIn      meta.Inputs
-	// dfaPlan is the lazy-DFA stepping plan; nil when the geometry is
+	// dfaPlan is the lazy-DFA stepping plan over proto's NFA plan, so the
+	// artifact holds one set of NFA tables; nil when the geometry is
 	// unsupported. Runners built from it are mutable: an engine owns its
 	// sequential one, and the parallel entry points' private ones wait
 	// between calls on one free list, dfaIdle (guarded by dfaMu, anchored
@@ -294,6 +295,7 @@ func compile(nfa *automata.Automaton, patterns []Pattern, opts Options) (*Engine
 	// Minimize's Info().SymbolClasses and the lazy DFA's row indexing.
 	dfaOK, dfaReason := dfa.Supported(ua)
 	classes := 0
+	var classOf [256]uint16
 	if opts.Minimize || dfaOK {
 		sc := analysis.SymbolClasses(nfa)
 		if err := analysis.CheckSymbolClasses(nfa, sc); err != nil {
@@ -304,9 +306,7 @@ func compile(nfa *automata.Automaton, patterns []Pattern, opts Options) (*Engine
 		}
 		if dfaOK {
 			classes = sc.Count()
-			if art.dfaPlan, err = dfa.NewPlan(ua, sc.Class, classes); err != nil {
-				return nil, err
-			}
+			classOf = sc.Class
 		}
 	}
 
@@ -329,6 +329,12 @@ func compile(nfa *automata.Automaton, patterns []Pattern, opts Options) (*Engine
 	}
 	if art.proto, err = core.Configure(ua, art.place, cfg); err != nil {
 		return nil, err
+	}
+	if dfaOK {
+		// The lazy DFA steps the machine's plan: one set of NFA tables.
+		if art.dfaPlan, err = dfa.PlanOver(art.proto.Plan(), classOf, classes); err != nil {
+			return nil, err
+		}
 	}
 
 	depth, bounded := sched.DependenceCycles(ua)
