@@ -56,12 +56,12 @@ type DFAStats struct {
 	Supported bool
 	Reason    string
 	// States is the number of DFA states constructed; Hits/Misses count
-	// cached-transition lookups; Evictions counts LRU evictions;
-	// Fallbacks counts runs that abandoned caching for direct NFA
-	// stepping after the cache thrashed. Hits are added, and the LRU
-	// recency refreshed, each time the hit loop stops (on a report, a
-	// miss or the end of a chunk), not per cycle; the counts are exact
-	// once a call returns.
+	// cached-transition lookups; Evictions counts the states dropped when
+	// the full cache was cleared; Fallbacks counts runs that abandoned
+	// caching for direct NFA stepping after the cache thrashed. Hits are
+	// added each time the hit loop stops (on a report, a miss or the end
+	// of a chunk), not per cycle; the counts are exact once a call
+	// returns.
 	States    int64
 	Hits      int64
 	Misses    int64

@@ -205,7 +205,7 @@ func main() {
 			len(sres.Matches), sres.Stats.Reports, sres.Stats.ReportCycles,
 			float64(ns)/1e6, float64(len(w.Input))/1e6/(float64(ns)/1e9))
 		if st := eng.DFAStats(); st.Hits+st.Misses > 0 {
-			fmt.Printf("  lazy DFA: %d resident states, %.1f%% transition-cache hit rate, %d evictions, %d fallbacks\n",
+			fmt.Printf("  lazy DFA: %d states constructed, %.1f%% transition-cache hit rate, %d evictions, %d fallbacks\n",
 				st.States, 100*float64(st.Hits)/float64(st.Hits+st.Misses), st.Evictions, st.Fallbacks)
 		}
 		// Report cycles are cycle-granularity and shrink with the rate

@@ -1,6 +1,7 @@
 // Package dfa is the lazy-DFA software backend: on-demand subset
-// construction over a compiled unit automaton, with a bounded LRU cache of
-// DFA states and byte-class-compressed, two-level transition rows.
+// construction over a compiled unit automaton, with a bounded cache of DFA
+// states, cleared whole when full, and byte-class-compressed, two-level
+// transition rows.
 //
 // The determinization runs at cycle granularity. It is defined only for
 // nibble automata whose rate is a whole number of symbols per cycle
@@ -28,8 +29,9 @@
 // row per state at its premultiplied ID, ID×(Classes+1), whose cell for the
 // first byte's class names a second-level row, allocated on first use, whose
 // cell for the second byte's class is the next premultiplied ID. A row's
-// extra slot flags husks and reporting states, so a hit in Runner.Run is two
-// dependent loads and one flag test (DESIGN.md §4.16 has the layouts that lost).
+// extra slot flags state 0 ("none") and reporting states, so a hit in
+// Runner.Run is two dependent loads and one flag test (DESIGN.md §4.16 has
+// the layouts that lost).
 //
 // Cycle 0 (start-of-data injection is time-dependent; ResetMidStream's first
 // cycle steps from an empty set instead), any cycle containing
@@ -134,7 +136,7 @@ func (p *Plan) Classes() int { return p.classes }
 
 // RowSize returns the class tuples a cycle can present to a cached DFA state
 // (Classes^StepBytes): the cells a dense row would hold, which is what the
-// default state cap is derived from (Config.CellBudget), not what is stored.
+// default state cap is derived from (cellBudget), not what is stored.
 func (p *Plan) RowSize() int { return p.rowSize }
 
 func pow(base, exp int) int {
@@ -145,24 +147,25 @@ func pow(base, exp int) int {
 	return out
 }
 
+// cellBudget sizes the default state cap: as many states as dense rows of
+// cellBudget cells would hold. It is not a measure of memory — two-level
+// rows store a few percent of those cells — and the cap is not re-derived
+// from what they do store: it decides which runs clear and fall back, so
+// moving it is a cache-policy change with its own measurements.
+const cellBudget = 1 << 22
+
 // Config bounds a Runner's state cache.
 type Config struct {
-	// MaxStates caps the live cached DFA states. 0 derives the cap from
-	// CellBudget and the plan's row size, clamped to [2, 32768].
+	// MaxStates caps the cached DFA states: constructing one more first
+	// clears the cache. 0 derives the cap from the plan's row size,
+	// cellBudget / Plan.RowSize, clamped to [2, 32768].
 	MaxStates int
-	// CellBudget sizes the state cap when MaxStates is 0: the cap is
-	// CellBudget / Plan.RowSize states (default 1<<22), as many as dense rows
-	// of that many cells would hold. It is not a measure of memory — two-level
-	// rows store a few percent of those cells — and the cap is not re-derived
-	// from what they do store: it decides which runs evict and fall back, so
-	// moving it is a cache-policy change with its own measurements.
-	CellBudget int
-	// BlowupRatio triggers the NFA fallback: once any state has been
-	// evicted and the number of states constructed exceeds
-	// BlowupRatio × cycles executed, the run stops caching and steps the
-	// NFA tables directly for its remainder (default 0.25). The cache is
-	// thrashing at that point — subset construction per cycle costs more
-	// than plain NFA stepping. The states counted are the runner's lifetime
+	// BlowupRatio triggers the NFA fallback: once the cache has been
+	// cleared and the number of states constructed exceeds BlowupRatio ×
+	// cycles executed, the run stops caching and steps the NFA tables
+	// directly for its remainder (default 0.25). The cache is thrashing at
+	// that point — subset construction per cycle costs more than plain NFA
+	// stepping. The states counted are the runner's lifetime
 	// constructions, the cycles the current run's, on purpose: counting per
 	// run was measured to cost more allocations than it saves (DESIGN.md
 	// §4.16).
@@ -171,28 +174,14 @@ type Config struct {
 
 // DefaultConfig returns the default cache bounds.
 func DefaultConfig() Config {
-	return Config{CellBudget: 1 << 22, BlowupRatio: 0.25}
+	return Config{BlowupRatio: 0.25}
 }
 
 func (c Config) maxStates(rowSize int) int {
 	if c.MaxStates > 0 {
-		if c.MaxStates < 2 {
-			return 2
-		}
-		return c.MaxStates
+		return max(c.MaxStates, 2)
 	}
-	budget := c.CellBudget
-	if budget <= 0 {
-		budget = 1 << 22
-	}
-	n := budget / rowSize
-	if n < 2 {
-		n = 2
-	}
-	if n > 32768 {
-		n = 32768
-	}
-	return n
+	return min(max(cellBudget/rowSize, 2), 32768)
 }
 
 func (c Config) blowupRatio() float64 {
@@ -204,8 +193,7 @@ func (c Config) blowupRatio() float64 {
 
 // Stats counts a Runner's cache behaviour since construction (Reset does
 // not clear them: the cache persists across runs, so the counters describe
-// its whole life). Run adds its hits once per exit, and refreshes recency
-// only for the state it stops in.
+// its whole life). Run adds its hits once per exit.
 type Stats struct {
 	// States is the number of DFA states constructed (subset
 	// constructions performed).
@@ -213,57 +201,45 @@ type Stats struct {
 	// Hits and Misses count cached-transition lookups.
 	Hits   int64
 	Misses int64
-	// Evictions counts LRU evictions.
+	// Evictions counts the states dropped by clearing the full cache.
 	Evictions int64
 	// Fallbacks counts runs that abandoned caching for plain NFA stepping
 	// after the cache thrashed past Config.BlowupRatio.
 	Fallbacks int64
 }
 
-// dstate is one cached DFA state. IDs are never reused while the cache
-// lives: evicted states stay in the slice as husks (set == nil, reports
-// freed, second-level rows recycled, stop flag set), so a stale cell in a
-// surviving row finds the husk and re-misses. State 0 is a permanent husk
-// that stands for "none" everywhere an ID is stored: a fresh row is all
-// zeros and needs no fill, an empty cell stops Run like any husk, and the
-// recency list ends in 0.
+// dstate is one cached DFA state: an NFA active set and its reporting
+// states. State 0 has neither and stands for "none" everywhere an ID is
+// stored: a fresh row is all zeros and needs no fill, and an empty cell
+// names state 0, whose stop flag ends Run.
 type dstate struct {
 	set     []uint64
-	hash    uint64
 	reports []automata.StateID
-	prev    uint32 // recency list neighbours
-	next    uint32
 }
 
 // Runner executes one input stream at a time against a Plan, memoizing
-// cycle transitions in an LRU-bounded DFA state cache that persists across
-// Reset — repeated scans of one engine reuse the hot cache. A Runner is
-// not safe for concurrent use; build one per goroutine (they share the
-// Plan).
+// cycle transitions in a DFA state cache that persists across Reset —
+// repeated scans of one engine reuse the hot cache. A Runner is not safe
+// for concurrent use; build one per goroutine (they share the Plan).
 //
-// Memory is bounded inside a run as well as across runs: at most max states
-// are live, and once more than 4*max husks have piled up the next
-// construction rebuilds the cache empty (trim), so len(states) <= 5*max+2
-// however long a run evicts.
+// The cache holds at most max states, inside a run as well as across runs:
+// constructing one more first clears it, as Rust regex-automata's lazy DFA
+// does, so len(states) <= max+1 at all times.
 type Runner struct {
 	p   *Plan
 	cfg Config
 	max int
 
 	states []dstate
-	// first holds a row of classes+1 cells per state, husks included, at its
-	// premultiplied ID id*(classes+1), not reached through states[id]. A cell
-	// is the next premultiplied ID for a one-byte cycle, else the offset in
-	// cells of the second-level row (of premultiplied IDs) for that class. The
-	// last cell is the stop flag, set for husks (state 0, evict) and
-	// reporting states (intern). Second-level rows are allocated on first
-	// use, zeroed and freed when their state is evicted; offset 0 is a shared
-	// row that stays all zeros (every cell names state 0, a husk).
-	first, cells, free []uint32
-	index              map[uint64][]uint32
-	live               int
-	// mru/lru end the doubly-linked recency list of live states (0: empty).
-	mru, lru uint32
+	// first holds a row of classes+1 cells per state at its premultiplied
+	// ID id*(classes+1), not reached through states[id]. A cell is the next
+	// premultiplied ID for a one-byte cycle, else the offset in cells of the
+	// second-level row (of premultiplied IDs) for that class. The last cell
+	// is the stop flag, set for state 0 and reporting states (intern).
+	// Second-level rows are allocated on first use; offset 0 is a shared row
+	// that stays all zeros (every cell names state 0).
+	first, cells []uint32
+	index        map[uint64][]uint32
 
 	// cur is the cached state the run sits in, or 0 when the run is in
 	// direct-NFA mode (cycle 0, after a pad cycle, or after fallback);
@@ -290,6 +266,7 @@ func NewRunner(p *Plan, cfg Config) *Runner {
 		p:       p,
 		cfg:     cfg,
 		max:     cfg.maxStates(p.rowSize),
+		index:   make(map[uint64][]uint32),
 		active:  make([]uint64, p.nfa.Words()),
 		enabled: make([]uint64, p.nfa.Words()),
 		latches: p.nfa.NewLatches(),
@@ -298,21 +275,16 @@ func NewRunner(p *Plan, cfg Config) *Runner {
 	return r
 }
 
-// emptyCache drops every state. IDs start over, so the one ID held outside
-// the cache, cur, is dropped with them.
+// emptyCache drops every state, releasing their sets and keeping the
+// arenas' capacity. IDs start over, so the one ID held outside the cache,
+// cur, is dropped with them.
 func (r *Runner) emptyCache() {
-	r.states = []dstate{{}}
-	r.first, r.cells, r.free = append(make([]uint32, r.p.classes), 1), make([]uint32, r.p.classes), nil
-	r.index = make(map[uint64][]uint32)
-	r.live, r.mru, r.lru, r.cur = 0, 0, 0, 0
-}
-
-// trim rebuilds the cache empty once dead husks dominate it: the bound on
-// what evictions leave behind (see Runner).
-func (r *Runner) trim() {
-	if len(r.states)-1-r.live > 4*r.max {
-		r.emptyCache()
-	}
+	clear(r.states)
+	r.states = append(r.states[:0], dstate{})
+	r.first = append(append(r.first[:0], make([]uint32, r.p.classes)...), 1)
+	r.cells = append(r.cells[:0], make([]uint32, r.p.classes)...)
+	clear(r.index)
+	r.cur = 0
 }
 
 // Plan returns the runner's shared plan.
@@ -328,11 +300,9 @@ func (r *Runner) FellBack() bool { return r.fellBack }
 func (r *Runner) Cycle() int64 { return r.cycle }
 
 // Reset prepares the runner for a new input stream. The DFA state cache is
-// kept hot unless dead husks dominate it, in which case it is rebuilt
-// empty (bounding the memory a past thrashing run left behind).
+// kept hot.
 func (r *Runner) Reset() {
 	r.cycle, r.cur, r.fellBack, r.midStream = 0, 0, false, false
-	r.trim()
 }
 
 // ResetMidStream is Reset for a stream that starts in the middle of the
@@ -373,10 +343,9 @@ func (r *Runner) Step(data []byte, pad int) []automata.StateID {
 			c1 = int(p.classOf[data[1]])
 			next = r.cells[int(next)+c1]
 		}
-		if next /= uint32(p.classes + 1); r.states[next].set != nil {
+		if next /= uint32(p.classes + 1); next != 0 {
 			r.stats.Hits++
 			r.cur = next
-			r.touch(next)
 			return r.states[next].reports
 		}
 		r.stats.Misses++
@@ -395,10 +364,9 @@ func (r *Runner) Step(data []byte, pad int) []automata.StateID {
 	if pad == 0 && !r.fellBack {
 		// (Re-)enter cached mode: the reached set is a valid DFA state (its
 		// outgoing transitions are time-invariant). The missed cell is
-		// written after intern, which may grow the arenas. The source state is
-		// safe from eviction, being most recently used before this step, but
-		// not from a rebuild: cur still names it unless intern emptied the
-		// cache, and the cell of a stale ID must not be written.
+		// written after intern, which may grow the arenas, and only if the
+		// source state survived it: cur still names it unless intern cleared
+		// the cache, and the cell of a stale ID must not be written.
 		if next := r.intern(r.active, r.scratch); next != 0 {
 			if r.cur != 0 {
 				r.link(cell, c1, next*uint32(r.p.classes+1))
@@ -415,9 +383,9 @@ func (r *Runner) Step(data []byte, pad int) []automata.StateID {
 // Run is the hit path. From the cached state it steps whole cycles of data on
 // cached transitions and returns the cycles consumed: when the data runs out,
 // after a cycle that lands on a reporting state (with its reports, as Step
-// returns them), or before a cycle whose cell is empty or names a husk, which
-// the caller steps with Step, as every cycle outside a cached state. Hits and
-// cycles are counted once per call; recency is refreshed for the stop state.
+// returns them), or before a cycle whose cell is empty, which the caller
+// steps with Step, as every cycle outside a cached state. Hits and cycles are
+// counted once per call.
 func (r *Runner) Run(data []byte) (n int, reports []automata.StateID) {
 	if r.cur == 0 {
 		return 0, nil
@@ -431,8 +399,8 @@ func (r *Runner) Run(data []byte) (n int, reports []automata.StateID) {
 			next = int(cells[next+int(p.classOf[data[1]])])
 		}
 		if first[next+stop] != 0 {
-			if st := &r.states[next/stride]; st.set != nil {
-				cur, reports, n = next, st.reports, n+1
+			if next != 0 {
+				cur, reports, n = next, r.states[next/stride].reports, n+1
 			}
 			break
 		}
@@ -440,19 +408,17 @@ func (r *Runner) Run(data []byte) (n int, reports []automata.StateID) {
 	}
 	r.stats.Hits, r.cycle = r.stats.Hits+int64(n), r.cycle+int64(n)
 	r.cur = uint32(cur / stride)
-	r.touch(r.cur)
 	return n, reports
 }
 
 // intern returns the cached state ID for set, whose reporting states are
-// reports, constructing (and possibly evicting) as needed. It returns 0 when
-// construction would thrash: the caller then falls back to direct NFA
-// stepping for the rest of the run.
+// reports, constructing it as needed — after clearing the cache if it is
+// full. It returns 0 when construction would thrash: the caller then falls
+// back to direct NFA stepping for the rest of the run.
 func (r *Runner) intern(set []uint64, reports []automata.StateID) uint32 {
 	h := hashSet(set)
 	for _, id := range r.index[h] {
 		if slices.Equal(r.states[id].set, set) {
-			r.touch(id)
 			return id
 		}
 	}
@@ -461,16 +427,15 @@ func (r *Runner) intern(set []uint64, reports []automata.StateID) uint32 {
 		r.stats.Fallbacks++
 		return 0
 	}
-	if r.trim(); r.live >= r.max {
-		r.evict()
+	if live := len(r.states) - 1; live >= r.max {
+		r.stats.Evictions += int64(live)
+		r.emptyCache()
 	}
 	id := uint32(len(r.states))
-	r.states = append(r.states, dstate{set: slices.Clone(set), hash: h, reports: append([]automata.StateID(nil), reports...)})
-	r.first = append(append(r.first, make([]uint32, r.p.classes)...), uint32(min(len(r.states[id].reports), 1)))
+	r.states = append(r.states, dstate{set: slices.Clone(set), reports: append([]automata.StateID(nil), reports...)})
+	r.first = append(append(r.first, make([]uint32, r.p.classes)...), uint32(min(len(reports), 1)))
 	r.index[h] = append(r.index[h], id)
-	r.live++
 	r.stats.States++
-	r.pushFront(id)
 	return id
 }
 
@@ -483,86 +448,11 @@ func (r *Runner) link(cell, c1 int, next uint32) {
 	}
 	row := r.first[cell]
 	if row == 0 {
-		if n := len(r.free); n > 0 {
-			row, r.free = r.free[n-1], r.free[:n-1]
-		} else {
-			row = uint32(len(r.cells))
-			r.cells = append(r.cells, make([]uint32, r.p.classes)...)
-		}
+		row = uint32(len(r.cells))
+		r.cells = append(r.cells, make([]uint32, r.p.classes)...)
 		r.first[cell] = row
 	}
 	r.cells[int(row)+c1] = next
-}
-
-// evict retires the least-recently-used state, drops its index entry, so
-// that the husk is not rediscovered, recycles its second-level rows and sets
-// its stop flag. Its first-level row stays: a husk is never stepped from.
-func (r *Runner) evict() {
-	victim := r.lru
-	if victim == 0 {
-		return
-	}
-	r.unlink(victim)
-	st := &r.states[victim]
-	st.set, st.reports = nil, nil
-	c, row0 := r.p.classes, int(victim)*(r.p.classes+1)
-	r.first[row0+c] = 1
-	if r.p.stepBytes == 2 {
-		for _, row := range r.first[row0 : row0+c] {
-			if row != 0 {
-				clear(r.cells[row : int(row)+c])
-				r.free = append(r.free, row)
-			}
-		}
-	}
-	bucket := r.index[st.hash]
-	if i := slices.Index(bucket, victim); i >= 0 {
-		bucket[i] = bucket[len(bucket)-1]
-		bucket = bucket[:len(bucket)-1]
-	}
-	if len(bucket) == 0 {
-		delete(r.index, st.hash)
-	} else {
-		r.index[st.hash] = bucket
-	}
-	r.live--
-	r.stats.Evictions++
-}
-
-func (r *Runner) touch(id uint32) {
-	if r.mru == id {
-		return
-	}
-	r.unlink(id)
-	r.pushFront(id)
-}
-
-func (r *Runner) pushFront(id uint32) {
-	st := &r.states[id]
-	st.prev = 0
-	st.next = r.mru
-	if r.mru != 0 {
-		r.states[r.mru].prev = id
-	}
-	r.mru = id
-	if r.lru == 0 {
-		r.lru = id
-	}
-}
-
-func (r *Runner) unlink(id uint32) {
-	st := &r.states[id]
-	if st.prev != 0 {
-		r.states[st.prev].next = st.next
-	} else if r.mru == id {
-		r.mru = st.next
-	}
-	if st.next != 0 {
-		r.states[st.next].prev = st.prev
-	} else if r.lru == id {
-		r.lru = st.prev
-	}
-	st.prev, st.next = 0, 0
 }
 
 // hashSet folds the set's words FNV-1a style, with a shift so that a high

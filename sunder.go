@@ -94,17 +94,18 @@ type Options struct {
 	Prefilter PrefilterMode
 	// Backend selects the scan execution substrate: "nfa" (or "", the
 	// default) is the sequential bitvec NFA core; "dfa" is the lazy-DFA
-	// software backend (on-demand determinization with an LRU state cache,
-	// falling back to NFA stepping if the subset space blows up); "parallel"
-	// makes Scan shard across workers like ScanParallel; "auto" resolves
-	// among them at compile time from the analyzer's shape statistics (see
-	// Info().Backend for the choice and its reason). Every backend produces
-	// byte-identical matches and Reports/ReportCycles accounting. "dfa"
-	// requires whole-byte cycles (Rate 2 or 4) and fails compilation
-	// otherwise; "auto" never fails. Every entry point executes on the
-	// backend (this field, or a per-call ScanOptions.Backend override), and
-	// an engaged literal prefilter confines it to candidate windows — on the
-	// lazy DFA under "dfa", on the machine under the others.
+	// software backend (on-demand determinization with a bounded state
+	// cache, cleared when full, falling back to NFA stepping if the subset
+	// space blows up); "parallel" makes Scan shard across workers like
+	// ScanParallel; "auto" resolves among them at compile time from the
+	// analyzer's shape statistics (see Info().Backend for the choice and its
+	// reason). Every backend produces byte-identical matches and
+	// Reports/ReportCycles accounting. "dfa" requires whole-byte cycles
+	// (Rate 2 or 4) and fails compilation otherwise; "auto" never fails.
+	// Every entry point executes on the backend (this field, or a per-call
+	// ScanOptions.Backend override), and an engaged literal prefilter
+	// confines it to candidate windows — on the lazy DFA under "dfa", on the
+	// machine under the others.
 	Backend string
 }
 
