@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"sunder/internal/workload"
 )
@@ -54,7 +55,8 @@ func TestAllocationPins(t *testing.T) {
 	}
 	// The benchmark's dfa_thrash row: SPM overflows the lazy DFA's cache, so
 	// after a warm-up every scan falls back to direct NFA stepping. What is
-	// left is the result (SPM matches on most bytes): nothing per cycle.
+	// left is the result (SPM matches on most bytes), its match slice sized
+	// once from the last scan's density: nothing per cycle or per match.
 	spm := workload.MustGet("SPM", workload.DefaultScale, 16<<10)
 	auto := DefaultOptions()
 	auto.Backend = "auto"
@@ -100,6 +102,25 @@ func TestAllocationPins(t *testing.T) {
 		}
 	}
 	windowScan()
+	// The benchmark's nfa_dense row: Snort on the bitvec core at about 1.7
+	// matches per byte. A warm scan allocates the result and its match
+	// slice, sized from the last scan's density so it never regrows.
+	snort := workload.MustGet("Snort", 0.02, 4<<10)
+	nfaOpts := DefaultOptions()
+	nfaOpts.Backend = "nfa"
+	dense, err := CompileAutomaton(snort.Automaton, nfaOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var denseMatches int
+	denseScan := func() {
+		res, err := dense.Scan(snort.Input)
+		if err != nil || len(res.Matches) < len(snort.Input) {
+			t.Fatalf("dense scan: %v, %d matches on %d bytes", err, len(res.Matches), len(snort.Input))
+		}
+		denseMatches = len(res.Matches)
+	}
+	denseScan()
 	for _, pin := range []struct {
 		name string
 		op   func()
@@ -107,18 +128,31 @@ func TestAllocationPins(t *testing.T) {
 	}{
 		{"scan/nfa", scan(compile("nfa", PrefilterOff)), 3},
 		{"scan/dfa", scan(compile("dfa", PrefilterOff)), 2},
-		{"scan/dfa-thrash", thrashScan(0), 16},
+		{"scan/dfa-thrash", thrashScan(0), 4},
 		{"scan/prefilter-skip", scan(compile("nfa", PrefilterOn)), 6},
 		{"stream/dfa", stream(compile("dfa", PrefilterOff)), 3},
 		{"stream/nfa", stream(compile("nfa", PrefilterOff)), 2},
 		{"batch/dfa-warm", batch, 14},
 		{"prefilter/dfa-window", windowScan, 14},
+		{"scan/nfa-dense", denseScan, 6},
 	} {
 		if got := testing.AllocsPerRun(10, pin.op); got > pin.max {
 			t.Errorf("%s: %.1f allocs/op, want <= %.0f", pin.name, got, pin.max)
 		} else {
 			t.Logf("%s: %.1f allocs/op (ceiling %.0f)", pin.name, got, pin.max)
 		}
+	}
+	// The bytes the dense scan allocates are its matches and little else:
+	// a regrown match slice would cost about twice the final one.
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	denseScan()
+	runtime.ReadMemStats(&after)
+	got, limit := after.TotalAlloc-before.TotalAlloc, 1.3*float64(uintptr(denseMatches)*unsafe.Sizeof(Match{}))
+	if float64(got) > limit {
+		t.Errorf("scan/nfa-dense: %d bytes allocated for %d matches, want <= %.0f", got, denseMatches, limit)
+	} else {
+		t.Logf("scan/nfa-dense: %d bytes allocated for %d matches (ceiling %.0f)", got, denseMatches, limit)
 	}
 }
 

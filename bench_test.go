@@ -110,7 +110,7 @@ func BenchmarkAblationFIFO(b *testing.B) {
 			cfg := core.DefaultConfig(4)
 			cfg.FIFO = fifo
 			m := mustMachine(b, w, cfg)
-			md := report.NewSunder(m.Placement(), m.Config())
+			md := report.NewSunder(m.Reports(), m.Config())
 			b.SetBytes(int64(len(w.Input)))
 			b.ResetTimer()
 			var overhead float64
@@ -137,7 +137,7 @@ func BenchmarkAblationSummarize(b *testing.B) {
 			cfg := core.DefaultConfig(4)
 			cfg.SummarizeOnFull = sum
 			m := mustMachine(b, w, cfg)
-			md := report.NewSunder(m.Placement(), m.Config())
+			md := report.NewSunder(m.Reports(), m.Config())
 			b.SetBytes(int64(len(w.Input)))
 			b.ResetTimer()
 			var overhead float64
@@ -325,6 +325,35 @@ func BenchmarkScanPrefilterHit(b *testing.B) {
 	}
 }
 
+// BenchmarkScanNFADense is the benchmark's nfa_dense row as a testing.B:
+// Snort (rule scale 0.02) forced onto the bitvec NFA core, Backend "nfa", a
+// 4 KiB input at about 1.7 matches per byte, so core stepping, the report
+// model and match assembly are the whole cost. The engine is warm. It uses
+// only API older than the shared report table, so it times a parent
+// checkout too.
+func BenchmarkScanNFADense(b *testing.B) {
+	w := workload.MustGet("Snort", 0.02, 4<<10)
+	opts := DefaultOptions()
+	opts.Backend = "nfa"
+	eng, err := CompileAutomaton(w.Automaton, opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	res, err := eng.Scan(w.Input)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(w.Input)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if res, err = eng.Scan(w.Input); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(len(res.Matches)), "matches/op")
+}
+
 // BenchmarkScanPrefilterSkip is the benchmark's prefilter_skip row as a
 // testing.B: ClamAV (rule scale 0.02) prefiltered, Backend "auto", a 64 KiB
 // input that holds no literal, so the literal scanner is the whole cost and
@@ -372,7 +401,7 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 				col = telemetry.NewCollector()
 				col.EnableTrace(0)
 			}
-			md := report.NewSunder(m.Placement(), m.Config())
+			md := report.NewSunder(m.Reports(), m.Config())
 			m.AttachTelemetry(col)
 			md.AttachTelemetry(col)
 			b.SetBytes(int64(len(w.Input)))

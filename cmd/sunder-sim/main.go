@@ -147,7 +147,7 @@ func main() {
 	}
 	col := telFlags.Collector()
 	m.AttachTelemetry(col)
-	model := report.NewSunder(place, cfg)
+	model := report.NewSunder(m.Reports(), cfg)
 	model.AttachTelemetry(col)
 	mres := m.Run(funcsim.BytesToUnits(w.Input, 4), core.RunOptions{OnReportCycle: model.OnReportCycle})
 	model.Finish(mres.KernelCycles)

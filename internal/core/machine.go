@@ -22,8 +22,10 @@ type Machine struct {
 	a     *automata.UnitAutomaton
 	place *mapping.Placement
 	// plan is the word-level NFA step over the states in placement order
-	// (PU-major, column-minor), shared and read-only.
-	plan *nfa.Plan
+	// (PU-major, column-minor), and reports the report table of the same
+	// states; both are shared and read-only.
+	plan    *nfa.Plan
+	reports *ReportTable
 
 	// active is the active set in the plan's rank order — every PU's
 	// active-state vector (the pink register of Figure 4) end to end;
@@ -58,6 +60,9 @@ func Configure(a *automata.UnitAutomaton, place *mapping.Placement, cfg Config) 
 	if a.Rate != cfg.Rate {
 		return nil, fmt.Errorf("core: automaton rate %d != configured rate %d", a.Rate, cfg.Rate)
 	}
+	if place.NumPUs > maxPUs {
+		return nil, fmt.Errorf("core: placement uses %d PUs, more than the %d a report table locates", place.NumPUs, maxPUs)
+	}
 	if place.ReportColumns != cfg.ReportColumns {
 		return nil, fmt.Errorf("core: placement used %d report columns, config has %d",
 			place.ReportColumns, cfg.ReportColumns)
@@ -84,11 +89,11 @@ func Configure(a *automata.UnitAutomaton, place *mapping.Placement, cfg Config) 
 	if len(order) != a.NumStates() {
 		return nil, fmt.Errorf("core: placement holds %d of %d states", len(order), a.NumStates())
 	}
-	return newMachine(cfg, a, place, nfa.NewPlan(a, order)), nil
+	return newMachine(cfg, a, place, nfa.NewPlan(a, order), NewReportTable(a, place)), nil
 }
 
 // newMachine returns a machine in its post-configuration state over plan.
-func newMachine(cfg Config, a *automata.UnitAutomaton, place *mapping.Placement, plan *nfa.Plan) *Machine {
+func newMachine(cfg Config, a *automata.UnitAutomaton, place *mapping.Placement, plan *nfa.Plan, reports *ReportTable) *Machine {
 	w := plan.Words()
 	vecs := make([]uint64, 2*w)
 	return &Machine{
@@ -96,6 +101,7 @@ func newMachine(cfg Config, a *automata.UnitAutomaton, place *mapping.Placement,
 		a:       a,
 		place:   place,
 		plan:    plan,
+		reports: reports,
 		active:  vecs[:w:w],
 		next:    vecs[w:],
 		latches: plan.NewLatches(),
@@ -112,6 +118,10 @@ func (m *Machine) Placement() *mapping.Placement { return m.place }
 // Plan returns the NFA plan the machine steps on, shared with its clones: a
 // lazy DFA built over it (dfa.PlanOver) shares the tables too.
 func (m *Machine) Plan() *nfa.Plan { return m.plan }
+
+// Reports returns the report table of the configured device, shared with
+// its clones: what a Reducer and a report model (report.NewSunder) read.
+func (m *Machine) Reports() *ReportTable { return m.reports }
 
 // NumPUs returns the number of processing units in use.
 func (m *Machine) NumPUs() int { return m.place.NumPUs }

@@ -27,7 +27,7 @@ import (
 // configuration and placement — the run's report stream, finished at the
 // run's end.
 func runModel(m *core.Machine, units []funcsim.Unit, record bool) (*core.Result, *report.Sunder) {
-	md := report.NewSunder(m.Placement(), m.Config())
+	md := report.NewSunder(m.Reports(), m.Config())
 	res := m.Run(units, core.RunOptions{RecordEvents: record, OnReportCycle: md.OnReportCycle})
 	md.Finish(res.KernelCycles)
 	return res, md
@@ -269,7 +269,7 @@ func TestSummarizeAPI(t *testing.T) {
 // in the next row once a row is full.
 func TestWriteReportEntryLayout(t *testing.T) {
 	cfg := core.DefaultConfig(4) // m=12, n=20, entry=32 bits, 8 per row
-	md := report.NewSunder(regionPlacement(cfg, 1), cfg)
+	md := report.NewSunder(core.NewReportTable(nil, regionPlacement(cfg, 1)), cfg)
 	// Report columns k=0 and k=11, at a cycle whose stamp is 0xABCDE.
 	md.OnReportCycle(0xABCDE, []automata.StateID{regionState(cfg, 0, 0), regionState(cfg, 0, 11)})
 
@@ -311,7 +311,7 @@ func TestCounterWrapsAtCapacity(t *testing.T) {
 	capacity := cfg.RegionCapacity()
 	st := []automata.StateID{regionState(cfg, 0, cfg.ReportColumns-1)}
 
-	md := report.NewSunder(regionPlacement(cfg, 1), cfg)
+	md := report.NewSunder(core.NewReportTable(nil, regionPlacement(cfg, 1)), cfg)
 	for c := 0; c < capacity; c++ {
 		md.OnReportCycle(int64(c), st)
 	}
@@ -324,7 +324,7 @@ func TestCounterWrapsAtCapacity(t *testing.T) {
 	}
 
 	cfg.FIFO = true
-	md = report.NewSunder(regionPlacement(cfg, 1), cfg)
+	md = report.NewSunder(core.NewReportTable(nil, regionPlacement(cfg, 1)), cfg)
 	for c := 0; c <= capacity; c++ {
 		md.OnReportCycle(int64(c), st)
 	}
@@ -343,7 +343,7 @@ func TestCounterWrapsAtCapacity(t *testing.T) {
 func TestClearRegionInvalidatesStride(t *testing.T) {
 	cfg := core.DefaultConfig(2)
 	cfg.MetadataBits = 5 // a stride marker every 32 cycles
-	md := report.NewSunder(regionPlacement(cfg, 2), cfg)
+	md := report.NewSunder(core.NewReportTable(nil, regionPlacement(cfg, 2)), cfg)
 	s0, s1 := regionState(cfg, 0, 0), regionState(cfg, 1, 0)
 	md.OnReportCycle(40, []automata.StateID{s0})
 	c := int64(40)
@@ -375,7 +375,7 @@ func TestClearRegionInvalidatesStride(t *testing.T) {
 // per 16 rows.
 func TestSummarizeCollapsesSlots(t *testing.T) {
 	cfg := core.DefaultConfig(4)
-	md := report.NewSunder(regionPlacement(cfg, 1), cfg)
+	md := report.NewSunder(core.NewReportTable(nil, regionPlacement(cfg, 1)), cfg)
 	a, b := regionState(cfg, 0, 0), regionState(cfg, 0, 6)
 	md.OnReportCycle(1, []automata.StateID{a})
 	md.OnReportCycle(2, []automata.StateID{b})
@@ -441,7 +441,7 @@ func TestReportEntryRoundTrip(t *testing.T) {
 	} {
 		cfg := core.DefaultConfig(2)
 		cfg.ReportColumns, cfg.MetadataBits = shape.reportColumns, shape.metadataBits
-		md := report.NewSunder(regionPlacement(cfg, 2), cfg)
+		md := report.NewSunder(core.NewReportTable(nil, regionPlacement(cfg, 2)), cfg)
 		rng := rand.New(rand.NewSource(int64(cfg.EntryBits())))
 		n, mc, eb := cfg.MetadataBits, cfg.ReportColumns, cfg.EntryBits()
 		mask := int64(-1)
@@ -767,7 +767,7 @@ func TestPerPUSumsMatchAggregates(t *testing.T) {
 // aggregates.
 func TestAttachedTelemetryMatchesMachine(t *testing.T) {
 	m, units := denseLoad(t, func(c *core.Config) { c.FIFO = true; c.ExportBitsPerCycle = 8 })
-	md := report.NewSunder(m.Placement(), m.Config())
+	md := report.NewSunder(m.Reports(), m.Config())
 	run := func() (*core.Result, report.Result) {
 		m.Reset()
 		md.Reset()

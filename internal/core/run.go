@@ -30,9 +30,10 @@ type RunOptions struct {
 func (m *Machine) Run(units []funcsim.Unit, opts RunOptions) *Result {
 	units = funcsim.PadUnits(units, m.cfg.Rate)
 	res := &Result{}
-	red := NewReducer(m.a, opts.RecordEvents)
+	red := NewReducer(m.reports)
 	red.Reset(m)
 	var scratch []automata.StateID
+	var kept []int32
 	for off := 0; off < len(units); off += m.cfg.Rate {
 		cycle := m.kernelCycles
 		scratch = m.Step(units[off:off+m.cfg.Rate], scratch[:0])
@@ -42,7 +43,10 @@ func (m *Machine) Run(units []funcsim.Unit, opts RunOptions) *Result {
 		if opts.OnReportCycle != nil {
 			opts.OnReportCycle(cycle, scratch)
 		}
-		res.Events = red.Cycle(cycle, scratch, res.Events)
+		kept = red.Cycle(scratch, kept[:0])
+		if opts.RecordEvents {
+			res.Events = m.reports.AppendEvents(res.Events, cycle, kept)
+		}
 	}
 	res.Reports = red.Reports
 	res.ReportCycles = red.ReportCycles

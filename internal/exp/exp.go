@@ -79,7 +79,7 @@ func buildMachine(w *workload.Workload, rate int, cfg core.Config, tel *telemetr
 func reportModel(m *core.Machine, fifo, summarize bool, tel *telemetry.Collector) *report.Sunder {
 	cfg := m.Config()
 	cfg.FIFO, cfg.SummarizeOnFull = fifo, summarize
-	md := report.NewSunder(m.Placement(), cfg)
+	md := report.NewSunder(m.Reports(), cfg)
 	md.AttachTelemetry(tel)
 	return md
 }

@@ -31,7 +31,7 @@ type spec struct {
 }
 
 func newSpec(place *mapping.Placement, cfg core.Config) *spec {
-	return &spec{NewSunder(place, cfg)}
+	return &spec{NewSunder(core.NewReportTable(nil, place), cfg)}
 }
 
 // step is one device cycle whose reporting states are states (none on a
@@ -228,12 +228,13 @@ func (s *spec) summarize(i int) int {
 // on a quiet cycle — through the spec cycle by cycle and through a model
 // fed only the report cycles, and fails on the first architectural
 // difference after a report cycle: every per-PU and aggregate counter,
-// the drain state and the energy counters, and on a stride the report
-// regions bit for bit and PerPU. After Finish at the run's end the same
-// again, plus the telemetry dumps and the traced events.
-func lockstep(t *testing.T, label string, place *mapping.Placement, cfg core.Config, stream [][]automata.StateID) {
+// the drain state and the energy counters, and every heavyEvery report
+// cycles Result, PerPU and the report regions bit for bit. After Finish at
+// the run's end the same again, plus the telemetry dumps and the traced
+// events.
+func lockstep(t *testing.T, label string, place *mapping.Placement, cfg core.Config, stream [][]automata.StateID, heavyEvery int) {
 	t.Helper()
-	md, s := NewSunder(place, cfg), newSpec(place, cfg)
+	md, s := NewSunder(core.NewReportTable(nil, place), cfg), newSpec(place, cfg)
 	colM, colS := telemetry.NewCollector(), telemetry.NewCollector()
 	colM.EnableTrace(0)
 	colS.EnableTrace(0)
@@ -257,8 +258,8 @@ func lockstep(t *testing.T, label string, place *mapping.Placement, cfg core.Con
 		if md.resident != resident {
 			t.Fatalf("%s cycle %d: resident = %d, regions hold %d", label, c, md.resident, resident)
 		}
-		if heavy && (!slices.Equal(md.region, s.region) || !slices.Equal(md.PerPU(), s.PerPU())) {
-			t.Fatalf("%s cycle %d: report regions or PerPU differ", label, c)
+		if heavy && (md.Result() != s.Result() || !slices.Equal(md.region, s.region) || !slices.Equal(md.PerPU(), s.PerPU())) {
+			t.Fatalf("%s cycle %d: Result, report regions or PerPU differ", label, c)
 		}
 	}
 	reports := 0
@@ -269,7 +270,7 @@ func lockstep(t *testing.T, label string, place *mapping.Placement, cfg core.Con
 		}
 		md.OnReportCycle(int64(c), states)
 		reports++
-		compare(int64(c), reports%61 == 0)
+		compare(int64(c), reports%heavyEvery == 0)
 	}
 	md.Finish(int64(len(stream)))
 	compare(int64(len(stream)), true)
@@ -359,7 +360,7 @@ func TestModelMatchesSpecWorkloads(t *testing.T) {
 			for _, v := range reportingVariants {
 				cfg := m.Config()
 				v.mut(&cfg)
-				lockstep(t, fmt.Sprintf("%s/rate%d/%s", name, rate, v.name), m.Placement(), cfg, stream)
+				lockstep(t, fmt.Sprintf("%s/rate%d/%s", name, rate, v.name), m.Placement(), cfg, stream, 61)
 			}
 		}
 	}
@@ -443,7 +444,7 @@ func TestQuickModelMatchesSpec(t *testing.T) {
 		if int64(len(units)/rate) > cfg.MaxCycles() {
 			units = units[:int(cfg.MaxCycles())*rate]
 		}
-		lockstep(t, fmt.Sprintf("seed %d", seed), place, cfg, machineStream(m, units))
+		lockstep(t, fmt.Sprintf("seed %d", seed), place, cfg, machineStream(m, units), 61)
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
@@ -479,18 +480,7 @@ func TestDrainCatchUp(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			cfg := core.DefaultConfig(4)
 			cfg.FIFO, cfg.ExportBitsPerCycle = true, tc.exportBW
-			place := &mapping.Placement{ReportColumns: cfg.ReportColumns, NumPUs: npu, StateAt: make([][]int32, npu)}
-			for i := range place.StateAt {
-				place.StateAt[i] = make([]int32, core.ColsPerSubarray)
-				for c := range place.StateAt[i] {
-					place.StateAt[i][c] = -1
-				}
-				for k := 0; k < cfg.ReportColumns; k++ {
-					col := core.ColsPerSubarray - cfg.ReportColumns + k
-					place.StateAt[i][col] = int32(len(place.Of))
-					place.Of = append(place.Of, mapping.Loc{PU: i, Col: col})
-				}
-			}
+			place := reportColumnsPlacement(npu, cfg.ReportColumns)
 			var stream [][]automata.StateID
 			for len(stream) < 40000 {
 				stream = append(stream, make([][]automata.StateID, tc.gap(rng))...)
@@ -503,7 +493,76 @@ func TestDrainCatchUp(t *testing.T) {
 			}
 			// A quiet tail: Finish drains it.
 			stream = append(stream, make([][]automata.StateID, rng.Intn(3000))...)
-			lockstep(t, fmt.Sprintf("%s/seed%d", tc.name, seed), place, cfg, stream)
+			lockstep(t, fmt.Sprintf("%s/seed%d", tc.name, seed), place, cfg, stream, 61)
+		}
+	}
+}
+
+// reportColumnsPlacement places a state in every report column of npu PUs
+// and nothing else: state k*m+j sits in PU k's report column j.
+func reportColumnsPlacement(npu, m int) *mapping.Placement {
+	place := &mapping.Placement{ReportColumns: m, NumPUs: npu, StateAt: make([][]int32, npu)}
+	for i := range place.StateAt {
+		place.StateAt[i] = make([]int32, core.ColsPerSubarray)
+		for c := range place.StateAt[i] {
+			place.StateAt[i][c] = -1
+		}
+		for k := 0; k < m; k++ {
+			col := core.ColsPerSubarray - m + k
+			place.StateAt[i][col] = int32(len(place.Of))
+			place.Of = append(place.Of, mapping.Loc{PU: i, Col: col})
+		}
+	}
+	return place
+}
+
+// TestDrainManyPUs: the model finds the FIFO drain's next region through a
+// bitset of occupied PUs; the spec scans every PU, from the round-robin
+// pointer on, for each entry it drains — the drain's reference. With 131
+// PUs the bitset spans three words. Random report cycles over all of them
+// must agree with the spec after every report cycle, Result, PerPU and the
+// report regions included, and at Finish: under FIFO with a drain that
+// keeps up, a throttled one and one throttled until regions overflow, and
+// under flush and summarize. The narrow variants stamp 4-bit cycles, so
+// stride markers chain through the quiet gaps; the wide ones pack two
+// entries to a row, and a few hot PUs, one in each word, fill their regions.
+func TestDrainManyPUs(t *testing.T) {
+	const npu = 131
+	hot := []int{3, 64, 70, 127, 130}
+	variants := []struct {
+		name   string
+		mut    func(*core.Config)
+		maxGap int
+	}{
+		{"fifo", func(c *core.Config) { c.FIFO = true; c.MetadataBits = 4 }, 24},
+		{"fifo-throttled", func(c *core.Config) { c.FIFO = true; c.MetadataBits = 4; c.ExportBitsPerCycle = 3 }, 24},
+		{"fifo-overflow-wide", func(c *core.Config) { c.FIFO = true; c.MetadataBits = 100; c.ExportBitsPerCycle = 1 }, 2},
+		{"flush", func(c *core.Config) { c.MetadataBits = 4 }, 24},
+		{"flush-wide", func(c *core.Config) { c.MetadataBits = 100 }, 2},
+		{"summarize-wide", func(c *core.Config) { c.SummarizeOnFull = true; c.MetadataBits = 100 }, 2},
+	}
+	for _, v := range variants {
+		for seed := int64(1); seed <= 2; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			cfg := core.DefaultConfig(4)
+			v.mut(&cfg)
+			place := reportColumnsPlacement(npu, cfg.ReportColumns)
+			var stream [][]automata.StateID
+			for int64(len(stream)) < min(cfg.MaxCycles()-64, 3000) {
+				stream = append(stream, make([][]automata.StateID, rng.Intn(v.maxGap+1))...)
+				var states []automata.StateID
+				for k := rng.Intn(8) + 1; k > 0; k-- {
+					pu := rng.Intn(npu)
+					if rng.Intn(2) == 0 {
+						pu = hot[rng.Intn(len(hot))]
+					}
+					states = append(states, automata.StateID(pu*cfg.ReportColumns+rng.Intn(cfg.ReportColumns)))
+				}
+				slices.Sort(states)
+				stream = append(stream, slices.Compact(states))
+			}
+			stream = append(stream, make([][]automata.StateID, rng.Intn(40))...)
+			lockstep(t, fmt.Sprintf("%s/seed%d", v.name, seed), place, cfg, stream, 1)
 		}
 	}
 }

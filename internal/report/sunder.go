@@ -2,6 +2,7 @@ package report
 
 import (
 	"fmt"
+	"math/bits"
 
 	"sunder/internal/automata"
 	"sunder/internal/bitvec"
@@ -17,8 +18,8 @@ import (
 // whatever steps it — a machine run, a façade runner, merged shards —
 // feeds this model its report cycles in cycle order, with absolute cycles.
 //
-// A report cycle's states map to (PU, column) through the placement; each
-// PU that reports writes one entry (m report bits plus an n-bit cycle
+// A report cycle's states map to (PU, column) through the compile's report
+// table (core.ReportTable); each PU that reports writes one entry (m report bits plus an n-bit cycle
 // stamp, preceded by stride markers when the stamp wrapped) at its local
 // counter (Equation 1). A full region flushes, waits for the FIFO drain,
 // or summarizes in place, and the stall window is shared by every region
@@ -27,31 +28,57 @@ import (
 // report cycles is caught up at the next one, in time proportional to the
 // entries it drains.
 type Sunder struct {
-	cfg   core.Config
-	place *mapping.Placement
+	// The fields a report cycle reads come first, together: the derived,
+	// division-free forms of cfg's write-path parameters, then the state.
+	fifo                                                    bool
+	reportRows, entriesPerRow, capacity, entryBits, rowBits int
+	reportColumns, firstReportCol                           int
+	metaBits                                                uint
+	metaMask, maxCycles, exportBits                         int64
+	// tab locates each reporting state's report bit: the compile's shared
+	// report table.
+	tab *core.ReportTable
 	// region holds the report rows of every PU, PU i's at
 	// [i*ReportRows, (i+1)*ReportRows).
 	region []bitvec.V256
 	pus    []pu
+	// cursor[i] is where PU i's next entry goes: the row and bit offset of
+	// pus[i].counter, kept in step with it so a write divides nothing.
+	cursor []cursor
+	// occupied has bit i set while PU i holds an entry: the FIFO drain
+	// round-robins over it in time proportional to the entries it drains.
+	occupied []uint64
 	// resident is the number of entries stored across all regions, so an
 	// idle FIFO drain costs no scan over the PUs.
 	resident int
-	// entriesPerRow, capacity and maxCycles cache cfg.EntriesPerRow(),
-	// cfg.RegionCapacity() and cfg.MaxCycles() for the write path, where
-	// their divisions would cost more than the entry write itself.
-	entriesPerRow, capacity int
-	maxCycles               int64
-
 	// cycles is how far the model has advanced: the drain has run for
 	// every cycle below it.
 	cycles      int64
-	stallCycles int64
 	drainCredit int64
 	drainRR     int
 	energy      core.EnergyCounters
-
 	// tel is the attached telemetry sink; nil disables instrumentation.
 	tel *telemetrySink
+
+	stallCycles int64
+	cfg         core.Config
+	place       *mapping.Placement
+}
+
+// cursor is an entry slot as its region row and bit offset in the row.
+type cursor struct{ row, bit int }
+
+// reportBits are one entry's report bits, bit k for report column
+// ColsPerSubarray-ReportColumns+k (at most 128 of them): bits 0-63 in lo,
+// the rest in hi. A struct, not an array, so calls pass it in registers.
+type reportBits struct{ lo, hi uint64 }
+
+// get returns report bit k.
+func (r reportBits) get(k int) bool {
+	if k < 64 {
+		return r.lo>>uint(k)&1 != 0
+	}
+	return r.hi>>uint(k-64)&1 != 0
 }
 
 // pu is one processing unit's report-region state: the local write counter
@@ -67,21 +94,36 @@ type pu struct {
 	summary bitvec.V256
 }
 
-// NewSunder returns the reporting model of a device configured with place
-// and cfg: the report regions of place.NumPUs processing units, empty.
-// cfg's reporting fields (ReportColumns, MetadataBits, FIFO,
-// SummarizeOnFull, ExportBitsPerCycle, the summarize batch) select the
-// strategy; several models can consume one machine's report stream.
-func NewSunder(place *mapping.Placement, cfg core.Config) *Sunder {
+// NewSunder returns the reporting model of a device whose reporting states
+// tab locates, configured with cfg: the report regions of the placement's
+// processing units, empty. cfg's reporting fields (ReportColumns,
+// MetadataBits, FIFO, SummarizeOnFull, ExportBitsPerCycle, the summarize
+// batch) select the strategy; several models can consume one machine's
+// report stream, and every one shares the table (core.Machine.Reports).
+func NewSunder(tab *core.ReportTable, cfg core.Config) *Sunder {
+	place := tab.Placement()
 	n := place.NumPUs
+	mb := uint(cfg.MetadataBits)
 	return &Sunder{
-		cfg:           cfg,
-		place:         place,
-		region:        make([]bitvec.V256, n*cfg.ReportRows()),
-		pus:           make([]pu, n),
-		entriesPerRow: cfg.EntriesPerRow(),
-		capacity:      cfg.RegionCapacity(),
-		maxCycles:     cfg.MaxCycles(),
+		cfg:            cfg,
+		place:          place,
+		fifo:           cfg.FIFO,
+		tab:            tab,
+		region:         make([]bitvec.V256, n*cfg.ReportRows()),
+		pus:            make([]pu, n),
+		cursor:         make([]cursor, n),
+		occupied:       make([]uint64, (n+63)/64),
+		reportRows:     cfg.ReportRows(),
+		entriesPerRow:  cfg.EntriesPerRow(),
+		capacity:       cfg.RegionCapacity(),
+		entryBits:      cfg.EntryBits(),
+		rowBits:        cfg.EntriesPerRow() * cfg.EntryBits(),
+		firstReportCol: core.ColsPerSubarray - cfg.ReportColumns,
+		reportColumns:  cfg.ReportColumns,
+		metaBits:       mb,
+		metaMask:       int64(1)<<mb - 1,
+		maxCycles:      cfg.MaxCycles(),
+		exportBits:     int64(cfg.ExportBitsPerCycle),
 	}
 }
 
@@ -119,6 +161,8 @@ func (s *Sunder) Reset() {
 			s.pus[i] = pu{}
 		}
 	}
+	clear(s.cursor)
+	clear(s.occupied)
 	s.resident = 0
 	s.cycles, s.stallCycles = 0, 0
 	s.drainCredit, s.drainRR = 0, 0
@@ -128,19 +172,41 @@ func (s *Sunder) Reset() {
 // OnReportCycle writes device cycle cycle's report entries: states are the
 // reporting states a machine cycle returned, in its order — PU by PU,
 // ascending — and before report de-duplication (a state whose reports all
-// de-duplicate away still writes its entry). Cycles arrive in increasing
+// de-duplicate away still writes its entry). Each run of states on one PU
+// ORs its report bits into that PU's entry. Cycles arrive in increasing
 // order; the FIFO drain first catches up through cycle.
 func (s *Sunder) OnReportCycle(cycle int64, states []automata.StateID) {
 	s.advance(cycle + 1)
-	stalled := false
+	// The fast path writes a one-word entry, without telemetry, into a
+	// region with room and no stride marker due: on a dense stream every
+	// entry but a PU's first in each 2^MetadataBits cycles. storeReport
+	// takes the rest.
+	stride := cycle >> s.metaBits
+	fast := s.tel == nil && s.entryBits <= 64 && cycle < s.maxCycles
+	meta := uint64(cycle&s.metaMask) << uint(s.reportColumns)
+	first, wrote, stalled := s.firstReportCol, 0, false
 	for k := 0; k < len(states); {
-		i := s.place.Of[states[k]].PU
-		var rep bitvec.V256
-		for ; k < len(states) && s.place.Of[states[k]].PU == i; k++ {
-			rep.Set(s.place.Of[states[k]].Col)
+		i, col := s.tab.Where(states[k])
+		var rep reportBits
+		for j := i; j == i; {
+			// Shifts of 64 or more give 0: the bit lands in one half.
+			rep.lo |= 1 << uint(col-first)
+			rep.hi |= 1 << uint(col-first-64)
+			if k++; k == len(states) {
+				break
+			}
+			j, col = s.tab.Where(states[k])
 		}
-		s.storeReport(i, rep, cycle, &stalled)
+		if u := &s.pus[i]; fast && u.Occupancy < s.capacity && u.lastStride >= stride {
+			row, bit := s.take(i)
+			putBits(row, bit, s.entryBits, rep.lo|meta)
+			u.ReportEntries++
+			wrote++
+		} else {
+			s.storeReport(i, rep, cycle, &stalled)
+		}
 	}
+	s.energy.ReportWrites += int64(wrote)
 }
 
 // Finish advances the model to the end of a run of end cycles: the FIFO
@@ -159,33 +225,56 @@ func (s *Sunder) advance(end int64) {
 		return
 	}
 	s.cycles = end
-	if !s.cfg.FIFO {
+	if !s.fifo {
 		return
 	}
-	entry := int64(s.cfg.EntryBits())
-	credit := s.drainCredit + k*int64(s.cfg.ExportBitsPerCycle)
-	n := min(credit/entry, int64(s.resident))
+	entry := int64(s.entryBits)
+	credit := s.drainCredit + k*s.exportBits
+	n := int64(s.resident)
+	if credit < n*entry {
+		// Only a drain that cannot keep up divides.
+		n = credit / entry
+	}
 	credit -= n * entry
 	if n == int64(s.resident) {
 		credit = min(credit, entry)
 	}
 	s.drainCredit = credit
+	if n == 0 {
+		return
+	}
 	s.resident -= int(n)
 	s.energy.ExportedBits += n * entry
 	if s.tel != nil {
 		s.tel.drained.Add(n)
 	}
-	for t := s.drainRR; n > 0; n-- {
-		for s.pus[t].Occupancy == 0 {
-			if t++; t == len(s.pus) {
-				t = 0
-			}
+	t := s.drainRR
+	for ; n > 0; n-- {
+		t = s.nextOccupied(t)
+		if s.pus[t].Occupancy--; s.pus[t].Occupancy == 0 {
+			s.occupied[t>>6] &^= 1 << uint(t&63)
 		}
-		s.pus[t].Occupancy--
 		if t++; t == len(s.pus) {
 			t = 0
 		}
-		s.drainRR = t
+	}
+	s.drainRR = t
+}
+
+// nextOccupied returns the first PU at or after t, wrapping, that holds an
+// entry; one must.
+func (s *Sunder) nextOccupied(t int) int {
+	w := t >> 6
+	if x := s.occupied[w] &^ (1<<uint(t&63) - 1); x != 0 {
+		return w<<6 | bits.TrailingZeros64(x)
+	}
+	for {
+		if w++; w == len(s.occupied) {
+			w = 0
+		}
+		if x := s.occupied[w]; x != 0 {
+			return w<<6 | bits.TrailingZeros64(x)
+		}
 	}
 }
 
@@ -199,10 +288,9 @@ func (s *Sunder) advance(end int64) {
 // metadata + report data region", Section 7.1). A region flush resets the
 // chain: the next report rewrites the full stride so the freshly cleared
 // region decodes from zero.
-func (s *Sunder) storeReport(i int, rep bitvec.V256, cycle int64, stalled *bool) {
+func (s *Sunder) storeReport(i int, rep reportBits, cycle int64, stalled *bool) {
 	u := &s.pus[i]
-	mask := int64(1)<<uint(s.cfg.MetadataBits) - 1
-	stride := cycle >> uint(s.cfg.MetadataBits)
+	stride := cycle >> s.metaBits
 	// Invariant: a marker chain that could never fit (tiny metadata width vs.
 	// enormous silent gaps) is refused by whoever feeds the device, which
 	// checks its input against Config.MaxCycles before stepping.
@@ -210,28 +298,12 @@ func (s *Sunder) storeReport(i int, rep bitvec.V256, cycle int64, stalled *bool)
 		panic(fmt.Sprintf("report: MetadataBits=%d too small to mark stride %d within a %d-entry region",
 			s.cfg.MetadataBits, stride, s.capacity))
 	}
-	for {
-		s.ensureSpace(i, cycle, stalled)
-		// ensureSpace may have flushed the region, which restarts the
-		// marker chain from zero (lastStride == -1); derive the next
-		// chunk only after space is secured.
-		cur := max(u.lastStride, 0)
-		if cur >= stride {
-			break
-		}
-		chunk := min(stride-cur, mask)
-		s.writeEntry(i, bitvec.V256{}, chunk)
-		s.energy.ReportWrites++
-		u.StrideMarkers++
-		u.lastStride = cur + chunk
-		if s.tel != nil {
-			s.tel.puMarkers.Inc(i)
-			s.tel.event(telemetry.EventStrideMarker, cycle, 0, i, u.Occupancy)
-		}
+	if u.Occupancy >= s.capacity || max(u.lastStride, 0) < stride {
+		s.markStride(i, stride, cycle, stalled)
 	}
-	// The loop exits immediately after an ensureSpace that wrote nothing,
-	// so one free slot is guaranteed for the data entry.
-	s.writeEntry(i, rep, cycle&mask)
+	// Space is secured and the marker chain has reached the stride, so one
+	// free slot is guaranteed for the data entry.
+	s.writeEntry(i, rep, cycle&s.metaMask)
 	s.energy.ReportWrites++
 	u.ReportEntries++
 	u.lastStride = stride
@@ -239,6 +311,32 @@ func (s *Sunder) storeReport(i int, rep bitvec.V256, cycle int64, stalled *bool)
 		s.tel.puEntries.Inc(i)
 		s.tel.occupancy.Observe(int64(u.Occupancy))
 		s.tel.event(telemetry.EventReportWrite, cycle, 0, i, u.Occupancy)
+	}
+}
+
+// markStride is storeReport's slow path, for a full region or a stride the
+// marker chain has not reached: it makes space and writes stride markers
+// until the chain reaches stride with a slot left for the data entry.
+func (s *Sunder) markStride(i int, stride, cycle int64, stalled *bool) {
+	u := &s.pus[i]
+	for {
+		s.ensureSpace(i, cycle, stalled)
+		// ensureSpace may have flushed the region, which restarts the
+		// marker chain from zero (lastStride == -1); derive the next
+		// chunk only after space is secured.
+		cur := max(u.lastStride, 0)
+		if cur >= stride {
+			return
+		}
+		chunk := min(stride-cur, s.metaMask)
+		s.writeEntry(i, reportBits{}, chunk)
+		s.energy.ReportWrites++
+		u.StrideMarkers++
+		u.lastStride = cur + chunk
+		if s.tel != nil {
+			s.tel.puMarkers.Inc(i)
+			s.tel.event(telemetry.EventStrideMarker, cycle, 0, i, u.Occupancy)
+		}
 	}
 }
 
@@ -267,7 +365,9 @@ func (s *Sunder) ensureSpace(i int, cycle int64, stalled *bool) {
 	case cfg.FIFO:
 		// Overflow: wait for the drain to free one entry. Concurrent
 		// overflows share the wait window.
-		u.Occupancy--
+		if u.Occupancy--; u.Occupancy == 0 {
+			s.occupied[i>>6] &^= 1 << uint(i&63)
+		}
 		s.resident--
 		u.Flushes++
 		s.energy.ExportedBits += int64(cfg.EntryBits())
@@ -309,14 +409,14 @@ func (s *Sunder) ensureSpace(i int, cycle int64, stalled *bool) {
 // Rows returns PU i's report rows as the host reads them through Port 1:
 // the memory-mapped region itself. The slice aliases the model.
 func (s *Sunder) Rows(i int) []bitvec.V256 {
-	rr := s.cfg.ReportRows()
+	rr := s.reportRows
 	return s.region[i*rr:][:rr]
 }
 
 // entryAt locates entry slot of PU i: its region row and bit offset.
 func (s *Sunder) entryAt(i, slot int) (row *bitvec.V256, base int) {
 	epr := s.entriesPerRow
-	return &s.Rows(i)[slot/epr], slot % epr * s.cfg.EntryBits()
+	return &s.Rows(i)[slot/epr], slot % epr * s.entryBits
 }
 
 // putBits stores the low n (1..64) bits of v at bit offset off of row; the
@@ -330,30 +430,42 @@ func putBits(row *bitvec.V256, off, n int, v uint64) {
 	}
 }
 
-// writeEntry stores the m-bit report vector (the last m columns of rep)
-// plus metadata at PU i's local counter position through Port 1: one
-// shifted word for entries up to 64 bits, bit by bit for wider ones. It
-// assumes capacity was checked by the caller.
-func (s *Sunder) writeEntry(i int, rep bitvec.V256, meta int64) {
-	u := &s.pus[i]
-	row, base := s.entryAt(i, u.counter)
-	mc, eb := s.cfg.ReportColumns, s.cfg.EntryBits()
+// writeEntry stores the m report bits of rep plus metadata at PU i's local
+// counter position through Port 1: one shifted word for entries up to 64
+// bits, bit by bit for wider ones. It assumes capacity was checked by the
+// caller.
+func (s *Sunder) writeEntry(i int, rep reportBits, meta int64) {
+	row, bit := s.take(i)
+	mc, eb := s.reportColumns, s.entryBits
 	if eb <= 64 {
-		putBits(row, base, eb, rep[3]>>uint(64-mc)|uint64(meta)<<uint(mc))
-	} else {
-		for k := 0; k < mc; k++ {
-			setBit(row, base+k, rep.Get(core.ColsPerSubarray-mc+k))
-		}
-		for j := 0; j < s.cfg.MetadataBits; j++ {
-			setBit(row, base+mc+j, j < 64 && meta>>uint(j)&1 != 0)
-		}
+		putBits(row, bit, eb, rep.lo|uint64(meta)<<uint(mc))
+		return
 	}
+	for k := 0; k < mc; k++ {
+		setBit(row, bit+k, rep.get(k))
+	}
+	for j := 0; j < int(s.metaBits); j++ {
+		setBit(row, bit+mc+j, j < 64 && meta>>uint(j)&1 != 0)
+	}
+}
+
+// take claims PU i's next entry slot, which has room, and returns its row
+// and bit offset: it moves the local counter and its cursor past the slot
+// and counts the entry resident.
+func (s *Sunder) take(i int) (row *bitvec.V256, bit int) {
+	u, at := &s.pus[i], &s.cursor[i]
+	row, bit = &s.region[i*s.reportRows+at.row], at.bit
 	if u.counter++; u.counter == s.capacity {
-		u.counter = 0
+		u.counter, *at = 0, cursor{}
+	} else if at.bit += s.entryBits; at.bit == s.rowBits {
+		at.row, at.bit = at.row+1, 0
 	}
-	u.Occupancy++
+	if u.Occupancy++; u.Occupancy == 1 {
+		s.occupied[i>>6] |= 1 << uint(i&63)
+	}
 	s.resident++
 	u.PeakOccupancy = max(u.PeakOccupancy, u.Occupancy)
+	return row, bit
 }
 
 func setBit(row *bitvec.V256, i int, on bool) {
@@ -371,8 +483,9 @@ func (s *Sunder) clearRegion(i int) {
 	u := &s.pus[i]
 	clear(s.Rows(i))
 	s.resident -= u.Occupancy
-	u.counter = 0
+	u.counter, s.cursor[i] = 0, cursor{}
 	u.Occupancy = 0
+	s.occupied[i>>6] &^= 1 << uint(i&63)
 	u.lastStride = -1
 }
 

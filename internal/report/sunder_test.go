@@ -26,7 +26,7 @@ func snortReportCycles(tb testing.TB, inputLen int) ([]reportCycle, *Sunder) {
 	}
 	cfg := m.Config()
 	cfg.FIFO = true
-	return rcs, NewSunder(m.Placement(), cfg)
+	return rcs, NewSunder(m.Reports(), cfg)
 }
 
 // BenchmarkReportModel is the cost of the reporting model per report cycle

@@ -71,11 +71,11 @@ func TestParallelMatchesSequentialAllBenchmarks(t *testing.T) {
 			w := workload.MustGet(spec.Name, scale, inputLen)
 			m, ua := buildTestMachine(t, w, 4)
 			units := funcsim.BytesToUnits(w.Input, 4)
-			seq := report.NewSunder(m.Placement(), m.Config())
+			seq := report.NewSunder(m.Reports(), m.Config())
 			ref := m.Clone().Run(units, core.RunOptions{RecordEvents: true, OnReportCycle: seq.OnReportCycle})
 			seq.Finish(ref.KernelCycles)
 			for _, wk := range workers {
-				par := report.NewSunder(m.Placement(), m.Config())
+				par := report.NewSunder(m.Reports(), m.Config())
 				rr := ParallelRun(m, ua, units, RunConfig{
 					Workers:       wk,
 					RecordEvents:  true,

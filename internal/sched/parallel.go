@@ -147,7 +147,7 @@ func runShards(proto *core.Machine, a *automata.UnitAutomaton, units []funcsim.U
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			red := core.NewReducer(a, rc.RecordEvents)
+			red := core.NewReducer(proto.Reports())
 			ss := sp.Child("shard")
 			ss.SetAttr("shard=" + strconv.Itoa(i) +
 				" warmup=" + strconv.FormatInt(sh.WarmupCycles(), 10) +
@@ -215,6 +215,8 @@ func runShard(m *core.Machine, red *core.Reducer, units []funcsim.Unit, sh Shard
 	}
 	scan := sp.Child("scan")
 	defer scan.End()
+	tab := m.Reports()
+	var kept []int32
 	for c := sh.StartCycle; c < sh.EndCycle; c++ {
 		off := int(c) * rate
 		scratch = m.Step(units[off:off+rate], scratch[:0])
@@ -224,7 +226,10 @@ func runShard(m *core.Machine, red *core.Reducer, units []funcsim.Unit, sh Shard
 		if out.trace != nil {
 			out.trace.OnReportCycle(c, scratch)
 		}
-		out.events = red.Cycle(c, scratch, out.events)
+		kept = red.Cycle(scratch, kept[:0])
+		if rc.RecordEvents {
+			out.events = tab.AppendEvents(out.events, c, kept)
+		}
 	}
 	out.reports, out.reportCycles, out.maxPerCycle = red.Reports, red.ReportCycles, red.MaxReportsPerCycle
 	return out

@@ -79,8 +79,14 @@ func (e *Engine) scanSharded(input []byte, workers int) *ScanResult {
 		Collector:     e.telemetryCollector(),
 		OnReportCycle: model.OnReportCycle,
 	})
-	red := reduction{su: int64(e.nibble.SymbolUnits), fed: int64(len(input))}
-	red.deliver(rr.Events)
+	red := newReduction(e.proto.Reports(), e.nibble, nil)
+	red.fed = int64(len(input))
+	if len(rr.Events) > 0 {
+		red.matches = make([]Match, 0, len(rr.Events))
+	}
+	for _, ev := range rr.Events {
+		red.deliver(ev.Unit, ev.Code)
+	}
 	out := runOutput{
 		stats: Stats{
 			KernelCycles: rr.KernelCycles,

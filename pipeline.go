@@ -3,6 +3,7 @@ package sunder
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"slices"
 	"weak"
 
@@ -81,8 +82,10 @@ func (e *Engine) resolve(override string, sh sharding) (route, error) {
 // reset; feed(input); finish and a stream is reset; feed per Write; finish.
 type runner interface {
 	// reset starts a run at cycle zero. Matches go to onMatch as they are
-	// reduced; with nil they are collected into finish's output.
-	reset(onMatch func(Match))
+	// reduced; with nil they are collected into finish's output. size is the
+	// input bytes the run covers when they are known up front (a whole
+	// input, or a share of one), and 0 on a stream.
+	reset(onMatch func(Match), size int64)
 	// feed consumes the next span of input. An error, which only a
 	// stream's prefilter returns, is sticky.
 	feed(p []byte) error
@@ -149,18 +152,23 @@ func (e *Engine) result(out runOutput) *ScanResult {
 
 // reduction is the façade half of the report reducer, embedded in every
 // runner: core.Reducer owns the per-cycle (offset, origin) de-duplication
-// and the Reports/ReportCycles and device report counters; the reduction
-// adds the pad-tail phantom filter, builds the matches, and feeds the
+// over the compile's report table and the Reports/ReportCycles and device
+// report counters; the reduction adds the pad-tail phantom filter, builds
+// the matches straight from the surviving table entries, and feeds the
 // report cycles the run owns, with absolute cycles, to sink.
 type reduction struct {
 	red core.Reducer
-	evs []funcsim.ReportEvent
+	// entries is the report table's, which kept indexes for each cycle.
+	entries []core.ReportEntry
+	kept    []int32
 	// sink receives the report-state stream: a machine runner's report
 	// model or share trace; nil on the lazy DFA, which models no region.
 	sink reportSink
-	// su and rate are units per input byte and per cycle; fed is the input
+	// su and rate are units per input byte and per cycle, and shift is
+	// log2(su) (SymbolUnits is 2, or 4 for wide symbols); fed is the input
 	// byte the run has reached, which bounds real reports (see deliver).
 	su, rate, fed int64
+	shift         uint
 	// base is the absolute cycle minus the substrate's own cycle count,
 	// from the first cycle that may report, and warmed the warm-up cycles
 	// the run has replayed (see at); all three are 0 unless resetAt moved
@@ -170,6 +178,11 @@ type reduction struct {
 	reached int64
 	matches []Match
 	onMatch func(Match)
+	// delivered counts the run's matches, and density is the last run's
+	// matches per byte fed, which sizes the next run's match slice for its
+	// size bytes (see reset) or, unknown, the bytes fed so far.
+	delivered, size int64
+	density         float64
 }
 
 // reportSink is what a machine run's report cycles feed: a *report.Sunder,
@@ -179,16 +192,17 @@ type reportSink interface {
 	Reset()
 }
 
-func newReduction(a *automata.UnitAutomaton, sink reportSink) reduction {
-	return reduction{red: core.NewReducer(a, true), sink: sink, su: int64(a.SymbolUnits), rate: int64(a.Rate)}
+func newReduction(tab *core.ReportTable, a *automata.UnitAutomaton, sink reportSink) reduction {
+	su := int64(a.SymbolUnits)
+	return reduction{red: core.NewReducer(tab), entries: tab.Entries(), sink: sink, su: su, rate: int64(a.Rate), shift: uint(bits.TrailingZeros64(uint64(su)))}
 }
 
-// begin starts a run whose cycles are stepped by m (nil: not by a device;
-// see core.Reducer.Reset).
-func (r *reduction) begin(m *core.Machine, onMatch func(Match)) {
+// begin starts a run of size input bytes (0: unknown) whose cycles are
+// stepped by m (nil: not by a device; see core.Reducer.Reset).
+func (r *reduction) begin(m *core.Machine, onMatch func(Match), size int64) {
 	r.red.Reset(m)
 	r.fed, r.base, r.from, r.warmed, r.reached = 0, 0, 0, 0, 0
-	r.matches, r.onMatch = nil, onMatch
+	r.matches, r.onMatch, r.delivered, r.size = nil, onMatch, 0, size
 }
 
 func (r *reduction) skipTo(to int64) { r.reached = max(r.reached, to) }
@@ -212,27 +226,50 @@ func (r *reduction) cycle(c int64, ids []automata.StateID) {
 	if r.sink != nil {
 		r.sink.OnReportCycle(c, ids)
 	}
-	r.evs = r.red.Cycle(c, ids, r.evs[:0])
-	r.deliver(r.evs)
+	r.kept = r.red.Cycle(ids, r.kept[:0])
+	unit := c * r.rate
+	if r.onMatch != nil || r.matches == nil || unit+r.rate > r.fed<<r.shift {
+		for _, i := range r.kept {
+			e := &r.entries[i]
+			r.deliver(unit+int64(e.Offset), e.Code)
+		}
+		return
+	}
+	// The common case, inline: collecting into an allocated slice, a cycle
+	// wholly within the bytes fed.
+	ms := r.matches
+	for _, i := range r.kept {
+		e := &r.entries[i]
+		ms = append(ms, Match{Position: (unit + int64(e.Offset)) >> r.shift, Code: e.Code})
+	}
+	r.matches = ms
+	r.delivered += int64(len(r.kept))
 }
 
-// deliver turns reports into matches — the one place a Match is built. A
-// report ending past the bytes fed so far sits in the pad tail of the final
-// vector (a Pad unit satisfies any-symbol positions like `.`): the device
-// writes the entry, so it counted in Reports, but it is not a match.
-func (r *reduction) deliver(evs []funcsim.ReportEvent) {
-	limit := r.fed * r.su
-	for _, ev := range evs {
-		if ev.Unit >= limit {
-			continue
-		}
-		m := Match{Position: ev.Unit / r.su, Code: ev.Code}
-		if r.onMatch != nil {
-			r.onMatch(m)
-		} else {
-			r.matches = append(r.matches, m)
-		}
+// deliver turns the report of code ending at input unit unit into a match —
+// the one place a Match is built. A report ending past the bytes fed so far
+// sits in the pad tail of the final vector (a Pad unit satisfies
+// any-symbol positions like `.`): the device writes the entry, so it
+// counted in Reports, but it is not a match.
+//
+// The run's first collected match allocates the match slice, sized from the
+// last run's match density over the run's input, so a match-free run
+// allocates nothing and a run as dense as the last one does not regrow.
+func (r *reduction) deliver(unit int64, code int32) {
+	if unit >= r.fed<<r.shift {
+		return
 	}
+	m := Match{Position: unit >> r.shift, Code: code}
+	r.delivered++
+	if r.onMatch != nil {
+		r.onMatch(m)
+		return
+	}
+	if r.matches == nil {
+		n := int(r.density * float64(max(r.fed, r.size)))
+		r.matches = make([]Match, 0, n+n/8+8)
+	}
+	r.matches = append(r.matches, m)
 }
 
 // end seals a run of kernel executed cycles: the reducer's report counts
@@ -241,6 +278,9 @@ func (r *reduction) deliver(evs []funcsim.ReportEvent) {
 func (r *reduction) end(kernel int64) runOutput {
 	st := Stats{KernelCycles: kernel, Reports: r.red.Reports, ReportCycles: r.red.ReportCycles}
 	out := runOutput{stats: st, matches: r.matches}
+	if r.fed > 0 {
+		r.density = float64(r.delivered) / float64(r.fed)
+	}
 	r.matches = nil
 	return out
 }
@@ -267,7 +307,7 @@ func (e *Engine) runner(l leg, private bool) windowRunner {
 		return e.privateMachineRunner(e.newModel())
 	}
 	if e.nfaRun == nil {
-		e.nfaRun = &machineRunner{reduction: newReduction(e.nibble, e.model), m: e.machine}
+		e.nfaRun = &machineRunner{reduction: newReduction(e.proto.Reports(), e.nibble, e.model), m: e.machine}
 	}
 	return e.nfaRun
 }
@@ -275,7 +315,7 @@ func (e *Engine) runner(l leg, private bool) windowRunner {
 // newModel returns a report model of the compiled device, fed telemetry
 // into the engine's collector.
 func (e *Engine) newModel() *report.Sunder {
-	m := report.NewSunder(e.place, e.proto.Config())
+	m := report.NewSunder(e.proto.Reports(), e.proto.Config())
 	m.AttachTelemetry(e.telemetryCollector())
 	return m
 }
@@ -285,7 +325,7 @@ func (e *Engine) newModel() *report.Sunder {
 func (e *Engine) privateMachineRunner(sink reportSink) *machineRunner {
 	m := e.proto.Clone()
 	m.AttachTelemetry(e.telemetryCollector())
-	return &machineRunner{reduction: newReduction(e.nibble, sink), m: m}
+	return &machineRunner{reduction: newReduction(e.proto.Reports(), e.nibble, sink), m: m}
 }
 
 // acquire returns rs[i], filled with a runner of leg l on first use.
@@ -383,7 +423,7 @@ func (e *Engine) scanOn(rt route, rs []windowRunner, private bool, input []byte,
 		return e.scanSharded(input, workers), nil
 	}
 	rn := e.acquire(rs, 0, rt.leg, private)
-	rn.reset(nil)
+	rn.reset(nil, int64(len(input)))
 	if err := rn.feed(input); err != nil {
 		return nil, err
 	}
@@ -405,12 +445,12 @@ type machineRunner struct {
 	ids   []automata.StateID
 }
 
-func (r *machineRunner) reset(onMatch func(Match)) {
+func (r *machineRunner) reset(onMatch func(Match), size int64) {
 	r.m.Reset()
 	r.m.SuppressStartOfData(false)
 	r.sink.Reset()
 	r.units = r.units[:0]
-	r.begin(r.m, onMatch)
+	r.begin(r.m, onMatch, size)
 }
 
 // resetAt rewinds the machine's active states only: a run's windows are
@@ -477,7 +517,8 @@ func (r *machineRunner) finish() runOutput {
 // device's padded cycle count; StallCycles, Flushes and the per-PU
 // breakdown are the report model's, which the DFA leg does not feed, and
 // read zero. Device telemetry counters stay untouched for the same reason.
-// Feeding the model costs about 75–165 ns per report cycle, which on a
+// Feeding the model costs about 65–130 ns per report cycle
+// (BenchmarkReportModel on Snort's rate-4 stream, 2-vCPU Xeon), which on a
 // report-dense stream would cost this leg more than its stepping does.
 type dfaRunner struct {
 	reduction
@@ -489,13 +530,13 @@ type dfaRunner struct {
 }
 
 func (e *Engine) newDFARunner() *dfaRunner {
-	return &dfaRunner{reduction: newReduction(e.nibble, nil), r: dfa.NewRunner(e.dfaPlan, dfa.DefaultConfig())}
+	return &dfaRunner{reduction: newReduction(e.proto.Reports(), e.nibble, nil), r: dfa.NewRunner(e.dfaPlan, dfa.DefaultConfig())}
 }
 
-func (d *dfaRunner) reset(onMatch func(Match)) {
+func (d *dfaRunner) reset(onMatch func(Match), size int64) {
 	d.r.Reset()
 	d.pend, d.prior = d.pend[:0], 0
-	d.begin(nil, onMatch)
+	d.begin(nil, onMatch, size)
 }
 
 // resetAt starts the lazy DFA mid-stream when base > 0: the state cache

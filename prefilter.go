@@ -265,7 +265,7 @@ func (e *Engine) runShares(l leg, rs []windowRunner, private bool, input []byte,
 // cycles [from, to) of input; finish pads the final cycle if a window
 // holds it.
 func (e *Engine) runWindows(rn windowRunner, input []byte, spans []sched.CycleSpan, from, to int64) runOutput {
-	rn.reset(nil)
+	rn.reset(nil, min((to-from)*int64(e.pre.rate)/int64(e.pre.su), int64(len(input))))
 	w := windowLoop{rn: rn, p: e.pre, hist: input, fed: int64(len(input)), spans: spans, proc: from}
 	w.advance(to)
 	out := rn.finish()

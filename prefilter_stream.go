@@ -51,7 +51,7 @@ type streamFilter struct {
 const maxDeferredUnits = 4 << 20
 
 // reset starts the (freshly built) filter with its runner at cycle zero.
-func (f *streamFilter) reset(onMatch func(Match)) { f.rn.reset(onMatch) }
+func (f *streamFilter) reset(onMatch func(Match), size int64) { f.rn.reset(onMatch, size) }
 
 // feed scans the chunk for literals and advances execution up to the
 // decision frontier. The only error it can return is ErrDeferredBufferFull

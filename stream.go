@@ -43,7 +43,7 @@ func (e *Engine) NewStream(onMatch func(Match)) (*Stream, error) {
 	if rt.filtered {
 		s.run = &streamFilter{windowLoop: windowLoop{rn: rn, p: e.pre}, e: e}
 	}
-	s.run.reset(onMatch)
+	s.run.reset(onMatch, 0)
 	return s, nil
 }
 

@@ -238,7 +238,7 @@ type compiledArtifact struct {
 
 // newEngine returns an engine over art with its own pristine machine.
 func newEngine(art *compiledArtifact) *Engine {
-	return &Engine{compiledArtifact: art, machine: art.proto.Clone(), model: report.NewSunder(art.place, art.proto.Config())}
+	return &Engine{compiledArtifact: art, machine: art.proto.Clone(), model: report.NewSunder(art.proto.Reports(), art.proto.Config())}
 }
 
 // Compile builds an Engine from a pattern set.
