@@ -156,6 +156,51 @@ func TestAllocationPins(t *testing.T) {
 	}
 }
 
+// TestSparseScanAfterDense: a runner sizes a run's match slice from its
+// last run, so a large scan with one match, after a dense one, must not
+// reserve for the matches the dense density would predict over its size
+// (half a million here); it allocates at most about twice the last run's
+// match slice.
+func TestSparseScanAfterDense(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	dense := bytes.Repeat([]byte("ab"), 2<<10) // 2,048 matches
+	sparse := bytes.Repeat([]byte("z"), 1<<20)
+	copy(sparse[len(sparse)-4:], "ab")
+	denseBytes := float64(2<<10) * float64(unsafe.Sizeof(Match{}))
+	for _, c := range []struct {
+		name, backend string
+		pre           PrefilterMode
+	}{{"nfa", "nfa", PrefilterOff}, {"dfa", "dfa", PrefilterOff}, {"dfa-prefilter", "dfa", PrefilterOn}} {
+		opts := DefaultOptions()
+		opts.Backend, opts.Prefilter = c.backend, c.pre
+		eng, err := Compile([]Pattern{{Expr: `ab`, Code: 1}}, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		scan := func(in []byte, want int) uint64 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			res, err := eng.Scan(in)
+			runtime.ReadMemStats(&after)
+			if err != nil || len(res.Matches) != want {
+				t.Fatalf("%s: %v, %d matches, want %d", c.name, err, len(res.Matches), want)
+			}
+			return after.TotalAlloc - before.TotalAlloc
+		}
+		scan(dense, 2<<10)
+		scan(sparse, 1) // warm the DFA's states on the sparse input
+		scan(dense, 2<<10)
+		got, limit := scan(sparse, 1), 3*denseBytes
+		if float64(got) > limit {
+			t.Errorf("%s: one-match scan after a dense one allocated %d bytes, want <= %.0f", c.name, got, limit)
+		} else {
+			t.Logf("%s: one-match scan after a dense one allocated %d bytes (ceiling %.0f)", c.name, got, limit)
+		}
+	}
+}
+
 // TestRunnerReleasesMatches: the engine's persistent runners, and the
 // pooled ones of the parallel entry points, hand a scan's matches to its
 // result and keep no reference, so a large result is not pinned on the

@@ -56,37 +56,26 @@ type ReportEntry struct {
 }
 
 // NewReportTable builds the report table of automaton a placed by place.
-// With a nil automaton the reporters are the states place puts in its
-// report columns, with no entries: a table for a report model fed
-// synthetic streams, which the reducer cannot use.
 func NewReportTable(a *automata.UnitAutomaton, place *mapping.Placement) *ReportTable {
-	t := &ReportTable{place: place, at: make([]reportAt, len(place.Of))}
+	t := &ReportTable{place: place, rate: int64(a.Rate), at: make([]reportAt, len(place.Of))}
 	for i := range t.at {
 		t.at[i].reporter = -1
 	}
-	origins := 0
-	if a != nil {
-		offsets := 0
-		for i := range a.States {
-			for _, rep := range a.States[i].Reports {
-				offsets = max(offsets, int(rep.Offset)+1)
-				origins = max(origins, int(rep.Origin)+1)
-			}
+	offsets, origins := 0, 0
+	for i := range a.States {
+		for _, rep := range a.States[i].Reports {
+			offsets = max(offsets, int(rep.Offset)+1)
+			origins = max(origins, int(rep.Origin)+1)
 		}
-		t.rate, t.keys = int64(a.Rate), offsets*origins
 	}
-	firstReportCol := ColsPerSubarray - place.ReportColumns
+	t.keys = offsets * origins
 	for pu, stateAt := range place.StateAt {
 		for col, s := range stateAt {
 			if s < 0 {
 				continue
 			}
-			var reps []automata.Report
-			if a != nil {
-				if reps = a.States[s].Reports; len(reps) == 0 {
-					continue
-				}
-			} else if col < firstReportCol {
+			reps := a.States[s].Reports
+			if len(reps) == 0 {
 				continue
 			}
 			t.at[s] = reportAt{reporter: int32(len(t.reporters)), loc: uint32(pu)<<8 | uint32(col)}
@@ -161,14 +150,8 @@ type Reducer struct {
 	telReports, telReportCycles *telemetry.Counter
 }
 
-// NewReducer returns a reducer over the report table t of an automaton
-// (not a model-only table: see NewReportTable).
-func NewReducer(t *ReportTable) Reducer {
-	if t.rate == 0 {
-		panic("core: reducer over a report table without an automaton")
-	}
-	return Reducer{t: t}
-}
+// NewReducer returns a reducer over the report table t.
+func NewReducer(t *ReportTable) Reducer { return Reducer{t: t} }
 
 // newCycle empties the seen set: a new generation, with the stamps sized
 // from the table's key space on first use and wiped when the generation

@@ -33,10 +33,12 @@ func runModel(m *core.Machine, units []funcsim.Unit, record bool) (*core.Result,
 	return res, md
 }
 
-// regionPlacement places one report state on every report column of npu
-// PUs: state pu*m+k at column 256-m+k of PU pu.
-func regionPlacement(cfg core.Config, npu int) *mapping.Placement {
+// regionTable is the report table of a synthetic automaton with one
+// reporting state on every report column of npu PUs and nothing else:
+// state pu*m+k at column 256-m+k of PU pu.
+func regionTable(cfg core.Config, npu int) *core.ReportTable {
 	m := cfg.ReportColumns
+	a := automata.NewUnitAutomaton(4, cfg.Rate, 2)
 	place := &mapping.Placement{ReportColumns: m, NumPUs: npu, StateAt: make([][]int32, npu)}
 	for i := range place.StateAt {
 		place.StateAt[i] = make([]int32, core.ColsPerSubarray)
@@ -44,14 +46,15 @@ func regionPlacement(cfg core.Config, npu int) *mapping.Placement {
 			place.StateAt[i][c] = -1
 		}
 		for k := 0; k < m; k++ {
-			place.StateAt[i][core.ColsPerSubarray-m+k] = int32(len(place.Of))
+			id := a.AddState(automata.UnitState{Reports: []automata.Report{{Code: int32(len(place.Of))}}})
+			place.StateAt[i][core.ColsPerSubarray-m+k] = int32(id)
 			place.Of = append(place.Of, mapping.Loc{PU: i, Col: core.ColsPerSubarray - m + k})
 		}
 	}
-	return place
+	return core.NewReportTable(a, place)
 }
 
-// regionState is the state regionPlacement put at report column k of PU pu.
+// regionState is the state regionTable put at report column k of PU pu.
 func regionState(cfg core.Config, pu, k int) automata.StateID {
 	return automata.StateID(pu*cfg.ReportColumns + k)
 }
@@ -269,7 +272,7 @@ func TestSummarizeAPI(t *testing.T) {
 // in the next row once a row is full.
 func TestWriteReportEntryLayout(t *testing.T) {
 	cfg := core.DefaultConfig(4) // m=12, n=20, entry=32 bits, 8 per row
-	md := report.NewSunder(core.NewReportTable(nil, regionPlacement(cfg, 1)), cfg)
+	md := report.NewSunder(regionTable(cfg, 1), cfg)
 	// Report columns k=0 and k=11, at a cycle whose stamp is 0xABCDE.
 	md.OnReportCycle(0xABCDE, []automata.StateID{regionState(cfg, 0, 0), regionState(cfg, 0, 11)})
 
@@ -311,7 +314,7 @@ func TestCounterWrapsAtCapacity(t *testing.T) {
 	capacity := cfg.RegionCapacity()
 	st := []automata.StateID{regionState(cfg, 0, cfg.ReportColumns-1)}
 
-	md := report.NewSunder(core.NewReportTable(nil, regionPlacement(cfg, 1)), cfg)
+	md := report.NewSunder(regionTable(cfg, 1), cfg)
 	for c := 0; c < capacity; c++ {
 		md.OnReportCycle(int64(c), st)
 	}
@@ -324,7 +327,7 @@ func TestCounterWrapsAtCapacity(t *testing.T) {
 	}
 
 	cfg.FIFO = true
-	md = report.NewSunder(core.NewReportTable(nil, regionPlacement(cfg, 1)), cfg)
+	md = report.NewSunder(regionTable(cfg, 1), cfg)
 	for c := 0; c <= capacity; c++ {
 		md.OnReportCycle(int64(c), st)
 	}
@@ -343,7 +346,7 @@ func TestCounterWrapsAtCapacity(t *testing.T) {
 func TestClearRegionInvalidatesStride(t *testing.T) {
 	cfg := core.DefaultConfig(2)
 	cfg.MetadataBits = 5 // a stride marker every 32 cycles
-	md := report.NewSunder(core.NewReportTable(nil, regionPlacement(cfg, 2)), cfg)
+	md := report.NewSunder(regionTable(cfg, 2), cfg)
 	s0, s1 := regionState(cfg, 0, 0), regionState(cfg, 1, 0)
 	md.OnReportCycle(40, []automata.StateID{s0})
 	c := int64(40)
@@ -375,7 +378,7 @@ func TestClearRegionInvalidatesStride(t *testing.T) {
 // per 16 rows.
 func TestSummarizeCollapsesSlots(t *testing.T) {
 	cfg := core.DefaultConfig(4)
-	md := report.NewSunder(core.NewReportTable(nil, regionPlacement(cfg, 1)), cfg)
+	md := report.NewSunder(regionTable(cfg, 1), cfg)
 	a, b := regionState(cfg, 0, 0), regionState(cfg, 0, 6)
 	md.OnReportCycle(1, []automata.StateID{a})
 	md.OnReportCycle(2, []automata.StateID{b})
@@ -441,7 +444,7 @@ func TestReportEntryRoundTrip(t *testing.T) {
 	} {
 		cfg := core.DefaultConfig(2)
 		cfg.ReportColumns, cfg.MetadataBits = shape.reportColumns, shape.metadataBits
-		md := report.NewSunder(core.NewReportTable(nil, regionPlacement(cfg, 2)), cfg)
+		md := report.NewSunder(regionTable(cfg, 2), cfg)
 		rng := rand.New(rand.NewSource(int64(cfg.EntryBits())))
 		n, mc, eb := cfg.MetadataBits, cfg.ReportColumns, cfg.EntryBits()
 		mask := int64(-1)

@@ -30,8 +30,8 @@ type spec struct {
 	*Sunder
 }
 
-func newSpec(place *mapping.Placement, cfg core.Config) *spec {
-	return &spec{NewSunder(core.NewReportTable(nil, place), cfg)}
+func newSpec(tab *core.ReportTable, cfg core.Config) *spec {
+	return &spec{NewSunder(tab, cfg)}
 }
 
 // step is one device cycle whose reporting states are states (none on a
@@ -176,6 +176,7 @@ func (s *spec) entryBit(i, slot, k int) (row *bitvec.V256, bit int) {
 
 func (s *spec) writeEntry(i int, rep bitvec.V256, meta int64) {
 	cfg, u := s.cfg, &s.pus[i]
+	slot := u.row*cfg.EntriesPerRow() + u.bit/cfg.EntryBits()
 	for k := 0; k < cfg.EntryBits(); k++ {
 		var on bool
 		if j := k - cfg.ReportColumns; j < 0 {
@@ -183,14 +184,15 @@ func (s *spec) writeEntry(i int, rep bitvec.V256, meta int64) {
 		} else if j < 64 {
 			on = meta&(1<<uint(j)) != 0
 		}
-		row, bit := s.entryBit(i, u.counter, k)
+		row, bit := s.entryBit(i, slot, k)
 		if on {
 			row.Set(bit)
 		} else {
 			row.Clear(bit)
 		}
 	}
-	u.counter = (u.counter + 1) % cfg.RegionCapacity()
+	slot = (slot + 1) % cfg.RegionCapacity()
+	u.row, u.bit = slot/cfg.EntriesPerRow(), slot%cfg.EntriesPerRow()*cfg.EntryBits()
 	u.Occupancy++
 	u.PeakOccupancy = max(u.PeakOccupancy, u.Occupancy)
 }
@@ -201,7 +203,7 @@ func (s *spec) clearRegion(i int) {
 	for r := range rows {
 		rows[r] = bitvec.V256{}
 	}
-	u.counter, u.Occupancy, u.lastStride = 0, 0, -1
+	u.row, u.bit, u.Occupancy, u.lastStride = 0, 0, 0, -1
 }
 
 func (s *spec) summarize(i int) int {
@@ -232,9 +234,9 @@ func (s *spec) summarize(i int) int {
 // cycles Result, PerPU and the report regions bit for bit. After Finish at
 // the run's end the same again, plus the telemetry dumps and the traced
 // events.
-func lockstep(t *testing.T, label string, place *mapping.Placement, cfg core.Config, stream [][]automata.StateID, heavyEvery int) {
+func lockstep(t *testing.T, label string, tab *core.ReportTable, cfg core.Config, stream [][]automata.StateID, heavyEvery int) {
 	t.Helper()
-	md, s := NewSunder(core.NewReportTable(nil, place), cfg), newSpec(place, cfg)
+	md, s := NewSunder(tab, cfg), newSpec(tab, cfg)
 	colM, colS := telemetry.NewCollector(), telemetry.NewCollector()
 	colM.EnableTrace(0)
 	colS.EnableTrace(0)
@@ -360,7 +362,7 @@ func TestModelMatchesSpecWorkloads(t *testing.T) {
 			for _, v := range reportingVariants {
 				cfg := m.Config()
 				v.mut(&cfg)
-				lockstep(t, fmt.Sprintf("%s/rate%d/%s", name, rate, v.name), m.Placement(), cfg, stream, 61)
+				lockstep(t, fmt.Sprintf("%s/rate%d/%s", name, rate, v.name), m.Reports(), cfg, stream, 61)
 			}
 		}
 	}
@@ -444,7 +446,7 @@ func TestQuickModelMatchesSpec(t *testing.T) {
 		if int64(len(units)/rate) > cfg.MaxCycles() {
 			units = units[:int(cfg.MaxCycles())*rate]
 		}
-		lockstep(t, fmt.Sprintf("seed %d", seed), place, cfg, machineStream(m, units), 61)
+		lockstep(t, fmt.Sprintf("seed %d", seed), m.Reports(), cfg, machineStream(m, units), 61)
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
@@ -480,27 +482,30 @@ func TestDrainCatchUp(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			cfg := core.DefaultConfig(4)
 			cfg.FIFO, cfg.ExportBitsPerCycle = true, tc.exportBW
-			place := reportColumnsPlacement(npu, cfg.ReportColumns)
+			tab := reportColumnsTable(npu, cfg)
 			var stream [][]automata.StateID
 			for len(stream) < 40000 {
 				stream = append(stream, make([][]automata.StateID, tc.gap(rng))...)
 				var states []automata.StateID
 				for k := rng.Intn(4) + 1; k > 0; k-- {
-					states = append(states, automata.StateID(rng.Intn(len(place.Of))))
+					states = append(states, automata.StateID(rng.Intn(npu*cfg.ReportColumns)))
 				}
 				slices.Sort(states)
 				stream = append(stream, slices.Compact(states))
 			}
 			// A quiet tail: Finish drains it.
 			stream = append(stream, make([][]automata.StateID, rng.Intn(3000))...)
-			lockstep(t, fmt.Sprintf("%s/seed%d", tc.name, seed), place, cfg, stream, 61)
+			lockstep(t, fmt.Sprintf("%s/seed%d", tc.name, seed), tab, cfg, stream, 61)
 		}
 	}
 }
 
-// reportColumnsPlacement places a state in every report column of npu PUs
-// and nothing else: state k*m+j sits in PU k's report column j.
-func reportColumnsPlacement(npu, m int) *mapping.Placement {
+// reportColumnsTable is the report table of a synthetic automaton with a
+// reporting state in every report column of npu PUs and nothing else:
+// state k*m+j sits in PU k's report column j.
+func reportColumnsTable(npu int, cfg core.Config) *core.ReportTable {
+	m := cfg.ReportColumns
+	a := automata.NewUnitAutomaton(4, cfg.Rate, 2)
 	place := &mapping.Placement{ReportColumns: m, NumPUs: npu, StateAt: make([][]int32, npu)}
 	for i := range place.StateAt {
 		place.StateAt[i] = make([]int32, core.ColsPerSubarray)
@@ -509,11 +514,12 @@ func reportColumnsPlacement(npu, m int) *mapping.Placement {
 		}
 		for k := 0; k < m; k++ {
 			col := core.ColsPerSubarray - m + k
-			place.StateAt[i][col] = int32(len(place.Of))
+			id := a.AddState(automata.UnitState{Reports: []automata.Report{{Code: int32(len(place.Of))}}})
+			place.StateAt[i][col] = int32(id)
 			place.Of = append(place.Of, mapping.Loc{PU: i, Col: col})
 		}
 	}
-	return place
+	return core.NewReportTable(a, place)
 }
 
 // TestDrainManyPUs: the model finds the FIFO drain's next region through a
@@ -546,7 +552,7 @@ func TestDrainManyPUs(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			cfg := core.DefaultConfig(4)
 			v.mut(&cfg)
-			place := reportColumnsPlacement(npu, cfg.ReportColumns)
+			tab := reportColumnsTable(npu, cfg)
 			var stream [][]automata.StateID
 			for int64(len(stream)) < min(cfg.MaxCycles()-64, 3000) {
 				stream = append(stream, make([][]automata.StateID, rng.Intn(v.maxGap+1))...)
@@ -562,7 +568,7 @@ func TestDrainManyPUs(t *testing.T) {
 				stream = append(stream, slices.Compact(states))
 			}
 			stream = append(stream, make([][]automata.StateID, rng.Intn(40))...)
-			lockstep(t, fmt.Sprintf("%s/seed%d", v.name, seed), place, cfg, stream, 1)
+			lockstep(t, fmt.Sprintf("%s/seed%d", v.name, seed), tab, cfg, stream, 1)
 		}
 	}
 }

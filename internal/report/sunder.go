@@ -28,13 +28,8 @@ import (
 // report cycles is caught up at the next one, in time proportional to the
 // entries it drains.
 type Sunder struct {
-	// The fields a report cycle reads come first, together: the derived,
-	// division-free forms of cfg's write-path parameters, then the state.
-	fifo                                                    bool
-	reportRows, entriesPerRow, capacity, entryBits, rowBits int
-	reportColumns, firstReportCol                           int
-	metaBits                                                uint
-	metaMask, maxCycles, exportBits                         int64
+	cfg   core.Config
+	place *mapping.Placement
 	// tab locates each reporting state's report bit: the compile's shared
 	// report table.
 	tab *core.ReportTable
@@ -42,9 +37,6 @@ type Sunder struct {
 	// [i*ReportRows, (i+1)*ReportRows).
 	region []bitvec.V256
 	pus    []pu
-	// cursor[i] is where PU i's next entry goes: the row and bit offset of
-	// pus[i].counter, kept in step with it so a write divides nothing.
-	cursor []cursor
 	// occupied has bit i set while PU i holds an entry: the FIFO drain
 	// round-robins over it in time proportional to the entries it drains.
 	occupied []uint64
@@ -57,16 +49,15 @@ type Sunder struct {
 	drainCredit int64
 	drainRR     int
 	energy      core.EnergyCounters
+	stallCycles int64
+	// reportRows, capacity, rowBits (a row's entry bits) and maxCycles
+	// cache cfg's region geometry for the write path, where its divisions
+	// would cost more than the entry write itself.
+	reportRows, capacity, rowBits int
+	maxCycles                     int64
 	// tel is the attached telemetry sink; nil disables instrumentation.
 	tel *telemetrySink
-
-	stallCycles int64
-	cfg         core.Config
-	place       *mapping.Placement
 }
-
-// cursor is an entry slot as its region row and bit offset in the row.
-type cursor struct{ row, bit int }
 
 // reportBits are one entry's report bits, bit k for report column
 // ColsPerSubarray-ReportColumns+k (at most 128 of them): bits 0-63 in lo,
@@ -87,7 +78,9 @@ func (r reportBits) get(k int) bool {
 // Reset.
 type pu struct {
 	PUStats
-	counter    int // next entry slot (row-major within the region)
+	// row and bit locate the next entry slot (Equation 1's local counter,
+	// row-major within the region): its region row and bit offset.
+	row, bit   int
 	lastStride int64
 	// summary accumulates per-report-column "reported since last
 	// summarize" bits when summarization is used.
@@ -103,27 +96,17 @@ type pu struct {
 func NewSunder(tab *core.ReportTable, cfg core.Config) *Sunder {
 	place := tab.Placement()
 	n := place.NumPUs
-	mb := uint(cfg.MetadataBits)
 	return &Sunder{
-		cfg:            cfg,
-		place:          place,
-		fifo:           cfg.FIFO,
-		tab:            tab,
-		region:         make([]bitvec.V256, n*cfg.ReportRows()),
-		pus:            make([]pu, n),
-		cursor:         make([]cursor, n),
-		occupied:       make([]uint64, (n+63)/64),
-		reportRows:     cfg.ReportRows(),
-		entriesPerRow:  cfg.EntriesPerRow(),
-		capacity:       cfg.RegionCapacity(),
-		entryBits:      cfg.EntryBits(),
-		rowBits:        cfg.EntriesPerRow() * cfg.EntryBits(),
-		firstReportCol: core.ColsPerSubarray - cfg.ReportColumns,
-		reportColumns:  cfg.ReportColumns,
-		metaBits:       mb,
-		metaMask:       int64(1)<<mb - 1,
-		maxCycles:      cfg.MaxCycles(),
-		exportBits:     int64(cfg.ExportBitsPerCycle),
+		cfg:        cfg,
+		place:      place,
+		tab:        tab,
+		region:     make([]bitvec.V256, n*cfg.ReportRows()),
+		pus:        make([]pu, n),
+		occupied:   make([]uint64, (n+63)/64),
+		reportRows: cfg.ReportRows(),
+		capacity:   cfg.RegionCapacity(),
+		rowBits:    cfg.EntriesPerRow() * cfg.EntryBits(),
+		maxCycles:  cfg.MaxCycles(),
 	}
 }
 
@@ -161,7 +144,6 @@ func (s *Sunder) Reset() {
 			s.pus[i] = pu{}
 		}
 	}
-	clear(s.cursor)
 	clear(s.occupied)
 	s.resident = 0
 	s.cycles, s.stallCycles = 0, 0
@@ -177,14 +159,7 @@ func (s *Sunder) Reset() {
 // order; the FIFO drain first catches up through cycle.
 func (s *Sunder) OnReportCycle(cycle int64, states []automata.StateID) {
 	s.advance(cycle + 1)
-	// The fast path writes a one-word entry, without telemetry, into a
-	// region with room and no stride marker due: on a dense stream every
-	// entry but a PU's first in each 2^MetadataBits cycles. storeReport
-	// takes the rest.
-	stride := cycle >> s.metaBits
-	fast := s.tel == nil && s.entryBits <= 64 && cycle < s.maxCycles
-	meta := uint64(cycle&s.metaMask) << uint(s.reportColumns)
-	first, wrote, stalled := s.firstReportCol, 0, false
+	first, stalled := core.ColsPerSubarray-s.cfg.ReportColumns, false
 	for k := 0; k < len(states); {
 		i, col := s.tab.Where(states[k])
 		var rep reportBits
@@ -197,16 +172,8 @@ func (s *Sunder) OnReportCycle(cycle int64, states []automata.StateID) {
 			}
 			j, col = s.tab.Where(states[k])
 		}
-		if u := &s.pus[i]; fast && u.Occupancy < s.capacity && u.lastStride >= stride {
-			row, bit := s.take(i)
-			putBits(row, bit, s.entryBits, rep.lo|meta)
-			u.ReportEntries++
-			wrote++
-		} else {
-			s.storeReport(i, rep, cycle, &stalled)
-		}
+		s.storeReport(i, rep, cycle, &stalled)
 	}
-	s.energy.ReportWrites += int64(wrote)
 }
 
 // Finish advances the model to the end of a run of end cycles: the FIFO
@@ -225,11 +192,11 @@ func (s *Sunder) advance(end int64) {
 		return
 	}
 	s.cycles = end
-	if !s.fifo {
+	if !s.cfg.FIFO {
 		return
 	}
-	entry := int64(s.entryBits)
-	credit := s.drainCredit + k*s.exportBits
+	entry := int64(s.cfg.EntryBits())
+	credit := s.drainCredit + k*int64(s.cfg.ExportBitsPerCycle)
 	n := int64(s.resident)
 	if credit < n*entry {
 		// Only a drain that cannot keep up divides.
@@ -280,6 +247,7 @@ func (s *Sunder) nextOccupied(t int) int {
 
 // storeReport writes one report entry (preceded by stride markers when the
 // cycle counter wrapped) into PU i's region, handling full-region events.
+// Its common case, a region with room and no marker due, divides nothing.
 //
 // A stride marker is an entry with all-zero report bits whose metadata
 // holds a stride *delta*; the host accumulates deltas while reading, so
@@ -290,7 +258,8 @@ func (s *Sunder) nextOccupied(t int) int {
 // region decodes from zero.
 func (s *Sunder) storeReport(i int, rep reportBits, cycle int64, stalled *bool) {
 	u := &s.pus[i]
-	stride := cycle >> s.metaBits
+	mb := uint(s.cfg.MetadataBits)
+	stride := cycle >> mb
 	// Invariant: a marker chain that could never fit (tiny metadata width vs.
 	// enormous silent gaps) is refused by whoever feeds the device, which
 	// checks its input against Config.MaxCycles before stepping.
@@ -303,7 +272,7 @@ func (s *Sunder) storeReport(i int, rep reportBits, cycle int64, stalled *bool) 
 	}
 	// Space is secured and the marker chain has reached the stride, so one
 	// free slot is guaranteed for the data entry.
-	s.writeEntry(i, rep, cycle&s.metaMask)
+	s.writeEntry(i, rep, cycle&(1<<mb-1))
 	s.energy.ReportWrites++
 	u.ReportEntries++
 	u.lastStride = stride
@@ -328,7 +297,7 @@ func (s *Sunder) markStride(i int, stride, cycle int64, stalled *bool) {
 		if cur >= stride {
 			return
 		}
-		chunk := min(stride-cur, s.metaMask)
+		chunk := min(stride-cur, int64(1)<<uint(s.cfg.MetadataBits)-1)
 		s.writeEntry(i, reportBits{}, chunk)
 		s.energy.ReportWrites++
 		u.StrideMarkers++
@@ -415,8 +384,8 @@ func (s *Sunder) Rows(i int) []bitvec.V256 {
 
 // entryAt locates entry slot of PU i: its region row and bit offset.
 func (s *Sunder) entryAt(i, slot int) (row *bitvec.V256, base int) {
-	epr := s.entriesPerRow
-	return &s.Rows(i)[slot/epr], slot % epr * s.entryBits
+	epr := s.cfg.EntriesPerRow()
+	return &s.Rows(i)[slot/epr], slot % epr * s.cfg.EntryBits()
 }
 
 // putBits stores the low n (1..64) bits of v at bit offset off of row; the
@@ -431,12 +400,24 @@ func putBits(row *bitvec.V256, off, n int, v uint64) {
 }
 
 // writeEntry stores the m report bits of rep plus metadata at PU i's local
-// counter position through Port 1: one shifted word for entries up to 64
-// bits, bit by bit for wider ones. It assumes capacity was checked by the
-// caller.
+// counter position through Port 1 — one shifted word for entries up to 64
+// bits, bit by bit for wider ones — moves the counter past the slot,
+// wrapping at the region's end, and counts the entry resident. It assumes
+// capacity was checked by the caller.
 func (s *Sunder) writeEntry(i int, rep reportBits, meta int64) {
-	row, bit := s.take(i)
-	mc, eb := s.reportColumns, s.entryBits
+	u := &s.pus[i]
+	mc, eb := s.cfg.ReportColumns, s.cfg.EntryBits()
+	row, bit := &s.region[i*s.reportRows+u.row], u.bit
+	if u.bit += eb; u.bit == s.rowBits {
+		if u.row, u.bit = u.row+1, 0; u.row == s.reportRows {
+			u.row = 0
+		}
+	}
+	if u.Occupancy++; u.Occupancy == 1 {
+		s.occupied[i>>6] |= 1 << uint(i&63)
+	}
+	s.resident++
+	u.PeakOccupancy = max(u.PeakOccupancy, u.Occupancy)
 	if eb <= 64 {
 		putBits(row, bit, eb, rep.lo|uint64(meta)<<uint(mc))
 		return
@@ -444,28 +425,9 @@ func (s *Sunder) writeEntry(i int, rep reportBits, meta int64) {
 	for k := 0; k < mc; k++ {
 		setBit(row, bit+k, rep.get(k))
 	}
-	for j := 0; j < int(s.metaBits); j++ {
+	for j := 0; j < s.cfg.MetadataBits; j++ {
 		setBit(row, bit+mc+j, j < 64 && meta>>uint(j)&1 != 0)
 	}
-}
-
-// take claims PU i's next entry slot, which has room, and returns its row
-// and bit offset: it moves the local counter and its cursor past the slot
-// and counts the entry resident.
-func (s *Sunder) take(i int) (row *bitvec.V256, bit int) {
-	u, at := &s.pus[i], &s.cursor[i]
-	row, bit = &s.region[i*s.reportRows+at.row], at.bit
-	if u.counter++; u.counter == s.capacity {
-		u.counter, *at = 0, cursor{}
-	} else if at.bit += s.entryBits; at.bit == s.rowBits {
-		at.row, at.bit = at.row+1, 0
-	}
-	if u.Occupancy++; u.Occupancy == 1 {
-		s.occupied[i>>6] |= 1 << uint(i&63)
-	}
-	s.resident++
-	u.PeakOccupancy = max(u.PeakOccupancy, u.Occupancy)
-	return row, bit
 }
 
 func setBit(row *bitvec.V256, i int, on bool) {
@@ -483,8 +445,7 @@ func (s *Sunder) clearRegion(i int) {
 	u := &s.pus[i]
 	clear(s.Rows(i))
 	s.resident -= u.Occupancy
-	u.counter, s.cursor[i] = 0, cursor{}
-	u.Occupancy = 0
+	u.row, u.bit, u.Occupancy = 0, 0, 0
 	s.occupied[i>>6] &^= 1 << uint(i&63)
 	u.lastStride = -1
 }

@@ -178,11 +178,11 @@ type reduction struct {
 	reached int64
 	matches []Match
 	onMatch func(Match)
-	// delivered counts the run's matches, and density is the last run's
-	// matches per byte fed, which sizes the next run's match slice for its
-	// size bytes (see reset) or, unknown, the bytes fed so far.
-	delivered, size int64
-	density         float64
+	// delivered counts the run's matches; last is the last run's count and
+	// density its matches per byte fed, which size the next run's match
+	// slice (see deliver).
+	delivered, last, size int64
+	density               float64
 }
 
 // reportSink is what a machine run's report cycles feed: a *report.Sunder,
@@ -228,22 +228,10 @@ func (r *reduction) cycle(c int64, ids []automata.StateID) {
 	}
 	r.kept = r.red.Cycle(ids, r.kept[:0])
 	unit := c * r.rate
-	if r.onMatch != nil || r.matches == nil || unit+r.rate > r.fed<<r.shift {
-		for _, i := range r.kept {
-			e := &r.entries[i]
-			r.deliver(unit+int64(e.Offset), e.Code)
-		}
-		return
-	}
-	// The common case, inline: collecting into an allocated slice, a cycle
-	// wholly within the bytes fed.
-	ms := r.matches
 	for _, i := range r.kept {
 		e := &r.entries[i]
-		ms = append(ms, Match{Position: (unit + int64(e.Offset)) >> r.shift, Code: e.Code})
+		r.deliver(unit+int64(e.Offset), e.Code)
 	}
-	r.matches = ms
-	r.delivered += int64(len(r.kept))
 }
 
 // deliver turns the report of code ending at input unit unit into a match —
@@ -253,8 +241,11 @@ func (r *reduction) cycle(c int64, ids []automata.StateID) {
 // counted in Reports, but it is not a match.
 //
 // The run's first collected match allocates the match slice, sized from the
-// last run's match density over the run's input, so a match-free run
-// allocates nothing and a run as dense as the last one does not regrow.
+// last run's match density over the run's input (its size bytes or,
+// unknown, the bytes fed so far), so a match-free run allocates nothing and
+// a run as dense as the last one does not regrow. The size is capped at
+// twice the last run's matches: a sparse run after a dense one must not
+// reserve for matches it does not find; past the cap, append grows.
 func (r *reduction) deliver(unit int64, code int32) {
 	if unit >= r.fed<<r.shift {
 		return
@@ -266,7 +257,7 @@ func (r *reduction) deliver(unit int64, code int32) {
 		return
 	}
 	if r.matches == nil {
-		n := int(r.density * float64(max(r.fed, r.size)))
+		n := int(min(r.density*float64(max(r.fed, r.size)), 2*float64(r.last)))
 		r.matches = make([]Match, 0, n+n/8+8)
 	}
 	r.matches = append(r.matches, m)
@@ -279,7 +270,7 @@ func (r *reduction) end(kernel int64) runOutput {
 	st := Stats{KernelCycles: kernel, Reports: r.red.Reports, ReportCycles: r.red.ReportCycles}
 	out := runOutput{stats: st, matches: r.matches}
 	if r.fed > 0 {
-		r.density = float64(r.delivered) / float64(r.fed)
+		r.density, r.last = float64(r.delivered)/float64(r.fed), r.delivered
 	}
 	r.matches = nil
 	return out
@@ -517,7 +508,7 @@ func (r *machineRunner) finish() runOutput {
 // device's padded cycle count; StallCycles, Flushes and the per-PU
 // breakdown are the report model's, which the DFA leg does not feed, and
 // read zero. Device telemetry counters stay untouched for the same reason.
-// Feeding the model costs about 65–130 ns per report cycle
+// Feeding the model costs about 47–90 ns per report cycle
 // (BenchmarkReportModel on Snort's rate-4 stream, 2-vCPU Xeon), which on a
 // report-dense stream would cost this leg more than its stepping does.
 type dfaRunner struct {
