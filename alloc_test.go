@@ -103,8 +103,9 @@ func TestAllocationPins(t *testing.T) {
 	}
 	windowScan()
 	// The benchmark's nfa_dense row: Snort on the bitvec core at about 1.7
-	// matches per byte. A warm scan allocates the result and its match
-	// slice, sized from the last scan's density so it never regrows.
+	// matches per byte. A warm scan allocates the result, its match slice,
+	// sized from the last scan's density so it never regrows, and its
+	// per-PU rows, read from the report model once.
 	snort := workload.MustGet("Snort", 0.02, 4<<10)
 	nfaOpts := DefaultOptions()
 	nfaOpts.Backend = "nfa"
@@ -126,15 +127,15 @@ func TestAllocationPins(t *testing.T) {
 		op   func()
 		max  float64
 	}{
-		{"scan/nfa", scan(compile("nfa", PrefilterOff)), 3},
+		{"scan/nfa", scan(compile("nfa", PrefilterOff)), 2},
 		{"scan/dfa", scan(compile("dfa", PrefilterOff)), 2},
 		{"scan/dfa-thrash", thrashScan(0), 4},
 		{"scan/prefilter-skip", scan(compile("nfa", PrefilterOn)), 6},
 		{"stream/dfa", stream(compile("dfa", PrefilterOff)), 3},
-		{"stream/nfa", stream(compile("nfa", PrefilterOff)), 2},
+		{"stream/nfa", stream(compile("nfa", PrefilterOff)), 1},
 		{"batch/dfa-warm", batch, 14},
 		{"prefilter/dfa-window", windowScan, 14},
-		{"scan/nfa-dense", denseScan, 6},
+		{"scan/nfa-dense", denseScan, 3},
 	} {
 		if got := testing.AllocsPerRun(10, pin.op); got > pin.max {
 			t.Errorf("%s: %.1f allocs/op, want <= %.0f", pin.name, got, pin.max)

@@ -34,7 +34,7 @@ func (e *compiledArtifact) effectiveBackend(override string) (string, error) {
 		return e.backend, nil
 	}
 	if !meta.Known(override) {
-		return "", fmt.Errorf("sunder: unknown Backend %q (want \"auto\", \"nfa\", \"dfa\" or \"parallel\")", override)
+		return "", fmt.Errorf("sunder: unknown Backend %q (want \"auto\", \"nfa\" or \"dfa\")", override)
 	}
 	if override == meta.BackendAuto {
 		return e.autoChoice.Backend, nil
@@ -80,7 +80,7 @@ func (e *Engine) DFAStats() DFAStats {
 	return out
 }
 
-// Backend returns the engine's resolved scan backend ("nfa", "dfa" or
-// "parallel"), annotated with the auto-selection reason when
-// Options.Backend was "auto".
+// Backend returns the engine's resolved scan backend ("nfa" or "dfa"),
+// annotated with the auto-selection reason when Options.Backend was
+// "auto".
 func (e *Engine) Backend() string { return e.backendNote }

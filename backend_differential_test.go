@@ -8,13 +8,12 @@ import (
 )
 
 // compareBackend asserts a backend result is observably identical to the
-// sequential NFA core: same matches, Reports and ReportCycles. Kernel
-// cycle counts are compared where the contract promises equality (both
-// engines step every padded cycle); stall/flush counters are backend
-// implementation detail and excluded.
+// NFA core's: the same matches in the same order, Reports and
+// ReportCycles. Stall/flush counters are backend implementation detail and
+// excluded.
 func compareBackend(t *testing.T, label string, base, got *ScanResult) {
 	t.Helper()
-	if !matchesEqual(sortedMatches(base.Matches), sortedMatches(got.Matches)) {
+	if !matchesEqual(base.Matches, got.Matches) {
 		t.Errorf("%s: matches diverged (%d base vs %d backend)",
 			label, len(base.Matches), len(got.Matches))
 	}
@@ -95,7 +94,7 @@ func TestBackendDifferential(t *testing.T) {
 					}
 				}
 				stats := st.Close()
-				if !matchesEqual(sortedMatches(bseq.Matches), sortedMatches(got)) {
+				if !matchesEqual(bseq.Matches, got) {
 					t.Errorf("%s/stream chunk=%d: matches diverged (%d vs %d)",
 						label, chunk, len(bseq.Matches), len(got))
 				}
@@ -171,10 +170,18 @@ func FuzzDFA(f *testing.F) {
 
 // TestBackendOverrideValidatedOnEveryLeg: a per-call ScanOptions.Backend is
 // validated by the plan resolver before any leg is chosen, so an unknown
-// name or an unsupported "dfa" is an error on a plain engine and on one
-// whose prefilter confines the backend to candidate windows.
+// name — "parallel" among them: ScanParallel, not a backend, shards — or an
+// unsupported "dfa" is an error on a plain engine and on one whose
+// prefilter confines the backend to candidate windows. Compile refuses the
+// same names in Options.Backend.
 func TestBackendOverrideValidatedOnEveryLeg(t *testing.T) {
 	input := []byte("xabbczzx")
+	for _, backend := range []string{"bogus", "parallel"} {
+		_, err := Compile([]Pattern{{Expr: `ab+c`, Code: 1}}, Options{Backend: backend})
+		if err == nil || !strings.Contains(err.Error(), "unknown Backend") {
+			t.Errorf("Compile with Backend %q: %v, want an unknown-backend error", backend, err)
+		}
+	}
 	for _, tc := range []struct {
 		name     string
 		rate     int
@@ -182,8 +189,10 @@ func TestBackendOverrideValidatedOnEveryLeg(t *testing.T) {
 		override string
 	}{
 		{"plain/unknown", 4, PrefilterOff, "bogus"},
+		{"plain/parallel", 4, PrefilterOff, "parallel"},
 		{"plain/unsupported-dfa", 1, PrefilterOff, "dfa"},
 		{"prefilter/unknown", 4, PrefilterOn, "bogus"},
+		{"prefilter/parallel", 4, PrefilterOn, "parallel"},
 	} {
 		opts := DefaultOptions()
 		opts.Rate, opts.Prefilter = tc.rate, tc.pre

@@ -498,30 +498,35 @@ func BenchmarkScanParallel(b *testing.B) {
 }
 
 // BenchmarkEngineScanParallel is the facade-level counterpart of
-// BenchmarkEngineScan: the same input through ScanParallel.
+// BenchmarkEngineScan: the same input through ScanParallel, on the machine
+// and on the lazy DFA.
 func BenchmarkEngineScanParallel(b *testing.B) {
-	eng, err := Compile([]Pattern{
-		{Expr: `needle`, Code: 1},
-		{Expr: `ha+ystack`, Code: 2},
-	}, DefaultOptions())
-	if err != nil {
-		b.Fatal(err)
-	}
 	input := make([]byte, 64*1024)
 	for i := range input {
 		input[i] = byte('a' + i%17)
 	}
 	copy(input[1000:], "needle")
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			b.SetBytes(int64(len(input)))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := eng.ScanParallel(input, ScanOptions{Workers: workers}); err != nil {
-					b.Fatal(err)
+	for _, backend := range []string{"nfa", "dfa"} {
+		opts := DefaultOptions()
+		opts.Backend = backend
+		eng, err := Compile([]Pattern{
+			{Expr: `needle`, Code: 1},
+			{Expr: `ha+ystack`, Code: 2},
+		}, opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, workers := range []int{1, 2, 4, 8} {
+			b.Run(fmt.Sprintf("%s/workers=%d", backend, workers), func(b *testing.B) {
+				b.SetBytes(int64(len(input)))
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := eng.ScanParallel(input, ScanOptions{Workers: workers}); err != nil {
+						b.Fatal(err)
+					}
 				}
-			}
-		})
+			})
+		}
 	}
 }
 

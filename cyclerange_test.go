@@ -13,7 +13,7 @@ import (
 // the device model as soon as a report landed beyond it, taking the process
 // (a server, with every tenant) down.
 func TestCycleRangeExceeded(t *testing.T) {
-	for _, backend := range []string{"nfa", "dfa", "parallel"} {
+	for _, backend := range []string{"nfa", "dfa"} {
 		for _, pre := range []PrefilterMode{PrefilterOff, PrefilterOn} {
 			opts := DefaultOptions()
 			opts.MetadataBits, opts.Backend, opts.Prefilter = 1, backend, pre

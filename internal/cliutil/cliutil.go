@@ -130,8 +130,8 @@ func (p *ParallelFlags) EffectiveWorkers() int {
 // BackendFlags carries the -backend flag value: the software scan
 // engine's execution substrate.
 type BackendFlags struct {
-	// Backend is "auto", "nfa", "dfa", "parallel", or "" for the tool's
-	// default behaviour.
+	// Backend is "auto", "nfa", "dfa", or "" for the tool's default
+	// behaviour.
 	Backend string
 }
 
@@ -139,7 +139,7 @@ type BackendFlags struct {
 func RegisterBackendFlag() *BackendFlags {
 	b := &BackendFlags{}
 	flag.StringVar(&b.Backend, "backend", "",
-		`software engine backend: "auto" (select from shape analysis), "nfa", "dfa" or "parallel" ("" = tool default)`)
+		`software engine backend: "auto" (select from shape analysis), "nfa" or "dfa" ("" = tool default)`)
 	return b
 }
 
@@ -151,10 +151,10 @@ func (b *BackendFlags) Enabled() bool { return b.Backend != "" }
 // re-validates (and rejects unsupported forced "dfa") at compile time.
 func (b *BackendFlags) Validate() error {
 	switch b.Backend {
-	case "", "auto", "nfa", "dfa", "parallel":
+	case "", "auto", "nfa", "dfa":
 		return nil
 	}
-	return fmt.Errorf(`-backend: unknown backend %q (want "auto", "nfa", "dfa" or "parallel")`, b.Backend)
+	return fmt.Errorf(`-backend: unknown backend %q (want "auto", "nfa" or "dfa")`, b.Backend)
 }
 
 // AnalysisFlags carries the -lint/-prune/-minimize flag values for the

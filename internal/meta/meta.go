@@ -1,7 +1,7 @@
 // Package meta is the analysis-driven backend selector: given the shape
 // statistics the static analyzer and compiler already produce for a
-// ruleset, it picks the execution backend a `Backend: "auto"` engine will
-// scan with.
+// ruleset, it picks the execution substrate a `Backend: "auto"` engine will
+// scan on.
 //
 // The heuristic encodes the measured dispatch table in DESIGN.md §4.16,
 // which follows the DFA-vs-NFA crossover study (Siddique et al. 2022):
@@ -11,14 +11,13 @@
 //     active-set width, so it wins wherever determinization is supported
 //     and the subset space fits its cache — in practice everything up to
 //     a few thousand device states.
-//   - Very large bounded-window automata shard well; the parallel backend
-//     wins there once there are enough states that DFA rows get huge and
-//     NFA bitvec words dominate a sequential scan.
-//   - Everything else (rate-1 engines, huge cyclic automata) stays on the
-//     sequential bitvec NFA core.
+//   - Everything else (rate-1 engines, automata too large to determinize
+//     profitably) stays on the bitvec NFA core.
 //
-// An engaged literal prefilter is not an input: it decides which windows
-// of an input run, and the backend chosen here runs them.
+// Neither an engaged literal prefilter nor parallelism is an input: the
+// prefilter decides which windows of an input run and the entry point
+// (ScanParallel) how many workers share them; the substrate chosen here
+// runs them.
 //
 // The package is deliberately pure: Select is a function of its inputs,
 // takes no clocks and no randomness, and returns the same choice for the
@@ -31,14 +30,11 @@ import "fmt"
 // façade accepts in Options.Backend (plus "auto" and "", which resolve
 // through Select and to BackendNFA respectively).
 const (
-	// BackendNFA is the sequential bitvec NFA core (the architectural
-	// simulator) — the reference backend every other one must match.
+	// BackendNFA is the bitvec NFA core (the architectural simulator) —
+	// the reference backend the lazy DFA must match.
 	BackendNFA = "nfa"
 	// BackendDFA is the lazy-DFA software backend (internal/dfa).
 	BackendDFA = "dfa"
-	// BackendParallel is the sharded parallel scan (internal/sched) with
-	// dependence-window warm-up.
-	BackendParallel = "parallel"
 	// BackendAuto asks Select to resolve the backend from the compiled
 	// shape at compile time.
 	BackendAuto = "auto"
@@ -48,7 +44,7 @@ const (
 // the legacy default and means BackendNFA).
 func Known(name string) bool {
 	switch name {
-	case "", BackendAuto, BackendNFA, BackendDFA, BackendParallel:
+	case "", BackendAuto, BackendNFA, BackendDFA:
 		return true
 	}
 	return false
@@ -68,10 +64,6 @@ type Inputs struct {
 	// units per input byte).
 	Rate        int
 	SymbolUnits int
-	// DependenceWindow/Bounded is the shard-safety classification: the
-	// warm-up depth in cycles when Bounded, else the automaton is cyclic.
-	DependenceWindow int
-	Bounded          bool
 	// SymbolClasses is the certified effective alphabet size of the byte
 	// automaton (compresses DFA transition rows).
 	SymbolClasses int
@@ -81,22 +73,19 @@ type Inputs struct {
 	DFAReason    string
 }
 
-// Thresholds of the dispatch heuristic, exported so the docs, the bench
+// Threshold of the dispatch heuristic, exported so the docs, the bench
 // study and the tests can reference the exact boundary.
 const (
 	// MaxDFADeviceStates bounds the automata handed to the lazy DFA: past
 	// it, per-state transition rows and subset churn outweigh the cached
 	// stepping win.
 	MaxDFADeviceStates = 4096
-	// MinParallelDeviceStates is where the sharded parallel backend takes
-	// over for bounded automata too big to determinize profitably.
-	MinParallelDeviceStates = 8192
 )
 
 // Choice is Select's resolved backend plus the reason, recorded in
 // Info().Backend so the dispatch is auditable.
 type Choice struct {
-	// Backend is BackendNFA, BackendDFA or BackendParallel.
+	// Backend is BackendNFA or BackendDFA.
 	Backend string
 	// Reason is a short human-readable justification.
 	Reason string
@@ -114,10 +103,6 @@ func (c Choice) String() string {
 // choice: the fallback is always the sequential NFA core.
 func Select(in Inputs) Choice {
 	if !in.DFASupported {
-		if in.Bounded && in.DeviceStates >= MinParallelDeviceStates {
-			return Choice{Backend: BackendParallel, Reason: fmt.Sprintf(
-				"%d device states, bounded window %d: shards beat one core", in.DeviceStates, in.DependenceWindow)}
-		}
 		reason := in.DFAReason
 		if reason == "" {
 			reason = "dfa unsupported"
@@ -128,10 +113,6 @@ func Select(in Inputs) Choice {
 		return Choice{Backend: BackendDFA, Reason: fmt.Sprintf(
 			"%d device states, %d symbol classes: cached transitions beat bitvec stepping",
 			in.DeviceStates, in.SymbolClasses)}
-	}
-	if in.Bounded && in.DeviceStates >= MinParallelDeviceStates {
-		return Choice{Backend: BackendParallel, Reason: fmt.Sprintf(
-			"%d device states, bounded window %d: shards beat one core", in.DeviceStates, in.DependenceWindow)}
 	}
 	return Choice{Backend: BackendNFA, Reason: fmt.Sprintf(
 		"%d device states too large to determinize profitably", in.DeviceStates)}

@@ -6,12 +6,13 @@ import (
 )
 
 func TestKnown(t *testing.T) {
-	for _, ok := range []string{"", "auto", "nfa", "dfa", "parallel"} {
+	for _, ok := range []string{"", "auto", "nfa", "dfa"} {
 		if !Known(ok) {
 			t.Errorf("Known(%q) = false", ok)
 		}
 	}
-	for _, bad := range []string{"NFA", "hybrid", "off", "auto ", "lazy-dfa"} {
+	// "parallel" named a backend once; ScanParallel is how to shard.
+	for _, bad := range []string{"NFA", "hybrid", "off", "auto ", "lazy-dfa", "parallel"} {
 		if Known(bad) {
 			t.Errorf("Known(%q) = true", bad)
 		}
@@ -21,7 +22,7 @@ func TestKnown(t *testing.T) {
 func TestSelectDispatch(t *testing.T) {
 	base := Inputs{
 		ByteStates: 100, DeviceStates: 300, ReportStates: 4,
-		Rate: 4, SymbolUnits: 2, DependenceWindow: 12, Bounded: true,
+		Rate: 4, SymbolUnits: 2,
 		SymbolClasses: 17, DFASupported: true,
 	}
 	cases := []struct {
@@ -35,16 +36,15 @@ func TestSelectDispatch(t *testing.T) {
 			in.DFASupported = false
 			in.DFAReason = "rate below symbol units (cycles split bytes)"
 		}, BackendNFA, "rate below symbol units"},
-		{"huge bounded -> parallel", func(in *Inputs) {
+		{"huge -> nfa", func(in *Inputs) {
 			in.DeviceStates = 20000
-		}, BackendParallel, "shards beat one core"},
-		{"huge bounded unsupported -> parallel", func(in *Inputs) {
+		}, BackendNFA, "too large to determinize"},
+		{"huge unsupported -> nfa", func(in *Inputs) {
 			in.DeviceStates = 20000
 			in.DFASupported = false
-		}, BackendParallel, "shards beat one core"},
-		{"mid-size cyclic supported -> nfa", func(in *Inputs) {
+		}, BackendNFA, "dfa unsupported"},
+		{"mid-size supported -> nfa", func(in *Inputs) {
 			in.DeviceStates = MaxDFADeviceStates + 1
-			in.Bounded = false
 		}, BackendNFA, "too large to determinize"},
 		{"boundary stays dfa", func(in *Inputs) {
 			in.DeviceStates = MaxDFADeviceStates
@@ -67,7 +67,7 @@ func TestSelectDispatch(t *testing.T) {
 }
 
 func TestSelectDeterministic(t *testing.T) {
-	in := Inputs{DeviceStates: 500, Bounded: true, DFASupported: true, SymbolClasses: 8}
+	in := Inputs{DeviceStates: 500, DFASupported: true, SymbolClasses: 8}
 	first := Select(in)
 	for i := 0; i < 10; i++ {
 		if got := Select(in); got != first {

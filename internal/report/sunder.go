@@ -584,6 +584,9 @@ type PUStats struct {
 	Occupancy     int
 }
 
+// PU returns processing unit i's statistics for the current run.
+func (s *Sunder) PU(i int) PUStats { return s.pus[i].PUStats }
+
 // PerPU returns per-PU statistics for the current run. Summing any field
 // across the slice yields the corresponding aggregate (Flushes,
 // StallCycles, …).

@@ -1,15 +1,12 @@
 package sched
 
 import (
-	"slices"
 	"testing"
 
 	"sunder/internal/automata"
 	"sunder/internal/core"
 	"sunder/internal/funcsim"
 	"sunder/internal/mapping"
-	"sunder/internal/report"
-	"sunder/internal/telemetry"
 	"sunder/internal/transform"
 	"sunder/internal/workload"
 )
@@ -56,8 +53,7 @@ func diffEvents(t *testing.T, label string, got, want []funcsim.ReportEvent) {
 
 // TestParallelMatchesSequentialAllBenchmarks is the acceptance battery:
 // for every benchmark in internal/workload and workers in {1,2,4,8}, a
-// parallel run's reports are exactly equal to a sequential run's, and so
-// is what a report model makes of its merged report-state stream.
+// parallel run's reports are exactly equal to a sequential run's.
 func TestParallelMatchesSequentialAllBenchmarks(t *testing.T) {
 	workers := []int{1, 2, 4, 8}
 	scale, inputLen := 0.02, 4000
@@ -71,23 +67,15 @@ func TestParallelMatchesSequentialAllBenchmarks(t *testing.T) {
 			w := workload.MustGet(spec.Name, scale, inputLen)
 			m, ua := buildTestMachine(t, w, 4)
 			units := funcsim.BytesToUnits(w.Input, 4)
-			seq := report.NewSunder(m.Reports(), m.Config())
-			ref := m.Clone().Run(units, core.RunOptions{RecordEvents: true, OnReportCycle: seq.OnReportCycle})
-			seq.Finish(ref.KernelCycles)
+			ref := m.Clone().Run(units, core.RunOptions{RecordEvents: true})
 			for _, wk := range workers {
-				par := report.NewSunder(m.Reports(), m.Config())
 				rr := ParallelRun(m, ua, units, RunConfig{
-					Workers:       wk,
-					RecordEvents:  true,
-					OnReportCycle: par.OnReportCycle,
+					Workers:      wk,
+					RecordEvents: true,
 					// Small floor so these reduced-scale inputs do shard.
 					MinShardCycles: 64,
 				})
-				par.Finish(rr.KernelCycles)
 				label := spec.Name
-				if par.Result() != seq.Result() || !slices.Equal(par.PerPU(), seq.PerPU()) {
-					t.Errorf("%s workers=%d: report model %+v, sequential %+v", label, wk, par.Result(), seq.Result())
-				}
 				if rr.Reports != ref.Reports {
 					t.Errorf("%s workers=%d: Reports %d, want %d", label, wk, rr.Reports, ref.Reports)
 				}
@@ -161,32 +149,4 @@ func TestDependenceCycles(t *testing.T) {
 		t.Errorf("Dotstar03 fallback: Reports %d, want %d", rr.Reports, ref.Reports)
 	}
 	diffEvents(t, "Dotstar03", rr.Events, ref.Events)
-}
-
-// TestParallelTelemetryAggregation checks the per-worker-aggregating
-// counter contract: kernel-cycle, report and report-cycle counters summed
-// across workers equal the sequential totals exactly.
-func TestParallelTelemetryAggregation(t *testing.T) {
-	w := workload.MustGet("Levenshtein", 0.02, 4000)
-	m, ua := buildTestMachine(t, w, 4)
-	units := funcsim.BytesToUnits(w.Input, 4)
-	ref := m.Clone().Run(units, core.RunOptions{RecordEvents: true})
-
-	col := telemetry.NewCollector()
-	rr := ParallelRun(m, ua, units, RunConfig{Workers: 4, RecordEvents: true, MinShardCycles: 64, Collector: col})
-	if !rr.Sharded {
-		t.Fatal("Levenshtein did not shard; telemetry aggregation untested")
-	}
-	for _, c := range []struct {
-		name string
-		want int64
-	}{
-		{core.MetricKernelCycles, ref.KernelCycles},
-		{core.MetricReports, ref.Reports},
-		{core.MetricReportCycles, ref.ReportCycles},
-	} {
-		if got := col.Counter(c.name).Load(); got != c.want {
-			t.Errorf("counter %s = %d, want %d", c.name, got, c.want)
-		}
-	}
 }

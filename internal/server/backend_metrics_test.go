@@ -62,7 +62,6 @@ func TestServerMetricsZeroRequestGuards(t *testing.T) {
 		`server_pool_wait_share{ruleset="idle"} 0`,
 		`server_backend_scan_share{backend="nfa"} 0`,
 		`server_backend_scan_share{backend="dfa"} 0`,
-		`server_backend_scan_share{backend="parallel"} 0`,
 	}
 	for _, want := range wantLines {
 		if !strings.Contains(text, want+"\n") {
@@ -91,7 +90,8 @@ func TestServerMetricsZeroRequestGuards(t *testing.T) {
 // TestServerBackendSelection wires options.backend end to end: an auto
 // ruleset resolves (and reports) its backend, served scans land on the
 // per-backend counters in both metrics formats, and an unsupported forced
-// backend fails the PUT with 422.
+// backend or an unknown one ("parallel" is not a backend: ?parallel=1
+// shards a scan) fails the PUT with 422.
 func TestServerBackendSelection(t *testing.T) {
 	s, ts := newTestServer(t, Config{PoolSize: 2})
 	info := putRuleset(t, ts.URL, "auto", RulesetRequest{
@@ -156,5 +156,19 @@ func TestServerBackendSelection(t *testing.T) {
 	}
 	if !strings.Contains(e.Error, "unsupported") {
 		t.Fatalf("error = %q, want backend-unsupported message", e.Error)
+	}
+
+	body, _ = json.Marshal(RulesetRequest{Patterns: testRules, Options: &OptionsJSON{Backend: "parallel"}})
+	hr, _ = http.NewRequest(http.MethodPut, ts.URL+"/rulesets/parallel", bytes.NewReader(body))
+	presp, err := http.DefaultClient.Do(hr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer presp.Body.Close()
+	if err := json.NewDecoder(presp.Body).Decode(&e); err != nil {
+		t.Fatal(err)
+	}
+	if presp.StatusCode != http.StatusUnprocessableEntity || !strings.Contains(e.Error, "unknown Backend") {
+		t.Fatalf(`PUT with backend "parallel": status %d (%s), want 422 and an unknown-backend error`, presp.StatusCode, e.Error)
 	}
 }

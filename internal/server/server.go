@@ -106,16 +106,16 @@ func (c Config) withDefaults() Config {
 
 // scanBackends is the closed set of execution backends a served scan can
 // resolve to, in the order the text metrics print them.
-var scanBackends = []string{"nfa", "dfa", "parallel"}
+var scanBackends = []string{"nfa", "dfa"}
 
 // ruleset is one compiled rule set being served.
 type ruleset struct {
 	id   string
 	req  RulesetRequest
 	info sunder.Info
-	// backend is the resolved backend's canonical name ("nfa", "dfa",
-	// "parallel") — the first token of Info.Backend, which carries the auto
-	// rationale behind it. Every scan this ruleset serves is attributed to
+	// backend is the resolved backend's canonical name ("nfa" or "dfa") —
+	// the first token of Info.Backend, which carries the auto rationale
+	// behind it. Every scan this ruleset serves is attributed to
 	// it on the per-backend /metrics counters.
 	backend string
 	pool    *enginePool

@@ -28,9 +28,11 @@ type OptionsJSON struct {
 	Prune           bool  `json:"prune,omitempty"`
 	Minimize        bool  `json:"minimize,omitempty"`
 	Prefilter       bool  `json:"prefilter,omitempty"`
-	// Backend selects the execution backend ("auto", "nfa", "dfa",
-	// "parallel"); empty keeps the library default (nfa). "dfa" fails the
-	// PUT with 422 when the configuration does not support the lazy DFA.
+	// Backend selects the execution backend ("auto", "nfa" or "dfa");
+	// empty keeps the library default (nfa), and any other name fails the
+	// PUT with 422, as "dfa" does when the configuration does not support
+	// the lazy DFA. A scan shards across workers with ?parallel=1 on any
+	// backend.
 	Backend string `json:"backend,omitempty"`
 }
 

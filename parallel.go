@@ -3,7 +3,6 @@ package sunder
 import (
 	"runtime"
 
-	"sunder/internal/funcsim"
 	"sunder/internal/sched"
 )
 
@@ -18,13 +17,11 @@ type ScanOptions struct {
 	BatchSize int
 	// Backend overrides the engine's compiled backend for this call; ""
 	// keeps the compiled choice and "auto" resolves as Options.Backend
-	// "auto" would have. A "dfa" override runs the lazy DFA on pooled
-	// runners, one per ScanBatch worker; unfiltered, ScanParallel takes one
-	// and ignores Workers (a DFA state cache is inherently serial) — output
-	// stays byte-identical. Under an engaged prefilter the override picks
-	// the substrate of the candidate windows: the lazy DFA for "dfa", the
-	// machine otherwise. An unknown name or an unsupported "dfa" is an
-	// error on every route.
+	// "auto" would have. The override picks the substrate the workers run
+	// on: a "dfa" call runs the lazy DFA on pooled runners, one per
+	// worker, whether they take shares of one input, candidate windows or
+	// batch inputs; output stays byte-identical. An unknown name or an
+	// unsupported "dfa" is an error on every route.
 	Backend string
 }
 
@@ -35,68 +32,33 @@ func (o ScanOptions) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// ScanParallel is Scan over worker goroutines: one large input is sharded
-// across workers, each driving its own clone of the compiled machine, with
-// per-shard warm-up replay sized to the automaton's dependence window so
-// the merged output is byte-identical to sequential Scan — same matches in
-// the same order, and the same KernelCycles, Reports and ReportCycles.
-//
-// The shards' report cycles merge in cycle order into one report model, so
-// StallCycles, Flushes and PerPU equal sequential Scan's too. Automata
-// whose dependence window is unbounded (`.*`-style self-loops) and inputs
-// too small to shard fall back to a sequential run internally — same
-// results, one worker.
+// ScanParallel is Scan over worker goroutines: the input's cycles are cut
+// into up to Workers contiguous shares of at least
+// sched.DefaultMinShardCycles cycles, each run on a private runner of the
+// resolved backend — a clone of the compiled machine, or a pooled lazy-DFA
+// runner — after a silent warm-up replay of the automaton's dependence
+// window, and the shares merge in input order. The result is Scan's: the
+// same matches in the same order, and the same KernelCycles, Reports and
+// ReportCycles. On the machine the shares' report cycles merge in cycle
+// order into one report model, so StallCycles, Flushes and PerPU equal
+// Scan's too. Automata whose dependence window is unbounded (`.*`-style
+// self-loops) and inputs too small to cut run as one share.
 //
 // Under an engaged prefilter the workers split the candidate windows
-// instead: each runs a contiguous share of the input's cycles on a private
-// runner of the resolved backend, and the shares merge in input order (a
-// window two shares straddle counts once for each in PrefilterWindows).
+// instead: each runs a contiguous share of them, and the shares merge in
+// input order (a window two shares straddle counts once for each in
+// PrefilterWindows).
 //
 // ScanParallel never touches the engine's shared machine, so concurrent
 // calls on one engine are safe.
 func (e *Engine) ScanParallel(input []byte, opts ScanOptions) (*ScanResult, error) {
-	rt, err := e.resolve(opts.Backend, shardAlways)
+	rt, err := e.resolve(opts.Backend)
 	if err != nil {
 		return nil, err
 	}
-	workers := opts.workers()
-	rs := make([]windowRunner, workers)
+	rs := make([]windowRunner, opts.workers())
 	defer e.release(rs)
-	return e.scanOn(rt, rs, true, input, workers)
-}
-
-// scanSharded is the sharded parallel run ScanParallel (and Scan on the
-// "parallel" backend) execute: worker clones with dependence-window warm-up
-// replay, merged back into sequential order. Its merged events go through
-// the same reduction tail (phantom filter, Match construction) as a
-// runner's report cycles, and its merged report-state stream feeds one
-// report model.
-func (e *Engine) scanSharded(input []byte, workers int) *ScanResult {
-	model := e.newModel()
-	rr := sched.ParallelRun(e.proto, e.nibble, funcsim.BytesToUnits(input, 4), sched.RunConfig{
-		Workers:       workers,
-		RecordEvents:  true,
-		Collector:     e.telemetryCollector(),
-		OnReportCycle: model.OnReportCycle,
-	})
-	red := newReduction(e.proto.Reports(), e.nibble, nil)
-	red.fed = int64(len(input))
-	if len(rr.Events) > 0 {
-		red.matches = make([]Match, 0, len(rr.Events))
-	}
-	for _, ev := range rr.Events {
-		red.deliver(ev.Unit, ev.Code)
-	}
-	out := runOutput{
-		stats: Stats{
-			KernelCycles: rr.KernelCycles,
-			Reports:      rr.Reports,
-			ReportCycles: rr.ReportCycles,
-		},
-		matches: red.matches,
-	}
-	out.reportOn(model, rr.KernelCycles)
-	return e.result(out)
+	return e.scanOn(rt, rs, true, input)
 }
 
 // ScanBatch scans many independent inputs concurrently on a bounded worker
@@ -112,7 +74,7 @@ func (e *Engine) scanSharded(input []byte, workers int) *ScanResult {
 // Like ScanParallel it leaves the engine's shared machine alone and is
 // safe to call concurrently.
 func (e *Engine) ScanBatch(inputs [][]byte, opts ScanOptions) ([]*ScanResult, error) {
-	rt, err := e.resolve(opts.Backend, shardNever)
+	rt, err := e.resolve(opts.Backend)
 	if err != nil {
 		return nil, err
 	}
@@ -134,7 +96,7 @@ func (e *Engine) ScanBatch(inputs [][]byte, opts ScanOptions) ([]*ScanResult, er
 			if errs[worker] != nil {
 				return
 			}
-			results[i], errs[worker] = e.scanOn(rt, runners[worker:worker+1], true, in, 1)
+			results[i], errs[worker] = e.scanOn(rt, runners[worker:worker+1], true, in)
 		})
 	}
 	pool.Wait()

@@ -1,6 +1,7 @@
 package sunder
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math/bits"
@@ -13,13 +14,15 @@ import (
 	"sunder/internal/funcsim"
 	"sunder/internal/meta"
 	"sunder/internal/report"
+	"sunder/internal/sched"
 )
 
 // This file is the one execution pipeline behind Scan, ScanParallel,
 // ScanBatch and Stream (DESIGN.md §4.17): resolve picks the route, a runner
-// executes it span by span — the whole input, or a prefilter's candidate
-// windows — the reduction turns its report cycles into matches and counts,
-// and result turns a finished run into a ScanResult.
+// executes it span by span — the whole input, a share of it, or a
+// prefilter's candidate windows (windows.go) — the reduction turns its
+// report cycles into matches and counts, and result turns a finished run
+// into a ScanResult.
 
 // leg is the substrate that executes one call.
 type leg int
@@ -27,23 +30,8 @@ type leg int
 const (
 	// legDFA steps the lazy DFA.
 	legDFA leg = iota
-	// legNFA steps one bitvec machine sequentially.
+	// legNFA steps a bitvec machine.
 	legNFA
-	// legSharded shards a whole input across machine clones (scanSharded).
-	legSharded
-)
-
-// sharding is how an entry point treats the NFA substrate.
-type sharding int
-
-const (
-	// shardNever: ScanBatch and Stream — inputs, not shards, are the unit of
-	// parallelism, so the "parallel" backend runs like "nfa".
-	shardNever sharding = iota
-	// shardIfParallel: Scan — only the "parallel" backend fans out.
-	shardIfParallel
-	// shardAlways: ScanParallel — the NFA substrate always shards.
-	shardAlways
 )
 
 // route is the resolved execution plan of one call: its leg, and whether an
@@ -56,21 +44,17 @@ type route struct {
 // resolve decides the route of one call. It is the only place an entry
 // point asks "prefilter or backend?": the backend — the compiled one or a
 // validated per-call override — picks the substrate, which an engaged
-// prefilter confines to candidate windows (they, not shards, are then the
-// unit of parallelism). A bad override is an error whatever route would
-// have run.
-func (e *Engine) resolve(override string, sh sharding) (route, error) {
+// prefilter confines to candidate windows. How many runners share the
+// call is the entry point's decision (scanOn). A bad override is an error
+// whatever route would have run.
+func (e *Engine) resolve(override string) (route, error) {
 	backend, err := e.effectiveBackend(override)
 	if err != nil {
 		return route{}, err
 	}
 	rt := route{leg: legNFA, filtered: e.pre.enabled()}
-	switch {
-	case backend == meta.BackendDFA:
+	if backend == meta.BackendDFA {
 		rt.leg = legDFA
-	case rt.filtered:
-	case sh == shardAlways || sh == shardIfParallel && backend == meta.BackendParallel:
-		rt.leg = legSharded
 	}
 	return rt, nil
 }
@@ -113,11 +97,15 @@ type windowRunner interface {
 type runOutput struct {
 	stats   Stats
 	matches []Match
-	// perPU is nil when the leg models no report region (lazy DFA, a
-	// prefilter full skip): the result then carries zeroed rows.
-	perPU []report.PUStats
-	// trace is the report-state stream of a share of a parallel
-	// prefiltered run, which feeds the merged run's model (runShares).
+	// windows counts the windows the run opened (windowLoop), which a
+	// prefiltered scan reports as PrefilterWindows.
+	windows int64
+	// model is the report model the run finished, which holds its per-PU
+	// rows; nil when the leg models no report region (lazy DFA, a
+	// prefilter full skip), and the result then carries zeroed rows.
+	model *report.Sunder
+	// trace is the report-state stream of a share of a parallel run on
+	// the machine, which feeds the merged run's model (runShares).
 	trace *report.Trace
 }
 
@@ -128,6 +116,7 @@ func (out *runOutput) add(o runOutput) {
 	s.KernelCycles += o.stats.KernelCycles
 	s.Reports += o.stats.Reports
 	s.ReportCycles += o.stats.ReportCycles
+	out.windows += o.windows
 	out.matches = append(out.matches, o.matches...)
 }
 
@@ -137,7 +126,7 @@ func (out *runOutput) reportOn(model *report.Sunder, end int64) {
 	model.Finish(end)
 	res := model.Result()
 	out.stats.StallCycles, out.stats.Flushes = res.StallCycles, res.Flushes
-	out.perPU = model.PerPU()
+	out.model = model
 }
 
 // result turns a finished run into the public ScanResult — the one place
@@ -146,27 +135,30 @@ func (e *Engine) result(out runOutput) *ScanResult {
 	return &ScanResult{
 		Matches: out.matches,
 		Stats:   out.stats,
-		PerPU:   toPUStats(out.perPU, e.proto.NumPUs()),
+		PerPU:   puStats(out.model, e.proto.NumPUs()),
 	}
 }
 
 // reduction is the façade half of the report reducer, embedded in every
 // runner: core.Reducer owns the per-cycle (offset, origin) de-duplication
 // over the compile's report table and the Reports/ReportCycles and device
-// report counters; the reduction adds the pad-tail phantom filter, builds
-// the matches straight from the surviving table entries, and feeds the
-// report cycles the run owns, with absolute cycles, to sink.
+// report counters; the reduction orders each cycle's surviving entries,
+// adds the pad-tail phantom filter, builds the matches straight from the
+// entries, and feeds the report cycles the run owns, with absolute cycles,
+// to sink.
 type reduction struct {
 	red core.Reducer
-	// entries is the report table's, which kept indexes for each cycle.
-	entries []core.ReportEntry
-	kept    []int32
+	// entries is the report table's, which kept indexes for each cycle,
+	// and rank and ranked the artifact's (offset, code) order of them.
+	entries      []core.ReportEntry
+	kept         []int32
+	rank, ranked []int32
 	// sink receives the report-state stream: a machine runner's report
 	// model or share trace; nil on the lazy DFA, which models no region.
 	sink reportSink
 	// su and rate are units per input byte and per cycle, and shift is
 	// log2(su) (SymbolUnits is 2, or 4 for wide symbols); fed is the input
-	// byte the run has reached, which bounds real reports (see deliver).
+	// byte the run has reached, which bounds real reports (see cycle).
 	su, rate, fed int64
 	shift         uint
 	// base is the absolute cycle minus the substrate's own cycle count,
@@ -180,7 +172,7 @@ type reduction struct {
 	onMatch func(Match)
 	// delivered counts the run's matches; last is the last run's count and
 	// density its matches per byte fed, which size the next run's match
-	// slice (see deliver).
+	// slice (see cycle).
 	delivered, last, size int64
 	density               float64
 }
@@ -192,9 +184,12 @@ type reportSink interface {
 	Reset()
 }
 
-func newReduction(tab *core.ReportTable, a *automata.UnitAutomaton, sink reportSink) reduction {
-	su := int64(a.SymbolUnits)
-	return reduction{red: core.NewReducer(tab), entries: tab.Entries(), sink: sink, su: su, rate: int64(a.Rate), shift: uint(bits.TrailingZeros64(uint64(su)))}
+// newReduction returns a reduction of the artifact's report table whose
+// report cycles feed sink.
+func (a *compiledArtifact) newReduction(sink reportSink) reduction {
+	tab, su := a.proto.Reports(), int64(a.nibble.SymbolUnits)
+	return reduction{red: core.NewReducer(tab), entries: tab.Entries(), rank: a.rank, ranked: a.ranked,
+		sink: sink, su: su, rate: int64(a.nibble.Rate), shift: uint(bits.TrailingZeros64(uint64(su)))}
 }
 
 // begin starts a run of size input bytes (0: unknown) whose cycles are
@@ -217,8 +212,24 @@ func (r *reduction) at(base, local int64, warm int) {
 	r.warmed += cycles
 }
 
-// cycle reduces the report cycle c and delivers its matches. A cycle of
-// warm-up replay (before from) reports nothing.
+// cycle reduces the report cycle c and builds its matches — the one place
+// a Match is built. A cycle of warm-up replay (before from) reports
+// nothing.
+//
+// The kept entries go out ordered by (offset, code), so a run's matches
+// are sorted by (Position, Code) whatever order the substrate's reporting
+// states came in: the lazy DFA's depends on its cache's history. A report
+// ending past the bytes fed so far sits in the pad tail of the final
+// vector (a Pad unit satisfies any-symbol positions like `.`): the device
+// writes the entry, so it counted in Reports, but it is not a match, and
+// neither is any entry after it.
+//
+// The run's first collected match allocates the match slice, sized from the
+// last run's match density over the run's input (its size bytes or,
+// unknown, the bytes fed so far), so a match-free run allocates nothing and
+// a run as dense as the last one does not regrow. The size is capped at
+// twice the last run's matches: a sparse run after a dense one must not
+// reserve for matches it does not find; past the cap, append grows.
 func (r *reduction) cycle(c int64, ids []automata.StateID) {
 	if c < r.from {
 		return
@@ -227,40 +238,77 @@ func (r *reduction) cycle(c int64, ids []automata.StateID) {
 		r.sink.OnReportCycle(c, ids)
 	}
 	r.kept = r.red.Cycle(ids, r.kept[:0])
-	unit := c * r.rate
+	if len(r.kept) > 1 {
+		r.order()
+	}
+	unit, end := c*r.rate, r.fed<<r.shift
 	for _, i := range r.kept {
 		e := &r.entries[i]
-		r.deliver(unit+int64(e.Offset), e.Code)
+		u := unit + int64(e.Offset)
+		if u >= end {
+			return
+		}
+		m := Match{Position: u >> r.shift, Code: e.Code}
+		r.delivered++
+		if r.onMatch != nil {
+			r.onMatch(m)
+			continue
+		}
+		if r.matches == nil {
+			n := int(min(r.density*float64(max(r.fed, r.size)), 2*float64(r.last)))
+			r.matches = make([]Match, 0, n+n/8+8)
+		}
+		r.matches = append(r.matches, m)
 	}
 }
 
-// deliver turns the report of code ending at input unit unit into a match —
-// the one place a Match is built. A report ending past the bytes fed so far
-// sits in the pad tail of the final vector (a Pad unit satisfies
-// any-symbol positions like `.`): the device writes the entry, so it
-// counted in Reports, but it is not a match.
-//
-// The run's first collected match allocates the match slice, sized from the
-// last run's match density over the run's input (its size bytes or,
-// unknown, the bytes fed so far), so a match-free run allocates nothing and
-// a run as dense as the last one does not regrow. The size is capped at
-// twice the last run's matches: a sparse run after a dense one must not
-// reserve for matches it does not find; past the cap, append grows.
-func (r *reduction) deliver(unit int64, code int32) {
-	if unit >= r.fed<<r.shift {
+// order sorts the cycle's kept entries by offset, then code. Most cycles
+// keep a handful, which an insertion sort comparing the entries inline
+// orders fastest; a wide cycle's entries are sorted as integers, by rank
+// (rankEntries).
+func (r *reduction) order() {
+	k, es := r.kept, r.entries
+	if len(k) > 12 {
+		for i, x := range k {
+			k[i] = r.rank[x]
+		}
+		slices.Sort(k)
+		for i, x := range k {
+			k[i] = r.ranked[x]
+		}
 		return
 	}
-	m := Match{Position: unit >> r.shift, Code: code}
-	r.delivered++
-	if r.onMatch != nil {
-		r.onMatch(m)
-		return
+	for i := 1; i < len(k); i++ {
+		x := k[i]
+		off, code := es[x].Offset, es[x].Code
+		j := i
+		for ; j > 0; j-- {
+			y := &es[k[j-1]]
+			if y.Offset < off || y.Offset == off && y.Code <= code {
+				break
+			}
+			k[j] = k[j-1]
+		}
+		k[j] = x
 	}
-	if r.matches == nil {
-		n := int(min(r.density*float64(max(r.fed, r.size)), 2*float64(r.last)))
-		r.matches = make([]Match, 0, n+n/8+8)
+}
+
+// rankEntries numbers report table entries in (offset, code) order, the
+// order a cycle's matches go out in: rank[i] is entry i's place and
+// ranked[p] the entry in place p.
+func rankEntries(es []core.ReportEntry) (rank, ranked []int32) {
+	ranked = make([]int32, len(es))
+	for i := range ranked {
+		ranked[i] = int32(i)
 	}
-	r.matches = append(r.matches, m)
+	slices.SortFunc(ranked, func(a, b int32) int {
+		return cmp.Or(cmp.Compare(es[a].Offset, es[b].Offset), cmp.Compare(es[a].Code, es[b].Code), cmp.Compare(a, b))
+	})
+	rank = make([]int32, len(es))
+	for p, i := range ranked {
+		rank[i] = int32(p)
+	}
+	return rank, ranked
 }
 
 // end seals a run of kernel executed cycles: the reducer's report counts
@@ -276,11 +324,11 @@ func (r *reduction) end(kernel int64) runOutput {
 	return out
 }
 
-// runner returns the runner of leg l (the sharded leg has none). The
-// sequential entry points (Scan, NewStream) share the engine's persistent
-// machine and DFA runners — the DFA state cache stays hot across scans;
-// private hands out one that touches no engine state, for the parallel
-// entry points' workers, who release it when their call ends.
+// runner returns a runner of leg l. The sequential entry points (Scan,
+// NewStream) share the engine's persistent machine and DFA runners — the
+// DFA state cache stays hot across scans; private hands out one that
+// touches no engine state, for the parallel entry points' workers, who
+// release it when their call ends.
 func (e *Engine) runner(l leg, private bool) windowRunner {
 	if l == legDFA {
 		if private {
@@ -298,7 +346,7 @@ func (e *Engine) runner(l leg, private bool) windowRunner {
 		return e.privateMachineRunner(e.newModel())
 	}
 	if e.nfaRun == nil {
-		e.nfaRun = &machineRunner{reduction: newReduction(e.proto.Reports(), e.nibble, e.model), m: e.machine}
+		e.nfaRun = &machineRunner{reduction: e.newReduction(e.model), m: e.machine}
 	}
 	return e.nfaRun
 }
@@ -316,7 +364,7 @@ func (e *Engine) newModel() *report.Sunder {
 func (e *Engine) privateMachineRunner(sink reportSink) *machineRunner {
 	m := e.proto.Clone()
 	m.AttachTelemetry(e.telemetryCollector())
-	return &machineRunner{reduction: newReduction(e.proto.Reports(), e.nibble, sink), m: m}
+	return &machineRunner{reduction: e.newReduction(sink), m: m}
 }
 
 // acquire returns rs[i], filled with a runner of leg l on first use.
@@ -400,18 +448,20 @@ func (e *Engine) checkCycleRange(n int64) error {
 	return nil
 }
 
-// scanOn runs one whole input on route rt: its candidate windows
-// (scanPrefiltered), shards (scanSharded), or reset; feed; finish on the
-// call's runner. rs holds the call's runners, acquired on first use.
-func (e *Engine) scanOn(rt route, rs []windowRunner, private bool, input []byte, workers int) (*ScanResult, error) {
+// scanOn runs one whole input on route rt over the call's runners rs,
+// acquired on first use: its candidate windows (scanPrefiltered), its
+// shares when there are runners to share it (runShares, with one span that
+// covers the input), or reset; feed; finish on the one runner.
+func (e *Engine) scanOn(rt route, rs []windowRunner, private bool, input []byte) (*ScanResult, error) {
 	if err := e.checkCycleRange(int64(len(input))); err != nil {
 		return nil, err
 	}
-	switch {
-	case rt.filtered:
+	if rt.filtered {
 		return e.scanPrefiltered(rt.leg, rs, private, input), nil
-	case rt.leg == legSharded:
-		return e.scanSharded(input, workers), nil
+	}
+	if len(rs) > 1 {
+		total := e.geo.cycles(int64(len(input)))
+		return e.result(e.runShares(rt.leg, rs, private, input, []sched.CycleSpan{{End: total}}, total)), nil
 	}
 	rn := e.acquire(rs, 0, rt.leg, private)
 	rn.reset(nil, int64(len(input)))
@@ -448,7 +498,8 @@ func (r *machineRunner) reset(onMatch func(Match), size int64) {
 // one device run (start-of-data injection can fire on a first window
 // alone), and their owned report cycles feed its report model at their
 // absolute cycles. warm replays with telemetry detached, so device
-// counters see owned cycles only, as a sharded run's do.
+// counters see owned cycles only, and a run cut into shares counts what
+// the whole run counts.
 func (r *machineRunner) resetAt(base int64, warm []byte) {
 	r.m.Rewind()
 	r.m.SuppressStartOfData(base > 0)
@@ -521,7 +572,7 @@ type dfaRunner struct {
 }
 
 func (e *Engine) newDFARunner() *dfaRunner {
-	return &dfaRunner{reduction: newReduction(e.proto.Reports(), e.nibble, nil), r: dfa.NewRunner(e.dfaPlan, dfa.DefaultConfig())}
+	return &dfaRunner{reduction: e.newReduction(nil), r: dfa.NewRunner(e.dfaPlan, dfa.DefaultConfig())}
 }
 
 func (d *dfaRunner) reset(onMatch func(Match), size int64) {

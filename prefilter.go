@@ -1,15 +1,12 @@
 package sunder
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
-	"sync"
 
 	"sunder/internal/automata"
 	"sunder/internal/prefilter"
 	"sunder/internal/regex"
-	"sunder/internal/report"
 	"sunder/internal/sched"
 	"sunder/internal/telemetry"
 )
@@ -59,10 +56,10 @@ func notePrefilter(col *telemetry.Collector, hits, windows, scanned, skipped int
 }
 
 // prefilterPlan is the compile-time product of literal extraction: the
-// literal set, the scanner chosen for it, and the window geometry derived
-// from the automaton's dependence window. It is immutable after compile
-// (the scanner is read-only), so cached artifacts and engine clones share
-// one plan.
+// literal set, the scanner chosen for it, and the reach of a literal hit,
+// derived from the automaton's dependence window; its windows are cut by
+// the artifact's geometry. It is immutable after compile (the scanner is
+// read-only), so cached artifacts and engine clones share one plan.
 type prefilterPlan struct {
 	lits     [][]byte
 	scanner  prefilter.Scanner // nil when the verdict is "no filter"
@@ -73,26 +70,18 @@ type prefilterPlan struct {
 	fold bool
 
 	maxLit int // longest literal, for cross-chunk carry in streams
-	rate   int // units per cycle
-	su     int // units per byte
-
-	bounded bool // false: cyclic automaton, windows cannot bound warm-up
-	align   int64
-	overlap int64
-	// maxMatchBytes bounds a match's byte length when bounded; a literal
-	// occurrence [q, e) therefore confines the report to the cycles of
-	// bytes [e-1, q+maxMatchBytes).
+	// maxMatchBytes bounds a match's byte length when the dependence
+	// window is bounded; a literal occurrence [q, e) therefore confines the
+	// report to the cycles of bytes [e-1, q+maxMatchBytes).
 	maxMatchBytes int64
 }
 
 func (p *prefilterPlan) enabled() bool { return p != nil && p.scanner != nil }
 
 // newPrefilterPlan finishes an extraction into an executable plan for the
-// compiled geometry: ua at the device rate, with the dependence window the
-// compile already measured.
-func newPrefilterPlan(ua *automata.UnitAutomaton, depth int, bounded bool, ex prefilter.Extraction) *prefilterPlan {
-	rate, su := ua.Rate, ua.SymbolUnits
-	p := &prefilterPlan{rate: rate, su: su}
+// compiled geometry g, whose dependence window is depth cycles.
+func newPrefilterPlan(g geometry, depth int, ex prefilter.Extraction) *prefilterPlan {
+	p := &prefilterPlan{}
 	if !ex.OK {
 		p.strategy = "off"
 		p.reason = ex.Reason
@@ -106,11 +95,8 @@ func newPrefilterPlan(ua *automata.UnitAutomaton, depth int, bounded bool, ex pr
 		p.strategy += "+fold"
 	}
 	p.maxLit = ex.MaxLen
-	p.bounded = bounded
-	p.align = sched.Alignment(rate, su)
-	p.overlap = sched.Overlap(depth, p.align)
-	if bounded {
-		p.maxMatchBytes = (int64(depth)+1)*int64(rate)/int64(su) + 2
+	if g.bounded {
+		p.maxMatchBytes = (int64(depth)+1)*g.rate/g.su + 2
 	}
 	return p
 }
@@ -121,14 +107,14 @@ func newPrefilterPlan(ua *automata.UnitAutomaton, depth int, bounded bool, ex pr
 // automaton suffix walks on patterns with wide-class tails; otherwise (and
 // for ANML/automaton compiles, patterns nil) the automaton extractor
 // decides, including the reason of a no-filter verdict.
-func buildPrefilter(nfa *automata.Automaton, ua *automata.UnitAutomaton, depth int, bounded bool, patterns []Pattern) *prefilterPlan {
+func buildPrefilter(nfa *automata.Automaton, g geometry, depth int, patterns []Pattern) *prefilterPlan {
 	if lits, fold, ok := requiredPatternLiterals(patterns); ok && len(patterns) > 0 {
 		ex := prefilter.FromLiteralsFold(lits, fold, prefilter.DefaultConfig())
-		if pl := newPrefilterPlan(ua, depth, bounded, ex); pl.enabled() {
+		if pl := newPrefilterPlan(g, depth, ex); pl.enabled() {
 			return pl
 		}
 	}
-	return newPrefilterPlan(ua, depth, bounded, prefilter.Extract(nfa, prefilter.DefaultConfig()))
+	return newPrefilterPlan(g, depth, prefilter.Extract(nfa, prefilter.DefaultConfig()))
 }
 
 // requiredPatternLiterals unions the per-pattern AST literal sets; every
@@ -157,9 +143,9 @@ func requiredPatternLiterals(patterns []Pattern) ([][]byte, bool, bool) {
 // dependence window is bounded, no later than the cycle of byte
 // q+maxMatchBytes. One slack cycle on each side absorbs unit/cycle
 // boundary effects.
-func (p *prefilterPlan) hitSpan(q, e int) sched.CycleSpan {
-	start := int64(e-1)*int64(p.su)/int64(p.rate) - 1
-	end := (int64(q)+p.maxMatchBytes)*int64(p.su)/int64(p.rate) + 2
+func (p *prefilterPlan) hitSpan(g *geometry, q, e int) sched.CycleSpan {
+	start := int64(e-1)*g.su/g.rate - 1
+	end := (int64(q)+p.maxMatchBytes)*g.su/g.rate + 2
 	return sched.CycleSpan{Start: start, End: end}
 }
 
@@ -168,14 +154,16 @@ func (p *prefilterPlan) hitSpan(q, e int) sched.CycleSpan {
 // literal (see prefilter.TailHit), the final cycle is appended as a span:
 // phantom pad reports fire there in an unfiltered run and the filtered
 // Stats must count them identically.
-func (p *prefilterPlan) planSpans(input []byte, totalCycles int64, padUnits int) (spans []sched.CycleSpan, hits int64) {
-	p.scanner.Scan(input, func(q, e int) {
+func (e *Engine) planSpans(input []byte, totalCycles int64, padUnits int) (spans []sched.CycleSpan, hits int64) {
+	// The callback reaches the plan and geometry through e alone: one
+	// more captured pointer puts its closure in the next size class.
+	e.pre.scanner.Scan(input, func(q, end int) {
 		hits++
-		spans = append(spans, p.hitSpan(q, e))
+		spans = append(spans, e.pre.hitSpan(&e.geo, q, end))
 	})
 	if padUnits > 0 {
-		padBytes := (padUnits + p.su - 1) / p.su
-		if prefilter.TailHitFold(input, p.lits, padBytes, p.fold) {
+		padBytes := (padUnits + int(e.geo.su) - 1) / int(e.geo.su)
+		if prefilter.TailHitFold(input, e.pre.lits, padBytes, e.pre.fold) {
 			spans = append(spans, sched.CycleSpan{Start: totalCycles - 1, End: totalCycles})
 		}
 	}
@@ -188,12 +176,11 @@ func (p *prefilterPlan) planSpans(input []byte, totalCycles int64, padUnits int)
 // Runners are acquired only once there is a span, so a literal-free input
 // touches none.
 func (e *Engine) scanPrefiltered(l leg, rs []windowRunner, private bool, input []byte) *ScanResult {
-	p := e.pre
-	inputUnits := int64(len(input)) * int64(p.su)
-	totalCycles := (inputUnits + int64(p.rate) - 1) / int64(p.rate)
+	g := &e.geo
+	totalCycles := g.cycles(int64(len(input)))
 	col := e.telemetryCollector()
 
-	spans, hits := p.planSpans(input, totalCycles, int(totalCycles*int64(p.rate)-inputUnits))
+	spans, hits := e.planSpans(input, totalCycles, int(totalCycles*g.rate-int64(len(input))*g.su))
 
 	if len(spans) == 0 {
 		// No literal anywhere: the rule set cannot match, and no phantom
@@ -201,7 +188,7 @@ func (e *Engine) scanPrefiltered(l leg, rs []windowRunner, private bool, input [
 		notePrefilter(col, hits, 0, 0, totalCycles)
 		return e.result(runOutput{stats: Stats{SkippedCycles: totalCycles}})
 	}
-	if !p.bounded {
+	if !g.bounded {
 		// Cyclic automaton: windows cannot bound warm-up replay, so a hit
 		// anywhere forces a full run — one window, nothing skipped. The
 		// filter still wins on hit-free inputs (handled above).
@@ -209,150 +196,11 @@ func (e *Engine) scanPrefiltered(l leg, rs []windowRunner, private bool, input [
 	}
 	slices.SortFunc(spans, bySpanStart)
 	out := e.runShares(l, rs, private, input, spans, totalCycles)
+	out.stats.PrefilterWindows = out.windows
 	out.stats.SkippedCycles = totalCycles - out.stats.KernelCycles
 	notePrefilter(col, hits, out.stats.PrefilterWindows, out.stats.KernelCycles, out.stats.SkippedCycles)
 	return e.result(out)
 }
-
-// runShares runs the windows of spans, sorted, on up to len(rs) runners of
-// leg l: runner g takes the cycles from its share of the spans to the next
-// share's (a window that straddles two shares is opened by both), and the
-// runs merge in input order. On the machine the shares record their report
-// cycles, and the merge feeds them to one report model, as a sequential
-// run would have.
-func (e *Engine) runShares(l leg, rs []windowRunner, private bool, input []byte, spans []sched.CycleSpan, total int64) runOutput {
-	k := min(len(rs), len(spans))
-	if k == 1 {
-		return e.runWindows(e.acquire(rs, 0, l, private), input, spans, 0, total)
-	}
-	cuts := make([]int64, k+1)
-	for g := 1; g < k; g++ {
-		c := max(spans[g*len(spans)/k].Start, 0)
-		cuts[g] = c - c%e.pre.align
-	}
-	cuts[k] = total
-	outs := make([]runOutput, k)
-	var wg sync.WaitGroup
-	for g := range k {
-		var rn windowRunner
-		if l == legDFA {
-			rn = e.acquire(rs, g, l, private)
-		} else {
-			rn = e.privateMachineRunner(new(report.Trace))
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			outs[g] = e.runWindows(rn, input, spans, cuts[g], cuts[g+1])
-		}()
-	}
-	wg.Wait()
-	out := outs[0]
-	for _, o := range outs[1:] {
-		out.add(o)
-	}
-	if l != legDFA {
-		model := e.newModel()
-		for _, o := range outs {
-			o.trace.Replay(model.OnReportCycle)
-		}
-		out.reportOn(model, total)
-	}
-	return out
-}
-
-// runWindows executes, as one run on rn, the windows spans call for among
-// cycles [from, to) of input; finish pads the final cycle if a window
-// holds it.
-func (e *Engine) runWindows(rn windowRunner, input []byte, spans []sched.CycleSpan, from, to int64) runOutput {
-	rn.reset(nil, min((to-from)*int64(e.pre.rate)/int64(e.pre.su), int64(len(input))))
-	w := windowLoop{rn: rn, p: e.pre, hist: input, fed: int64(len(input)), spans: spans, proc: from}
-	w.advance(to)
-	out := rn.finish()
-	out.stats.PrefilterWindows = w.windows
-	return out
-}
-
-// windowLoop is the one loop that runs a prefilter's candidate windows, for
-// whole inputs (runWindows) and streams (streamFilter) alike: it decides the
-// cycles from proc on in order, skipping those no span covers and having rn
-// execute the rest. A window opens cold with a silent warm-up replay of the
-// dependence window (windowRunner.resetAt) and closes at a gap wider than
-// that replay; a shorter gap is executed through. Windows open and close on
-// aligned cycles, which fall between two bytes.
-type windowLoop struct {
-	rn windowRunner
-	p  *prefilterPlan
-	// hist holds input bytes [histBase, fed).
-	hist          []byte
-	histBase, fed int64
-	// spans are the candidate spans not yet passed, in Start order; proc is
-	// the next cycle to decide; hot reports that rn's state equals the
-	// sequential state entering cycle proc.
-	spans []sched.CycleSpan
-	proc  int64
-	hot   bool
-	// skipped counts the cycles proven match-free, windows those opened;
-	// rn counts the executed ones.
-	skipped, windows int64
-}
-
-// bySpanStart orders spans as windowLoop decides them.
-func bySpanStart(a, b sched.CycleSpan) int { return cmp.Compare(a.Start, b.Start) }
-
-// bytes returns the buffered input of the aligned cycles [from, to), cut at
-// the bytes fed so far: the final cycle's pad is the runner's.
-func (w *windowLoop) bytes(from, to int64) []byte {
-	lo, hi := w.p.cycleByte(from), min(w.p.cycleByte(to), w.fed)
-	return w.hist[lo-w.histBase : hi-w.histBase]
-}
-
-// advance decides every cycle below limit.
-func (w *windowLoop) advance(limit int64) {
-	for w.proc < limit {
-		// Drop spans fully behind the frontier (their cycles executed).
-		for len(w.spans) > 0 && w.spans[0].End <= w.proc {
-			w.spans = w.spans[1:]
-		}
-		if len(w.spans) == 0 {
-			w.skip(limit)
-			return
-		}
-		sp := w.spans[0]
-		start := sp.Start - sp.Start%w.p.align
-		if start > w.proc && (!w.hot || start-w.proc > w.p.overlap) {
-			w.skip(min(start, limit))
-			continue
-		}
-		if !w.hot {
-			// Open a window at proc: warm up cold from the aligned base
-			// one dependence window back.
-			base := max(w.proc-w.p.overlap, 0)
-			base -= base % w.p.align
-			w.rn.resetAt(base, w.bytes(base, w.proc))
-			w.windows++
-		}
-		end := min(sched.RoundUp(sp.End, w.p.align), limit)
-		if end <= w.proc {
-			// Span tail beyond the frontier: wait for more input.
-			return
-		}
-		w.rn.feed(w.bytes(w.proc, end))
-		w.proc, w.hot = end, true
-	}
-}
-
-func (w *windowLoop) skip(to int64) {
-	if to > w.proc {
-		w.skipped += to - w.proc
-		w.proc, w.hot = to, false
-		w.rn.skipTo(to)
-	}
-}
-
-// cycleByte is the input offset of the first byte of cycle c, an aligned
-// cycle.
-func (p *prefilterPlan) cycleByte(c int64) int64 { return c * int64(p.rate) / int64(p.su) }
 
 // PrefilterInfo describes the compiled prefilter for diagnostics.
 func (p *prefilterPlan) describe() (strategy string, literals []string) {

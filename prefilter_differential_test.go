@@ -115,6 +115,12 @@ func TestPrefilterDifferential(t *testing.T) {
 					t.Fatal(err)
 				}
 				comparePrefiltered(t, fmt.Sprintf("%s/par/w=%d", label, nw), bseq, fpar)
+				// Every share's windows count: cutting the spans can only
+				// open a straddling window twice, never lose one.
+				if fpar.Stats.PrefilterWindows < fseq.Stats.PrefilterWindows {
+					t.Errorf("%s/par/w=%d: %d prefilter windows, Scan opens %d", label, nw,
+						fpar.Stats.PrefilterWindows, fseq.Stats.PrefilterWindows)
+				}
 			}
 
 			for _, chunk := range chunks {
@@ -185,7 +191,7 @@ func TestRunWindowsFullCoverEqualsSequential(t *testing.T) {
 		cover := []sched.CycleSpan{{End: wt.total}}
 		cuts := []int64{0}
 		for _, m := range wt.ref.Matches {
-			c := sched.RoundUp(m.Position*int64(wt.pre.su)/int64(wt.pre.rate)+1, wt.pre.align)
+			c := sched.RoundUp(m.Position*wt.geo.su/wt.geo.rate+1, wt.geo.align)
 			if c > cuts[len(cuts)-1] && c < wt.total {
 				cuts = append(cuts, c)
 			}
@@ -209,7 +215,7 @@ func TestRunWindowsSparseWindows(t *testing.T) {
 	forWindowedBackends(t, func(wt windowTest) {
 		var spans []sched.CycleSpan
 		for _, m := range wt.ref.Matches {
-			c := m.Position * int64(wt.pre.su) / int64(wt.pre.rate)
+			c := m.Position * wt.geo.su / wt.geo.rate
 			spans = append(spans, sched.CycleSpan{Start: c - 1, End: c + 2})
 		}
 		out := wt.run(append(spans, sched.CycleSpan{Start: wt.total - 1, End: wt.total}), 0, wt.total)
@@ -224,7 +230,7 @@ func TestRunWindowsSparseWindows(t *testing.T) {
 // unfiltered scan it must reproduce.
 type windowTest struct {
 	backend string
-	pre     *prefilterPlan
+	geo     *geometry
 	ref     *ScanResult
 	total   int64
 	run     func(spans []sched.CycleSpan, from, to int64) runOutput
@@ -254,19 +260,19 @@ func forWindowedBackends(t *testing.T, f func(windowTest)) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !eng.pre.bounded {
+		if !eng.geo.bounded {
 			t.Fatal("Bro217 must have a bounded dependence window")
 		}
 		total := ref.Stats.KernelCycles
 		f(windowTest{
 			backend: backend,
-			pre:     eng.pre,
+			geo:     &eng.geo,
 			ref:     ref,
 			total:   total,
 			run: func(spans []sched.CycleSpan, from, to int64) runOutput {
 				rs := []windowRunner{nil}
 				defer eng.release(rs)
-				return eng.runWindows(eng.acquire(rs, 0, scanLeg(t, eng), true), w.Input, spans, from, to)
+				return eng.runWindows(eng.acquire(rs, 0, scanLeg(t, eng), true), w.Input, spans, from, to, nil)
 			},
 			check: func(label string, out runOutput) {
 				t.Helper()
@@ -280,7 +286,7 @@ func forWindowedBackends(t *testing.T, f func(windowTest)) {
 // scanLeg is the leg e's Scan runs on.
 func scanLeg(t *testing.T, e *Engine) leg {
 	t.Helper()
-	rt, err := e.resolve("", shardIfParallel)
+	rt, err := e.resolve("")
 	if err != nil {
 		t.Fatal(err)
 	}

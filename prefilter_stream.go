@@ -36,6 +36,7 @@ type streamFilter struct {
 	// proc (bounded) or kept until live (deferred).
 	windowLoop
 	e *Engine
+	p *prefilterPlan
 	// carry holds the last maxLit-1 raw bytes so literals straddling a
 	// Write boundary are still found.
 	carry []byte
@@ -62,12 +63,12 @@ func (f *streamFilter) feed(p []byte) error {
 		return f.rn.feed(p)
 	}
 	f.hist = append(f.hist, p...)
-	if !f.p.bounded {
+	if !f.g.bounded {
 		return f.advanceDeferred()
 	}
 	// Windows open and close on aligned cycles, which fall between bytes.
-	limit := f.fed*int64(f.p.su)/int64(f.p.rate) - f.p.align - 1
-	if limit -= limit % f.p.align; limit > 0 {
+	limit := f.fed*f.g.su/f.g.rate - f.g.align - 1
+	if limit -= limit % f.g.align; limit > 0 {
 		f.advance(limit)
 	}
 	f.trim()
@@ -89,7 +90,7 @@ func (f *streamFilter) scanChunk(p []byte) {
 			return
 		}
 		f.hits++
-		f.spans = append(f.spans, f.p.hitSpan(int(base)+q, int(base)+e))
+		f.spans = append(f.spans, f.p.hitSpan(f.g, int(base)+q, int(base)+e))
 	})
 	slices.SortFunc(f.spans, bySpanStart)
 	f.fed += int64(len(p))
@@ -106,7 +107,7 @@ func (f *streamFilter) scanChunk(p []byte) {
 // cycles behind it are dead. The buffer is compacted only when the dead
 // prefix dominates, amortizing the copy.
 func (f *streamFilter) trim() {
-	keepFrom := f.p.cycleByte(max(f.proc-f.p.overlap-2*f.p.align-2, 0))
+	keepFrom := f.g.cycleByte(max(f.proc-f.g.overlap-2*f.g.align-2, 0))
 	dead := keepFrom - f.histBase
 	if dead <= 0 || dead*2 < int64(len(f.hist)) {
 		return
@@ -122,7 +123,7 @@ func (f *streamFilter) trim() {
 // replay, so the condition surfaces to the caller instead.
 func (f *streamFilter) advanceDeferred() error {
 	if f.hits == 0 {
-		if int64(len(f.hist))*int64(f.p.su) > maxDeferredUnits {
+		if int64(len(f.hist))*f.g.su > maxDeferredUnits {
 			return ErrDeferredBufferFull
 		}
 		return nil
@@ -139,10 +140,10 @@ func (f *streamFilter) advanceDeferred() error {
 // finish folds in the pad-tail hazard, executes the remaining undecided
 // cycles, and seals the runner's run with the filtered stream statistics.
 func (f *streamFilter) finish() runOutput {
-	su, rate := int64(f.p.su), int64(f.p.rate)
-	totalCycles := (f.fed*su + rate - 1) / rate
-	if padUnits := int(totalCycles*rate - f.fed*su); padUnits > 0 && f.p.maxLit > 0 {
-		padBytes := (padUnits + f.p.su - 1) / f.p.su
+	su := f.g.su
+	totalCycles := f.g.cycles(f.fed)
+	if padUnits := totalCycles*f.g.rate - f.fed*su; padUnits > 0 && f.p.maxLit > 0 {
+		padBytes := int((padUnits + su - 1) / su)
 		if prefilter.TailHitFold(f.carry, f.p.lits, padBytes, f.p.fold) {
 			// A literal can complete inside the pad: phantom pad reports
 			// fire in the final cycle of an unfiltered run and must be
@@ -152,7 +153,7 @@ func (f *streamFilter) finish() runOutput {
 		}
 	}
 	switch {
-	case f.p.bounded:
+	case f.g.bounded:
 		f.advance(totalCycles)
 	case f.live:
 		// The runner has taken every byte as it arrived.

@@ -95,7 +95,7 @@ func TestPrefilterStreamUnboundedDeferred(t *testing.T) {
 	input := []byte("xxxx begin middle end yyyy begin-end zz")
 	for _, backend := range substrates {
 		eng := compileFiltered(t, patterns, backend)
-		if eng.pre.bounded {
+		if eng.geo.bounded {
 			t.Fatal("pattern must have an unbounded dependence window")
 		}
 		want, err := eng.Clone().Scan(input)
@@ -155,7 +155,7 @@ func compareStream(t *testing.T, label string, want *ScanResult, got []Match, st
 // than silently degrade, and Close must stay valid and idempotent after it.
 func TestPrefilterStreamDeferredBufferFull(t *testing.T) {
 	eng := compileFiltered(t, []Pattern{{Expr: `begin.*end`, Code: 3}}, "")
-	if eng.pre.bounded {
+	if eng.geo.bounded {
 		t.Fatal("want an unbounded filter")
 	}
 	st, err := eng.NewStream(func(m Match) { t.Errorf("unexpected match %+v", m) })

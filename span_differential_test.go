@@ -58,7 +58,7 @@ func TestSpanDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !matchesEqual(sortedMatches(baseSeq.Matches), sortedMatches(seq.Matches)) ||
+			if !matchesEqual(baseSeq.Matches, seq.Matches) ||
 				seq.Stats != baseSeq.Stats {
 				t.Errorf("%s/%s: sequential scan diverged under tracing", name, mode.label)
 			}
@@ -66,7 +66,7 @@ func TestSpanDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !matchesEqual(sortedMatches(basePar.Matches), sortedMatches(par.Matches)) ||
+			if !matchesEqual(basePar.Matches, par.Matches) ||
 				par.Stats != basePar.Stats {
 				t.Errorf("%s/%s: parallel scan diverged under tracing", name, mode.label)
 			}
@@ -75,7 +75,7 @@ func TestSpanDifferential(t *testing.T) {
 				t.Fatal(err)
 			}
 			for i := range got {
-				if !matchesEqual(sortedMatches(baseBatch[i].Matches), sortedMatches(got[i].Matches)) ||
+				if !matchesEqual(baseBatch[i].Matches, got[i].Matches) ||
 					got[i].Stats != baseBatch[i].Stats {
 					t.Errorf("%s/%s: batch input %d diverged under tracing", name, mode.label, i)
 				}
@@ -119,7 +119,7 @@ func TestSpanExportsFromScan(t *testing.T) {
 	if err := tel.WriteSpansJSONL(&jsonl); err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{`"name":"parallel_run"`, `"name":"shard"`, `"name":"scan"`} {
+	for _, want := range []string{`"name":"parallel_run"`, `"name":"shard"`, `"name":"warmup"`} {
 		if !strings.Contains(jsonl.String(), want) {
 			t.Errorf("span JSONL missing %s:\n%s", want, jsonl.String())
 		}

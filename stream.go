@@ -29,9 +29,7 @@ type Stream struct {
 // concurrent streams, open each on its own Engine.Clone — clones share the
 // compiled artifacts, so this is cheap.
 func (e *Engine) NewStream(onMatch func(Match)) (*Stream, error) {
-	// Streams are inherently sequential: the "parallel" backend streams on
-	// the machine like "nfa".
-	rt, err := e.resolve("", shardNever)
+	rt, err := e.resolve("")
 	if err != nil {
 		return nil, err
 	}
@@ -41,7 +39,7 @@ func (e *Engine) NewStream(onMatch func(Match)) (*Stream, error) {
 	rn := e.runner(rt.leg, false)
 	s := &Stream{e: e, run: rn}
 	if rt.filtered {
-		s.run = &streamFilter{windowLoop: windowLoop{rn: rn, p: e.pre}, e: e}
+		s.run = &streamFilter{windowLoop: windowLoop{rn: rn, g: &e.geo}, e: e, p: e.pre}
 	}
 	s.run.reset(onMatch, 0)
 	return s, nil

@@ -93,19 +93,18 @@ type Options struct {
 	// that cannot contain a match are skipped. See PrefilterMode.
 	Prefilter PrefilterMode
 	// Backend selects the scan execution substrate: "nfa" (or "", the
-	// default) is the sequential bitvec NFA core; "dfa" is the lazy-DFA
-	// software backend (on-demand determinization with a bounded state
-	// cache, cleared when full, falling back to NFA stepping if the subset
-	// space blows up); "parallel" makes Scan shard across workers like
-	// ScanParallel; "auto" resolves among them at compile time from the
+	// default) is the bitvec NFA core; "dfa" is the lazy-DFA software
+	// backend (on-demand determinization with a bounded state cache,
+	// cleared when full, falling back to NFA stepping if the subset space
+	// blows up); "auto" picks one of them at compile time from the
 	// analyzer's shape statistics (see Info().Backend for the choice and its
-	// reason). Every backend produces byte-identical matches and
+	// reason). Both produce byte-identical matches, in the same order, and
 	// Reports/ReportCycles accounting. "dfa" requires whole-byte cycles
 	// (Rate 2 or 4) and fails compilation otherwise; "auto" never fails.
-	// Every entry point executes on the backend (this field, or a per-call
-	// ScanOptions.Backend override), and an engaged literal prefilter
-	// confines it to candidate windows — on the lazy DFA under "dfa", on the
-	// machine under the others.
+	// The backend is only a substrate: every entry point executes on it (or
+	// on a per-call ScanOptions.Backend override), ScanParallel shards it
+	// across workers, and an engaged literal prefilter confines it to
+	// candidate windows.
 	Backend string
 }
 
@@ -154,6 +153,8 @@ func (s Stats) Overhead() float64 {
 
 // ScanResult holds the matches and statistics of one scan.
 type ScanResult struct {
+	// Matches are sorted by (Position, Code), on every backend and entry
+	// point.
 	Matches []Match
 	Stats   Stats
 	// PerPU breaks the device activity down by processing unit; summing
@@ -167,7 +168,8 @@ type ScanResult struct {
 // (Scan, NewStream, Summarize) reset and mutate it — they must not run
 // concurrently on the same engine. ScanParallel and ScanBatch never touch
 // the shared machine (workers run on clones of the pristine compile
-// artifact), so any number of them may run concurrently with each other;
+// artifact, or on pooled lazy-DFA runners), so any number of them may run
+// concurrently with each other;
 // use Clone to get independent engines for concurrent sequential use.
 type Engine struct {
 	// compiledArtifact is everything compilation produced. It is immutable
@@ -204,6 +206,9 @@ type compiledArtifact struct {
 	// proto is the never-executed machine configured at compile time;
 	// engines and parallel workers clone it.
 	proto *core.Machine
+	// rank and ranked order proto's report table entries by (offset, code),
+	// the order a cycle's matches go out in (rankEntries).
+	rank, ranked []int32
 	// pruned counts the dead states removed at compile time (Options.Prune,
 	// plus the prune rounds inside Options.Minimize).
 	pruned int
@@ -213,6 +218,9 @@ type compiledArtifact struct {
 	// size), zero unless Minimize computed it.
 	minSum     analysis.MinimizeSummary
 	symClasses int
+	// geo is the compiled automaton's window geometry, which cuts a run
+	// into a prefilter's windows and ScanParallel's shares.
+	geo geometry
 	// pre is the literal-prefilter plan; nil unless Options.Prefilter is on.
 	pre *prefilterPlan
 	// backend is the resolved scan backend (meta.Backend* constant) and
@@ -331,6 +339,7 @@ func compile(nfa *automata.Automaton, patterns []Pattern, opts Options) (*Engine
 	if art.proto, err = core.Configure(ua, art.place, cfg); err != nil {
 		return nil, err
 	}
+	art.rank, art.ranked = rankEntries(art.proto.Reports().Entries())
 	if dfaOK {
 		// The lazy DFA steps the machine's plan: one set of NFA tables.
 		if art.dfaPlan, err = dfa.PlanOver(art.proto.Plan(), classOf, classes); err != nil {
@@ -339,20 +348,19 @@ func compile(nfa *automata.Automaton, patterns []Pattern, opts Options) (*Engine
 	}
 
 	depth, bounded := sched.DependenceCycles(ua)
+	art.geo = newGeometry(ua, depth, bounded)
 	if opts.Prefilter == PrefilterOn {
-		art.pre = buildPrefilter(nfa, ua, depth, bounded, patterns)
+		art.pre = buildPrefilter(nfa, art.geo, depth, patterns)
 	}
 	art.metaIn = meta.Inputs{
-		ByteStates:       nfa.NumStates(),
-		DeviceStates:     ua.NumStates(),
-		ReportStates:     ua.NumReportStates(),
-		Rate:             ua.Rate,
-		SymbolUnits:      ua.SymbolUnits,
-		DependenceWindow: depth,
-		Bounded:          bounded,
-		SymbolClasses:    classes,
-		DFASupported:     dfaOK,
-		DFAReason:        dfaReason,
+		ByteStates:    nfa.NumStates(),
+		DeviceStates:  ua.NumStates(),
+		ReportStates:  ua.NumReportStates(),
+		Rate:          ua.Rate,
+		SymbolUnits:   ua.SymbolUnits,
+		SymbolClasses: classes,
+		DFASupported:  dfaOK,
+		DFAReason:     dfaReason,
 	}
 	if err := art.resolveBackend(); err != nil {
 		return nil, err
@@ -389,18 +397,14 @@ func (e *Engine) Analyze(sample []byte) *analysis.Report {
 // match (the byte position where an occurrence ends, with its rule code)
 // and the device statistics.
 func (e *Engine) Scan(input []byte) (*ScanResult, error) {
-	rt, err := e.resolve("", shardIfParallel)
+	rt, err := e.resolve("")
 	if err != nil {
 		return nil, err
 	}
-	// Scan is a sequential entry point: prefilter windows run on its one
-	// runner, and only the "parallel" backend fans out.
-	workers := 1
-	if rt.leg == legSharded {
-		workers = ScanOptions{}.workers()
-	}
+	// Scan is sequential: the whole input, or its prefilter windows, run
+	// on the engine's one runner.
 	var rs [1]windowRunner
-	return e.scanOn(rt, rs[:], false, input, workers)
+	return e.scanOn(rt, rs[:], false, input)
 }
 
 // Summarize returns, per rule code, whether the rule has fired since the
@@ -457,8 +461,8 @@ type Info struct {
 	// PrefilterLiterals are the extracted required literals (every match
 	// contains at least one); nil unless the prefilter is active.
 	PrefilterLiterals []string
-	// Backend is the resolved scan backend ("nfa", "dfa", "parallel"),
-	// annotated with the selection reason when Options.Backend was "auto".
+	// Backend is the resolved scan backend ("nfa" or "dfa"), annotated
+	// with the selection reason when Options.Backend was "auto".
 	Backend string
 	// DFAStates is the number of DFA states the lazy-DFA backend has
 	// constructed on the sequential runner so far (zero before the first

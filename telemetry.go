@@ -18,9 +18,10 @@ type TelemetryOptions struct {
 	TraceCapacity int
 	// Spans enables wall-clock span tracing: sampled, parent-linked
 	// begin/end intervals recorded by the serve path (requests, pool
-	// waits) and the parallel scheduler (per-shard warm-up vs. productive
-	// execution). Spans live beside the cycle-level event trace and merge
-	// with it into one Chrome trace timeline (WriteMergedChromeTrace).
+	// waits) and ScanParallel (a parallel_run with a shard span per
+	// share and a warmup span per warm-up replay). Spans live beside the
+	// cycle-level event trace and merge with it into one Chrome trace
+	// timeline (WriteMergedChromeTrace).
 	Spans bool
 	// SpanCapacity caps buffered spans (0 selects the default, 64k);
 	// SpanSampleEvery records every Nth root span (<= 1 records all).
@@ -190,21 +191,20 @@ type PUStats struct {
 // Reset/Scan. Summing any field across the slice reproduces the
 // corresponding aggregate in Stats.
 func (e *Engine) PerPU() []PUStats {
-	return toPUStats(e.model.PerPU(), 0)
+	return puStats(e.model, e.proto.NumPUs())
 }
 
-// toPUStats converts the report model's per-PU counters to the public
-// type. A nil per — a leg that models no report region — yields n zeroed
-// rows.
-func toPUStats(per []report.PUStats, n int) []PUStats {
-	if per != nil {
-		n = len(per)
-	}
+// puStats returns the n per-PU rows of a run's report model in the public
+// type, read from the model once. A nil model — a leg that models no
+// report region — yields zeroed rows.
+func puStats(model *report.Sunder, n int) []PUStats {
 	out := make([]PUStats, n)
 	for i := range out {
 		out[i].PU = i
-	}
-	for i, p := range per {
+		if model == nil {
+			continue
+		}
+		p := model.PU(i)
 		out[i] = PUStats{
 			PU:            i,
 			ReportEntries: p.ReportEntries,
