@@ -264,7 +264,7 @@ func TestDFAPoolSurvivesCollection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	released := eng.runner(legDFA, true)
+	released := eng.runner(true)
 	done := make(chan bool)
 	go func() {
 		eng.release([]windowRunner{released})
@@ -273,7 +273,7 @@ func TestDFAPoolSurvivesCollection(t *testing.T) {
 	<-done
 	runtime.GC()
 	got := make(chan windowRunner)
-	go func() { got <- eng.runner(legDFA, true) }()
+	go func() { got <- eng.runner(true) }()
 	if rn := <-got; rn != released {
 		t.Fatal("a call after one collection built a new runner while the released one was idle")
 	}

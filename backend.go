@@ -6,43 +6,28 @@ import (
 	"sunder/internal/meta"
 )
 
-// resolveBackend validates Options.Backend and resolves the artifact's
-// scan backend from its shape statistics. It is the last step of compile.
-// Whether a call runs this backend on the whole input or on a prefilter's
-// candidate windows is Engine.resolve's decision.
+// resolveBackend validates Options.Backend and fixes the artifact's scan
+// substrate: "nfa" (or "") the machine, "dfa" the lazy DFA, and "auto" what
+// the selector picks from the shape statistics. It is the last step of
+// compile. Every call on the artifact runs this substrate, on the whole
+// input, on ScanParallel's shares of it or on a prefilter's candidate
+// windows.
 func (a *compiledArtifact) resolveBackend() error {
-	a.autoChoice = meta.Select(a.metaIn)
-	// Options.Backend resolves like an override of the default, "nfa".
-	a.backend = meta.BackendNFA
-	backend, err := a.effectiveBackend(a.opts.Backend)
-	if err != nil {
-		return err
+	if !meta.Known(a.opts.Backend) {
+		return fmt.Errorf("sunder: unknown Backend %q (want \"auto\", \"nfa\" or \"dfa\")", a.opts.Backend)
 	}
-	a.backend, a.backendNote = backend, backend
-	if a.opts.Backend == meta.BackendAuto {
-		a.backendNote = a.autoChoice.String()
+	a.backendNote = meta.BackendNFA
+	switch a.opts.Backend {
+	case meta.BackendDFA:
+		if a.dfaPlan == nil {
+			return fmt.Errorf("sunder: Backend %q unsupported for this configuration: %s", meta.BackendDFA, a.metaIn.DFAReason)
+		}
+		a.onDFA, a.backendNote = true, meta.BackendDFA
+	case meta.BackendAuto:
+		c := meta.Select(a.metaIn)
+		a.onDFA, a.backendNote = c.Backend == meta.BackendDFA, c.String()
 	}
 	return nil
-}
-
-// effectiveBackend validates a backend name and resolves it against the
-// compiled choice ("" keeps it, "auto" is what the selector picked for this
-// shape) — the per-call ScanOptions.Backend override, and at compile time
-// Options.Backend itself.
-func (e *compiledArtifact) effectiveBackend(override string) (string, error) {
-	if override == "" {
-		return e.backend, nil
-	}
-	if !meta.Known(override) {
-		return "", fmt.Errorf("sunder: unknown Backend %q (want \"auto\", \"nfa\" or \"dfa\")", override)
-	}
-	if override == meta.BackendAuto {
-		return e.autoChoice.Backend, nil
-	}
-	if override == meta.BackendDFA && e.dfaPlan == nil {
-		return "", fmt.Errorf("sunder: Backend %q unsupported for this configuration: %s", meta.BackendDFA, e.metaIn.DFAReason)
-	}
-	return override, nil
 }
 
 // DFAStats reports the lazy-DFA backend's cache behaviour on this engine's

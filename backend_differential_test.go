@@ -28,7 +28,8 @@ func compareBackend(t *testing.T, label string, base, got *ScanResult) {
 // benchmark workload compiled under Backend "auto" and forced "dfa" must be
 // byte-identical to the sequential NFA core on Scan, ScanParallel (1–8
 // workers) and Stream (chunks 1/13/97). Workloads whose configuration the
-// lazy DFA does not support skip the forced leg (auto never fails).
+// lazy DFA does not support (DFAStats().Supported) skip the forced leg;
+// auto never fails.
 func TestBackendDifferential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full 19-benchmark differential in long mode only")
@@ -41,7 +42,7 @@ func TestBackendDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		base, err := fromByteNFA(w.Automaton, DefaultOptions())
+		base, err := CompileAutomaton(w.Automaton, DefaultOptions())
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -51,14 +52,14 @@ func TestBackendDifferential(t *testing.T) {
 		}
 
 		for _, backend := range []string{"auto", "dfa"} {
+			if backend == "dfa" && !base.DFAStats().Supported {
+				t.Logf("%s: forced dfa unsupported: %s", name, base.DFAStats().Reason)
+				continue
+			}
 			opts := DefaultOptions()
 			opts.Backend = backend
-			eng, err := fromByteNFA(w.Automaton, opts)
+			eng, err := CompileAutomaton(w.Automaton, opts)
 			if err != nil {
-				if backend == "dfa" && strings.Contains(err.Error(), "unsupported") {
-					t.Logf("%s: forced dfa unsupported: %v", name, err)
-					continue
-				}
 				t.Fatalf("%s/%s: %v", name, backend, err)
 			}
 			label := name + "/" + backend
@@ -105,21 +106,12 @@ func TestBackendDifferential(t *testing.T) {
 				}
 			}
 		}
-
-		// The per-call override on an unforced engine must agree too.
-		if _, err := base.effectiveBackend("dfa"); err == nil {
-			over, err := base.ScanParallel(w.Input, ScanOptions{Backend: "dfa"})
-			if err != nil {
-				t.Fatal(err)
-			}
-			compareBackend(t, name+"/override", bseq, over)
-		}
 	}
 }
 
 // FuzzDFA cross-checks the lazy-DFA backend against the NFA core on
-// fuzz-chosen inputs over a panel of rule sets, through both the compiled
-// backend and the per-call override.
+// fuzz-chosen inputs over a panel of rule sets, through a forced "dfa"
+// engine's sequential runner and its pooled parallel ones.
 func FuzzDFA(f *testing.F) {
 	sets := [][]Pattern{
 		{{Expr: `ab+c`, Code: 1}, {Expr: `zz`, Code: 2}},
@@ -160,55 +152,27 @@ func FuzzDFA(f *testing.F) {
 			t.Fatal(err)
 		}
 		compareBackend(t, "fuzz/dfa", want, got)
-		over, err := p.base.ScanParallel(input, ScanOptions{Backend: "dfa"})
+		par, err := p.dfa.ScanParallel(input, ScanOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		compareBackend(t, "fuzz/override", want, over)
+		compareBackend(t, "fuzz/dfa-parallel", want, par)
 	})
 }
 
-// TestBackendOverrideValidatedOnEveryLeg: a per-call ScanOptions.Backend is
-// validated by the plan resolver before any leg is chosen, so an unknown
-// name — "parallel" among them: ScanParallel, not a backend, shards — or an
-// unsupported "dfa" is an error on a plain engine and on one whose
-// prefilter confines the backend to candidate windows. Compile refuses the
-// same names in Options.Backend.
-func TestBackendOverrideValidatedOnEveryLeg(t *testing.T) {
-	input := []byte("xabbczzx")
+// TestCompileRefusesUnknownBackend: Options.Backend accepts "auto", "nfa"
+// and "dfa" only — "parallel" among the refused names: ScanParallel, not a
+// backend, shards — and a forced "dfa" the configuration cannot determinize
+// (Rate 1) fails the compile too.
+func TestCompileRefusesUnknownBackend(t *testing.T) {
 	for _, backend := range []string{"bogus", "parallel"} {
 		_, err := Compile([]Pattern{{Expr: `ab+c`, Code: 1}}, Options{Backend: backend})
 		if err == nil || !strings.Contains(err.Error(), "unknown Backend") {
 			t.Errorf("Compile with Backend %q: %v, want an unknown-backend error", backend, err)
 		}
 	}
-	for _, tc := range []struct {
-		name     string
-		rate     int
-		pre      PrefilterMode
-		override string
-	}{
-		{"plain/unknown", 4, PrefilterOff, "bogus"},
-		{"plain/parallel", 4, PrefilterOff, "parallel"},
-		{"plain/unsupported-dfa", 1, PrefilterOff, "dfa"},
-		{"prefilter/unknown", 4, PrefilterOn, "bogus"},
-		{"prefilter/parallel", 4, PrefilterOn, "parallel"},
-	} {
-		opts := DefaultOptions()
-		opts.Rate, opts.Prefilter = tc.rate, tc.pre
-		eng, err := Compile([]Pattern{{Expr: `ab+c`, Code: 1}, {Expr: `zz`, Code: 2}}, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := eng.ScanParallel(input, ScanOptions{Backend: tc.override}); err == nil {
-			t.Errorf("%s: ScanParallel accepted Backend %q", tc.name, tc.override)
-		}
-		if _, err := eng.ScanBatch([][]byte{input}, ScanOptions{Backend: tc.override}); err == nil {
-			t.Errorf("%s: ScanBatch accepted Backend %q", tc.name, tc.override)
-		}
-		// A valid override still scans.
-		if _, err := eng.ScanParallel(input, ScanOptions{Backend: "nfa"}); err != nil {
-			t.Errorf("%s: ScanParallel rejected Backend \"nfa\": %v", tc.name, err)
-		}
+	_, err := Compile([]Pattern{{Expr: `ab+c`, Code: 1}}, Options{Rate: 1, Backend: "dfa"})
+	if err == nil || !strings.Contains(err.Error(), "unsupported") {
+		t.Errorf("Compile with Rate 1 and Backend \"dfa\": %v, want an unsupported-backend error", err)
 	}
 }

@@ -499,7 +499,10 @@ func BenchmarkScanParallel(b *testing.B) {
 
 // BenchmarkEngineScanParallel is the facade-level counterpart of
 // BenchmarkEngineScan: the same input through ScanParallel, on the machine
-// and on the lazy DFA.
+// and on the lazy DFA. Its rules have a bounded dependence window, so the
+// input cuts into up to one share per worker, which the "shares" metric
+// reports (an unbounded rule such as `ha+ystack` would run one share at
+// every worker count).
 func BenchmarkEngineScanParallel(b *testing.B) {
 	input := make([]byte, 64*1024)
 	for i := range input {
@@ -511,13 +514,18 @@ func BenchmarkEngineScanParallel(b *testing.B) {
 		opts.Backend = backend
 		eng, err := Compile([]Pattern{
 			{Expr: `needle`, Code: 1},
-			{Expr: `ha+ystack`, Code: 2},
+			{Expr: `ha{1,4}ystack`, Code: 2},
 		}, opts)
 		if err != nil {
 			b.Fatal(err)
 		}
+		total := eng.geo.cycles(int64(len(input)))
 		for _, workers := range []int{1, 2, 4, 8} {
 			b.Run(fmt.Sprintf("%s/workers=%d", backend, workers), func(b *testing.B) {
+				shares := len(eng.geo.cuts([]sched.CycleSpan{{End: total}}, workers, total)) - 1
+				if workers == 2 && shares != 2 {
+					b.Fatalf("Workers 2 cut the input into %d shares, want 2", shares)
+				}
 				b.SetBytes(int64(len(input)))
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
@@ -525,6 +533,7 @@ func BenchmarkEngineScanParallel(b *testing.B) {
 						b.Fatal(err)
 					}
 				}
+				b.ReportMetric(float64(shares), "shares")
 			})
 		}
 	}

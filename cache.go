@@ -82,11 +82,8 @@ func compileKey(patterns []Pattern, opts Options) string {
 	writeInt(int64(opts.MetadataBits))
 	writeBool(opts.FIFO)
 	writeBool(opts.SummarizeOnFull)
-	// Prune changes the compiled automaton (dead states are removed before
-	// placement): a pruned and an unpruned compile must not share an entry.
 	// TestCompileKeyCoversOptions enumerates Options by reflection so a
 	// future compile-affecting field cannot be forgotten here silently.
-	writeBool(opts.Prune)
 	// Minimize rewrites the compiled automaton (merged/pruned states change
 	// the placement): minimized and unminimized compiles must not share an
 	// entry.

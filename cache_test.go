@@ -148,8 +148,9 @@ func TestCompileCachedErrorNotCached(t *testing.T) {
 	}
 }
 
-// prunablePatterns is a rule set on which Options.Prune provably removes
-// states: the `a.` alternative subsumes `ab`, so the `ab` chain is dead.
+// prunablePatterns is a rule set on which Options.Minimize's prune rounds
+// provably remove states: the `a.` alternative subsumes `ab`, so the `ab`
+// chain is dead.
 func prunablePatterns() []Pattern {
 	return []Pattern{
 		{Expr: `(ab|a.)c`, Code: 1},
@@ -157,71 +158,72 @@ func prunablePatterns() []Pattern {
 	}
 }
 
-// TestCompileCachedPruneDistinct is the regression test for the
-// compile-key collision: a pruned and an unpruned compile of the same
-// patterns must occupy distinct cache entries. Before the fix,
-// CompileCached(p, {Prune:true}) after CompileCached(p, {Prune:false})
-// returned the unpruned machine.
-func TestCompileCachedPruneDistinct(t *testing.T) {
+// TestCompileCachedMinimizeDistinct is the regression test for the
+// compile-key collision: a minimized and a plain compile of the same
+// patterns must occupy distinct cache entries. Before the fix, a compile
+// with an option that shrinks the machine after one without it returned
+// the unshrunk machine.
+func TestCompileCachedMinimizeDistinct(t *testing.T) {
 	ResetCompileCache()
 	pats := prunablePatterns()
-	unpruned, err := CompileCached(pats, DefaultOptions())
+	plain, err := CompileCached(pats, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	popts := DefaultOptions()
-	popts.Prune = true
-	pruned, err := CompileCached(pats, popts)
+	mopts := DefaultOptions()
+	mopts.Minimize = true
+	minimized, err := CompileCached(pats, mopts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh, err := Compile(pats, popts)
+	fresh, err := Compile(pats, mopts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if fresh.Info().PrunedStates == 0 {
 		t.Fatal("test rule set no longer prunes any state; pick a prunable one")
 	}
-	if got, want := pruned.Info().DeviceStates, fresh.Info().DeviceStates; got != want {
-		t.Errorf("cached pruned engine has %d device states, fresh pruned compile has %d (cache key collision)", got, want)
+	if got, want := minimized.Info().DeviceStates, fresh.Info().DeviceStates; got != want {
+		t.Errorf("cached minimized engine has %d device states, fresh minimized compile has %d (cache key collision)", got, want)
 	}
-	if got, want := pruned.Info().PrunedStates, fresh.Info().PrunedStates; got != want {
-		t.Errorf("cached pruned engine reports %d pruned states, want %d", got, want)
+	if got, want := minimized.Info().PrunedStates, fresh.Info().PrunedStates; got != want {
+		t.Errorf("cached minimized engine reports %d pruned states, want %d", got, want)
 	}
-	if pruned.Info().DeviceStates >= unpruned.Info().DeviceStates {
-		t.Errorf("pruned engine (%d states) not smaller than unpruned (%d)",
-			pruned.Info().DeviceStates, unpruned.Info().DeviceStates)
+	if minimized.Info().DeviceStates >= plain.Info().DeviceStates {
+		t.Errorf("minimized engine (%d states) not smaller than plain (%d)",
+			minimized.Info().DeviceStates, plain.Info().DeviceStates)
 	}
-	// Both configurations are now resident: re-requesting the unpruned one
-	// must hit its own entry, not the pruned machine.
+	// Both configurations are now resident: re-requesting the plain one
+	// must hit its own entry, not the minimized machine.
 	again, err := CompileCached(pats, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := again.Info().DeviceStates, unpruned.Info().DeviceStates; got != want {
-		t.Errorf("unpruned re-request returned %d device states, want %d", got, want)
+	if got, want := again.Info().DeviceStates, plain.Info().DeviceStates; got != want {
+		t.Errorf("plain re-request returned %d device states, want %d", got, want)
 	}
 	if n := CompileCacheInfo().Entries; n != 2 {
-		t.Errorf("Entries = %d, want 2 (pruned and unpruned must not share a slot)", n)
+		t.Errorf("Entries = %d, want 2 (minimized and plain must not share a slot)", n)
 	}
 	input := bytes.Repeat([]byte("zabcaxcxyyz"), 500)
 	want, err := fresh.Scan(input)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := pruned.Scan(input)
+	got, err := minimized.Scan(input)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameScan(t, "cached pruned", got, want)
+	sameScan(t, "cached minimized", got, want)
 }
 
-// TestCompileCachedPrunedStatesOnHitAndClone: Info().PrunedStates survives
-// the cache-hit path and Engine.Clone (both used to drop it to zero).
+// TestCompileCachedPrunedStatesOnHitAndClone: Info().PrunedStates, which
+// Minimize's prune rounds count, survives the cache-hit path and
+// Engine.Clone (both used to drop it to zero).
 func TestCompileCachedPrunedStatesOnHitAndClone(t *testing.T) {
 	ResetCompileCache()
 	popts := DefaultOptions()
-	popts.Prune = true
+	popts.Minimize = true
 	miss, err := CompileCached(prunablePatterns(), popts)
 	if err != nil {
 		t.Fatal(err)
@@ -292,7 +294,7 @@ func TestCompileCachedMinimizeOnHitAndClone(t *testing.T) {
 // that perturbing any single field changes the cache key — the proof
 // obligation of DESIGN.md §4.11: a future compile-affecting Options field
 // that is not hashed into compileKey fails here instead of silently
-// aliasing cache entries (how the Prune bug happened).
+// aliasing cache entries (how the pruning option's collision happened).
 func TestCompileKeyCoversOptions(t *testing.T) {
 	pats := cachePatterns(0)
 	// Base values chosen so every perturbation below lands on a distinct
@@ -324,14 +326,14 @@ func TestCompileKeyCoversOptions(t *testing.T) {
 	}
 }
 
-// TestCompileCachedConcurrentMixedPrune hammers the cache from many
-// goroutines with mixed Prune options over a small working set under
+// TestCompileCachedConcurrentMixedMinimize hammers the cache from many
+// goroutines with mixed Minimize options over a small working set under
 // -race: hit/miss counts must stay consistent, and every returned engine
-// must report the right PrunedStates and scan identically to a fresh
-// compile of the same configuration.
-func TestCompileCachedConcurrentMixedPrune(t *testing.T) {
+// must report the right PrunedStates and MergedStates and scan identically
+// to a fresh compile of the same configuration.
+func TestCompileCachedConcurrentMixedMinimize(t *testing.T) {
 	ResetCompileCache()
-	SetCompileCacheCapacity(3) // below the 9-config working set: evict+refill races
+	SetCompileCacheCapacity(3) // below the 6-config working set: evict+refill races
 	defer SetCompileCacheCapacity(DefaultCompileCacheCapacity)
 
 	input := bytes.Repeat([]byte("zabcaxcxyyzab0cab1cab2c"), 300)
@@ -346,10 +348,9 @@ func TestCompileCachedConcurrentMixedPrune(t *testing.T) {
 	for set := 0; set < 3; set++ {
 		pats := prunablePatterns()
 		pats = append(pats, cachePatterns(set)...)
-		for _, variant := range []struct{ prune, minimize bool }{{false, false}, {true, false}, {false, true}} {
+		for _, minimize := range []bool{false, true} {
 			opts := DefaultOptions()
-			opts.Prune = variant.prune
-			opts.Minimize = variant.minimize
+			opts.Minimize = minimize
 			eng, err := Compile(pats, opts)
 			if err != nil {
 				t.Fatal(err)
@@ -360,8 +361,8 @@ func TestCompileCachedConcurrentMixedPrune(t *testing.T) {
 			}
 			configs = append(configs, config{pats: pats, opts: opts, want: want,
 				pruned: eng.Info().PrunedStates, merged: eng.Info().MergedStates})
-			if (variant.prune || variant.minimize) && eng.Info().PrunedStates == 0 {
-				t.Fatal("pruned config removes no states; the hammer would not distinguish the machines")
+			if minimize && eng.Info().PrunedStates == 0 {
+				t.Fatal("minimized config removes no states; the hammer would not distinguish the machines")
 			}
 		}
 	}
@@ -380,7 +381,7 @@ func TestCompileCachedConcurrentMixedPrune(t *testing.T) {
 					return
 				}
 				if got := eng.Info().PrunedStates; got != c.pruned {
-					t.Errorf("goroutine %d: PrunedStates = %d, want %d (prune=%v minimize=%v)", g, got, c.pruned, c.opts.Prune, c.opts.Minimize)
+					t.Errorf("goroutine %d: PrunedStates = %d, want %d (minimize=%v)", g, got, c.pruned, c.opts.Minimize)
 					return
 				}
 				if got := eng.Info().MergedStates; got != c.merged {
@@ -392,7 +393,7 @@ func TestCompileCachedConcurrentMixedPrune(t *testing.T) {
 					t.Errorf("goroutine %d: %v", g, err)
 					return
 				}
-				sameScan(t, fmt.Sprintf("goroutine %d iter %d prune=%v", g, i, c.opts.Prune), got, c.want)
+				sameScan(t, fmt.Sprintf("goroutine %d iter %d minimize=%v", g, i, c.opts.Minimize), got, c.want)
 			}
 		}(g)
 	}

@@ -116,14 +116,6 @@ func main() {
 		stages[fmt.Sprintf("rate%d", ua.Rate)] = ua
 	}
 
-	if anFlags.Prune {
-		res := analysis.Prune(ua)
-		label := fmt.Sprintf("pruned (-%d states)", res.Removed())
-		show(label, ua.NumStates(), ua.NumEdges(), ua.NumReportStates())
-		fmt.Printf("    %d unreachable, %d useless, %d never-match, %d subsumed; %d report rows freed\n",
-			res.Unreachable, res.Useless, res.NeverMatch, res.Subsumed, res.ReportRowsFreed)
-	}
-
 	if anFlags.Minimize {
 		pre := ua.Clone()
 		res := analysis.Minimize(ua)

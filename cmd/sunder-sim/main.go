@@ -98,11 +98,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if anFlags.Prune {
-		pres := analysis.Prune(ua)
-		fmt.Printf("\npruned %d dead state(s) (%d unreachable, %d useless, %d never-match, %d subsumed), %d report rows freed\n",
-			pres.Removed(), pres.Unreachable, pres.Useless, pres.NeverMatch, pres.Subsumed, pres.ReportRowsFreed)
-	}
 	if anFlags.Minimize {
 		pre := ua.Clone()
 		mres := analysis.Minimize(ua)
@@ -183,7 +178,6 @@ func main() {
 		o.Rate = *rate
 		o.FIFO = *fifo
 		o.SummarizeOnFull = *summarize
-		o.Prune = anFlags.Prune
 		o.Minimize = anFlags.Minimize
 		o.Backend = beFlags.Backend
 		eng, err := sunder.CompileAutomaton(w.Automaton, o)

@@ -14,12 +14,11 @@ import (
 // TestEntryPointsAgree runs option *combinations* through every entry
 // point: for each small rule set × Backend × Prefilter × Minimize, Scan,
 // ScanParallel, ScanBatch (both twice: the second pass takes the lazy DFA's
-// pooled runners back warm; under the prefilter also with a "dfa" and an
-// "nfa" override), Stream (three chunkings), a Clone and a CompileCached
-// hit must all return the functional-simulator oracle's matches and
-// Reports/ReportCycles, account for every device cycle, and have run on the
-// substrate the route names — the lazy DFA for a "dfa" backend, prefiltered
-// or not, the machine for the others. Matches are sorted by (Position,
+// pooled runners back warm), Stream (three chunkings), a Clone and a
+// CompileCached hit must all return the functional-simulator oracle's
+// matches and Reports/ReportCycles, account for every device cycle, and
+// have run on the substrate the engine compiled to — the lazy DFA for a
+// "dfa" backend, prefiltered or not, the machine for "nfa". Matches are sorted by (Position,
 // Code) on every substrate, so every comparison includes their order, and
 // every run on the machine must leave the report model where Scan leaves
 // it (StallCycles, Flushes, PerPU) — a prefiltered Scan where the
@@ -160,13 +159,8 @@ func checkEntryPoints(t *testing.T, label string, patterns []Pattern, opts Optio
 	if err != nil {
 		t.Fatalf("%s: %v", label, err)
 	}
-	// onDFA is the substrate a call with the given override must run on.
-	onDFA := func(override string) bool {
-		if override == "" {
-			return strings.HasPrefix(eng.Backend(), "dfa")
-		}
-		return override == "dfa"
-	}
+	// onDFA is the substrate every call must run on.
+	onDFA := strings.HasPrefix(eng.Backend(), "dfa")
 	// check holds a call to the oracle and to Scan.
 	check := func(entry string, got []Match, st Stats, err error) {
 		t.Helper()
@@ -191,41 +185,35 @@ func checkEntryPoints(t *testing.T, label string, patterns []Pattern, opts Optio
 	// A result's substrate shows in its per-PU rows: the machine writes
 	// report entries into its regions, the lazy DFA models none. A run on
 	// the machine leaves the report model where Scan's does.
-	result := func(entry, override string, res *ScanResult, err error) {
+	result := func(entry string, res *ScanResult, err error) {
 		t.Helper()
 		if err != nil {
 			res = &ScanResult{}
 		}
 		check(entry, res.Matches, res.Stats, err)
-		if err == nil && !onDFA(override) && !onDFA("") {
+		if err == nil && !onDFA {
 			sameDevice(t, label+"/"+entry, res, ref)
 		}
 		entries := int64(0)
 		for _, pu := range res.PerPU {
 			entries += pu.ReportEntries
 		}
-		if err == nil && (entries == 0) != onDFA(override) {
+		if err == nil && (entries == 0) != onDFA {
 			t.Errorf("%s/%s: ran on the wrong substrate (%d report entries, backend %s)", label, entry, entries, eng.Backend())
 		}
 	}
-	result("Scan", "", ref, nil)
-	overrides := []string{""}
-	if opts.Prefilter == PrefilterOn {
-		overrides = append(overrides, "dfa", "nfa")
-	}
+	result("Scan", ref, nil)
 	for _, pass := range []string{"cold", "warm"} {
-		for _, override := range overrides {
-			for w := 1; w <= 4; w++ {
-				res, err := eng.ScanParallel(input, ScanOptions{Workers: w, Backend: override})
-				result(fmt.Sprintf("ScanParallel/%s/%q/w=%d", pass, override, w), override, res, err)
-			}
-			batch, err := eng.ScanBatch([][]byte{input, input[:len(input)/2], input}, ScanOptions{Workers: 2, Backend: override})
-			if err != nil {
-				batch = []*ScanResult{nil, nil, nil}
-			}
-			result(fmt.Sprintf("ScanBatch[0]/%s/%q", pass, override), override, batch[0], err)
-			result(fmt.Sprintf("ScanBatch[2]/%s/%q", pass, override), override, batch[2], err)
+		for w := 1; w <= 4; w++ {
+			res, err := eng.ScanParallel(input, ScanOptions{Workers: w})
+			result(fmt.Sprintf("ScanParallel/%s/w=%d", pass, w), res, err)
 		}
+		batch, err := eng.ScanBatch([][]byte{input, input[:len(input)/2], input}, ScanOptions{Workers: 2})
+		if err != nil {
+			batch = []*ScanResult{nil, nil, nil}
+		}
+		result(fmt.Sprintf("ScanBatch[0]/%s", pass), batch[0], err)
+		result(fmt.Sprintf("ScanBatch[2]/%s", pass), batch[2], err)
 	}
 	for _, chunk := range []int{1, 7, len(input)} {
 		var got []Match
@@ -242,16 +230,16 @@ func checkEntryPoints(t *testing.T, label string, patterns []Pattern, opts Optio
 			err = st.Err()
 		}
 		check(fmt.Sprintf("Stream/chunk=%d", chunk), got, stats, err)
-		if err == nil && !onDFA("") && (stats.StallCycles != ref.Stats.StallCycles || stats.Flushes != ref.Stats.Flushes) {
+		if err == nil && !onDFA && (stats.StallCycles != ref.Stats.StallCycles || stats.Flushes != ref.Stats.Flushes) {
 			t.Errorf("%s/Stream/chunk=%d: StallCycles/Flushes %d/%d, Scan %d/%d", label, chunk,
 				stats.StallCycles, stats.Flushes, ref.Stats.StallCycles, ref.Stats.Flushes)
 		}
-		if after := eng.DFAStats(); (after.Hits+after.Misses > lookups.Hits+lookups.Misses) != onDFA("") {
+		if after := eng.DFAStats(); (after.Hits+after.Misses > lookups.Hits+lookups.Misses) != onDFA {
 			t.Errorf("%s/Stream/chunk=%d: ran on the wrong substrate (backend %s)", label, chunk, eng.Backend())
 		}
 	}
 	res, err := eng.Clone().Scan(input)
-	result("Clone", "", res, err)
+	result("Clone", res, err)
 
 	ResetCompileCache()
 	if _, hit, err := CompileCachedTraced(patterns, opts); err != nil || hit {
@@ -262,6 +250,6 @@ func checkEntryPoints(t *testing.T, label string, patterns []Pattern, opts Optio
 		t.Fatalf("%s: second CompileCached: hit=%v err=%v", label, hit, err)
 	}
 	res, err = cached.Scan(input)
-	result("CompileCached", "", res, err)
-	return ref, !onDFA("")
+	result("CompileCached", res, err)
+	return ref, !onDFA
 }

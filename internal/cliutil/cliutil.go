@@ -157,15 +157,12 @@ func (b *BackendFlags) Validate() error {
 	return fmt.Errorf(`-backend: unknown backend %q (want "auto", "nfa" or "dfa")`, b.Backend)
 }
 
-// AnalysisFlags carries the -lint/-prune/-minimize flag values for the
-// static automaton analyzer.
+// AnalysisFlags carries the -lint/-minimize flag values for the static
+// automaton analyzer.
 type AnalysisFlags struct {
 	// Lint runs the IR analyzer over the compiled automaton and prints
 	// its report; error-severity findings make the tool exit non-zero.
 	Lint bool
-	// Prune removes dead states (unreachable, useless, never-matching,
-	// subsumed) before placement.
-	Prune bool
 	// Minimize runs the certified ruleset minimizer (dead-state pruning,
 	// bisimulation merging, cross-rule prefix collapse, symbol-class
 	// compression) before placement; the equivalence certificate is
@@ -173,12 +170,11 @@ type AnalysisFlags struct {
 	Minimize bool
 }
 
-// RegisterAnalysisFlags registers -lint, -prune and -minimize on the
-// default flag set.
+// RegisterAnalysisFlags registers -lint and -minimize on the default flag
+// set.
 func RegisterAnalysisFlags() *AnalysisFlags {
 	a := &AnalysisFlags{}
 	flag.BoolVar(&a.Lint, "lint", false, "run the static IR analyzer on the compiled automaton and print its report")
-	flag.BoolVar(&a.Prune, "prune", false, "prune dead automaton states (unreachable, useless, never-matching, subsumed) before placement")
 	flag.BoolVar(&a.Minimize, "minimize", false, "run the certified ruleset minimizer (prune+bisimulation+prefix collapse) before placement, verifying its equivalence certificate")
 	return a
 }

@@ -339,7 +339,7 @@ func (s *Server) handlePutRuleset(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// The compile-cache keys on every compile-affecting Options field
-	// (Prune included), so re-uploading an identical ruleset — or the same
+	// (Minimize included), so re-uploading an identical ruleset — or the same
 	// rules under a different id — costs one machine clone, not a compile.
 	sp := s.spans.Root("put_ruleset")
 	sp.SetAttr(`ruleset="` + id + `"`)

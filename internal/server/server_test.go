@@ -24,7 +24,7 @@ var testRules = []PatternJSON{
 	{Expr: `GET /admin`, Code: 100},
 	{Expr: `/etc/passwd`, Code: 201},
 	{Expr: `SELECT .* FROM`, Code: 203},
-	{Expr: `(ab|a.)c`, Code: 7}, // prunable: exercises the Prune cache path
+	{Expr: `(ab|a.)c`, Code: 7}, // prunable: exercises Minimize's prune rounds
 }
 
 // testTraffic synthesizes input with a deterministic mix of matches.
@@ -340,10 +340,10 @@ func TestServerRulesetLifecycle(t *testing.T) {
 
 	// Create, replace (200 on second PUT), list, delete.
 	putRuleset(t, ts.URL, "a", RulesetRequest{Patterns: testRules})
-	prune := RulesetRequest{Patterns: testRules, Options: &OptionsJSON{Prune: true}}
-	info := putRuleset(t, ts.URL, "a", prune)
+	minimize := RulesetRequest{Patterns: testRules, Options: &OptionsJSON{Minimize: true}}
+	info := putRuleset(t, ts.URL, "a", minimize)
 	if info.Info.PrunedStates == 0 {
-		t.Errorf("pruned replacement reports 0 pruned states: %+v", info.Info)
+		t.Errorf("minimized replacement reports 0 pruned states: %+v", info.Info)
 	}
 	lr, err := http.Get(ts.URL + "/rulesets")
 	if err != nil {
@@ -373,6 +373,37 @@ func TestServerRulesetLifecycle(t *testing.T) {
 	gr.Body.Close()
 	if gr.StatusCode != http.StatusNotFound {
 		t.Errorf("get after delete: status %d, want 404", gr.StatusCode)
+	}
+}
+
+// TestServerIgnoresRetiredPrune: the options object no longer has a
+// "prune" field, and a client that still sends it gets its ruleset replaced
+// (200), compiled as if the field were absent.
+func TestServerIgnoresRetiredPrune(t *testing.T) {
+	_, ts := newTestServer(t, Config{PoolSize: 1})
+	plain := putRuleset(t, ts.URL, "a", RulesetRequest{Patterns: testRules})
+	rules, err := json.Marshal(testRules)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := `{"patterns": ` + string(rules) + `, "options": {"prune": true}}`
+	req, _ := http.NewRequest(http.MethodPut, ts.URL+"/rulesets/a", strings.NewReader(body))
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		msg, _ := io.ReadAll(resp.Body)
+		t.Fatalf("PUT with \"prune\": status %d, want 200: %s", resp.StatusCode, msg)
+	}
+	var info RulesetInfo
+	if err := json.NewDecoder(resp.Body).Decode(&info); err != nil {
+		t.Fatal(err)
+	}
+	if info.Info.DeviceStates != plain.Info.DeviceStates || info.Info.PrunedStates != 0 {
+		t.Errorf("PUT with \"prune\": %d device states, %d pruned; want %d and 0, as without it",
+			info.Info.DeviceStates, info.Info.PrunedStates, plain.Info.DeviceStates)
 	}
 }
 

@@ -18,21 +18,22 @@ type PatternJSON struct {
 }
 
 // OptionsJSON mirrors sunder.Options. FIFO is a pointer so that an absent
-// field keeps the library default (on), matching DefaultOptions.
+// field keeps the library default (on), matching DefaultOptions. The
+// handlers ignore fields they do not know, so a client that still sends the
+// retired "prune" compiles as if it had not.
 type OptionsJSON struct {
 	Rate            int   `json:"rate,omitempty"`
 	ReportColumns   int   `json:"report_columns,omitempty"`
 	MetadataBits    int   `json:"metadata_bits,omitempty"`
 	FIFO            *bool `json:"fifo,omitempty"`
 	SummarizeOnFull bool  `json:"summarize_on_full,omitempty"`
-	Prune           bool  `json:"prune,omitempty"`
 	Minimize        bool  `json:"minimize,omitempty"`
 	Prefilter       bool  `json:"prefilter,omitempty"`
-	// Backend selects the execution backend ("auto", "nfa" or "dfa");
-	// empty keeps the library default (nfa), and any other name fails the
-	// PUT with 422, as "dfa" does when the configuration does not support
-	// the lazy DFA. A scan shards across workers with ?parallel=1 on any
-	// backend.
+	// Backend selects the execution backend ("auto", "nfa" or "dfa") for
+	// every scan of the ruleset; empty keeps the library default (nfa), and
+	// any other name fails the PUT with 422, as "dfa" does when the
+	// configuration does not support the lazy DFA. A scan shards across
+	// workers with ?parallel=1 on any backend.
 	Backend string `json:"backend,omitempty"`
 }
 
@@ -55,7 +56,6 @@ func (o *OptionsJSON) Options() sunder.Options {
 		opts.FIFO = *o.FIFO
 	}
 	opts.SummarizeOnFull = o.SummarizeOnFull
-	opts.Prune = o.Prune
 	opts.Minimize = o.Minimize
 	if o.Prefilter {
 		opts.Prefilter = sunder.PrefilterOn

@@ -7,22 +7,12 @@ import (
 )
 
 // ScanOptions configures the parallel scan paths (ScanParallel and
-// ScanBatch). The zero value picks sensible defaults everywhere.
+// ScanBatch). The zero value uses GOMAXPROCS workers. The workers run on
+// the engine's compiled substrate (Options.Backend): clones of its machine,
+// or lazy-DFA runners from its free list, one per worker.
 type ScanOptions struct {
 	// Workers caps the number of worker goroutines; <= 0 uses GOMAXPROCS.
 	Workers int
-	// BatchSize bounds ScanBatch's in-flight queue: submission blocks once
-	// that many scans are queued ahead of the workers (backpressure
-	// instead of unbounded buffering). <= 0 selects 2× workers.
-	BatchSize int
-	// Backend overrides the engine's compiled backend for this call; ""
-	// keeps the compiled choice and "auto" resolves as Options.Backend
-	// "auto" would have. The override picks the substrate the workers run
-	// on: a "dfa" call runs the lazy DFA on pooled runners, one per
-	// worker, whether they take shares of one input, candidate windows or
-	// batch inputs; output stays byte-identical. An unknown name or an
-	// unsupported "dfa" is an error on every route.
-	Backend string
 }
 
 func (o ScanOptions) workers() int {
@@ -35,7 +25,7 @@ func (o ScanOptions) workers() int {
 // ScanParallel is Scan over worker goroutines: the input's cycles are cut
 // into up to Workers contiguous shares of at least
 // sched.DefaultMinShardCycles cycles, each run on a private runner of the
-// resolved backend — a clone of the compiled machine, or a pooled lazy-DFA
+// compiled backend — a clone of the compiled machine, or a pooled lazy-DFA
 // runner — after a silent warm-up replay of the automaton's dependence
 // window, and the shares merge in input order. The result is Scan's: the
 // same matches in the same order, and the same KernelCycles, Reports and
@@ -52,21 +42,17 @@ func (o ScanOptions) workers() int {
 // ScanParallel never touches the engine's shared machine, so concurrent
 // calls on one engine are safe.
 func (e *Engine) ScanParallel(input []byte, opts ScanOptions) (*ScanResult, error) {
-	rt, err := e.resolve(opts.Backend)
-	if err != nil {
-		return nil, err
-	}
 	rs := make([]windowRunner, opts.workers())
 	defer e.release(rs)
-	return e.scanOn(rt, rs, true, input)
+	return e.scanOn(rs, true, input)
 }
 
 // ScanBatch scans many independent inputs concurrently on a bounded worker
-// pool: opts.Workers private runners serve the queue, and at most
-// opts.BatchSize scans wait in flight. results[i] corresponds to inputs[i]
-// and is identical to what Scan(inputs[i]) on a fresh engine would return;
-// under an engaged prefilter a worker runs its input's candidate windows on
-// its runner. On the lazy-DFA backend the workers' runners come from a free
+// pool: opts.Workers private runners serve the queue, and submission
+// blocks once twice that many scans wait in flight. results[i] corresponds
+// to inputs[i] and is identical to what Scan(inputs[i]) on a fresh engine
+// would return; under an engaged prefilter a worker runs its input's
+// candidate windows on its runner. On the lazy-DFA backend the workers' runners come from a free
 // list shared by the engine, its clones and compile-cache hits, and go back
 // to it with the states they determinized: the cache outlives the call, and
 // an idle rule set's runners are the garbage collector's to reclaim.
@@ -74,29 +60,23 @@ func (e *Engine) ScanParallel(input []byte, opts ScanOptions) (*ScanResult, erro
 // Like ScanParallel it leaves the engine's shared machine alone and is
 // safe to call concurrently.
 func (e *Engine) ScanBatch(inputs [][]byte, opts ScanOptions) ([]*ScanResult, error) {
-	rt, err := e.resolve(opts.Backend)
-	if err != nil {
-		return nil, err
-	}
 	results := make([]*ScanResult, len(inputs))
 	workers := max(min(opts.workers(), len(inputs)), 1)
-	queue := opts.BatchSize
-	if queue <= 0 {
-		queue = 2 * workers
-	}
 	// Each worker owns a private runner, acquired by its first input that
 	// needs one: inputs are independent, so runners reset per input but keep
 	// their scratch warm across the batch (and the DFA its cache across
 	// calls). errs holds each worker's first error.
 	runners := make([]windowRunner, workers)
 	errs := make([]error, workers)
-	pool := sched.NewPool(workers, queue)
+	// Two queued inputs per worker keep every worker fed while submission
+	// waits on the queue instead of buffering the whole batch.
+	pool := sched.NewPool(workers, 2*workers)
 	for i, in := range inputs {
 		pool.Submit(func(worker int) {
 			if errs[worker] != nil {
 				return
 			}
-			results[i], errs[worker] = e.scanOn(rt, runners[worker:worker+1], true, in)
+			results[i], errs[worker] = e.scanOn(runners[worker:worker+1], true, in)
 		})
 	}
 	pool.Wait()

@@ -320,7 +320,7 @@ func TestScanBatchMatchesScan(t *testing.T) {
 	for i := range inputs {
 		inputs[i] = genInput(rng, []Pattern{{Expr: "abc"}, {Expr: "bcdd"}}, 200+rng.Intn(3000))
 	}
-	got, err := eng.ScanBatch(inputs, ScanOptions{Workers: 4, BatchSize: 3})
+	got, err := eng.ScanBatch(inputs, ScanOptions{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

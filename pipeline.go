@@ -12,52 +12,16 @@ import (
 	"sunder/internal/core"
 	"sunder/internal/dfa"
 	"sunder/internal/funcsim"
-	"sunder/internal/meta"
 	"sunder/internal/report"
 	"sunder/internal/sched"
 )
 
 // This file is the one execution pipeline behind Scan, ScanParallel,
-// ScanBatch and Stream (DESIGN.md §4.17): resolve picks the route, a runner
-// executes it span by span — the whole input, a share of it, or a
-// prefilter's candidate windows (windows.go) — the reduction turns its
+// ScanBatch and Stream (DESIGN.md §4.17): a runner of the compiled
+// substrate executes a call span by span — the whole input, a share of it,
+// or a prefilter's candidate windows (windows.go) — the reduction turns its
 // report cycles into matches and counts, and result turns a finished run
 // into a ScanResult.
-
-// leg is the substrate that executes one call.
-type leg int
-
-const (
-	// legDFA steps the lazy DFA.
-	legDFA leg = iota
-	// legNFA steps a bitvec machine.
-	legNFA
-)
-
-// route is the resolved execution plan of one call: its leg, and whether an
-// engaged prefilter confines it to candidate windows.
-type route struct {
-	leg      leg
-	filtered bool
-}
-
-// resolve decides the route of one call. It is the only place an entry
-// point asks "prefilter or backend?": the backend — the compiled one or a
-// validated per-call override — picks the substrate, which an engaged
-// prefilter confines to candidate windows. How many runners share the
-// call is the entry point's decision (scanOn). A bad override is an error
-// whatever route would have run.
-func (e *Engine) resolve(override string) (route, error) {
-	backend, err := e.effectiveBackend(override)
-	if err != nil {
-		return route{}, err
-	}
-	rt := route{leg: legNFA, filtered: e.pre.enabled()}
-	if backend == meta.BackendDFA {
-		rt.leg = legDFA
-	}
-	return rt, nil
-}
 
 // runner is the execution contract every substrate implements: rewind,
 // consume input span by span, seal. A runner owns its partial-cycle
@@ -93,7 +57,7 @@ type windowRunner interface {
 	skipTo(to int64)
 }
 
-// runOutput is a finished run, whichever leg produced it.
+// runOutput is a finished run, whichever substrate produced it.
 type runOutput struct {
 	stats   Stats
 	matches []Match
@@ -101,7 +65,7 @@ type runOutput struct {
 	// prefiltered scan reports as PrefilterWindows.
 	windows int64
 	// model is the report model the run finished, which holds its per-PU
-	// rows; nil when the leg models no report region (lazy DFA, a
+	// rows; nil when the run models no report region (lazy DFA, a
 	// prefilter full skip), and the result then carries zeroed rows.
 	model *report.Sunder
 	// trace is the report-state stream of a share of a parallel run on
@@ -109,8 +73,7 @@ type runOutput struct {
 	trace *report.Trace
 }
 
-// add appends run o, which covers later cycles of the same input on the
-// same leg.
+// add appends run o, which covers later cycles of the same input.
 func (out *runOutput) add(o runOutput) {
 	s := &out.stats
 	s.KernelCycles += o.stats.KernelCycles
@@ -324,13 +287,13 @@ func (r *reduction) end(kernel int64) runOutput {
 	return out
 }
 
-// runner returns a runner of leg l. The sequential entry points (Scan,
-// NewStream) share the engine's persistent machine and DFA runners — the
-// DFA state cache stays hot across scans; private hands out one that
-// touches no engine state, for the parallel entry points' workers, who
+// runner returns a runner of the compiled substrate. The sequential entry
+// points (Scan, NewStream) share the engine's persistent machine or DFA
+// runner — the DFA state cache stays hot across scans; private hands out one
+// that touches no engine state, for the parallel entry points' workers, who
 // release it when their call ends.
-func (e *Engine) runner(l leg, private bool) windowRunner {
-	if l == legDFA {
+func (e *Engine) runner(private bool) windowRunner {
+	if e.onDFA {
 		if private {
 			if d := e.takeDFA(); d != nil {
 				return d
@@ -367,10 +330,10 @@ func (e *Engine) privateMachineRunner(sink reportSink) *machineRunner {
 	return &machineRunner{reduction: e.newReduction(sink), m: m}
 }
 
-// acquire returns rs[i], filled with a runner of leg l on first use.
-func (e *Engine) acquire(rs []windowRunner, i int, l leg, private bool) windowRunner {
+// acquire returns rs[i], filled with a runner on first use.
+func (e *Engine) acquire(rs []windowRunner, i int, private bool) windowRunner {
 	if rs[i] == nil {
-		rs[i] = e.runner(l, private)
+		rs[i] = e.runner(private)
 	}
 	return rs[i]
 }
@@ -431,9 +394,9 @@ func (a *compiledArtifact) putDFA(d *dfaRunner) {
 // wide stride markers that has to fit the report region, which bounds the
 // cycles a device may be stepped (core.Config.MaxCycles — about 10^15 at
 // the default 20 bits, a few thousand at 1). The bound is a property of
-// the compiled configuration, so it holds on every leg alike, whether or
-// not the leg models the region. On a stream the error is sticky; Close
-// still finishes what was accepted.
+// the compiled configuration, so it holds on every substrate alike, whether
+// or not the substrate models the region. On a stream the error is sticky;
+// Close still finishes what was accepted.
 var ErrCycleRangeExceeded = errors.New("sunder: input exceeds the device's report cycle range")
 
 // checkCycleRange refuses an input of n bytes in total that would step the
@@ -448,22 +411,23 @@ func (e *Engine) checkCycleRange(n int64) error {
 	return nil
 }
 
-// scanOn runs one whole input on route rt over the call's runners rs,
-// acquired on first use: its candidate windows (scanPrefiltered), its
-// shares when there are runners to share it (runShares, with one span that
-// covers the input), or reset; feed; finish on the one runner.
-func (e *Engine) scanOn(rt route, rs []windowRunner, private bool, input []byte) (*ScanResult, error) {
+// scanOn runs one whole input over the call's runners rs, acquired on
+// first use: its candidate windows when the prefilter engaged
+// (scanPrefiltered), its shares when there are runners to share it
+// (runShares, with one span that covers the input), or reset; feed; finish
+// on the one runner.
+func (e *Engine) scanOn(rs []windowRunner, private bool, input []byte) (*ScanResult, error) {
 	if err := e.checkCycleRange(int64(len(input))); err != nil {
 		return nil, err
 	}
-	if rt.filtered {
-		return e.scanPrefiltered(rt.leg, rs, private, input), nil
+	if e.pre.enabled() {
+		return e.scanPrefiltered(rs, private, input), nil
 	}
 	if len(rs) > 1 {
 		total := e.geo.cycles(int64(len(input)))
-		return e.result(e.runShares(rt.leg, rs, private, input, []sched.CycleSpan{{End: total}}, total)), nil
+		return e.result(e.runShares(rs, private, input, []sched.CycleSpan{{End: total}}, total)), nil
 	}
-	rn := e.acquire(rs, 0, rt.leg, private)
+	rn := e.acquire(rs, 0, private)
 	rn.reset(nil, int64(len(input)))
 	if err := rn.feed(input); err != nil {
 		return nil, err
@@ -557,11 +521,11 @@ func (r *machineRunner) finish() runOutput {
 
 // dfaRunner steps the lazy DFA over raw bytes. KernelCycles equals the
 // device's padded cycle count; StallCycles, Flushes and the per-PU
-// breakdown are the report model's, which the DFA leg does not feed, and
+// breakdown are the report model's, which the lazy DFA does not feed, and
 // read zero. Device telemetry counters stay untouched for the same reason.
 // Feeding the model costs about 47–90 ns per report cycle
 // (BenchmarkReportModel on Snort's rate-4 stream, 2-vCPU Xeon), which on a
-// report-dense stream would cost this leg more than its stepping does.
+// report-dense stream would cost the lazy DFA more than its stepping does.
 type dfaRunner struct {
 	reduction
 	r *dfa.Runner

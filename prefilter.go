@@ -171,11 +171,11 @@ func (e *Engine) planSpans(input []byte, totalCycles int64, padUnits int) (spans
 }
 
 // scanPrefiltered is the filtered whole-input scan: the literal scan plans
-// candidate spans, and runners of leg l execute their windows (runShares) —
+// candidate spans, and the call's runners execute their windows (runShares) —
 // one for Scan and a ScanBatch worker, up to len(rs) for ScanParallel.
 // Runners are acquired only once there is a span, so a literal-free input
 // touches none.
-func (e *Engine) scanPrefiltered(l leg, rs []windowRunner, private bool, input []byte) *ScanResult {
+func (e *Engine) scanPrefiltered(rs []windowRunner, private bool, input []byte) *ScanResult {
 	g := &e.geo
 	totalCycles := g.cycles(int64(len(input)))
 	col := e.telemetryCollector()
@@ -195,7 +195,7 @@ func (e *Engine) scanPrefiltered(l leg, rs []windowRunner, private bool, input [
 		spans = append(spans[:0], sched.CycleSpan{End: totalCycles})
 	}
 	slices.SortFunc(spans, bySpanStart)
-	out := e.runShares(l, rs, private, input, spans, totalCycles)
+	out := e.runShares(rs, private, input, spans, totalCycles)
 	out.stats.PrefilterWindows = out.windows
 	out.stats.SkippedCycles = totalCycles - out.stats.KernelCycles
 	notePrefilter(col, hits, out.stats.PrefilterWindows, out.stats.KernelCycles, out.stats.SkippedCycles)

@@ -82,7 +82,7 @@ func TestPrefilterDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		base, err := fromByteNFA(w.Automaton, DefaultOptions())
+		base, err := CompileAutomaton(w.Automaton, DefaultOptions())
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -93,7 +93,7 @@ func TestPrefilterDifferential(t *testing.T) {
 		for _, backend := range substrates {
 			opts := DefaultOptions()
 			opts.Prefilter, opts.Backend = PrefilterOn, backend
-			filt, err := fromByteNFA(w.Automaton, opts)
+			filt, err := CompileAutomaton(w.Automaton, opts)
 			if err != nil {
 				t.Fatalf("%s (prefiltered on %s): %v", name, backend, err)
 			}
@@ -242,7 +242,7 @@ type windowTest struct {
 func forWindowedBackends(t *testing.T, f func(windowTest)) {
 	t.Helper()
 	w := workload.MustGet("Bro217", 0.05, 8000)
-	want, err := fromByteNFA(w.Automaton, DefaultOptions())
+	want, err := CompileAutomaton(w.Automaton, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +256,7 @@ func forWindowedBackends(t *testing.T, f func(windowTest)) {
 	for _, backend := range substrates {
 		opts := DefaultOptions()
 		opts.Backend, opts.Prefilter = backend, PrefilterOn
-		eng, err := fromByteNFA(w.Automaton, opts)
+		eng, err := CompileAutomaton(w.Automaton, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -272,7 +272,7 @@ func forWindowedBackends(t *testing.T, f func(windowTest)) {
 			run: func(spans []sched.CycleSpan, from, to int64) runOutput {
 				rs := []windowRunner{nil}
 				defer eng.release(rs)
-				return eng.runWindows(eng.acquire(rs, 0, scanLeg(t, eng), true), w.Input, spans, from, to, nil)
+				return eng.runWindows(eng.acquire(rs, 0, true), w.Input, spans, from, to, nil)
 			},
 			check: func(label string, out runOutput) {
 				t.Helper()
@@ -281,16 +281,6 @@ func forWindowedBackends(t *testing.T, f func(windowTest)) {
 			},
 		})
 	}
-}
-
-// scanLeg is the leg e's Scan runs on.
-func scanLeg(t *testing.T, e *Engine) leg {
-	t.Helper()
-	rt, err := e.resolve("")
-	if err != nil {
-		t.Fatal(err)
-	}
-	return rt.leg
 }
 
 // comparePrefilteredResult is comparePrefiltered for a call that may have

@@ -68,7 +68,7 @@ func TestScanBatchConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			got, err := eng.ScanBatch(inputs, ScanOptions{Workers: 4, BatchSize: 2})
+			got, err := eng.ScanBatch(inputs, ScanOptions{Workers: 4})
 			if err != nil {
 				t.Errorf("batch %d: %v", g, err)
 				return
@@ -116,7 +116,7 @@ func TestDFAPoolConcurrent(t *testing.T) {
 			wg.Add(1)
 			go func(g int) {
 				defer wg.Done()
-				got, err := engines[g%len(engines)].ScanBatch(inputs, ScanOptions{Workers: 3, BatchSize: 2})
+				got, err := engines[g%len(engines)].ScanBatch(inputs, ScanOptions{Workers: 3})
 				if err != nil {
 					t.Errorf("%s batch %d: %v", pass, g, err)
 					return
@@ -197,7 +197,7 @@ func TestScanConcurrentSequentialAndBatch(t *testing.T) {
 			if g%2 == 1 {
 				e = eng.Clone()
 			}
-			got, err := e.ScanBatch(inputs, ScanOptions{Workers: 3, BatchSize: 2})
+			got, err := e.ScanBatch(inputs, ScanOptions{Workers: 3})
 			if err != nil {
 				t.Errorf("batch %d: %v", g, err)
 				return

@@ -22,13 +22,14 @@ for _ in $(seq 1 50); do
 done
 curl -sf "$base/healthz" >/dev/null || { echo "serve_smoke: server never came up" >&2; exit 1; }
 
-# Upload a rule set (one prunable rule, exercising the Prune cache key).
+# Upload a rule set (one prunable rule, exercising the Minimize cache key and
+# its prune rounds).
 put=$(curl -sf -X PUT "$base/rulesets/smoke" -d '{
   "patterns": [
     {"expr": "GET /admin", "code": 100},
     {"expr": "(ab|a.)c", "code": 7}
   ],
-  "options": {"prune": true}
+  "options": {"minimize": true}
 }')
 echo "ruleset: $put"
 grep -q '"pruned_states":[1-9]' <<<"$put" || {

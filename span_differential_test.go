@@ -24,7 +24,7 @@ func TestSpanDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		eng, err := fromByteNFA(w.Automaton, DefaultOptions())
+		eng, err := CompileAutomaton(w.Automaton, DefaultOptions())
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -104,7 +104,7 @@ func TestSpanExportsFromScan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := fromByteNFA(w.Automaton, DefaultOptions())
+	eng, err := CompileAutomaton(w.Automaton, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,7 +11,8 @@ var ErrClosedStream = errors.New("sunder: write to closed stream")
 // the OnMatch callback as they occur.
 type Stream struct {
 	e *Engine
-	// run is the resolved leg's runner: Write feeds it, Close finishes it.
+	// run is the engine's sequential runner, or the prefilter over it:
+	// Write feeds it, Close finishes it.
 	run     runner
 	err     error
 	bytesIn int64
@@ -29,16 +30,12 @@ type Stream struct {
 // concurrent streams, open each on its own Engine.Clone — clones share the
 // compiled artifacts, so this is cheap.
 func (e *Engine) NewStream(onMatch func(Match)) (*Stream, error) {
-	rt, err := e.resolve("")
-	if err != nil {
-		return nil, err
-	}
 	if onMatch == nil {
 		onMatch = func(Match) {}
 	}
-	rn := e.runner(rt.leg, false)
+	rn := e.runner(false)
 	s := &Stream{e: e, run: rn}
-	if rt.filtered {
+	if e.pre.enabled() {
 		s.run = &streamFilter{windowLoop: windowLoop{rn: rn, g: &e.geo}, e: e, p: e.pre}
 	}
 	s.run.reset(onMatch, 0)

@@ -75,10 +75,6 @@ type Options struct {
 	// summarization for applications that only need "has this rule
 	// fired" information.
 	SummarizeOnFull bool
-	// Prune removes dead states (unreachable, useless, never-matching,
-	// subsumed) from the compiled automaton before placement, shrinking
-	// the mapped footprint without changing the scan output.
-	Prune bool
 	// Minimize runs the certified minimization pipeline before placement:
 	// interleaved dead-state pruning, backward-bisimulation merging and
 	// cross-rule prefix collapse, plus alphabet class compression on the
@@ -101,10 +97,9 @@ type Options struct {
 	// reason). Both produce byte-identical matches, in the same order, and
 	// Reports/ReportCycles accounting. "dfa" requires whole-byte cycles
 	// (Rate 2 or 4) and fails compilation otherwise; "auto" never fails.
-	// The backend is only a substrate: every entry point executes on it (or
-	// on a per-call ScanOptions.Backend override), ScanParallel shards it
-	// across workers, and an engaged literal prefilter confines it to
-	// candidate windows.
+	// The backend is fixed at compile time and is only a substrate: every
+	// entry point executes on it, ScanParallel shards it across workers,
+	// and an engaged literal prefilter confines it to candidate windows.
 	Backend string
 }
 
@@ -162,15 +157,18 @@ type ScanResult struct {
 	PerPU []PUStats
 }
 
-// Engine is a compiled rule set configured on the simulated device.
+// Engine is a compiled rule set configured on the simulated device. Its
+// route is fixed at compile time: every entry point runs on the substrate
+// Options.Backend resolved to (the machine or the lazy DFA), confined to
+// candidate windows when the literal prefilter engaged.
 //
 // An engine owns one simulated machine, and the sequential entry points
 // (Scan, NewStream, Summarize) reset and mutate it — they must not run
 // concurrently on the same engine. ScanParallel and ScanBatch never touch
 // the shared machine (workers run on clones of the pristine compile
 // artifact, or on pooled lazy-DFA runners), so any number of them may run
-// concurrently with each other;
-// use Clone to get independent engines for concurrent sequential use.
+// concurrently with each other; use Clone to get independent engines for
+// concurrent sequential use.
 type Engine struct {
 	// compiledArtifact is everything compilation produced. It is immutable
 	// (but for its free list of DFA runners, a cache) and shared by clones
@@ -209,9 +207,6 @@ type compiledArtifact struct {
 	// rank and ranked order proto's report table entries by (offset, code),
 	// the order a cycle's matches go out in (rankEntries).
 	rank, ranked []int32
-	// pruned counts the dead states removed at compile time (Options.Prune,
-	// plus the prune rounds inside Options.Minimize).
-	pruned int
 	// minSum is the digest of the certified minimization run (zero value
 	// unless Options.Minimize was set); symClasses is the verified symbol-
 	// equivalence class count of the byte automaton (its effective alphabet
@@ -223,13 +218,11 @@ type compiledArtifact struct {
 	geo geometry
 	// pre is the literal-prefilter plan; nil unless Options.Prefilter is on.
 	pre *prefilterPlan
-	// backend is the resolved scan backend (meta.Backend* constant) and
-	// backendNote its Info() annotation; autoChoice is what "auto" resolves
-	// to for this shape (computed for every engine so per-call overrides can
-	// use it); metaIn is the shape statistics fed to the selector.
-	backend     string
+	// onDFA says every call runs on the lazy DFA rather than the machine
+	// (resolveBackend), and backendNote is its Info() annotation; metaIn is
+	// the shape statistics fed to the selector.
+	onDFA       bool
 	backendNote string
-	autoChoice  meta.Choice
 	metaIn      meta.Inputs
 	// dfaPlan is the lazy-DFA stepping plan over proto's NFA plan, so the
 	// artifact holds one set of NFA tables; nil when the geometry is
@@ -285,9 +278,6 @@ func compile(nfa *automata.Automaton, patterns []Pattern, opts Options) (*Engine
 		return nil, err
 	}
 	art := &compiledArtifact{opts: opts, byteNFA: nfa, nibble: ua}
-	if opts.Prune {
-		art.pruned = analysis.Prune(ua).Removed()
-	}
 	if opts.Minimize {
 		pre := ua.Clone()
 		res := analysis.Minimize(ua)
@@ -298,7 +288,6 @@ func compile(nfa *automata.Automaton, patterns []Pattern, opts Options) (*Engine
 			return nil, fmt.Errorf("sunder: minimization certificate rejected: %w", err)
 		}
 		art.minSum = res.Summary()
-		art.pruned += res.Pruned
 	}
 	// The certified symbol-class partition of the byte automaton serves both
 	// Minimize's Info().SymbolClasses and the lazy DFA's row indexing.
@@ -372,11 +361,6 @@ func compile(nfa *automata.Automaton, patterns []Pattern, opts Options) (*Engine
 // the entry point for rule sets constructed programmatically (the workload
 // generators, custom frontends) rather than from regex patterns or ANML.
 func CompileAutomaton(nfa *automata.Automaton, opts Options) (*Engine, error) {
-	return fromByteNFA(nfa, opts)
-}
-
-// fromByteNFA compiles a byte automaton that has no regex source.
-func fromByteNFA(nfa *automata.Automaton, opts Options) (*Engine, error) {
 	return compile(nfa, nil, opts)
 }
 
@@ -397,14 +381,10 @@ func (e *Engine) Analyze(sample []byte) *analysis.Report {
 // match (the byte position where an occurrence ends, with its rule code)
 // and the device statistics.
 func (e *Engine) Scan(input []byte) (*ScanResult, error) {
-	rt, err := e.resolve("")
-	if err != nil {
-		return nil, err
-	}
 	// Scan is sequential: the whole input, or its prefilter windows, run
 	// on the engine's one runner.
 	var rs [1]windowRunner
-	return e.scanOn(rt, rs[:], false, input)
+	return e.scanOn(rs[:], false, input)
 }
 
 // Summarize returns, per rule code, whether the rule has fired since the
@@ -442,9 +422,9 @@ type Info struct {
 	ReportColumns int
 	// RegionCapacity is the per-PU report-entry capacity.
 	RegionCapacity int
-	// PrunedStates is the number of dead states removed at compile time:
-	// the Options.Prune pass plus the prune rounds the certified minimizer
-	// interleaves (zero unless Options.Prune or Options.Minimize was set).
+	// PrunedStates is the number of dead states removed at compile time by
+	// the prune rounds the certified minimizer interleaves (zero unless
+	// Options.Minimize was set).
 	PrunedStates int
 	// MergedStates is the number of states folded away by the certified
 	// minimizer's bisimulation and prefix-collapse quotients; SymbolClasses
@@ -523,7 +503,7 @@ func (e *Engine) Info() Info {
 		PUs:               e.proto.NumPUs(),
 		ReportColumns:     e.proto.Config().ReportColumns,
 		RegionCapacity:    e.proto.Config().RegionCapacity(),
-		PrunedStates:      e.pruned,
+		PrunedStates:      e.minSum.Pruned,
 		MergedStates:      e.minSum.BisimMerged + e.minSum.PrefixMerged,
 		SymbolClasses:     e.symClasses,
 		PrefilterStrategy: strategy,

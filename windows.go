@@ -78,9 +78,9 @@ func (g *geometry) cuts(spans []sched.CycleSpan, k int, total int64) []int64 {
 // and the merge feeds them to one report model, as a sequential run would
 // have. A call with more than one runner records a parallel_run span, with
 // a shard span per share.
-func (e *Engine) runShares(l leg, rs []windowRunner, private bool, input []byte, spans []sched.CycleSpan, total int64) runOutput {
+func (e *Engine) runShares(rs []windowRunner, private bool, input []byte, spans []sched.CycleSpan, total int64) runOutput {
 	if len(rs) == 1 {
-		return e.runWindows(e.acquire(rs, 0, l, private), input, spans, 0, total, nil)
+		return e.runWindows(e.acquire(rs, 0, private), input, spans, 0, total, nil)
 	}
 	cuts := e.geo.cuts(spans, len(rs), total)
 	k := len(cuts) - 1
@@ -91,14 +91,14 @@ func (e *Engine) runShares(l leg, rs []windowRunner, private bool, input []byte,
 			" overlap=" + strconv.FormatInt(e.geo.overlap, 10))
 	}
 	if k == 1 {
-		return e.runWindows(e.acquire(rs, 0, l, private), input, spans, 0, total, sp)
+		return e.runWindows(e.acquire(rs, 0, private), input, spans, 0, total, sp)
 	}
 	outs := make([]runOutput, k)
 	var wg sync.WaitGroup
 	for g := range k {
 		var rn windowRunner
-		if l == legDFA {
-			rn = e.acquire(rs, g, l, private)
+		if e.onDFA {
+			rn = e.acquire(rs, g, private)
 		}
 		from, to := cuts[g], cuts[g+1]
 		wg.Add(1)
@@ -118,7 +118,7 @@ func (e *Engine) runShares(l leg, rs []windowRunner, private bool, input []byte,
 	for _, o := range outs[1:] {
 		out.add(o)
 	}
-	if l != legDFA {
+	if !e.onDFA {
 		model := e.newModel()
 		for _, o := range outs {
 			o.trace.Replay(model.OnReportCycle)
