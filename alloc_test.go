@@ -122,6 +122,19 @@ func TestAllocationPins(t *testing.T) {
 		denseMatches = len(res.Matches)
 	}
 	denseScan()
+	// The rule set stops looking for literals on a literal-dense input
+	// (its "needle"s never complete a match): the input runs as one
+	// window, and the literal scan adds its probe to the unfiltered scan's
+	// allocations — its spans stay in the engine's scratch.
+	bailIn := bytes.Repeat([]byte("needle.."), 2<<10)
+	bail := compile("dfa", PrefilterOn)
+	bailScan := func() {
+		res, err := bail.Scan(bailIn)
+		if err != nil || len(res.Matches) != 0 || res.Stats.PrefilterStoppedAt == 0 {
+			t.Fatalf("bailing scan: %v, %d matches, %+v", err, len(res.Matches), res.Stats)
+		}
+	}
+	bailScan()
 	for _, pin := range []struct {
 		name string
 		op   func()
@@ -131,6 +144,10 @@ func TestAllocationPins(t *testing.T) {
 		{"scan/dfa", scan(compile("dfa", PrefilterOff)), 2},
 		{"scan/dfa-thrash", thrashScan(0), 4},
 		{"scan/prefilter-skip", scan(compile("nfa", PrefilterOn)), 6},
+		// 64 KiB without a literal passes every checkpoint and decides
+		// none: 5 allocations before the per-scan rule.
+		{"scan/prefilter-skip-64k", scan(compile("dfa", PrefilterOn)), 5},
+		{"scan/prefilter-bail", bailScan, 2 + 1},
 		{"stream/dfa", stream(compile("dfa", PrefilterOff)), 3},
 		{"stream/nfa", stream(compile("nfa", PrefilterOff)), 1},
 		{"batch/dfa-warm", batch, 14},

@@ -302,8 +302,12 @@ func BenchmarkEngineScan(b *testing.B) {
 
 // BenchmarkScanPrefilterHit is the benchmark's prefilter_hit row as a
 // testing.B: EntityResolution (rule scale 0.02) prefiltered, Backend "auto",
-// an 8 KiB literal-dense input whose candidate windows cover nearly all of
-// it, scanned by a warm engine.
+// an 8 KiB literal-dense input whose candidate windows would cover nearly
+// all of it, scanned by a warm engine. The scan stops looking for literals
+// at the first checkpoint (Stats.PrefilterStoppedAt) and runs the input on
+// the lazy DFA as one window, so the op is about the unfiltered scan plus
+// 1 KiB of Aho-Corasick. It reads no field newer than the rule, so it
+// times a parent checkout too.
 func BenchmarkScanPrefilterHit(b *testing.B) {
 	w := workload.MustGet("EntityResolution", 0.02, 8<<10)
 	opts := DefaultOptions()

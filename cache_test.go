@@ -502,6 +502,7 @@ func TestEngineStateOutsideArtifact(t *testing.T) {
 		"tel":              "attached by SetTelemetry",
 		"nfaRun":           "sequential runner scratch",
 		"dfaRun":           "sequential runner scratch and DFA state cache",
+		"spans":            "sequential scans' prefilter span scratch",
 	}
 	typ := reflect.TypeOf(Engine{})
 	for i := 0; i < typ.NumField(); i++ {

@@ -100,6 +100,10 @@ func (s *acScanner) step(cur int32, b byte) int32 {
 func (s *acScanner) Strategy() string { return "aho-corasick" }
 
 func (s *acScanner) Scan(data []byte, emit func(start, end int)) {
+	s.ScanUntil(data, every(emit))
+}
+
+func (s *acScanner) ScanUntil(data []byte, hits Hits) {
 	cur := int32(0)
 	for i, b := range data {
 		if s.fold {
@@ -111,7 +115,9 @@ func (s *acScanner) Scan(data []byte, emit func(start, end int)) {
 			cur = s.step(cur, b)
 		}
 		for _, ln := range s.nodes[cur].out {
-			emit(i+1-int(ln), i+1)
+			if !hits.Hit(i+1-int(ln), i+1) {
+				return
+			}
 		}
 	}
 }

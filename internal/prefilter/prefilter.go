@@ -26,9 +26,11 @@ package prefilter
 
 import (
 	"bytes"
+	"math/bits"
 	"sort"
 
 	"sunder/internal/automata"
+	"sunder/internal/bitvec"
 )
 
 // Config bounds literal extraction. The caps trade scanner selectivity
@@ -246,6 +248,9 @@ func FromLiteralsFold(lits [][]byte, fold bool, cfg Config) Extraction {
 	return finishExtraction(lits, cfg, fold)
 }
 
+// upperBits marks 'A'-'Z' in the second word of a bitvec.V256.
+const upperBits = (1<<26 - 1) << ('A' - 64)
+
 // suffixPositions walks backward from report state r. positions[j] holds
 // the sorted byte values a match can carry at depth j from its end; live is
 // false when the state cannot fire at all. The walk guarantees that when
@@ -256,25 +261,18 @@ func suffixPositions(a *automata.Automaton, preds [][]automata.StateID, r automa
 	frontier := []automata.StateID{r}
 	variants := 1
 	for {
-		var u [256]bool
-		cnt := 0
+		var u bitvec.V256
 		for _, s := range frontier {
-			st := &a.States[s]
-			for b := 0; b < 256; b++ {
-				if st.Match.Get(b) {
-					// Under folding, both cases of a letter collapse into
-					// one canonical choice before the caps apply.
-					v := b
-					if fold {
-						v = int(FoldByte(byte(b)))
-					}
-					if !u[v] {
-						u[v] = true
-						cnt++
-					}
-				}
+			for i, w := range a.States[s].Match {
+				u[i] |= w
 			}
 		}
+		if fold {
+			// Both cases of a letter collapse into one canonical choice
+			// before the caps apply.
+			u[1] = u[1]&^upperBits | (u[1]&upperBits)<<('a'-'A')
+		}
+		cnt := u.Count()
 		if cnt == 0 {
 			// No symbol activates any frontier state: every path is dead.
 			// At depth 0 the report state itself never fires; deeper, no
@@ -286,9 +284,9 @@ func suffixPositions(a *automata.Automaton, preds [][]automata.StateID, r automa
 			return positions, true
 		}
 		choices := make([]byte, 0, cnt)
-		for b := 0; b < 256; b++ {
-			if u[b] {
-				choices = append(choices, byte(b))
+		for i, w := range u {
+			for ; w != 0; w &= w - 1 {
+				choices = append(choices, byte(i<<6|bits.TrailingZeros64(w)))
 			}
 		}
 		positions = append(positions, choices)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -269,6 +270,43 @@ func TestScannerWordBoundary(t *testing.T) {
 		}
 	}
 }
+
+// TestScannerStopsWhenEmitDeclines: a ScanUntil whose emit returns false
+// after k occurrences has emitted exactly the first k of Scan's, on every
+// strategy, exact and folded, with occurrences in SWAR words and tails.
+func TestScannerStopsWhenEmitDeclines(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for _, fold := range []bool{false, true} {
+		for _, lits := range [][][]byte{{[]byte("needle")}, {[]byte("ab"), []byte("neat")}, randomLits(rng, 12, 3, 10, 4)} {
+			data := make([]byte, 301)
+			for i := range data {
+				data[i] = byte('a' + rng.Intn(5))
+			}
+			for at := 0; at+10 < len(data); at += 37 {
+				copy(data[at:], lits[at%len(lits)])
+			}
+			for _, s := range everyScanner(lits, fold) {
+				var all [][2]int
+				s.Scan(data, func(st, en int) { all = append(all, [2]int{st, en}) })
+				for k := 1; k <= len(all); k++ {
+					var got [][2]int
+					s.ScanUntil(data, hitsFunc(func(st, en int) bool {
+						got = append(got, [2]int{st, en})
+						return len(got) < k
+					}))
+					if !slices.Equal(got, all[:k]) {
+						t.Fatalf("%s (fold %v): stopping after %d emitted %v, want %v", s.Strategy(), fold, k, got, all[:k])
+					}
+				}
+			}
+		}
+	}
+}
+
+// hitsFunc is a func as Hits.
+type hitsFunc func(start, end int) bool
+
+func (f hitsFunc) Hit(start, end int) bool { return f(start, end) }
 
 // everyScanner builds each strategy whose precondition lits meets, whatever
 // NewScannerFold would pick. lits must be canonical under fold.

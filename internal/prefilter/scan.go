@@ -11,14 +11,29 @@ import (
 //
 // Scan calls emit(start, end) once per occurrence data[start:end] of each
 // literal, in nondecreasing start order (ends at one start may arrive in any
-// order when literals of different lengths share it). Scanners are
-// stateless after construction and safe for concurrent Scan calls.
+// order when literals of different lengths share it). ScanUntil is Scan
+// reporting to hits, and returns as soon as hits.Hit returns false.
+// Scanners are stateless after construction and safe for concurrent calls.
 type Scanner interface {
 	Scan(data []byte, emit func(start, end int))
+	ScanUntil(data []byte, hits Hits)
 	// Strategy names the scanning algorithm ("memchr", "shift", "swar",
 	// "aho-corasick") for Info() and telemetry.
 	Strategy() string
 }
+
+// Hits receives the occurrences of a ScanUntil: Hit(start, end) is called
+// once per occurrence data[start:end], and returns false to stop the scan.
+// Taking an interface rather than a func lets a caller pass the pointer to
+// its state without allocating a closure over it.
+type Hits interface {
+	Hit(start, end int) bool
+}
+
+// every is a Scan callback as Hits that never stops.
+type every func(start, end int)
+
+func (f every) Hit(start, end int) bool { f(start, end); return true }
 
 // Selection constants over the set's size k and shortest length minLen,
 // from BenchmarkScanners. shift jumps up to minLen-1 bytes per read, so it
@@ -148,6 +163,10 @@ func (s *memchrScanner) match(data []byte, start int) bool {
 }
 
 func (s *memchrScanner) Scan(data []byte, emit func(start, end int)) {
+	s.ScanUntil(data, every(emit))
+}
+
+func (s *memchrScanner) ScanUntil(data []byte, hits Hits) {
 	n, ln := len(data), len(s.lit)
 	anchor := s.lit[s.off]
 	i := 0
@@ -161,8 +180,8 @@ func (s *memchrScanner) Scan(data []byte, emit func(start, end int)) {
 			lane := bits.TrailingZeros64(m) >> 3
 			m &= m - 1
 			start := i + lane - s.off
-			if start >= 0 && start+ln <= n && s.match(data, start) {
-				emit(start, start+ln)
+			if start >= 0 && start+ln <= n && s.match(data, start) && !hits.Hit(start, start+ln) {
+				return
 			}
 		}
 	}
@@ -173,8 +192,8 @@ func (s *memchrScanner) Scan(data []byte, emit func(start, end int)) {
 		}
 		if b == anchor {
 			start := i - s.off
-			if start >= 0 && start+ln <= n && s.match(data, start) {
-				emit(start, start+ln)
+			if start >= 0 && start+ln <= n && s.match(data, start) && !hits.Hit(start, start+ln) {
+				return
 			}
 		}
 	}
@@ -216,6 +235,10 @@ func newSWARScanner(lits [][]byte, fold bool) *swarScanner {
 func (s *swarScanner) Strategy() string { return "swar" }
 
 func (s *swarScanner) Scan(data []byte, emit func(start, end int)) {
+	s.ScanUntil(data, every(emit))
+}
+
+func (s *swarScanner) ScanUntil(data []byte, hits Hits) {
 	n := len(data)
 	i := 0
 	for ; i+8 <= n; i += 8 {
@@ -227,12 +250,14 @@ func (s *swarScanner) Scan(data []byte, emit func(start, end int)) {
 		for m != 0 {
 			lane := bits.TrailingZeros64(m) >> 3
 			m &= m - 1
-			s.verify(data, i+lane, emit)
+			if !s.verify(data, i+lane, hits) {
+				return
+			}
 		}
 	}
 	for ; i < n; i++ {
-		if len(s.buckets[s.key(data[i])]) > 0 {
-			s.verify(data, i, emit)
+		if len(s.buckets[s.key(data[i])]) > 0 && !s.verify(data, i, hits) {
+			return
 		}
 	}
 }
@@ -244,18 +269,15 @@ func (s *swarScanner) key(b byte) byte {
 	return b
 }
 
-func (s *swarScanner) verify(data []byte, pos int, emit func(start, end int)) {
+// verify reports the occurrences of pos's bucket's literals at pos to
+// hits, and returns false once hits.Hit does.
+func (s *swarScanner) verify(data []byte, pos int, hits Hits) bool {
 	for _, li := range s.buckets[s.key(data[pos])] {
 		l := s.lits[li]
-		if pos+len(l) > len(data) {
-			continue
-		}
-		if s.fold {
-			if foldEqual(data[pos:pos+len(l)], l) {
-				emit(pos, pos+len(l))
-			}
-		} else if bytes.Equal(data[pos:pos+len(l)], l) {
-			emit(pos, pos+len(l))
+		if e := pos + len(l); e <= len(data) && (s.fold && foldEqual(data[pos:e], l) ||
+			!s.fold && bytes.Equal(data[pos:e], l)) && !hits.Hit(pos, e) {
+			return false
 		}
 	}
+	return true
 }

@@ -80,14 +80,18 @@ func (s *shiftScanner) otherCase(c byte) byte {
 func (s *shiftScanner) Strategy() string { return "shift" }
 
 func (s *shiftScanner) Scan(data []byte, emit func(start, end int)) {
+	s.ScanUntil(data, every(emit))
+}
+
+func (s *shiftScanner) ScanUntil(data []byte, hits Hits) {
 	n, m := len(data), s.m
 	for end := s.skip(data, m-1); end < n; end = s.skip(data, end+1) {
 		h, start := blockHash(data[end-1], data[end]), end+1-m
 		for _, li := range s.cand[s.off[h]:s.off[h+1]] {
 			l := s.lits[li]
 			if e := start + len(l); e <= n && (s.fold && foldEqual(data[start:e], l) ||
-				!s.fold && bytes.Equal(data[start:e], l)) {
-				emit(start, e)
+				!s.fold && bytes.Equal(data[start:e], l)) && !hits.Hit(start, e) {
+				return
 			}
 		}
 	}

@@ -95,6 +95,46 @@ func TestServerPrefilterEndToEnd(t *testing.T) {
 	}
 }
 
+// TestServerPrefilterBailouts: a scan of literal-dense traffic stops
+// looking for literals at the first checkpoint, says so in its stats, and
+// counts one prefilter_bailouts on both /metrics views; a literal-free scan
+// counts none. An unfiltered response carries no prefilter field
+// (TestServerPrefilterOffByDefault).
+func TestServerPrefilterBailouts(t *testing.T) {
+	_, ts := newTestServer(t, Config{PoolSize: 1})
+	putRuleset(t, ts.URL, "pf", RulesetRequest{Patterns: prefilterRules, Options: &OptionsJSON{Prefilter: true}})
+	dense := []byte(strings.Repeat("GET /admin\r\n", 400))
+	got := scanRaw(t, ts.URL, "pf", dense, false)
+	want := wantMatches(t, prefilterRules, nil, dense)
+	sameMatches(t, "bailing scan", got.Results[0].Matches, want)
+	if st := got.Results[0].Stats; st.PrefilterStoppedAt != 1<<10 || st.PrefilterWindows != 1 || st.SkippedCycles != 0 {
+		t.Errorf("dense traffic: %+v, want a stop at 1024 and one window", st)
+	}
+	scanRaw(t, ts.URL, "pf", []byte(strings.Repeat("benign noise\n", 200)), false)
+
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if !strings.Contains(string(body), "prefilter_bailouts 1\n") {
+		t.Errorf("/metrics text does not count one bailout:\n%s", body)
+	}
+	resp, err = http.Get(ts.URL + "/metrics?format=json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var m MetricsJSON
+	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
+		t.Fatal(err)
+	}
+	if m.Prefilter == nil || m.Prefilter.Scans != 2 || m.Prefilter.Bailouts != 1 {
+		t.Errorf("metrics JSON prefilter section %+v, want 2 scans and 1 bailout", m.Prefilter)
+	}
+}
+
 // TestServerPrefilterOffByDefault pins that rulesets without the option
 // report no prefilter fields anywhere on the wire.
 func TestServerPrefilterOffByDefault(t *testing.T) {
@@ -104,7 +144,7 @@ func TestServerPrefilterOffByDefault(t *testing.T) {
 		t.Fatalf("unfiltered ruleset leaked prefilter info: %+v", info.Info)
 	}
 	got := scanRaw(t, ts.URL, "plain", testTraffic(1000), false)
-	if st := got.Results[0].Stats; st.SkippedCycles != 0 || st.PrefilterWindows != 0 {
+	if st := got.Results[0].Stats; st.SkippedCycles != 0 || st.PrefilterWindows != 0 || st.PrefilterStoppedAt != 0 {
 		t.Errorf("unfiltered scan carries prefilter stats: %+v", st)
 	}
 	resp, err := http.Get(ts.URL + "/metrics?format=json")

@@ -877,6 +877,7 @@ func (s *Server) metricsJSON() MetricsJSON {
 			Windows:       s.tel.CounterValue(sunder.MetricPrefilterWindows),
 			ScannedCycles: s.tel.CounterValue(sunder.MetricPrefilterScannedCycles),
 			SkippedCycles: s.tel.CounterValue(sunder.MetricPrefilterSkippedCycles),
+			Bailouts:      s.tel.CounterValue(sunder.MetricPrefilterBailouts),
 		}
 	}
 	if s.spans != nil {

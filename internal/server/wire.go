@@ -186,29 +186,23 @@ type MatchJSON struct {
 	Code     int32 `json:"code"`
 }
 
-// StatsJSON mirrors sunder.Stats. PrefilterWindows and SkippedCycles are
-// non-zero only on prefiltered scans: candidate windows executed and
-// device cycles proven match-free without execution.
+// StatsJSON mirrors sunder.Stats. PrefilterWindows, SkippedCycles and
+// PrefilterStoppedAt are non-zero only on prefiltered scans: candidate
+// windows executed, device cycles proven match-free without execution, and
+// the input byte at which the scan stopped looking for literals.
 type StatsJSON struct {
-	KernelCycles     int64 `json:"kernel_cycles"`
-	StallCycles      int64 `json:"stall_cycles"`
-	Flushes          int64 `json:"flushes"`
-	Reports          int64 `json:"reports"`
-	ReportCycles     int64 `json:"report_cycles"`
-	PrefilterWindows int64 `json:"prefilter_windows,omitempty"`
-	SkippedCycles    int64 `json:"skipped_cycles,omitempty"`
+	KernelCycles       int64 `json:"kernel_cycles"`
+	StallCycles        int64 `json:"stall_cycles"`
+	Flushes            int64 `json:"flushes"`
+	Reports            int64 `json:"reports"`
+	ReportCycles       int64 `json:"report_cycles"`
+	PrefilterWindows   int64 `json:"prefilter_windows,omitempty"`
+	SkippedCycles      int64 `json:"skipped_cycles,omitempty"`
+	PrefilterStoppedAt int64 `json:"prefilter_stopped_at,omitempty"`
 }
 
 func statsJSON(s sunder.Stats) StatsJSON {
-	return StatsJSON{
-		KernelCycles:     s.KernelCycles,
-		StallCycles:      s.StallCycles,
-		Flushes:          s.Flushes,
-		Reports:          s.Reports,
-		ReportCycles:     s.ReportCycles,
-		PrefilterWindows: s.PrefilterWindows,
-		SkippedCycles:    s.SkippedCycles,
-	}
+	return StatsJSON(s)
 }
 
 func matchesJSON(ms []sunder.Match) []MatchJSON {
@@ -322,14 +316,16 @@ type SpanStatsJSON struct {
 
 // PrefilterMetricsJSON aggregates the literal-prefilter counters across
 // every prefiltered scan the server has run: scans filtered, literal
-// occurrences found, candidate windows executed, and the split of device
-// cycles into scanned (executed) and skipped (proven match-free).
+// occurrences found before scanning stopped, candidate windows executed,
+// the split of device cycles into scanned (executed) and skipped (proven
+// match-free), and the scans that stopped looking for literals.
 type PrefilterMetricsJSON struct {
 	Scans         int64 `json:"scans"`
 	Hits          int64 `json:"hits"`
 	Windows       int64 `json:"windows"`
 	ScannedCycles int64 `json:"scanned_cycles"`
 	SkippedCycles int64 `json:"skipped_cycles"`
+	Bailouts      int64 `json:"bailouts"`
 }
 
 // MinimizeMetricsJSON aggregates certified-minimization results across the

@@ -25,26 +25,33 @@ const (
 	// Reports and ReportCycles stay byte-identical to an unfiltered scan;
 	// Stats.KernelCycles drops to the executed windows, with the remainder
 	// accounted in Stats.SkippedCycles. Rule sets without usable literals
-	// take a conservative no-filter verdict and scan unfiltered.
+	// take a conservative no-filter verdict and scan unfiltered. Engagement
+	// is also decided per scan: a whole-input scan (Scan, ScanParallel,
+	// ScanBatch) whose hits so far would have its windows cover more than a
+	// substrate-set share of the bytes scanned stops looking for literals
+	// and runs the input as one window (Stats.PrefilterStoppedAt).
 	PrefilterOn
 )
 
 // Prefilter telemetry counter names, populated on engines with an
 // attached Telemetry when the prefilter is active: filtered scans run,
-// literal occurrences found, candidate windows executed, and the split of
-// device cycles into scanned (executed) and skipped. Exported so servers
-// and tools can read them back via Telemetry.CounterValue.
+// literal occurrences found before scanning stopped, candidate windows
+// executed, the split of device cycles into scanned (executed) and
+// skipped, and the whole-input scans that stopped looking for literals
+// (Stats.PrefilterStoppedAt). Exported so servers and tools can read them
+// back via Telemetry.CounterValue.
 const (
 	MetricPrefilterScans         = "prefilter_scans"
 	MetricPrefilterHits          = "prefilter_hits"
 	MetricPrefilterWindows       = "prefilter_windows"
 	MetricPrefilterScannedCycles = "prefilter_scanned_cycles"
 	MetricPrefilterSkippedCycles = "prefilter_skipped_cycles"
+	MetricPrefilterBailouts      = "prefilter_bailouts"
 )
 
 // notePrefilter records one filtered scan's outcome. With telemetry
 // detached (nil collector) it is a single branch and zero allocations.
-func notePrefilter(col *telemetry.Collector, hits, windows, scanned, skipped int64) {
+func notePrefilter(col *telemetry.Collector, hits, windows, scanned, skipped int64, bailed bool) {
 	if col == nil {
 		return
 	}
@@ -53,6 +60,9 @@ func notePrefilter(col *telemetry.Collector, hits, windows, scanned, skipped int
 	col.Counter(MetricPrefilterWindows).Add(windows)
 	col.Counter(MetricPrefilterScannedCycles).Add(scanned)
 	col.Counter(MetricPrefilterSkippedCycles).Add(skipped)
+	if bail := col.Counter(MetricPrefilterBailouts); bailed {
+		bail.Inc()
+	}
 }
 
 // prefilterPlan is the compile-time product of literal extraction: the
@@ -149,30 +159,121 @@ func (p *prefilterPlan) hitSpan(g *geometry, q, e int) sched.CycleSpan {
 	return sched.CycleSpan{Start: start, End: end}
 }
 
+// A whole-input scan decides per call whether its prefilter earns its
+// place. It scans for literals in checkpoints at firstCheckpoint input
+// bytes, then doubling; at a checkpoint it charges the windows its hits so
+// far would run, their cycles plus one warm-up per window, against the
+// cycles of the bytes scanned. Once that share exceeds the substrate's bail
+// share, the windows would cost about what the whole input does, and the
+// scan stops looking: the input runs as one window. A checkpoint is decided
+// when a hit past it arrives, on the hits before it: without one, the
+// windows planned so far are the whole input's, and of several checkpoints
+// passed since the last hit the latest has the lowest share. The lazy DFA
+// steps a cycle in a few nanoseconds, about what the literal scan spends on
+// a byte, so it bails once a sixteenth of the cycles would run; the machine
+// is about ten times slower per cycle, and the scan pays for itself there
+// until half of them would. DESIGN.md §4.14 has the measurements.
+const (
+	firstCheckpoint  = 1 << 10
+	bailShareDFA     = 1.0 / 16
+	bailShareMachine = 1.0 / 2
+)
+
+// maxKeptSpans caps the span scratch an engine keeps between Scans: 64 KiB.
+const maxKeptSpans = 4 << 10
+
+// literalProbe is one whole-input literal scan, the scanner's Hits: the
+// candidate spans of the hits so far, and where it stopped. It is the
+// scan's one allocation, 48 bytes; before the per-scan rule a literal-free
+// scan allocated three, 64 bytes.
+type literalProbe struct {
+	e     *Engine
+	spans []sched.CycleSpan
+	// next is the next checkpoint: a hit ending past it decides the latest
+	// checkpoint below its end.
+	next int
+	// stoppedAt is the checkpoint that stopped the scan or, on an
+	// automaton with an unbounded dependence window, the end of its first
+	// hit; 0 while scanning.
+	stoppedAt int
+}
+
+// Hit decides the checkpoint the occurrence [q, end) passed, if any, then
+// adds its span. An automaton without a bounded dependence window stops at
+// its first hit, which forces a full run.
+func (p *literalProbe) Hit(q, end int) bool {
+	g := &p.e.geo
+	if g.bounded && end > p.next {
+		for 2*p.next < end {
+			p.next *= 2
+		}
+		share := bailShareMachine
+		if p.e.onDFA {
+			share = bailShareDFA
+		}
+		if float64(windowCycles(g, p.spans)) > share*float64(g.cycles(int64(p.next))) {
+			p.stoppedAt = p.next
+			return false
+		}
+		p.next *= 2
+	}
+	p.spans = append(p.spans, p.e.pre.hitSpan(g, q, end))
+	if !g.bounded {
+		p.stoppedAt = end
+		return false
+	}
+	return true
+}
+
+// windowCycles is the cycles windowLoop would run for spans, in the order
+// the scanner found them: their aligned cycles, the gaps it executes
+// through, and one warm-up of overlap cycles per window opened. A span that
+// starts within a warm-up of the open window's end extends it; any other
+// opens a window. The checkpoints double, so deciding them all reads each
+// span about twice.
+func windowCycles(g *geometry, spans []sched.CycleSpan) int64 {
+	var cost int64
+	open := int64(-1) // the open window's end
+	for _, sp := range spans {
+		start := max(sp.Start, 0)
+		start -= start % g.align
+		end := sched.RoundUp(sp.End, g.align)
+		if open < 0 || start > open+g.overlap {
+			cost += g.overlap
+			open = start
+		}
+		cost += max(end-open, 0)
+		open = max(open, end)
+	}
+	return cost
+}
+
 // planSpans scans input for literal occurrences and returns candidate
-// cycle spans plus the hit count. When the padded tail can complete a
-// literal (see prefilter.TailHit), the final cycle is appended as a span:
-// phantom pad reports fire there in an unfiltered run and the filtered
-// Stats must count them identically.
-func (e *Engine) planSpans(input []byte, totalCycles int64, padUnits int) (spans []sched.CycleSpan, hits int64) {
-	// The callback reaches the plan and geometry through e alone: one
-	// more captured pointer puts its closure in the next size class.
-	e.pre.scanner.Scan(input, func(q, end int) {
-		hits++
-		spans = append(spans, e.pre.hitSpan(&e.geo, q, end))
-	})
+// cycle spans plus the hit count, or, when scanning stopped (literalProbe),
+// one span over the input and the byte it stopped at. When the padded tail
+// can complete a literal (see prefilter.TailHit), the final cycle is
+// appended as a span: phantom pad reports fire there in an unfiltered run
+// and the filtered Stats must count them identically.
+func (e *Engine) planSpans(buf []sched.CycleSpan, input []byte, totalCycles int64, padUnits int) (spans []sched.CycleSpan, hits int64, stoppedAt int) {
+	p := &literalProbe{e: e, spans: buf, next: firstCheckpoint}
+	e.pre.scanner.ScanUntil(input, p)
+	spans, hits = p.spans, int64(len(p.spans))
+	if p.stoppedAt > 0 {
+		return append(spans[:0], sched.CycleSpan{End: totalCycles}), hits, p.stoppedAt
+	}
 	if padUnits > 0 {
 		padBytes := (padUnits + int(e.geo.su) - 1) / int(e.geo.su)
 		if prefilter.TailHitFold(input, e.pre.lits, padBytes, e.pre.fold) {
 			spans = append(spans, sched.CycleSpan{Start: totalCycles - 1, End: totalCycles})
 		}
 	}
-	return spans, hits
+	return spans, hits, 0
 }
 
 // scanPrefiltered is the filtered whole-input scan: the literal scan plans
 // candidate spans, and the call's runners execute their windows (runShares) —
-// one for Scan and a ScanBatch worker, up to len(rs) for ScanParallel.
+// one for Scan and a ScanBatch worker, up to len(rs) for ScanParallel, which
+// cuts a scan that stopped looking into even shares.
 // Runners are acquired only once there is a span, so a literal-free input
 // touches none.
 func (e *Engine) scanPrefiltered(rs []windowRunner, private bool, input []byte) *ScanResult {
@@ -180,25 +281,36 @@ func (e *Engine) scanPrefiltered(rs []windowRunner, private bool, input []byte) 
 	totalCycles := g.cycles(int64(len(input)))
 	col := e.telemetryCollector()
 
-	spans, hits := e.planSpans(input, totalCycles, int(totalCycles*g.rate-int64(len(input))*g.su))
+	// Scan plans into the engine's scratch, which it keeps unless a scan
+	// grew it large; the parallel paths plan into their own.
+	var buf []sched.CycleSpan
+	if !private {
+		buf = e.spans[:0]
+	}
+	spans, hits, stoppedAt := e.planSpans(buf, input, totalCycles, int(totalCycles*g.rate-int64(len(input))*g.su))
+	if !private && cap(spans) <= maxKeptSpans {
+		e.spans = spans[:0]
+	}
 
 	if len(spans) == 0 {
 		// No literal anywhere: the rule set cannot match, and no phantom
 		// pad report can fire. Skip the entire input.
-		notePrefilter(col, hits, 0, 0, totalCycles)
+		notePrefilter(col, hits, 0, 0, totalCycles, false)
 		return e.result(runOutput{stats: Stats{SkippedCycles: totalCycles}})
 	}
 	if !g.bounded {
 		// Cyclic automaton: windows cannot bound warm-up replay, so a hit
-		// anywhere forces a full run — one window, nothing skipped. The
-		// filter still wins on hit-free inputs (handled above).
+		// anywhere (the scan stopped at the first) or a tail hit forces a
+		// full run — one window, nothing skipped. The filter still wins on
+		// hit-free inputs (handled above).
 		spans = append(spans[:0], sched.CycleSpan{End: totalCycles})
 	}
 	slices.SortFunc(spans, bySpanStart)
 	out := e.runShares(rs, private, input, spans, totalCycles)
 	out.stats.PrefilterWindows = out.windows
 	out.stats.SkippedCycles = totalCycles - out.stats.KernelCycles
-	notePrefilter(col, hits, out.stats.PrefilterWindows, out.stats.KernelCycles, out.stats.SkippedCycles)
+	out.stats.PrefilterStoppedAt = int64(stoppedAt)
+	notePrefilter(col, hits, out.stats.PrefilterWindows, out.stats.KernelCycles, out.stats.SkippedCycles, stoppedAt > 0)
 	return e.result(out)
 }
 

@@ -140,41 +140,57 @@ func TestPrefilterDifferential(t *testing.T) {
 // itself is pinned by internal/dfa's TestDFAMidStreamStart); windows separated
 // by skipped gaps; and the pad-tail phantom span of an odd-length input.
 // Every result must equal the unfiltered scan, with kernel + skipped = its
-// KernelCycles.
+// KernelCycles. The literals are sparse enough that neither substrate stops
+// looking for them; a dense copy of the input stops at the first checkpoint
+// and runs as one window, with the same matches and the same phantom.
 func TestPrefilterMidStreamWindows(t *testing.T) {
 	patterns := []Pattern{{Expr: `^.{1,8}KEY`, Code: 1}, {Expr: `lock[0-9]`, Code: 2}, {Expr: `qz.`, Code: 3}}
-	filler := bytes.Repeat([]byte("-"), 300)
-	var input []byte
-	input = append(input, "abKEY"...)
-	for i := 0; i < 4; i++ {
-		input = append(append(append(input, filler...), "xyzwKEY lock7"...), filler...)
-	}
-	input = append(input, "..qz"...) // odd length: the pad completes `qz.`
-	if len(input)%2 == 0 {
-		input = input[1:]
-	}
-	want := unfiltered(t, patterns, input)
-	for _, backend := range substrates {
-		eng := compileFiltered(t, patterns, backend)
-		res, err := eng.Scan(input)
-		comparePrefilteredResult(t, backend+"/Scan", want, res, err)
-		// Windows after skipped gaps start mid-input; the phantom counts in
-		// Reports but is no match.
-		if st := res.Stats; st.PrefilterWindows < 3 || st.SkippedCycles == 0 || want.Stats.Reports <= int64(len(want.Matches)) {
-			t.Fatalf("%s: %+v, %d reports for %d matches: no mid-input window or no phantom", backend, st, want.Stats.Reports, len(want.Matches))
+	for _, c := range []struct {
+		name          string
+		repeats, fill int
+		stops         bool
+	}{{"sparse", 4, 1000, false}, {"dense", 48, 8, true}} {
+		filler := bytes.Repeat([]byte("-"), c.fill)
+		var input []byte
+		input = append(input, "abKEY"...)
+		for i := 0; i < c.repeats; i++ {
+			input = append(append(append(input, filler...), "xyzwKEY lock7"...), filler...)
 		}
-		for _, w := range []int{1, 3} {
-			res, err := eng.ScanParallel(input, ScanOptions{Workers: w})
-			comparePrefilteredResult(t, fmt.Sprintf("%s/ScanParallel/w=%d", backend, w), want, res, err)
+		input = append(input, "..qz"...) // odd length: the pad completes `qz.`
+		if len(input)%2 == 0 {
+			input = input[1:]
 		}
-		batch, err := eng.ScanBatch([][]byte{input, input}, ScanOptions{Workers: 2})
-		if err == nil {
-			res = batch[1]
-		}
-		comparePrefilteredResult(t, backend+"/ScanBatch", want, res, err)
-		for _, chunk := range []int{1, 7, len(input)} {
-			got, stats := streamChunks(t, eng, input, chunk)
-			comparePrefiltered(t, fmt.Sprintf("%s/Stream/chunk=%d", backend, chunk), want, &ScanResult{Matches: got, Stats: stats})
+		want := unfiltered(t, patterns, input)
+		for _, backend := range substrates {
+			label := c.name + "/" + backend
+			eng := compileFiltered(t, patterns, backend)
+			res, err := eng.Scan(input)
+			comparePrefilteredResult(t, label+"/Scan", want, res, err)
+			// Windows after skipped gaps start mid-input; the phantom counts
+			// in Reports but is no match.
+			st := res.Stats
+			if want.Stats.Reports <= int64(len(want.Matches)) {
+				t.Fatalf("%s: %d reports for %d matches: no phantom", label, want.Stats.Reports, len(want.Matches))
+			}
+			if !c.stops && (st.PrefilterWindows < 3 || st.SkippedCycles == 0 || st.PrefilterStoppedAt != 0) {
+				t.Fatalf("%s: %+v: no mid-input window", label, st)
+			}
+			if c.stops && (st.PrefilterStoppedAt != firstCheckpoint || st.PrefilterWindows != 1 || st.SkippedCycles != 0) {
+				t.Fatalf("%s: %+v: did not stop at the first checkpoint", label, st)
+			}
+			for _, w := range []int{1, 3} {
+				res, err := eng.ScanParallel(input, ScanOptions{Workers: w})
+				comparePrefilteredResult(t, fmt.Sprintf("%s/ScanParallel/w=%d", label, w), want, res, err)
+			}
+			batch, err := eng.ScanBatch([][]byte{input, input}, ScanOptions{Workers: 2})
+			if err == nil {
+				res = batch[1]
+			}
+			comparePrefilteredResult(t, label+"/ScanBatch", want, res, err)
+			for _, chunk := range []int{1, 7, len(input)} {
+				got, stats := streamChunks(t, eng, input, chunk)
+				comparePrefiltered(t, fmt.Sprintf("%s/Stream/chunk=%d", label, chunk), want, &ScanResult{Matches: got, Stats: stats})
+			}
 		}
 	}
 }

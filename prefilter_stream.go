@@ -29,7 +29,9 @@ var ErrDeferredBufferFull = errors.New(
 // its literal, so a later chunk can only open windows past the frontier.
 // With an unbounded dependence window it defers instead: bytes buffer until
 // the first hit, then the runner replays them all (provably silent) and the
-// stream goes live. DESIGN.md §4.14 has the argument.
+// stream goes live. DESIGN.md §4.14 has the argument. A stream scans every
+// chunk for literals: the checkpoint rule by which a whole-input scan stops
+// looking (literalProbe) does not apply to it.
 type streamFilter struct {
 	// windowLoop.fed doubles as the absolute byte offset the literal
 	// scanner has covered; hist is trimmed to the dependence window behind
@@ -166,6 +168,6 @@ func (f *streamFilter) finish() runOutput {
 	}
 	out := f.rn.finish()
 	out.stats.PrefilterWindows, out.stats.SkippedCycles = f.windows, f.skipped
-	notePrefilter(f.e.telemetryCollector(), f.hits, f.windows, out.stats.KernelCycles, f.skipped)
+	notePrefilter(f.e.telemetryCollector(), f.hits, f.windows, out.stats.KernelCycles, f.skipped, false)
 	return out
 }

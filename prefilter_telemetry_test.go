@@ -54,6 +54,9 @@ func TestPrefilterTelemetryExact(t *testing.T) {
 	if w := tel.CounterValue(MetricPrefilterWindows); w != wantScans {
 		t.Errorf("%s = %d, want %d", MetricPrefilterWindows, w, wantScans)
 	}
+	if b := tel.CounterValue(MetricPrefilterBailouts); b != 0 {
+		t.Errorf("%s = %d on a one-literal input, want 0", MetricPrefilterBailouts, b)
+	}
 
 	var sb strings.Builder
 	if err := tel.WriteMetrics(&sb); err != nil {
@@ -61,7 +64,7 @@ func TestPrefilterTelemetryExact(t *testing.T) {
 	}
 	for _, name := range []string{
 		MetricPrefilterScans, MetricPrefilterHits, MetricPrefilterWindows,
-		MetricPrefilterScannedCycles, MetricPrefilterSkippedCycles,
+		MetricPrefilterScannedCycles, MetricPrefilterSkippedCycles, MetricPrefilterBailouts,
 	} {
 		if !strings.Contains(sb.String(), name) {
 			t.Errorf("WriteMetrics output missing %s:\n%s", name, sb.String())
@@ -110,7 +113,7 @@ func TestPrefilterTelemetryStream(t *testing.T) {
 // detached hot path).
 func TestNotePrefilterDetachedZeroAlloc(t *testing.T) {
 	allocs := testing.AllocsPerRun(1000, func() {
-		notePrefilter(nil, 3, 2, 100, 900)
+		notePrefilter(nil, 3, 2, 100, 900, true)
 	})
 	if allocs != 0 {
 		t.Fatalf("notePrefilter(nil, ...) allocates %v per call, want 0", allocs)

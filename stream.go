@@ -12,11 +12,11 @@ var ErrClosedStream = errors.New("sunder: write to closed stream")
 type Stream struct {
 	e *Engine
 	// run is the engine's sequential runner, or the prefilter over it:
-	// Write feeds it, Close finishes it.
+	// Write feeds it, Close finishes it and drops it, so a closed stream
+	// is one whose run is nil.
 	run     runner
 	err     error
 	bytesIn int64
-	closed  bool
 	// stats memoizes the Close result (Close is idempotent).
 	stats Stats
 }
@@ -49,7 +49,7 @@ func (e *Engine) NewStream(onMatch func(Match)) (*Stream, error) {
 // stream past the device's cycle range (ErrCycleRangeExceeded; the chunk
 // was not consumed). The signature satisfies io.Writer.
 func (s *Stream) Write(p []byte) (int, error) {
-	if s.closed {
+	if s.run == nil {
 		return 0, ErrClosedStream
 	}
 	if s.err != nil {
@@ -72,9 +72,9 @@ func (s *Stream) Write(p []byte) (int, error) {
 // Close is idempotent: further calls return the same statistics, and
 // further writes return ErrClosedStream.
 func (s *Stream) Close() Stats {
-	if !s.closed {
-		s.closed = true
+	if s.run != nil {
 		s.stats = s.run.finish().stats
+		s.run = nil
 	}
 	return s.stats
 }

@@ -136,6 +136,14 @@ type Stats struct {
 	// KernelCycles. Both are zero on unfiltered scans.
 	PrefilterWindows int64
 	SkippedCycles    int64
+	// PrefilterStoppedAt is the input byte at which a prefiltered
+	// whole-input scan stopped looking for literals, because the windows
+	// of its hits so far would have cost about what the input does (or, on
+	// an automaton with an unbounded dependence window, at its first hit):
+	// the input then ran as one window, nothing skipped. It is zero when
+	// the literal scan covered the input, on streams and on unfiltered
+	// scans.
+	PrefilterStoppedAt int64
 }
 
 // Overhead returns the reporting slowdown (kernel+stall)/kernel.
@@ -190,6 +198,8 @@ type Engine struct {
 	// are never touched by the parallel paths.
 	nfaRun *machineRunner
 	dfaRun *dfaRunner
+	// spans is Scan's scratch for a prefilter's candidate spans.
+	spans []sched.CycleSpan
 }
 
 // compiledArtifact is the immutable product of one compilation. The fields
