@@ -146,6 +146,12 @@ type PoolStatsJSON struct {
 // ScanRequest is the JSON form of the POST /rulesets/{id}/scan body: many
 // independent inputs scanned as one batch. Encoding selects how Inputs is
 // decoded: "base64" (default) or "text".
+//
+// The accepted language is exactly what json.NewDecoder(body).Decode into
+// a ScanRequest followed by DecodeInputs accepts, with the same error
+// texts. The server decodes the common shape, {"inputs":[...],"encoding":
+// ...} with plain ASCII strings, in one pass into a pooled buffer, and
+// hands every other body to that decoder.
 type ScanRequest struct {
 	Inputs   []string `json:"inputs"`
 	Encoding string   `json:"encoding,omitempty"`
