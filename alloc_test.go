@@ -7,6 +7,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"sunder/internal/sched"
 	"sunder/internal/workload"
 )
 
@@ -135,6 +136,26 @@ func TestAllocationPins(t *testing.T) {
 		}
 	}
 	bailScan()
+	// ScanParallel on the machine at two workers: a bounded rule set cuts
+	// the input into two shares, whose runners come back from the
+	// artifact's free list with their clones, report models and traces —
+	// the first share's model models the merged run. What is left is the
+	// call's runner slice, its share outputs, cuts and goroutines, and the
+	// result with its per-PU rows.
+	shareEng, err := Compile([]Pattern{{Expr: `needle[0-9]x`, Code: 1}, {Expr: `haystack`, Code: 2}}, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	shareScan := func() {
+		res, err := shareEng.ScanParallel(input, ScanOptions{Workers: 2})
+		if err != nil || len(res.Matches) != 0 {
+			t.Fatalf("parallel scan: %v, %d matches", err, len(res.Matches))
+		}
+	}
+	if cuts := shareEng.geo.cuts([]sched.CycleSpan{{End: shareEng.geo.cycles(int64(len(input)))}}, 2, shareEng.geo.cycles(int64(len(input)))); len(cuts) != 3 {
+		t.Fatalf("the parallel pin's input cuts into %d shares, want 2", len(cuts)-1)
+	}
+	shareScan()
 	for _, pin := range []struct {
 		name string
 		op   func()
@@ -153,6 +174,7 @@ func TestAllocationPins(t *testing.T) {
 		{"batch/dfa-warm", batch, 14},
 		{"prefilter/dfa-window", windowScan, 14},
 		{"scan/nfa-dense", denseScan, 3},
+		{"parallel/nfa-2", shareScan, 14},
 	} {
 		if got := testing.AllocsPerRun(10, pin.op); got > pin.max {
 			t.Errorf("%s: %.1f allocs/op, want <= %.0f", pin.name, got, pin.max)
@@ -237,30 +259,30 @@ func TestRunnerReleasesMatches(t *testing.T) {
 		if err != nil || len(res.Matches) != 1024 {
 			t.Fatalf("%s: %v, %d matches", backend, err, len(res.Matches))
 		}
-		if eng.nfaRun != nil && eng.nfaRun.matches != nil || eng.dfaRun != nil && eng.dfaRun.matches != nil {
+		if eng.run == nil || eng.run.matches != nil {
 			t.Errorf("%s: runner still references the result's matches", backend)
 		}
 		batch, err := eng.ScanBatch([][]byte{input}, ScanOptions{Workers: 1})
 		if err != nil || len(batch[0].Matches) != 1024 {
 			t.Fatalf("%s: batch: %v", backend, err)
 		}
-		pooled := idleDFARunners(eng)
-		if (len(pooled) == 1) != (backend == "dfa") {
-			t.Errorf("%s: ScanBatch left %d runners on the DFA free list", backend, len(pooled))
+		pooled := idleRunnerList(eng)
+		if len(pooled) != 1 {
+			t.Errorf("%s: ScanBatch left %d runners on the free list, want 1", backend, len(pooled))
 		}
-		for _, d := range pooled {
-			if d.matches != nil {
+		for _, rn := range pooled {
+			if rn.matches != nil {
 				t.Errorf("%s: pooled runner still references the batch result's matches", backend)
 			}
 		}
 	}
 }
 
-// idleDFARunners returns the runners on eng's artifact's free list.
-func idleDFARunners(eng *Engine) []*dfaRunner {
-	eng.dfaMu.Lock()
-	defer eng.dfaMu.Unlock()
-	if l := eng.dfaIdle.Value(); l != nil {
+// idleRunnerList returns the runners on eng's artifact's free list.
+func idleRunnerList(eng *Engine) []*runner {
+	eng.idleMu.Lock()
+	defer eng.idleMu.Unlock()
+	if l := eng.idle.Value(); l != nil {
 		return slices.Clone(*l)
 	}
 	return nil
@@ -270,52 +292,71 @@ func idleDFARunners(eng *Engine) []*dfaRunner {
 // what the next call, on another, gets back, even across a collection — the
 // free list is one list, not a slot per P, and one collection does not drop
 // it. (A sync.Pool stranded it in the releasing P's private slot about half
-// the time, and the call that missed it re-warmed a cold runner.)
+// the time, and the call that missed it re-warmed a cold runner.) The list
+// holds the private runners of either substrate.
 func TestDFAPoolSurvivesCollection(t *testing.T) {
 	if raceEnabled {
 		t.Skip("under the race detector a sync.Pool drops entries at random, the list's anchors among them")
 	}
-	opts := DefaultOptions()
-	opts.Backend = "dfa"
-	eng, err := Compile([]Pattern{{Expr: `ab+c`, Code: 1}}, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	released := eng.runner(true)
-	done := make(chan bool)
-	go func() {
-		eng.release([]windowRunner{released})
-		done <- true
-	}()
-	<-done
-	runtime.GC()
-	got := make(chan windowRunner)
-	go func() { got <- eng.runner(true) }()
-	if rn := <-got; rn != released {
-		t.Fatal("a call after one collection built a new runner while the released one was idle")
+	for _, backend := range []string{"nfa", "dfa"} {
+		opts := DefaultOptions()
+		opts.Backend = backend
+		eng, err := Compile([]Pattern{{Expr: `ab+c`, Code: 1}}, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		released := eng.runner(true)
+		done := make(chan bool)
+		go func() {
+			eng.release([]*runner{released})
+			done <- true
+		}()
+		<-done
+		runtime.GC()
+		got := make(chan *runner)
+		go func() { got <- eng.runner(true) }()
+		if rn := <-got; rn != released {
+			t.Fatalf("%s: a call after one collection built a new runner while the released one was idle", backend)
+		}
 	}
 }
 
 // TestDFAPoolDroppedWhenIdle: two collections with no call in between drop
 // the free list and its runners, exactly as a sync.Pool's entries would
-// be: an idle rule set retains nothing.
+// be: an idle rule set retains nothing, on either substrate.
 func TestDFAPoolDroppedWhenIdle(t *testing.T) {
-	opts := DefaultOptions()
-	opts.Backend = "dfa"
-	eng, err := Compile([]Pattern{{Expr: `ab+c`, Code: 1}}, opts)
-	if err != nil {
-		t.Fatal(err)
+	for _, backend := range []string{"nfa", "dfa"} {
+		opts := DefaultOptions()
+		opts.Backend = backend
+		eng, err := Compile([]Pattern{{Expr: `ab+c`, Code: 1}}, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		in := bytes.Repeat([]byte("xabbbcy"), 200)
+		if _, err := eng.ScanBatch([][]byte{in, in}, ScanOptions{Workers: 2}); err != nil {
+			t.Fatal(err)
+		}
+		if len(idleRunnerList(eng)) == 0 {
+			t.Fatalf("%s: ScanBatch left no runner on the free list", backend)
+		}
+		runtime.GC()
+		runtime.GC()
+		if l := idleRunnerList(eng); l != nil {
+			t.Fatalf("%s: two idle collections left the free list alive with %d runners", backend, len(l))
+		}
 	}
-	in := bytes.Repeat([]byte("xabbbcy"), 200)
-	if _, err := eng.ScanBatch([][]byte{in, in}, ScanOptions{Workers: 2}); err != nil {
-		t.Fatal(err)
+}
+
+// TestResultSizes pins Stream and ScanResult at no more than 112 bytes, the
+// size class both sit in: every stream and every result is one allocation
+// of it, and the next class is 128 bytes. The benchmark's stream_chunks row
+// allocates 160 bytes per op, the stream among them, under a 2% bound on
+// alloc_bytes_per_op, which the next class's 16 more bytes per op break.
+func TestResultSizes(t *testing.T) {
+	if n := unsafe.Sizeof(Stream{}); n > 112 {
+		t.Errorf("Stream is %d bytes, want <= 112", n)
 	}
-	runtime.GC()
-	runtime.GC()
-	eng.dfaMu.Lock()
-	l := eng.dfaIdle.Value()
-	eng.dfaMu.Unlock()
-	if l != nil {
-		t.Fatalf("two idle collections left the free list alive with %d runners", len(*l))
+	if n := unsafe.Sizeof(ScanResult{}); n > 112 {
+		t.Errorf("ScanResult is %d bytes, want <= 112", n)
 	}
 }

@@ -57,8 +57,8 @@ type DFAStats struct {
 // DFAStats returns the engine's lazy-DFA cache counters.
 func (e *Engine) DFAStats() DFAStats {
 	out := DFAStats{Supported: e.dfaPlan != nil, Reason: e.metaIn.DFAReason}
-	if e.dfaRun != nil {
-		s := e.dfaRun.r.Stats()
+	if e.run != nil && e.run.d != nil {
+		s := e.run.d.Stats()
 		out.States, out.Hits, out.Misses = s.States, s.Hits, s.Misses
 		out.Evictions, out.Fallbacks = s.Evictions, s.Fallbacks
 	}

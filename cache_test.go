@@ -490,7 +490,7 @@ func TestInfoIdenticalOnHitAndClone(t *testing.T) {
 // A new Engine field fails here until it is classified — immutable compile
 // products go into compiledArtifact, per-engine mutable state is listed
 // below. The artifact's fields that are not immutable, its free list of
-// lazy-DFA runners (held weakly, anchored by a sync.Pool), are neither: a
+// private runners (held weakly, anchored by a sync.Pool), are neither: a
 // cache every engine over the artifact shares, and a runner taken from it is
 // indistinguishable from a new one (TestDFAPoolConcurrent,
 // TestEntryPointsAgree's warm pass).
@@ -500,8 +500,7 @@ func TestEngineStateOutsideArtifact(t *testing.T) {
 		"machine":          "the engine's own device, stepped by sequential scans",
 		"model":            "the engine's device's report regions, fed by sequential scans",
 		"tel":              "attached by SetTelemetry",
-		"nfaRun":           "sequential runner scratch",
-		"dfaRun":           "sequential runner scratch and DFA state cache",
+		"run":              "sequential runner scratch and DFA state cache",
 		"spans":            "sequential scans' prefilter span scratch",
 	}
 	typ := reflect.TypeOf(Engine{})

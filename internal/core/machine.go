@@ -149,25 +149,41 @@ func (m *Machine) Reset() {
 }
 
 // Step executes one cycle on a vector of Rate units and appends the active
-// reporting states to dst, PU by PU in column order, returning it. A Pad
+// reporting states to dst, PU by PU in column order, returning it. It is
+// StepBytes on the bytes the units pair into; at rate 1 the unit is both
+// nibbles of its byte, so the cycle's phase reads it either way. A Pad
 // unit only ever arrives as part of a whole padded byte at the tail of the
 // final vector, as funcsim.PadUnits pads byte input; a byte with one Pad
-// unit is taken as a padded byte.
+// unit is taken as a padded byte, and so is every byte after it.
+func (m *Machine) Step(vec []funcsim.Unit, dst []automata.StateID) []automata.StateID {
+	if len(vec) != m.cfg.Rate {
+		panic(fmt.Sprintf("core: vector length %d != rate %d", len(vec), m.cfg.Rate))
+	}
+	if len(vec) == 1 {
+		vec = []funcsim.Unit{vec[0], vec[0]}
+	}
+	var buf [2]byte
+	for j := 0; j < len(vec); j += 2 {
+		if vec[j] == funcsim.Pad || vec[j+1] == funcsim.Pad {
+			return m.StepBytes(buf[:j/2], (len(vec)-j)/2, dst)
+		}
+		buf[j/2] = byte(vec[j])<<4 | byte(vec[j+1])
+	}
+	return m.StepBytes(buf[:len(vec)/2], 0, dst)
+}
+
+// StepBytes executes one cycle on data, the cycle's input bytes up to the
+// input's end, of which the last pad positions lie past it (only the final
+// cycle of an input is padded), and appends the active reporting states to
+// dst, PU by PU in column order, returning it. A cycle reads Rate/2 bytes,
+// or at rate 1 the nibble of data[0] its phase selects: a byte is then two
+// cycles, stepped on the same data.
 //
 // The cycle is the plan's step over the active set. The architectural
 // counters follow from that set: every PU does one Port-2 match read per
 // cycle, and every active column one crossbar row read.
-func (m *Machine) Step(vec []funcsim.Unit, dst []automata.StateID) []automata.StateID {
-	rate := m.cfg.Rate
-	if len(vec) != rate {
-		panic(fmt.Sprintf("core: vector length %d != rate %d", len(vec), rate))
-	}
-	// uint16 of a Pad unit is all ones, which selects the pad plane.
-	in := nfa.Input{uint16(vec[0]), uint16(vec[rate-1])}
-	if rate > 1 {
-		in[0] = uint16(vec[0])<<4 | uint16(vec[1])
-		in[1] = uint16(vec[rate-2])<<4 | uint16(vec[rate-1])
-	}
+func (m *Machine) StepBytes(data []byte, pad int, dst []automata.StateID) []automata.StateID {
+	in := m.plan.ByteInput(data, pad, m.kernelCycles)
 	reads, dst := m.plan.Step(m.next, m.active, in, m.kernelCycles, m.kernelCycles == 0 && !m.noStartData, &m.latches, dst)
 	m.active, m.next = m.next, m.active
 	m.energy.MatchReads += int64(m.place.NumPUs)

@@ -120,11 +120,7 @@ func PlanOver(np *nfa.Plan, classOf [256]uint16, classes int) (*Plan, error) {
 // the start-of-data states join. Every cycle of a Supported automaton
 // injects the unanchored starts, so the cycle number is moot.
 func (p *Plan) step(dst, src []uint64, data []byte, pad int, c *nfa.Latches, reports []automata.StateID) []automata.StateID {
-	in := nfa.Input{nfa.Pad, nfa.Pad}
-	for j := 0; j < p.stepBytes-pad; j++ {
-		in[j] = uint16(data[j])
-	}
-	_, reports = p.nfa.Step(dst, src, in, 0, src == nil, c, reports)
+	_, reports = p.nfa.Step(dst, src, p.nfa.ByteInput(data, pad, 0), 0, src == nil, c, reports)
 	return reports
 }
 

@@ -356,3 +356,19 @@ func (p *Plan) AppendStates(dst []automata.StateID, set []uint64) []automata.Sta
 	}
 	return dst
 }
+
+// ByteInput is the one place a cycle's Input is built from raw bytes: data
+// holds the cycle's bytes up to the input's end, and the last pad positions
+// lie past it. At rate 1 a cycle reads one nibble of data[0], the one the
+// cycle's phase selects: the high nibble on even cycles, the low on odd
+// ones. At rates 2 and 4 the cycle number is not read.
+func (p *Plan) ByteInput(data []byte, pad int, cycle int64) Input {
+	in := Input{Pad, Pad}
+	for j := range p.positions - pad {
+		in[j] = uint16(data[j])
+	}
+	if p.rate == 1 && pad == 0 {
+		in[0] = in[0] >> (4 - 4*(cycle&1)) & 0xf
+	}
+	return in
+}

@@ -106,7 +106,7 @@ func (c Config) withDefaults() Config {
 
 // scanBackends is the closed set of execution backends a served scan can
 // resolve to, in the order the text metrics print them.
-var scanBackends = []string{"nfa", "dfa"}
+var scanBackends = [...]string{"nfa", "dfa"}
 
 // ruleset is one compiled rule set being served.
 type ruleset struct {
@@ -168,9 +168,9 @@ type Server struct {
 	matches       atomic.Int64
 	errors        atomic.Int64
 	activeStreams atomic.Int64
-	// backendScans counts served scans by resolved backend, in scanBackends
-	// order (nfa, dfa, parallel).
-	backendScans [3]atomic.Int64
+	// backendScans counts served scans by resolved backend, one slot per
+	// scanBackends entry, in its order.
+	backendScans [len(scanBackends)]atomic.Int64
 }
 
 // noteBackendScans attributes n served scans to a ruleset's backend.

@@ -8,8 +8,8 @@ import (
 
 // ScanOptions configures the parallel scan paths (ScanParallel and
 // ScanBatch). The zero value uses GOMAXPROCS workers. The workers run on
-// the engine's compiled substrate (Options.Backend): clones of its machine,
-// or lazy-DFA runners from its free list, one per worker.
+// the engine's compiled substrate (Options.Backend), one private runner per
+// worker from its free list: a clone of its machine, or a lazy DFA.
 type ScanOptions struct {
 	// Workers caps the number of worker goroutines; <= 0 uses GOMAXPROCS.
 	Workers int
@@ -24,9 +24,9 @@ func (o ScanOptions) workers() int {
 
 // ScanParallel is Scan over worker goroutines: the input's cycles are cut
 // into up to Workers contiguous shares of at least
-// sched.DefaultMinShardCycles cycles, each run on a private runner of the
-// compiled backend — a clone of the compiled machine, or a pooled lazy-DFA
-// runner — after a silent warm-up replay of the automaton's dependence
+// sched.DefaultMinShardCycles cycles, each run on a pooled private runner
+// of the compiled backend — a clone of the compiled machine, or a lazy
+// DFA — after a silent warm-up replay of the automaton's dependence
 // window, and the shares merge in input order. The result is Scan's: the
 // same matches in the same order, and the same KernelCycles, Reports and
 // ReportCycles. On the machine the shares' report cycles merge in cycle
@@ -42,7 +42,7 @@ func (o ScanOptions) workers() int {
 // ScanParallel never touches the engine's shared machine, so concurrent
 // calls on one engine are safe.
 func (e *Engine) ScanParallel(input []byte, opts ScanOptions) (*ScanResult, error) {
-	rs := make([]windowRunner, opts.workers())
+	rs := make([]*runner, opts.workers())
 	defer e.release(rs)
 	return e.scanOn(rs, true, input)
 }
@@ -52,10 +52,11 @@ func (e *Engine) ScanParallel(input []byte, opts ScanOptions) (*ScanResult, erro
 // blocks once twice that many scans wait in flight. results[i] corresponds
 // to inputs[i] and is identical to what Scan(inputs[i]) on a fresh engine
 // would return; under an engaged prefilter a worker runs its input's
-// candidate windows on its runner. On the lazy-DFA backend the workers' runners come from a free
+// candidate windows on its runner. The workers' runners come from a free
 // list shared by the engine, its clones and compile-cache hits, and go back
-// to it with the states they determinized: the cache outlives the call, and
-// an idle rule set's runners are the garbage collector's to reclaim.
+// to it, a lazy DFA's with the states it determinized: the runners and
+// caches outlive the call, and an idle rule set's are the garbage
+// collector's to reclaim.
 //
 // Like ScanParallel it leaves the engine's shared machine alone and is
 // safe to call concurrently.
@@ -66,7 +67,7 @@ func (e *Engine) ScanBatch(inputs [][]byte, opts ScanOptions) ([]*ScanResult, er
 	// needs one: inputs are independent, so runners reset per input but keep
 	// their scratch warm across the batch (and the DFA its cache across
 	// calls). errs holds each worker's first error.
-	runners := make([]windowRunner, workers)
+	runners := make([]*runner, workers)
 	errs := make([]error, workers)
 	// Two queued inputs per worker keep every worker fed while submission
 	// waits on the queue instead of buffering the whole batch.

@@ -11,9 +11,9 @@ import (
 	"sunder/internal/automata"
 	"sunder/internal/core"
 	"sunder/internal/dfa"
-	"sunder/internal/funcsim"
 	"sunder/internal/report"
 	"sunder/internal/sched"
+	"sunder/internal/telemetry"
 )
 
 // This file is the one execution pipeline behind Scan, ScanParallel,
@@ -22,40 +22,6 @@ import (
 // or a prefilter's candidate windows (windows.go) — the reduction turns its
 // report cycles into matches and counts, and result turns a finished run
 // into a ScanResult.
-
-// runner is the execution contract every substrate implements: rewind,
-// consume input span by span, seal. A runner owns its partial-cycle
-// buffering and final-cycle padding, steps whole cycles in its own loop,
-// and hands only report cycles to its reduction — so a whole-input scan is
-// reset; feed(input); finish and a stream is reset; feed per Write; finish.
-type runner interface {
-	// reset starts a run at cycle zero. Matches go to onMatch as they are
-	// reduced; with nil they are collected into finish's output. size is the
-	// input bytes the run covers when they are known up front (a whole
-	// input, or a share of one), and 0 on a stream.
-	reset(onMatch func(Match), size int64)
-	// feed consumes the next span of input. An error, which only a
-	// stream's prefilter returns, is sticky.
-	feed(p []byte) error
-	// finish pads and executes the final partial cycle and returns the run.
-	finish() runOutput
-}
-
-// windowRunner is a runner that can also move within a run to a
-// prefilter's next candidate window: the lazy DFA's and the machine's.
-type windowRunner interface {
-	runner
-	// resetAt rewinds the substrate, cold, to the absolute input cycle base
-	// (anchored starts quiet when base > 0) and replays warm, whole cycles
-	// from base on, without reporting. Later feeds report with absolute
-	// cycles and byte positions into the same run, whose KernelCycles leave
-	// warm-ups out. Windows come in input order.
-	resetAt(base int64, warm []byte)
-	// skipTo moves the run past the cycles below to without executing
-	// them, which a prefilter proved match-free; a machine's report model
-	// still drains through them.
-	skipTo(to int64)
-}
 
 // runOutput is a finished run, whichever substrate produced it.
 type runOutput struct {
@@ -124,11 +90,12 @@ type reduction struct {
 	// byte the run has reached, which bounds real reports (see cycle).
 	su, rate, fed int64
 	shift         uint
-	// base is the absolute cycle minus the substrate's own cycle count,
-	// from the first cycle that may report, and warmed the warm-up cycles
-	// the run has replayed (see at); all three are 0 unless resetAt moved
-	// the run.
-	base, from, warmed int64
+	// n counts the cycles the run has stepped, warm-ups included — the
+	// run's one cycle count, whichever substrate steps it. base is the
+	// absolute cycle minus n, from the first cycle that may report, and
+	// warmed the warm-up cycles the run has replayed (see at); all three
+	// are 0 unless resetAt moved the run.
+	n, base, from, warmed int64
 	// reached is the cycle the run's last prefilter skip reached.
 	reached int64
 	matches []Match
@@ -159,18 +126,21 @@ func (a *compiledArtifact) newReduction(sink reportSink) reduction {
 // stepped by m (nil: not by a device; see core.Reducer.Reset).
 func (r *reduction) begin(m *core.Machine, onMatch func(Match), size int64) {
 	r.red.Reset(m)
-	r.fed, r.base, r.from, r.warmed, r.reached = 0, 0, 0, 0, 0
+	r.fed, r.n, r.base, r.from, r.warmed, r.reached = 0, 0, 0, 0, 0, 0
 	r.matches, r.onMatch, r.delivered, r.size = nil, onMatch, 0, size
 }
 
+// skipTo moves the run past the cycles below to without executing them,
+// which a prefilter proved match-free; a machine's report model still
+// drains through them (finish).
 func (r *reduction) skipTo(to int64) { r.reached = max(r.reached, to) }
 
-// at is resetAt's bookkeeping: the substrate, at its own cycle local,
-// stands at absolute cycle base, and the warm bytes it is about to replay
-// report nothing and are not KernelCycles.
-func (r *reduction) at(base, local int64, warm int) {
+// at is resetAt's bookkeeping: the run, n cycles in, stands at absolute
+// cycle base, and the warm bytes it is about to replay report nothing and
+// are not KernelCycles.
+func (r *reduction) at(base int64, warm int) {
 	cycles := int64(warm) * r.su / r.rate
-	r.base, r.fed = base-local, base*r.rate/r.su
+	r.base, r.fed = base-r.n, base*r.rate/r.su
 	r.from = base + cycles
 	r.warmed += cycles
 }
@@ -274,11 +244,12 @@ func rankEntries(es []core.ReportEntry) (rank, ranked []int32) {
 	return rank, ranked
 }
 
-// end seals a run of kernel executed cycles: the reducer's report counts
-// complete its stats, and the collected matches move out — a persistent
-// runner must not keep a result's memory alive on the engine.
-func (r *reduction) end(kernel int64) runOutput {
-	st := Stats{KernelCycles: kernel, Reports: r.red.Reports, ReportCycles: r.red.ReportCycles}
+// end seals the run: its stepped cycles less the warm-ups are its
+// KernelCycles, the reducer's report counts complete its stats, and the
+// collected matches move out — a persistent runner must not keep a result's
+// memory alive on the engine.
+func (r *reduction) end() runOutput {
+	st := Stats{KernelCycles: r.n - r.warmed, Reports: r.red.Reports, ReportCycles: r.red.ReportCycles}
 	out := runOutput{stats: st, matches: r.matches}
 	if r.fed > 0 {
 		r.density, r.last = float64(r.delivered)/float64(r.fed), r.delivered
@@ -288,104 +259,101 @@ func (r *reduction) end(kernel int64) runOutput {
 }
 
 // runner returns a runner of the compiled substrate. The sequential entry
-// points (Scan, NewStream) share the engine's persistent machine or DFA
-// runner — the DFA state cache stays hot across scans; private hands out one
-// that touches no engine state, for the parallel entry points' workers, who
-// release it when their call ends.
-func (e *Engine) runner(private bool) windowRunner {
-	if e.onDFA {
-		if private {
-			if d := e.takeDFA(); d != nil {
-				return d
-			}
-			return e.newDFARunner()
+// points (Scan, NewStream) share the engine's persistent runner, over its
+// shared machine or its lazy DFA, whose state cache stays hot across scans;
+// private takes one that touches no engine state, for the parallel entry
+// points' workers, from the artifact's free list, with the engine's
+// telemetry attached; the workers release it when their call ends.
+func (e *Engine) runner(private bool) *runner {
+	if !private {
+		if e.run == nil {
+			e.run = e.newRunner(e.machine, e.model)
 		}
-		if e.dfaRun == nil {
-			e.dfaRun = e.newDFARunner()
-		}
-		return e.dfaRun
+		return e.run
 	}
-	if private {
-		return e.privateMachineRunner(e.newModel())
+	rn := e.takeIdle()
+	if rn == nil {
+		rn = e.newRunner(nil, nil)
 	}
-	if e.nfaRun == nil {
-		e.nfaRun = &machineRunner{reduction: e.newReduction(e.model), m: e.machine}
-	}
-	return e.nfaRun
+	rn.attach(e.telemetryCollector())
+	return rn
 }
 
-// newModel returns a report model of the compiled device, fed telemetry
-// into the engine's collector.
-func (e *Engine) newModel() *report.Sunder {
-	m := report.NewSunder(e.proto.Reports(), e.proto.Config())
-	m.AttachTelemetry(e.telemetryCollector())
-	return m
-}
-
-// privateMachineRunner returns a runner on a private clone of the pristine
-// machine whose report cycles feed sink.
-func (e *Engine) privateMachineRunner(sink reportSink) *machineRunner {
-	m := e.proto.Clone()
-	m.AttachTelemetry(e.telemetryCollector())
-	return &machineRunner{reduction: e.newReduction(sink), m: m}
+// newRunner returns a runner of the artifact's substrate: on the lazy DFA a
+// runner with a cold transition cache, and on the machine one that steps m
+// and feeds model, or a clone of proto and a model of its own when m is
+// nil.
+func (a *compiledArtifact) newRunner(m *core.Machine, model *report.Sunder) *runner {
+	sb := a.proto.Plan().Positions()
+	r := &runner{sb: sb, cycles: 2 * sb / a.nibble.Rate}
+	if a.onDFA {
+		r.reduction, r.d = a.newReduction(nil), dfa.NewRunner(a.dfaPlan, dfa.DefaultConfig())
+		return r
+	}
+	if m == nil {
+		m, model = a.proto.Clone(), report.NewSunder(a.proto.Reports(), a.proto.Config())
+	}
+	r.reduction, r.m, r.model = a.newReduction(model), m, model
+	return r
 }
 
 // acquire returns rs[i], filled with a runner on first use.
-func (e *Engine) acquire(rs []windowRunner, i int, private bool) windowRunner {
+func (e *Engine) acquire(rs []*runner, i int, private bool) *runner {
 	if rs[i] == nil {
 		rs[i] = e.runner(private)
 	}
 	return rs[i]
 }
 
-// release ends the call of the private runners in rs. A DFA runner goes
-// back to the artifact's free list with its state cache: reset restores
-// everything else, so the next call, on this engine or a clone, starts
-// warm.
-func (e *Engine) release(rs []windowRunner) {
+// release ends the call of the private runners in rs: each goes back to the
+// artifact's free list, detached from the engine's telemetry, with its
+// scratch and, on the lazy DFA, its state cache. reset restores everything
+// else, so the next call, on this engine or a clone, starts warm.
+func (e *Engine) release(rs []*runner) {
 	for _, rn := range rs {
-		if d, ok := rn.(*dfaRunner); ok {
-			e.putDFA(d)
+		if rn != nil {
+			rn.attach(nil)
+			e.putIdle(rn)
 		}
 	}
 }
 
-// idleDFA is the free list of an artifact's private DFA runners.
-type idleDFA []*dfaRunner
+// idleRunners is the free list of an artifact's private runners.
+type idleRunners []*runner
 
-// takeDFA pops an idle private DFA runner of the artifact, or returns nil.
+// takeIdle pops an idle private runner of the artifact, or returns nil.
 //
 // The list is one, behind a mutex, so a call on any P finds every idle
 // runner — a sync.Pool strands a runner in the private slot of the P that
 // put it, and the call that misses it re-warms a cold one. The artifact
 // reaches the list only through a weak pointer; what keeps it alive is
-// dfaPool, whose entries are the list itself, one put per release and one
-// dropped per take. So the list lives exactly as long as a pool entry does,
-// and an idle rule set's runners are gone after two collections.
-func (a *compiledArtifact) takeDFA() *dfaRunner {
-	a.dfaPool.Get()
-	a.dfaMu.Lock()
-	defer a.dfaMu.Unlock()
-	l := a.dfaIdle.Value()
+// idleAnchor, whose entries are the list itself, one put per release and
+// one dropped per take. So the list lives exactly as long as a pool entry
+// does, and an idle rule set's runners are gone after two collections.
+func (a *compiledArtifact) takeIdle() *runner {
+	a.idleAnchor.Get()
+	a.idleMu.Lock()
+	defer a.idleMu.Unlock()
+	l := a.idle.Value()
 	if l == nil || len(*l) == 0 {
 		return nil
 	}
-	d := (*l)[len(*l)-1]
+	r := (*l)[len(*l)-1]
 	*l = (*l)[:len(*l)-1]
-	return d
+	return r
 }
 
-// putDFA returns a private DFA runner to the artifact's free list.
-func (a *compiledArtifact) putDFA(d *dfaRunner) {
-	a.dfaMu.Lock()
-	l := a.dfaIdle.Value()
+// putIdle returns a private runner to the artifact's free list.
+func (a *compiledArtifact) putIdle(r *runner) {
+	a.idleMu.Lock()
+	l := a.idle.Value()
 	if l == nil {
-		l = new(idleDFA)
-		a.dfaIdle = weak.Make(l)
+		l = new(idleRunners)
+		a.idle = weak.Make(l)
 	}
-	*l = append(*l, d)
-	a.dfaMu.Unlock()
-	a.dfaPool.Put(l)
+	*l = append(*l, r)
+	a.idleMu.Unlock()
+	a.idleAnchor.Put(l)
 }
 
 // ErrCycleRangeExceeded is returned by Scan, ScanParallel, ScanBatch and
@@ -416,7 +384,7 @@ func (e *Engine) checkCycleRange(n int64) error {
 // (scanPrefiltered), its shares when there are runners to share it
 // (runShares, with one span that covers the input), or reset; feed; finish
 // on the one runner.
-func (e *Engine) scanOn(rs []windowRunner, private bool, input []byte) (*ScanResult, error) {
+func (e *Engine) scanOn(rs []*runner, private bool, input []byte) (*ScanResult, error) {
 	if err := e.checkCycleRange(int64(len(input))); err != nil {
 		return nil, err
 	}
@@ -429,176 +397,171 @@ func (e *Engine) scanOn(rs []windowRunner, private bool, input []byte) (*ScanRes
 	}
 	rn := e.acquire(rs, 0, private)
 	rn.reset(nil, int64(len(input)))
-	if err := rn.feed(input); err != nil {
-		return nil, err
-	}
+	rn.feed(input)
 	return e.result(rn.finish()), nil
 }
 
-// feedChunk bounds the unit-expansion scratch of the machine runners: input
-// is expanded and stepped this many bytes at a time.
-const feedChunk = 2048
-
-// machineRunner steps a bitvec machine: the engine's shared one, or a
-// private clone of the pristine compile artifact.
-type machineRunner struct {
+// runner executes the compiled substrate over raw input bytes, span by
+// span: reset rewinds it, feed consumes the next span, and finish pads and
+// executes the final partial cycle and seals the run — so a whole-input
+// scan is reset; feed(input); finish and a stream is reset; feed per
+// Write; finish. resetAt and skipTo move it within a run to a prefilter's
+// next candidate window (windowLoop).
+//
+// One runner serves both substrates, which step the same NFA plan; what
+// differs is fields, not types:
+//   - d, the lazy DFA's transition cache, steps the run when there is one,
+//     and m, a bitvec machine, otherwise;
+//   - the reduction's sink: the machine's report model, or a share's trace
+//     the merge replays into one; nil on the lazy DFA, which models no
+//     report region;
+//   - the telemetry attached to m, which a warm-up replay detaches.
+//
+// The runner owns its partial-cycle buffering and final-cycle padding,
+// steps whole cycles in its own loop — the hit loop on the cache, chosen
+// once per span — and hands only report cycles to its reduction.
+type runner struct {
 	reduction
-	m *core.Machine
-	// units is the expansion scratch; between feeds it holds the units of
-	// an incomplete cycle.
-	units []funcsim.Unit
-	ids   []automata.StateID
+	// m and model are a machine runner's device and report region, and
+	// trace its record of a share's report cycles (runShares); d is a lazy
+	// DFA runner's transition cache.
+	m     *core.Machine
+	model *report.Sunder
+	trace report.Trace
+	d     *dfa.Runner
+	// sb is the input bytes a step reads, Rate/2 or one at rate 1, and
+	// cycles the cycles it executes: one, or at rate 1 two, one per nibble.
+	sb, cycles int
+	// pend holds the bytes of an incomplete step between feeds.
+	pend []byte
+	ids  []automata.StateID
 }
 
-func (r *machineRunner) reset(onMatch func(Match), size int64) {
-	r.m.Reset()
-	r.m.SuppressStartOfData(false)
-	r.sink.Reset()
-	r.units = r.units[:0]
+// reset starts a run at cycle zero. Matches go to onMatch as they are
+// reduced; with nil they are collected into finish's output. size is the
+// input bytes the run covers when they are known up front (a whole input,
+// or a share of one), and 0 on a stream.
+func (r *runner) reset(onMatch func(Match), size int64) {
+	if r.d != nil {
+		r.d.Reset()
+	} else {
+		r.m.Reset()
+		r.m.SuppressStartOfData(false)
+		r.sink.Reset()
+	}
+	r.pend = r.pend[:0]
 	r.begin(r.m, onMatch, size)
 }
 
-// resetAt rewinds the machine's active states only: a run's windows are
-// one device run (start-of-data injection can fire on a first window
-// alone), and their owned report cycles feed its report model at their
-// absolute cycles. warm replays with telemetry detached, so device
-// counters see owned cycles only, and a run cut into shares counts what
-// the whole run counts.
-func (r *machineRunner) resetAt(base int64, warm []byte) {
-	r.m.Rewind()
-	r.m.SuppressStartOfData(base > 0)
-	r.units = r.units[:0]
-	r.at(base, r.m.KernelCycles(), len(warm))
-	tel := r.m.Telemetry()
-	if tel != nil {
+// resetAt rewinds the substrate, cold, to the absolute input cycle base
+// (anchored starts quiet when base > 0) and replays warm, whole cycles from
+// base on, without reporting. Later feeds report with absolute cycles and
+// byte positions into the same run, whose KernelCycles leave warm-ups out.
+// Windows come in input order.
+//
+// The lazy DFA's state cache stays warm. The machine rewinds its active
+// states only: a run's windows are one device run (start-of-data injection
+// can fire on a first window alone), and their owned report cycles feed
+// its report model at their absolute cycles. It replays with telemetry
+// detached, so device counters see owned cycles only, and a run cut into
+// shares counts what the whole run counts.
+func (r *runner) resetAt(base int64, warm []byte) {
+	r.pend = r.pend[:0]
+	r.at(base, len(warm))
+	if r.d == nil {
+		r.m.Rewind()
+		r.m.SuppressStartOfData(base > 0)
+		tel := r.m.Telemetry()
 		r.m.AttachTelemetry(nil)
+		r.feed(warm)
+		r.m.AttachTelemetry(tel)
+		return
+	}
+	if base > 0 {
+		r.d.ResetMidStream()
+	} else {
+		r.d.Reset()
 	}
 	r.feed(warm)
-	if tel != nil {
-		r.m.AttachTelemetry(tel)
+}
+
+// attach connects c to the device and report model of a machine runner
+// (nil detaches); the lazy DFA feeds no device instruments.
+func (r *runner) attach(c *telemetry.Collector) {
+	if r.m != nil {
+		r.m.AttachTelemetry(c)
+		r.model.AttachTelemetry(c)
 	}
 }
 
-func (r *machineRunner) feed(p []byte) error {
+// feed consumes the next span of input.
+func (r *runner) feed(p []byte) {
 	r.fed += int64(len(p))
-	for len(p) > 0 {
-		n := min(len(p), feedChunk)
-		r.units = funcsim.AppendNibbles(slices.Grow(r.units, 2*n), p[:n])
+	sb := r.sb
+	if len(r.pend) > 0 {
+		// Complete the step a previous feed left open.
+		n := min(sb-len(r.pend), len(p))
+		r.pend = append(r.pend, p[:n]...)
 		p = p[n:]
-		r.step()
+		if len(r.pend) < sb {
+			return
+		}
+		r.step(r.pend, 0)
+		r.pend = r.pend[:0]
 	}
-	return nil
-}
-
-// step executes every complete cycle buffered in units and keeps the rest.
-func (r *machineRunner) step() {
-	rate := r.m.Config().Rate
-	off := 0
-	for ; off+rate <= len(r.units); off += rate {
-		c := r.base + r.m.KernelCycles()
-		r.ids = r.m.Step(r.units[off:off+rate], r.ids[:0])
-		if len(r.ids) > 0 {
-			r.cycle(c, r.ids)
+	if d := r.d; d != nil {
+		// The hit loop: Run takes the cached hits up to the next report,
+		// and step the one cycle Run stops before.
+		for len(p) >= sb {
+			n, ids := d.Run(p)
+			r.n += int64(n)
+			if p = p[n*sb:]; len(ids) > 0 {
+				r.cycle(r.base+r.n-1, ids)
+			} else if len(p) >= sb {
+				r.step(p[:sb], 0)
+				p = p[sb:]
+			}
+		}
+	} else {
+		for ; len(p) >= sb; p = p[sb:] {
+			r.step(p[:sb], 0)
 		}
 	}
-	r.units = append(r.units[:0], r.units[off:]...)
+	r.pend = append(r.pend, p...)
 }
 
-func (r *machineRunner) finish() runOutput {
-	if len(r.units) > 0 {
-		r.units = funcsim.PadUnits(r.units, r.m.Config().Rate)
-		r.step()
+// step executes the cycles of one step's bytes, data, of which the last pad
+// lie past the input's end.
+func (r *runner) step(data []byte, pad int) {
+	for range r.cycles {
+		c := r.base + r.n
+		r.n++
+		var ids []automata.StateID
+		if r.d != nil {
+			ids = r.d.Step(data, pad)
+		} else {
+			r.ids = r.m.StepBytes(data, pad, r.ids[:0])
+			ids = r.ids
+		}
+		if len(ids) > 0 {
+			r.cycle(c, ids)
+		}
 	}
-	out := r.end(r.m.KernelCycles() - r.warmed)
+}
+
+// finish pads and executes the final partial step and returns the run. A
+// share's trace goes to the merge, and the runner's sink back to its model.
+func (r *runner) finish() runOutput {
+	if len(r.pend) > 0 {
+		r.step(r.pend, r.sb-len(r.pend))
+		r.pend = r.pend[:0]
+	}
+	out := r.end()
 	switch s := r.sink.(type) {
 	case *report.Trace:
-		out.trace, r.sink = s, new(report.Trace)
+		out.trace, r.sink = s, r.model
 	case *report.Sunder:
-		out.reportOn(s, max(r.reached, r.base+r.m.KernelCycles()))
+		out.reportOn(s, max(r.reached, r.base+r.n))
 	}
 	return out
-}
-
-// dfaRunner steps the lazy DFA over raw bytes. KernelCycles equals the
-// device's padded cycle count; StallCycles, Flushes and the per-PU
-// breakdown are the report model's, which the lazy DFA does not feed, and
-// read zero. Device telemetry counters stay untouched for the same reason.
-// Feeding the model costs about 47–90 ns per report cycle
-// (BenchmarkReportModel on Snort's rate-4 stream, 2-vCPU Xeon), which on a
-// report-dense stream would cost the lazy DFA more than its stepping does.
-type dfaRunner struct {
-	reduction
-	r *dfa.Runner
-	// pend holds the bytes of an incomplete cycle between feeds.
-	pend []byte
-	// prior counts the cycles stepped before the run's last resetAt.
-	prior int64
-}
-
-func (e *Engine) newDFARunner() *dfaRunner {
-	return &dfaRunner{reduction: e.newReduction(nil), r: dfa.NewRunner(e.dfaPlan, dfa.DefaultConfig())}
-}
-
-func (d *dfaRunner) reset(onMatch func(Match), size int64) {
-	d.r.Reset()
-	d.pend, d.prior = d.pend[:0], 0
-	d.begin(nil, onMatch, size)
-}
-
-// resetAt starts the lazy DFA mid-stream when base > 0: the state cache
-// stays warm, and the first cycle steps from the empty set.
-func (d *dfaRunner) resetAt(base int64, warm []byte) {
-	d.prior += d.r.Cycle()
-	if base > 0 {
-		d.r.ResetMidStream()
-	} else {
-		d.r.Reset()
-	}
-	d.pend = d.pend[:0]
-	d.at(base, 0, len(warm))
-	d.feed(warm)
-}
-
-func (d *dfaRunner) feed(p []byte) error {
-	d.fed += int64(len(p))
-	sb := d.r.Plan().StepBytes()
-	if len(d.pend) > 0 {
-		// Complete the cycle a previous feed left open.
-		n := min(sb-len(d.pend), len(p))
-		d.pend = append(d.pend, p[:n]...)
-		p = p[n:]
-		if len(d.pend) < sb {
-			return nil
-		}
-		d.step(d.pend, 0)
-		d.pend = d.pend[:0]
-	}
-	// The hot loop: Run takes the cached hits up to the next report, and
-	// Step the one cycle Run stops before.
-	for r := d.r; len(p) >= sb; {
-		n, ids := r.Run(p)
-		if p = p[n*sb:]; len(ids) > 0 {
-			d.cycle(d.base+r.Cycle()-1, ids)
-		} else if len(p) >= sb {
-			d.step(p[:sb], 0)
-			p = p[sb:]
-		}
-	}
-	d.pend = append(d.pend, p...)
-	return nil
-}
-
-func (d *dfaRunner) step(data []byte, pad int) {
-	c := d.base + d.r.Cycle()
-	if ids := d.r.Step(data, pad); len(ids) > 0 {
-		d.cycle(c, ids)
-	}
-}
-
-func (d *dfaRunner) finish() runOutput {
-	if len(d.pend) > 0 {
-		d.step(d.pend, d.r.Plan().StepBytes()-len(d.pend))
-		d.pend = d.pend[:0]
-	}
-	return d.end(d.prior + d.r.Cycle() - d.warmed)
 }

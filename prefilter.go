@@ -276,7 +276,7 @@ func (e *Engine) planSpans(buf []sched.CycleSpan, input []byte, totalCycles int6
 // cuts a scan that stopped looking into even shares.
 // Runners are acquired only once there is a span, so a literal-free input
 // touches none.
-func (e *Engine) scanPrefiltered(rs []windowRunner, private bool, input []byte) *ScanResult {
+func (e *Engine) scanPrefiltered(rs []*runner, private bool, input []byte) *ScanResult {
 	g := &e.geo
 	totalCycles := g.cycles(int64(len(input)))
 	col := e.telemetryCollector()

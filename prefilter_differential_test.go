@@ -286,7 +286,7 @@ func forWindowedBackends(t *testing.T, f func(windowTest)) {
 			ref:     ref,
 			total:   total,
 			run: func(spans []sched.CycleSpan, from, to int64) runOutput {
-				rs := []windowRunner{nil}
+				rs := []*runner{nil}
 				defer eng.release(rs)
 				return eng.runWindows(eng.acquire(rs, 0, true), w.Input, spans, from, to, nil)
 			},

@@ -133,7 +133,7 @@ func TestPrefilterEngagement(t *testing.T) {
 					}
 					return
 				}
-				rs := make([]windowRunner, workers)
+				rs := make([]*runner, workers)
 				ref := eng.runShares(rs, true, c.input, spans, total)
 				eng.release(rs)
 				if st.KernelCycles != ref.stats.KernelCycles || st.PrefilterWindows != ref.windows {

@@ -22,7 +22,7 @@ var ErrDeferredBufferFull = errors.New(
 // streamFilter is the incremental literal prefilter behind Stream when the
 // engine compiled with Options.Prefilter: it scans arriving bytes for the
 // required literals and has the stream's runner execute only the candidate
-// windows (each warmed up from byte history, windowRunner.resetAt), keeping
+// windows (each warmed up from byte history, runner.resetAt), keeping
 // matches and Reports/ReportCycles byte-identical to an unfiltered stream.
 // Execution holds back align+1 cycles behind the completion frontier, which
 // makes every skip final: a window's start is anchored at the end byte of
@@ -53,16 +53,14 @@ type streamFilter struct {
 // bounding memory.
 const maxDeferredUnits = 4 << 20
 
-// reset starts the (freshly built) filter with its runner at cycle zero.
-func (f *streamFilter) reset(onMatch func(Match), size int64) { f.rn.reset(onMatch, size) }
-
 // feed scans the chunk for literals and advances execution up to the
 // decision frontier. The only error it can return is ErrDeferredBufferFull
 // (unbounded automata whose deferred-start buffer hits the cap).
 func (f *streamFilter) feed(p []byte) error {
 	f.scanChunk(p)
 	if f.live {
-		return f.rn.feed(p)
+		f.rn.feed(p)
+		return nil
 	}
 	f.hist = append(f.hist, p...)
 	if !f.g.bounded {
@@ -134,9 +132,9 @@ func (f *streamFilter) advanceDeferred() error {
 	// no match, hence no report — emission is provably silent there.
 	f.live = true
 	f.windows++
-	err := f.rn.feed(f.hist)
+	f.rn.feed(f.hist)
 	f.hist = nil
-	return err
+	return nil
 }
 
 // finish folds in the pad-tail hazard, executes the remaining undecided

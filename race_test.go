@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"reflect"
 	"sync"
 	"testing"
 )
@@ -81,63 +82,83 @@ func TestScanBatchConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
-// TestDFAPoolConcurrent hammers the runner free list the artifact shares:
-// batch scans from eight goroutines over four clones of one lazy-DFA engine
-// take and return the same pooled runners, and every result must equal a
-// fresh engine's Scan — on the first pass, which builds the caches, and on
-// the second, which is served from whatever the list kept of them (warm ≡
-// cold; the order of one cycle's matches is the substrate's, so sets
-// compare). Afterwards the list holds distinct runners, no more than the
-// calls ever held at once.
+// TestDFAPoolConcurrent hammers the runner free list the artifact shares,
+// on both substrates: batch and parallel scans from eight goroutines over
+// four clones of one engine take and return the same pooled runners, and
+// every result must equal a fresh engine's Scan — on the first pass, which
+// builds the runners (and the lazy DFA's caches), and on the second, which
+// is served from whatever the list kept of them (warm ≡ cold; the order of
+// one cycle's matches is the substrate's, so sets compare; on the machine
+// the per-PU rows compare too). Afterwards the list holds distinct runners,
+// no more than the calls ever held at once.
 func TestDFAPoolConcurrent(t *testing.T) {
 	patterns := []Pattern{{Expr: `ab+c`, Code: 1}, {Expr: `b[cd]a`, Code: 2}, {Expr: `x.y`, Code: 3}}
-	opts := DefaultOptions()
-	opts.Backend = "dfa"
-	inputs := make([][]byte, 12)
-	wants := make([]*ScanResult, len(inputs))
-	for i := range inputs {
-		inputs[i] = bytes.Repeat([]byte("xabbcayybdax-y"), 40+30*i)[i:]
-		fresh, err := Compile(patterns, opts)
+	for _, backend := range []string{"nfa", "dfa"} {
+		opts := DefaultOptions()
+		opts.Backend = backend
+		inputs := make([][]byte, 12)
+		wants := make([]*ScanResult, len(inputs))
+		for i := range inputs {
+			inputs[i] = bytes.Repeat([]byte("xabbcayybdax-y"), 40+30*i)[i:]
+			fresh, err := Compile(patterns, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if wants[i], err = fresh.Scan(inputs[i]); err != nil || len(wants[i].Matches) == 0 {
+				t.Fatalf("%s: reference %d: %v, %d matches", backend, i, err, len(wants[i].Matches))
+			}
+		}
+		eng, err := Compile(patterns, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if wants[i], err = fresh.Scan(inputs[i]); err != nil || len(wants[i].Matches) == 0 {
-			t.Fatalf("reference %d: %v, %d matches", i, err, len(wants[i].Matches))
+		check := func(label string, i int, got *ScanResult) {
+			want := wants[i]
+			if !matchesEqual(sortedMatches(got.Matches), sortedMatches(want.Matches)) || got.Stats != want.Stats || !reflect.DeepEqual(got.PerPU, want.PerPU) {
+				t.Errorf("%s: %s input %d: %d matches, stats %+v; a fresh engine has %d, %+v",
+					backend, label, i, len(got.Matches), got.Stats, len(want.Matches), want.Stats)
+			}
 		}
-	}
-	eng, err := Compile(patterns, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	engines := []*Engine{eng, eng.Clone(), eng.Clone(), eng.Clone()}
-	for _, pass := range []string{"cold", "warm"} {
-		var wg sync.WaitGroup
-		for g := 0; g < 8; g++ {
-			wg.Add(1)
-			go func(g int) {
-				defer wg.Done()
-				got, err := engines[g%len(engines)].ScanBatch(inputs, ScanOptions{Workers: 3})
-				if err != nil {
-					t.Errorf("%s batch %d: %v", pass, g, err)
-					return
-				}
-				for i, want := range wants {
-					if !matchesEqual(sortedMatches(got[i].Matches), sortedMatches(want.Matches)) || got[i].Stats != want.Stats {
-						t.Errorf("%s batch %d input %d: %d matches, stats %+v; a fresh engine has %d, %+v",
-							pass, g, i, len(got[i].Matches), got[i].Stats, len(want.Matches), want.Stats)
+		engines := []*Engine{eng, eng.Clone(), eng.Clone(), eng.Clone()}
+		for _, pass := range []string{"cold", "warm"} {
+			var wg sync.WaitGroup
+			for g := 0; g < 8; g++ {
+				wg.Add(1)
+				go func(g int) {
+					defer wg.Done()
+					e := engines[g%len(engines)]
+					label := fmt.Sprintf("%s batch %d", pass, g)
+					if g%2 == 1 {
+						for i, in := range inputs {
+							got, err := e.ScanParallel(in, ScanOptions{Workers: 3})
+							if err != nil {
+								t.Errorf("%s: %s parallel %d: %v", backend, pass, g, err)
+								return
+							}
+							check(fmt.Sprintf("%s parallel %d", pass, g), i, got)
+						}
+						return
 					}
-				}
-			}(g)
+					got, err := e.ScanBatch(inputs, ScanOptions{Workers: 3})
+					if err != nil {
+						t.Errorf("%s: %s: %v", backend, label, err)
+						return
+					}
+					for i := range wants {
+						check(label, i, got[i])
+					}
+				}(g)
+			}
+			wg.Wait()
 		}
-		wg.Wait()
-	}
-	idle := idleDFARunners(eng)
-	distinct := map[*dfaRunner]bool{}
-	for _, d := range idle {
-		distinct[d] = true
-	}
-	if len(distinct) != len(idle) || len(idle) > 8*3 {
-		t.Errorf("free list holds %d runners, %d distinct; at most 8 calls x 3 workers ran at once", len(idle), len(distinct))
+		idle := idleRunnerList(eng)
+		distinct := map[*runner]bool{}
+		for _, rn := range idle {
+			distinct[rn] = true
+		}
+		if len(distinct) != len(idle) || len(idle) > 8*3 {
+			t.Errorf("%s: free list holds %d runners, %d distinct; at most 8 calls x 3 workers ran at once", backend, len(idle), len(distinct))
+		}
 	}
 }
 

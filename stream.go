@@ -11,10 +11,12 @@ var ErrClosedStream = errors.New("sunder: write to closed stream")
 // the OnMatch callback as they occur.
 type Stream struct {
 	e *Engine
-	// run is the engine's sequential runner, or the prefilter over it:
-	// Write feeds it, Close finishes it and drops it, so a closed stream
-	// is one whose run is nil.
-	run     runner
+	// rn is the engine's sequential runner and filter the stream's
+	// prefilter over it, nil when the engine has none: Write feeds the
+	// filter, or else rn; Close finishes it and drops both, so a closed
+	// stream is one whose rn is nil.
+	rn      *runner
+	filter  *streamFilter
 	err     error
 	bytesIn int64
 	// stats memoizes the Close result (Close is idempotent).
@@ -33,12 +35,11 @@ func (e *Engine) NewStream(onMatch func(Match)) (*Stream, error) {
 	if onMatch == nil {
 		onMatch = func(Match) {}
 	}
-	rn := e.runner(false)
-	s := &Stream{e: e, run: rn}
+	s := &Stream{e: e, rn: e.runner(false)}
 	if e.pre.enabled() {
-		s.run = &streamFilter{windowLoop: windowLoop{rn: rn, g: &e.geo}, e: e, p: e.pre}
+		s.filter = &streamFilter{windowLoop: windowLoop{rn: s.rn, g: &e.geo}, e: e, p: e.pre}
 	}
-	s.run.reset(onMatch, 0)
+	s.rn.reset(onMatch, 0)
 	return s, nil
 }
 
@@ -49,7 +50,7 @@ func (e *Engine) NewStream(onMatch func(Match)) (*Stream, error) {
 // stream past the device's cycle range (ErrCycleRangeExceeded; the chunk
 // was not consumed). The signature satisfies io.Writer.
 func (s *Stream) Write(p []byte) (int, error) {
-	if s.run == nil {
+	if s.rn == nil {
 		return 0, ErrClosedStream
 	}
 	if s.err != nil {
@@ -60,7 +61,9 @@ func (s *Stream) Write(p []byte) (int, error) {
 		return 0, err
 	}
 	s.bytesIn += int64(len(p))
-	if err := s.run.feed(p); err != nil {
+	if s.filter == nil {
+		s.rn.feed(p)
+	} else if err := s.filter.feed(p); err != nil {
 		s.err = err
 		return 0, err
 	}
@@ -72,10 +75,13 @@ func (s *Stream) Write(p []byte) (int, error) {
 // Close is idempotent: further calls return the same statistics, and
 // further writes return ErrClosedStream.
 func (s *Stream) Close() Stats {
-	if s.run != nil {
-		s.stats = s.run.finish().stats
-		s.run = nil
+	switch {
+	case s.filter != nil:
+		s.stats = s.filter.finish().stats
+	case s.rn != nil:
+		s.stats = s.rn.finish().stats
 	}
+	s.rn, s.filter = nil, nil
 	return s.stats
 }
 

@@ -173,8 +173,8 @@ type ScanResult struct {
 // An engine owns one simulated machine, and the sequential entry points
 // (Scan, NewStream, Summarize) reset and mutate it — they must not run
 // concurrently on the same engine. ScanParallel and ScanBatch never touch
-// the shared machine (workers run on clones of the pristine compile
-// artifact, or on pooled lazy-DFA runners), so any number of them may run
+// the shared machine (workers run on private runners from the artifact's
+// free list: clones of the pristine machine, or lazy DFAs), so any number of them may run
 // concurrently with each other; use Clone to get independent engines for
 // concurrent sequential use.
 type Engine struct {
@@ -193,18 +193,17 @@ type Engine struct {
 	// touch the shared machine, which a concurrent sequential scan may be
 	// mutating.
 	tel atomic.Pointer[telemetry.Collector]
-	// nfaRun and dfaRun are the sequential entry points' runners, built on
-	// first use. Like the shared machine they belong to Scan/NewStream and
-	// are never touched by the parallel paths.
-	nfaRun *machineRunner
-	dfaRun *dfaRunner
+	// run is the sequential entry points' runner, over machine and model
+	// or the lazy DFA, built on first use. Like the shared machine it
+	// belongs to Scan/NewStream and is never touched by the parallel paths.
+	run *runner
 	// spans is Scan's scratch for a prefilter's candidate spans.
 	spans []sched.CycleSpan
 }
 
 // compiledArtifact is the immutable product of one compilation. The fields
-// that change after compile, the free list of DFA runners (dfaMu, dfaIdle,
-// dfaPool), are a cache and not state: a runner taken from it is
+// that change after compile, the free list of private runners (idleMu,
+// idle, idleAnchor), are a cache and not state: a runner taken from it is
 // indistinguishable from a new one in everything a scan returns.
 type compiledArtifact struct {
 	opts    Options
@@ -236,15 +235,16 @@ type compiledArtifact struct {
 	metaIn      meta.Inputs
 	// dfaPlan is the lazy-DFA stepping plan over proto's NFA plan, so the
 	// artifact holds one set of NFA tables; nil when the geometry is
-	// unsupported. Runners built from it are mutable: an engine owns its
-	// sequential one, and the parallel entry points' private ones wait
-	// between calls on one free list, dfaIdle (guarded by dfaMu, anchored
-	// by dfaPool; see takeDFA), so that every engine over this artifact
-	// warms one set of caches.
+	// unsupported.
 	dfaPlan *dfa.Plan
-	dfaMu   sync.Mutex
-	dfaIdle weak.Pointer[idleDFA]
-	dfaPool sync.Pool
+	// Runners are mutable: an engine owns its sequential one, and the
+	// parallel entry points' private ones, machine clones or lazy DFAs,
+	// wait between calls on one free list, idle (guarded by idleMu,
+	// anchored by idleAnchor; see takeIdle), so that every engine over this
+	// artifact warms one set of runners and DFA caches.
+	idleMu     sync.Mutex
+	idle       weak.Pointer[idleRunners]
+	idleAnchor sync.Pool
 }
 
 // newEngine returns an engine over art with its own pristine machine.
@@ -393,7 +393,7 @@ func (e *Engine) Analyze(sample []byte) *analysis.Report {
 func (e *Engine) Scan(input []byte) (*ScanResult, error) {
 	// Scan is sequential: the whole input, or its prefilter windows, run
 	// on the engine's one runner.
-	var rs [1]windowRunner
+	var rs [1]*runner
 	return e.scanOn(rs[:], false, input)
 }
 

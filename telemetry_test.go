@@ -6,6 +6,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"sunder/internal/report"
 )
 
 // denseEngine compiles a pattern that reports on every 'a' byte without
@@ -263,5 +265,47 @@ func TestTelemetryStreamCountersEqualStats(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestPooledRunnerTelemetryFollowsTaker: a machine runner on the artifact's
+// free list belongs to no engine. Released by one engine and taken by a
+// clone with another collector, it counts device cycles, reports and the
+// report model's stalls into the taker's collector only.
+func TestPooledRunnerTelemetryFollowsTaker(t *testing.T) {
+	eng, input := denseEngine(t)
+	telA, telB := NewTelemetry(TelemetryOptions{}), NewTelemetry(TelemetryOptions{})
+	eng.SetTelemetry(telA)
+	counters := func(tel *Telemetry) [4]int64 {
+		return [4]int64{tel.CounterValue("device_kernel_cycles"), tel.CounterValue("device_reports"),
+			tel.CounterValue("device_report_cycles"), tel.CounterValue(report.MetricStallCycles)}
+	}
+	want := func(st Stats) [4]int64 { return [4]int64{st.KernelCycles, st.Reports, st.ReportCycles, st.StallCycles} }
+	resA, err := eng.ScanBatch([][]byte{input}, ScanOptions{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := counters(telA); got != want(resA[0].Stats) || got[3] == 0 {
+		t.Fatalf("releasing engine's collector: %v, its scan's stats %v", got, want(resA[0].Stats))
+	}
+	pooled := idleRunnerList(eng)
+	if len(pooled) != 1 || pooled[0].m == nil || pooled[0].m.Telemetry() != nil {
+		t.Fatalf("free list holds %d runners, want one machine runner detached from telemetry", len(pooled))
+	}
+	clone := eng.Clone()
+	clone.SetTelemetry(telB)
+	before := counters(telA)
+	resB, err := clone.ScanBatch([][]byte{input}, ScanOptions{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after := idleRunnerList(eng); len(after) != 1 || after[0] != pooled[0] {
+		t.Fatal("the clone's batch did not run on the released runner")
+	}
+	if got := counters(telA); got != before {
+		t.Errorf("releasing engine's collector moved from %v to %v on the clone's scan", before, got)
+	}
+	if got := counters(telB); got != want(resB[0].Stats) {
+		t.Errorf("taker's collector: %v, its scan's stats %v", got, want(resB[0].Stats))
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"sync"
 
 	"sunder/internal/automata"
-	"sunder/internal/report"
 	"sunder/internal/sched"
 	"sunder/internal/telemetry"
 )
@@ -72,13 +71,12 @@ func (g *geometry) cuts(spans []sched.CycleSpan, k int, total int64) []int64 {
 
 // runShares runs the windows of spans, sorted, among a run's total cycles:
 // on rs[0] alone, or, with more runners, in up to len(rs) shares (cuts),
-// each on a runner of its own — a DFA runner of rs, or a private machine —
-// whose runs merge in input order (a window that straddles two shares is
-// opened by both). On the machine the shares record their report cycles,
-// and the merge feeds them to one report model, as a sequential run would
-// have. A call with more than one runner records a parallel_run span, with
-// a shard span per share.
-func (e *Engine) runShares(rs []windowRunner, private bool, input []byte, spans []sched.CycleSpan, total int64) runOutput {
+// each on a runner of rs of its own, whose runs merge in input order (a
+// window that straddles two shares is opened by both). On the machine the
+// shares record their report cycles, and the merge feeds them to one
+// report model, as a sequential run would have. A call with more than one
+// runner records a parallel_run span, with a shard span per share.
+func (e *Engine) runShares(rs []*runner, private bool, input []byte, spans []sched.CycleSpan, total int64) runOutput {
 	if len(rs) == 1 {
 		return e.runWindows(e.acquire(rs, 0, private), input, spans, 0, total, nil)
 	}
@@ -93,35 +91,45 @@ func (e *Engine) runShares(rs []windowRunner, private bool, input []byte, spans 
 	if k == 1 {
 		return e.runWindows(e.acquire(rs, 0, private), input, spans, 0, total, sp)
 	}
-	outs := make([]runOutput, k)
+	// The workers do not capture rs: a slice a goroutine captures escapes,
+	// and Scan's one-runner array would then be allocated per call. Each
+	// returns its runner in shares, and rs takes them after the wait.
+	shares := make([]struct {
+		rn  *runner
+		out runOutput
+	}, k)
 	var wg sync.WaitGroup
 	for g := range k {
-		var rn windowRunner
-		if e.onDFA {
-			rn = e.acquire(rs, g, private)
-		}
-		from, to := cuts[g], cuts[g+1]
+		rn, from, to := rs[g], cuts[g], cuts[g+1]
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			// A runner is taken on its worker: runners built one after
+			// another share cache lines, which the workers then write
+			// every cycle.
 			if rn == nil {
-				// A machine is built on its worker: runners built one
-				// after another share cache lines, which the workers
-				// then write every cycle.
-				rn = e.privateMachineRunner(new(report.Trace))
+				rn = e.runner(private)
 			}
-			outs[g] = e.runWindows(rn, input, spans, from, to, sp)
+			if rn.model != nil {
+				rn.sink = &rn.trace
+			}
+			shares[g].rn, shares[g].out = rn, e.runWindows(rn, input, spans, from, to, sp)
 		}()
 	}
 	wg.Wait()
-	out := outs[0]
-	for _, o := range outs[1:] {
-		out.add(o)
+	out := shares[0].out
+	for g, sh := range shares {
+		rs[g] = sh.rn
+		if g > 0 {
+			out.add(sh.out)
+		}
 	}
-	if !e.onDFA {
-		model := e.newModel()
-		for _, o := range outs {
-			o.trace.Replay(model.OnReportCycle)
+	if model := rs[0].model; model != nil {
+		// The first share's model, idle while the shares traced, models
+		// the merged run.
+		model.Reset()
+		for _, sh := range shares {
+			sh.out.trace.Replay(model.OnReportCycle)
 		}
 		out.reportOn(model, total)
 	}
@@ -131,7 +139,7 @@ func (e *Engine) runShares(rs []windowRunner, private bool, input []byte, spans 
 // runWindows executes, as one run on rn, the windows spans call for among
 // cycles [from, to) of input, under a shard span of sp; finish pads the
 // final cycle if a window holds it.
-func (e *Engine) runWindows(rn windowRunner, input []byte, spans []sched.CycleSpan, from, to int64, sp *telemetry.SpanCtx) runOutput {
+func (e *Engine) runWindows(rn *runner, input []byte, spans []sched.CycleSpan, from, to int64, sp *telemetry.SpanCtx) runOutput {
 	ss := sp.Child("shard")
 	defer ss.End()
 	rn.reset(nil, min(e.geo.cycleByte(to-from), int64(len(input))))
@@ -146,11 +154,11 @@ func (e *Engine) runWindows(rn windowRunner, input []byte, spans []sched.CycleSp
 // (runWindows) and prefiltered streams (streamFilter) alike: it decides the
 // cycles from proc on in order, skipping those no span covers and having rn
 // execute the rest. A window opens cold with a silent warm-up replay of the
-// dependence window (windowRunner.resetAt) and closes at a gap wider than
+// dependence window (runner.resetAt) and closes at a gap wider than
 // that replay; a shorter gap is executed through. Windows open and close on
 // aligned cycles, which fall between two bytes.
 type windowLoop struct {
-	rn windowRunner
+	rn *runner
 	g  *geometry
 	// sp records a span per warm-up; nil on a stream.
 	sp *telemetry.SpanCtx
