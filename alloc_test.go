@@ -156,6 +156,39 @@ func TestAllocationPins(t *testing.T) {
 		t.Fatalf("the parallel pin's input cuts into %d shares, want 2", len(cuts)-1)
 	}
 	shareScan()
+	// Prefiltered scans whose literal hits open windows but complete no
+	// match: the spans are planned into the taken runner's scratch, so a
+	// warm scan allocates its result and its literal probe. On the machine
+	// with telemetry attached the 17 windows' warm-ups mute the device's
+	// collector, and the scan allocates what it does without telemetry.
+	windowsIn := bytes.Clone(input)
+	for off := 1000; off+8 < len(windowsIn); off += 4000 {
+		copy(windowsIn[off:], "needle")
+	}
+	windowsScan := func(eng *Engine) func() {
+		return func() {
+			res, err := eng.Scan(windowsIn)
+			if err != nil || len(res.Matches) != 0 || res.Stats.PrefilterWindows != 17 || res.Stats.PrefilterStoppedAt != 0 {
+				t.Fatalf("windowed scan: %v, %d matches, %+v", err, len(res.Matches), res.Stats)
+			}
+		}
+	}
+	bounded := func(backend string) *Engine {
+		opts := DefaultOptions()
+		opts.Backend, opts.Prefilter = backend, PrefilterOn
+		eng, err := Compile([]Pattern{{Expr: `needle[0-9]x`, Code: 1}, {Expr: `haystack`, Code: 2}}, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return eng
+	}
+	telWindows := bounded("nfa")
+	telWindows.SetTelemetry(NewTelemetry(TelemetryOptions{}))
+	// The one-runner calls keep their runner in the engine's slot, not on
+	// the free list, whose sync.Pool anchor a collection drops: a
+	// collection inside the call costs nothing.
+	gcScan, gcStream := scan(compile("nfa", PrefilterOff)), stream(compile("dfa", PrefilterOff))
+	var clone *Engine
 	for _, pin := range []struct {
 		name string
 		op   func()
@@ -175,12 +208,21 @@ func TestAllocationPins(t *testing.T) {
 		{"prefilter/dfa-window", windowScan, 14},
 		{"scan/nfa-dense", denseScan, 3},
 		{"parallel/nfa-2", shareScan, 14},
+		{"scan/prefilter-windows", windowsScan(bounded("dfa")), 3},
+		{"scan/prefilter-windows-nfa", windowsScan(bounded("nfa")), 3},
+		{"scan/prefilter-windows-telemetry", windowsScan(telWindows), 3},
+		{"scan/nfa-gc", func() { runtime.GC(); gcScan() }, 2},
+		{"stream/dfa-gc", func() { runtime.GC(); gcStream() }, 3},
+		{"clone", func() { clone = shareEng.Clone() }, 1},
 	} {
 		if got := testing.AllocsPerRun(10, pin.op); got > pin.max {
 			t.Errorf("%s: %.1f allocs/op, want <= %.0f", pin.name, got, pin.max)
 		} else {
 			t.Logf("%s: %.1f allocs/op (ceiling %.0f)", pin.name, got, pin.max)
 		}
+	}
+	if clone.compiledArtifact != shareEng.compiledArtifact {
+		t.Error("a clone does not share its engine's artifact")
 	}
 	// The bytes the dense scan allocates are its matches and little else:
 	// a regrown match slice would cost about twice the final one.
@@ -241,11 +283,11 @@ func TestSparseScanAfterDense(t *testing.T) {
 	}
 }
 
-// TestRunnerReleasesMatches: the engine's persistent runners, and the
-// pooled ones of the parallel entry points, hand a scan's matches to its
-// result and keep no reference, so a large result is not pinned on the
-// engine (or on the artifact's free list) until the next scan (it showed as
-// live heap in the benchmark when it was).
+// TestRunnerReleasesMatches: the runner Scan hands back to the engine's
+// slot, and the pooled ones of the parallel entry points, hand a scan's
+// matches to its result and keep no reference, so a large result is not
+// pinned on the engine (or on the artifact's free list) until the next scan
+// (it showed as live heap in the benchmark when it was).
 func TestRunnerReleasesMatches(t *testing.T) {
 	input := bytes.Repeat([]byte("a"), 1024)
 	for _, backend := range []string{"nfa", "dfa"} {
@@ -259,7 +301,7 @@ func TestRunnerReleasesMatches(t *testing.T) {
 		if err != nil || len(res.Matches) != 1024 {
 			t.Fatalf("%s: %v, %d matches", backend, err, len(res.Matches))
 		}
-		if eng.run == nil || eng.run.matches != nil {
+		if rn := eng.slot.Load(); rn == nil || rn.matches != nil {
 			t.Errorf("%s: runner still references the result's matches", backend)
 		}
 		batch, err := eng.ScanBatch([][]byte{input}, ScanOptions{Workers: 1})
@@ -293,7 +335,7 @@ func idleRunnerList(eng *Engine) []*runner {
 // free list is one list, not a slot per P, and one collection does not drop
 // it. (A sync.Pool stranded it in the releasing P's private slot about half
 // the time, and the call that missed it re-warmed a cold runner.) The list
-// holds the private runners of either substrate.
+// holds the runners of either substrate.
 func TestDFAPoolSurvivesCollection(t *testing.T) {
 	if raceEnabled {
 		t.Skip("under the race detector a sync.Pool drops entries at random, the list's anchors among them")
@@ -305,7 +347,7 @@ func TestDFAPoolSurvivesCollection(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		released := eng.runner(true)
+		released := eng.runner()
 		done := make(chan bool)
 		go func() {
 			eng.release([]*runner{released})
@@ -314,7 +356,7 @@ func TestDFAPoolSurvivesCollection(t *testing.T) {
 		<-done
 		runtime.GC()
 		got := make(chan *runner)
-		go func() { got <- eng.runner(true) }()
+		go func() { got <- eng.runner() }()
 		if rn := <-got; rn != released {
 			t.Fatalf("%s: a call after one collection built a new runner while the released one was idle", backend)
 		}

@@ -30,11 +30,10 @@ func (a *compiledArtifact) resolveBackend() error {
 	return nil
 }
 
-// DFAStats reports the lazy-DFA backend's cache behaviour on this engine's
-// sequential runner, the one Scan and NewStream use (zero until the first
-// DFA scan), and on that runner only: the pooled runners of ScanBatch and
-// ScanParallel belong to no engine and are not counted. Like Scan, it reads
-// sequential-path state and must not race a concurrent sequential scan.
+// DFAStats reports the lazy-DFA backend's cache behaviour in this engine's
+// runs, on every entry point: each runner adds what its call changed when
+// the call hands it back (a Stream's at Close). Clones and compile-cache
+// hits count their own. It is safe to call concurrently with scans.
 type DFAStats struct {
 	// Supported reports whether the compiled geometry admits the lazy DFA
 	// (Reason says why not).
@@ -56,13 +55,10 @@ type DFAStats struct {
 
 // DFAStats returns the engine's lazy-DFA cache counters.
 func (e *Engine) DFAStats() DFAStats {
-	out := DFAStats{Supported: e.dfaPlan != nil, Reason: e.metaIn.DFAReason}
-	if e.run != nil && e.run.d != nil {
-		s := e.run.d.Stats()
-		out.States, out.Hits, out.Misses = s.States, s.Hits, s.Misses
-		out.Evictions, out.Fallbacks = s.Evictions, s.Fallbacks
-	}
-	return out
+	c := &e.dfaRuns
+	return DFAStats{Supported: e.dfaPlan != nil, Reason: e.metaIn.DFAReason,
+		States: c.states.Load(), Hits: c.hits.Load(), Misses: c.misses.Load(),
+		Evictions: c.evictions.Load(), Fallbacks: c.fallbacks.Load()}
 }
 
 // Backend returns the engine's resolved scan backend ("nfa" or "dfa"),

@@ -111,7 +111,7 @@ func TestBackendDifferential(t *testing.T) {
 
 // FuzzDFA cross-checks the lazy-DFA backend against the NFA core on
 // fuzz-chosen inputs over a panel of rule sets, through a forced "dfa"
-// engine's sequential runner and its pooled parallel ones.
+// engine's slot runner and its pooled parallel ones.
 func FuzzDFA(f *testing.F) {
 	sets := [][]Pattern{
 		{{Expr: `ab+c`, Code: 1}, {Expr: `zz`, Code: 2}},

@@ -490,18 +490,16 @@ func TestInfoIdenticalOnHitAndClone(t *testing.T) {
 // A new Engine field fails here until it is classified — immutable compile
 // products go into compiledArtifact, per-engine mutable state is listed
 // below. The artifact's fields that are not immutable, its free list of
-// private runners (held weakly, anchored by a sync.Pool), are neither: a
+// runners (held weakly, anchored by a sync.Pool), are neither: a
 // cache every engine over the artifact shares, and a runner taken from it is
 // indistinguishable from a new one (TestDFAPoolConcurrent,
 // TestEntryPointsAgree's warm pass).
 func TestEngineStateOutsideArtifact(t *testing.T) {
 	mutable := map[string]string{
 		"compiledArtifact": "the shared immutable compile product itself",
-		"machine":          "the engine's own device, stepped by sequential scans",
-		"model":            "the engine's device's report regions, fed by sequential scans",
 		"tel":              "attached by SetTelemetry",
-		"run":              "sequential runner scratch and DFA state cache",
-		"spans":            "sequential scans' prefilter span scratch",
+		"slot":             "the engine's idle runner, in front of the artifact's free list",
+		"dfaRuns":          "the lazy-DFA counters of the engine's runs (DFAStats)",
 	}
 	typ := reflect.TypeOf(Engine{})
 	for i := 0; i < typ.NumField(); i++ {

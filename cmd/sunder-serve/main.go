@@ -6,7 +6,7 @@
 // Usage:
 //
 //	sunder-serve                          # serve on 127.0.0.1:8080
-//	sunder-serve -addr :9090 -pool 8      # bigger engine pools
+//	sunder-serve -addr :9090 -pool 8      # more requests per ruleset at once
 //
 // Serving endpoints:
 //
@@ -43,8 +43,8 @@ func main() {
 	log.SetPrefix("sunder-serve: ")
 	var (
 		addr     = flag.String("addr", "127.0.0.1:8080", "listen address")
-		pool     = flag.Int("pool", 0, "engine clones per ruleset (0 = GOMAXPROCS)")
-		queue    = flag.Int("queue", 0, "waiters allowed beyond the pool before shedding 503 (0 = 4x pool, negative = none)")
+		pool     = flag.Int("pool", 0, "requests per ruleset that run at once (0 = GOMAXPROCS)")
+		queue    = flag.Int("queue", 0, "waiters allowed beyond -pool before shedding 503 (0 = 4x pool, negative = none)")
 		workers  = flag.Int("scanworkers", 0, "worker goroutines per batched/parallel scan (0 = GOMAXPROCS)")
 		maxBody  = flag.Int64("maxbody", 0, "request body cap in bytes (0 = 16MiB)")
 		timeout  = flag.Duration("timeout", 0, "per-scan-request timeout (0 = 30s)")

@@ -59,10 +59,10 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if _, err := sumEng.Scan(transactions); err != nil {
+	fired, err := sumEng.Summarize(transactions)
+	if err != nil {
 		log.Fatal(err)
 	}
-	fired := sumEng.Summarize()
 	fmt.Printf("\nsummarized mode: patterns that occurred at least once: ")
 	for code := int32(1); code <= 6; code++ {
 		if fired[code] {

@@ -37,8 +37,9 @@ type Machine struct {
 	kernelCycles int64
 	energy       EnergyCounters
 	// tel is the attached telemetry sink; nil (the default) disables all
-	// instrumentation at the cost of one branch per site.
-	tel *telemetrySink
+	// instrumentation at the cost of one branch per site. muted holds it
+	// while MuteTelemetry silences it.
+	tel, muted *telemetrySink
 	// noStartData suppresses start-of-data injection on cycle zero (see
 	// SuppressStartOfData); set on shard-worker clones replaying mid-stream.
 	noStartData bool

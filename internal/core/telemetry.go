@@ -43,6 +43,17 @@ func (m *Machine) AttachTelemetry(c *telemetry.Collector) {
 	}
 }
 
+// MuteTelemetry stops (true) and resumes (false) the attached collector's
+// counting without detaching it: a muted machine steps silently, and
+// resuming looks nothing up again. Telemetry reports nil while muted.
+func (m *Machine) MuteTelemetry(mute bool) {
+	if mute {
+		m.muted, m.tel = m.tel, nil
+	} else if m.muted != nil {
+		m.tel, m.muted = m.muted, nil
+	}
+}
+
 // Telemetry returns the attached collector, or nil.
 func (m *Machine) Telemetry() *telemetry.Collector {
 	if m.tel == nil {

@@ -144,9 +144,9 @@ func TestShedCountersByReason(t *testing.T) {
 	}
 	rs, _ := s.lookup("nids")
 	deadline := time.Now().Add(5 * time.Second)
-	for len(rs.pool.engines) != 0 {
+	for len(rs.pool.running) != cap(rs.pool.running) {
 		if time.Now().After(deadline) {
-			t.Fatal("stream never acquired the engine")
+			t.Fatal("stream never took the ruleset's one slot")
 		}
 		time.Sleep(time.Millisecond)
 	}

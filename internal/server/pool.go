@@ -3,81 +3,55 @@ package server
 import (
 	"context"
 	"errors"
-
-	"sunder"
 )
 
-// ErrPoolBusy is returned by acquire when the pool's waiter queue is full:
-// the caller should shed the request (HTTP 503) rather than queue without
+// ErrPoolBusy is returned by acquire when the waiter queue is full: the
+// caller should shed the request (HTTP 503) rather than queue without
 // bound.
 var ErrPoolBusy = errors.New("server: engine pool queue is full")
 
-// enginePool is a fixed set of Engine.Clone workers behind a bounded
-// acquisition queue. Engines circulate through a buffered channel; a
-// second token channel bounds how many acquirers may be in flight at once
-// (pool size + queue depth), so once every engine is busy at most `queue`
-// requests wait and the rest fail fast with ErrPoolBusy — backpressure
-// toward the client instead of unbounded goroutine pileup.
+// admission is a ruleset's admission semaphore: at most size requests run
+// on its engine at once, one per slot of running, behind a bounded
+// acquisition queue. A second token channel bounds how many acquirers may
+// be in flight at once (size + queue depth), so once every slot is busy at
+// most `queue` requests wait and the rest fail fast with ErrPoolBusy —
+// backpressure toward the client instead of unbounded goroutine pileup.
 //
-// The sequential entry points (Scan, NewStream) mutate an engine's own
-// machine, which is why each request needs exclusive use of one clone;
-// the clones share the immutable compile artifacts, so a pool of N costs
-// N machines, not N compilations.
-type enginePool struct {
-	engines chan *sunder.Engine
-	tokens  chan struct{}
-	size    int
-	queue   int
+// The engine itself is safe for concurrent use; the semaphore bounds the
+// runners, goroutines and memory one ruleset's requests hold at once.
+type admission struct {
+	running, tokens chan struct{}
 }
 
-// newEnginePool clones size engines from base, arming each with the given
-// hook (telemetry attachment), and allows up to queue waiting acquirers.
-func newEnginePool(base *sunder.Engine, size, queue int, arm func(*sunder.Engine)) *enginePool {
-	if size < 1 {
-		size = 1
-	}
-	if queue < 0 {
-		queue = 0
-	}
-	p := &enginePool{
-		engines: make(chan *sunder.Engine, size),
-		tokens:  make(chan struct{}, size+queue),
-		size:    size,
-		queue:   queue,
-	}
-	for i := 0; i < size; i++ {
-		e := base.Clone()
-		if arm != nil {
-			arm(e)
-		}
-		p.engines <- e
-	}
-	return p
+// newAdmission admits size >= 1 requests at once and allows up to
+// queue >= 0 waiting acquirers (Config.withDefaults guarantees both).
+func newAdmission(size, queue int) *admission {
+	return &admission{running: make(chan struct{}, size), tokens: make(chan struct{}, size+queue)}
 }
 
-// acquire takes an engine, waiting until one frees up or ctx ends. It
-// returns ErrPoolBusy immediately when size+queue acquirers are already in
-// flight.
-func (p *enginePool) acquire(ctx context.Context) (*sunder.Engine, error) {
+// acquire takes a slot, waiting until one frees up or ctx ends. It returns
+// ErrPoolBusy immediately when size+queue acquirers are already in flight.
+func (a *admission) acquire(ctx context.Context) error {
 	select {
-	case p.tokens <- struct{}{}:
+	case a.tokens <- struct{}{}:
 	default:
-		return nil, ErrPoolBusy
+		return ErrPoolBusy
 	}
-	defer func() { <-p.tokens }()
+	defer func() { <-a.tokens }()
 	select {
-	case e := <-p.engines:
-		return e, nil
+	case a.running <- struct{}{}:
+		return nil
 	case <-ctx.Done():
-		return nil, ctx.Err()
+		return ctx.Err()
 	}
 }
 
-// release returns an engine to the pool. Engines need no cleaning between
-// requests: every sequential entry point resets the machine on entry.
-func (p *enginePool) release(e *sunder.Engine) { p.engines <- e }
+// release frees a slot taken by acquire.
+func (a *admission) release() { <-a.running }
 
-// stats snapshots the pool for the ruleset-info endpoint.
-func (p *enginePool) stats() PoolStatsJSON {
-	return PoolStatsJSON{Size: p.size, Idle: len(p.engines), Queue: p.queue}
+// stats snapshots the semaphore for the ruleset-info endpoint: idle is the
+// slots no request holds.
+func (a *admission) stats() PoolStatsJSON {
+	size := cap(a.running)
+	return PoolStatsJSON{Size: size, Idle: size - len(a.running), Queue: cap(a.tokens) - size}
 }

@@ -3,14 +3,15 @@
 // scenario (network intrusion detection over live traffic).
 //
 // Rule sets are managed as named resources (PUT/GET/DELETE /rulesets/{id})
-// compiled through the process-wide CompileCached LRU, each backed by a
-// bounded pool of Engine.Clone workers. Scanning dispatches through the
-// library's concurrent paths — ScanBatch for batched inputs, ScanParallel
-// for one large input — and a chunked streaming endpoint delivers matches
-// as NDJSON while input is still arriving, backed by Stream. Device
-// telemetry aggregates across every pooled engine into /metrics, pprof is
-// wired under /debug/pprof/, and Drain ends live streams at a chunk
-// boundary so the process can shut down gracefully.
+// compiled through the process-wide CompileCached LRU, each served by one
+// engine behind an admission semaphore that bounds the requests running on
+// it at once. Scanning dispatches through the library's concurrent paths —
+// ScanBatch for batched inputs, ScanParallel for one large input — and a
+// chunked streaming endpoint delivers matches as NDJSON while input is
+// still arriving, backed by Stream. Device telemetry aggregates across
+// every ruleset's engine into /metrics, pprof is wired under
+// /debug/pprof/, and Drain ends live streams at a chunk boundary so the
+// process can shut down gracefully.
 package server
 
 import (
@@ -42,13 +43,12 @@ const RetryAfterHeader = "Retry-After"
 
 // Config tunes the service. The zero value serves with sensible defaults.
 type Config struct {
-	// PoolSize is the number of Engine.Clone workers per ruleset
-	// (default GOMAXPROCS): the bound on concurrently served sequential
-	// scans and streams per ruleset.
+	// PoolSize is the number of requests per ruleset that run on its
+	// engine at once (default GOMAXPROCS): scans and streams alike.
 	PoolSize int
-	// QueueDepth is how many acquirers may wait for an engine beyond the
-	// pool size before requests are shed with 503 (default 4×PoolSize;
-	// negative means no queue — shed as soon as every engine is busy).
+	// QueueDepth is how many requests may wait for a slot beyond the pool
+	// size before requests are shed with 503 (default 4×PoolSize;
+	// negative means no queue — shed as soon as every slot is busy).
 	QueueDepth int
 	// ScanWorkers bounds the worker goroutines of one batched or parallel
 	// scan request (default GOMAXPROCS).
@@ -118,7 +118,9 @@ type ruleset struct {
 	// behind it. Every scan this ruleset serves is attributed to
 	// it on the per-backend /metrics counters.
 	backend string
-	pool    *enginePool
+	// eng serves every request of the ruleset; pool admits them.
+	eng     *sunder.Engine
+	pool    *admission
 	scans   atomic.Int64
 	bytes   atomic.Int64
 	matches atomic.Int64
@@ -134,7 +136,7 @@ type ruleset struct {
 	waitNS   atomic.Int64
 	servedNS atomic.Int64
 	// Shed counters, by reason: capacity (pool queue full, 503), deadline
-	// (timed out waiting for an engine, 504), draining (rejected during
+	// (timed out waiting for a slot, 504), draining (rejected during
 	// graceful shutdown, 503).
 	shedCapacity telemetry.Counter
 	shedDeadline telemetry.Counter
@@ -340,7 +342,8 @@ func (s *Server) handlePutRuleset(w http.ResponseWriter, r *http.Request) {
 	}
 	// The compile-cache keys on every compile-affecting Options field
 	// (Minimize included), so re-uploading an identical ruleset — or the same
-	// rules under a different id — costs one machine clone, not a compile.
+	// rules under a different id — costs a new engine over the cached
+	// artifact, not a compile.
 	sp := s.spans.Root("put_ruleset")
 	sp.SetAttr(`ruleset="` + id + `"`)
 	defer sp.End()
@@ -359,16 +362,16 @@ func (s *Server) handlePutRuleset(w http.ResponseWriter, r *http.Request) {
 	if f := strings.Fields(info.Backend); len(f) > 0 {
 		backend = f[0]
 	}
+	eng.SetTelemetry(s.tel)
 	rs := &ruleset{
 		id:      id,
 		req:     req,
 		info:    info,
 		backend: backend,
+		eng:     eng,
+		pool:    newAdmission(s.cfg.PoolSize, s.cfg.QueueDepth),
 		lat:     telemetry.NewHistogram(telemetry.DurationBounds()),
 		wait:    telemetry.NewHistogram(telemetry.DurationBounds()),
-		pool: newEnginePool(eng, s.cfg.PoolSize, s.cfg.QueueDepth, func(e *sunder.Engine) {
-			e.SetTelemetry(s.tel)
-		}),
 	}
 	s.mu.Lock()
 	_, replaced := s.rulesets[id]
@@ -403,8 +406,8 @@ func (s *Server) handleDeleteRuleset(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusNotFound, "no such ruleset")
 		return
 	}
-	// In-flight requests hold their own engine references and finish
-	// normally; the pool and its clones are garbage once they drain.
+	// In-flight requests hold their own ruleset references and finish
+	// normally; the ruleset and its engine are garbage once they drain.
 	s.log.Info("ruleset deleted", "id", id)
 	w.WriteHeader(http.StatusNoContent)
 }
@@ -480,22 +483,16 @@ func (s *Server) handleScan(w http.ResponseWriter, r *http.Request) {
 
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.ScanTimeout)
 	defer cancel()
-	wsp := sp.Child("pool_wait")
-	waitStart := time.Now()
-	eng, err := rs.pool.acquire(ctx)
-	waitDur := time.Since(waitStart)
-	wsp.End()
-	if err != nil {
+	waitDur, ok := s.admit(ctx, w, rs, sp)
+	if !ok {
 		body.release()
-		s.writeAcquireError(w, rs, err)
 		return
 	}
-	rs.wait.Observe(waitDur.Nanoseconds())
 	parallel := r.URL.Query().Get("parallel") != "" && len(inputs) == 1
 
 	// The scan itself is not cancellable mid-run; run it on a goroutine so
-	// the request can still observe its deadline, and return the engine and
-	// the body the inputs alias to their pools only once the work has
+	// the request can still observe its deadline, and free the slot and
+	// return the body the inputs alias to its pool only once the work has
 	// finished: a 504 returns while the scan still reads them, so from here
 	// on the handler touches neither.
 	type outcome struct {
@@ -505,15 +502,15 @@ func (s *Server) handleScan(w http.ResponseWriter, r *http.Request) {
 	done := make(chan outcome, 1)
 	ssp := sp.Child("scan")
 	go func() {
-		defer rs.pool.release(eng)
+		defer rs.pool.release()
 		defer body.release()
 		var o outcome
 		if parallel {
 			var res *sunder.ScanResult
-			res, o.err = eng.ScanParallel(inputs[0], sunder.ScanOptions{Workers: s.cfg.ScanWorkers})
+			res, o.err = rs.eng.ScanParallel(inputs[0], sunder.ScanOptions{Workers: s.cfg.ScanWorkers})
 			o.results = []*sunder.ScanResult{res}
 		} else {
-			o.results, o.err = eng.ScanBatch(inputs, sunder.ScanOptions{Workers: s.cfg.ScanWorkers})
+			o.results, o.err = rs.eng.ScanBatch(inputs, sunder.ScanOptions{Workers: s.cfg.ScanWorkers})
 		}
 		done <- o
 	}()
@@ -539,17 +536,7 @@ func (s *Server) handleScan(w http.ResponseWriter, r *http.Request) {
 			nmatches += int64(len(res.Matches))
 			resp.Results[i] = ScanResultJSON{Matches: matchesJSON(res.Matches), Stats: statsJSON(res.Stats)}
 		}
-		rs.scans.Add(int64(len(inputs)))
-		rs.bytes.Add(nbytes)
-		rs.matches.Add(nmatches)
-		s.noteBackendScans(rs.backend, int64(len(inputs)))
-		s.scans.Add(int64(len(inputs)))
-		s.scanBytes.Add(nbytes)
-		s.matches.Add(nmatches)
-		total := time.Since(start)
-		rs.lat.Observe(total.Nanoseconds())
-		rs.waitNS.Add(waitDur.Nanoseconds())
-		rs.servedNS.Add(total.Nanoseconds())
+		s.served(rs, int64(len(inputs)), nbytes, nmatches, start, waitDur)
 		s.writeJSON(w, http.StatusOK, resp)
 	}
 }
@@ -559,10 +546,10 @@ func (s *Server) handleScan(w http.ResponseWriter, r *http.Request) {
 const streamChunkSize = 64 << 10
 
 // handleStream serves POST /rulesets/{id}/stream: the chunked request body
-// flows through Stream on a pooled engine, and matches are written back as
-// NDJSON StreamEvent lines as they occur. The final line carries the
-// device statistics; on Drain the stream ends early at a chunk boundary
-// with reason "draining".
+// flows through a Stream on the ruleset's engine, and matches are written
+// back as NDJSON StreamEvent lines as they occur. The final line carries
+// the device statistics; on Drain the stream ends early at a chunk
+// boundary with reason "draining".
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	rs, ok := s.lookup(r.PathValue("id"))
@@ -580,17 +567,11 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.ScanTimeout)
 	defer cancel()
-	wsp := sp.Child("pool_wait")
-	waitStart := time.Now()
-	eng, err := rs.pool.acquire(ctx)
-	waitDur := time.Since(waitStart)
-	wsp.End()
-	if err != nil {
-		s.writeAcquireError(w, rs, err)
+	waitDur, ok := s.admit(ctx, w, rs, sp)
+	if !ok {
 		return
 	}
-	rs.wait.Observe(waitDur.Nanoseconds())
-	defer rs.pool.release(eng)
+	defer rs.pool.release()
 
 	s.activeStreams.Add(1)
 	defer s.activeStreams.Add(-1)
@@ -611,7 +592,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	flusher, _ := w.(http.Flusher)
 
 	var matches int64
-	stream, err := eng.NewStream(func(m sunder.Match) {
+	stream, err := rs.eng.NewStream(func(m sunder.Match) {
 		matches++
 		// Write errors surface on the next chunk's flush; matches are
 		// delivered from Stream.Write on this goroutine, so enc is safe.
@@ -661,17 +642,7 @@ read:
 	dsp.SetAttr(`reason="` + reason + `"`)
 	stats := stream.Close()
 	dsp.End()
-	rs.scans.Add(1)
-	rs.bytes.Add(stream.BytesIn())
-	rs.matches.Add(matches)
-	s.noteBackendScans(rs.backend, 1)
-	s.scans.Add(1)
-	s.scanBytes.Add(stream.BytesIn())
-	s.matches.Add(matches)
-	total := time.Since(start)
-	rs.lat.Observe(total.Nanoseconds())
-	rs.waitNS.Add(waitDur.Nanoseconds())
-	rs.servedNS.Add(total.Nanoseconds())
+	s.served(rs, 1, stream.BytesIn(), matches, start, waitDur)
 	st := statsJSON(stats)
 	_ = enc.Encode(StreamEvent{Done: true, Reason: reason, Bytes: stream.BytesIn(), Stats: &st})
 	if flusher != nil {
@@ -684,7 +655,7 @@ read:
 
 // handleMetrics writes the service counters, the compile-cache statistics,
 // the per-ruleset latency SLO summaries and shed counters, and the device
-// counters aggregated across every pooled engine, in the same flat text
+// counters aggregated across every ruleset's engine, in the same flat text
 // format as Telemetry.WriteMetrics. With ?format=json it writes the same
 // snapshot as a MetricsJSON document, the machine-readable form the load
 // generator consumes for its server-side SLO columns.
@@ -996,12 +967,40 @@ func (s *Server) writeError(w http.ResponseWriter, status int, msg string) {
 	s.writeJSON(w, status, ErrorResponse{Error: msg})
 }
 
-// writeAcquireError maps pool-acquisition failures: a full queue and a
-// drain are load shedding (503, retryable elsewhere), an expired request
-// deadline is 504. Each shed is attributed to the ruleset's per-reason
-// counter for /metrics.
-func (s *Server) writeAcquireError(w http.ResponseWriter, rs *ruleset, err error) {
+// served counts a served request of rs that started at start, waited wait
+// for its slot and scanned scans inputs of nbytes bytes in all, finding
+// matches: the ruleset's, the backend's and the service's counters, and the
+// ruleset's latency and pool-wait share.
+func (s *Server) served(rs *ruleset, scans, nbytes, matches int64, start time.Time, wait time.Duration) {
+	rs.scans.Add(scans)
+	rs.bytes.Add(nbytes)
+	rs.matches.Add(matches)
+	s.noteBackendScans(rs.backend, scans)
+	s.scans.Add(scans)
+	s.scanBytes.Add(nbytes)
+	s.matches.Add(matches)
+	total := time.Since(start)
+	rs.lat.Observe(total.Nanoseconds())
+	rs.waitNS.Add(wait.Nanoseconds())
+	rs.servedNS.Add(total.Nanoseconds())
+}
+
+// admit waits for a slot of rs under a pool_wait span of sp and returns
+// the wait, observed on the ruleset's wait histogram, and true; the caller
+// releases the slot. Without a slot it writes the failure and returns
+// false: a full queue is load shedding (503, retryable elsewhere), an
+// expired request deadline is 504. Each shed is attributed to the
+// ruleset's per-reason counter for /metrics.
+func (s *Server) admit(ctx context.Context, w http.ResponseWriter, rs *ruleset, sp *telemetry.SpanCtx) (time.Duration, bool) {
+	wsp := sp.Child("pool_wait")
+	start := time.Now()
+	err := rs.pool.acquire(ctx)
+	wait := time.Since(start)
+	wsp.End()
 	switch {
+	case err == nil:
+		rs.wait.Observe(wait.Nanoseconds())
+		return wait, true
 	case errors.Is(err, ErrPoolBusy):
 		rs.shedCapacity.Inc()
 		s.writeShed(w, s.cfg.retryAfterCapacity(), "engine pool saturated, retry later")
@@ -1012,6 +1011,7 @@ func (s *Server) writeAcquireError(w http.ResponseWriter, rs *ruleset, err error
 		rs.shedCapacity.Inc()
 		s.writeShed(w, s.cfg.retryAfterCapacity(), err.Error())
 	}
+	return wait, false
 }
 
 // bodyErrStatus distinguishes an oversized body (413) from a malformed one

@@ -459,29 +459,24 @@ func TestServerConcurrentClients(t *testing.T) {
 	wg.Wait()
 }
 
-// TestEnginePoolBackpressure pins the pool contract: one engine, zero
-// queue slots — the first acquirer holds the engine, the second waits
-// until its context expires, and a third concurrent acquirer is shed
-// immediately with ErrPoolBusy.
+// TestEnginePoolBackpressure pins the admission contract: one slot, zero
+// queue slots — the first acquirer holds the slot, the second waits until
+// its context expires, and a third concurrent acquirer is shed immediately
+// with ErrPoolBusy.
 func TestEnginePoolBackpressure(t *testing.T) {
-	eng, err := sunder.Compile([]sunder.Pattern{{Expr: "ab", Code: 1}}, sunder.DefaultOptions())
-	if err != nil {
+	p := newAdmission(1, 0)
+	if err := p.acquire(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	p := newEnginePool(eng, 1, 0, nil)
-	held, err := p.acquire(context.Background())
-	if err != nil {
-		t.Fatal(err)
+	if st := p.stats(); st != (PoolStatsJSON{Size: 1, Idle: 0, Queue: 0}) {
+		t.Fatalf("stats with the slot held: %+v", st)
 	}
 
 	// Second acquirer occupies the single in-flight slot and waits.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	waitErr := make(chan error, 1)
-	go func() {
-		_, err := p.acquire(ctx)
-		waitErr <- err
-	}()
+	go func() { waitErr <- p.acquire(ctx) }()
 	deadline := time.Now().Add(5 * time.Second)
 	for len(p.tokens) == 0 {
 		if time.Now().After(deadline) {
@@ -491,7 +486,7 @@ func TestEnginePoolBackpressure(t *testing.T) {
 	}
 
 	// Third: queue full, fail fast.
-	if _, err := p.acquire(context.Background()); err != ErrPoolBusy {
+	if err := p.acquire(context.Background()); err != ErrPoolBusy {
 		t.Fatalf("third acquire: %v, want ErrPoolBusy", err)
 	}
 
@@ -500,14 +495,16 @@ func TestEnginePoolBackpressure(t *testing.T) {
 	if err := <-waitErr; err != context.Canceled {
 		t.Fatalf("canceled waiter: %v, want context.Canceled", err)
 	}
-	// ...and release hands the engine to the next acquirer.
-	p.release(held)
-	got, err := p.acquire(context.Background())
-	if err != nil {
+	// ...and release hands the slot to the next acquirer.
+	p.release()
+	if st := p.stats(); st.Idle != 1 {
+		t.Fatalf("stats after release: %+v, want the slot idle", st)
+	}
+	if err := p.acquire(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if got != held {
-		t.Fatal("pool returned a different engine than released")
+	if st := p.stats(); st.Idle != 0 {
+		t.Fatalf("stats after the next acquire: %+v, want the slot held", st)
 	}
 }
 
@@ -537,9 +534,9 @@ func TestServerSheddingUnderLoad(t *testing.T) {
 	}
 	rs, _ := s.lookup("nids")
 	deadline := time.Now().Add(5 * time.Second)
-	for len(rs.pool.engines) != 0 {
+	for len(rs.pool.running) != cap(rs.pool.running) {
 		if time.Now().After(deadline) {
-			t.Fatal("stream never acquired the engine")
+			t.Fatal("stream never took the ruleset's one slot")
 		}
 		time.Sleep(time.Millisecond)
 	}

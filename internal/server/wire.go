@@ -135,7 +135,8 @@ func infoJSON(i sunder.Info) InfoJSON {
 	return out
 }
 
-// PoolStatsJSON snapshots a ruleset's engine pool.
+// PoolStatsJSON snapshots a ruleset's admission: Size requests may run on
+// its engine at once, and Idle of those slots are free.
 type PoolStatsJSON struct {
 	Size int `json:"size"`
 	Idle int `json:"idle"`

@@ -8,8 +8,8 @@ import (
 
 // ScanOptions configures the parallel scan paths (ScanParallel and
 // ScanBatch). The zero value uses GOMAXPROCS workers. The workers run on
-// the engine's compiled substrate (Options.Backend), one private runner per
-// worker from its free list: a clone of its machine, or a lazy DFA.
+// the engine's compiled substrate (Options.Backend), one runner per worker
+// from the artifact's free list: a clone of its machine, or a lazy DFA.
 type ScanOptions struct {
 	// Workers caps the number of worker goroutines; <= 0 uses GOMAXPROCS.
 	Workers int
@@ -24,8 +24,8 @@ func (o ScanOptions) workers() int {
 
 // ScanParallel is Scan over worker goroutines: the input's cycles are cut
 // into up to Workers contiguous shares of at least
-// sched.DefaultMinShardCycles cycles, each run on a pooled private runner
-// of the compiled backend — a clone of the compiled machine, or a lazy
+// sched.DefaultMinShardCycles cycles, each run on a pooled runner of the
+// compiled backend — a clone of the compiled machine, or a lazy
 // DFA — after a silent warm-up replay of the automaton's dependence
 // window, and the shares merge in input order. The result is Scan's: the
 // same matches in the same order, and the same KernelCycles, Reports and
@@ -38,35 +38,28 @@ func (o ScanOptions) workers() int {
 // instead: each runs a contiguous share of them, and the shares merge in
 // input order (a window two shares straddle counts once for each in
 // PrefilterWindows).
-//
-// ScanParallel never touches the engine's shared machine, so concurrent
-// calls on one engine are safe.
 func (e *Engine) ScanParallel(input []byte, opts ScanOptions) (*ScanResult, error) {
 	rs := make([]*runner, opts.workers())
 	defer e.release(rs)
-	return e.scanOn(rs, true, input)
+	return e.scanOn(rs, input)
 }
 
 // ScanBatch scans many independent inputs concurrently on a bounded worker
-// pool: opts.Workers private runners serve the queue, and submission
-// blocks once twice that many scans wait in flight. results[i] corresponds
-// to inputs[i] and is identical to what Scan(inputs[i]) on a fresh engine
-// would return; under an engaged prefilter a worker runs its input's
-// candidate windows on its runner. The workers' runners come from a free
-// list shared by the engine, its clones and compile-cache hits, and go back
-// to it, a lazy DFA's with the states it determinized: the runners and
-// caches outlive the call, and an idle rule set's are the garbage
-// collector's to reclaim.
-//
-// Like ScanParallel it leaves the engine's shared machine alone and is
-// safe to call concurrently.
+// pool: opts.Workers runners serve the queue, and submission blocks once
+// twice that many scans wait in flight. results[i] corresponds to
+// inputs[i] and is identical to what Scan(inputs[i]) would return; under an
+// engaged prefilter a worker runs its input's candidate windows on its
+// runner. The workers' runners come from a free list shared by the engine,
+// its clones and compile-cache hits, and go back to it, a lazy DFA's with
+// the states it determinized: the runners and caches outlive the call, and
+// an idle rule set's are the garbage collector's to reclaim.
 func (e *Engine) ScanBatch(inputs [][]byte, opts ScanOptions) ([]*ScanResult, error) {
 	results := make([]*ScanResult, len(inputs))
 	workers := max(min(opts.workers(), len(inputs)), 1)
-	// Each worker owns a private runner, acquired by its first input that
-	// needs one: inputs are independent, so runners reset per input but keep
-	// their scratch warm across the batch (and the DFA its cache across
-	// calls). errs holds each worker's first error.
+	// Each worker owns a runner, acquired by its first input: inputs are
+	// independent, so runners reset per input but keep their scratch warm
+	// across the batch (and the DFA its cache across calls). errs holds
+	// each worker's first error.
 	runners := make([]*runner, workers)
 	errs := make([]error, workers)
 	// Two queued inputs per worker keep every worker fed while submission
@@ -77,7 +70,7 @@ func (e *Engine) ScanBatch(inputs [][]byte, opts ScanOptions) ([]*ScanResult, er
 			if errs[worker] != nil {
 				return
 			}
-			results[i], errs[worker] = e.scanOn(runners[worker:worker+1], true, in)
+			results[i], errs[worker] = e.scanOn(runners[worker:worker+1], in)
 		})
 	}
 	pool.Wait()
@@ -90,9 +83,9 @@ func (e *Engine) ScanBatch(inputs [][]byte, opts ScanOptions) ([]*ScanResult, er
 	return results, nil
 }
 
-// Clone returns an independent engine sharing this engine's immutable
-// compile artifacts (automata, placement) but owning its own pristine
-// machine. Sequential scans and streams on different clones may run fully
-// concurrently. Telemetry attachments do not carry over — attach them per
-// clone as needed.
+// Clone returns an engine over this engine's compiled artifact with
+// telemetry and DFAStats of its own: Telemetry attachments do not carry
+// over (attach them per clone as needed), and its DFA counters start at
+// zero. It costs one allocation; an engine needs no clone to serve
+// concurrent calls.
 func (e *Engine) Clone() *Engine { return newEngine(e.compiledArtifact) }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
+	"sync/atomic"
 	"weak"
 
 	"sunder/internal/automata"
@@ -258,70 +259,98 @@ func (r *reduction) end() runOutput {
 	return out
 }
 
-// runner returns a runner of the compiled substrate. The sequential entry
-// points (Scan, NewStream) share the engine's persistent runner, over its
-// shared machine or its lazy DFA, whose state cache stays hot across scans;
-// private takes one that touches no engine state, for the parallel entry
-// points' workers, from the artifact's free list, with the engine's
-// telemetry attached; the workers release it when their call ends.
-func (e *Engine) runner(private bool) *runner {
-	if !private {
-		if e.run == nil {
-			e.run = e.newRunner(e.machine, e.model)
-		}
-		return e.run
-	}
-	rn := e.takeIdle()
+// take returns the runner of a call that holds one for its length (Scan,
+// Summarize, ReadReports, a Stream until Close): the engine's idle runner
+// from its slot, or else one from the free list (runner); give hands it
+// back.
+//
+// The slot keeps the one-runner calls off the free list, whose sync.Pool
+// anchor a collection drops: the next Put then re-allocates its per-P
+// array, and a call that found the list dropped builds a cold runner.
+// ScanBatch and ScanParallel use the free list alone, so their runners stay
+// weakly held.
+func (e *Engine) take() *runner {
+	rn := e.slot.Swap(nil)
 	if rn == nil {
-		rn = e.newRunner(nil, nil)
+		rn = e.takeIdle()
 	}
-	rn.attach(e.telemetryCollector())
+	return e.ready(rn)
+}
+
+// give hands back a runner from take: into the engine's slot when it is
+// empty, else to the free list.
+func (e *Engine) give(rn *runner) {
+	if e.note(rn); !e.slot.CompareAndSwap(nil, rn) {
+		e.putIdle(rn)
+	}
+}
+
+// runner takes a runner of the compiled substrate from the artifact's free
+// list, or builds one, ready for a call on e; release hands it back.
+func (e *Engine) runner() *runner { return e.ready(e.takeIdle()) }
+
+// ready readies a taken runner, or a new one for nil, for a call on e: the
+// engine's collector is attached and the lazy DFA's counters are marked,
+// so that note adds only this call's part to the engine's.
+func (e *Engine) ready(rn *runner) *runner {
+	if rn == nil {
+		rn = e.newRunner()
+	}
+	rn.attach(e.tel.Load())
+	if rn.d != nil {
+		rn.took = rn.d.Stats()
+	}
 	return rn
 }
 
-// newRunner returns a runner of the artifact's substrate: on the lazy DFA a
-// runner with a cold transition cache, and on the machine one that steps m
-// and feeds model, or a clone of proto and a model of its own when m is
-// nil.
-func (a *compiledArtifact) newRunner(m *core.Machine, model *report.Sunder) *runner {
+// dfaCounters are an engine's lazy-DFA counters (DFAStats).
+type dfaCounters struct{ states, hits, misses, evictions, fallbacks atomic.Int64 }
+
+// note adds to e's lazy-DFA counters what changed on rn since it was taken.
+func (e *Engine) note(rn *runner) {
+	if rn.d == nil {
+		return
+	}
+	s, t, c := rn.d.Stats(), rn.took, &e.dfaRuns
+	c.states.Add(s.States - t.States)
+	c.hits.Add(s.Hits - t.Hits)
+	c.misses.Add(s.Misses - t.Misses)
+	c.evictions.Add(s.Evictions - t.Evictions)
+	c.fallbacks.Add(s.Fallbacks - t.Fallbacks)
+}
+
+// newRunner returns a runner of the artifact's substrate: on the lazy DFA
+// a runner with a cold transition cache, and on the machine a clone of
+// proto with a report model of its own.
+func (a *compiledArtifact) newRunner() *runner {
 	sb := a.proto.Plan().Positions()
 	r := &runner{sb: sb, cycles: 2 * sb / a.nibble.Rate}
 	if a.onDFA {
 		r.reduction, r.d = a.newReduction(nil), dfa.NewRunner(a.dfaPlan, dfa.DefaultConfig())
 		return r
 	}
-	if m == nil {
-		m, model = a.proto.Clone(), report.NewSunder(a.proto.Reports(), a.proto.Config())
-	}
-	r.reduction, r.m, r.model = a.newReduction(model), m, model
+	r.m, r.model = a.proto.Clone(), report.NewSunder(a.proto.Reports(), a.proto.Config())
+	r.reduction = a.newReduction(r.model)
 	return r
 }
 
-// acquire returns rs[i], filled with a runner on first use.
-func (e *Engine) acquire(rs []*runner, i int, private bool) *runner {
-	if rs[i] == nil {
-		rs[i] = e.runner(private)
-	}
-	return rs[i]
-}
-
-// release ends the call of the private runners in rs: each goes back to the
-// artifact's free list, detached from the engine's telemetry, with its
-// scratch and, on the lazy DFA, its state cache. reset restores everything
-// else, so the next call, on this engine or a clone, starts warm.
+// release ends the call of the runners in rs from runner: each goes back
+// to the artifact's free list with its scratch and, on the lazy DFA, its
+// state cache. reset restores everything else, so the next call, on this
+// engine or a clone, starts warm.
 func (e *Engine) release(rs []*runner) {
 	for _, rn := range rs {
 		if rn != nil {
-			rn.attach(nil)
+			e.note(rn)
 			e.putIdle(rn)
 		}
 	}
 }
 
-// idleRunners is the free list of an artifact's private runners.
+// idleRunners is the free list of an artifact's runners.
 type idleRunners []*runner
 
-// takeIdle pops an idle private runner of the artifact, or returns nil.
+// takeIdle pops an idle runner of the artifact, or returns nil.
 //
 // The list is one, behind a mutex, so a call on any P finds every idle
 // runner — a sync.Pool strands a runner in the private slot of the P that
@@ -343,8 +372,10 @@ func (a *compiledArtifact) takeIdle() *runner {
 	return r
 }
 
-// putIdle returns a private runner to the artifact's free list.
+// putIdle returns a runner to the artifact's free list, detached from
+// any engine's telemetry.
 func (a *compiledArtifact) putIdle(r *runner) {
+	r.attach(nil)
 	a.idleMu.Lock()
 	l := a.idle.Value()
 	if l == nil {
@@ -379,23 +410,26 @@ func (e *Engine) checkCycleRange(n int64) error {
 	return nil
 }
 
-// scanOn runs one whole input over the call's runners rs, acquired on
-// first use: its candidate windows when the prefilter engaged
-// (scanPrefiltered), its shares when there are runners to share it
-// (runShares, with one span that covers the input), or reset; feed; finish
-// on the one runner.
-func (e *Engine) scanOn(rs []*runner, private bool, input []byte) (*ScanResult, error) {
+// scanOn runs one whole input over the call's runners rs, the first
+// filled from the free list if it is nil and the others on first use: its
+// candidate windows when the prefilter engaged (scanPrefiltered), its
+// shares when there are runners to share it (runShares, with one span that
+// covers the input), or reset; feed; finish on the one runner.
+func (e *Engine) scanOn(rs []*runner, input []byte) (*ScanResult, error) {
 	if err := e.checkCycleRange(int64(len(input))); err != nil {
 		return nil, err
 	}
+	if rs[0] == nil {
+		rs[0] = e.runner()
+	}
 	if e.pre.enabled() {
-		return e.scanPrefiltered(rs, private, input), nil
+		return e.scanPrefiltered(rs, input), nil
 	}
 	if len(rs) > 1 {
 		total := e.geo.cycles(int64(len(input)))
-		return e.result(e.runShares(rs, private, input, []sched.CycleSpan{{End: total}}, total)), nil
+		return e.result(e.runShares(rs, input, []sched.CycleSpan{{End: total}}, total)), nil
 	}
-	rn := e.acquire(rs, 0, private)
+	rn := rs[0]
 	rn.reset(nil, int64(len(input)))
 	rn.feed(input)
 	return e.result(rn.finish()), nil
@@ -415,7 +449,7 @@ func (e *Engine) scanOn(rs []*runner, private bool, input []byte) (*ScanResult, 
 //   - the reduction's sink: the machine's report model, or a share's trace
 //     the merge replays into one; nil on the lazy DFA, which models no
 //     report region;
-//   - the telemetry attached to m, which a warm-up replay detaches.
+//   - the telemetry attached to m, which a warm-up replay mutes.
 //
 // The runner owns its partial-cycle buffering and final-cycle padding,
 // steps whole cycles in its own loop — the hit loop on the cache, chosen
@@ -424,17 +458,21 @@ type runner struct {
 	reduction
 	// m and model are a machine runner's device and report region, and
 	// trace its record of a share's report cycles (runShares); d is a lazy
-	// DFA runner's transition cache.
+	// DFA runner's transition cache, and took its counters when the runner
+	// was taken (note).
 	m     *core.Machine
 	model *report.Sunder
 	trace report.Trace
 	d     *dfa.Runner
+	took  dfa.Stats
 	// sb is the input bytes a step reads, Rate/2 or one at rate 1, and
 	// cycles the cycles it executes: one, or at rate 1 two, one per nibble.
 	sb, cycles int
 	// pend holds the bytes of an incomplete step between feeds.
 	pend []byte
 	ids  []automata.StateID
+	// spans is a prefiltered scan's scratch for its candidate spans.
+	spans []sched.CycleSpan
 }
 
 // reset starts a run at cycle zero. Matches go to onMatch as they are
@@ -463,7 +501,7 @@ func (r *runner) reset(onMatch func(Match), size int64) {
 // states only: a run's windows are one device run (start-of-data injection
 // can fire on a first window alone), and their owned report cycles feed
 // its report model at their absolute cycles. It replays with telemetry
-// detached, so device counters see owned cycles only, and a run cut into
+// muted, so device counters see owned cycles only, and a run cut into
 // shares counts what the whole run counts.
 func (r *runner) resetAt(base int64, warm []byte) {
 	r.pend = r.pend[:0]
@@ -471,10 +509,9 @@ func (r *runner) resetAt(base int64, warm []byte) {
 	if r.d == nil {
 		r.m.Rewind()
 		r.m.SuppressStartOfData(base > 0)
-		tel := r.m.Telemetry()
-		r.m.AttachTelemetry(nil)
+		r.m.MuteTelemetry(true)
 		r.feed(warm)
-		r.m.AttachTelemetry(tel)
+		r.m.MuteTelemetry(false)
 		return
 	}
 	if base > 0 {
@@ -486,9 +523,10 @@ func (r *runner) resetAt(base int64, warm []byte) {
 }
 
 // attach connects c to the device and report model of a machine runner
-// (nil detaches); the lazy DFA feeds no device instruments.
+// (nil detaches), unless they feed c already; the lazy DFA feeds no device
+// instruments.
 func (r *runner) attach(c *telemetry.Collector) {
-	if r.m != nil {
+	if r.m != nil && r.m.Telemetry() != c {
 		r.m.AttachTelemetry(c)
 		r.model.AttachTelemetry(c)
 	}

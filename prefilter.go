@@ -179,7 +179,7 @@ const (
 	bailShareMachine = 1.0 / 2
 )
 
-// maxKeptSpans caps the span scratch an engine keeps between Scans: 64 KiB.
+// maxKeptSpans caps the span scratch a runner keeps between scans: 64 KiB.
 const maxKeptSpans = 4 << 10
 
 // literalProbe is one whole-input literal scan, the scanner's Hits: the
@@ -274,22 +274,17 @@ func (e *Engine) planSpans(buf []sched.CycleSpan, input []byte, totalCycles int6
 // candidate spans, and the call's runners execute their windows (runShares) —
 // one for Scan and a ScanBatch worker, up to len(rs) for ScanParallel, which
 // cuts a scan that stopped looking into even shares.
-// Runners are acquired only once there is a span, so a literal-free input
-// touches none.
-func (e *Engine) scanPrefiltered(rs []*runner, private bool, input []byte) *ScanResult {
+func (e *Engine) scanPrefiltered(rs []*runner, input []byte) *ScanResult {
 	g := &e.geo
 	totalCycles := g.cycles(int64(len(input)))
-	col := e.telemetryCollector()
+	col := e.tel.Load()
 
-	// Scan plans into the engine's scratch, which it keeps unless a scan
-	// grew it large; the parallel paths plan into their own.
-	var buf []sched.CycleSpan
-	if !private {
-		buf = e.spans[:0]
-	}
-	spans, hits, stoppedAt := e.planSpans(buf, input, totalCycles, int(totalCycles*g.rate-int64(len(input))*g.su))
-	if !private && cap(spans) <= maxKeptSpans {
-		e.spans = spans[:0]
+	// The spans are planned into the first runner's scratch, which it keeps
+	// unless a scan grew it large.
+	rn := rs[0]
+	spans, hits, stoppedAt := e.planSpans(rn.spans[:0], input, totalCycles, int(totalCycles*g.rate-int64(len(input))*g.su))
+	if cap(spans) <= maxKeptSpans {
+		rn.spans = spans[:0]
 	}
 
 	if len(spans) == 0 {
@@ -306,7 +301,7 @@ func (e *Engine) scanPrefiltered(rs []*runner, private bool, input []byte) *Scan
 		spans = append(spans[:0], sched.CycleSpan{End: totalCycles})
 	}
 	slices.SortFunc(spans, bySpanStart)
-	out := e.runShares(rs, private, input, spans, totalCycles)
+	out := e.runShares(rs, input, spans, totalCycles)
 	out.stats.PrefilterWindows = out.windows
 	out.stats.SkippedCycles = totalCycles - out.stats.KernelCycles
 	out.stats.PrefilterStoppedAt = int64(stoppedAt)

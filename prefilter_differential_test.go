@@ -286,9 +286,9 @@ func forWindowedBackends(t *testing.T, f func(windowTest)) {
 			ref:     ref,
 			total:   total,
 			run: func(spans []sched.CycleSpan, from, to int64) runOutput {
-				rs := []*runner{nil}
+				rs := []*runner{eng.runner()}
 				defer eng.release(rs)
-				return eng.runWindows(eng.acquire(rs, 0, true), w.Input, spans, from, to, nil)
+				return eng.runWindows(rs[0], w.Input, spans, from, to, nil)
 			},
 			check: func(label string, out runOutput) {
 				t.Helper()

@@ -134,7 +134,8 @@ func TestPrefilterEngagement(t *testing.T) {
 					return
 				}
 				rs := make([]*runner, workers)
-				ref := eng.runShares(rs, true, c.input, spans, total)
+				rs[0] = eng.runner()
+				ref := eng.runShares(rs, c.input, spans, total)
 				eng.release(rs)
 				if st.KernelCycles != ref.stats.KernelCycles || st.PrefilterWindows != ref.windows {
 					t.Errorf("%s: %d cycles in %d windows, the unstopped plan runs %d in %d",

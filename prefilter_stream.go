@@ -166,6 +166,6 @@ func (f *streamFilter) finish() runOutput {
 	}
 	out := f.rn.finish()
 	out.stats.PrefilterWindows, out.stats.SkippedCycles = f.windows, f.skipped
-	notePrefilter(f.e.telemetryCollector(), f.hits, f.windows, out.stats.KernelCycles, f.skipped, false)
+	notePrefilter(f.e.tel.Load(), f.hits, f.windows, out.stats.KernelCycles, f.skipped, false)
 	return out
 }

@@ -162,13 +162,13 @@ func TestDFAPoolConcurrent(t *testing.T) {
 	}
 }
 
-// TestScanConcurrentSequentialAndBatch audits the contract the docs make
-// for the parallel paths: ScanBatch (and ScanParallel) never touch the
-// engine's shared machine, so they may overlap a sequential Scan that is
-// mutating it. With telemetry attached, the batch paths must read the
-// collector through the engine's atomic mirror — reaching into e.machine
-// for it is exactly the access this test would flag under -race if it
-// crept back in.
+// TestScanConcurrentSequentialAndBatch: Scan, ScanBatch and ScanParallel
+// overlap on one engine with telemetry attached. Every call runs on
+// runners of its own — Scan on the engine's slot runner or, while another
+// Scan holds it, one from the free list — and reads the collector from the
+// engine's atomic pointer; a runner shared between two calls, or a
+// collector read from a runner another call is stepping, is what -race
+// flags here.
 func TestScanConcurrentSequentialAndBatch(t *testing.T) {
 	eng, err := Compile([]Pattern{
 		{Expr: "abcab", Code: 1},
@@ -195,30 +195,27 @@ func TestScanConcurrentSequentialAndBatch(t *testing.T) {
 	}
 
 	var wg sync.WaitGroup
-	// Sequential scans mutate the shared machine the whole time.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 6; i++ {
-			got, err := eng.Scan(seqInput)
-			if err != nil {
-				t.Errorf("sequential scan %d: %v", i, err)
-				return
+	// Two goroutines of Scans contend for the engine's slot the whole time.
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 6; i++ {
+				got, err := eng.Scan(seqInput)
+				if err != nil {
+					t.Errorf("sequential scan %d: %v", i, err)
+					return
+				}
+				sameScan(t, fmt.Sprint("sequential scan ", i), got, seqWant)
 			}
-			sameScan(t, fmt.Sprint("sequential scan ", i), got, seqWant)
-		}
-	}()
-	// Batch and parallel scans overlap them, on the same engine and on a
-	// clone (which must also carry the telemetry-free pristine machine).
+		}()
+	}
+	// Batch and parallel scans overlap them on the same engine.
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			e := eng
-			if g%2 == 1 {
-				e = eng.Clone()
-			}
-			got, err := e.ScanBatch(inputs, ScanOptions{Workers: 3})
+			got, err := eng.ScanBatch(inputs, ScanOptions{Workers: 3})
 			if err != nil {
 				t.Errorf("batch %d: %v", g, err)
 				return
@@ -226,7 +223,7 @@ func TestScanConcurrentSequentialAndBatch(t *testing.T) {
 			for i := range inputs {
 				sameScan(t, fmt.Sprintf("batch %d input %d", g, i), got[i], wants[i])
 			}
-			par, err := e.ScanParallel(seqInput, ScanOptions{Workers: 2})
+			par, err := eng.ScanParallel(seqInput, ScanOptions{Workers: 2})
 			if err != nil {
 				t.Errorf("parallel %d: %v", g, err)
 				return
@@ -237,9 +234,9 @@ func TestScanConcurrentSequentialAndBatch(t *testing.T) {
 	wg.Wait()
 }
 
-// TestConcurrentStreamsOnClones drives one stream per engine clone from
-// separate goroutines — the documented pattern for concurrent streaming.
-func TestConcurrentStreamsOnClones(t *testing.T) {
+// TestConcurrentStreamsOnOneEngine drives six streams on one engine from
+// separate goroutines: each stream holds a runner of its own until Close.
+func TestConcurrentStreamsOnOneEngine(t *testing.T) {
 	eng, err := Compile([]Pattern{{Expr: "abab", Code: 1}}, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
@@ -254,9 +251,8 @@ func TestConcurrentStreamsOnClones(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			clone := eng.Clone()
 			var matches int
-			s, err := clone.NewStream(func(Match) { matches++ })
+			s, err := eng.NewStream(func(Match) { matches++ })
 			if err != nil {
 				t.Errorf("stream %d: %v", g, err)
 				return
@@ -339,6 +335,107 @@ func TestTelemetryAggregationConcurrent(t *testing.T) {
 		wantLine := fmt.Sprintf("%s %d\n", metric, per*scans)
 		if !bytes.Contains(buf.Bytes(), []byte(wantLine)) {
 			t.Errorf("metrics missing %q (aggregation across workers off)\n%s", wantLine, buf.String())
+		}
+	}
+}
+
+// TestConcurrentCallersOneEngine: one engine serves every entry point at
+// once. Goroutines mix Scan, NewStream/Write/Close, ScanBatch,
+// ScanParallel, Summarize and SetTelemetry (with DFAStats and Info read
+// alongside) on a single Engine, on both substrates, with and without the
+// prefilter, and every result must be the functional simulator's: the
+// same matches and the same Reports and ReportCycles.
+func TestConcurrentCallersOneEngine(t *testing.T) {
+	patterns := []Pattern{{Expr: `ab+c`, Code: 1}, {Expr: `b[cd]a`, Code: 2}, {Expr: `xy+z`, Code: 3}}
+	input := bytes.Repeat([]byte("xabbcayybdaxyyz-q."), 60)[1:]
+	short := []byte("..abc..xyz..")
+	want := oracleRun(t, patterns, input)
+	wantCodes := map[int32]bool{}
+	for _, m := range oracleRun(t, patterns, short).Matches {
+		wantCodes[m.Code] = true
+	}
+	if len(want.Matches) == 0 || len(wantCodes) != 2 {
+		t.Fatalf("oracle: %d matches, codes %v", len(want.Matches), wantCodes)
+	}
+	check := func(label string, matches []Match, st Stats) {
+		t.Helper()
+		if !matchesEqual(sortedMatches(matches), want.Matches) || st.Reports != want.Stats.Reports || st.ReportCycles != want.Stats.ReportCycles {
+			t.Errorf("%s: %d matches, %d reports in %d cycles; funcsim has %d, %d in %d", label,
+				len(matches), st.Reports, st.ReportCycles, len(want.Matches), want.Stats.Reports, want.Stats.ReportCycles)
+		}
+	}
+	for _, backend := range []string{"nfa", "dfa"} {
+		for _, pre := range []PrefilterMode{PrefilterOff, PrefilterOn} {
+			opts := DefaultOptions()
+			opts.Backend, opts.Prefilter, opts.FIFO = backend, pre, false
+			eng, err := Compile(patterns, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tels := []*Telemetry{NewTelemetry(TelemetryOptions{}), nil, NewTelemetry(TelemetryOptions{Trace: true, TraceCapacity: 1 << 10})}
+			var wg sync.WaitGroup
+			for g := 0; g < 12; g++ {
+				wg.Add(1)
+				go func(g int) {
+					defer wg.Done()
+					label := fmt.Sprintf("%s/prefilter=%d/goroutine %d", backend, pre, g)
+					for i := 0; i < 3; i++ {
+						switch g % 6 {
+						case 0:
+							res, err := eng.Scan(input)
+							if err != nil {
+								t.Error(err)
+								return
+							}
+							check(label+" Scan", res.Matches, res.Stats)
+						case 1:
+							var got []Match
+							s, _ := eng.NewStream(func(m Match) { got = append(got, m) })
+							for off := 0; off < len(input); off += 97 + g {
+								if _, err := s.Write(input[off:min(off+97+g, len(input))]); err != nil {
+									t.Error(err)
+									return
+								}
+							}
+							check(label+" Stream", got, s.Close())
+						case 2:
+							res, err := eng.ScanBatch([][]byte{input, input}, ScanOptions{Workers: 2})
+							if err != nil {
+								t.Error(err)
+								return
+							}
+							for _, r := range res {
+								check(label+" ScanBatch", r.Matches, r.Stats)
+							}
+						case 3:
+							res, err := eng.ScanParallel(input, ScanOptions{Workers: 3})
+							if err != nil {
+								t.Error(err)
+								return
+							}
+							check(label+" ScanParallel", res.Matches, res.Stats)
+						case 4:
+							got, err := eng.Summarize(short)
+							if err != nil || !reflect.DeepEqual(got, wantCodes) {
+								t.Errorf("%s Summarize: %v, %v; funcsim has %v", label, got, err, wantCodes)
+							}
+						case 5:
+							eng.SetTelemetry(tels[(g/6+i)%len(tels)])
+							_, _ = eng.DFAStats(), eng.Info()
+							res, err := eng.Scan(input)
+							if err != nil {
+								t.Error(err)
+								return
+							}
+							check(label+" Scan after SetTelemetry", res.Matches, res.Stats)
+						}
+					}
+				}(g)
+			}
+			wg.Wait()
+			if backend == "dfa" && eng.DFAStats().Hits == 0 {
+				t.Errorf("%s/prefilter=%d: DFAStats counted no hit over every entry point", backend, pre)
+			}
 		}
 	}
 }

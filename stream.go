@@ -11,10 +11,10 @@ var ErrClosedStream = errors.New("sunder: write to closed stream")
 // the OnMatch callback as they occur.
 type Stream struct {
 	e *Engine
-	// rn is the engine's sequential runner and filter the stream's
-	// prefilter over it, nil when the engine has none: Write feeds the
-	// filter, or else rn; Close finishes it and drops both, so a closed
-	// stream is one whose rn is nil.
+	// rn is the runner the stream holds until Close, and filter the
+	// stream's prefilter over it, nil when the engine has none: Write feeds
+	// the filter, or else rn; Close finishes it, hands rn back and drops
+	// both, so a closed stream is one whose rn is nil.
 	rn      *runner
 	filter  *streamFilter
 	err     error
@@ -23,19 +23,18 @@ type Stream struct {
 	stats Stats
 }
 
-// NewStream resets the engine and returns a streaming scanner. onMatch may
-// be nil if only the final Stats are of interest. The returned error is
-// currently always nil.
+// NewStream returns a streaming scanner. onMatch may be nil if only the
+// final Stats are of interest. The returned error is currently always nil.
 //
-// A stream drives the engine's sequential runner (its shared machine, or
-// its lazy DFA), so one engine supports one stream at a time; for
-// concurrent streams, open each on its own Engine.Clone — clones share the
-// compiled artifacts, so this is cheap.
+// A stream holds a runner of its own (a machine clone or a lazy DFA) from
+// NewStream until Close, so any number of streams, and any other calls,
+// may run on one engine at once. A stream itself is not safe for
+// concurrent use.
 func (e *Engine) NewStream(onMatch func(Match)) (*Stream, error) {
 	if onMatch == nil {
 		onMatch = func(Match) {}
 	}
-	s := &Stream{e: e, rn: e.runner(false)}
+	s := &Stream{e: e, rn: e.take()}
 	if e.pre.enabled() {
 		s.filter = &streamFilter{windowLoop: windowLoop{rn: s.rn, g: &e.geo}, e: e, p: e.pre}
 	}
@@ -71,16 +70,19 @@ func (s *Stream) Write(p []byte) (int, error) {
 }
 
 // Close pads and executes the final partial vector (matches ending on the
-// last input bytes are still found) and returns the device statistics.
-// Close is idempotent: further calls return the same statistics, and
-// further writes return ErrClosedStream.
+// last input bytes are still found), hands the stream's runner back and
+// returns the device statistics. Close is idempotent: further calls return
+// the same statistics, and further writes return ErrClosedStream.
 func (s *Stream) Close() Stats {
-	switch {
-	case s.filter != nil:
+	if s.rn == nil {
+		return s.stats
+	}
+	if s.filter != nil {
 		s.stats = s.filter.finish().stats
-	case s.rn != nil:
+	} else {
 		s.stats = s.rn.finish().stats
 	}
+	s.e.give(s.rn)
 	s.rn, s.filter = nil, nil
 	return s.stats
 }

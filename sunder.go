@@ -27,6 +27,7 @@ package sunder
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"weak"
@@ -170,39 +171,30 @@ type ScanResult struct {
 // Options.Backend resolved to (the machine or the lazy DFA), confined to
 // candidate windows when the literal prefilter engaged.
 //
-// An engine owns one simulated machine, and the sequential entry points
-// (Scan, NewStream, Summarize) reset and mutate it — they must not run
-// concurrently on the same engine. ScanParallel and ScanBatch never touch
-// the shared machine (workers run on private runners from the artifact's
-// free list: clones of the pristine machine, or lazy DFAs), so any number of them may run
-// concurrently with each other; use Clone to get independent engines for
-// concurrent sequential use.
+// An engine is the compiled artifact plus its telemetry, and every method
+// is safe for concurrent use: each call runs on runners of its own (a
+// machine clone with its report model, or a lazy DFA), which it takes from
+// the artifact and hands back when it returns — a Stream when it closes.
 type Engine struct {
 	// compiledArtifact is everything compilation produced. It is immutable
-	// (but for its free list of DFA runners, a cache) and shared by clones
-	// and compile-cache hits; every other field is per-engine mutable state
+	// (but for its free list of runners, a cache) and shared by clones and
+	// compile-cache hits; every other field is per-engine mutable state
 	// (TestEngineStateOutsideArtifact).
 	*compiledArtifact
-	// machine is the engine's own device, a clone of the artifact's proto,
-	// and model its report region, which the sequential entry points'
-	// machine runs feed (Summarize and ReadReports read it).
-	machine *core.Machine
-	model   *report.Sunder
-	// tel mirrors the collector attached by SetTelemetry. The parallel
-	// paths read it instead of e.machine.Telemetry(): they promise never to
-	// touch the shared machine, which a concurrent sequential scan may be
-	// mutating.
+	// tel is the collector attached by SetTelemetry; a runner gets it when
+	// it is taken.
 	tel atomic.Pointer[telemetry.Collector]
-	// run is the sequential entry points' runner, over machine and model
-	// or the lazy DFA, built on first use. Like the shared machine it
-	// belongs to Scan/NewStream and is never touched by the parallel paths.
-	run *runner
-	// spans is Scan's scratch for a prefilter's candidate spans.
-	spans []sched.CycleSpan
+	// slot holds the engine's idle runner in front of the free list: the
+	// one-runner calls (Scan, Summarize, ReadReports, NewStream) take it
+	// with a Swap and hand it back with a CompareAndSwap (see take).
+	slot atomic.Pointer[runner]
+	// dfaRuns sums the lazy-DFA counters of every run on this engine
+	// (DFAStats): a runner adds what changed while it was out.
+	dfaRuns dfaCounters
 }
 
 // compiledArtifact is the immutable product of one compilation. The fields
-// that change after compile, the free list of private runners (idleMu,
+// that change after compile, the free list of runners (idleMu,
 // idle, idleAnchor), are a cache and not state: a runner taken from it is
 // indistinguishable from a new one in everything a scan returns.
 type compiledArtifact struct {
@@ -211,7 +203,7 @@ type compiledArtifact struct {
 	nibble  *automata.UnitAutomaton
 	place   *mapping.Placement
 	// proto is the never-executed machine configured at compile time;
-	// engines and parallel workers clone it.
+	// every machine runner steps a clone of it.
 	proto *core.Machine
 	// rank and ranked order proto's report table entries by (offset, code),
 	// the order a cycle's matches go out in (rankEntries).
@@ -237,20 +229,17 @@ type compiledArtifact struct {
 	// artifact holds one set of NFA tables; nil when the geometry is
 	// unsupported.
 	dfaPlan *dfa.Plan
-	// Runners are mutable: an engine owns its sequential one, and the
-	// parallel entry points' private ones, machine clones or lazy DFAs,
-	// wait between calls on one free list, idle (guarded by idleMu,
-	// anchored by idleAnchor; see takeIdle), so that every engine over this
-	// artifact warms one set of runners and DFA caches.
+	// Runners are mutable: machine clones or lazy DFAs, they wait between
+	// calls on one free list, idle (guarded by idleMu, anchored by
+	// idleAnchor; see takeIdle), so that every engine over this artifact
+	// warms one set of runners and DFA caches.
 	idleMu     sync.Mutex
 	idle       weak.Pointer[idleRunners]
 	idleAnchor sync.Pool
 }
 
-// newEngine returns an engine over art with its own pristine machine.
-func newEngine(art *compiledArtifact) *Engine {
-	return &Engine{compiledArtifact: art, machine: art.proto.Clone(), model: report.NewSunder(art.proto.Reports(), art.proto.Config())}
-}
+// newEngine returns an engine over art.
+func newEngine(art *compiledArtifact) *Engine { return &Engine{compiledArtifact: art} }
 
 // Compile builds an Engine from a pattern set.
 func Compile(patterns []Pattern, opts Options) (*Engine, error) {
@@ -387,28 +376,51 @@ func (e *Engine) Analyze(sample []byte) *analysis.Report {
 	})
 }
 
-// Scan resets the engine and runs input through the device, returning every
-// match (the byte position where an occurrence ends, with its rule code)
-// and the device statistics.
+// Scan runs input through the device, returning every match (the byte
+// position where an occurrence ends, with its rule code) and the device
+// statistics.
 func (e *Engine) Scan(input []byte) (*ScanResult, error) {
-	// Scan is sequential: the whole input, or its prefilter windows, run
-	// on the engine's one runner.
-	var rs [1]*runner
-	return e.scanOn(rs[:], false, input)
+	rs := [1]*runner{e.take()}
+	defer e.give(rs[0])
+	return e.scanOn(rs[:], input)
 }
 
-// Summarize returns, per rule code, whether the rule has fired since the
-// engine's last summarize/reset — the in-hardware report summarization of
-// Section 5.1.2 (it stalls matching for a few cycles and clears the report
-// region).
-func (e *Engine) Summarize() map[int32]bool {
+// Summarize scans input and returns, per rule code, whether the rule fired
+// in it — the in-hardware report summarization of Section 5.1.2 (it
+// stalls matching for a few cycles and clears the report region), read
+// from the report region that scan wrote.
+func (e *Engine) Summarize(input []byte) (map[int32]bool, error) {
 	out := make(map[int32]bool)
-	for s := range e.model.Summarize() {
-		for _, r := range e.nibble.States[s].Reports {
-			out[r.Code] = true
+	err := e.modelRun(input, func(model *report.Sunder) {
+		for s := range model.Summarize() {
+			for _, r := range e.nibble.States[s].Reports {
+				out[r.Code] = true
+			}
 		}
+	})
+	return out, err
+}
+
+// modelRun scans input on a taken runner whose report model records the
+// run, and has read read that model before the runner goes back. On the
+// lazy DFA, which models no report region, the call's run feeds a model of
+// its own: both substrates step the same plan and report the same states.
+func (e *Engine) modelRun(input []byte, read func(*report.Sunder)) error {
+	rn := e.take()
+	defer e.give(rn)
+	model := rn.model
+	if model == nil {
+		model = report.NewSunder(e.proto.Reports(), e.proto.Config())
+		rn.sink = model
+		defer func() { rn.sink = nil }()
 	}
-	return out
+	// A prefiltered scan with no candidate window never touches the model.
+	model.Reset()
+	if _, err := e.scanOn([]*runner{rn}, input); err != nil {
+		return err
+	}
+	read(model)
+	return nil
 }
 
 // Verify cross-checks the architectural simulator against the functional
@@ -455,8 +467,8 @@ type Info struct {
 	// with the selection reason when Options.Backend was "auto".
 	Backend string
 	// DFAStates is the number of DFA states the lazy-DFA backend has
-	// constructed on the sequential runner so far (zero before the first
-	// DFA scan, and always zero on other backends).
+	// constructed in this engine's runs so far, on every entry point
+	// (DFAStats; always zero on other backends).
 	DFAStates int
 }
 
@@ -471,36 +483,35 @@ type ReportRecord struct {
 	Codes []int32
 }
 
-// ReadReports decodes the report regions of every processing unit — the
-// paper's "easy access mechanism": collecting reports is just reading
-// memory rows back. It reflects entries still resident in the regions, so
-// it is meaningful for engines compiled without the FIFO drain (the host
-// owns the read pointer there); with FIFO enabled the host has already
-// consumed drained entries.
-func (e *Engine) ReadReports() []ReportRecord {
+// ReadReports scans input and decodes the report regions of every
+// processing unit that scan wrote — the paper's "easy access mechanism":
+// collecting reports is just reading memory rows back. It reflects entries
+// still resident in the regions, so it is meaningful for engines compiled
+// without the FIFO drain (the host owns the read pointer there); with FIFO
+// enabled the host has already consumed drained entries.
+func (e *Engine) ReadReports(input []byte) ([]ReportRecord, error) {
 	var out []ReportRecord
-	rate := int64(e.machine.Config().Rate)
-	symbolUnits := int64(e.nibble.SymbolUnits)
-	for pu := 0; pu < e.machine.NumPUs(); pu++ {
-		for _, rec := range e.model.ReadReports(pu) {
-			r := ReportRecord{
-				// The entry's cycle covers rate units; report at the
-				// last symbol of the cycle.
-				Position: (rec.Cycle*rate + rate - 1) / symbolUnits,
-			}
-			seen := map[int32]bool{}
-			for _, s := range rec.States {
-				for _, rep := range e.nibble.States[s].Reports {
-					if !seen[rep.Code] {
-						seen[rep.Code] = true
-						r.Codes = append(r.Codes, rep.Code)
+	rate, symbolUnits := int64(e.opts.Rate), int64(e.nibble.SymbolUnits)
+	err := e.modelRun(input, func(model *report.Sunder) {
+		for pu := 0; pu < e.proto.NumPUs(); pu++ {
+			for _, rec := range model.ReadReports(pu) {
+				r := ReportRecord{
+					// The entry's cycle covers rate units; report at the
+					// last symbol of the cycle.
+					Position: (rec.Cycle*rate + rate - 1) / symbolUnits,
+				}
+				for _, s := range rec.States {
+					for _, rep := range e.nibble.States[s].Reports {
+						if !slices.Contains(r.Codes, rep.Code) {
+							r.Codes = append(r.Codes, rep.Code)
+						}
 					}
 				}
+				out = append(out, r)
 			}
-			out = append(out, r)
 		}
-	}
-	return out
+	})
+	return out, err
 }
 
 // Info returns the engine's compiled configuration.

@@ -1,7 +1,9 @@
 package sunder
 
 import (
+	"fmt"
 	"math/rand"
+	"reflect"
 	"regexp"
 	"strings"
 	"testing"
@@ -145,12 +147,58 @@ func TestSummarize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.Scan([]byte("xaax")); err != nil {
+	got, err := eng.Summarize([]byte("xaax"))
+	if err != nil {
 		t.Fatal(err)
 	}
-	got := eng.Summarize()
 	if !got[1] || got[2] {
 		t.Errorf("summary = %v", got)
+	}
+}
+
+// TestModelReadersAgreeAcrossBackends: Summarize and ReadReports read the
+// report region their own scan wrote, on either substrate: the lazy DFA
+// steps the machine's plan and reports the same states, so a report model
+// fed by it holds what the machine's holds — prefiltered or not, and with
+// nothing left over from an earlier call when the next one matches
+// nothing.
+func TestModelReadersAgreeAcrossBackends(t *testing.T) {
+	patterns := []Pattern{{Expr: `aa`, Code: 1}, {Expr: `zz`, Code: 2}}
+	input, quiet := []byte("xaaxzz"), []byte("xyxyxy")
+	for _, pre := range []PrefilterMode{PrefilterOff, PrefilterOn} {
+		var want []ReportRecord
+		for _, backend := range []string{"nfa", "dfa", "auto"} {
+			opts := DefaultOptions()
+			opts.FIFO, opts.Backend, opts.Prefilter = false, backend, pre
+			eng, err := Compile(patterns, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			label := fmt.Sprintf("%s/prefilter=%v", backend, pre)
+			got, err := eng.Summarize(input)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, map[int32]bool{1: true, 2: true}) {
+				t.Errorf("%s: Summarize = %v, want rules 1 and 2", label, got)
+			}
+			recs, err := eng.ReadReports(input)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want == nil {
+				want = recs
+			}
+			if len(recs) != 2 || !reflect.DeepEqual(recs, want) {
+				t.Errorf("%s: ReadReports = %+v, want two records equal to nfa's %+v", label, recs, want)
+			}
+			if got, err := eng.Summarize(quiet); err != nil || len(got) != 0 {
+				t.Errorf("%s: Summarize of a match-free input = %v, %v; want nothing", label, got, err)
+			}
+			if recs, err := eng.ReadReports(quiet); err != nil || len(recs) != 0 {
+				t.Errorf("%s: ReadReports of a match-free input = %+v, %v; want nothing", label, recs, err)
+			}
+		}
 	}
 }
 
@@ -301,7 +349,10 @@ func TestReadReports(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs := eng.ReadReports()
+	recs, err := eng.ReadReports([]byte("abxxcdxxab"))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(recs) != 3 {
 		t.Fatalf("records = %+v", recs)
 	}

@@ -52,27 +52,18 @@ func NewTelemetry(opts TelemetryOptions) *Telemetry {
 	return &Telemetry{col: col}
 }
 
-// SetTelemetry attaches a collector to the engine's device; subsequent
-// scans feed it. Passing nil detaches, restoring the zero-overhead
-// disabled path (a single branch per instrumented site).
+// SetTelemetry attaches a collector to the engine: calls that start after
+// it feed it (each runner gets the collector when its call takes it).
+// Passing nil detaches, restoring the zero-overhead disabled path (a
+// single branch per instrumented site). It is safe to call concurrently
+// with scans.
 func (e *Engine) SetTelemetry(t *Telemetry) {
-	if t == nil {
-		e.tel.Store(nil)
-		e.machine.AttachTelemetry(nil)
-		e.model.AttachTelemetry(nil)
-		return
+	var c *telemetry.Collector
+	if t != nil {
+		c = t.col
 	}
-	e.tel.Store(t.col)
-	e.machine.AttachTelemetry(t.col)
-	e.model.AttachTelemetry(t.col)
+	e.tel.Store(c)
 }
-
-// telemetryCollector returns the collector armed by SetTelemetry, read
-// from the engine's atomic mirror rather than the shared machine. The
-// parallel paths (ScanParallel, ScanBatch) must use this accessor:
-// e.machine.Telemetry() would touch the machine those paths document they
-// never touch, and SetTelemetry may run concurrently with them.
-func (e *Engine) telemetryCollector() *telemetry.Collector { return e.tel.Load() }
 
 // Reset zeroes all counters and drops buffered trace events.
 func (t *Telemetry) Reset() { t.col.Reset() }
@@ -185,13 +176,6 @@ type PUStats struct {
 	// the entry count still resident at the end of the scan.
 	PeakOccupancy int
 	Occupancy     int
-}
-
-// PerPU returns the per-PU device statistics accumulated since the last
-// Reset/Scan. Summing any field across the slice reproduces the
-// corresponding aggregate in Stats.
-func (e *Engine) PerPU() []PUStats {
-	return puStats(e.model, e.proto.NumPUs())
 }
 
 // puStats returns the n per-PU rows of a run's report model in the public

@@ -71,25 +71,26 @@ func (g *geometry) cuts(spans []sched.CycleSpan, k int, total int64) []int64 {
 
 // runShares runs the windows of spans, sorted, among a run's total cycles:
 // on rs[0] alone, or, with more runners, in up to len(rs) shares (cuts),
-// each on a runner of rs of its own, whose runs merge in input order (a
+// each on a runner of rs of its own — rs[0] the call's, the others taken
+// on their workers when nil — whose runs merge in input order (a
 // window that straddles two shares is opened by both). On the machine the
 // shares record their report cycles, and the merge feeds them to one
 // report model, as a sequential run would have. A call with more than one
 // runner records a parallel_run span, with a shard span per share.
-func (e *Engine) runShares(rs []*runner, private bool, input []byte, spans []sched.CycleSpan, total int64) runOutput {
+func (e *Engine) runShares(rs []*runner, input []byte, spans []sched.CycleSpan, total int64) runOutput {
 	if len(rs) == 1 {
-		return e.runWindows(e.acquire(rs, 0, private), input, spans, 0, total, nil)
+		return e.runWindows(rs[0], input, spans, 0, total, nil)
 	}
 	cuts := e.geo.cuts(spans, len(rs), total)
 	k := len(cuts) - 1
-	sp := e.telemetryCollector().Spans().Root("parallel_run")
+	sp := e.tel.Load().Spans().Root("parallel_run")
 	defer sp.End()
 	if sp != nil {
 		sp.SetAttr("cycles=" + strconv.FormatInt(total, 10) + " shards=" + strconv.Itoa(k) +
 			" overlap=" + strconv.FormatInt(e.geo.overlap, 10))
 	}
 	if k == 1 {
-		return e.runWindows(e.acquire(rs, 0, private), input, spans, 0, total, sp)
+		return e.runWindows(rs[0], input, spans, 0, total, sp)
 	}
 	// The workers do not capture rs: a slice a goroutine captures escapes,
 	// and Scan's one-runner array would then be allocated per call. Each
@@ -108,7 +109,7 @@ func (e *Engine) runShares(rs []*runner, private bool, input []byte, spans []sch
 			// another share cache lines, which the workers then write
 			// every cycle.
 			if rn == nil {
-				rn = e.runner(private)
+				rn = e.runner()
 			}
 			if rn.model != nil {
 				rn.sink = &rn.trace
