@@ -3,29 +3,92 @@ package sunder
 import (
 	"bytes"
 	"fmt"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 
+	"sunder/internal/automata"
 	"sunder/internal/funcsim"
 	"sunder/internal/regex"
 	"sunder/internal/transform"
+	"sunder/internal/workload"
 )
 
-// TestEntryPointsAgree runs option *combinations* through every entry
-// point: for each small rule set × Backend × Prefilter × Minimize, Scan,
-// ScanParallel, ScanBatch (both twice: the second pass takes the lazy DFA's
-// pooled runners back warm), Stream (three chunkings), a Clone and a
-// CompileCached hit must all return the functional-simulator oracle's
-// matches and Reports/ReportCycles, account for every device cycle, and
-// have run on the substrate the engine compiled to — the lazy DFA for a
-// "dfa" backend, prefiltered or not, the machine for "nfa". Matches are sorted by (Position,
-// Code) on every substrate, so every comparison includes their order, and
-// every run on the machine must leave the report model where Scan leaves
-// it (StallCycles, Flushes, PerPU) — a prefiltered Scan where the
-// unfiltered one does. The "flushing" rule set makes that
-// non-vacuous: with the FIFO off and one wide entry per row, its dense rule
-// flushes the regions several times, and its literal engages the
-// prefilter.
+// cell is one combination of the options that must not change what a scan
+// finds: the backend, the literal prefilter and certified minimization.
+type cell struct {
+	backend   string
+	prefilter PrefilterMode
+	minimize  bool
+}
+
+func (c cell) String() string {
+	return fmt.Sprintf("%s/%s/%s", c.backend, onOff(c.prefilter == PrefilterOn), onOff(c.minimize))
+}
+
+func onOff(b bool) string {
+	if b {
+		return "on"
+	}
+	return "off"
+}
+
+// allCells is every cell, nfa/off/off (the reference) first.
+var allCells = func() []cell {
+	var cells []cell
+	for _, backend := range []string{"nfa", "dfa", "auto"} {
+		for _, minimize := range []bool{false, true} {
+			for _, pre := range []PrefilterMode{PrefilterOff, PrefilterOn} {
+				cells = append(cells, cell{backend, pre, minimize})
+			}
+		}
+	}
+	return cells
+}()
+
+// pairwiseCells covers every pair of option values in eight cells,
+// nfa/off/off first: the workload corpus runs these.
+var pairwiseCells = []cell{
+	{"nfa", PrefilterOff, false}, {"nfa", PrefilterOn, false}, {"dfa", PrefilterOn, false},
+	{"nfa", PrefilterOff, true}, {"auto", PrefilterOff, false}, {"dfa", PrefilterOff, false},
+	{"dfa", PrefilterOn, true}, {"auto", PrefilterOn, true},
+}
+
+// conformanceCase is one rule set and input of the conformance harness.
+type conformanceCase struct {
+	name string
+	nfa  *automata.Automaton
+	// patterns is the crafted rule sets' source: their engines come from
+	// Compile, and a CompileCached hit is checked too. A workload's come
+	// from CompileAutomaton.
+	patterns []Pattern
+	input    []byte
+	opts     func(*Options)
+	cells    []cell
+	// spans runs the nfa/off/off engine under every span-tracing mode.
+	spans bool
+}
+
+// TestEntryPointsAgree is the conformance harness: for every rule set and
+// option cell, Scan, ScanParallel, ScanBatch (both twice: the second pass
+// takes the pooled runners back warm), Stream (five chunkings) and a Clone
+// — and on the crafted rule sets a CompileCached hit — must all return the
+// functional-simulator oracle's matches, in order, and Reports and
+// ReportCycles, account for every device cycle as executed or skipped, and
+// run on the substrate the engine compiled to: the lazy DFA for a "dfa"
+// backend, the machine for "nfa". Every run on the machine must leave the
+// report model where Scan leaves it (StallCycles, Flushes, PerPU), and a
+// machine cell's Scan where the unfiltered machine Scan of the same
+// Minimize does. A minimized cell must account for every device state it
+// lost as pruned or merged.
+//
+// The crafted rule sets run every cell. The "flushing" set makes the device
+// checks non-vacuous: with the FIFO off and one wide entry per row, its
+// dense rule flushes the regions several times, and its literal engages
+// the prefilter. Outside -short the 19 workloads at DefaultScale run the
+// eight pairwise cells on 6,000-byte inputs, and Snort, Levenshtein and
+// RandomForest run the span-tracing modes.
 func TestEntryPointsAgree(t *testing.T) {
 	filler := bytes.Repeat([]byte("the quick brown fox 0 jumps 12 over; "), 64)
 	plant := func(frags ...string) []byte {
@@ -42,68 +105,60 @@ func TestEntryPointsAgree(t *testing.T) {
 		}
 		return in
 	}
-	ruleSets := []struct {
-		name     string
-		patterns []Pattern
-		input    []byte
-		opts     func(*Options)
-	}{
-		{"anchored", []Pattern{{Expr: `^GET /a`, Code: 1}, {Expr: `bc+d`, Code: 2}},
-			append([]byte("GET /a"), plant("GET /a", "bccd", "bcd")...), nil},
-		{"dotstar", []Pattern{{Expr: `ab.*yz`, Code: 3}, {Expr: `needle`, Code: 4}},
-			plant("ab", "needle", "yz", "yz"), nil},
-		{"bounded-repeat", []Pattern{{Expr: `ab{2,4}c`, Code: 5}, {Expr: `[0-9]{3}`, Code: 6}},
-			plant("abbc", "abbbbbc", "2024", "abbbbc"), nil},
-		{"fold", []Pattern{{Expr: `(?i)select`, Code: 7}, {Expr: `(?i)union`, Code: 8}},
-			plant("SeLeCt", "UNION", "select"), nil},
+	cases := []conformanceCase{
+		{name: "anchored", patterns: []Pattern{{Expr: `^GET /a`, Code: 1}, {Expr: `bc+d`, Code: 2}},
+			input: append([]byte("GET /a"), plant("GET /a", "bccd", "bcd")...)},
+		{name: "dotstar", patterns: []Pattern{{Expr: `ab.*yz`, Code: 3}, {Expr: `needle`, Code: 4}},
+			input: plant("ab", "needle", "yz", "yz")},
+		{name: "bounded-repeat", patterns: []Pattern{{Expr: `ab{2,4}c`, Code: 5}, {Expr: `[0-9]{3}`, Code: 6}},
+			input: plant("abbc", "abbbbbc", "2024", "abbbbc")},
+		{name: "fold", patterns: []Pattern{{Expr: `(?i)select`, Code: 7}, {Expr: `(?i)union`, Code: 8}},
+			input: plant("SeLeCt", "UNION", "select")},
 		// Odd length with the any-symbol position in the pad tail: the final
 		// vector reports a phantom that counts in Reports but is no match.
-		{"pad-tail", []Pattern{{Expr: `q.`, Code: 9}, {Expr: `qz`, Code: 10}},
-			append(plant("qz", "q!"), "..q"...), nil},
-		{"flushing", []Pattern{{Expr: `ZQ`, Code: 11}},
-			spread(bytes.Repeat(filler, 2), strings.Repeat("ZQ", 20), 40),
-			func(o *Options) { o.FIFO, o.MetadataBits = false, 200 }},
+		{name: "pad-tail", patterns: []Pattern{{Expr: `q.`, Code: 9}, {Expr: `qz`, Code: 10}},
+			input: append(plant("qz", "q!"), "..q"...)},
+		{name: "flushing", patterns: []Pattern{{Expr: `ZQ`, Code: 11}},
+			input: spread(bytes.Repeat(filler, 2), strings.Repeat("ZQ", 20), 40),
+			opts:  func(o *Options) { o.FIFO, o.MetadataBits = false, 200 }},
 		// The same with the FIFO on: an entry wider than the drain's
 		// bandwidth leaves a backlog at a window's end, which the skipped
 		// cycles after it drain.
-		{"draining", []Pattern{{Expr: `ZQ`, Code: 12}},
-			spread(bytes.Repeat(filler, 2), strings.Repeat("ZQ", 20), 12),
-			func(o *Options) { o.MetadataBits = 200 }},
+		{name: "draining", patterns: []Pattern{{Expr: `ZQ`, Code: 12}},
+			input: spread(bytes.Repeat(filler, 2), strings.Repeat("ZQ", 20), 12),
+			opts:  func(o *Options) { o.MetadataBits = 200 }},
 	}
-	for _, rs := range ruleSets {
-		if len(rs.input)%2 == 0 {
-			rs.input = rs.input[1:]
+	for i := range cases {
+		c := &cases[i]
+		c.nfa, c.cells = compileSet(t, c.patterns), allCells
+		if len(c.input)%2 == 0 {
+			c.input = c.input[1:]
 		}
-		want := oracleRun(t, rs.patterns, rs.input)
-		if len(want.Matches) == 0 {
-			t.Fatalf("%s: oracle found no match", rs.name)
-		}
-		for _, backend := range []string{"nfa", "dfa", "auto"} {
-			for _, minimize := range []bool{false, true} {
-				var unfiltered *ScanResult
-				for _, pre := range []PrefilterMode{PrefilterOff, PrefilterOn} {
-					opts := DefaultOptions()
-					opts.Backend, opts.Prefilter, opts.Minimize = backend, pre, minimize
-					if rs.opts != nil {
-						rs.opts(&opts)
-					}
-					label := fmt.Sprintf("%s/%s/pre=%d/min=%v", rs.name, backend, pre, minimize)
-					ref, onMachine := checkEntryPoints(t, label, rs.patterns, opts, rs.input, want)
-					if !onMachine {
-						continue
-					}
-					if unfiltered == nil {
-						unfiltered = ref
-					} else {
-						sameDevice(t, label+"/Scan vs unfiltered Scan", ref, unfiltered)
-					}
-				}
+	}
+	if !testing.Short() {
+		for _, name := range workload.Names() {
+			w, err := workload.Get(name, workload.DefaultScale, 6000)
+			if err != nil {
+				t.Fatal(err)
 			}
+			cases = append(cases, conformanceCase{name: name, nfa: w.Automaton, input: w.Input, cells: pairwiseCells,
+				spans: name == "Snort" || name == "Levenshtein" || name == "RandomForest"})
 		}
 	}
+	// The crafted sets reset the shared compile cache, so they run one at
+	// a time; the workloads share nothing and run in parallel after them.
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			if c.patterns == nil {
+				t.Parallel()
+			}
+			checkCase(t, c)
+		})
+	}
+
 	// The flushing rule set must flush on the machine, or its device
 	// checks above are vacuous.
-	flushing := ruleSets[len(ruleSets)-2]
+	flushing := cases[5]
 	eng, err := Compile(flushing.patterns, Options{Rate: 4, MetadataBits: 200, Prefilter: PrefilterOn})
 	if err != nil {
 		t.Fatal(err)
@@ -114,10 +169,71 @@ func TestEntryPointsAgree(t *testing.T) {
 	}
 }
 
-// oracleRun is the functional simulator's verdict at the device rate: the
-// un-minimized rate-4 automaton stepped by funcsim, phantoms filtered, its
-// matches sorted as a ScanResult's are.
-func oracleRun(t *testing.T, patterns []Pattern, input []byte) *ScanResult {
+// checkCase runs every cell of c against the oracle.
+func checkCase(t *testing.T, c conformanceCase) {
+	want := oracleRun(t, c.nfa, c.input)
+	if len(want.Matches) == 0 && c.patterns != nil {
+		t.Fatal("oracle found no match")
+	}
+	var base *Engine
+	unfiltered := map[bool]*ScanResult{} // the machine's unfiltered Scan by Minimize
+	for _, cl := range c.cells {
+		opts := DefaultOptions()
+		opts.Backend, opts.Prefilter, opts.Minimize = cl.backend, cl.prefilter, cl.minimize
+		if c.opts != nil {
+			c.opts(&opts)
+		}
+		if cl.backend == "dfa" && !base.DFAStats().Supported {
+			t.Logf("%s: forced dfa unsupported: %s", cl, base.DFAStats().Reason)
+			continue
+		}
+		var eng *Engine
+		var err error
+		if c.patterns != nil {
+			eng, err = Compile(c.patterns, opts)
+		} else {
+			eng, err = CompileAutomaton(c.nfa, opts)
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", cl, err)
+		}
+		if base == nil {
+			base = eng
+		}
+		label := cl.String()
+		if info := eng.Info(); cl.minimize {
+			if info.SymbolClasses == 0 {
+				t.Errorf("%s: no symbol-class count", label)
+			}
+			if got, lost := info.PrunedStates+info.MergedStates, base.Info().DeviceStates-info.DeviceStates; got != lost {
+				t.Errorf("%s: %d pruned + merged states, %d device states lost", label, got, lost)
+			}
+			// The Levenshtein widgets carry subsumed insertion variants at
+			// rate 4: the prune rounds must find them.
+			if c.name == "Levenshtein" && info.PrunedStates == 0 {
+				t.Errorf("%s: no pruned states", label)
+			}
+		}
+		ref, result := checkEntryPoints(t, label, eng, c.input, want)
+		if c.patterns != nil {
+			res, err := compileCachedHit(t, label, c.patterns, opts).Scan(c.input)
+			result("CompileCached", res, err)
+		}
+		if !strings.HasPrefix(eng.Backend(), "dfa") {
+			if u := unfiltered[cl.minimize]; u == nil && cl.prefilter == PrefilterOff {
+				unfiltered[cl.minimize] = ref
+			} else if u != nil {
+				sameDevice(t, label+"/Scan vs unfiltered Scan", ref, u)
+			}
+		}
+		if c.spans && eng == base {
+			checkSpans(t, label, eng, c.input)
+		}
+	}
+}
+
+// compileSet compiles patterns to the byte automaton Compile starts from.
+func compileSet(t *testing.T, patterns []Pattern) *automata.Automaton {
 	t.Helper()
 	ps := make([]regex.Pattern, len(patterns))
 	for i, p := range patterns {
@@ -127,6 +243,14 @@ func oracleRun(t *testing.T, patterns []Pattern, input []byte) *ScanResult {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return nfa
+}
+
+// oracleRun is the functional simulator's verdict at the device rate: the
+// un-minimized rate-4 automaton stepped by funcsim, phantoms filtered, its
+// matches sorted as a ScanResult's are.
+func oracleRun(t *testing.T, nfa *automata.Automaton, input []byte) *ScanResult {
+	t.Helper()
 	ua, err := transform.ToRate(nfa, 4)
 	if err != nil {
 		t.Fatal(err)
@@ -147,100 +271,111 @@ func oracleRun(t *testing.T, patterns []Pattern, input []byte) *ScanResult {
 	return out
 }
 
-// checkEntryPoints runs every entry point on one engine and returns its
-// Scan and whether Scan ran on the machine.
-func checkEntryPoints(t *testing.T, label string, patterns []Pattern, opts Options, input []byte, want *ScanResult) (*ScanResult, bool) {
+// agree is the one check of a run against want, the oracle's or an
+// unfiltered scan's verdict on the same input: the same matches in the
+// same order, the same Reports and ReportCycles, and executed plus skipped
+// cycles that add up to want's kernel cycles — every cycle is either run
+// or provably match-free.
+func agree(t *testing.T, label string, want, got *ScanResult, err error) {
 	t.Helper()
-	eng, err := Compile(patterns, opts)
 	if err != nil {
-		t.Fatalf("%s: %v", label, err)
+		t.Errorf("%s: %v", label, err)
+		return
+	}
+	if !matchesEqual(want.Matches, got.Matches) {
+		t.Errorf("%s: %d matches differ in content or order from the %d wanted", label, len(got.Matches), len(want.Matches))
+	}
+	if got.Stats.Reports != want.Stats.Reports || got.Stats.ReportCycles != want.Stats.ReportCycles {
+		t.Errorf("%s: reports %d/%d, want %d/%d", label,
+			got.Stats.Reports, got.Stats.ReportCycles, want.Stats.Reports, want.Stats.ReportCycles)
+	}
+	if n := got.Stats.KernelCycles + got.Stats.SkippedCycles; n != want.Stats.KernelCycles {
+		t.Errorf("%s: kernel %d + skipped %d = %d cycles, want %d", label,
+			got.Stats.KernelCycles, got.Stats.SkippedCycles, n, want.Stats.KernelCycles)
+	}
+}
+
+// checkEntryPoints runs every entry point on eng and returns its Scan and
+// the check it held them to, for further calls on the same input.
+func checkEntryPoints(t *testing.T, label string, eng *Engine, input []byte, want *ScanResult) (*ScanResult, func(string, *ScanResult, error)) {
+	t.Helper()
+	// onDFA is the substrate every call must run on.
+	onDFA := strings.HasPrefix(eng.Backend(), "dfa")
+	lookups := func(e *Engine) int64 { s := e.DFAStats(); return s.Hits + s.Misses + s.Fallbacks }
+	// ran holds a call that executed cycles to eng's substrate: a run on
+	// the lazy DFA looks up its transition cache or, once the cache has
+	// thrashed, falls back from it; one on the machine does neither.
+	ran := func(entry string, e *Engine, before int64, st Stats) {
+		t.Helper()
+		if st.KernelCycles > 0 && (lookups(e) > before) != onDFA {
+			t.Errorf("%s/%s: ran on the wrong substrate (backend %s)", label, entry, eng.Backend())
+		}
 	}
 	ref, err := eng.Scan(input)
 	if err != nil {
 		t.Fatalf("%s: %v", label, err)
 	}
-	// onDFA is the substrate every call must run on.
-	onDFA := strings.HasPrefix(eng.Backend(), "dfa")
-	// check holds a call to the oracle and to Scan.
-	check := func(entry string, got []Match, st Stats, err error) {
-		t.Helper()
-		if err != nil {
-			t.Errorf("%s/%s: %v", label, entry, err)
-			return
-		}
-		if !matchesEqual(ref.Matches, got) {
-			t.Errorf("%s/%s: matches differ from Scan in content or order (%d vs %d)", label, entry, len(got), len(ref.Matches))
-		}
-		if !matchesEqual(want.Matches, got) {
-			t.Errorf("%s/%s: %d matches, oracle has %d", label, entry, len(got), len(want.Matches))
-		}
-		if st.Reports != want.Stats.Reports || st.ReportCycles != want.Stats.ReportCycles {
-			t.Errorf("%s/%s: reports %d/%d, oracle %d/%d", label, entry,
-				st.Reports, st.ReportCycles, want.Stats.Reports, want.Stats.ReportCycles)
-		}
-		if got := st.KernelCycles + st.SkippedCycles; got != want.Stats.KernelCycles {
-			t.Errorf("%s/%s: kernel+skipped = %d cycles, input has %d", label, entry, got, want.Stats.KernelCycles)
-		}
-	}
-	// A result's substrate shows in its per-PU rows: the machine writes
-	// report entries into its regions, the lazy DFA models none. A run on
-	// the machine leaves the report model where Scan's does.
+	// result holds a call to the oracle, and a run on the machine to
+	// Scan's report model.
 	result := func(entry string, res *ScanResult, err error) {
 		t.Helper()
-		if err != nil {
-			res = &ScanResult{}
-		}
-		check(entry, res.Matches, res.Stats, err)
+		agree(t, label+"/"+entry, want, res, err)
 		if err == nil && !onDFA {
 			sameDevice(t, label+"/"+entry, res, ref)
-		}
-		entries := int64(0)
-		for _, pu := range res.PerPU {
-			entries += pu.ReportEntries
-		}
-		if err == nil && (entries == 0) != onDFA {
-			t.Errorf("%s/%s: ran on the wrong substrate (%d report entries, backend %s)", label, entry, entries, eng.Backend())
 		}
 	}
 	result("Scan", ref, nil)
 	for _, pass := range []string{"cold", "warm"} {
-		for w := 1; w <= 4; w++ {
+		for _, w := range []int{1, 2, 3, 4, 8} {
+			entry, before := fmt.Sprintf("ScanParallel/%s/w=%d", pass, w), lookups(eng)
 			res, err := eng.ScanParallel(input, ScanOptions{Workers: w})
-			result(fmt.Sprintf("ScanParallel/%s/w=%d", pass, w), res, err)
+			result(entry, res, err)
+			if err != nil {
+				continue
+			}
+			ran(entry, eng, before, res.Stats)
+			// Every share's windows count: cutting the spans can only
+			// open a straddling window twice, never lose one.
+			if res.Stats.PrefilterWindows < ref.Stats.PrefilterWindows {
+				t.Errorf("%s/%s: %d prefilter windows, Scan opens %d", label, entry,
+					res.Stats.PrefilterWindows, ref.Stats.PrefilterWindows)
+			}
 		}
+		before := lookups(eng)
 		batch, err := eng.ScanBatch([][]byte{input, input[:len(input)/2], input}, ScanOptions{Workers: 2})
 		if err != nil {
 			batch = []*ScanResult{nil, nil, nil}
 		}
-		result(fmt.Sprintf("ScanBatch[0]/%s", pass), batch[0], err)
-		result(fmt.Sprintf("ScanBatch[2]/%s", pass), batch[2], err)
-	}
-	for _, chunk := range []int{1, 7, len(input)} {
-		var got []Match
-		lookups := eng.DFAStats()
-		st, err := eng.NewStream(func(m Match) { got = append(got, m) })
-		if err != nil {
-			t.Fatalf("%s: %v", label, err)
-		}
-		for off := 0; off < len(input) && err == nil; off += chunk {
-			_, err = st.Write(input[off:min(off+chunk, len(input))])
-		}
-		stats := st.Close()
+		result("ScanBatch[0]/"+pass, batch[0], err)
+		result("ScanBatch[2]/"+pass, batch[2], err)
 		if err == nil {
-			err = st.Err()
+			ran("ScanBatch/"+pass, eng, before, batch[0].Stats)
 		}
-		check(fmt.Sprintf("Stream/chunk=%d", chunk), got, stats, err)
-		if err == nil && !onDFA && (stats.StallCycles != ref.Stats.StallCycles || stats.Flushes != ref.Stats.Flushes) {
-			t.Errorf("%s/Stream/chunk=%d: StallCycles/Flushes %d/%d, Scan %d/%d", label, chunk,
+	}
+	for _, chunk := range []int{1, 7, 13, 97, len(input)} {
+		entry, before := fmt.Sprintf("Stream/chunk=%d", chunk), lookups(eng)
+		got, stats := streamChunks(t, eng, input, chunk)
+		agree(t, label+"/"+entry, want, &ScanResult{Matches: got, Stats: stats}, nil)
+		if !onDFA && (stats.StallCycles != ref.Stats.StallCycles || stats.Flushes != ref.Stats.Flushes) {
+			t.Errorf("%s/%s: StallCycles/Flushes %d/%d, Scan %d/%d", label, entry,
 				stats.StallCycles, stats.Flushes, ref.Stats.StallCycles, ref.Stats.Flushes)
 		}
-		if after := eng.DFAStats(); (after.Hits+after.Misses > lookups.Hits+lookups.Misses) != onDFA {
-			t.Errorf("%s/Stream/chunk=%d: ran on the wrong substrate (backend %s)", label, chunk, eng.Backend())
-		}
+		ran(entry, eng, before, stats)
 	}
-	res, err := eng.Clone().Scan(input)
+	clone := eng.Clone()
+	before := lookups(clone)
+	res, err := clone.Scan(input)
 	result("Clone", res, err)
+	if err == nil {
+		ran("Clone", clone, before, res.Stats)
+	}
+	return ref, result
+}
 
+// compileCachedHit compiles patterns through an emptied compile cache and
+// returns the second call's engine, which must be a cache hit.
+func compileCachedHit(t *testing.T, label string, patterns []Pattern, opts Options) *Engine {
+	t.Helper()
 	ResetCompileCache()
 	if _, hit, err := CompileCachedTraced(patterns, opts); err != nil || hit {
 		t.Fatalf("%s: priming CompileCached: hit=%v err=%v", label, hit, err)
@@ -249,7 +384,124 @@ func checkEntryPoints(t *testing.T, label string, patterns []Pattern, opts Optio
 	if err != nil || !hit {
 		t.Fatalf("%s: second CompileCached: hit=%v err=%v", label, hit, err)
 	}
-	res, err = cached.Scan(input)
-	result("CompileCached", res, err)
-	return ref, !onDFA
+	return cached
+}
+
+// checkSpans runs Scan, ScanParallel and ScanBatch on eng under each span
+// tracing mode and holds every result to the untraced one exactly: spans
+// observe the serve and scheduling layers and must never reach into scan
+// semantics. A rate-1 mode must record spans; none may drop any.
+func checkSpans(t *testing.T, label string, eng *Engine, input []byte) {
+	t.Helper()
+	batch := [][]byte{input[:len(input)/2], input[len(input)/2:], input}
+	scans := func() []*ScanResult {
+		t.Helper()
+		seq, err := eng.Scan(input)
+		if err != nil {
+			t.Fatal(err)
+		}
+		par, err := eng.ScanParallel(input, ScanOptions{Workers: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := eng.ScanBatch(batch, ScanOptions{Workers: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return append([]*ScanResult{seq, par}, res...)
+	}
+	base := scans()
+	for _, mode := range []struct {
+		label string
+		opts  TelemetryOptions
+	}{
+		{"spans-all", TelemetryOptions{Spans: true, SpanSampleEvery: 1}},
+		{"spans-sampled", TelemetryOptions{Spans: true, SpanSampleEvery: 4}},
+		{"spans+trace", TelemetryOptions{Spans: true, SpanSampleEvery: 1, Trace: true}},
+	} {
+		tel := NewTelemetry(mode.opts)
+		eng.SetTelemetry(tel)
+		for i, res := range scans() {
+			sameScan(t, fmt.Sprintf("%s/%s/run %d", label, mode.label, i), res, base[i])
+		}
+		// Sampling keeps a subset, possibly empty over few roots.
+		buffered, dropped := tel.SpanStats()
+		if mode.opts.SpanSampleEvery == 1 && buffered == 0 {
+			t.Errorf("%s/%s: no spans recorded", label, mode.label)
+		}
+		if dropped != 0 {
+			t.Errorf("%s/%s: %d spans dropped with default capacity", label, mode.label, dropped)
+		}
+		eng.SetTelemetry(nil)
+	}
+}
+
+// sortedMatches returns a position-then-code sorted copy, the order a
+// ScanResult's matches come in, for results built outside the façade.
+func sortedMatches(ms []Match) []Match {
+	out := append([]Match(nil), ms...)
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Position != out[j].Position {
+			return out[i].Position < out[j].Position
+		}
+		return out[i].Code < out[j].Code
+	})
+	return out
+}
+
+func matchesEqual(a, b []Match) bool { return slices.Equal(a, b) }
+
+// FuzzConformance is TestEntryPointsAgree's fuzz twin: it draws a rule set
+// from a panel, an input of at most 1 KiB, a backend, the prefilter and
+// minimize options and a chunk size, and holds Scan, ScanParallel and a
+// chunked Stream to an unfiltered, unminimized engine on the machine.
+func FuzzConformance(f *testing.F) {
+	sets := [][]Pattern{
+		{{Expr: `ab+c`, Code: 1}, {Expr: `zz`, Code: 2}},
+		{{Expr: `GET /[a-z]+`, Code: 3}, {Expr: `needle`, Code: 4}},
+		{{Expr: `(ab|a.)c`, Code: 5}},
+		{{Expr: `a.*b`, Code: 6}, {Expr: `[0-9]{3}`, Code: 7}},
+	}
+	engines := make([]map[cell]*Engine, len(sets))
+	for i, ps := range sets {
+		engines[i] = map[cell]*Engine{}
+		for _, c := range allCells {
+			opts := DefaultOptions()
+			opts.Backend, opts.Prefilter, opts.Minimize = c.backend, c.prefilter, c.minimize
+			eng, err := Compile(ps, opts)
+			if err != nil {
+				f.Fatalf("%v %s: %v", ps, c, err)
+			}
+			engines[i][c] = eng
+		}
+	}
+	f.Add(uint8(0), uint8(1), false, false, uint8(0), []byte("xabbczzx"))
+	f.Add(uint8(1), uint8(1), false, false, uint8(0), []byte("GET /admin needle"))
+	f.Add(uint8(2), uint8(1), false, false, uint8(0), []byte("axc abc"))
+	f.Add(uint8(3), uint8(1), false, false, uint8(0), []byte("a123b"))
+	f.Add(uint8(0), uint8(0), false, false, uint8(3), []byte("xabbczzx"))
+	f.Add(uint8(0), uint8(1), true, false, uint8(1), []byte(strings.Repeat("abz", 40)))
+	f.Add(uint8(0), uint8(0), true, false, uint8(7), []byte(""))
+	f.Fuzz(func(t *testing.T, set, backend uint8, prefilter, minimize bool, chunk uint8, input []byte) {
+		if len(input) > 1024 {
+			t.Skip("cap work per case")
+		}
+		c := cell{backend: []string{"nfa", "dfa", "auto"}[backend%3], minimize: minimize}
+		if prefilter {
+			c.prefilter = PrefilterOn
+		}
+		engs := engines[int(set)%len(engines)]
+		want, err := engs[allCells[0]].Scan(input)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng := engs[c]
+		res, err := eng.Scan(input)
+		agree(t, c.String()+"/Scan", want, res, err)
+		res, err = eng.ScanParallel(input, ScanOptions{})
+		agree(t, c.String()+"/ScanParallel", want, res, err)
+		n := int(chunk%63) + 1
+		got, stats := streamChunks(t, eng, input, n)
+		agree(t, fmt.Sprintf("%s/Stream/chunk=%d", c, n), want, &ScanResult{Matches: got, Stats: stats}, nil)
+	})
 }

@@ -1,6 +1,7 @@
 package sunder
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -75,15 +76,7 @@ func FuzzPrefilterExtract(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !matchesEqual(sortedMatches(want.Matches), sortedMatches(got.Matches)) {
-			t.Fatalf("Compile(%q).Scan(%q): filtered %v != unfiltered %v",
-				expr, input, got.Matches, want.Matches)
-		}
-		if want.Stats.Reports != got.Stats.Reports || want.Stats.ReportCycles != got.Stats.ReportCycles {
-			t.Fatalf("Compile(%q).Scan(%q): reports %d/%d != %d/%d",
-				expr, input, got.Stats.Reports, got.Stats.ReportCycles,
-				want.Stats.Reports, want.Stats.ReportCycles)
-		}
+		agree(t, fmt.Sprintf("Compile(%q).Scan(%q) filtered", expr, input), want, got, nil)
 		// The required-literal property itself: a full skip (no literal
 		// occurrence, no pad-tail hazard) implies the unfiltered engine saw
 		// no reports at all.
@@ -137,15 +130,7 @@ func FuzzMinimize(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !matchesEqual(sortedMatches(want.Matches), sortedMatches(got.Matches)) {
-			t.Fatalf("Compile(%q).Scan(%q): minimized %v != baseline %v",
-				expr, input, got.Matches, want.Matches)
-		}
-		if want.Stats.Reports != got.Stats.Reports || want.Stats.ReportCycles != got.Stats.ReportCycles {
-			t.Fatalf("Compile(%q).Scan(%q): reports %d/%d != %d/%d",
-				expr, input, got.Stats.Reports, got.Stats.ReportCycles,
-				want.Stats.Reports, want.Stats.ReportCycles)
-		}
+		agree(t, fmt.Sprintf("Compile(%q).Scan(%q) minimized", expr, input), want, got, nil)
 
 		// Certificate fragility: re-derive the certificate outside the
 		// engine, apply one guaranteed-invalid edit, and demand rejection.
@@ -230,60 +215,6 @@ func FuzzMinimize(f *testing.F) {
 		}
 		if err := analysis.CheckCertificate(pre, ua, cert); err == nil {
 			t.Fatalf("Compile(%q): corrupted certificate (%s) accepted", expr, name)
-		}
-	})
-}
-
-// FuzzStream fuzzes the incremental front end: chunked streaming must
-// produce exactly the matches of a batch scan of the same bytes. mode
-// draws the backend (bit 0: the lazy DFA, else the machine) and the
-// literal prefilter (bit 1).
-func FuzzStream(f *testing.F) {
-	f.Add("xabbczzx", uint8(3), uint8(0))
-	f.Add(strings.Repeat("abz", 40), uint8(1), uint8(3))
-	f.Add("", uint8(7), uint8(2))
-	f.Fuzz(func(t *testing.T, input string, chunk, mode uint8) {
-		if len(input) > 512 {
-			t.Skip("cap work per case")
-		}
-		n := int(chunk%63) + 1
-		opts := DefaultOptions()
-		if mode&1 != 0 {
-			opts.Backend = "dfa"
-		}
-		if mode&2 != 0 {
-			opts.Prefilter = PrefilterOn
-		}
-		eng, err := Compile([]Pattern{{Expr: `ab+c`, Code: 1}, {Expr: `zz`, Code: 2}}, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := eng.Scan([]byte(input))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var got []Match
-		st, err := eng.NewStream(func(m Match) { got = append(got, m) })
-		if err != nil {
-			t.Fatal(err)
-		}
-		for off := 0; off < len(input); off += n {
-			end := off + n
-			if end > len(input) {
-				end = len(input)
-			}
-			if _, err := st.Write([]byte(input[off:end])); err != nil {
-				t.Fatal(err)
-			}
-		}
-		st.Close()
-		if len(got) != len(want.Matches) {
-			t.Fatalf("stream %d matches, scan %d (input %q, chunk %d)", len(got), len(want.Matches), input, n)
-		}
-		for i := range got {
-			if got[i] != want.Matches[i] {
-				t.Fatalf("match %d: stream %+v, scan %+v", i, got[i], want.Matches[i])
-			}
 		}
 	})
 }

@@ -8,9 +8,11 @@
 //     the dependence window, and a bounded differential-equivalence check
 //     against the source byte automaton through the functional simulator.
 //
-//   - Prune removes states proven dead (unreachable, useless, never-match,
-//     subsumed), shrinking the mapped footprint while provably preserving
-//     the scan event stream (see prune.go and DESIGN.md §4.10).
+//   - Minimize removes states proven dead (unreachable, useless,
+//     never-match, subsumed) and merges equivalent ones, shrinking the
+//     mapped footprint while provably preserving the scan event stream,
+//     and emits a certificate that CheckCertificate re-verifies (see
+//     prune.go, minimize.go and DESIGN.md §4.10).
 //
 // Diagnostics carry a severity: Error marks an invariant violation (a
 // miscompiled or unmappable automaton), Warn marks a semantic hazard, and
@@ -116,7 +118,7 @@ type Report struct {
 
 	// Liveness classification: states removable without changing the
 	// scan event stream, by reason, and how many of them occupy report
-	// rows (see Prune).
+	// rows (Minimize's prune rounds remove them).
 	Unreachable    int
 	Useless        int
 	NeverMatch     int
@@ -219,10 +221,10 @@ func Analyze(ua *automata.UnitAutomaton, opts Options) *Report {
 }
 
 // livenessPass classifies dead states. Dead states are advisory findings
-// (the machine still runs correctly with them configured); Prune removes
-// them.
+// (the machine still runs correctly with them configured); Minimize's
+// prune rounds remove them.
 func livenessPass(r *Report, ua *automata.UnitAutomaton) {
-	reasons, _, _ := classifyDead(ua)
+	reasons := classifyDead(ua)
 	detail := 0
 	for i, reason := range reasons {
 		if reason == live {

@@ -8,8 +8,7 @@
 // calls into the minimizer's marking or refinement code — and finally
 // requires the replayed automaton to be structurally identical to the
 // minimizer's output. The analyzer thereby validates the transform's
-// output instead of trusting its implementation, mirroring how Prune is
-// backed by the bounded differential equivalence check in equiv.go.
+// output instead of trusting its implementation.
 //
 // Proof obligations per step kind (DESIGN.md §4.15 carries the full
 // arguments):

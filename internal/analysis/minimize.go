@@ -71,11 +71,12 @@ func (r MinimizeResult) Summary() MinimizeSummary {
 	return s
 }
 
-// Minimize shrinks the automaton in place beyond Prune, by interleaving
-// three certified rewrites to a fixpoint:
+// Minimize shrinks the automaton in place by interleaving three certified
+// rewrites to a fixpoint:
 //
-//   - dead-state prune rounds (the same verdicts as Prune, one round per
-//     certificate step, each carrying its subsumption witnesses);
+//   - dead-state prune rounds (the verdicts Analyze's liveness pass
+//     reports, one round per certificate step, each carrying its
+//     subsumption witnesses);
 //   - backward-bisimulation partition refinement: states with equal start
 //     kind, match vectors, report triples and successor *classes* are
 //     merged — unlike the compile-time signature merge in
@@ -95,8 +96,7 @@ func (r MinimizeResult) Summary() MinimizeSummary {
 //
 // Every step appends its partition map to the returned certificate.
 // Minimize's contract is certified, not trusted: callers re-verify the
-// chain with CheckCertificate against a pre-minimization clone, exactly
-// as Prune is backed by the bounded differential check in equiv.go.
+// chain with CheckCertificate against a pre-minimization clone.
 func Minimize(ua *automata.UnitAutomaton) MinimizeResult {
 	ua.Normalize()
 	res := MinimizeResult{Before: len(ua.States), Cert: &Certificate{}}

@@ -28,75 +28,19 @@ const (
 	deadSubsumed
 )
 
-// PruneResult summarizes one Prune call.
-type PruneResult struct {
-	// Before and After are the state counts around the prune.
-	Before int
-	After  int
-	// Per-reason removal counts (Before-After = sum of these).
-	Unreachable int
-	Useless     int
-	NeverMatch  int
-	Subsumed    int
-	// ReportRowsFreed counts removed states that carried reports: each
-	// one occupied a column in a PU's scarce report region.
-	ReportRowsFreed int
-	// EdgesRemoved counts transitions dropped with the removed states.
-	EdgesRemoved int
-	// Remap maps an original state ID to its post-prune ID, or -1 for a
-	// removed state.
-	Remap []automata.StateID
-}
-
-// Removed returns the total number of states removed.
-func (r PruneResult) Removed() int {
-	return r.Unreachable + r.Useless + r.NeverMatch + r.Subsumed
-}
-
-// Prune removes dead states (unreachable, useless, never-match, subsumed)
-// from the automaton in place and returns what was removed. The pruned
-// automaton produces, on every input, exactly the report events of the
-// original: the first three categories never contribute events, and a
-// subsumed state's events are duplicates of its dominator's under the
-// per-cycle (Offset, Origin) deduplication both simulators and the machine
-// apply (see DESIGN.md §4.10 for the proof obligations).
-func Prune(ua *automata.UnitAutomaton) PruneResult {
-	reasons, pruned, remap := classifyDead(ua)
-	res := PruneResult{Before: len(ua.States), After: len(pruned.States), Remap: remap}
-	res.EdgesRemoved = ua.NumEdges() - pruned.NumEdges()
-	for i, r := range reasons {
-		switch r {
-		case deadUnreachable:
-			res.Unreachable++
-		case deadUseless:
-			res.Useless++
-		case deadNeverMatch:
-			res.NeverMatch++
-		case deadSubsumed:
-			res.Subsumed++
-		}
-		if r != live && len(ua.States[i].Reports) > 0 {
-			res.ReportRowsFreed++
-		}
-	}
-	*ua = *pruned
-	return res
-}
-
-// classifyDead computes, without mutating ua, the dead-state classification
-// of every state (indexed by original ID), plus the pruned automaton and
-// the original→pruned ID remap (-1 for removed states).
+// classifyDead returns, without mutating ua, why each state is dead
+// (indexed by state ID; live for a state that survives).
 //
-// Classification iterates to a fixpoint: each round marks never-match,
-// unreachable, useless and subsumed states on the current graph, then
-// rebuilds the graph without them. Subsumption verdicts are always taken
-// against a per-round snapshot, so the soundness argument (dominator
-// chains end in a state that survives the round) holds.
-func classifyDead(ua *automata.UnitAutomaton) (reasons []deadReason, pruned *automata.UnitAutomaton, remap []automata.StateID) {
-	n0 := len(ua.States)
-	reasons = make([]deadReason, n0)
+// Classification iterates to a fixpoint, as Minimize's prune rounds do:
+// each round marks never-match, unreachable, useless and subsumed states
+// on the current graph, then rebuilds the graph without them. Subsumption
+// verdicts are always taken against a per-round snapshot, so the soundness
+// argument (dominator chains end in a state that survives the round)
+// holds.
+func classifyDead(ua *automata.UnitAutomaton) []deadReason {
+	reasons := make([]deadReason, len(ua.States))
 	work := ua.Clone()
-	orig := make([]automata.StateID, n0)
+	orig := make([]automata.StateID, len(ua.States))
 	for i := range orig {
 		orig[i] = automata.StateID(i)
 	}
@@ -110,18 +54,10 @@ func classifyDead(ua *automata.UnitAutomaton) (reasons []deadReason, pruned *aut
 			}
 		}
 		if removed == 0 {
-			break
+			return reasons
 		}
 		work, orig = rebuildLive(work, orig, mark)
 	}
-	remap = make([]automata.StateID, n0)
-	for i := range remap {
-		remap[i] = -1
-	}
-	for wi, oi := range orig {
-		remap[oi] = automata.StateID(wi)
-	}
-	return reasons, work, remap
 }
 
 // markDeadRound runs one round of the four dead-state passes over a and

@@ -197,7 +197,7 @@ func (t *TelemetryFlags) Emit(w io.Writer, col *telemetry.Collector) error {
 		if err != nil {
 			return err
 		}
-		if err := tr.WriteChromeTrace(f); err != nil {
+		if err := telemetry.WriteMergedChromeTrace(f, tr, nil); err != nil {
 			f.Close()
 			return err
 		}

@@ -307,19 +307,6 @@ func max64(a, b int64) int64 {
 	return b
 }
 
-// WriteChromeTrace writes the recorded spans alone as a Chrome
-// trace_event JSON document.
-func (t *SpanTracer) WriteChromeTrace(w io.Writer) error {
-	c := newChromeEmitter(w)
-	if err := c.open(); err != nil {
-		return err
-	}
-	if err := t.writeChromeEvents(c); err != nil {
-		return err
-	}
-	return c.close()
-}
-
 // WriteMergedChromeTrace writes one Chrome trace_event document holding
 // both the device cycle tracer's events (pid 0, one trace microsecond per
 // device cycle) and the span tracer's wall-clock spans (pid 1,

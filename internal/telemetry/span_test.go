@@ -72,7 +72,7 @@ func TestSpanTreeBasics(t *testing.T) {
 	}
 
 	var chrome bytes.Buffer
-	if err := tr.WriteChromeTrace(&chrome); err != nil {
+	if err := WriteMergedChromeTrace(&chrome, nil, tr); err != nil {
 		t.Fatal(err)
 	}
 	var doc map[string]any

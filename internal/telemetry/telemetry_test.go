@@ -142,7 +142,7 @@ func TestChromeTraceIsValidJSON(t *testing.T) {
 	tr.Record(Event{Cycle: 9, PU: 0, Kind: EventSummarize, Stall: 12, Occ: 0})
 
 	var buf bytes.Buffer
-	if err := tr.WriteChromeTrace(&buf); err != nil {
+	if err := WriteMergedChromeTrace(&buf, tr, nil); err != nil {
 		t.Fatal(err)
 	}
 	var doc struct {

@@ -138,23 +138,6 @@ func (t *Tracer) WriteJSONL(w io.Writer) error {
 	return bw.Flush()
 }
 
-// WriteChromeTrace writes the buffered events in the Chrome trace_event
-// JSON format, loadable in chrome://tracing and Perfetto. Each PU maps to
-// a thread (tid); one trace microsecond equals one device cycle. Events
-// with a stall duration render as complete ("X") slices spanning their
-// stall window; report writes and stride markers render as instant ("i")
-// events; region occupancy renders as per-PU counter ("C") tracks.
-func (t *Tracer) WriteChromeTrace(w io.Writer) error {
-	c := newChromeEmitter(w)
-	if err := c.open(); err != nil {
-		return err
-	}
-	if err := t.writeChromeEvents(c); err != nil {
-		return err
-	}
-	return c.close()
-}
-
 // writeChromeEvents emits the device events on pid 0 through the shared
 // emitter, so they can be merged with wall-clock spans (pid 1) into one
 // document (see WriteMergedChromeTrace).

@@ -9,27 +9,6 @@ import (
 	"sunder/internal/workload"
 )
 
-// comparePrefiltered asserts the prefiltered result is observably
-// identical to the unfiltered one: same matches, Reports and ReportCycles,
-// and the filtered kernel + skipped cycles reconstruct the unfiltered
-// kernel exactly (every cycle is either executed or provably match-free).
-func comparePrefiltered(t *testing.T, label string, base, filt *ScanResult) {
-	t.Helper()
-	if !matchesEqual(sortedMatches(base.Matches), sortedMatches(filt.Matches)) {
-		t.Errorf("%s: matches diverged (%d unfiltered vs %d filtered)",
-			label, len(base.Matches), len(filt.Matches))
-	}
-	if base.Stats.Reports != filt.Stats.Reports || base.Stats.ReportCycles != filt.Stats.ReportCycles {
-		t.Errorf("%s: reports %d/%d filtered vs %d/%d unfiltered",
-			label, filt.Stats.Reports, filt.Stats.ReportCycles,
-			base.Stats.Reports, base.Stats.ReportCycles)
-	}
-	if got := filt.Stats.KernelCycles + filt.Stats.SkippedCycles; got != base.Stats.KernelCycles {
-		t.Errorf("%s: kernel %d + skipped %d = %d, want unfiltered kernel %d",
-			label, filt.Stats.KernelCycles, filt.Stats.SkippedCycles, got, base.Stats.KernelCycles)
-	}
-}
-
 // substrates are the backends whose runners execute prefiltered windows.
 var substrates = []string{"nfa", "dfa"}
 
@@ -62,73 +41,6 @@ func unfiltered(t *testing.T, patterns []Pattern, input []byte) *ScanResult {
 		t.Fatal(err)
 	}
 	return res
-}
-
-// TestPrefilterDifferential is the acceptance battery: for every benchmark
-// workload, an engine compiled with PrefilterOn must be observably
-// invisible on the sequential, parallel and streaming scan paths, with its
-// windows on either substrate. Rule sets without usable literals
-// (wide-class automata) take the no-filter verdict and are exercised as the
-// pass-through case.
-func TestPrefilterDifferential(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full 19-benchmark differential in long mode only")
-	}
-	const inputLen = 6000
-	workers := []int{1, 2, 4, 8}
-	chunks := []int{1, 13, 97}
-	for _, name := range workload.Names() {
-		w, err := workload.Get(name, workload.DefaultScale, inputLen)
-		if err != nil {
-			t.Fatal(err)
-		}
-		base, err := CompileAutomaton(w.Automaton, DefaultOptions())
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		bseq, err := base.Scan(w.Input)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, backend := range substrates {
-			opts := DefaultOptions()
-			opts.Prefilter, opts.Backend = PrefilterOn, backend
-			filt, err := CompileAutomaton(w.Automaton, opts)
-			if err != nil {
-				t.Fatalf("%s (prefiltered on %s): %v", name, backend, err)
-			}
-			label := name + "/" + backend
-			if backend == substrates[0] {
-				t.Logf("%s: prefilter strategy %s (%d literals)",
-					name, filt.Info().PrefilterStrategy, len(filt.Info().PrefilterLiterals))
-			}
-
-			fseq, err := filt.Scan(w.Input)
-			if err != nil {
-				t.Fatal(err)
-			}
-			comparePrefiltered(t, label+"/seq", bseq, fseq)
-
-			for _, nw := range workers {
-				fpar, err := filt.ScanParallel(w.Input, ScanOptions{Workers: nw})
-				if err != nil {
-					t.Fatal(err)
-				}
-				comparePrefiltered(t, fmt.Sprintf("%s/par/w=%d", label, nw), bseq, fpar)
-				// Every share's windows count: cutting the spans can only
-				// open a straddling window twice, never lose one.
-				if fpar.Stats.PrefilterWindows < fseq.Stats.PrefilterWindows {
-					t.Errorf("%s/par/w=%d: %d prefilter windows, Scan opens %d", label, nw,
-						fpar.Stats.PrefilterWindows, fseq.Stats.PrefilterWindows)
-				}
-			}
-
-			for _, chunk := range chunks {
-				got, stats := streamChunks(t, filt.Clone(), w.Input, chunk)
-				comparePrefiltered(t, fmt.Sprintf("%s/stream/chunk=%d", label, chunk), bseq, &ScanResult{Matches: got, Stats: stats})
-			}
-		}
-	}
 }
 
 // TestPrefilterMidStreamWindows aims windows at what a mid-input start has
@@ -165,7 +77,7 @@ func TestPrefilterMidStreamWindows(t *testing.T) {
 			label := c.name + "/" + backend
 			eng := compileFiltered(t, patterns, backend)
 			res, err := eng.Scan(input)
-			comparePrefilteredResult(t, label+"/Scan", want, res, err)
+			agree(t, label+"/Scan", want, res, err)
 			// Windows after skipped gaps start mid-input; the phantom counts
 			// in Reports but is no match.
 			st := res.Stats
@@ -180,16 +92,16 @@ func TestPrefilterMidStreamWindows(t *testing.T) {
 			}
 			for _, w := range []int{1, 3} {
 				res, err := eng.ScanParallel(input, ScanOptions{Workers: w})
-				comparePrefilteredResult(t, fmt.Sprintf("%s/ScanParallel/w=%d", label, w), want, res, err)
+				agree(t, fmt.Sprintf("%s/ScanParallel/w=%d", label, w), want, res, err)
 			}
 			batch, err := eng.ScanBatch([][]byte{input, input}, ScanOptions{Workers: 2})
 			if err == nil {
 				res = batch[1]
 			}
-			comparePrefilteredResult(t, label+"/ScanBatch", want, res, err)
+			agree(t, label+"/ScanBatch", want, res, err)
 			for _, chunk := range []int{1, 7, len(input)} {
 				got, stats := streamChunks(t, eng, input, chunk)
-				comparePrefiltered(t, fmt.Sprintf("%s/Stream/chunk=%d", label, chunk), want, &ScanResult{Matches: got, Stats: stats})
+				agree(t, fmt.Sprintf("%s/Stream/chunk=%d", label, chunk), want, &ScanResult{Matches: got, Stats: stats}, nil)
 			}
 		}
 	}
@@ -293,21 +205,10 @@ func forWindowedBackends(t *testing.T, f func(windowTest)) {
 			check: func(label string, out runOutput) {
 				t.Helper()
 				out.stats.SkippedCycles = total - out.stats.KernelCycles
-				comparePrefiltered(t, backend+"/"+label, ref, &ScanResult{Matches: out.matches, Stats: out.stats})
+				agree(t, backend+"/"+label, ref, &ScanResult{Matches: out.matches, Stats: out.stats}, nil)
 			},
 		})
 	}
-}
-
-// comparePrefilteredResult is comparePrefiltered for a call that may have
-// failed.
-func comparePrefilteredResult(t *testing.T, label string, base, filt *ScanResult, err error) {
-	t.Helper()
-	if err != nil {
-		t.Errorf("%s: %v", label, err)
-		return
-	}
-	comparePrefiltered(t, label, base, filt)
 }
 
 // TestPrefilterNoLiteralVerdict pins the conservative verdict: a rule set
@@ -342,7 +243,7 @@ func TestPrefilterNoLiteralVerdict(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	comparePrefiltered(t, "no-filter", bres, fres)
+	agree(t, "no-filter", bres, fres, nil)
 	if fres.Stats.SkippedCycles != 0 || fres.Stats.PrefilterWindows != 0 {
 		t.Errorf("disabled filter must not report windows/skips: %+v", fres.Stats)
 	}

@@ -101,7 +101,7 @@ func TestPrefilterEngagement(t *testing.T) {
 	}
 	for _, c := range cases {
 		want := unfiltered(t, c.patterns, c.input)
-		oracle := oracleRun(t, c.patterns, c.input)
+		oracle := oracleRun(t, compileSet(t, c.patterns), c.input)
 		if len(want.Matches) == 0 {
 			t.Fatalf("%s: vacuous, no match", c.name)
 		}
@@ -116,8 +116,8 @@ func TestPrefilterEngagement(t *testing.T) {
 			check := func(entry string, workers int, res *ScanResult, err error) {
 				t.Helper()
 				l := fmt.Sprintf("%s/%s/w=%d", label, entry, workers)
-				comparePrefilteredResult(t, l, want, res, err)
-				comparePrefilteredResult(t, l+"/funcsim", oracle, res, err)
+				agree(t, l, want, res, err)
+				agree(t, l+"/funcsim", oracle, res, err)
 				if err != nil {
 					return
 				}

@@ -1,6 +1,7 @@
 package sunder
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -65,44 +66,19 @@ func TestPrefilterFoldDifferential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	comparePrefiltered(t, "fold/seq", bseq, fseq)
+	agree(t, "fold/seq", bseq, fseq, nil)
 	if fseq.Stats.SkippedCycles == 0 {
 		t.Error("folded prefilter skipped nothing; filter not engaged")
 	}
 
 	for _, nw := range []int{1, 4} {
 		fpar, err := filt.ScanParallel(input, ScanOptions{Workers: nw})
-		if err != nil {
-			t.Fatal(err)
-		}
-		comparePrefiltered(t, "fold/par", bseq, fpar)
+		agree(t, "fold/par", bseq, fpar, err)
 	}
 
 	for _, chunk := range []int{1, 13, 97} {
-		var got []Match
-		st, err := filt.Clone().NewStream(func(m Match) { got = append(got, m) })
-		if err != nil {
-			t.Fatal(err)
-		}
-		for off := 0; off < len(input); off += chunk {
-			end := off + chunk
-			if end > len(input) {
-				end = len(input)
-			}
-			if _, err := st.Write(input[off:end]); err != nil {
-				t.Fatal(err)
-			}
-		}
-		stats := st.Close()
-		if !matchesEqual(sortedMatches(bseq.Matches), sortedMatches(got)) {
-			t.Errorf("fold/stream chunk=%d: matches diverged (%d vs %d)",
-				chunk, len(bseq.Matches), len(got))
-		}
-		if stats.Reports != bseq.Stats.Reports || stats.ReportCycles != bseq.Stats.ReportCycles {
-			t.Errorf("fold/stream chunk=%d: reports %d/%d, want %d/%d",
-				chunk, stats.Reports, stats.ReportCycles,
-				bseq.Stats.Reports, bseq.Stats.ReportCycles)
-		}
+		got, stats := streamChunks(t, filt.Clone(), input, chunk)
+		agree(t, fmt.Sprintf("fold/stream/chunk=%d", chunk), bseq, &ScanResult{Matches: got, Stats: stats}, nil)
 	}
 }
 

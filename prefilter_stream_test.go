@@ -142,11 +142,11 @@ func streamChunks(t *testing.T, eng *Engine, input []byte, chunk int) ([]Match, 
 // skipped cycles sum to want's.
 func compareStream(t *testing.T, label string, want *ScanResult, got []Match, st Stats) {
 	t.Helper()
-	comparePrefiltered(t, label, &ScanResult{Matches: want.Matches, Stats: Stats{
+	agree(t, label, &ScanResult{Matches: want.Matches, Stats: Stats{
 		KernelCycles: want.Stats.KernelCycles + want.Stats.SkippedCycles,
 		Reports:      want.Stats.Reports,
 		ReportCycles: want.Stats.ReportCycles,
-	}}, &ScanResult{Matches: got, Stats: st})
+	}}, &ScanResult{Matches: got, Stats: st}, nil)
 }
 
 // TestPrefilterStreamDeferredBufferFull pins the deferred-buffer cap: an

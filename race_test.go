@@ -349,9 +349,9 @@ func TestConcurrentCallersOneEngine(t *testing.T) {
 	patterns := []Pattern{{Expr: `ab+c`, Code: 1}, {Expr: `b[cd]a`, Code: 2}, {Expr: `xy+z`, Code: 3}}
 	input := bytes.Repeat([]byte("xabbcayybdaxyyz-q."), 60)[1:]
 	short := []byte("..abc..xyz..")
-	want := oracleRun(t, patterns, input)
+	want := oracleRun(t, compileSet(t, patterns), input)
 	wantCodes := map[int32]bool{}
-	for _, m := range oracleRun(t, patterns, short).Matches {
+	for _, m := range oracleRun(t, compileSet(t, patterns), short).Matches {
 		wantCodes[m.Code] = true
 	}
 	if len(want.Matches) == 0 || len(wantCodes) != 2 {

@@ -109,6 +109,23 @@ func TestCompileErrors(t *testing.T) {
 	}
 }
 
+// TestCompileRefusesUnknownBackend: Options.Backend accepts "auto", "nfa"
+// and "dfa" only — "parallel" among the refused names: ScanParallel, not a
+// backend, shards — and a forced "dfa" the configuration cannot determinize
+// (Rate 1) fails the compile too.
+func TestCompileRefusesUnknownBackend(t *testing.T) {
+	for _, backend := range []string{"bogus", "parallel"} {
+		_, err := Compile([]Pattern{{Expr: `ab+c`, Code: 1}}, Options{Backend: backend})
+		if err == nil || !strings.Contains(err.Error(), "unknown Backend") {
+			t.Errorf("Compile with Backend %q: %v, want an unknown-backend error", backend, err)
+		}
+	}
+	_, err := Compile([]Pattern{{Expr: `ab+c`, Code: 1}}, Options{Rate: 1, Backend: "dfa"})
+	if err == nil || !strings.Contains(err.Error(), "unsupported") {
+		t.Errorf("Compile with Rate 1 and Backend \"dfa\": %v, want an unsupported-backend error", err)
+	}
+}
+
 func TestStatsOverheadZero(t *testing.T) {
 	if (Stats{}).Overhead() != 1.0 {
 		t.Error("zero-cycle overhead not 1")

@@ -83,20 +83,6 @@ func (t *Telemetry) WriteMetrics(w io.Writer) error {
 	return t.col.WriteMetrics(w)
 }
 
-// WriteChromeTrace writes the buffered event trace in Chrome trace_event
-// JSON format, loadable in chrome://tracing or Perfetto: each PU is a
-// thread, one trace microsecond is one device cycle, stall-causing
-// events render as duration slices and report writes as instants, with
-// per-PU occupancy counter tracks. Returns nil output errors only;
-// without tracing enabled it writes an empty trace.
-func (t *Telemetry) WriteChromeTrace(w io.Writer) error {
-	tr := t.col.Tracer()
-	if tr == nil {
-		tr = telemetry.NewTracer(1)
-	}
-	return tr.WriteChromeTrace(w)
-}
-
 // WriteTraceJSONL writes the buffered event trace as one JSON object per
 // line ({"cycle":…,"pu":…,"kind":…,"stall":…,"occ":…}).
 func (t *Telemetry) WriteTraceJSONL(w io.Writer) error {

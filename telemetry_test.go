@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"sunder/internal/report"
+	"sunder/internal/workload"
 )
 
 // denseEngine compiles a pattern that reports on every 'a' byte without
@@ -110,7 +111,7 @@ func TestTelemetryMetricsAndTrace(t *testing.T) {
 	// The Chrome trace must be valid JSON with flush and report events
 	// carrying cycle timestamps.
 	var trace bytes.Buffer
-	if err := tel.WriteChromeTrace(&trace); err != nil {
+	if err := tel.WriteMergedChromeTrace(&trace); err != nil {
 		t.Fatal(err)
 	}
 	var doc struct {
@@ -307,5 +308,45 @@ func TestPooledRunnerTelemetryFollowsTaker(t *testing.T) {
 	}
 	if got := counters(telB); got != want(resB[0].Stats) {
 		t.Errorf("taker's collector: %v, its scan's stats %v", got, want(resB[0].Stats))
+	}
+}
+
+// TestSpanExportsFromScan pins the export surface over a real scan: the
+// scheduler spans come out as JSONL and as pid-1 events in the merged
+// Chrome document, alongside the device cycle trace on pid 0.
+func TestSpanExportsFromScan(t *testing.T) {
+	w, err := workload.Get("Snort", workload.DefaultScale, 4000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := CompileAutomaton(w.Automaton, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	tel := NewTelemetry(TelemetryOptions{Spans: true, SpanSampleEvery: 1, Trace: true})
+	eng.SetTelemetry(tel)
+	defer eng.SetTelemetry(nil)
+	if _, err := eng.ScanParallel(w.Input, ScanOptions{Workers: 4}); err != nil {
+		t.Fatal(err)
+	}
+
+	var jsonl bytes.Buffer
+	if err := tel.WriteSpansJSONL(&jsonl); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{`"name":"parallel_run"`, `"name":"shard"`, `"name":"warmup"`} {
+		if !strings.Contains(jsonl.String(), want) {
+			t.Errorf("span JSONL missing %s:\n%s", want, jsonl.String())
+		}
+	}
+
+	var merged bytes.Buffer
+	if err := tel.WriteMergedChromeTrace(&merged); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{`"pid":0`, `"pid":1`, `"name":"parallel_run"`} {
+		if !strings.Contains(merged.String(), want) {
+			t.Errorf("merged Chrome trace missing %s", want)
+		}
 	}
 }
