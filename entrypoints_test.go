@@ -47,14 +47,6 @@ var allCells = func() []cell {
 	return cells
 }()
 
-// pairwiseCells covers every pair of option values in eight cells,
-// nfa/off/off first: the workload corpus runs these.
-var pairwiseCells = []cell{
-	{"nfa", PrefilterOff, false}, {"nfa", PrefilterOn, false}, {"dfa", PrefilterOn, false},
-	{"nfa", PrefilterOff, true}, {"auto", PrefilterOff, false}, {"dfa", PrefilterOff, false},
-	{"dfa", PrefilterOn, true}, {"auto", PrefilterOn, true},
-}
-
 // conformanceCase is one rule set and input of the conformance harness.
 type conformanceCase struct {
 	name string
@@ -66,30 +58,37 @@ type conformanceCase struct {
 	input    []byte
 	opts     func(*Options)
 	cells    []cell
-	// spans runs the nfa/off/off engine under every span-tracing mode.
-	spans bool
 }
 
-// TestEntryPointsAgree is the conformance harness: for every rule set and
-// option cell, Scan, ScanParallel, ScanBatch (both twice: the second pass
-// takes the pooled runners back warm), Stream (five chunkings) and a Clone
-// — and on the crafted rule sets a CompileCached hit — must all return the
-// functional-simulator oracle's matches, in order, and Reports and
-// ReportCycles, account for every device cycle as executed or skipped, and
-// run on the substrate the engine compiled to: the lazy DFA for a "dfa"
-// backend, the machine for "nfa". Every run on the machine must leave the
-// report model where Scan leaves it (StallCycles, Flushes, PerPU), and a
-// machine cell's Scan where the unfiltered machine Scan of the same
-// Minimize does. A minimized cell must account for every device state it
-// lost as pruned or merged.
-//
-// The crafted rule sets run every cell. The "flushing" set makes the device
-// checks non-vacuous: with the FIFO off and one wide entry per row, its
-// dense rule flushes the regions several times, and its literal engages
-// the prefilter. Outside -short the 19 workloads at DefaultScale run the
-// eight pairwise cells on 6,000-byte inputs, and Snort, Levenshtein and
-// RandomForest run the span-tracing modes.
-func TestEntryPointsAgree(t *testing.T) {
+// compile builds c's engine for cell cl.
+func (c conformanceCase) compile(t *testing.T, cl cell) *Engine {
+	t.Helper()
+	opts := c.options(cl)
+	var eng *Engine
+	var err error
+	if c.patterns != nil {
+		eng, err = Compile(c.patterns, opts)
+	} else {
+		eng, err = CompileAutomaton(c.nfa, opts)
+	}
+	if err != nil {
+		t.Fatalf("%s: %v", cl, err)
+	}
+	return eng
+}
+
+func (c conformanceCase) options(cl cell) Options {
+	opts := DefaultOptions()
+	opts.Backend, opts.Prefilter, opts.Minimize = cl.backend, cl.prefilter, cl.minimize
+	if c.opts != nil {
+		c.opts(&opts)
+	}
+	return opts
+}
+
+// craftedCases is the harness's crafted rule sets, each on an odd-length
+// input that plants its matches in filler text.
+func craftedCases(t *testing.T) []conformanceCase {
 	filler := bytes.Repeat([]byte("the quick brown fox 0 jumps 12 over; "), 64)
 	plant := func(frags ...string) []byte {
 		in := append([]byte(nil), filler...)
@@ -135,25 +134,51 @@ func TestEntryPointsAgree(t *testing.T) {
 			c.input = c.input[1:]
 		}
 	}
-	if !testing.Short() {
-		for _, name := range workload.Names() {
-			w, err := workload.Get(name, workload.DefaultScale, 6000)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cases = append(cases, conformanceCase{name: name, nfa: w.Automaton, input: w.Input, cells: pairwiseCells,
-				spans: name == "Snort" || name == "Levenshtein" || name == "RandomForest"})
-		}
+	return cases
+}
+
+// workloadCases is the workload corpus: the 19 workloads at DefaultScale on
+// 6,000-byte inputs, each to run cells. It skips t under -short.
+func workloadCases(t *testing.T, cells ...cell) []conformanceCase {
+	if testing.Short() {
+		t.Skip("19-workload corpus in long mode only")
 	}
+	var cases []conformanceCase
+	for _, name := range workload.Names() {
+		w, err := workload.Get(name, workload.DefaultScale, 6000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cases = append(cases, conformanceCase{name: name, nfa: w.Automaton, input: w.Input, cells: cells})
+	}
+	return cases
+}
+
+// TestEntryPointsAgree is the conformance harness: for every rule set and
+// option cell, Scan, ScanParallel, ScanBatch (both twice: the second pass
+// takes the pooled runners back warm), Stream (five chunkings) and a Clone
+// — and on the crafted rule sets a CompileCached hit — must all return the
+// functional-simulator oracle's matches, in order, and Reports and
+// ReportCycles, account for every device cycle as executed or skipped, and
+// run on the substrate the engine compiled to: the lazy DFA for a "dfa"
+// backend, the machine for "nfa". Every run on the machine must leave the
+// report model where Scan leaves it (StallCycles, Flushes, PerPU), and a
+// machine cell's Scan where the unfiltered machine Scan of the same
+// Minimize does.
+//
+// Here the crafted rule sets run every cell. The "flushing" set makes the
+// device checks non-vacuous: with the FIFO off and one wide entry per row,
+// its dense rule flushes the regions several times, and its literal
+// engages the prefilter. The workload corpus runs eight cells that cover
+// every pair of option values, split over TestBackendDifferential,
+// TestPrefilterDifferential and TestMinimizeDifferential by the option
+// each turns against nfa/off/off.
+func TestEntryPointsAgree(t *testing.T) {
 	// The crafted sets reset the shared compile cache, so they run one at
-	// a time; the workloads share nothing and run in parallel after them.
+	// a time.
+	cases := craftedCases(t)
 	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			if c.patterns == nil {
-				t.Parallel()
-			}
-			checkCase(t, c)
-		})
+		t.Run(c.name, func(t *testing.T) { checkCase(t, c) })
 	}
 
 	// The flushing rule set must flush on the machine, or its device
@@ -169,65 +194,142 @@ func TestEntryPointsAgree(t *testing.T) {
 	}
 }
 
+// TestBackendDifferential runs the conformance harness on the workload
+// corpus in the unfiltered, unminimized cells of each backend: the
+// machine, the lazy DFA (where the automaton determinizes) and auto's
+// pick.
+func TestBackendDifferential(t *testing.T) {
+	checkWorkloads(t, workloadCases(t, cell{"nfa", PrefilterOff, false}, cell{"auto", PrefilterOff, false},
+		cell{"dfa", PrefilterOff, false}))
+}
+
+// TestPrefilterDifferential runs the conformance harness on the workload
+// corpus with the literal prefilter on, on both substrates.
+func TestPrefilterDifferential(t *testing.T) {
+	checkWorkloads(t, workloadCases(t, cell{"nfa", PrefilterOn, false}, cell{"dfa", PrefilterOn, false}))
+}
+
+// TestMinimizeDifferential runs the conformance harness on the workload
+// corpus with certified minimization on: alone, and with the prefilter on
+// the lazy DFA and under auto.
+func TestMinimizeDifferential(t *testing.T) {
+	checkWorkloads(t, workloadCases(t, cell{"nfa", PrefilterOff, true}, cell{"dfa", PrefilterOn, true},
+		cell{"auto", PrefilterOn, true}))
+}
+
+// checkWorkloads checks the workload cases in parallel: they share nothing.
+func checkWorkloads(t *testing.T, cases []conformanceCase) {
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			t.Parallel()
+			checkCase(t, c)
+		})
+	}
+}
+
+// TestPruneDifferential holds Minimize's prune and merge rounds to their
+// accounting on every rule set of the harness: Info()'s PrunedStates plus
+// MergedStates is exactly the device states the minimized engine lost
+// against the unminimized one. Minimization runs before the backend and
+// the prefilter are chosen, so the machine cells stand for every cell;
+// the harness holds the minimized engines' scans.
+func TestPruneDifferential(t *testing.T) {
+	cases := craftedCases(t)
+	if !testing.Short() {
+		cases = append(cases, workloadCases(t)...)
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			base := c.compile(t, cell{"nfa", PrefilterOff, false}).Info()
+			info := c.compile(t, cell{"nfa", PrefilterOff, true}).Info()
+			if got, lost := info.PrunedStates+info.MergedStates, base.DeviceStates-info.DeviceStates; got != lost {
+				t.Errorf("%d pruned + merged states, %d device states lost", got, lost)
+			}
+		})
+	}
+}
+
+// TestPruneOptionShrinksLevenshtein pins that Minimize's prune rounds
+// actually remove states where dead states exist (the Levenshtein widgets
+// carry subsumed insertion variants at rate 4).
+func TestPruneOptionShrinksLevenshtein(t *testing.T) {
+	w, err := workload.Get("Levenshtein", workload.DefaultScale, 2000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := DefaultOptions()
+	opts.Minimize = true
+	eng, err := CompileAutomaton(w.Automaton, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if eng.Info().PrunedStates == 0 {
+		t.Fatal("expected pruned states on Levenshtein at rate 4, got 0")
+	}
+}
+
+// TestSpanDifferential holds span tracing to the untraced scans on Snort,
+// Levenshtein and RandomForest (Snort alone under -short).
+func TestSpanDifferential(t *testing.T) {
+	names := []string{"Snort", "Levenshtein", "RandomForest"}
+	if testing.Short() {
+		names = names[:1]
+	}
+	for _, name := range names {
+		w, err := workload.Get(name, workload.DefaultScale, 6000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng, err := CompileAutomaton(w.Automaton, DefaultOptions())
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		checkSpans(t, name, eng, w.Input)
+	}
+}
+
 // checkCase runs every cell of c against the oracle.
 func checkCase(t *testing.T, c conformanceCase) {
 	want := oracleRun(t, c.nfa, c.input)
 	if len(want.Matches) == 0 && c.patterns != nil {
 		t.Fatal("oracle found no match")
 	}
-	var base *Engine
-	unfiltered := map[bool]*ScanResult{} // the machine's unfiltered Scan by Minimize
-	for _, cl := range c.cells {
-		opts := DefaultOptions()
-		opts.Backend, opts.Prefilter, opts.Minimize = cl.backend, cl.prefilter, cl.minimize
-		if c.opts != nil {
-			c.opts(&opts)
+	engines := map[cell]*Engine{}
+	engine := func(cl cell) *Engine {
+		if engines[cl] == nil {
+			engines[cl] = c.compile(t, cl)
 		}
-		if cl.backend == "dfa" && !base.DFAStats().Supported {
-			t.Logf("%s: forced dfa unsupported: %s", cl, base.DFAStats().Reason)
+		return engines[cl]
+	}
+	scans := map[cell]*ScanResult{} // each checked cell's Scan
+	for _, cl := range c.cells {
+		// twin is the unfiltered machine cell of the same Minimize: its
+		// automaton is cl's, so it tells whether a forced dfa compiles, and
+		// its Scan is where a machine cell's must leave the report model.
+		twin := cell{"nfa", PrefilterOff, cl.minimize}
+		if cl.backend == "dfa" && !engine(twin).DFAStats().Supported {
+			t.Logf("%s: forced dfa unsupported: %s", cl, engine(twin).DFAStats().Reason)
 			continue
 		}
-		var eng *Engine
-		var err error
-		if c.patterns != nil {
-			eng, err = Compile(c.patterns, opts)
-		} else {
-			eng, err = CompileAutomaton(c.nfa, opts)
-		}
-		if err != nil {
-			t.Fatalf("%s: %v", cl, err)
-		}
-		if base == nil {
-			base = eng
-		}
-		label := cl.String()
-		if info := eng.Info(); cl.minimize {
-			if info.SymbolClasses == 0 {
-				t.Errorf("%s: no symbol-class count", label)
-			}
-			if got, lost := info.PrunedStates+info.MergedStates, base.Info().DeviceStates-info.DeviceStates; got != lost {
-				t.Errorf("%s: %d pruned + merged states, %d device states lost", label, got, lost)
-			}
-			// The Levenshtein widgets carry subsumed insertion variants at
-			// rate 4: the prune rounds must find them.
-			if c.name == "Levenshtein" && info.PrunedStates == 0 {
-				t.Errorf("%s: no pruned states", label)
-			}
+		eng, label := engine(cl), cl.String()
+		if cl.minimize && eng.Info().SymbolClasses == 0 {
+			t.Errorf("%s: no symbol-class count", label)
 		}
 		ref, result := checkEntryPoints(t, label, eng, c.input, want)
+		scans[cl] = ref
 		if c.patterns != nil {
-			res, err := compileCachedHit(t, label, c.patterns, opts).Scan(c.input)
+			res, err := compileCachedHit(t, label, c.patterns, c.options(cl)).Scan(c.input)
 			result("CompileCached", res, err)
 		}
-		if !strings.HasPrefix(eng.Backend(), "dfa") {
-			if u := unfiltered[cl.minimize]; u == nil && cl.prefilter == PrefilterOff {
-				unfiltered[cl.minimize] = ref
-			} else if u != nil {
-				sameDevice(t, label+"/Scan vs unfiltered Scan", ref, u)
+		if cl != twin && !strings.HasPrefix(eng.Backend(), "dfa") {
+			if scans[twin] == nil {
+				u, err := engine(twin).Scan(c.input)
+				if err != nil {
+					t.Fatalf("%s: %v", twin, err)
+				}
+				scans[twin] = u
 			}
-		}
-		if c.spans && eng == base {
-			checkSpans(t, label, eng, c.input)
+			sameDevice(t, label+"/Scan vs unfiltered Scan", ref, scans[twin])
 		}
 	}
 }
@@ -451,11 +553,9 @@ func sortedMatches(ms []Match) []Match {
 
 func matchesEqual(a, b []Match) bool { return slices.Equal(a, b) }
 
-// FuzzConformance is TestEntryPointsAgree's fuzz twin: it draws a rule set
-// from a panel, an input of at most 1 KiB, a backend, the prefilter and
-// minimize options and a chunk size, and holds Scan, ScanParallel and a
-// chunked Stream to an unfiltered, unminimized engine on the machine.
-func FuzzConformance(f *testing.F) {
+// fuzzEngines compiles every cell of each rule set of the conformance
+// fuzzers' panel.
+func fuzzEngines(f *testing.F) []map[cell]*Engine {
 	sets := [][]Pattern{
 		{{Expr: `ab+c`, Code: 1}, {Expr: `zz`, Code: 2}},
 		{{Expr: `GET /[a-z]+`, Code: 3}, {Expr: `needle`, Code: 4}},
@@ -466,42 +566,72 @@ func FuzzConformance(f *testing.F) {
 	for i, ps := range sets {
 		engines[i] = map[cell]*Engine{}
 		for _, c := range allCells {
-			opts := DefaultOptions()
-			opts.Backend, opts.Prefilter, opts.Minimize = c.backend, c.prefilter, c.minimize
-			eng, err := Compile(ps, opts)
+			eng, err := Compile(ps, conformanceCase{}.options(c))
 			if err != nil {
 				f.Fatalf("%v %s: %v", ps, c, err)
 			}
 			engines[i][c] = eng
 		}
 	}
-	f.Add(uint8(0), uint8(1), false, false, uint8(0), []byte("xabbczzx"))
-	f.Add(uint8(1), uint8(1), false, false, uint8(0), []byte("GET /admin needle"))
-	f.Add(uint8(2), uint8(1), false, false, uint8(0), []byte("axc abc"))
-	f.Add(uint8(3), uint8(1), false, false, uint8(0), []byte("a123b"))
-	f.Add(uint8(0), uint8(0), false, false, uint8(3), []byte("xabbczzx"))
-	f.Add(uint8(0), uint8(1), true, false, uint8(1), []byte(strings.Repeat("abz", 40)))
-	f.Add(uint8(0), uint8(0), true, false, uint8(7), []byte(""))
-	f.Fuzz(func(t *testing.T, set, backend uint8, prefilter, minimize bool, chunk uint8, input []byte) {
+	return engines
+}
+
+// FuzzDFA is TestEntryPointsAgree's fuzz twin on the batch paths: on a
+// rule set drawn from the panel and an input of at most 1 KiB, every
+// cell's Scan and ScanParallel — the lazy DFA's and auto's among them —
+// must agree with the unfiltered, unminimized engine on the machine.
+func FuzzDFA(f *testing.F) {
+	engines := fuzzEngines(f)
+	f.Add(uint8(0), []byte("xabbczzx"))
+	f.Add(uint8(1), []byte("GET /admin needle"))
+	f.Add(uint8(2), []byte("axc abc"))
+	f.Add(uint8(3), []byte("a123b"))
+	f.Fuzz(func(t *testing.T, set uint8, input []byte) {
 		if len(input) > 1024 {
 			t.Skip("cap work per case")
-		}
-		c := cell{backend: []string{"nfa", "dfa", "auto"}[backend%3], minimize: minimize}
-		if prefilter {
-			c.prefilter = PrefilterOn
 		}
 		engs := engines[int(set)%len(engines)]
 		want, err := engs[allCells[0]].Scan(input)
 		if err != nil {
 			t.Fatal(err)
 		}
-		eng := engs[c]
-		res, err := eng.Scan(input)
-		agree(t, c.String()+"/Scan", want, res, err)
-		res, err = eng.ScanParallel(input, ScanOptions{})
-		agree(t, c.String()+"/ScanParallel", want, res, err)
+		for _, c := range allCells[1:] {
+			res, err := engs[c].Scan(input)
+			agree(t, c.String()+"/Scan", want, res, err)
+			res, err = engs[c].ScanParallel(input, ScanOptions{})
+			agree(t, c.String()+"/ScanParallel", want, res, err)
+		}
+	})
+}
+
+// FuzzStream is its twin on the streaming path: mode draws the cell (bit
+// 0: the lazy DFA, else the machine; bit 1: the prefilter; bit 2:
+// Minimize; bit 3: auto in place of either backend) and the rule set (the
+// bits above), and a Stream fed in chunks of 1 to 63 bytes must agree
+// with the unfiltered, unminimized engine's Scan on the machine.
+func FuzzStream(f *testing.F) {
+	engines := fuzzEngines(f)
+	f.Add("xabbczzx", uint8(3), uint8(0))
+	f.Add(strings.Repeat("abz", 40), uint8(1), uint8(3))
+	f.Add("", uint8(7), uint8(2))
+	f.Fuzz(func(t *testing.T, input string, chunk, mode uint8) {
+		if len(input) > 1024 {
+			t.Skip("cap work per case")
+		}
+		c := cell{backend: []string{"nfa", "dfa"}[mode&1], minimize: mode&4 != 0}
+		if mode&2 != 0 {
+			c.prefilter = PrefilterOn
+		}
+		if mode&8 != 0 {
+			c.backend = "auto"
+		}
+		engs := engines[int(mode>>4)%len(engines)]
+		want, err := engs[allCells[0]].Scan([]byte(input))
+		if err != nil {
+			t.Fatal(err)
+		}
 		n := int(chunk%63) + 1
-		got, stats := streamChunks(t, eng, input, n)
+		got, stats := streamChunks(t, engs[c], []byte(input), n)
 		agree(t, fmt.Sprintf("%s/Stream/chunk=%d", c, n), want, &ScanResult{Matches: got, Stats: stats}, nil)
 	})
 }
