@@ -306,21 +306,21 @@ func checkCase(t *testing.T, c conformanceCase) {
 		// twin is the unfiltered machine cell of the same Minimize: its
 		// automaton is cl's, so it tells whether a forced dfa compiles, and
 		// its Scan is where a machine cell's must leave the report model.
+		// The crafted sets all determinize; a workload need not.
 		twin := cell{"nfa", PrefilterOff, cl.minimize}
 		if cl.backend == "dfa" && !engine(twin).DFAStats().Supported {
+			if c.patterns != nil {
+				t.Fatalf("%s: forced dfa unsupported: %s", cl, engine(twin).DFAStats().Reason)
+			}
 			t.Logf("%s: forced dfa unsupported: %s", cl, engine(twin).DFAStats().Reason)
 			continue
 		}
-		eng, label := engine(cl), cl.String()
+		eng := engine(cl)
 		if cl.minimize && eng.Info().SymbolClasses == 0 {
-			t.Errorf("%s: no symbol-class count", label)
+			t.Errorf("%s: no symbol-class count", cl)
 		}
-		ref, result := checkEntryPoints(t, label, eng, c.input, want)
+		ref := checkEntryPoints(t, c, cl, eng, want)
 		scans[cl] = ref
-		if c.patterns != nil {
-			res, err := compileCachedHit(t, label, c.patterns, c.options(cl)).Scan(c.input)
-			result("CompileCached", res, err)
-		}
 		if cl != twin && !strings.HasPrefix(eng.Backend(), "dfa") {
 			if scans[twin] == nil {
 				u, err := engine(twin).Scan(c.input)
@@ -329,7 +329,7 @@ func checkCase(t *testing.T, c conformanceCase) {
 				}
 				scans[twin] = u
 			}
-			sameDevice(t, label+"/Scan vs unfiltered Scan", ref, scans[twin])
+			sameDevice(t, cl.String()+"/Scan vs unfiltered Scan", ref, scans[twin])
 		}
 	}
 }
@@ -384,7 +384,7 @@ func agree(t *testing.T, label string, want, got *ScanResult, err error) {
 		t.Errorf("%s: %v", label, err)
 		return
 	}
-	if !matchesEqual(want.Matches, got.Matches) {
+	if !slices.Equal(want.Matches, got.Matches) {
 		t.Errorf("%s: %d matches differ in content or order from the %d wanted", label, len(got.Matches), len(want.Matches))
 	}
 	if got.Stats.Reports != want.Stats.Reports || got.Stats.ReportCycles != want.Stats.ReportCycles {
@@ -397,10 +397,11 @@ func agree(t *testing.T, label string, want, got *ScanResult, err error) {
 	}
 }
 
-// checkEntryPoints runs every entry point on eng and returns its Scan and
-// the check it held them to, for further calls on the same input.
-func checkEntryPoints(t *testing.T, label string, eng *Engine, input []byte, want *ScanResult) (*ScanResult, func(string, *ScanResult, error)) {
+// checkEntryPoints runs every entry point on eng, c's engine for cell cl,
+// and returns its Scan.
+func checkEntryPoints(t *testing.T, c conformanceCase, cl cell, eng *Engine, want *ScanResult) *ScanResult {
 	t.Helper()
+	label, input := cl.String(), c.input
 	// onDFA is the substrate every call must run on.
 	onDFA := strings.HasPrefix(eng.Backend(), "dfa")
 	lookups := func(e *Engine) int64 { s := e.DFAStats(); return s.Hits + s.Misses + s.Fallbacks }
@@ -413,6 +414,7 @@ func checkEntryPoints(t *testing.T, label string, eng *Engine, input []byte, wan
 			t.Errorf("%s/%s: ran on the wrong substrate (backend %s)", label, entry, eng.Backend())
 		}
 	}
+	before := lookups(eng)
 	ref, err := eng.Scan(input)
 	if err != nil {
 		t.Fatalf("%s: %v", label, err)
@@ -427,6 +429,7 @@ func checkEntryPoints(t *testing.T, label string, eng *Engine, input []byte, wan
 		}
 	}
 	result("Scan", ref, nil)
+	ran("Scan", eng, before, ref.Stats)
 	for _, pass := range []string{"cold", "warm"} {
 		for _, w := range []int{1, 2, 3, 4, 8} {
 			entry, before := fmt.Sprintf("ScanParallel/%s/w=%d", pass, w), lookups(eng)
@@ -464,14 +467,22 @@ func checkEntryPoints(t *testing.T, label string, eng *Engine, input []byte, wan
 		}
 		ran(entry, eng, before, stats)
 	}
-	clone := eng.Clone()
-	before := lookups(clone)
-	res, err := clone.Scan(input)
-	result("Clone", res, err)
-	if err == nil {
-		ran("Clone", clone, before, res.Stats)
+	// A Clone and, on the crafted sets, a CompileCached hit share eng's
+	// compiled artifact but count their own lookups.
+	scan := func(entry string, e *Engine) {
+		t.Helper()
+		before := lookups(e)
+		res, err := e.Scan(input)
+		result(entry, res, err)
+		if err == nil {
+			ran(entry, e, before, res.Stats)
+		}
 	}
-	return ref, result
+	scan("Clone", eng.Clone())
+	if c.patterns != nil {
+		scan("CompileCached", compileCachedHit(t, label, c.patterns, c.options(cl)))
+	}
+	return ref
 }
 
 // compileCachedHit compiles patterns through an emptied compile cache and
@@ -551,19 +562,19 @@ func sortedMatches(ms []Match) []Match {
 	return out
 }
 
-func matchesEqual(a, b []Match) bool { return slices.Equal(a, b) }
+// fuzzSets is the conformance fuzzers' panel of rule sets.
+var fuzzSets = [][]Pattern{
+	{{Expr: `ab+c`, Code: 1}, {Expr: `zz`, Code: 2}},
+	{{Expr: `GET /[a-z]+`, Code: 3}, {Expr: `needle`, Code: 4}},
+	{{Expr: `(ab|a.)c`, Code: 5}},
+	{{Expr: `a.*b`, Code: 6}, {Expr: `[0-9]{3}`, Code: 7}},
+}
 
-// fuzzEngines compiles every cell of each rule set of the conformance
-// fuzzers' panel.
+// fuzzEngines compiles every cell of each rule set of the panel, once per
+// fuzzer: their runners and lazy-DFA caches stay warm across inputs.
 func fuzzEngines(f *testing.F) []map[cell]*Engine {
-	sets := [][]Pattern{
-		{{Expr: `ab+c`, Code: 1}, {Expr: `zz`, Code: 2}},
-		{{Expr: `GET /[a-z]+`, Code: 3}, {Expr: `needle`, Code: 4}},
-		{{Expr: `(ab|a.)c`, Code: 5}},
-		{{Expr: `a.*b`, Code: 6}, {Expr: `[0-9]{3}`, Code: 7}},
-	}
-	engines := make([]map[cell]*Engine, len(sets))
-	for i, ps := range sets {
+	engines := make([]map[cell]*Engine, len(fuzzSets))
+	for i, ps := range fuzzSets {
 		engines[i] = map[cell]*Engine{}
 		for _, c := range allCells {
 			eng, err := Compile(ps, conformanceCase{}.options(c))
@@ -606,16 +617,19 @@ func FuzzDFA(f *testing.F) {
 
 // FuzzStream is its twin on the streaming path: mode draws the cell (bit
 // 0: the lazy DFA, else the machine; bit 1: the prefilter; bit 2:
-// Minimize; bit 3: auto in place of either backend) and the rule set (the
-// bits above), and a Stream fed in chunks of 1 to 63 bytes must agree
-// with the unfiltered, unminimized engine's Scan on the machine.
+// Minimize; bit 3: auto in place of either backend), the rule set (bits 4
+// and 5) and, with bit 6, a freshly compiled engine whose runner and
+// lazy-DFA cache start cold in place of the panel's warm one. A Stream fed
+// in chunks of 1 to 63 bytes must agree with the unfiltered, unminimized
+// engine's Scan on the machine.
 func FuzzStream(f *testing.F) {
 	engines := fuzzEngines(f)
 	f.Add("xabbczzx", uint8(3), uint8(0))
 	f.Add(strings.Repeat("abz", 40), uint8(1), uint8(3))
 	f.Add("", uint8(7), uint8(2))
+	f.Add("xabbczzx", uint8(3), uint8(0x41))
 	f.Fuzz(func(t *testing.T, input string, chunk, mode uint8) {
-		if len(input) > 1024 {
+		if len(input) > 512 {
 			t.Skip("cap work per case")
 		}
 		c := cell{backend: []string{"nfa", "dfa"}[mode&1], minimize: mode&4 != 0}
@@ -625,13 +639,19 @@ func FuzzStream(f *testing.F) {
 		if mode&8 != 0 {
 			c.backend = "auto"
 		}
-		engs := engines[int(mode>>4)%len(engines)]
-		want, err := engs[allCells[0]].Scan([]byte(input))
+		set := int(mode>>4) % len(fuzzSets)
+		want, err := engines[set][allCells[0]].Scan([]byte(input))
 		if err != nil {
 			t.Fatal(err)
 		}
+		eng := engines[set][c]
+		if mode&0x40 != 0 {
+			if eng, err = Compile(fuzzSets[set], conformanceCase{}.options(c)); err != nil {
+				t.Fatal(err)
+			}
+		}
 		n := int(chunk%63) + 1
-		got, stats := streamChunks(t, engs[c], []byte(input), n)
+		got, stats := streamChunks(t, eng, []byte(input), n)
 		agree(t, fmt.Sprintf("%s/Stream/chunk=%d", c, n), want, &ScanResult{Matches: got, Stats: stats}, nil)
 	})
 }

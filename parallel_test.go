@@ -423,7 +423,7 @@ func TestScanBatchMatchOrder(t *testing.T) {
 			t.Fatal(err)
 		}
 		for j := range batch {
-			if !matchesEqual(got[j].Matches, want[j]) {
+			if !slices.Equal(got[j].Matches, want[j]) {
 				t.Fatalf("engine %d input %d: match sequence differs from the machine's (%d vs %d matches)",
 					i, j, len(got[j].Matches), len(want[j]))
 			}

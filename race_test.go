@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -114,7 +115,7 @@ func TestDFAPoolConcurrent(t *testing.T) {
 		}
 		check := func(label string, i int, got *ScanResult) {
 			want := wants[i]
-			if !matchesEqual(sortedMatches(got.Matches), sortedMatches(want.Matches)) || got.Stats != want.Stats || !reflect.DeepEqual(got.PerPU, want.PerPU) {
+			if !slices.Equal(sortedMatches(got.Matches), sortedMatches(want.Matches)) || got.Stats != want.Stats || !reflect.DeepEqual(got.PerPU, want.PerPU) {
 				t.Errorf("%s: %s input %d: %d matches, stats %+v; a fresh engine has %d, %+v",
 					backend, label, i, len(got.Matches), got.Stats, len(want.Matches), want.Stats)
 			}
@@ -359,7 +360,7 @@ func TestConcurrentCallersOneEngine(t *testing.T) {
 	}
 	check := func(label string, matches []Match, st Stats) {
 		t.Helper()
-		if !matchesEqual(sortedMatches(matches), want.Matches) || st.Reports != want.Stats.Reports || st.ReportCycles != want.Stats.ReportCycles {
+		if !slices.Equal(sortedMatches(matches), want.Matches) || st.Reports != want.Stats.Reports || st.ReportCycles != want.Stats.ReportCycles {
 			t.Errorf("%s: %d matches, %d reports in %d cycles; funcsim has %d, %d in %d", label,
 				len(matches), st.Reports, st.ReportCycles, len(want.Matches), want.Stats.Reports, want.Stats.ReportCycles)
 		}
