@@ -204,8 +204,9 @@ func (t *TelemetryFlags) Emit(w io.Writer, col *telemetry.Collector) error {
 		if err := f.Close(); err != nil {
 			return err
 		}
+		n, dropped := tr.Stats()
 		fmt.Fprintf(w, "\nwrote %d trace events to %s (%d dropped); load in chrome://tracing or Perfetto\n",
-			len(tr.Events()), t.Trace, tr.Dropped())
+			n, t.Trace, dropped)
 	}
 	return nil
 }

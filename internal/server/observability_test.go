@@ -125,63 +125,7 @@ func TestMetricsContentTypeAndSLO(t *testing.T) {
 func TestShedCountersByReason(t *testing.T) {
 	s, ts := newTestServer(t, Config{PoolSize: 1, QueueDepth: -1, ScanTimeout: 250 * time.Millisecond})
 	putRuleset(t, ts.URL, "nids", RulesetRequest{Patterns: testRules})
-
-	// Occupy the only engine with a held-open stream.
-	pr, pw := io.Pipe()
-	streamDone := make(chan struct{})
-	go func() {
-		defer close(streamDone)
-		resp, err := http.Post(ts.URL+"/rulesets/nids/stream", "application/octet-stream", pr)
-		if err != nil {
-			t.Errorf("stream: %v", err)
-			return
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-	}()
-	if _, err := pw.Write(testTraffic(1000)); err != nil {
-		t.Fatal(err)
-	}
-	rs, _ := s.lookup("nids")
-	deadline := time.Now().Add(5 * time.Second)
-	for len(rs.pool.running) != cap(rs.pool.running) {
-		if time.Now().After(deadline) {
-			t.Fatal("stream never took the ruleset's one slot")
-		}
-		time.Sleep(time.Millisecond)
-	}
-
-	// One scan waits out its deadline (504 → deadline shed)...
-	timeoutDone := make(chan int, 1)
-	go func() {
-		resp, err := http.Post(ts.URL+"/rulesets/nids/scan", "application/octet-stream", strings.NewReader("abc"))
-		if err != nil {
-			timeoutDone <- -1
-			return
-		}
-		resp.Body.Close()
-		timeoutDone <- resp.StatusCode
-	}()
-	for len(rs.pool.tokens) == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("scan never started waiting")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	// ...while the next is shed immediately (503 → capacity shed).
-	resp, err := http.Post(ts.URL+"/rulesets/nids/scan", "application/octet-stream", strings.NewReader("abc"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("capacity shed: status %d, want 503", resp.StatusCode)
-	}
-	if got := <-timeoutDone; got != http.StatusGatewayTimeout {
-		t.Fatalf("deadline shed: status %d, want 504", got)
-	}
-	pw.Close()
-	<-streamDone
+	forceSheds(t, s, ts.URL, "nids")
 
 	// Draining rejects new scans on its own counter.
 	s.Drain()
@@ -196,6 +140,69 @@ func TestShedCountersByReason(t *testing.T) {
 	if shed.Capacity < 1 || shed.Deadline < 1 || shed.Draining < 1 {
 		t.Errorf("shed counters = %+v, want every reason >= 1", shed)
 	}
+}
+
+// forceSheds sheds one scan of ruleset id for its deadline (504) and one
+// for capacity (503) while a stream of 1,000 bytes holds the ruleset's one
+// slot, then ends the stream. The server must run with PoolSize 1, no
+// queue and a short ScanTimeout.
+func forceSheds(t *testing.T, s *Server, base, id string) {
+	t.Helper()
+	pr, pw := io.Pipe()
+	streamDone := make(chan struct{})
+	go func() {
+		defer close(streamDone)
+		resp, err := http.Post(base+"/rulesets/"+id+"/stream", "application/octet-stream", pr)
+		if err != nil {
+			t.Errorf("stream: %v", err)
+			return
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+	}()
+	if _, err := pw.Write(testTraffic(1000)); err != nil {
+		t.Fatal(err)
+	}
+	rs, _ := s.lookup(id)
+	deadline := time.Now().Add(5 * time.Second)
+	for len(rs.pool.running) != cap(rs.pool.running) {
+		if time.Now().After(deadline) {
+			t.Fatal("stream never took the ruleset's one slot")
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	// One scan waits out its deadline (504 → deadline shed)...
+	timeoutDone := make(chan int, 1)
+	go func() {
+		resp, err := http.Post(base+"/rulesets/"+id+"/scan", "application/octet-stream", strings.NewReader("abc"))
+		if err != nil {
+			timeoutDone <- -1
+			return
+		}
+		resp.Body.Close()
+		timeoutDone <- resp.StatusCode
+	}()
+	for len(rs.pool.tokens) == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("scan never started waiting")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	// ...while the next is shed immediately (503 → capacity shed).
+	resp, err := http.Post(base+"/rulesets/"+id+"/scan", "application/octet-stream", strings.NewReader("abc"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("capacity shed: status %d, want 503", resp.StatusCode)
+	}
+	if got := <-timeoutDone; got != http.StatusGatewayTimeout {
+		t.Fatalf("deadline shed: status %d, want 504", got)
+	}
+	pw.Close()
+	<-streamDone
 }
 
 // TestTraceEndpoint drives a traced server and checks both export forms:
@@ -368,41 +375,5 @@ func TestTracedRequestsConcurrent(t *testing.T) {
 			t.Fatalf("span %d (%s) [%d,%d] escapes parent %s [%d,%d]",
 				sp.ID, sp.Name, sp.Start, sp.End(), p.Name, p.Start, p.End())
 		}
-	}
-}
-
-// TestResetRequestMetrics: the isolation hook the benchmark's traced load
-// phase calls zeroes every request-scoped instrument but keeps the
-// rulesets serving.
-func TestResetRequestMetrics(t *testing.T) {
-	s, ts := newTestServer(t, Config{PoolSize: 2, TraceSampleEvery: 1})
-	putRuleset(t, ts.URL, "nids", RulesetRequest{Patterns: testRules})
-	input := testTraffic(2000)
-	scanRaw(t, ts.URL, "nids", input, false)
-
-	before := getMetricsJSON(t, ts.URL)
-	if before.Rulesets["nids"].Latency.Count == 0 {
-		t.Fatal("no latency recorded before reset")
-	}
-
-	s.ResetRequestMetrics()
-	after := getMetricsJSON(t, ts.URL)
-	rm := after.Rulesets["nids"]
-	if rm.Latency.Count != 0 || rm.PoolWait.Count != 0 || rm.Scans != 0 ||
-		rm.Shed.Capacity != 0 || rm.PoolWaitShare != 0 {
-		t.Errorf("ruleset metrics not reset: %+v", rm)
-	}
-	if after.Service.Scans != 0 {
-		t.Errorf("service scans not reset: %+v", after.Service)
-	}
-	if after.Spans != nil && after.Spans.Buffered != 0 {
-		t.Errorf("spans not reset: %+v", after.Spans)
-	}
-
-	// Still serving: the next scan repopulates.
-	scanRaw(t, ts.URL, "nids", input, false)
-	final := getMetricsJSON(t, ts.URL)
-	if final.Rulesets["nids"].Latency.Count != 1 {
-		t.Errorf("post-reset latency count = %d, want 1", final.Rulesets["nids"].Latency.Count)
 	}
 }

@@ -119,8 +119,14 @@ type ruleset struct {
 	// it on the per-backend /metrics counters.
 	backend string
 	// eng serves every request of the ruleset; pool admits them.
-	eng     *sunder.Engine
-	pool    *admission
+	eng  *sunder.Engine
+	pool *admission
+	rulesetMetrics
+}
+
+// rulesetMetrics are one ruleset's request-scoped instruments: all that
+// ResetRequestMetrics zeroes for it.
+type rulesetMetrics struct {
 	scans   atomic.Int64
 	bytes   atomic.Int64
 	matches atomic.Int64
@@ -143,6 +149,47 @@ type ruleset struct {
 	shedDraining telemetry.Counter
 }
 
+func (m *rulesetMetrics) reset() {
+	m.scans.Store(0)
+	m.bytes.Store(0)
+	m.matches.Store(0)
+	m.lat.Reset()
+	m.wait.Reset()
+	m.waitNS.Store(0)
+	m.servedNS.Store(0)
+	m.shedCapacity.Reset()
+	m.shedDeadline.Reset()
+	m.shedDraining.Reset()
+}
+
+// serviceMetrics are the service-level request-scoped instruments: all
+// that ResetRequestMetrics zeroes at the service level.
+type serviceMetrics struct {
+	requests  atomic.Int64
+	scans     atomic.Int64
+	scanBytes atomic.Int64
+	matches   atomic.Int64
+	errors    atomic.Int64
+	// backendScans counts served scans by resolved backend, one slot per
+	// scanBackends entry, in its order.
+	backendScans [len(scanBackends)]atomic.Int64
+	// compileNS is the PUT /rulesets compile-path latency (cache hits and
+	// misses both; the compile-cache hit/miss split is on /metrics).
+	compileNS *telemetry.Histogram
+}
+
+func (m *serviceMetrics) reset() {
+	m.requests.Store(0)
+	m.scans.Store(0)
+	m.scanBytes.Store(0)
+	m.matches.Store(0)
+	m.errors.Store(0)
+	for i := range m.backendScans {
+		m.backendScans[i].Store(0)
+	}
+	m.compileNS.Reset()
+}
+
 // Server is the scan service. Create with New, expose via Handler or Run.
 type Server struct {
 	cfg Config
@@ -152,10 +199,7 @@ type Server struct {
 	// > 0); nil is a valid no-op tracer, so handlers instrument
 	// unconditionally.
 	spans *telemetry.SpanTracer
-	// compileNS is the PUT /rulesets compile-path latency (cache hits and
-	// misses both; the compile-cache hit/miss split is on /metrics).
-	compileNS *telemetry.Histogram
-	mux       *http.ServeMux
+	mux   *http.ServeMux
 
 	mu       sync.RWMutex
 	rulesets map[string]*ruleset
@@ -163,16 +207,9 @@ type Server struct {
 	draining  chan struct{}
 	drainOnce sync.Once
 
-	// Service-level counters, exported on /metrics.
-	requests      atomic.Int64
-	scans         atomic.Int64
-	scanBytes     atomic.Int64
-	matches       atomic.Int64
-	errors        atomic.Int64
+	serviceMetrics
+	// activeStreams is a gauge: exported on /metrics, never reset.
 	activeStreams atomic.Int64
-	// backendScans counts served scans by resolved backend, one slot per
-	// scanBackends entry, in its order.
-	backendScans [len(scanBackends)]atomic.Int64
 }
 
 // noteBackendScans attributes n served scans to a ruleset's backend.
@@ -197,14 +234,14 @@ func New(cfg Config) *Server {
 	}
 	tel := sunder.NewTelemetry(telOpts)
 	s := &Server{
-		cfg:       cfg,
-		log:       cfg.Logger,
-		tel:       tel,
-		spans:     tel.Spans(),
-		compileNS: telemetry.NewHistogram(telemetry.DurationBounds()),
-		mux:       http.NewServeMux(),
-		rulesets:  make(map[string]*ruleset),
-		draining:  make(chan struct{}),
+		cfg:            cfg,
+		log:            cfg.Logger,
+		tel:            tel,
+		spans:          tel.Spans(),
+		mux:            http.NewServeMux(),
+		rulesets:       make(map[string]*ruleset),
+		draining:       make(chan struct{}),
+		serviceMetrics: serviceMetrics{compileNS: telemetry.NewHistogram(telemetry.DurationBounds())},
 	}
 	s.mux.HandleFunc("PUT /rulesets/{id}", s.handlePutRuleset)
 	s.mux.HandleFunc("GET /rulesets/{id}", s.handleGetRuleset)
@@ -370,8 +407,10 @@ func (s *Server) handlePutRuleset(w http.ResponseWriter, r *http.Request) {
 		backend: backend,
 		eng:     eng,
 		pool:    newAdmission(s.cfg.PoolSize, s.cfg.QueueDepth),
-		lat:     telemetry.NewHistogram(telemetry.DurationBounds()),
-		wait:    telemetry.NewHistogram(telemetry.DurationBounds()),
+		rulesetMetrics: rulesetMetrics{
+			lat:  telemetry.NewHistogram(telemetry.DurationBounds()),
+			wait: telemetry.NewHistogram(telemetry.DurationBounds()),
+		},
 	}
 	s.mu.Lock()
 	_, replaced := s.rulesets[id]
@@ -653,121 +692,34 @@ read:
 // ---------------------------------------------------------------------------
 // Observability
 
-// handleMetrics writes the service counters, the compile-cache statistics,
-// the per-ruleset latency SLO summaries and shed counters, and the device
-// counters aggregated across every ruleset's engine, in the same flat text
-// format as Telemetry.WriteMetrics. With ?format=json it writes the same
-// snapshot as a MetricsJSON document, the machine-readable form the load
-// generator consumes for its server-side SLO columns.
+// handleMetrics serves one metricsJSON snapshot: by default as flat text
+// in the format of Telemetry.WriteMetrics, followed by the device counters
+// aggregated across every ruleset's engine; with ?format=json as a
+// MetricsJSON document, the machine-readable form the load generator
+// consumes for its server-side SLO columns.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
+	m := s.metricsJSON()
 	if r.URL.Query().Get("format") == "json" {
-		s.writeJSON(w, http.StatusOK, s.metricsJSON())
+		s.writeJSON(w, http.StatusOK, m)
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	s.mu.RLock()
-	nRulesets := len(s.rulesets)
-	ids := make([]string, 0, nRulesets)
-	byID := make(map[string]*ruleset, nRulesets)
-	for id, rs := range s.rulesets {
-		ids = append(ids, id)
-		byID[id] = rs
-	}
-	s.mu.RUnlock()
-	sort.Strings(ids)
-	fmt.Fprintf(w, "server_requests_total %d\n", s.requests.Load())
-	fmt.Fprintf(w, "server_scans_total %d\n", s.scans.Load())
-	fmt.Fprintf(w, "server_scan_bytes_total %d\n", s.scanBytes.Load())
-	fmt.Fprintf(w, "server_matches_total %d\n", s.matches.Load())
-	fmt.Fprintf(w, "server_errors_total %d\n", s.errors.Load())
-	fmt.Fprintf(w, "server_active_streams %d\n", s.activeStreams.Load())
-	fmt.Fprintf(w, "server_rulesets %d\n", nRulesets)
-	// Per-backend scan volume and its share of all served scans. The share
-	// is division-guarded: a service that has served nothing yet reports 0
-	// for every backend, never NaN.
-	var backendTotal int64
-	for i := range scanBackends {
-		backendTotal += s.backendScans[i].Load()
-	}
-	for i, name := range scanBackends {
-		n := s.backendScans[i].Load()
-		share := 0.0
-		if backendTotal > 0 {
-			share = float64(n) / float64(backendTotal)
-		}
-		fmt.Fprintf(w, "server_backend_scans_total{backend=%q} %d\n", name, n)
-		fmt.Fprintf(w, "server_backend_scan_share{backend=%q} %g\n", name, share)
-	}
-	// Certified-minimization aggregates across resident rulesets: how many
-	// were compiled with Options.Minimize, and the states the pipeline
-	// pruned and merged for them.
-	var minRulesets, minPruned, minMerged int
-	for _, id := range ids {
-		info := byID[id].info
-		if info.SymbolClasses == 0 {
-			continue
-		}
-		minRulesets++
-		minPruned += info.PrunedStates
-		minMerged += info.MergedStates
-	}
-	fmt.Fprintf(w, "server_minimized_rulesets %d\n", minRulesets)
-	fmt.Fprintf(w, "server_minimized_pruned_states %d\n", minPruned)
-	fmt.Fprintf(w, "server_minimized_merged_states %d\n", minMerged)
-	cc := sunder.CompileCacheInfo()
-	fmt.Fprintf(w, "compile_cache_hits_total %d\n", cc.Hits)
-	fmt.Fprintf(w, "compile_cache_misses_total %d\n", cc.Misses)
-	fmt.Fprintf(w, "compile_cache_entries %d\n", cc.Entries)
-	fmt.Fprintf(w, "compile_cache_hit_ns_total %d\n", cc.HitNS)
-	fmt.Fprintf(w, "compile_cache_miss_ns_total %d\n", cc.MissNS)
-	_ = telemetry.WriteLatencyText(w, "server_compile_ns", "", s.compileNS)
-	for _, id := range ids {
-		rs := byID[id]
-		label := `ruleset="` + id + `"`
-		_ = telemetry.WriteLatencyText(w, "server_scan_latency_ns", label, rs.lat)
-		_ = telemetry.WriteLatencyText(w, "server_pool_wait_ns", label, rs.wait)
-		// Pool-wait share of served time, division-guarded: a ruleset that
-		// has served no scans reports 0, never NaN.
-		served := rs.servedNS.Load()
-		waitShare := 0.0
-		if served > 0 {
-			waitShare = float64(rs.waitNS.Load()) / float64(served)
-		}
-		fmt.Fprintf(w, "server_pool_wait_share{%s} %g\n", label, waitShare)
-		fmt.Fprintf(w, "server_ruleset_backend_scans_total{%s,backend=%q} %d\n",
-			label, rs.backend, rs.scans.Load())
-		for _, shed := range []struct {
-			reason string
-			c      *telemetry.Counter
-		}{
-			{"capacity", &rs.shedCapacity},
-			{"deadline", &rs.shedDeadline},
-			{"draining", &rs.shedDraining},
-		} {
-			fmt.Fprintf(w, "server_shed_total{%s,reason=%q} %d\n", label, shed.reason, shed.c.Load())
-		}
-	}
-	if s.spans != nil {
-		buffered, dropped := s.tel.SpanStats()
-		fmt.Fprintf(w, "server_spans_buffered %d\n", buffered)
-		fmt.Fprintf(w, "server_spans_dropped_total %d\n", dropped)
-	}
+	m.writeText(w)
 	_ = s.tel.WriteMetrics(w)
 }
 
-// metricsJSON snapshots the same population as the text view, with
-// nearest-rank quantiles estimated from the per-ruleset log-bucket
-// histograms (see telemetry.Histogram.Quantile for the error bound).
+// metricsJSON is the one read of the server's instruments, for both
+// /metrics views: the service counters, the compile cache, each resident
+// ruleset's serving metrics with nearest-rank quantiles estimated from its
+// log-bucket histograms (see telemetry.Histogram.Quantile for the error
+// bound), the per-backend and minimization aggregates, and the prefilter
+// and span counters when there are any.
 func (s *Server) metricsJSON() MetricsJSON {
 	cc := sunder.CompileCacheInfo()
 	s.mu.RLock()
 	rulesets := make(map[string]RulesetMetricsJSON, len(s.rulesets))
+	var minAgg *MinimizeMetricsJSON
 	for id, rs := range s.rulesets {
-		served := rs.servedNS.Load()
-		share := 0.0
-		if served > 0 {
-			share = float64(rs.waitNS.Load()) / float64(served)
-		}
 		rulesets[id] = RulesetMetricsJSON{
 			Scans:         rs.scans.Load(),
 			Bytes:         rs.bytes.Load(),
@@ -775,25 +727,21 @@ func (s *Server) metricsJSON() MetricsJSON {
 			Backend:       rs.backend,
 			Latency:       latencySLO(rs.lat),
 			PoolWait:      latencySLO(rs.wait),
-			PoolWaitShare: share,
+			PoolWaitShare: ratio(rs.waitNS.Load(), rs.servedNS.Load()),
 			Shed: ShedJSON{
 				Capacity: rs.shedCapacity.Load(),
 				Deadline: rs.shedDeadline.Load(),
 				Draining: rs.shedDraining.Load(),
 			},
 		}
-	}
-	var minAgg *MinimizeMetricsJSON
-	for _, rs := range s.rulesets {
-		if rs.info.SymbolClasses == 0 {
-			continue
+		if rs.info.SymbolClasses > 0 { // compiled with Options.Minimize
+			if minAgg == nil {
+				minAgg = &MinimizeMetricsJSON{}
+			}
+			minAgg.Rulesets++
+			minAgg.PrunedStates += int64(rs.info.PrunedStates)
+			minAgg.MergedStates += int64(rs.info.MergedStates)
 		}
-		if minAgg == nil {
-			minAgg = &MinimizeMetricsJSON{}
-		}
-		minAgg.Rulesets++
-		minAgg.PrunedStates += int64(rs.info.PrunedStates)
-		minAgg.MergedStates += int64(rs.info.MergedStates)
 	}
 	nRulesets := len(s.rulesets)
 	s.mu.RUnlock()
@@ -804,11 +752,7 @@ func (s *Server) metricsJSON() MetricsJSON {
 	backends := make(map[string]BackendMetricsJSON, len(scanBackends))
 	for i, name := range scanBackends {
 		n := s.backendScans[i].Load()
-		share := 0.0
-		if backendTotal > 0 {
-			share = float64(n) / float64(backendTotal)
-		}
-		backends[name] = BackendMetricsJSON{Scans: n, Share: share}
+		backends[name] = BackendMetricsJSON{Scans: n, Share: ratio(n, backendTotal)}
 	}
 	m := MetricsJSON{
 		Service: ServiceMetricsJSON{
@@ -820,18 +764,11 @@ func (s *Server) metricsJSON() MetricsJSON {
 			ActiveStreams: s.activeStreams.Load(),
 			Rulesets:      nRulesets,
 		},
-		CompileCache: CompileCacheJSON{
-			Hits:     cc.Hits,
-			Misses:   cc.Misses,
-			Entries:  cc.Entries,
-			Capacity: cc.Capacity,
-			HitNS:    cc.HitNS,
-			MissNS:   cc.MissNS,
-		},
-		Compile:  latencySLO(s.compileNS),
-		Rulesets: rulesets,
-		Backends: backends,
-		Minimize: minAgg,
+		CompileCache: CompileCacheJSON(cc),
+		Compile:      latencySLO(s.compileNS),
+		Rulesets:     rulesets,
+		Backends:     backends,
+		Minimize:     minAgg,
 	}
 	if scans := s.tel.CounterValue(sunder.MetricPrefilterScans); scans > 0 {
 		m.Prefilter = &PrefilterMetricsJSON{
@@ -850,6 +787,15 @@ func (s *Server) metricsJSON() MetricsJSON {
 	return m
 }
 
+// ratio is the division guard of every share on /metrics: num/den, or 0
+// when den is 0 (a ruleset or backend that has served nothing), never NaN.
+func ratio(num, den int64) float64 {
+	if den == 0 {
+		return 0
+	}
+	return float64(num) / float64(den)
+}
+
 // latencySLO summarizes a duration histogram into the wire form.
 func latencySLO(h *telemetry.Histogram) LatencySLOJSON {
 	out := LatencySLOJSON{
@@ -858,11 +804,82 @@ func latencySLO(h *telemetry.Histogram) LatencySLOJSON {
 		P50NS:  h.Quantile(0.50),
 		P99NS:  h.Quantile(0.99),
 		P999NS: h.Quantile(0.999),
+		sumNS:  h.Sum(),
 	}
 	if out.Count > 0 {
-		out.MeanNS = h.Sum() / out.Count
+		out.MeanNS = out.sumNS / out.Count
 	}
 	return out
+}
+
+// writeText renders the snapshot as /metrics text: the service counters,
+// the per-backend and minimization aggregates, the compile cache and its
+// latency, then each ruleset in id order.
+func (m *MetricsJSON) writeText(w io.Writer) {
+	fmt.Fprintf(w, "server_requests_total %d\n", m.Service.Requests)
+	fmt.Fprintf(w, "server_scans_total %d\n", m.Service.Scans)
+	fmt.Fprintf(w, "server_scan_bytes_total %d\n", m.Service.ScanBytes)
+	fmt.Fprintf(w, "server_matches_total %d\n", m.Service.Matches)
+	fmt.Fprintf(w, "server_errors_total %d\n", m.Service.Errors)
+	fmt.Fprintf(w, "server_active_streams %d\n", m.Service.ActiveStreams)
+	fmt.Fprintf(w, "server_rulesets %d\n", m.Service.Rulesets)
+	for _, name := range scanBackends {
+		fmt.Fprintf(w, "server_backend_scans_total{backend=%q} %d\n", name, m.Backends[name].Scans)
+		fmt.Fprintf(w, "server_backend_scan_share{backend=%q} %g\n", name, m.Backends[name].Share)
+	}
+	var mz MinimizeMetricsJSON
+	if m.Minimize != nil {
+		mz = *m.Minimize
+	}
+	fmt.Fprintf(w, "server_minimized_rulesets %d\n", mz.Rulesets)
+	fmt.Fprintf(w, "server_minimized_pruned_states %d\n", mz.PrunedStates)
+	fmt.Fprintf(w, "server_minimized_merged_states %d\n", mz.MergedStates)
+	fmt.Fprintf(w, "compile_cache_hits_total %d\n", m.CompileCache.Hits)
+	fmt.Fprintf(w, "compile_cache_misses_total %d\n", m.CompileCache.Misses)
+	fmt.Fprintf(w, "compile_cache_entries %d\n", m.CompileCache.Entries)
+	fmt.Fprintf(w, "compile_cache_hit_ns_total %d\n", m.CompileCache.HitNS)
+	fmt.Fprintf(w, "compile_cache_miss_ns_total %d\n", m.CompileCache.MissNS)
+	m.Compile.writeText(w, "server_compile_ns", "")
+	ids := make([]string, 0, len(m.Rulesets))
+	for id := range m.Rulesets {
+		ids = append(ids, id)
+	}
+	sort.Strings(ids)
+	for _, id := range ids {
+		rm := m.Rulesets[id]
+		label := `ruleset="` + id + `"`
+		rm.Latency.writeText(w, "server_scan_latency_ns", label)
+		rm.PoolWait.writeText(w, "server_pool_wait_ns", label)
+		fmt.Fprintf(w, "server_pool_wait_share{%s} %g\n", label, rm.PoolWaitShare)
+		fmt.Fprintf(w, "server_ruleset_backend_scans_total{%s,backend=%q} %d\n", label, rm.Backend, rm.Scans)
+		fmt.Fprintf(w, "server_shed_total{%s,reason=\"capacity\"} %d\n", label, rm.Shed.Capacity)
+		fmt.Fprintf(w, "server_shed_total{%s,reason=\"deadline\"} %d\n", label, rm.Shed.Deadline)
+		fmt.Fprintf(w, "server_shed_total{%s,reason=\"draining\"} %d\n", label, rm.Shed.Draining)
+	}
+	if m.Spans != nil {
+		fmt.Fprintf(w, "server_spans_buffered %d\n", m.Spans.Buffered)
+		fmt.Fprintf(w, "server_spans_dropped_total %d\n", m.Spans.Dropped)
+	}
+}
+
+// writeText renders a latency summary one line per statistic, with
+// optional labels (e.g. `ruleset="x"`):
+//
+//	server_scan_latency_ns_p50{ruleset="x"} 1234
+//	server_scan_latency_ns_count{ruleset="x"} 17
+func (l LatencySLOJSON) writeText(w io.Writer, name, labels string) {
+	if labels != "" {
+		labels = "{" + labels + "}"
+	}
+	for _, st := range [...]struct {
+		suffix string
+		v      int64
+	}{
+		{"p50", l.P50NS}, {"p99", l.P99NS}, {"p999", l.P999NS},
+		{"max", l.MaxNS}, {"sum", l.sumNS}, {"count", l.Count},
+	} {
+		fmt.Fprintf(w, "%s_%s%s %d\n", name, st.suffix, labels, st.v)
+	}
 }
 
 // handleTrace exports the request trace: by default one merged Chrome
@@ -884,37 +901,19 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	_ = s.tel.WriteMergedChromeTrace(w)
 }
 
-// ResetRequestMetrics zeroes every request-scoped instrument: service
-// counters, per-ruleset latency and pool-wait histograms, shed counters,
-// pool-wait share accumulators, the compile-path histogram and any
-// buffered spans. Cumulative compile-cache statistics are process-wide and
-// not reset. The benchmark's traced load phase calls it first, so the
-// server-side quantiles it reads describe only that phase's requests.
+// ResetRequestMetrics zeroes every request-scoped instrument: the
+// serviceMetrics and each resident ruleset's rulesetMetrics, and any
+// buffered spans. The ruleset count, the active-stream gauge, the
+// minimization aggregate and the process-wide compile-cache statistics
+// are not request-scoped and keep their values. The benchmark's traced
+// load phase calls it first, so the server-side quantiles it reads
+// describe only that phase's requests.
 func (s *Server) ResetRequestMetrics() {
-	s.requests.Store(0)
-	s.scans.Store(0)
-	s.scanBytes.Store(0)
-	s.matches.Store(0)
-	s.errors.Store(0)
-	for i := range s.backendScans {
-		s.backendScans[i].Store(0)
-	}
-	s.compileNS.Reset()
-	if s.spans != nil {
-		s.spans.Reset()
-	}
+	s.serviceMetrics.reset()
+	s.spans.Reset()
 	s.mu.RLock()
 	for _, rs := range s.rulesets {
-		rs.scans.Store(0)
-		rs.bytes.Store(0)
-		rs.matches.Store(0)
-		rs.lat.Reset()
-		rs.wait.Reset()
-		rs.waitNS.Store(0)
-		rs.servedNS.Store(0)
-		rs.shedCapacity.Reset()
-		rs.shedDeadline.Reset()
-		rs.shedDraining.Reset()
+		rs.rulesetMetrics.reset()
 	}
 	s.mu.RUnlock()
 }

@@ -260,6 +260,9 @@ type LatencySLOJSON struct {
 	P99NS  int64 `json:"p99_ns"`
 	P999NS int64 `json:"p999_ns"`
 	MaxNS  int64 `json:"max_ns"`
+	// sumNS is the exact sum the mean divides, for the text view's _sum
+	// line; it is not on the wire.
+	sumNS int64
 }
 
 // ShedJSON counts requests shed by reason: capacity (pool queue full),

@@ -1,10 +1,6 @@
 package telemetry
 
-import (
-	"fmt"
-	"io"
-	"math"
-)
+import "math"
 
 // NearestRankIndex returns the 0-based index of the q-quantile of n
 // sorted samples under the nearest-rank definition, ceil(q·n)-1, clamped
@@ -96,32 +92,3 @@ func (h *Histogram) Quantile(q float64) int64 {
 
 // Max returns the largest observation since the last reset (0 if none).
 func (h *Histogram) Max() int64 { return h.max.Load() }
-
-// WriteLatencyText emits a duration histogram's quantile summary in the
-// registry's flat text format, one line per statistic, with optional
-// labels (e.g. `ruleset="x"`):
-//
-//	server_scan_latency_ns_p50{ruleset="x"} 1234
-//	server_scan_latency_ns_count{ruleset="x"} 17
-func WriteLatencyText(w io.Writer, name, labels string, h *Histogram) error {
-	lb := ""
-	if labels != "" {
-		lb = "{" + labels + "}"
-	}
-	for _, stat := range []struct {
-		suffix string
-		v      int64
-	}{
-		{"p50", h.Quantile(0.50)},
-		{"p99", h.Quantile(0.99)},
-		{"p999", h.Quantile(0.999)},
-		{"max", h.Max()},
-		{"sum", h.Sum()},
-		{"count", h.Count()},
-	} {
-		if _, err := fmt.Fprintf(w, "%s_%s%s %d\n", name, stat.suffix, lb, stat.v); err != nil {
-			return err
-		}
-	}
-	return nil
-}

@@ -1,9 +1,7 @@
 package telemetry
 
 import (
-	"bytes"
 	"sort"
-	"strings"
 	"testing"
 )
 
@@ -133,35 +131,5 @@ func TestHistogramQuantile(t *testing.T) {
 	h2.Reset()
 	if h2.Count() != 0 || h2.Sum() != 0 || h2.Max() != 0 || h2.Quantile(0.5) != 0 {
 		t.Error("histogram Reset incomplete")
-	}
-}
-
-// TestWriteLatencyText checks the flat text rendering with and without
-// labels.
-func TestWriteLatencyText(t *testing.T) {
-	h := NewHistogram(DurationBounds())
-	h.Observe(1500)
-	h.Observe(2500)
-	var buf bytes.Buffer
-	if err := WriteLatencyText(&buf, "server_scan_latency_ns", `ruleset="x"`, h); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{
-		`server_scan_latency_ns_p50{ruleset="x"} `,
-		`server_scan_latency_ns_p999{ruleset="x"} `,
-		`server_scan_latency_ns_count{ruleset="x"} 2`,
-		`server_scan_latency_ns_sum{ruleset="x"} 4000`,
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("latency text missing %q:\n%s", want, out)
-		}
-	}
-	buf.Reset()
-	if err := WriteLatencyText(&buf, "compile_ns", "", h); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "compile_ns_count 2\n") {
-		t.Errorf("unlabeled latency text wrong:\n%s", buf.String())
 	}
 }

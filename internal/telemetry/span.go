@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -42,11 +41,7 @@ const DefaultSpanCapacity = 1 << 16
 // Recording is goroutine-safe; ID allocation is atomic, so concurrent
 // requests and shard workers share one tracer.
 type SpanTracer struct {
-	mu      sync.Mutex
-	spans   []Span
-	cap     int
-	dropped int64
-
+	buf    bounded[Span]
 	ids    atomic.Uint64
 	roots  atomic.Uint64
 	sample uint64
@@ -63,7 +58,7 @@ func NewSpanTracer(capacity, sampleEvery int) *SpanTracer {
 	if sampleEvery < 1 {
 		sampleEvery = 1
 	}
-	return &SpanTracer{cap: capacity, sample: uint64(sampleEvery), epoch: time.Now()}
+	return &SpanTracer{buf: bounded[Span]{cap: capacity}, sample: uint64(sampleEvery), epoch: time.Now()}
 }
 
 // SpanCtx is a live (started, not yet ended) span. The zero of usefulness
@@ -116,7 +111,7 @@ func (s *SpanCtx) End() {
 		return
 	}
 	now := time.Now()
-	s.t.record(Span{
+	s.t.buf.add(Span{
 		ID:     s.id,
 		Parent: s.parent,
 		Name:   s.name,
@@ -126,47 +121,36 @@ func (s *SpanCtx) End() {
 	})
 }
 
-func (t *SpanTracer) record(sp Span) {
-	t.mu.Lock()
-	if len(t.spans) >= t.cap {
-		t.dropped++
-	} else {
-		t.spans = append(t.spans, sp)
-	}
-	t.mu.Unlock()
-}
-
 // Spans returns a snapshot copy of the recorded spans, in completion
 // order (children before their parents).
 func (t *SpanTracer) Spans() []Span {
 	if t == nil {
 		return nil
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return append([]Span(nil), t.spans...)
+	return t.buf.snapshot()
+}
+
+// Stats returns the number of recorded spans and the number dropped after
+// the buffer filled, without copying the buffer.
+func (t *SpanTracer) Stats() (buffered int, dropped int64) {
+	if t == nil {
+		return 0, 0
+	}
+	return t.buf.stats()
 }
 
 // Dropped returns the number of spans discarded after the buffer filled.
 func (t *SpanTracer) Dropped() int64 {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.dropped
+	_, dropped := t.Stats()
+	return dropped
 }
 
 // Reset drops all recorded spans and the drop count. Root sampling state
 // and the epoch are kept so timelines stay comparable across resets.
 func (t *SpanTracer) Reset() {
-	if t == nil {
-		return
+	if t != nil {
+		t.buf.reset()
 	}
-	t.mu.Lock()
-	t.spans = t.spans[:0]
-	t.dropped = 0
-	t.mu.Unlock()
 }
 
 // WriteJSONL writes one JSON object per recorded span:
@@ -276,7 +260,7 @@ func (t *SpanTracer) writeChromeEvents(c *chromeEmitter) error {
 	}
 	for _, sp := range spans {
 		if err := c.emit(`{"ph":"X","pid":%d,"tid":%d,"ts":%d,"dur":%d,"name":%q,"args":{"id":%d,"parent":%d,"attr":%q}}`,
-			spanChromePID, tidFor(sp), sp.Start/1e3, max64(sp.Dur/1e3, 1), sp.Name, sp.ID, sp.Parent, sp.Attr); err != nil {
+			spanChromePID, tidFor(sp), sp.Start/1e3, max(sp.Dur/1e3, 1), sp.Name, sp.ID, sp.Parent, sp.Attr); err != nil {
 			return err
 		}
 	}
@@ -298,13 +282,6 @@ func spanRoot(spans []Span, sp Span) uint64 {
 		cur = p
 	}
 	return cur.ID
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // WriteMergedChromeTrace writes one Chrome trace_event document holding

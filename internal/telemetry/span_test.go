@@ -116,7 +116,7 @@ func TestSpanSamplingAndNilSafety(t *testing.T) {
 	if sp := nilTracer.Root("x"); sp != nil {
 		t.Error("nil tracer produced a live span")
 	}
-	if nilTracer.Spans() != nil || nilTracer.Dropped() != 0 {
+	if n, dropped := nilTracer.Stats(); nilTracer.Spans() != nil || nilTracer.Dropped() != 0 || n != 0 || dropped != 0 {
 		t.Error("nil tracer snapshot not empty")
 	}
 	nilTracer.Reset()
@@ -153,6 +153,9 @@ func TestSpanCapacityAndReset(t *testing.T) {
 	}
 	if got := tr.Dropped(); got != 3 {
 		t.Errorf("%d dropped, want 3", got)
+	}
+	if n, dropped := tr.Stats(); n != 2 || dropped != 3 {
+		t.Errorf("Stats = %d buffered, %d dropped, want 2 and 3", n, dropped)
 	}
 	tr.Reset()
 	if len(tr.Spans()) != 0 || tr.Dropped() != 0 {

@@ -42,7 +42,6 @@ func (c *Counter) Load() int64 { return c.v.Load() }
 // registration so that hot-path access is a bounds-checked slice index,
 // not a map lookup.
 type CounterVec struct {
-	name  string
 	cells []Counter
 }
 
@@ -73,7 +72,6 @@ func (v *CounterVec) Sum() int64 {
 // Observation is atomic per bucket, so concurrent snapshots see a
 // consistent-enough view for reporting purposes.
 type Histogram struct {
-	name   string
 	bounds []int64
 	counts []atomic.Int64 // len(bounds)+1; last is overflow
 	sum    atomic.Int64
@@ -81,9 +79,9 @@ type Histogram struct {
 	max    atomic.Int64
 }
 
-// NewHistogram returns a standalone histogram with the given bucket
-// bounds (sorted copies), for callers that manage their own instrument
-// families (per-ruleset latency histograms) rather than a Registry.
+// NewHistogram returns a histogram with the given bucket bounds (sorted
+// copies): Registry.Histogram's, and that of callers that manage their
+// own instrument families (per-ruleset latency histograms).
 func NewHistogram(bounds []int64) *Histogram {
 	b := make([]int64, len(bounds))
 	copy(b, bounds)
@@ -195,6 +193,19 @@ func (r *Registry) Counter(name string) *Counter {
 	return c
 }
 
+// CounterValue returns the named counter's value, or 0 when nothing has
+// registered it. Unlike Counter it registers nothing, so reading a
+// counter does not add a line to WriteTo's dump.
+func (r *Registry) CounterValue(name string) int64 {
+	r.mu.Lock()
+	c := r.ctrs[name]
+	r.mu.Unlock()
+	if c == nil {
+		return 0
+	}
+	return c.Load()
+}
+
 // CounterVec returns the named counter family with at least n cells,
 // growing an existing family if a larger n is requested. Existing cell
 // values are preserved across growth.
@@ -203,7 +214,7 @@ func (r *Registry) CounterVec(name string, n int) *CounterVec {
 	defer r.mu.Unlock()
 	v, ok := r.vecs[name]
 	if !ok {
-		v = &CounterVec{name: name, cells: make([]Counter, n)}
+		v = &CounterVec{cells: make([]Counter, n)}
 		r.vecs[name] = v
 	} else if len(v.cells) < n {
 		cells := make([]Counter, n)
@@ -222,10 +233,7 @@ func (r *Registry) Histogram(name string, bounds []int64) *Histogram {
 	defer r.mu.Unlock()
 	h, ok := r.histos[name]
 	if !ok {
-		b := make([]int64, len(bounds))
-		copy(b, bounds)
-		sort.Slice(b, func(i, j int) bool { return b[i] < b[j] })
-		h = &Histogram{name: name, bounds: b, counts: make([]atomic.Int64, len(b)+1)}
+		h = NewHistogram(bounds)
 		r.histos[name] = h
 	}
 	return h

@@ -103,13 +103,36 @@ func TestRegistryWriteAndReset(t *testing.T) {
 	}
 }
 
+// TestCounterValueRegistersNothing: reading a counter nobody registered
+// returns 0 and leaves the dump as it was.
+func TestCounterValueRegistersNothing(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("cycles").Add(42)
+	var before, after bytes.Buffer
+	if _, err := r.WriteTo(&before); err != nil {
+		t.Fatal(err)
+	}
+	if got := r.CounterValue("cycles"); got != 42 {
+		t.Errorf("CounterValue(cycles) = %d, want 42", got)
+	}
+	if got := r.CounterValue("absent"); got != 0 {
+		t.Errorf("CounterValue(absent) = %d, want 0", got)
+	}
+	if _, err := r.WriteTo(&after); err != nil {
+		t.Fatal(err)
+	}
+	if before.String() != after.String() {
+		t.Errorf("CounterValue changed the dump:\nbefore:\n%s\nafter:\n%s", &before, &after)
+	}
+}
+
 func TestTracerCapacityAndJSONL(t *testing.T) {
 	tr := NewTracer(2)
 	tr.Record(Event{Cycle: 1, PU: 0, Kind: EventReportWrite, Occ: 1})
 	tr.Record(Event{Cycle: 5, PU: 3, Kind: EventFlush, Stall: 27})
 	tr.Record(Event{Cycle: 9, PU: 0, Kind: EventReportWrite})
-	if len(tr.Events()) != 2 || tr.Dropped() != 1 {
-		t.Fatalf("events=%d dropped=%d", len(tr.Events()), tr.Dropped())
+	if n, dropped := tr.Stats(); n != 2 || dropped != 1 || len(tr.Events()) != 2 {
+		t.Fatalf("Stats = %d events, %d dropped; Events holds %d", n, dropped, len(tr.Events()))
 	}
 
 	var buf bytes.Buffer
@@ -128,8 +151,12 @@ func TestTracerCapacityAndJSONL(t *testing.T) {
 		t.Fatalf("decoded event = %v", ev)
 	}
 
+	if allocs := testing.AllocsPerRun(100, func() { tr.Stats() }); allocs != 0 {
+		t.Errorf("Stats on a full tracer allocates %.1f per call, want 0", allocs)
+	}
+
 	tr.Reset()
-	if len(tr.Events()) != 0 || tr.Dropped() != 0 {
+	if n, dropped := tr.Stats(); n != 0 || dropped != 0 || len(tr.Events()) != 0 {
 		t.Fatal("tracer reset incomplete")
 	}
 }

@@ -66,10 +66,7 @@ const DefaultTraceCapacity = 1 << 20
 // concurrent recording the interleaving of events from different workers
 // is nondeterministic (each worker's own events stay in order).
 type Tracer struct {
-	mu      sync.Mutex
-	events  []Event
-	cap     int
-	dropped int64
+	buf bounded[Event]
 }
 
 // NewTracer returns a tracer retaining up to capacity events
@@ -78,47 +75,59 @@ func NewTracer(capacity int) *Tracer {
 	if capacity <= 0 {
 		capacity = DefaultTraceCapacity
 	}
-	return &Tracer{cap: capacity}
+	return &Tracer{buf: bounded[Event]{cap: capacity}}
 }
 
 // Record buffers one event, or counts it dropped when full.
-func (t *Tracer) Record(ev Event) {
-	t.mu.Lock()
-	if len(t.events) >= t.cap {
-		t.dropped++
-	} else {
-		t.events = append(t.events, ev)
-	}
-	t.mu.Unlock()
-}
+func (t *Tracer) Record(ev Event) { t.buf.add(ev) }
 
 // Events returns a snapshot copy of the buffered events.
-func (t *Tracer) Events() []Event {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return append([]Event(nil), t.events...)
-}
+func (t *Tracer) Events() []Event { return t.buf.snapshot() }
 
-// Dropped returns the number of events discarded after the buffer filled.
-func (t *Tracer) Dropped() int64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.dropped
-}
+// Stats returns the number of buffered events and the number dropped
+// after the buffer filled, without copying the buffer.
+func (t *Tracer) Stats() (buffered int, dropped int64) { return t.buf.stats() }
 
 // Reset drops all buffered events and the drop count.
-func (t *Tracer) Reset() {
-	t.mu.Lock()
-	t.events = t.events[:0]
-	t.dropped = 0
-	t.mu.Unlock()
+func (t *Tracer) Reset() { t.buf.reset() }
+
+// bounded is the goroutine-safe store of Tracer and SpanTracer: up to cap
+// items in arrival order, and a count of the items it had no room for.
+type bounded[T any] struct {
+	mu      sync.Mutex
+	items   []T
+	cap     int
+	dropped int64
 }
 
-// snapshot returns the buffered events for the Write* methods.
-func (t *Tracer) snapshot() []Event {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return append([]Event(nil), t.events...)
+func (b *bounded[T]) add(v T) {
+	b.mu.Lock()
+	if len(b.items) >= b.cap {
+		b.dropped++
+	} else {
+		b.items = append(b.items, v)
+	}
+	b.mu.Unlock()
+}
+
+func (b *bounded[T]) snapshot() []T {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return append([]T(nil), b.items...)
+}
+
+// stats reads the item count and the drop count under one lock.
+func (b *bounded[T]) stats() (int, int64) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return len(b.items), b.dropped
+}
+
+func (b *bounded[T]) reset() {
+	b.mu.Lock()
+	b.items = b.items[:0]
+	b.dropped = 0
+	b.mu.Unlock()
 }
 
 // WriteJSONL writes one JSON object per event:
@@ -129,7 +138,7 @@ func (t *Tracer) snapshot() []Event {
 // jq / pandas for stall-timeline analysis.
 func (t *Tracer) WriteJSONL(w io.Writer) error {
 	bw := bufio.NewWriter(w)
-	for _, ev := range t.snapshot() {
+	for _, ev := range t.Events() {
 		if _, err := fmt.Fprintf(bw, "{\"cycle\":%d,\"pu\":%d,\"kind\":%q,\"stall\":%d,\"occ\":%d}\n",
 			ev.Cycle, ev.PU, ev.Kind.String(), ev.Stall, ev.Occ); err != nil {
 			return err
@@ -147,7 +156,7 @@ func (t *Tracer) writeChromeEvents(c *chromeEmitter) error {
 		return err
 	}
 	seenPU := map[int32]bool{}
-	for _, ev := range t.snapshot() {
+	for _, ev := range t.Events() {
 		if !seenPU[ev.PU] {
 			seenPU[ev.PU] = true
 			if err := c.emit(`{"ph":"M","pid":0,"tid":%d,"name":"thread_name","args":{"name":"PU %d"}}`,

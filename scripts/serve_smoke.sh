@@ -79,6 +79,16 @@ if command -v jq >/dev/null; then
   [ "$p50" -gt 0 ] || { echo "serve_smoke: JSON metrics p50_ns not positive: $p50" >&2; exit 1; }
   jq -e '.rulesets.smoke.shed.capacity >= 0 and .compile_cache.misses >= 1' >/dev/null <<<"$mjson" || {
     echo "serve_smoke: JSON metrics shape wrong" >&2; exit 1; }
+  # Both views render one snapshot: no request ran between the two
+  # scrapes, so the text counters equal their JSON fields.
+  text_scans=$(awk '$1 == "server_scans_total" {print $2}' <<<"$metrics")
+  json_scans=$(jq '.service.scans' <<<"$mjson")
+  [ "$text_scans" = "$json_scans" ] || {
+    echo "serve_smoke: text server_scans_total $text_scans != JSON .service.scans $json_scans" >&2; exit 1; }
+  text_shed=$(awk '$1 == "server_shed_total{ruleset=\"smoke\",reason=\"capacity\"}" {print $2}' <<<"$metrics")
+  json_shed=$(jq '.rulesets.smoke.shed.capacity' <<<"$mjson")
+  [ -n "$text_shed" ] && [ "$text_shed" = "$json_shed" ] || {
+    echo "serve_smoke: text capacity shed '$text_shed' != JSON .rulesets.smoke.shed.capacity $json_shed" >&2; exit 1; }
 else
   grep -q '"p50_ns":[1-9]' <<<"$mjson" || {
     echo "serve_smoke: JSON metrics missing positive p50_ns" >&2; exit 1; }

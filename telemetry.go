@@ -69,10 +69,11 @@ func (e *Engine) SetTelemetry(t *Telemetry) {
 func (t *Telemetry) Reset() { t.col.Reset() }
 
 // CounterValue returns the current value of a named aggregate counter —
-// e.g. MetricPrefilterSkippedCycles — creating it at zero if nothing has
-// recorded to it yet. It is safe to call concurrently with running scans.
+// e.g. MetricPrefilterSkippedCycles — or 0 if nothing has recorded to it
+// yet. It only reads: a counter it finds absent stays out of
+// WriteMetrics. It is safe to call concurrently with running scans.
 func (t *Telemetry) CounterValue(name string) int64 {
-	return t.col.Counter(name).Load()
+	return t.col.CounterValue(name)
 }
 
 // WriteMetrics writes a flat text snapshot of every counter and
@@ -94,13 +95,13 @@ func (t *Telemetry) WriteTraceJSONL(w io.Writer) error {
 }
 
 // TraceEvents returns the number of buffered trace events and the number
-// dropped after the buffer filled.
+// dropped after the buffer filled, without copying the buffer.
 func (t *Telemetry) TraceEvents() (buffered int, dropped int64) {
 	tr := t.col.Tracer()
 	if tr == nil {
 		return 0, 0
 	}
-	return len(tr.Events()), tr.Dropped()
+	return tr.Stats()
 }
 
 // Spans returns the wall-clock span tracer, or nil when span tracing is
@@ -113,13 +114,9 @@ func (t *Telemetry) Spans() *telemetry.SpanTracer {
 }
 
 // SpanStats returns the number of recorded spans and the number dropped
-// after the span buffer filled.
+// after the span buffer filled, without copying the buffer.
 func (t *Telemetry) SpanStats() (buffered int, dropped int64) {
-	sp := t.col.Spans()
-	if sp == nil {
-		return 0, 0
-	}
-	return len(sp.Spans()), sp.Dropped()
+	return t.col.Spans().Stats()
 }
 
 // WriteSpansJSONL writes the recorded wall-clock spans as one JSON object

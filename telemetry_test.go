@@ -196,6 +196,24 @@ func TestTelemetryDisabledPathUnchanged(t *testing.T) {
 	}
 }
 
+// TestSpanStatsZeroAlloc: counting a full span buffer reads its length
+// and drop count and copies nothing.
+func TestSpanStatsZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	tel := NewTelemetry(TelemetryOptions{Spans: true, SpanCapacity: 64})
+	for i := 0; i < 100; i++ {
+		tel.Spans().Root("req").End()
+	}
+	if n, dropped := tel.SpanStats(); n != 64 || dropped != 36 {
+		t.Fatalf("SpanStats = %d buffered, %d dropped, want 64 and 36", n, dropped)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { tel.SpanStats() }); allocs != 0 {
+		t.Errorf("SpanStats on a full tracer allocates %.1f per call, want 0", allocs)
+	}
+}
+
 func TestStatsRenderers(t *testing.T) {
 	s := Stats{KernelCycles: 100, StallCycles: 25, Flushes: 3, Reports: 7, ReportCycles: 5}
 	str := s.String()
