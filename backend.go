@@ -3,29 +3,30 @@ package sunder
 import (
 	"fmt"
 
-	"sunder/internal/meta"
+	"sunder/internal/dfa"
 )
 
 // resolveBackend validates Options.Backend and fixes the artifact's scan
-// substrate: "nfa" (or "") the machine, "dfa" the lazy DFA, and "auto" what
-// the selector picks from the shape statistics. It is the last step of
-// compile. Every call on the artifact runs this substrate, on the whole
-// input, on ScanParallel's shares of it or on a prefilter's candidate
-// windows.
+// substrate: "nfa" (or "") the machine, "dfa" the lazy DFA, and "auto" the
+// lazy DFA wherever the geometry supports it, the machine elsewhere. A DFA
+// whose cache thrashes on some input falls back to NFA stepping at run time
+// (dfa.Runner's give-up rule), so no compile-time size estimate is needed.
+// It is the last step of compile. Every call on the artifact runs this
+// substrate, on the whole input, on ScanParallel's shares of it or on a
+// prefilter's candidate windows.
 func (a *compiledArtifact) resolveBackend() error {
-	if !meta.Known(a.opts.Backend) {
-		return fmt.Errorf("sunder: unknown Backend %q (want \"auto\", \"nfa\" or \"dfa\")", a.opts.Backend)
-	}
-	a.backendNote = meta.BackendNFA
 	switch a.opts.Backend {
-	case meta.BackendDFA:
+	case "", "nfa":
+	case "dfa":
 		if a.dfaPlan == nil {
-			return fmt.Errorf("sunder: Backend %q unsupported for this configuration: %s", meta.BackendDFA, a.metaIn.DFAReason)
+			_, reason := dfa.Supported(a.nibble)
+			return fmt.Errorf("sunder: Backend \"dfa\" unsupported for this configuration: %s", reason)
 		}
-		a.onDFA, a.backendNote = true, meta.BackendDFA
-	case meta.BackendAuto:
-		c := meta.Select(a.metaIn)
-		a.onDFA, a.backendNote = c.Backend == meta.BackendDFA, c.String()
+		a.onDFA = true
+	case "auto":
+		a.onDFA = a.dfaPlan != nil
+	default:
+		return fmt.Errorf("sunder: unknown Backend %q (want \"auto\", \"nfa\" or \"dfa\")", a.opts.Backend)
 	}
 	return nil
 }
@@ -36,7 +37,7 @@ func (a *compiledArtifact) resolveBackend() error {
 // hits count their own. It is safe to call concurrently with scans.
 type DFAStats struct {
 	// Supported reports whether the compiled geometry admits the lazy DFA
-	// (Reason says why not).
+	// (Reason says why not; it is also why "auto" resolved to "nfa").
 	Supported bool
 	Reason    string
 	// States is the number of DFA states constructed; Hits/Misses count
@@ -56,12 +57,8 @@ type DFAStats struct {
 // DFAStats returns the engine's lazy-DFA cache counters.
 func (e *Engine) DFAStats() DFAStats {
 	c := &e.dfaRuns
-	return DFAStats{Supported: e.dfaPlan != nil, Reason: e.metaIn.DFAReason,
+	_, reason := dfa.Supported(e.nibble)
+	return DFAStats{Supported: e.dfaPlan != nil, Reason: reason,
 		States: c.states.Load(), Hits: c.hits.Load(), Misses: c.misses.Load(),
 		Evictions: c.evictions.Load(), Fallbacks: c.fallbacks.Load()}
 }
-
-// Backend returns the engine's resolved scan backend ("nfa" or "dfa"),
-// annotated with the auto-selection reason when Options.Backend was
-// "auto".
-func (e *Engine) Backend() string { return e.backendNote }

@@ -50,9 +50,6 @@ func main() {
 		profiles  = cliutil.ProfileFlags()
 	)
 	flag.Parse()
-	if err := beFlags.Validate(); err != nil {
-		log.Fatal(err)
-	}
 
 	if *list {
 		for _, s := range workload.All() {
@@ -70,6 +67,20 @@ func main() {
 	w, err := workload.Get(*name, *scale, *inputLen)
 	if err != nil {
 		log.Fatal(err)
+	}
+	// The -backend engine compiles before the simulation runs, so a name
+	// the façade refuses fails at once.
+	var eng *sunder.Engine
+	if beFlags.Enabled() {
+		o := sunder.DefaultOptions()
+		o.Rate = *rate
+		o.FIFO = *fifo
+		o.SummarizeOnFull = *summarize
+		o.Minimize = anFlags.Minimize
+		o.Backend = beFlags.Backend
+		if eng, err = sunder.CompileAutomaton(w.Automaton, o); err != nil {
+			log.Fatal(err)
+		}
 	}
 	st := w.Automaton.ComputeStats()
 	fmt.Printf("%s (%s): %d states, %d edges, %d report states, %d-byte input\n",
@@ -173,17 +184,7 @@ func main() {
 	fmt.Printf("  %-12s overhead %8.2fx  (%d flushes, %.1f KB offloaded)\n",
 		"AP+RAD", rado.Overhead(res.Cycles), rado.Flushes, float64(rado.OffloadedBits)/8192)
 
-	if beFlags.Enabled() {
-		o := sunder.DefaultOptions()
-		o.Rate = *rate
-		o.FIFO = *fifo
-		o.SummarizeOnFull = *summarize
-		o.Minimize = anFlags.Minimize
-		o.Backend = beFlags.Backend
-		eng, err := sunder.CompileAutomaton(w.Automaton, o)
-		if err != nil {
-			log.Fatal(err)
-		}
+	if eng != nil {
 		t0 := time.Now()
 		sres, err := eng.Scan(w.Input)
 		if err != nil {

@@ -1,8 +1,8 @@
 // Command sunder-vet lints the repository for Sunder-specific invariants
 // that go vet cannot know: determinism of the simulation packages (no
-// wall clock, no global randomness), no by-value copies of lock-bearing
-// structs, atomic-only access to fields handed to sync/atomic, and no
-// writes to the compiled IR or to frozen fields outside their owners.
+// wall clock, no global randomness), atomic-only access to fields handed
+// to sync/atomic, and no writes to the compiled IR or to frozen fields
+// outside their owners.
 //
 // Usage:
 //
@@ -34,8 +34,8 @@ func main() {
 		fmt.Fprintln(os.Stderr, "sunder-vet:", err)
 		os.Exit(2)
 	}
-	// The nocopy index needs every package, so linting always runs over the
-	// full module; arguments only filter which findings are shown.
+	// Linting always runs over the full module; arguments only filter which
+	// findings are shown.
 	findings := vet.Lint(fset, pkgs, vet.DefaultConfig())
 
 	args := os.Args[1:]

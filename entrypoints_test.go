@@ -138,19 +138,25 @@ func craftedCases(t *testing.T) []conformanceCase {
 }
 
 // workloadCases is the workload corpus: the 19 workloads at DefaultScale on
-// 6,000-byte inputs, each to run cells. It skips t under -short.
+// 6,000-byte inputs, plus EntityResolution at scale 0.05, whose 4,881
+// device states a size cut-off on "auto" would send to the machine, each to
+// run cells. It skips t under -short.
 func workloadCases(t *testing.T, cells ...cell) []conformanceCase {
 	if testing.Short() {
 		t.Skip("19-workload corpus in long mode only")
 	}
 	var cases []conformanceCase
-	for _, name := range workload.Names() {
-		w, err := workload.Get(name, workload.DefaultScale, 6000)
+	add := func(name, label string, scale float64) {
+		w, err := workload.Get(name, scale, 6000)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cases = append(cases, conformanceCase{name: name, nfa: w.Automaton, input: w.Input, cells: cells})
+		cases = append(cases, conformanceCase{name: label, nfa: w.Automaton, input: w.Input, cells: cells})
 	}
+	for _, name := range workload.Names() {
+		add(name, name, workload.DefaultScale)
+	}
+	add("EntityResolution", "EntityResolution@0.05", 0.05)
 	return cases
 }
 
@@ -321,7 +327,10 @@ func checkCase(t *testing.T, c conformanceCase) {
 		}
 		ref := checkEntryPoints(t, c, cl, eng, want)
 		scans[cl] = ref
-		if cl != twin && !strings.HasPrefix(eng.Backend(), "dfa") {
+		if cl.backend == "auto" && (eng.Info().Backend == "dfa") != eng.DFAStats().Supported {
+			t.Errorf("%s: auto resolved to %q with the lazy DFA supported=%v", cl, eng.Info().Backend, eng.DFAStats().Supported)
+		}
+		if cl != twin && eng.Info().Backend != "dfa" {
 			if scans[twin] == nil {
 				u, err := engine(twin).Scan(c.input)
 				if err != nil {
@@ -403,7 +412,7 @@ func checkEntryPoints(t *testing.T, c conformanceCase, cl cell, eng *Engine, wan
 	t.Helper()
 	label, input := cl.String(), c.input
 	// onDFA is the substrate every call must run on.
-	onDFA := strings.HasPrefix(eng.Backend(), "dfa")
+	onDFA := eng.Info().Backend == "dfa"
 	lookups := func(e *Engine) int64 { s := e.DFAStats(); return s.Hits + s.Misses + s.Fallbacks }
 	// ran holds a call that executed cycles to eng's substrate: a run on
 	// the lazy DFA looks up its transition cache or, once the cache has
@@ -411,7 +420,7 @@ func checkEntryPoints(t *testing.T, c conformanceCase, cl cell, eng *Engine, wan
 	ran := func(entry string, e *Engine, before int64, st Stats) {
 		t.Helper()
 		if st.KernelCycles > 0 && (lookups(e) > before) != onDFA {
-			t.Errorf("%s/%s: ran on the wrong substrate (backend %s)", label, entry, eng.Backend())
+			t.Errorf("%s/%s: ran on the wrong substrate (backend %s)", label, entry, eng.Info().Backend)
 		}
 	}
 	before := lookups(eng)

@@ -128,7 +128,8 @@ func (p *ParallelFlags) EffectiveWorkers() int {
 }
 
 // BackendFlags carries the -backend flag value: the software scan
-// engine's execution substrate.
+// engine's execution substrate, passed to Options.Backend as it is (the
+// engine's compile is the one check of the name).
 type BackendFlags struct {
 	// Backend is "auto", "nfa", "dfa", or "" for the tool's default
 	// behaviour.
@@ -139,23 +140,12 @@ type BackendFlags struct {
 func RegisterBackendFlag() *BackendFlags {
 	b := &BackendFlags{}
 	flag.StringVar(&b.Backend, "backend", "",
-		`software engine backend: "auto" (select from shape analysis), "nfa" or "dfa" ("" = tool default)`)
+		`software engine backend: "auto" (the lazy DFA where supported), "nfa" or "dfa" ("" = tool default)`)
 	return b
 }
 
 // Enabled reports whether a backend was requested.
 func (b *BackendFlags) Enabled() bool { return b.Backend != "" }
-
-// Validate rejects unknown backend names. cliutil deliberately does not
-// import the engine, so the known set is spelled here; the façade
-// re-validates (and rejects unsupported forced "dfa") at compile time.
-func (b *BackendFlags) Validate() error {
-	switch b.Backend {
-	case "", "auto", "nfa", "dfa":
-		return nil
-	}
-	return fmt.Errorf(`-backend: unknown backend %q (want "auto", "nfa" or "dfa")`, b.Backend)
-}
 
 // AnalysisFlags carries the -lint/-minimize flag values for the static
 // automaton analyzer.

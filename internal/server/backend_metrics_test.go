@@ -98,8 +98,8 @@ func TestServerBackendSelection(t *testing.T) {
 		Patterns: testRules,
 		Options:  &OptionsJSON{Backend: "auto"},
 	})
-	if !strings.HasPrefix(info.Info.Backend, "dfa (auto:") {
-		t.Fatalf("resolved backend = %q, want a dfa auto choice", info.Info.Backend)
+	if info.Info.Backend != "dfa" {
+		t.Fatalf("resolved backend = %q, want dfa", info.Info.Backend)
 	}
 
 	input := testTraffic(4096)

@@ -110,14 +110,11 @@ var scanBackends = [...]string{"nfa", "dfa"}
 
 // ruleset is one compiled rule set being served.
 type ruleset struct {
-	id   string
-	req  RulesetRequest
+	id  string
+	req RulesetRequest
+	// info is the engine's Info at compile; every scan this ruleset serves
+	// is attributed to info.Backend on the per-backend /metrics counters.
 	info sunder.Info
-	// backend is the resolved backend's canonical name ("nfa" or "dfa") —
-	// the first token of Info.Backend, which carries the auto rationale
-	// behind it. Every scan this ruleset serves is attributed to
-	// it on the per-backend /metrics counters.
-	backend string
 	// eng serves every request of the ruleset; pool admits them.
 	eng  *sunder.Engine
 	pool *admission
@@ -394,19 +391,13 @@ func (s *Server) handlePutRuleset(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusUnprocessableEntity, fmt.Sprintf("compile: %v", err))
 		return
 	}
-	info := eng.Info()
-	backend := "nfa"
-	if f := strings.Fields(info.Backend); len(f) > 0 {
-		backend = f[0]
-	}
 	eng.SetTelemetry(s.tel)
 	rs := &ruleset{
-		id:      id,
-		req:     req,
-		info:    info,
-		backend: backend,
-		eng:     eng,
-		pool:    newAdmission(s.cfg.PoolSize, s.cfg.QueueDepth),
+		id:   id,
+		req:  req,
+		info: eng.Info(),
+		eng:  eng,
+		pool: newAdmission(s.cfg.PoolSize, s.cfg.QueueDepth),
 		rulesetMetrics: rulesetMetrics{
 			lat:  telemetry.NewHistogram(telemetry.DurationBounds()),
 			wait: telemetry.NewHistogram(telemetry.DurationBounds()),
@@ -724,7 +715,7 @@ func (s *Server) metricsJSON() MetricsJSON {
 			Scans:         rs.scans.Load(),
 			Bytes:         rs.bytes.Load(),
 			Matches:       rs.matches.Load(),
-			Backend:       rs.backend,
+			Backend:       rs.info.Backend,
 			Latency:       latencySLO(rs.lat),
 			PoolWait:      latencySLO(rs.wait),
 			PoolWaitShare: ratio(rs.waitNS.Load(), rs.servedNS.Load()),
@@ -974,7 +965,7 @@ func (s *Server) served(rs *ruleset, scans, nbytes, matches int64, start time.Ti
 	rs.scans.Add(scans)
 	rs.bytes.Add(nbytes)
 	rs.matches.Add(matches)
-	s.noteBackendScans(rs.backend, scans)
+	s.noteBackendScans(rs.info.Backend, scans)
 	s.scans.Add(scans)
 	s.scanBytes.Add(nbytes)
 	s.matches.Add(matches)

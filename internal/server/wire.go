@@ -107,8 +107,7 @@ type InfoJSON struct {
 	SymbolClasses     int      `json:"symbol_classes,omitempty"`
 	PrefilterStrategy string   `json:"prefilter_strategy,omitempty"`
 	PrefilterLiterals []string `json:"prefilter_literals,omitempty"`
-	// Backend is the resolved execution backend, with the auto rationale
-	// when Options.Backend was "auto" (e.g. "dfa (auto: ...)"); DFAStates
+	// Backend is the resolved execution backend, "nfa" or "dfa"; DFAStates
 	// is the lazy DFA's resident state count (dfa backend only).
 	Backend   string `json:"backend,omitempty"`
 	DFAStates int    `json:"dfa_states,omitempty"`

@@ -238,25 +238,25 @@ func (t *SpanTracer) writeChromeEvents(c *chromeEmitter) error {
 	// Map each root id to a compact tid so rows are stable and small.
 	tids := map[uint64]int{}
 	spans := t.Spans()
+	byID := make(map[uint64]Span, len(spans))
 	for _, sp := range spans {
-		root := sp.ID
-		if sp.Parent != 0 {
-			continue
-		}
-		if _, ok := tids[root]; !ok {
-			tids[root] = len(tids) + 1
+		byID[sp.ID] = sp
+		if _, ok := tids[sp.ID]; !ok && sp.Parent == 0 {
+			tids[sp.ID] = len(tids) + 1
 		}
 	}
+	// tidFor walks sp's recorded parents to its root. Children carry their
+	// root via parent chains that may be partial (unsampled or still-open
+	// parents); those fall back to one shared row, tid 0.
 	tidFor := func(sp Span) int {
-		// Children carry their root via parent chains that may be partial
-		// (unsampled or still-open parents); fall back to one shared row.
-		if tid, ok := tids[sp.ID]; ok && sp.Parent == 0 {
-			return tid
+		for sp.Parent != 0 {
+			p, ok := byID[sp.Parent]
+			if !ok {
+				return 0
+			}
+			sp = p
 		}
-		if tid, ok := tids[spanRoot(spans, sp)]; ok {
-			return tid
-		}
-		return 0
+		return tids[sp.ID]
 	}
 	for _, sp := range spans {
 		if err := c.emit(`{"ph":"X","pid":%d,"tid":%d,"ts":%d,"dur":%d,"name":%q,"args":{"id":%d,"parent":%d,"attr":%q}}`,
@@ -265,23 +265,6 @@ func (t *SpanTracer) writeChromeEvents(c *chromeEmitter) error {
 		}
 	}
 	return nil
-}
-
-// spanRoot resolves sp's root id by walking recorded parents.
-func spanRoot(spans []Span, sp Span) uint64 {
-	byID := make(map[uint64]Span, len(spans))
-	for _, s := range spans {
-		byID[s.ID] = s
-	}
-	cur := sp
-	for cur.Parent != 0 {
-		p, ok := byID[cur.Parent]
-		if !ok {
-			return cur.Parent
-		}
-		cur = p
-	}
-	return cur.ID
 }
 
 // WriteMergedChromeTrace writes one Chrome trace_event document holding

@@ -268,3 +268,48 @@ func TestMergedChromeTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestChromeTraceTids pins the rows a span forest lands on: one tid per
+// recorded root, numbered in completion order, shared by its whole
+// subtree, and tid 0 for a subtree whose parent chain is partial (here a
+// root still open at export).
+func TestChromeTraceTids(t *testing.T) {
+	spans := NewSpanTracer(64, 1)
+	a := spans.Root("a")
+	a1 := a.Child("a1")
+	a1.Child("a1x").End()
+	a1.End()
+	open := spans.Root("open")
+	b1 := open.Child("b1")
+	b1.Child("b1x").End()
+	b1.End()
+	a.End()
+	c := spans.Root("c")
+	c.Child("c1").End()
+	c.End()
+
+	var buf bytes.Buffer
+	if err := WriteMergedChromeTrace(&buf, nil, spans); err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []struct {
+			Ph   string `json:"ph"`
+			TID  int    `json:"tid"`
+			Name string `json:"name"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatalf("trace invalid JSON: %v\n%s", err, buf.String())
+	}
+	got := map[string]int{}
+	for _, ev := range doc.TraceEvents {
+		if ev.Ph == "X" {
+			got[ev.Name] = ev.TID
+		}
+	}
+	want := map[string]int{"a": 1, "a1": 1, "a1x": 1, "b1": 0, "b1x": 0, "c": 2, "c1": 2}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("tids = %v, want %v", got, want)
+	}
+}

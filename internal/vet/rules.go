@@ -89,106 +89,6 @@ func lintSeededRand(fset *token.FileSet, p *Package, cfg Config) []Finding {
 	return out
 }
 
-// ---------------------------------------------------------------------------
-// nocopy: structs that contain (transitively) a sync lock, a sync/atomic
-// typed value, or another lock-bearing struct must never be passed, returned
-// or method-bound by value — copying a telemetry.Tracer's mutex or a
-// Counter's atomic.Int64 silently forks its state.
-
-// syncNocopy and atomicNocopy are the seed types of the index.
-var syncNocopy = map[string]bool{
-	"Mutex": true, "RWMutex": true, "WaitGroup": true, "Cond": true, "Once": true,
-}
-var atomicNocopy = map[string]bool{
-	"Bool": true, "Int32": true, "Int64": true, "Uint32": true, "Uint64": true,
-	"Uintptr": true, "Value": true, "Pointer": true,
-}
-
-// structDef records one struct declaration's field types together with the
-// file's import table, so cross-package field types resolve by name.
-type structDef struct {
-	fields  []ast.Expr
-	imports map[string]string // local name -> import path
-}
-
-// buildNocopyIndex computes the set of qualified struct names
-// ("importpath.Type") that must not be copied, to a fixpoint over
-// by-value field embedding.
-func buildNocopyIndex(pkgs []*Package) map[string]bool {
-	defs := map[string]structDef{}
-	for _, p := range pkgs {
-		for _, f := range p.Files {
-			imports := importTable(f)
-			ast.Inspect(f, func(n ast.Node) bool {
-				ts, ok := n.(*ast.TypeSpec)
-				if !ok {
-					return true
-				}
-				st, ok := ts.Type.(*ast.StructType)
-				if !ok {
-					return true
-				}
-				var fields []ast.Expr
-				for _, fl := range st.Fields.List {
-					fields = append(fields, fl.Type)
-				}
-				defs[p.Path+"."+ts.Name.Name] = structDef{fields: fields, imports: imports}
-				return true
-			})
-		}
-	}
-	nocopy := map[string]bool{}
-	for changed := true; changed; {
-		changed = false
-		for name, def := range defs {
-			if nocopy[name] {
-				continue
-			}
-			pkgPath := name[:strings.LastIndex(name, ".")]
-			for _, ft := range def.fields {
-				if typeIsNocopy(ft, pkgPath, def.imports, nocopy) {
-					nocopy[name] = true
-					changed = true
-					break
-				}
-			}
-		}
-	}
-	return nocopy
-}
-
-// typeIsNocopy reports whether a by-value field of this type carries
-// nocopy state. Pointers, slices, maps, channels and funcs share rather
-// than copy, so they stop the propagation.
-func typeIsNocopy(t ast.Expr, pkgPath string, imports map[string]string, nocopy map[string]bool) bool {
-	switch tt := t.(type) {
-	case *ast.Ident:
-		return nocopy[pkgPath+"."+tt.Name]
-	case *ast.SelectorExpr:
-		x, ok := tt.X.(*ast.Ident)
-		if !ok {
-			return false
-		}
-		switch imports[x.Name] {
-		case "sync":
-			return syncNocopy[tt.Sel.Name]
-		case "sync/atomic":
-			return atomicNocopy[tt.Sel.Name]
-		default:
-			return nocopy[imports[x.Name]+"."+tt.Sel.Name]
-		}
-	case *ast.ArrayType:
-		return typeIsNocopy(tt.Elt, pkgPath, imports, nocopy)
-	case *ast.StructType:
-		for _, fl := range tt.Fields.List {
-			if typeIsNocopy(fl.Type, pkgPath, imports, nocopy) {
-				return true
-			}
-		}
-	}
-	return false
-}
-
 // importTable maps each file's local import names to import paths.
 func importTable(f *ast.File) map[string]string {
 	out := map[string]string{}
@@ -202,57 +102,6 @@ func importTable(f *ast.File) map[string]string {
 			name = imp.Name.Name
 		}
 		out[name] = path
-	}
-	return out
-}
-
-func lintNocopy(fset *token.FileSet, p *Package, nocopy map[string]bool) []Finding {
-	var out []Finding
-	check := func(t ast.Expr, imports map[string]string, what, fn string) {
-		var qual string
-		switch tt := t.(type) {
-		case *ast.Ident:
-			qual = p.Path + "." + tt.Name
-		case *ast.SelectorExpr:
-			x, ok := tt.X.(*ast.Ident)
-			if !ok {
-				return
-			}
-			qual = imports[x.Name] + "." + tt.Sel.Name
-		default:
-			return
-		}
-		if nocopy[qual] {
-			out = append(out, Finding{
-				Pos:  fset.Position(t.Pos()),
-				Rule: "nocopy",
-				Msg:  fmt.Sprintf("%s of %s passes lock-bearing type %s by value; use a pointer", what, fn, qual),
-			})
-		}
-	}
-	for _, f := range p.Files {
-		imports := importTable(f)
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok {
-				continue
-			}
-			if fd.Recv != nil {
-				for _, r := range fd.Recv.List {
-					check(r.Type, imports, "receiver", fd.Name.Name)
-				}
-			}
-			if fd.Type.Params != nil {
-				for _, par := range fd.Type.Params.List {
-					check(par.Type, imports, "parameter", fd.Name.Name)
-				}
-			}
-			if fd.Type.Results != nil {
-				for _, res := range fd.Type.Results.List {
-					check(res.Type, imports, "result", fd.Name.Name)
-				}
-			}
-		}
 	}
 	return out
 }

@@ -2,9 +2,10 @@
 // the standard library's go/parser and go/ast (no go/packages, no type
 // checker, no module loading): it parses every package of the module
 // syntactically and checks invariants that generic tooling cannot know —
-// determinism of the simulation packages, no copying of lock-bearing
-// structs, atomic-only access to fields handed to sync/atomic, and no
-// writes to the compiled IR or to frozen fields outside their owners.
+// determinism of the simulation packages, atomic-only access to fields
+// handed to sync/atomic, and no writes to the compiled IR or to frozen
+// fields outside their owners. Copies of lock-bearing structs are go vet's
+// copylocks check, which CI runs too.
 // cmd/sunder-vet is the CLI; CI runs it as a hard gate.
 //
 // Being syntactic, the rules resolve types by name rather than by type
@@ -27,8 +28,8 @@ import (
 type Finding struct {
 	// Pos locates the violation.
 	Pos token.Position
-	// Rule names the rule ("determinism", "seededrand", "nocopy",
-	// "atomicfield", "irmutate").
+	// Rule names the rule ("determinism", "seededrand", "atomicfield",
+	// "irmutate").
 	Rule string
 	// Msg describes the violation.
 	Msg string
@@ -93,7 +94,6 @@ func DefaultConfig() Config {
 			"sunder/internal/prefilter": true,
 			"sunder/internal/regex":     true,
 			"sunder/internal/dfa":       true,
-			"sunder/internal/meta":      true,
 		},
 		BannedImports: []string{"time", "math/rand", "math/rand/v2"},
 		// The workload generators and the experiment runners seed their
@@ -194,15 +194,12 @@ func modulePath(gomod string) (string, error) {
 }
 
 // Lint runs every rule over the packages and returns the findings sorted
-// by position. All packages should be passed even when only a subset is of
-// interest: the nocopy rule's struct index is cross-package.
+// by position.
 func Lint(fset *token.FileSet, pkgs []*Package, cfg Config) []Finding {
 	var out []Finding
-	nocopy := buildNocopyIndex(pkgs)
 	for _, p := range pkgs {
 		out = append(out, lintDeterminism(fset, p, cfg)...)
 		out = append(out, lintSeededRand(fset, p, cfg)...)
-		out = append(out, lintNocopy(fset, p, nocopy)...)
 		out = append(out, lintAtomicField(fset, p)...)
 		out = append(out, lintIRMutate(fset, p, cfg)...)
 	}

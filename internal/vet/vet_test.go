@@ -83,55 +83,6 @@ func plantOffset() float64 {
 	}
 }
 
-func TestNocopyFlagsValueReceiverAndParam(t *testing.T) {
-	src := `package telemetry
-import "sync"
-type Tracer struct {
-	mu sync.Mutex
-	n  int
-}
-func (t Tracer) Bad() {}
-func (t *Tracer) Good() {}
-func Use(t Tracer) {}
-func Make() Tracer { return Tracer{} }
-`
-	fs := byRule(lintOne(t, "sunder/internal/telemetry", src), "nocopy")
-	if len(fs) != 3 {
-		t.Fatalf("got %d findings %v, want 3 (receiver, param, result)", len(fs), fs)
-	}
-}
-
-func TestNocopyPropagatesThroughFieldsAndArrays(t *testing.T) {
-	src := `package a
-import "sync/atomic"
-type Counter struct { n atomic.Int64 }
-type Bank struct { slots [4]Counter }
-type Safe struct { c *Counter }
-func Copy(b Bank) {}
-func Ptr(s Safe) {}
-`
-	fs := byRule(lintOne(t, "sunder/internal/a", src), "nocopy")
-	if len(fs) != 1 || !strings.Contains(fs[0].Msg, "Bank") {
-		t.Fatalf("got %v, want one finding on Bank (pointer field does not propagate)", fs)
-	}
-}
-
-func TestNocopyCrossPackage(t *testing.T) {
-	fset := token.NewFileSet()
-	lib := parsePkg(t, fset, "sunder/internal/telemetry", `package telemetry
-import "sync"
-type Tracer struct { mu sync.Mutex }
-`)
-	use := parsePkg(t, fset, "sunder/internal/app", `package app
-import "sunder/internal/telemetry"
-func Run(tr telemetry.Tracer) {}
-`)
-	fs := byRule(Lint(fset, []*Package{lib, use}, DefaultConfig()), "nocopy")
-	if len(fs) != 1 || !strings.Contains(fs[0].Msg, "telemetry.Tracer") {
-		t.Fatalf("got %v, want one cross-package finding", fs)
-	}
-}
-
 func TestAtomicFieldMixedAccess(t *testing.T) {
 	src := `package a
 import "sync/atomic"

@@ -38,7 +38,6 @@ import (
 	"sunder/internal/dfa"
 	"sunder/internal/hardware"
 	"sunder/internal/mapping"
-	"sunder/internal/meta"
 	"sunder/internal/regex"
 	"sunder/internal/report"
 	"sunder/internal/sched"
@@ -93,9 +92,9 @@ type Options struct {
 	// default) is the bitvec NFA core; "dfa" is the lazy-DFA software
 	// backend (on-demand determinization with a bounded state cache,
 	// cleared when full, falling back to NFA stepping if the subset space
-	// blows up); "auto" picks one of them at compile time from the
-	// analyzer's shape statistics (see Info().Backend for the choice and its
-	// reason). Both produce byte-identical matches, in the same order, and
+	// blows up); "auto" is "dfa" wherever the geometry supports it and
+	// "nfa" elsewhere (Info().Backend is the choice, DFAStats().Reason why
+	// not "dfa"). Both produce byte-identical matches, in the same order, and
 	// Reports/ReportCycles accounting. "dfa" requires whole-byte cycles
 	// (Rate 2 or 4) and fails compilation otherwise; "auto" never fails.
 	// The backend is fixed at compile time and is only a substrate: every
@@ -220,11 +219,8 @@ type compiledArtifact struct {
 	// pre is the literal-prefilter plan; nil unless Options.Prefilter is on.
 	pre *prefilterPlan
 	// onDFA says every call runs on the lazy DFA rather than the machine
-	// (resolveBackend), and backendNote is its Info() annotation; metaIn is
-	// the shape statistics fed to the selector.
-	onDFA       bool
-	backendNote string
-	metaIn      meta.Inputs
+	// (resolveBackend).
+	onDFA bool
 	// dfaPlan is the lazy-DFA stepping plan over proto's NFA plan, so the
 	// artifact holds one set of NFA tables; nil when the geometry is
 	// unsupported.
@@ -290,7 +286,7 @@ func compile(nfa *automata.Automaton, patterns []Pattern, opts Options) (*Engine
 	}
 	// The certified symbol-class partition of the byte automaton serves both
 	// Minimize's Info().SymbolClasses and the lazy DFA's row indexing.
-	dfaOK, dfaReason := dfa.Supported(ua)
+	dfaOK, _ := dfa.Supported(ua)
 	classes := 0
 	var classOf [256]uint16
 	if opts.Minimize || dfaOK {
@@ -339,16 +335,6 @@ func compile(nfa *automata.Automaton, patterns []Pattern, opts Options) (*Engine
 	art.geo = newGeometry(ua, depth, bounded)
 	if opts.Prefilter == PrefilterOn {
 		art.pre = buildPrefilter(nfa, art.geo, depth, patterns)
-	}
-	art.metaIn = meta.Inputs{
-		ByteStates:    nfa.NumStates(),
-		DeviceStates:  ua.NumStates(),
-		ReportStates:  ua.NumReportStates(),
-		Rate:          ua.Rate,
-		SymbolUnits:   ua.SymbolUnits,
-		SymbolClasses: classes,
-		DFASupported:  dfaOK,
-		DFAReason:     dfaReason,
 	}
 	if err := art.resolveBackend(); err != nil {
 		return nil, err
@@ -463,8 +449,8 @@ type Info struct {
 	// PrefilterLiterals are the extracted required literals (every match
 	// contains at least one); nil unless the prefilter is active.
 	PrefilterLiterals []string
-	// Backend is the resolved scan backend ("nfa" or "dfa"), annotated
-	// with the selection reason when Options.Backend was "auto".
+	// Backend is the substrate every call runs on: "nfa" or "dfa". Why
+	// "auto" resolved to "nfa" is DFAStats().Reason.
 	Backend string
 	// DFAStates is the number of DFA states the lazy-DFA backend has
 	// constructed in this engine's runs so far, on every entry point
@@ -517,6 +503,10 @@ func (e *Engine) ReadReports(input []byte) ([]ReportRecord, error) {
 // Info returns the engine's compiled configuration.
 func (e *Engine) Info() Info {
 	strategy, lits := e.pre.describe()
+	backend := "nfa"
+	if e.onDFA {
+		backend = "dfa"
+	}
 	return Info{
 		Rate:              e.opts.Rate,
 		ByteStates:        e.byteNFA.NumStates(),
@@ -529,7 +519,7 @@ func (e *Engine) Info() Info {
 		SymbolClasses:     e.symClasses,
 		PrefilterStrategy: strategy,
 		PrefilterLiterals: lits,
-		Backend:           e.backendNote,
+		Backend:           backend,
 		DFAStates:         int(e.DFAStats().States),
 	}
 }

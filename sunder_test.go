@@ -109,12 +109,17 @@ func TestCompileErrors(t *testing.T) {
 	}
 }
 
-// TestCompileRefusesUnknownBackend: Options.Backend accepts "auto", "nfa"
-// and "dfa" only — "parallel" among the refused names: ScanParallel, not a
-// backend, shards — and a forced "dfa" the configuration cannot determinize
-// (Rate 1) fails the compile too.
+// TestCompileRefusesUnknownBackend: Options.Backend accepts "", "auto",
+// "nfa" and "dfa" only, spelled exactly — "parallel" among the refused
+// names: ScanParallel, not a backend, shards — and a forced "dfa" the
+// configuration cannot determinize (Rate 1) fails the compile too.
 func TestCompileRefusesUnknownBackend(t *testing.T) {
-	for _, backend := range []string{"bogus", "parallel"} {
+	for _, backend := range []string{"", "auto", "nfa", "dfa"} {
+		if _, err := Compile([]Pattern{{Expr: `ab+c`, Code: 1}}, Options{Backend: backend}); err != nil {
+			t.Errorf("Compile with Backend %q: %v", backend, err)
+		}
+	}
+	for _, backend := range []string{"bogus", "parallel", "NFA", "hybrid", "off", "auto ", "lazy-dfa"} {
 		_, err := Compile([]Pattern{{Expr: `ab+c`, Code: 1}}, Options{Backend: backend})
 		if err == nil || !strings.Contains(err.Error(), "unknown Backend") {
 			t.Errorf("Compile with Backend %q: %v, want an unknown-backend error", backend, err)
