@@ -17,7 +17,6 @@ import (
 	"sunder/internal/core"
 	"sunder/internal/exp"
 	"sunder/internal/funcsim"
-	"sunder/internal/mapping"
 	"sunder/internal/report"
 	"sunder/internal/sched"
 	"sunder/internal/telemetry"
@@ -468,46 +467,21 @@ func BenchmarkSpanOverhead(b *testing.B) {
 
 // Parallel-scan and compile-cache benches (DESIGN.md §4.9).
 
-// BenchmarkScanParallel measures the sharded parallel runner on a mesh
-// workload (bounded dependence window, so it shards) against the
-// sequential machine, across worker counts. On a multi-core host the
-// 8-worker case is the scaling headline.
-func BenchmarkScanParallel(b *testing.B) {
-	w := workload.MustGet("Levenshtein", 0.05, 1<<17)
-	cfg := core.DefaultConfig(4)
-	ua, err := transform.ToRate(w.Automaton, cfg.Rate)
-	if err != nil {
-		b.Fatal(err)
-	}
-	proto := mustMachine(b, w, cfg)
-	units := funcsim.PadUnits(funcsim.BytesToUnits(w.Input, 4), cfg.Rate)
-	b.Run("sequential", func(b *testing.B) {
-		m := proto.Clone()
-		b.SetBytes(int64(len(w.Input)))
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			m.Reset()
-			m.Run(units, core.RunOptions{})
-		}
-	})
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			b.SetBytes(int64(len(w.Input)))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				sched.ParallelRun(proto, ua, units, sched.RunConfig{Workers: workers})
-			}
-		})
-	}
-}
-
 // BenchmarkEngineScanParallel is the facade-level counterpart of
-// BenchmarkEngineScan: the same input through ScanParallel, on the machine
-// and on the lazy DFA. Its rules have a bounded dependence window, so the
-// input cuts into up to one share per worker, which the "shares" metric
-// reports (an unbounded rule such as `ha+ystack` would run one share at
-// every worker count).
+// BenchmarkEngineScan: the same input through Scan ("sequential") and
+// ScanParallel, across worker counts, on the machine and on the lazy DFA,
+// plus a Levenshtein mesh (bounded dependence window, 128 KiB) on the
+// machine, where sharding has cycles to win back. Every rule set has a
+// bounded dependence window, so the input cuts into up to one share per
+// worker, which the "shares" metric reports (an unbounded rule such as
+// `ha+ystack` would run one share at every worker count).
 func BenchmarkEngineScanParallel(b *testing.B) {
+	type benchCase struct {
+		name  string
+		eng   *Engine
+		input []byte
+	}
+	var cases []benchCase
 	input := make([]byte, 64*1024)
 	for i := range input {
 		input[i] = byte('a' + i%17)
@@ -523,17 +497,37 @@ func BenchmarkEngineScanParallel(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		total := eng.geo.cycles(int64(len(input)))
+		cases = append(cases, benchCase{backend, eng, input})
+	}
+	w := workload.MustGet("Levenshtein", 0.05, 1<<17)
+	opts := DefaultOptions()
+	opts.Backend = "nfa"
+	lev, err := CompileAutomaton(w.Automaton, opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cases = append(cases, benchCase{"levenshtein/nfa", lev, w.Input})
+
+	for _, c := range cases {
+		b.Run(c.name+"/sequential", func(b *testing.B) {
+			b.SetBytes(int64(len(c.input)))
+			for i := 0; i < b.N; i++ {
+				if _, err := c.eng.Scan(c.input); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		total := c.eng.geo.cycles(int64(len(c.input)))
 		for _, workers := range []int{1, 2, 4, 8} {
-			b.Run(fmt.Sprintf("%s/workers=%d", backend, workers), func(b *testing.B) {
-				shares := len(eng.geo.cuts([]sched.CycleSpan{{End: total}}, workers, total)) - 1
+			b.Run(fmt.Sprintf("%s/workers=%d", c.name, workers), func(b *testing.B) {
+				shares := len(c.eng.geo.cuts([]sched.CycleSpan{{End: total}}, workers, total)) - 1
 				if workers == 2 && shares != 2 {
 					b.Fatalf("Workers 2 cut the input into %d shares, want 2", shares)
 				}
-				b.SetBytes(int64(len(input)))
+				b.SetBytes(int64(len(c.input)))
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if _, err := eng.ScanParallel(input, ScanOptions{Workers: workers}); err != nil {
+					if _, err := c.eng.ScanParallel(c.input, ScanOptions{Workers: workers}); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -573,24 +567,14 @@ func BenchmarkCompileCache(b *testing.B) {
 	})
 }
 
-// mustMachine builds a machine for a workload, picking a feasible report
-// budget automatically.
+// mustMachine builds a workload's machine (core.Build).
 func mustMachine(b *testing.B, w *workload.Workload, cfg core.Config) *core.Machine {
 	b.Helper()
 	ua, err := transform.ToRate(w.Automaton, cfg.Rate)
 	if err != nil {
 		b.Fatal(err)
 	}
-	budget, err := mapping.AutoReportColumns(ua, cfg.ReportColumns)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg.ReportColumns = budget
-	place, err := mapping.Place(ua, cfg.ReportColumns)
-	if err != nil {
-		b.Fatal(err)
-	}
-	m, err := core.Configure(ua, place, cfg)
+	m, err := core.Build(ua, cfg)
 	if err != nil {
 		b.Fatal(err)
 	}

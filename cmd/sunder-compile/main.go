@@ -21,7 +21,7 @@ import (
 	"sunder/internal/analysis"
 	"sunder/internal/automata"
 	"sunder/internal/cliutil"
-	"sunder/internal/mapping"
+	"sunder/internal/core"
 	"sunder/internal/regex"
 	"sunder/internal/sched"
 	"sunder/internal/transform"
@@ -117,18 +117,17 @@ func main() {
 	}
 
 	if anFlags.Minimize {
-		pre := ua.Clone()
-		res := analysis.Minimize(ua)
-		if err := analysis.CheckCertificate(pre, ua, res.Cert); err != nil {
-			log.Fatalf("minimization certificate rejected: %v", err)
+		res, err := analysis.MinimizeCertified(ua)
+		if err != nil {
+			log.Fatal(err)
 		}
 		label := fmt.Sprintf("minimized (-%d states)", res.Removed())
 		show(label, ua.NumStates(), ua.NumEdges(), ua.NumReportStates())
 		fmt.Printf("    %d pruned, %d bisim-merged, %d prefix-merged in %d round(s); certificate verified (%d step(s))\n",
 			res.Pruned, res.BisimMerged, res.PrefixMerged, res.Rounds, len(res.Cert.Steps))
-		sc := analysis.SymbolClasses(nfa)
-		if err := analysis.CheckSymbolClasses(nfa, sc); err != nil {
-			log.Fatalf("symbol-class certificate rejected: %v", err)
+		sc, err := analysis.SymbolClassesCertified(nfa)
+		if err != nil {
+			log.Fatal(err)
 		}
 		fmt.Printf("    effective alphabet: %d symbol class(es) of 256 bytes\n", sc.Count())
 	}
@@ -148,12 +147,14 @@ func main() {
 		fmt.Printf("\ndependence window: unbounded (cyclic automaton) — parallel scan falls back to sequential\n")
 	}
 
-	if place, err := mapping.Place(ua, 12); err == nil {
-		st := place.ComputeStats(ua)
-		fmt.Printf("\nplacement: %d PU(s) in %d cluster(s), %d cross-PU edges\n",
-			st.NumPUs, st.NumClusters, st.CrossPUEdges)
+	// The device the façade compiles: its report-column budget search,
+	// placement and configuration (core.Build).
+	if m, err := core.Build(ua, core.DefaultConfig(ua.Rate)); err == nil {
+		st := m.Placement().ComputeStats(ua)
+		fmt.Printf("\nplacement: %d PU(s) in %d cluster(s), %d cross-PU edges, m=%d report column(s) per PU\n",
+			st.NumPUs, st.NumClusters, st.CrossPUEdges, m.Config().ReportColumns)
 	} else {
-		fmt.Printf("\nplacement (m=12): %v\n", err)
+		fmt.Printf("\nplacement: %v\n", err)
 	}
 
 	if *dotDir != "" {

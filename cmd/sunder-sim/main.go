@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"slices"
 	"time"
 
 	"sunder"
@@ -25,7 +26,6 @@ import (
 	"sunder/internal/cliutil"
 	"sunder/internal/core"
 	"sunder/internal/funcsim"
-	"sunder/internal/mapping"
 	"sunder/internal/report"
 	"sunder/internal/sched"
 	"sunder/internal/transform"
@@ -68,16 +68,20 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	// The -backend engine compiles before the simulation runs, so a name
-	// the façade refuses fails at once.
+	// The façade engine compiles before the simulation runs, so a -backend
+	// name it refuses fails at once. Without -backend only -par scans, on
+	// the machine ("nfa").
 	var eng *sunder.Engine
-	if beFlags.Enabled() {
+	if beFlags.Enabled() || parFlags.Enabled() {
 		o := sunder.DefaultOptions()
 		o.Rate = *rate
 		o.FIFO = *fifo
 		o.SummarizeOnFull = *summarize
 		o.Minimize = anFlags.Minimize
-		o.Backend = beFlags.Backend
+		o.Backend = "nfa"
+		if beFlags.Enabled() {
+			o.Backend = beFlags.Backend
+		}
 		if eng, err = sunder.CompileAutomaton(w.Automaton, o); err != nil {
 			log.Fatal(err)
 		}
@@ -110,14 +114,13 @@ func main() {
 		log.Fatal(err)
 	}
 	if anFlags.Minimize {
-		pre := ua.Clone()
-		mres := analysis.Minimize(ua)
-		if err := analysis.CheckCertificate(pre, ua, mres.Cert); err != nil {
-			log.Fatalf("minimization certificate rejected: %v", err)
+		mres, err := analysis.MinimizeCertified(ua)
+		if err != nil {
+			log.Fatal(err)
 		}
-		sc := analysis.SymbolClasses(w.Automaton)
-		if err := analysis.CheckSymbolClasses(w.Automaton, sc); err != nil {
-			log.Fatalf("symbol-class certificate rejected: %v", err)
+		sc, err := analysis.SymbolClassesCertified(w.Automaton)
+		if err != nil {
+			log.Fatal(err)
 		}
 		fmt.Printf("\nminimized %d state(s) (%d pruned, %d bisim, %d prefix) in %d round(s); certificate verified; %d symbol class(es)\n",
 			mres.Removed(), mres.Pruned, mres.BisimMerged, mres.PrefixMerged, mres.Rounds, sc.Count())
@@ -125,23 +128,15 @@ func main() {
 	cfg := core.DefaultConfig(*rate)
 	cfg.FIFO = *fifo
 	cfg.SummarizeOnFull = *summarize
-	budget, err := mapping.AutoReportColumns(ua, cfg.ReportColumns)
-	if err != nil {
-		log.Fatalf("placement: %v", err)
-	}
-	cfg.ReportColumns = budget
-	place, err := mapping.Place(ua, cfg.ReportColumns)
-	if err != nil {
-		log.Fatalf("placement: %v", err)
-	}
-	m, err := core.Configure(ua, place, cfg)
+	m, err := core.Build(ua, cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
+	cfg = m.Config()
 	if anFlags.Lint {
 		rep := analysis.Analyze(ua, analysis.Options{
 			Source:        w.Automaton,
-			Placement:     place,
+			Placement:     m.Placement(),
 			ReportColumns: cfg.ReportColumns,
 			EquivSample:   w.Input,
 		})
@@ -184,7 +179,7 @@ func main() {
 	fmt.Printf("  %-12s overhead %8.2fx  (%d flushes, %.1f KB offloaded)\n",
 		"AP+RAD", rado.Overhead(res.Cycles), rado.Flushes, float64(rado.OffloadedBits)/8192)
 
-	if eng != nil {
+	if beFlags.Enabled() {
 		t0 := time.Now()
 		sres, err := eng.Scan(w.Input)
 		if err != nil {
@@ -215,35 +210,30 @@ func main() {
 
 	if parFlags.Enabled() {
 		workers := parFlags.EffectiveWorkers()
-		units := funcsim.PadUnits(funcsim.BytesToUnits(w.Input, 4), *rate)
-		proto := m.Clone()
-
-		seqM := proto.Clone()
 		t0 := time.Now()
-		seqRes := seqM.Run(units, core.RunOptions{})
+		seq, err := eng.Scan(w.Input)
+		if err != nil {
+			log.Fatal(err)
+		}
 		seqNS := time.Since(t0).Nanoseconds()
-
 		t0 = time.Now()
-		rr := sched.ParallelRun(proto, ua, units, sched.RunConfig{Workers: workers})
-		parNS := time.Since(t0).Nanoseconds()
-		if parNS < 1 {
-			parNS = 1
+		par, err := eng.ScanParallel(w.Input, sunder.ScanOptions{Workers: workers})
+		if err != nil {
+			log.Fatal(err)
 		}
+		parNS := max(time.Since(t0).Nanoseconds(), 1)
 
-		depth, bounded := sched.DependenceCycles(ua)
-		fmt.Printf("\nparallel sharded scan (-workers %d):\n", workers)
-		if bounded {
-			fmt.Printf("  dependence window %d cycles; sharded=%v across %d workers (overlap %d cycles, %d warm-up cycles total)\n",
-				depth, rr.Sharded, rr.Workers, rr.OverlapCycles, rr.WarmupCycles)
+		fmt.Printf("\nparallel sharded scan (-workers %d, %s engine):\n", workers, eng.Info().Backend)
+		if depth, bounded := sched.DependenceCycles(ua); bounded {
+			fmt.Printf("  dependence window %d cycles\n", depth)
 		} else {
-			fmt.Printf("  dependence window unbounded (cyclic automaton): sequential fallback\n")
+			fmt.Printf("  dependence window unbounded (cyclic automaton): one share\n")
 		}
-		verdict := "identical to sequential"
-		if rr.Reports != seqRes.Reports || rr.ReportCycles != seqRes.ReportCycles ||
-			rr.MaxReportsPerCycle != seqRes.MaxReportsPerCycle || rr.KernelCycles != seqRes.KernelCycles {
-			verdict = "DIVERGED from sequential"
+		verdict := "matches and Stats identical to Scan"
+		if !slices.Equal(par.Matches, seq.Matches) || par.Stats != seq.Stats {
+			verdict = "matches or Stats DIVERGED from Scan"
 		}
-		fmt.Printf("  sequential %.2f ms, parallel %.2f ms: %.2fx speedup (%.1f MB/s simulated); report stream %s\n",
+		fmt.Printf("  Scan %.2f ms, ScanParallel %.2f ms: %.2fx speedup (%.1f MB/s simulated); %s\n",
 			float64(seqNS)/1e6, float64(parNS)/1e6, float64(seqNS)/float64(parNS),
 			float64(len(w.Input))/1e6/(float64(parNS)/1e9), verdict)
 	}

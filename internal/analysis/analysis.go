@@ -462,6 +462,8 @@ func capacityPass(r *Report, ua *automata.UnitAutomaton, opts Options) {
 	if preferred <= 0 {
 		preferred = 12
 	}
+	// The budget rule only, not core.Build: Place's plain-column overflow
+	// (RandomForest at rate 1) is a placement defect, not the IR's.
 	if _, err := mapping.AutoReportColumns(ua, preferred); err != nil && over == 0 {
 		r.add("capacity", SevError, -1, "no feasible report-column budget: %v", err)
 	}

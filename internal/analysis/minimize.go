@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"encoding/binary"
+	"fmt"
 	"sort"
 
 	"sunder/internal/automata"
@@ -95,8 +96,9 @@ func (r MinimizeResult) Summary() MinimizeSummary {
 // not see, and merging can in turn make states subsumable.
 //
 // Every step appends its partition map to the returned certificate.
-// Minimize's contract is certified, not trusted: callers re-verify the
-// chain with CheckCertificate against a pre-minimization clone.
+// Minimize's contract is certified, not trusted: MinimizeCertified
+// re-verifies the chain with CheckCertificate against a pre-minimization
+// clone.
 func Minimize(ua *automata.UnitAutomaton) MinimizeResult {
 	ua.Normalize()
 	res := MinimizeResult{Before: len(ua.States), Cert: &Certificate{}}
@@ -128,6 +130,18 @@ func Minimize(ua *automata.UnitAutomaton) MinimizeResult {
 	}
 	res.After = len(ua.States)
 	return res
+}
+
+// MinimizeCertified minimizes ua in place and verifies the equivalence
+// certificate against a clone taken before, so a rejected minimization
+// fails instead of shipping a wrong automaton.
+func MinimizeCertified(ua *automata.UnitAutomaton) (MinimizeResult, error) {
+	pre := ua.Clone()
+	res := Minimize(ua)
+	if err := CheckCertificate(pre, ua, res.Cert); err != nil {
+		return res, fmt.Errorf("minimization certificate rejected: %w", err)
+	}
+	return res, nil
 }
 
 // pruneStep runs one dead-state marking round, applies it, and returns the

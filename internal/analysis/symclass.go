@@ -59,6 +59,16 @@ func SymbolClasses(nfa *automata.Automaton) *SymbolClassCert {
 	return cert
 }
 
+// SymbolClassesCertified partitions the byte alphabet and verifies the
+// partition's certificate before returning it.
+func SymbolClassesCertified(nfa *automata.Automaton) (*SymbolClassCert, error) {
+	cert := SymbolClasses(nfa)
+	if err := CheckSymbolClasses(nfa, cert); err != nil {
+		return nil, fmt.Errorf("symbol-class certificate rejected: %w", err)
+	}
+	return cert, nil
+}
+
 // CheckSymbolClasses verifies a symbol-class certificate against the byte
 // automaton: every class is inhabited by its witness, every byte's match
 // column equals its witness's column state by state, and witness columns

@@ -55,9 +55,6 @@ type UnitState struct {
 	Succ    []StateID
 }
 
-// IsReport reports whether the state emits at least one report.
-func (s *UnitState) IsReport() bool { return len(s.Reports) > 0 }
-
 // UnitAutomaton is an automaton over fixed-width units (nibbles or bits),
 // possibly temporally strided to consume Rate units per cycle.
 type UnitAutomaton struct {

@@ -6,7 +6,7 @@ import "sunder/internal/automata"
 // drive a machine together with its report model (report imports core, so
 // those tests cannot live inside the package).
 var (
-	Build               = build
+	BuildPatterns       = build
 	EventsEqual         = eventsEqual
 	RandomByteAutomaton = randomByteAutomaton
 	WorkloadMachine     = workloadMachine

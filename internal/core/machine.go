@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math/bits"
 
@@ -43,6 +44,28 @@ type Machine struct {
 	// noStartData suppresses start-of-data injection on cycle zero (see
 	// SuppressStartOfData); set on shard-worker clones replaying mid-stream.
 	noStartData bool
+}
+
+// ErrNoFit is wrapped by every Build error that comes from placing the
+// automaton, as opposed to configuring the placed device.
+var ErrNoFit = errors.New("rule set does not fit the device")
+
+// Build is the one compile step from a transformed automaton to a device:
+// it picks the report-column budget m closest to cfg.ReportColumns that
+// every component fits (mapping.AutoReportColumns), places the automaton
+// with it and configures a machine, which carries the budget in Config
+// and the placement in Placement.
+func Build(a *automata.UnitAutomaton, cfg Config) (*Machine, error) {
+	m, err := mapping.AutoReportColumns(a, cfg.ReportColumns)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrNoFit, err)
+	}
+	cfg.ReportColumns = m
+	place, err := mapping.Place(a, m)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrNoFit, err)
+	}
+	return Configure(a, place, cfg)
 }
 
 // Configure builds a Machine from a transformed automaton and a placement.

@@ -8,24 +8,13 @@ import (
 
 	"sunder/internal/automata"
 	"sunder/internal/funcsim"
-	"sunder/internal/mapping"
 	"sunder/internal/transform"
 )
 
-// configured places ua under the report budget it needs and configures a
-// machine for it.
+// configured builds ua's machine (Build).
 func configured(t *testing.T, ua *automata.UnitAutomaton) *Machine {
 	t.Helper()
-	cfg := DefaultConfig(ua.Rate)
-	var err error
-	if cfg.ReportColumns, err = mapping.AutoReportColumns(ua, cfg.ReportColumns); err != nil {
-		t.Fatal(err)
-	}
-	place, err := mapping.Place(ua, cfg.ReportColumns)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := Configure(ua, place, cfg)
+	m, err := Build(ua, DefaultConfig(ua.Rate))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,6 @@ import (
 
 	"sunder/internal/automata"
 	"sunder/internal/funcsim"
-	"sunder/internal/mapping"
 	"sunder/internal/transform"
 )
 
@@ -62,22 +61,11 @@ func TestQuickMachineMatchesFuncsim(t *testing.T) {
 			t.Logf("seed %d: transform: %v", seed, err)
 			return false
 		}
-		budget, err := mapping.AutoReportColumns(ua, 12)
-		if err != nil {
-			t.Logf("seed %d: budget: %v", seed, err)
-			return false
-		}
-		place, err := mapping.Place(ua, budget)
-		if err != nil {
-			t.Logf("seed %d: place: %v", seed, err)
-			return false
-		}
 		cfg := DefaultConfig(rate)
-		cfg.ReportColumns = budget
 		cfg.FIFO = rng.Intn(2) == 0
-		m, err := Configure(ua, place, cfg)
+		m, err := Build(ua, cfg)
 		if err != nil {
-			t.Logf("seed %d: configure: %v", seed, err)
+			t.Logf("seed %d: build: %v", seed, err)
 			return false
 		}
 		sim := funcsim.NewUnitSimulator(ua)

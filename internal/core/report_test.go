@@ -74,7 +74,7 @@ func entryBits(row bitvec.V256, off, n int) int64 {
 // written in place decode back to the exact report cycles and states.
 func TestReadReportsDecodes(t *testing.T) {
 	cfg := core.DefaultConfig(2)
-	m, _ := core.Build(t, []regex.Pattern{{Expr: `ab`, Code: 7}}, cfg)
+	m, _ := core.BuildPatterns(t, []regex.Pattern{{Expr: `ab`, Code: 7}}, cfg)
 	input := []byte("abxxabxxxxab")
 	got, md := runModel(m, funcsim.BytesToUnits(input, 4), true)
 	if got.Reports != 3 {
@@ -106,7 +106,7 @@ func TestReadReportsDecodes(t *testing.T) {
 func TestStrideMarkers(t *testing.T) {
 	cfg := core.DefaultConfig(2)
 	cfg.MetadataBits = 6 // wraps every 64 cycles
-	m, _ := core.Build(t, []regex.Pattern{{Expr: `ab`, Code: 1}}, cfg)
+	m, _ := core.BuildPatterns(t, []regex.Pattern{{Expr: `ab`, Code: 1}}, cfg)
 	// Reports at byte cycles 1, then around 200, then 400.
 	input := make([]byte, 500)
 	for i := range input {
@@ -141,7 +141,7 @@ func TestStrideMarkers(t *testing.T) {
 // flush/stall accounting.
 func TestFlushOnFull(t *testing.T) {
 	cfg := core.DefaultConfig(4)
-	m, _ := core.Build(t, []regex.Pattern{{Expr: `a`, Code: 1}}, cfg)
+	m, _ := core.BuildPatterns(t, []regex.Pattern{{Expr: `a`, Code: 1}}, cfg)
 	capacity := cfg.RegionCapacity()
 	// 'a' reports every byte; at rate 4 every cycle carries 2 reports but
 	// one region entry. Run enough cycles to overflow twice.
@@ -170,7 +170,7 @@ func TestFIFOReducesStalls(t *testing.T) {
 	mk := func(fifo bool) report.Result {
 		cfg := core.DefaultConfig(4)
 		cfg.FIFO = fifo
-		m, _ := core.Build(t, []regex.Pattern{{Expr: `a`, Code: 1}}, cfg)
+		m, _ := core.BuildPatterns(t, []regex.Pattern{{Expr: `a`, Code: 1}}, cfg)
 		input := make([]byte, 40000)
 		for i := range input {
 			input[i] = 'a'
@@ -194,7 +194,7 @@ func TestFIFOReducesStalls(t *testing.T) {
 func TestFIFOKeepsUpWithModerateLoad(t *testing.T) {
 	cfg := core.DefaultConfig(4)
 	cfg.FIFO = true
-	m, _ := core.Build(t, []regex.Pattern{{Expr: `zq`, Code: 1}}, cfg)
+	m, _ := core.BuildPatterns(t, []regex.Pattern{{Expr: `zq`, Code: 1}}, cfg)
 	input := make([]byte, 60000)
 	for i := range input {
 		input[i] = 'x'
@@ -218,7 +218,7 @@ func TestSummarizeOnFull(t *testing.T) {
 	mk := func(summarize bool) *report.Sunder {
 		cfg := core.DefaultConfig(4)
 		cfg.SummarizeOnFull = summarize
-		m, _ := core.Build(t, []regex.Pattern{{Expr: `a`, Code: 1}}, cfg)
+		m, _ := core.BuildPatterns(t, []regex.Pattern{{Expr: `a`, Code: 1}}, cfg)
 		input := make([]byte, 30000)
 		for i := range input {
 			input[i] = 'a'
@@ -240,7 +240,7 @@ func TestSummarizeOnFull(t *testing.T) {
 // states that reported since the last summarize.
 func TestSummarizeAPI(t *testing.T) {
 	cfg := core.DefaultConfig(2)
-	m, ua := core.Build(t, []regex.Pattern{{Expr: `ab`, Code: 1}, {Expr: `cd`, Code: 2}}, cfg)
+	m, ua := core.BuildPatterns(t, []regex.Pattern{{Expr: `ab`, Code: 1}, {Expr: `cd`, Code: 2}}, cfg)
 	_, md := runModel(m, funcsim.BytesToUnits([]byte("abxxab"), 4), false)
 	got := md.Summarize()
 	// Exactly the `ab` report states must be flagged.
@@ -404,7 +404,7 @@ func TestFIFODrainRoundRobin(t *testing.T) {
 	}
 	cfg := core.DefaultConfig(2)
 	cfg.FIFO = true
-	m, _ := core.Build(t, ps, cfg)
+	m, _ := core.BuildPatterns(t, ps, cfg)
 	if m.NumPUs() < 2 {
 		t.Skip("placement fit one PU; round-robin not exercised")
 	}
@@ -526,18 +526,9 @@ func TestQuickReportRegionRoundTrip(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		budget, err := mapping.AutoReportColumns(ua, 12)
-		if err != nil {
-			return false
-		}
-		place, err := mapping.Place(ua, budget)
-		if err != nil {
-			return false
-		}
 		cfg := core.DefaultConfig(2)
-		cfg.ReportColumns = budget
 		cfg.MetadataBits = rng.Intn(10) + 4 // small: forces stride markers
-		m, err := core.Configure(ua, place, cfg)
+		m, err := core.Build(ua, cfg)
 		if err != nil {
 			return false
 		}
@@ -592,21 +583,12 @@ func TestStrideDeltaRegression(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	budget, err := mapping.AutoReportColumns(ua, 12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	place, err := mapping.Place(ua, budget)
-	if err != nil {
-		t.Fatal(err)
-	}
 	cfg := core.DefaultConfig(2)
-	cfg.ReportColumns = budget
 	cfg.MetadataBits = rng.Intn(10) + 4
 	if cfg.MetadataBits != 4 {
 		t.Fatalf("rng stream changed; MetadataBits = %d, want 4", cfg.MetadataBits)
 	}
-	m, err := core.Configure(ua, place, cfg)
+	m, err := core.Build(ua, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -639,7 +621,7 @@ func TestStrideDeltaRegression(t *testing.T) {
 
 func TestEnergyCounters(t *testing.T) {
 	cfg := core.DefaultConfig(2)
-	m, _ := core.Build(t, []regex.Pattern{{Expr: `ab`, Code: 1}}, cfg)
+	m, _ := core.BuildPatterns(t, []regex.Pattern{{Expr: `ab`, Code: 1}}, cfg)
 	res, md := runModel(m, funcsim.BytesToUnits([]byte("abxxab"), 4), false)
 	if res.Reports != 2 {
 		t.Fatalf("reports = %d", res.Reports)
@@ -680,9 +662,9 @@ func TestEnergyReportingCost(t *testing.T) {
 	for i := range input {
 		input[i] = 'a'
 	}
-	dense, _ := core.Build(t, []regex.Pattern{{Expr: `a`, Code: 1}}, core.DefaultConfig(4))
+	dense, _ := core.BuildPatterns(t, []regex.Pattern{{Expr: `a`, Code: 1}}, core.DefaultConfig(4))
 	denseRes, denseMD := runModel(dense, funcsim.BytesToUnits(input, 4), false)
-	quiet, _ := core.Build(t, []regex.Pattern{{Expr: `zz`, Code: 1}}, core.DefaultConfig(4))
+	quiet, _ := core.BuildPatterns(t, []regex.Pattern{{Expr: `zz`, Code: 1}}, core.DefaultConfig(4))
 	quietRes, quietMD := runModel(quiet, funcsim.BytesToUnits(input, 4), false)
 	if denseRes.Reports == 0 || quietRes.Reports != 0 {
 		t.Fatal("setup wrong")
@@ -706,7 +688,7 @@ func denseLoad(t *testing.T, mut func(*core.Config)) (*core.Machine, []funcsim.U
 	if mut != nil {
 		mut(&cfg)
 	}
-	m, _ := core.Build(t, []regex.Pattern{{Expr: `a`, Code: 1}}, cfg)
+	m, _ := core.BuildPatterns(t, []regex.Pattern{{Expr: `a`, Code: 1}}, cfg)
 	n := (cfg.RegionCapacity() + 2) * 2 * 3
 	input := make([]byte, n)
 	for i := range input {

@@ -5,7 +5,6 @@ import (
 
 	"sunder/internal/automata"
 	"sunder/internal/funcsim"
-	"sunder/internal/mapping"
 	"sunder/internal/transform"
 	"sunder/internal/workload"
 )
@@ -23,14 +22,7 @@ func workloadMachine(tb testing.TB, name string, cfg Config, inputLen int) (*Mac
 	if err != nil {
 		tb.Fatal(err)
 	}
-	if cfg.ReportColumns, err = mapping.AutoReportColumns(ua, cfg.ReportColumns); err != nil {
-		tb.Fatal(err)
-	}
-	place, err := mapping.Place(ua, cfg.ReportColumns)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	m, err := Configure(ua, place, cfg)
+	m, err := Build(ua, cfg)
 	if err != nil {
 		tb.Fatal(err)
 	}

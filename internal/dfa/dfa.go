@@ -79,7 +79,10 @@ type Plan struct {
 	stepBytes int
 	classes   int
 	classOf   [256]uint16
-	rowSize   int
+	// rowSize is the class tuples a cycle can present to a cached state
+	// (classes^stepBytes): the cells a dense row would hold, which the
+	// default state cap is derived from (cellBudget), not what is stored.
+	rowSize int
 }
 
 // NewPlan builds the stepping tables for a, its states in ID order.
@@ -127,14 +130,6 @@ func (p *Plan) step(dst, src []uint64, data []byte, pad int, c *nfa.Latches, rep
 // StepBytes returns the number of input bytes one cycle consumes.
 func (p *Plan) StepBytes() int { return p.stepBytes }
 
-// Classes returns the symbol-class count: the width of a transition row.
-func (p *Plan) Classes() int { return p.classes }
-
-// RowSize returns the class tuples a cycle can present to a cached DFA state
-// (Classes^StepBytes): the cells a dense row would hold, which is what the
-// default state cap is derived from (cellBudget), not what is stored.
-func (p *Plan) RowSize() int { return p.rowSize }
-
 func pow(base, exp int) int {
 	out := 1
 	for i := 0; i < exp; i++ {
@@ -154,7 +149,7 @@ const cellBudget = 1 << 22
 type Config struct {
 	// MaxStates caps the cached DFA states: constructing one more first
 	// clears the cache. 0 derives the cap from the plan's row size,
-	// cellBudget / Plan.RowSize, clamped to [2, 32768].
+	// cellBudget / (classes^StepBytes), clamped to [2, 32768].
 	MaxStates int
 	// BlowupRatio triggers the NFA fallback: once the cache has been
 	// cleared and the number of states constructed exceeds BlowupRatio ×

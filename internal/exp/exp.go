@@ -12,7 +12,6 @@ import (
 	"sunder/internal/automata"
 	"sunder/internal/core"
 	"sunder/internal/funcsim"
-	"sunder/internal/mapping"
 	"sunder/internal/report"
 	"sunder/internal/telemetry"
 	"sunder/internal/transform"
@@ -45,33 +44,23 @@ func FullOptions() Options {
 	return Options{Scale: 1.0, InputLen: 1 << 20}
 }
 
-// buildMachine transforms a byte automaton to the rate, places it with an
-// adaptive report-column budget (the paper's default is 12; benchmarks
-// whose transformed components need a different budget get the closest
-// feasible one, as m is a configuration parameter), configures a machine
+// buildMachine transforms a byte automaton to the rate, builds the device
+// (core.Build: the paper's m = 12 where every component fits it, the
+// closest feasible budget where not, as m is a configuration parameter)
 // and attaches the optional telemetry collector.
 func buildMachine(w *workload.Workload, rate int, cfg core.Config, tel *telemetry.Collector) (*core.Machine, error) {
 	ua, err := transform.ToRate(w.Automaton, rate)
 	if err != nil {
 		return nil, fmt.Errorf("%s: transform: %w", w.Spec.Name, err)
 	}
-	m, err := mapping.AutoReportColumns(ua, cfg.ReportColumns)
+	m, err := core.Build(ua, cfg)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", w.Spec.Name, err)
 	}
-	cfg.ReportColumns = m
-	place, err := mapping.Place(ua, cfg.ReportColumns)
-	if err != nil {
-		return nil, fmt.Errorf("%s: place: %w", w.Spec.Name, err)
-	}
-	mach, err := core.Configure(ua, place, cfg)
-	if err != nil {
-		return nil, fmt.Errorf("%s: configure: %w", w.Spec.Name, err)
-	}
 	if tel != nil {
-		mach.AttachTelemetry(tel)
+		m.AttachTelemetry(tel)
 	}
-	return mach, nil
+	return m, nil
 }
 
 // reportModel returns a report model of m's device, with the FIFO drain

@@ -3,10 +3,6 @@ package exp
 import (
 	"strings"
 	"testing"
-
-	"sunder/internal/mapping"
-	"sunder/internal/transform"
-	"sunder/internal/workload"
 )
 
 func TestPowerStudy(t *testing.T) {
@@ -35,50 +31,5 @@ func TestPowerStudy(t *testing.T) {
 	FprintPowerStudy(&sb, rows)
 	if !strings.Contains(sb.String(), "pJ/B") {
 		t.Error("print missing header")
-	}
-}
-
-func TestCapacityPlan(t *testing.T) {
-	w := workload.MustGet("SPM", 0.02, 64)
-	ua, err := transform.ToRate(w.Automaton, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	place, err := mapping.Place(ua, 12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dev := mapping.DefaultDevice()
-	plan, err := dev.Plan(place)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plan.RequiredPUs != place.NumPUs {
-		t.Errorf("plan PUs = %d, placement %d", plan.RequiredPUs, place.NumPUs)
-	}
-	if plan.Rounds != 1 {
-		t.Errorf("SPM at small scale should fit one round, got %d", plan.Rounds)
-	}
-	if f := plan.EffectiveThroughputFactor(1_000_000); f <= 0 || f > 1 {
-		t.Errorf("throughput factor = %v", f)
-	}
-
-	// A tiny device forces multiple rounds and a throughput hit.
-	small := mapping.Device{PUs: 4, ReconfigureCyclesPerPU: 512}
-	plan2, err := small.Plan(place)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plan2.Rounds < 2 {
-		t.Errorf("small device rounds = %d", plan2.Rounds)
-	}
-	if plan2.EffectiveThroughputFactor(1_000_000) >= plan.EffectiveThroughputFactor(1_000_000) {
-		t.Error("more rounds did not lower throughput")
-	}
-	if _, err := (mapping.Device{PUs: 2}).Plan(place); err == nil {
-		t.Error("sub-cluster device accepted")
-	}
-	if plan2.EffectiveThroughputFactor(0) != 1 {
-		t.Error("zero-cycle factor not 1")
 	}
 }

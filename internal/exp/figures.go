@@ -7,7 +7,6 @@ import (
 	"sunder/internal/core"
 	"sunder/internal/funcsim"
 	"sunder/internal/hardware"
-	"sunder/internal/mapping"
 )
 
 // Figure8Row is one bar group of Figure 8: an architecture's throughput
@@ -117,6 +116,10 @@ func Figure10(inputLen int) ([]Figure10Point, error) {
 	ua.Normalize()
 	// The twelve states differ only in report code, so minimization is
 	// deliberately skipped: the sweep models 12 occupied report columns.
+	proto, err := core.Build(ua, core.DefaultConfig(4))
+	if err != nil {
+		return nil, err
+	}
 
 	var points []Figure10Point
 	for _, pct := range []int{1, 2, 5, 10, 20, 50, 75, 100} {
@@ -139,15 +142,7 @@ func Figure10(inputLen int) ([]Figure10Point, error) {
 			}
 		}
 		// One device run feeds the three reporting strategies.
-		cfg := core.DefaultConfig(4)
-		place, err := mapping.Place(ua, cfg.ReportColumns)
-		if err != nil {
-			return nil, err
-		}
-		m, err := core.Configure(ua, place, cfg)
-		if err != nil {
-			return nil, err
-		}
+		m := proto.Clone()
 		flush, summarize, fifo := reportModel(m, false, false, nil), reportModel(m, false, true, nil), reportModel(m, true, false, nil)
 		res := runReporting(m, funcsim.BytesToUnits(input, 4), flush, summarize, fifo)
 		pt := Figure10Point{

@@ -8,7 +8,6 @@ import (
 	"sunder/internal/bitvec"
 	"sunder/internal/core"
 	"sunder/internal/funcsim"
-	"sunder/internal/mapping"
 	"sunder/internal/transform"
 )
 
@@ -86,7 +85,7 @@ func WideStudy(patterns, itemsPerPattern, inputSymbols int) (*WideStudyRow, erro
 	if err != nil {
 		return nil, err
 	}
-	wm, err := configureUnit(wua)
+	wm, err := core.Build(wua, core.DefaultConfig(4))
 	if err != nil {
 		return nil, err
 	}
@@ -106,7 +105,7 @@ func WideStudy(patterns, itemsPerPattern, inputSymbols int) (*WideStudyRow, erro
 	if err != nil {
 		return nil, err
 	}
-	bm, err := configureUnit(bua)
+	bm, err := core.Build(bua, core.DefaultConfig(2))
 	if err != nil {
 		return nil, err
 	}
@@ -158,22 +157,6 @@ func byteVersionOf(wa *automata.WideAutomaton) *automata.Automaton {
 	}
 	ba.Normalize()
 	return ba
-}
-
-// configureUnit places and configures a transformed automaton on a machine.
-func configureUnit(ua *automata.UnitAutomaton) (*core.Machine, error) {
-	budget, err := mapping.AutoReportColumns(ua, 12)
-	if err != nil {
-		return nil, err
-	}
-	place, err := mapping.Place(ua, budget)
-	if err != nil {
-		return nil, err
-	}
-	cfg := core.DefaultConfig(ua.Rate)
-	cfg.ReportColumns = budget
-	cfg.FIFO = true
-	return core.Configure(ua, place, cfg)
 }
 
 // FprintWideStudy renders the comparison.

@@ -129,46 +129,6 @@ func TestAutoReportColumnsInfeasible(t *testing.T) {
 	}
 }
 
-func TestDevicePlan(t *testing.T) {
-	ua := manyChains(60, 8) // 60 components × 12 report budget → ≥ 5 PUs
-	place, err := Place(ua, 12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dev := DefaultDevice()
-	plan, err := dev.Plan(place)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plan.Rounds != 1 || plan.RequiredPUs != place.NumPUs {
-		t.Errorf("plan = %+v", plan)
-	}
-	if plan.ReconfigureCycles != int64(place.NumPUs)*dev.ReconfigureCyclesPerPU {
-		t.Errorf("reconfig cycles = %d", plan.ReconfigureCycles)
-	}
-
-	tiny := Device{PUs: 4, ReconfigureCyclesPerPU: 512}
-	plan2, err := tiny.Plan(place)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantRounds := (place.NumPUs + 3) / 4
-	if plan2.Rounds != wantRounds {
-		t.Errorf("rounds = %d, want %d", plan2.Rounds, wantRounds)
-	}
-	f1 := plan.EffectiveThroughputFactor(100000)
-	f2 := plan2.EffectiveThroughputFactor(100000)
-	if !(f2 < f1 && f1 <= 1 && f2 > 0) {
-		t.Errorf("throughput factors: fit=%v tiny=%v", f1, f2)
-	}
-	if (Device{PUs: 1}).PUs >= PUsPerCluster {
-		t.Fatal("test setup wrong")
-	}
-	if _, err := (Device{PUs: 1}).Plan(place); err == nil {
-		t.Error("sub-cluster device accepted")
-	}
-}
-
 func TestClusterOf(t *testing.T) {
 	if ClusterOf(0) != 0 || ClusterOf(3) != 0 || ClusterOf(4) != 1 || ClusterOf(9) != 2 {
 		t.Error("ClusterOf wrong")

@@ -331,15 +331,7 @@ func workloadMachine(tb testing.TB, name string, rate, inputLen int) (*core.Mach
 	if err != nil {
 		tb.Fatal(err)
 	}
-	cfg := core.DefaultConfig(rate)
-	if cfg.ReportColumns, err = mapping.AutoReportColumns(ua, cfg.ReportColumns); err != nil {
-		tb.Fatal(err)
-	}
-	place, err := mapping.Place(ua, cfg.ReportColumns)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	m, err := core.Configure(ua, place, cfg)
+	m, err := core.Build(ua, core.DefaultConfig(rate))
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -420,20 +412,11 @@ func TestQuickModelMatchesSpec(t *testing.T) {
 		cfg := core.DefaultConfig(rate)
 		reportingVariants[rng.Intn(len(reportingVariants))].mut(&cfg)
 		cfg.MetadataBits = rng.Intn(8) + 3
-		if cfg.ReportColumns, err = mapping.AutoReportColumns(ua, cfg.ReportColumns); err != nil {
-			t.Logf("seed %d: %v", seed, err)
-			return false
-		}
 		if rng.Intn(2) == 0 {
 			// A wide entry: few slots per row, so regions fill quickly.
 			cfg.MetadataBits = 100 + rng.Intn(100)
 		}
-		place, err := mapping.Place(ua, cfg.ReportColumns)
-		if err != nil {
-			t.Logf("seed %d: %v", seed, err)
-			return false
-		}
-		m, err := core.Configure(ua, place, cfg)
+		m, err := core.Build(ua, cfg)
 		if err != nil {
 			t.Logf("seed %d: %v", seed, err)
 			return false

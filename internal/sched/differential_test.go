@@ -6,7 +6,6 @@ import (
 	"sunder/internal/automata"
 	"sunder/internal/core"
 	"sunder/internal/funcsim"
-	"sunder/internal/mapping"
 	"sunder/internal/transform"
 	"sunder/internal/workload"
 )
@@ -21,18 +20,9 @@ func buildTestMachine(t testing.TB, w *workload.Workload, rate int) (*core.Machi
 	}
 	cfg := core.DefaultConfig(rate)
 	cfg.FIFO = true
-	budget, err := mapping.AutoReportColumns(ua, cfg.ReportColumns)
+	m, err := core.Build(ua, cfg)
 	if err != nil {
 		t.Fatalf("%s: %v", w.Spec.Name, err)
-	}
-	cfg.ReportColumns = budget
-	place, err := mapping.Place(ua, cfg.ReportColumns)
-	if err != nil {
-		t.Fatalf("%s: place: %v", w.Spec.Name, err)
-	}
-	m, err := core.Configure(ua, place, cfg)
-	if err != nil {
-		t.Fatalf("%s: configure: %v", w.Spec.Name, err)
 	}
 	return m, ua
 }

@@ -7,6 +7,8 @@ import (
 	"net/http"
 	"strings"
 	"testing"
+
+	"sunder"
 )
 
 func scrapeMetricsText(t *testing.T, base string) string {
@@ -170,5 +172,43 @@ func TestServerBackendSelection(t *testing.T) {
 	}
 	if presp.StatusCode != http.StatusUnprocessableEntity || !strings.Contains(e.Error, "unknown Backend") {
 		t.Fatalf(`PUT with backend "parallel": status %d (%s), want 422 and an unknown-backend error`, presp.StatusCode, e.Error)
+	}
+}
+
+// TestServerRulesetInfoLive: the ruleset endpoints read the engine's Info
+// when they answer, so an auto ruleset's dfa_states — zero at the PUT, as
+// no scan has built a DFA state yet — shows the states its scans built on
+// GET /rulesets/{id} and GET /rulesets. The compile cache is emptied
+// first: an artifact whose runners an earlier scan warmed would construct
+// no state.
+func TestServerRulesetInfoLive(t *testing.T) {
+	sunder.ResetCompileCache()
+	_, ts := newTestServer(t, Config{PoolSize: 1})
+	put := putRuleset(t, ts.URL, "auto", RulesetRequest{Patterns: testRules, Options: &OptionsJSON{Backend: "auto"}})
+	if put.Info.Backend != "dfa" || put.Info.DFAStates != 0 {
+		t.Fatalf("PUT info = %+v, want backend dfa and no DFA states before a scan", put.Info)
+	}
+	scanRaw(t, ts.URL, "auto", testTraffic(4096), false)
+
+	get := func(path string, out any) {
+		t.Helper()
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var one RulesetInfo
+	get("/rulesets/auto", &one)
+	if one.Info.DFAStates <= 0 {
+		t.Errorf("GET /rulesets/auto: dfa_states = %d after a scan, want > 0", one.Info.DFAStates)
+	}
+	var all map[string][]RulesetInfo
+	get("/rulesets", &all)
+	if l := all["rulesets"]; len(l) != 1 || l[0].Info.DFAStates <= 0 {
+		t.Errorf("GET /rulesets = %+v, want one ruleset with dfa_states > 0", l)
 	}
 }

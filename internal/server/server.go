@@ -112,8 +112,10 @@ var scanBackends = [...]string{"nfa", "dfa"}
 type ruleset struct {
 	id  string
 	req RulesetRequest
-	// info is the engine's Info at compile; every scan this ruleset serves
-	// is attributed to info.Backend on the per-backend /metrics counters.
+	// info is the engine's Info at compile, for the fields fixed there:
+	// every scan this ruleset serves is attributed to info.Backend on the
+	// per-backend /metrics counters. The ruleset endpoints read eng.Info()
+	// when they answer, as DFAStates grows with the scans.
 	info sunder.Info
 	// eng serves every request of the ruleset; pool admits them.
 	eng  *sunder.Engine
@@ -457,7 +459,7 @@ func (rs *ruleset) infoJSON() RulesetInfo {
 		ID:       rs.id,
 		Patterns: len(rs.req.Patterns),
 		Options:  rs.req.Options,
-		Info:     infoJSON(rs.info),
+		Info:     infoJSON(rs.eng.Info()),
 		Pool:     rs.pool.stats(),
 		Scans:    rs.scans.Load(),
 		Bytes:    rs.bytes.Load(),

@@ -25,6 +25,7 @@
 package sunder
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"slices"
@@ -37,7 +38,6 @@ import (
 	"sunder/internal/core"
 	"sunder/internal/dfa"
 	"sunder/internal/hardware"
-	"sunder/internal/mapping"
 	"sunder/internal/regex"
 	"sunder/internal/report"
 	"sunder/internal/sched"
@@ -200,7 +200,6 @@ type compiledArtifact struct {
 	opts    Options
 	byteNFA *automata.Automaton
 	nibble  *automata.UnitAutomaton
-	place   *mapping.Placement
 	// proto is the never-executed machine configured at compile time;
 	// every machine runner steps a clone of it.
 	proto *core.Machine
@@ -274,13 +273,11 @@ func compile(nfa *automata.Automaton, patterns []Pattern, opts Options) (*Engine
 	}
 	art := &compiledArtifact{opts: opts, byteNFA: nfa, nibble: ua}
 	if opts.Minimize {
-		pre := ua.Clone()
-		res := analysis.Minimize(ua)
-		// The minimizer is certified, not trusted: verify its equivalence
-		// certificate against the pre-minimization automaton and fail the
-		// compile on rejection instead of shipping a wrong engine.
-		if err := analysis.CheckCertificate(pre, ua, res.Cert); err != nil {
-			return nil, fmt.Errorf("sunder: minimization certificate rejected: %w", err)
+		// The minimizer is certified, not trusted: a rejected certificate
+		// fails the compile instead of shipping a wrong engine.
+		res, err := analysis.MinimizeCertified(ua)
+		if err != nil {
+			return nil, fmt.Errorf("sunder: %w", err)
 		}
 		art.minSum = res.Summary()
 	}
@@ -290,9 +287,9 @@ func compile(nfa *automata.Automaton, patterns []Pattern, opts Options) (*Engine
 	classes := 0
 	var classOf [256]uint16
 	if opts.Minimize || dfaOK {
-		sc := analysis.SymbolClasses(nfa)
-		if err := analysis.CheckSymbolClasses(nfa, sc); err != nil {
-			return nil, fmt.Errorf("sunder: symbol-class certificate rejected: %w", err)
+		sc, err := analysis.SymbolClassesCertified(nfa)
+		if err != nil {
+			return nil, fmt.Errorf("sunder: %w", err)
 		}
 		if opts.Minimize {
 			art.symClasses = sc.Count()
@@ -312,15 +309,10 @@ func compile(nfa *automata.Automaton, patterns []Pattern, opts Options) (*Engine
 	}
 	cfg.FIFO = opts.FIFO
 	cfg.SummarizeOnFull = opts.SummarizeOnFull
-	budget, err := mapping.AutoReportColumns(ua, cfg.ReportColumns)
-	if err != nil {
-		return nil, fmt.Errorf("sunder: rule set does not fit the device: %w", err)
-	}
-	cfg.ReportColumns = budget
-	if art.place, err = mapping.Place(ua, cfg.ReportColumns); err != nil {
-		return nil, fmt.Errorf("sunder: rule set does not fit the device: %w", err)
-	}
-	if art.proto, err = core.Configure(ua, art.place, cfg); err != nil {
+	if art.proto, err = core.Build(ua, cfg); err != nil {
+		if errors.Is(err, core.ErrNoFit) {
+			err = fmt.Errorf("sunder: %w", err)
+		}
 		return nil, err
 	}
 	art.rank, art.ranked = rankEntries(art.proto.Reports().Entries())
@@ -356,7 +348,7 @@ func CompileAutomaton(nfa *automata.Automaton, opts Options) (*Engine, error) {
 func (e *Engine) Analyze(sample []byte) *analysis.Report {
 	return analysis.Analyze(e.nibble, analysis.Options{
 		Source:        e.byteNFA,
-		Placement:     e.place,
+		Placement:     e.proto.Placement(),
 		ReportColumns: e.proto.Config().ReportColumns,
 		EquivSample:   sample,
 	})
