@@ -52,6 +52,10 @@ type DFAStats struct {
 	Misses    int64
 	Evictions int64
 	Fallbacks int64
+	// Skipped is the part of Hits that the hit loop consumed without a
+	// lookup: cycles an accelerated state spent looping on itself, skipped
+	// in one scan for the next byte that can move it.
+	Skipped int64
 }
 
 // DFAStats returns the engine's lazy-DFA cache counters.
@@ -60,5 +64,5 @@ func (e *Engine) DFAStats() DFAStats {
 	_, reason := dfa.Supported(e.nibble)
 	return DFAStats{Supported: e.dfaPlan != nil, Reason: reason,
 		States: c.states.Load(), Hits: c.hits.Load(), Misses: c.misses.Load(),
-		Evictions: c.evictions.Load(), Fallbacks: c.fallbacks.Load()}
+		Evictions: c.evictions.Load(), Fallbacks: c.fallbacks.Load(), Skipped: c.skipped.Load()}
 }

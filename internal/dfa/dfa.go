@@ -83,6 +83,9 @@ type Plan struct {
 	// (classes^stepBytes): the cells a dense row would hold, which the
 	// default state cap is derived from (cellBudget), not what is stored.
 	rowSize int
+	// byWidth lists the classes by the bytes they hold, widest first: the
+	// order in which accelerate tries them.
+	byWidth []uint16
 }
 
 // NewPlan builds the stepping tables for a, its states in ID order.
@@ -114,7 +117,16 @@ func PlanOver(np *nfa.Plan, classOf [256]uint16, classes int) (*Plan, error) {
 		}
 	}
 	sb := np.Positions()
-	return &Plan{nfa: np, stepBytes: sb, classes: classes, classOf: classOf, rowSize: pow(classes, sb)}, nil
+	var width [256]int
+	byWidth := make([]uint16, classes)
+	for b := range classOf {
+		width[classOf[b]]++
+	}
+	for c := range byWidth {
+		byWidth[c] = uint16(c)
+	}
+	slices.SortStableFunc(byWidth, func(a, b uint16) int { return width[b] - width[a] })
+	return &Plan{nfa: np, stepBytes: sb, classes: classes, classOf: classOf, rowSize: pow(classes, sb), byWidth: byWidth}, nil
 }
 
 // step is one NFA cycle from src into dst (see nfa.Plan.Step) on the next
@@ -199,14 +211,41 @@ type Stats struct {
 	Fallbacks int64
 }
 
-// dstate is one cached DFA state: an NFA active set and its reporting
-// states. State 0 has neither and stands for "none" everywhere an ID is
+// dstate is one cached DFA state: an NFA active set, its reporting states
+// and the index of its escape table in Runner.tables, 0 while it has none.
+// State 0 has none of them and stands for "none" everywhere an ID is
 // stored: a fresh row is all zeros and needs no fill, and an empty cell
 // names state 0, whose stop flag ends Run.
 type dstate struct {
 	set     []uint64
 	reports []automata.StateID
+	table   uint32
 }
+
+// escapeTable is an accelerated state's scan table: escape[b] is 1 when
+// byte b's class lies outside the state's loop classes, so a cycle of
+// bytes that are all 0 is a linked self-loop. strikes counts the scans that
+// stopped on an escape byte within accelShortRun cycles, less one for each
+// that ran longer, since the table was last built.
+type escapeTable struct {
+	escape  [256]byte
+	strikes int32
+}
+
+// Demotion of accelerated states whose loops are short. A scan costs a call
+// and a table walk that stepping a cycle does not, so a state that escapes
+// within a few cycles of every entry (the http_batch rule set loops that
+// way) runs slower accelerated. A scan that stops on an escape byte after
+// fewer than accelShortRun skipped cycles is a strike, a longer one takes a
+// strike back, and accelStrikes strikes clear the state's bit. The next
+// self-loop linked from the state rebuilds its table with the bit set and no
+// strikes: a young table escapes on every class not seen yet, and demoting
+// it for good cost Dotstar 7x. A state links at most classes² cells, so
+// its short scans stay bounded. Measured in DESIGN.md §4.16.
+const (
+	accelShortRun = 8
+	accelStrikes  = 16
+)
 
 // Runner executes one input stream at a time against a Plan, memoizing
 // cycle transitions in a DFA state cache that persists across Reset —
@@ -226,11 +265,16 @@ type Runner struct {
 	// ID id*(classes+1), not reached through states[id]. A cell is the next
 	// premultiplied ID for a one-byte cycle, else the offset in cells of the
 	// second-level row (of premultiplied IDs) for that class. The last cell
-	// is the stop flag, set for state 0 and reporting states (intern).
+	// is the stop slot: 1 for state 0 and reporting states (intern), the
+	// accelerated bit (even, non-zero) for a state with an escape table,
+	// whose index it holds shifted left by one (accelerate), else 0.
 	// Second-level rows are allocated on first use; offset 0 is a shared row
 	// that stays all zeros (every cell names state 0).
 	first, cells []uint32
 	index        map[uint64][]uint32
+	// tables holds the accelerated states' escape tables; entry 0 is unused,
+	// so that no stop slot names it.
+	tables []escapeTable
 
 	// cur is the cached state the run sits in, or 0 when the run is in
 	// direct-NFA mode (cycle 0, after a pad cycle, or after fallback);
@@ -249,6 +293,10 @@ type Runner struct {
 	midStream bool
 
 	stats Stats
+	// skipped counts the cycles Run skipped on escape tables, kept out of
+	// Stats: they are hits, counted there like any other, and a runner
+	// driven by Step alone skips none.
+	skipped int64
 }
 
 // NewRunner builds a runner with the given cache bounds.
@@ -274,6 +322,7 @@ func (r *Runner) emptyCache() {
 	r.states = append(r.states[:0], dstate{})
 	r.first = append(append(r.first[:0], make([]uint32, r.p.classes)...), 1)
 	r.cells = append(r.cells[:0], make([]uint32, r.p.classes)...)
+	r.tables = append(r.tables[:0], escapeTable{})
 	clear(r.index)
 	r.cur = 0
 }
@@ -283,6 +332,10 @@ func (r *Runner) Plan() *Plan { return r.p }
 
 // Stats returns the cache counters accumulated over the runner's life.
 func (r *Runner) Stats() Stats { return r.stats }
+
+// Skipped returns the cycles Run has skipped on escape tables over the
+// runner's life, a part of Stats().Hits.
+func (r *Runner) Skipped() int64 { return r.skipped }
 
 // FellBack reports whether the current (or last) run abandoned caching.
 func (r *Runner) FellBack() bool { return r.fellBack }
@@ -375,8 +428,10 @@ func (r *Runner) Step(data []byte, pad int) []automata.StateID {
 // cached transitions and returns the cycles consumed: when the data runs out,
 // after a cycle that lands on a reporting state (with its reports, as Step
 // returns them), or before a cycle whose cell is empty, which the caller
-// steps with Step, as every cycle outside a cached state. Hits and cycles are
-// counted once per call.
+// steps with Step, as every cycle outside a cached state. A cycle that lands
+// on an accelerated state is followed by a scan for the first escape byte:
+// the whole cycles before it loop on linked cells and are consumed without a
+// lookup. Hits and cycles, skipped ones included, are counted once per call.
 func (r *Runner) Run(data []byte) (n int, reports []automata.StateID) {
 	if r.cur == 0 {
 		return 0, nil
@@ -389,17 +444,59 @@ func (r *Runner) Run(data []byte) (n int, reports []automata.StateID) {
 		if sb == 2 {
 			next = int(cells[next+int(p.classOf[data[1]])])
 		}
-		if first[next+stop] != 0 {
-			if next != 0 {
-				cur, reports, n = next, r.states[next/stride].reports, n+1
+		if v := first[next+stop]; v != 0 {
+			if v&1 != 0 {
+				if next != 0 {
+					cur, reports, n = next, r.states[next/stride].reports, n+1
+				}
+				break
 			}
-			break
+			k := r.skip(next+stop, v, data[sb:])
+			data, n = data[k*sb:], n+k
 		}
 		cur = next
 	}
 	r.stats.Hits, r.cycle = r.stats.Hits+int64(n), r.cycle+int64(n)
 	r.cur = uint32(cur / stride)
 	return n, reports
+}
+
+// skip scans data, the cycles after one that landed on the accelerated
+// state whose stop slot first[slot] holds v, and returns the whole cycles
+// before the first escape byte. A scan of accelShortRun cycles or more takes
+// a strike back; a shorter one that stopped on an escape byte, not at the
+// end of data, is a strike, and the last strike clears the state's bit.
+func (r *Runner) skip(slot int, v uint32, data []byte) int {
+	sb := r.p.stepBytes
+	t := &r.tables[v>>1]
+	whole := data[:len(data)/sb*sb]
+	i := escapeIndex(&t.escape, whole)
+	k := i / sb
+	r.skipped += int64(k)
+	switch {
+	case k >= accelShortRun:
+		t.strikes = max(t.strikes-1, 0)
+	case i < len(whole):
+		if t.strikes++; t.strikes >= accelStrikes {
+			r.first[slot] = 0
+		}
+	}
+	return k
+}
+
+// escapeIndex returns the index of the first byte of data that escape
+// marks, or len(data). Eight bytes are tested per branch.
+func escapeIndex(escape *[256]byte, data []byte) int {
+	i := 0
+	for ; i+8 <= len(data); i += 8 {
+		d := data[i : i+8 : i+8]
+		if escape[d[0]]|escape[d[1]]|escape[d[2]]|escape[d[3]]|escape[d[4]]|escape[d[5]]|escape[d[6]]|escape[d[7]] != 0 {
+			break
+		}
+	}
+	for ; i < len(data) && escape[data[i]] == 0; i++ {
+	}
+	return i
 }
 
 // intern returns the cached state ID for set, whose reporting states are
@@ -431,19 +528,71 @@ func (r *Runner) intern(set []uint64, reports []automata.StateID) uint32 {
 }
 
 // link records the premultiplied ID next as the transition of the
-// first-level cell `cell` (a live state's) under second-byte class c1.
+// first-level cell `cell` (a live state's) under second-byte class c1. A
+// self-loop rebuilds the state's escape table.
 func (r *Runner) link(cell, c1 int, next uint32) {
 	if r.p.stepBytes == 1 {
 		r.first[cell] = next
+	} else {
+		row := r.first[cell]
+		if row == 0 {
+			row = uint32(len(r.cells))
+			r.cells = append(r.cells, make([]uint32, r.p.classes)...)
+			r.first[cell] = row
+		}
+		r.cells[int(row)+c1] = next
+	}
+	if src := cell - cell%(r.p.classes+1); int(next) == src {
+		r.accelerate(src)
+	}
+}
+
+// accelerate rebuilds the escape table of the non-reporting state at
+// premultiplied ID cur from its linked cells, and sets its accelerated bit.
+// The loop classes Q are picked greedily, widest first: a class joins when
+// every pair of it and the classes already in Q, both ways and with itself,
+// is a linked self-loop (at one byte per cycle, when its cell is). Every
+// cycle of bytes in Q is then a hit back into cur, and a byte escapes iff its
+// class is outside Q. It costs at most classes² cell reads. Reporting states
+// stop Run anyway and get no table.
+func (r *Runner) accelerate(cur int) {
+	p := r.p
+	slot := cur + p.classes
+	if r.first[slot]&1 != 0 {
 		return
 	}
-	row := r.first[cell]
-	if row == 0 {
-		row = uint32(len(r.cells))
-		r.cells = append(r.cells, make([]uint32, r.p.classes)...)
-		r.first[cell] = row
+	loops := func(c0, c1 uint16) bool {
+		next := r.first[cur+int(c0)]
+		if p.stepBytes == 2 {
+			next = r.cells[int(next)+int(c1)]
+		}
+		return int(next) == cur
 	}
-	r.cells[int(row)+c1] = next
+	var inQ [256]bool
+	var buf [256]uint16
+	q := buf[:0]
+	for _, c := range p.byWidth {
+		if loops(c, c) && !slices.ContainsFunc(q, func(d uint16) bool { return !loops(c, d) || !loops(d, c) }) {
+			q, inQ[c] = append(q, c), true
+		}
+	}
+	if len(q) == 0 {
+		return
+	}
+	st := &r.states[cur/(p.classes+1)]
+	if st.table == 0 {
+		st.table = uint32(len(r.tables))
+		r.tables = append(r.tables, escapeTable{})
+	}
+	t := &r.tables[st.table]
+	t.strikes = 0
+	for b, c := range p.classOf {
+		t.escape[b] = 1
+		if inQ[c] {
+			t.escape[b] = 0
+		}
+	}
+	r.first[slot] = st.table << 1
 }
 
 // hashSet folds the set's words FNV-1a style, with a shift so that a high

@@ -1,11 +1,14 @@
 package dfa
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"sunder/internal/automata"
+	"sunder/internal/bitvec"
 	"sunder/internal/transform"
 	"sunder/internal/workload"
 )
@@ -81,15 +84,17 @@ func sortedIDs(ids []automata.StateID) []automata.StateID {
 // twin drives two runners of one plan and config over the same inputs, one
 // run per input on a warm cache, every third run started mid-stream: one
 // runner with Step per cycle, the other with Run at chunk boundaries that
-// next picks. It returns how many states the Step runner dropped in clears.
+// next picks. It returns the two runners: the Step runner's Evictions say
+// whether a comparison crossed a clear, the Run runner's skipped count
+// whether it took an accelerated skip.
 //
 // The cache policy sees only constructions, which both paths perform on the
 // same cycles, so the two runners hold the same cache throughout: every
 // cycle's report set (sorted within the cycle), FellBack and every Stats
 // counter must be equal, and so must the deduplicated report events.
-func twin(t *testing.T, name string, ua *automata.UnitAutomaton, p *Plan, cfg Config, inputs [][]byte, next func() int) (evictions int64) {
+func twin(t *testing.T, name string, ua *automata.UnitAutomaton, p *Plan, cfg Config, inputs [][]byte, next func() int) (step, run *Runner) {
 	t.Helper()
-	step, run := NewRunner(p, cfg), NewRunner(p, cfg)
+	step, run = NewRunner(p, cfg), NewRunner(p, cfg)
 	for i, input := range inputs {
 		if i%3 == 2 {
 			step.ResetMidStream()
@@ -113,7 +118,7 @@ func twin(t *testing.T, name string, ua *automata.UnitAutomaton, p *Plan, cfg Co
 				name, cfg, i, step.FellBack(), step.Stats(), run.FellBack(), run.Stats())
 		}
 	}
-	return step.Stats().Evictions
+	return step, run
 }
 
 // cycleEvents returns one cycle's deduplicated report events in canonical
@@ -149,7 +154,9 @@ var twinConfigs = []Config{
 
 // TestRunMatchesStep holds Run to Step cycle for cycle on random automata,
 // latch-heavy ones and the Hamming, TCP and SPM workloads, at rates 2 and 4
-// and under every twin config.
+// and under every twin config. Some comparison must cross a clear and some
+// must skip cycles on an escape table, and the accelerated FuzzRun seed must
+// skip too.
 func TestRunMatchesStep(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	var identity [256]uint16
@@ -168,11 +175,15 @@ func TestRunMatchesStep(t *testing.T) {
 		rng.Read(b)
 		return b
 	}
-	cleared := 0 // comparisons across a clear
+	cleared, skipped := 0, 0 // comparisons across a clear, and with a skip
 	check := func(name string, ua *automata.UnitAutomaton, p *Plan, inputs [][]byte) {
 		for _, cfg := range twinConfigs {
-			if twin(t, name, ua, p, cfg, inputs, chunker(rng)) > 0 {
+			step, run := twin(t, name, ua, p, cfg, inputs, chunker(rng))
+			if step.Stats().Evictions > 0 {
 				cleared++
+			}
+			if run.skipped > 0 {
+				skipped++
 			}
 		}
 	}
@@ -208,34 +219,61 @@ func TestRunMatchesStep(t *testing.T) {
 	if cleared == 0 {
 		t.Fatal("no comparison crossed a clear; tighten the configs")
 	}
+	if skipped == 0 {
+		t.Fatal("no comparison skipped a cycle on an escape table")
+	}
+	s := fuzzRunSeeds[len(fuzzRunSeeds)-1]
+	if _, run := fuzzRunCase(t, s.seed, s.input, s.cuts); run.skipped == 0 {
+		t.Fatalf("FuzzRun seed %d skipped no cycle on an escape table", s.seed)
+	}
+}
+
+// fuzzRunSeeds are FuzzRun's seed corpus; the last one skips cycles on an
+// escape table.
+var fuzzRunSeeds = []struct {
+	seed        int64
+	input, cuts []byte
+}{
+	{1, []byte("abcABd.\x00\xffxyzabcabc"), []byte{3, 1, 4, 1, 5, 9, 2, 6}},
+	{2, []byte("aaaaaaaaaaaaaaaaaaaaBBBBBBBBd.d.d."), []byte{1}},
+	{26, []byte("abcAB" + strings.Repeat("xyz.d", 40)), []byte{40}},
 }
 
 // FuzzRun is TestRunMatchesStep on a random automaton with its seed, rate and
 // config, the input and the chunk lengths chosen by the fuzzer.
 func FuzzRun(f *testing.F) {
-	f.Add(int64(1), []byte("abcABd.\x00\xffxyzabcabc"), []byte{3, 1, 4, 1, 5, 9, 2, 6})
-	f.Add(int64(2), []byte("aaaaaaaaaaaaaaaaaaaaBBBBBBBBd.d.d."), []byte{1})
+	for _, s := range fuzzRunSeeds {
+		f.Add(s.seed, s.input, s.cuts)
+	}
 	f.Fuzz(func(t *testing.T, seed int64, input, cuts []byte) {
 		if len(input) > 1024 {
 			t.Skip()
 		}
-		rng := rand.New(rand.NewSource(seed))
-		nfa := randomByteNFA(rng)
-		ua, err := transform.ToRate(nfa, 2+2*rng.Intn(2))
-		if err != nil {
-			t.Fatal(err)
-		}
-		i := 0
-		next := func() int {
-			if len(cuts) == 0 {
-				return len(input)
-			}
-			i++
-			return 1 + int(cuts[i%len(cuts)])%67
-		}
-		cfg := twinConfigs[rng.Intn(len(twinConfigs))]
-		twin(t, "fuzz", ua, certifiedPlan(t, nfa, ua), cfg, [][]byte{input, input, input}, next)
+		fuzzRunCase(t, seed, input, cuts)
 	})
+}
+
+// fuzzRunCase is one FuzzRun case: three runs of input through twin runners
+// of the random automaton, rate and config seed picks, fed in chunks of the
+// lengths cuts picks.
+func fuzzRunCase(t *testing.T, seed int64, input, cuts []byte) (step, run *Runner) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	nfa := randomByteNFA(rng)
+	ua, err := transform.ToRate(nfa, 2+2*rng.Intn(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	i := 0
+	next := func() int {
+		if len(cuts) == 0 {
+			return len(input)
+		}
+		i++
+		return 1 + int(cuts[i%len(cuts)])%67
+	}
+	cfg := twinConfigs[rng.Intn(len(twinConfigs))]
+	return twin(t, "fuzz", ua, certifiedPlan(t, nfa, ua), cfg, [][]byte{input, input, input}, next)
 }
 
 // latchAutomaton builds a unit automaton of n states directly, one latch
@@ -293,4 +331,188 @@ func latchAutomaton(rng *rand.Rand, rate, n int, allOn bool) *automata.UnitAutom
 	}
 	ua.Normalize()
 	return ua
+}
+
+// TestAcceleratedRunExact holds Run's escape-table skip to Step and to the
+// functional simulator on a rule set built for it. a[^z]*z keeps the DFA in
+// a quiet state that loops on every byte but a, b, q and z (b, q and z start
+// or end a match; a restarts the loop), and so does the empty set between
+// matches; bc reports on c after b, so c loops in both quiet states without
+// being in one class with the background; q+ is a reporting state that loops
+// on q and must never be accelerated. Escape bytes fall at every offset of a
+// cycle, right before and right after a chunk boundary, on the input's last
+// byte and in a pad cycle; caches of 2 and 3 states clear again and again,
+// so that IDs are reused. Every cycle's report set and Stats must equal a
+// Step-only runner's, the events the simulator's, every accelerated state
+// must be sound (accelSound), and the runs must skip cycles and demote a
+// state whose scans keep stopping short.
+func TestAcceleratedRunExact(t *testing.T) {
+	set := func(bs ...byte) (m bitvec.V256) {
+		for _, b := range bs {
+			m.Set(int(b))
+		}
+		return m
+	}
+	var notZ bitvec.V256
+	for b := 0; b < 256; b++ {
+		if b != 'z' {
+			notZ.Set(b)
+		}
+	}
+	nfa := automata.NewAutomaton()
+	a := nfa.AddState(automata.State{Match: set('a'), Start: automata.StartAllInput})
+	loop := nfa.AddState(automata.State{Match: notZ})
+	z := nfa.AddState(automata.State{Match: set('z'), Report: true, ReportCode: 1})
+	b := nfa.AddState(automata.State{Match: set('b'), Start: automata.StartAllInput})
+	c := nfa.AddState(automata.State{Match: set('c'), Report: true, ReportCode: 2})
+	q := nfa.AddState(automata.State{Match: set('q'), Start: automata.StartAllInput, Report: true, ReportCode: 3})
+	for _, e := range [][2]automata.StateID{{a, loop}, {loop, loop}, {loop, z}, {b, c}, {q, q}} {
+		nfa.AddEdge(e[0], e[1])
+	}
+	nfa.Normalize()
+
+	rng := rand.New(rand.NewSource(56))
+	quiet, escapes := []byte("xyc.- \x00\xff"), []byte("abqz")
+	// gen returns an input that opens the loop with a and then alternates
+	// background runs, whose lengths span 0 to past accelShortRun cycles, with
+	// escape bytes; escapes[i] ends it, at an even or odd length.
+	gen := func(runs int, maxRun, odd int) []byte {
+		in := []byte{'a'}
+		for r := 0; r < runs; r++ {
+			for n := rng.Intn(maxRun + 1); n > 0; n-- {
+				in = append(in, quiet[rng.Intn(len(quiet))])
+			}
+			in = append(in, escapes[rng.Intn(len(escapes))])
+		}
+		if len(in)%2 != odd {
+			in = slices.Insert(in, 1, 'x')
+		}
+		return in
+	}
+	var inputs [][]byte
+	for _, odd := range []int{0, 1} {
+		inputs = append(inputs,
+			gen(40, 6*accelShortRun, odd), // long loops: skips
+			gen(200, 5, odd),              // short loops: strikes
+			append(gen(30, 3*accelShortRun, odd), strings.Repeat("x", 200)+"z"...))
+	}
+	// cuts returns chunk lengths that put a chunk boundary at every escape
+	// byte of input, shift bytes after it.
+	cuts := func(input []byte, shift int) func() int {
+		var lens []int
+		last := 0
+		for i, b := range input {
+			if at := i + shift; slices.Contains(escapes, b) && at > last && at < len(input) {
+				lens, last = append(lens, at-last), at
+			}
+		}
+		return func() int {
+			if len(lens) == 0 {
+				return len(input)
+			}
+			n := lens[0]
+			lens = lens[1:]
+			return n
+		}
+	}
+
+	var skipped int64
+	demoted := false
+	for _, rate := range []int{2, 4} {
+		ua, err := transform.ToRate(nfa, rate)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := certifiedPlan(t, nfa, ua)
+		for _, cfg := range []Config{DefaultConfig(), {MaxStates: 2, BlowupRatio: 10}, {MaxStates: 3, BlowupRatio: 10}} {
+			step, run := NewRunner(p, cfg), NewRunner(p, cfg)
+			for i, input := range inputs {
+				for _, cut := range []func() int{cuts(input, 0), cuts(input, 1), chunker(rng)} {
+					name := fmt.Sprintf("rate %d %+v input %d", rate, cfg, i)
+					step.Reset()
+					run.Reset()
+					want, got := stepReports(step, input), runReports(t, run, input, cut)
+					if len(got) != len(want) {
+						t.Fatalf("%s: %d cycles stepped, %d through Run", name, len(want), len(got))
+					}
+					var events []event
+					for c := range want {
+						if !slices.Equal(got[c], want[c]) {
+							t.Fatalf("%s cycle %d: Run reports %v, Step %v", name, c, got[c], want[c])
+						}
+						for _, e := range cycleEvents(ua, got[c]) {
+							e.cycle = int64(c)
+							events = append(events, e)
+						}
+					}
+					if sim, _, _ := runSim(ua, input); !eventsEqual(canonical(events), sim) {
+						t.Fatalf("%s: Run's events differ from the simulator's:\n got  %v\n want %v", name, canonical(events), sim)
+					}
+					if step.Stats() != run.Stats() {
+						t.Fatalf("%s: Step runner %+v, Run runner %+v", name, step.Stats(), run.Stats())
+					}
+					if err := accelSound(run); err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					for id := range run.states {
+						if st := run.states[id]; st.table != 0 && run.first[id*(p.classes+1)+p.classes] == 0 {
+							demoted = true
+						}
+					}
+				}
+			}
+			if cfg.MaxStates > 0 && step.Stats().Evictions == 0 {
+				t.Fatalf("rate %d %+v: the cache never cleared", rate, cfg)
+			}
+			skipped += run.skipped
+		}
+	}
+	if skipped == 0 {
+		t.Fatal("no cycle was skipped on an escape table")
+	}
+	if !demoted {
+		t.Fatal("no accelerated state was demoted")
+	}
+}
+
+// accelSound checks r's accelerated states: each is a live, non-reporting
+// state whose escape table names a table of r, and every cycle of bytes
+// the table lets through is a linked self-loop cell — exactly what lets Run
+// skip it. A bit left on a reused ID or a table short of an escape class
+// breaks it.
+func accelSound(r *Runner) error {
+	p := r.p
+	stride := p.classes + 1
+	for id := 1; id < len(r.states); id++ {
+		cur := id * stride
+		v := r.first[cur+p.classes]
+		if v == 0 || v&1 != 0 {
+			continue
+		}
+		if len(r.states[id].reports) > 0 {
+			return fmt.Errorf("reporting state %d is accelerated", id)
+		}
+		if t := v >> 1; t == 0 || int(t) >= len(r.tables) || t != r.states[id].table {
+			return fmt.Errorf("state %d's bit names table %d of %d, its own is %d", id, t, len(r.tables), r.states[id].table)
+		}
+		var loops [256]bool
+		for b, e := range r.tables[v>>1].escape {
+			loops[p.classOf[b]] = loops[p.classOf[b]] || e == 0
+		}
+		for c0 := range p.classes {
+			for c1 := range p.classes {
+				if !loops[c0] || !loops[c1] {
+					continue
+				}
+				next := r.first[cur+c0]
+				if p.stepBytes == 2 {
+					next = r.cells[int(next)+c1]
+				}
+				if int(next) != cur {
+					return fmt.Errorf("state %d skips classes (%d, %d), whose cell leads to %d", id, c0, c1, int(next)/stride)
+				}
+			}
+		}
+	}
+	return nil
 }

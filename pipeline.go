@@ -298,13 +298,13 @@ func (e *Engine) ready(rn *runner) *runner {
 	}
 	rn.attach(e.tel.Load())
 	if rn.d != nil {
-		rn.took = rn.d.Stats()
+		rn.took, rn.tookSkipped = rn.d.Stats(), rn.d.Skipped()
 	}
 	return rn
 }
 
 // dfaCounters are an engine's lazy-DFA counters (DFAStats).
-type dfaCounters struct{ states, hits, misses, evictions, fallbacks atomic.Int64 }
+type dfaCounters struct{ states, hits, misses, evictions, fallbacks, skipped atomic.Int64 }
 
 // note adds to e's lazy-DFA counters what changed on rn since it was taken.
 func (e *Engine) note(rn *runner) {
@@ -317,6 +317,7 @@ func (e *Engine) note(rn *runner) {
 	c.misses.Add(s.Misses - t.Misses)
 	c.evictions.Add(s.Evictions - t.Evictions)
 	c.fallbacks.Add(s.Fallbacks - t.Fallbacks)
+	c.skipped.Add(rn.d.Skipped() - rn.tookSkipped)
 }
 
 // newRunner returns a runner of the artifact's substrate: on the lazy DFA
@@ -458,13 +459,14 @@ type runner struct {
 	reduction
 	// m and model are a machine runner's device and report region, and
 	// trace its record of a share's report cycles (runShares); d is a lazy
-	// DFA runner's transition cache, and took its counters when the runner
-	// was taken (note).
-	m     *core.Machine
-	model *report.Sunder
-	trace report.Trace
-	d     *dfa.Runner
-	took  dfa.Stats
+	// DFA runner's transition cache, and took and tookSkipped its counters
+	// when the runner was taken (note).
+	m           *core.Machine
+	model       *report.Sunder
+	trace       report.Trace
+	d           *dfa.Runner
+	took        dfa.Stats
+	tookSkipped int64
 	// sb is the input bytes a step reads, Rate/2 or one at rate 1, and
 	// cycles the cycles it executes: one, or at rate 1 two, one per nibble.
 	sb, cycles int

@@ -224,6 +224,40 @@ func TestModelReadersAgreeAcrossBackends(t *testing.T) {
 	}
 }
 
+// TestDFAStatsSkipped: a lazy-DFA run that sits in one looping state skips
+// its cycles on the state's escape table, and DFAStats counts them as a part
+// of Hits, on Scan and on a Stream fed in small writes alike.
+func TestDFAStatsSkipped(t *testing.T) {
+	opts := DefaultOptions()
+	opts.Backend = "dfa"
+	eng, err := Compile([]Pattern{{Expr: `needle`, Code: 1}}, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	input := []byte(strings.Repeat("hay stack ", 400) + "needle")
+	res, err := eng.Scan(input)
+	if err != nil || len(res.Matches) != 1 {
+		t.Fatalf("Scan = %+v, %v; want one match", res, err)
+	}
+	st := eng.DFAStats()
+	if st.Skipped <= 0 || st.Skipped > st.Hits {
+		t.Fatalf("after Scan: %+v; want 0 < Skipped <= Hits", st)
+	}
+	s, err := eng.NewStream(func(Match) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for p := input; len(p) > 0; p = p[min(len(p), 97):] {
+		if _, err := s.Write(p[:min(len(p), 97)]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.Close()
+	if got := eng.DFAStats(); got.Skipped <= st.Skipped || got.Skipped-st.Skipped > got.Hits-st.Hits {
+		t.Fatalf("Stream after Scan: %+v, then %+v; want more skipped cycles, within the new hits", st, got)
+	}
+}
+
 func TestVerify(t *testing.T) {
 	eng, err := Compile([]Pattern{{Expr: `a(b|c)+d`, Code: 1}}, DefaultOptions())
 	if err != nil {
