@@ -125,8 +125,8 @@ func TestAllocationPins(t *testing.T) {
 	denseScan()
 	// The rule set stops looking for literals on a literal-dense input
 	// (its "needle"s never complete a match): the input runs as one
-	// window, and the literal scan adds its probe to the unfiltered scan's
-	// allocations — its spans stay in the engine's scratch.
+	// window, and the scan allocates what the unfiltered scan does — the
+	// literal probe and its spans live on the runner.
 	bailIn := bytes.Repeat([]byte("needle.."), 2<<10)
 	bail := compile("dfa", PrefilterOn)
 	bailScan := func() {
@@ -157,8 +157,8 @@ func TestAllocationPins(t *testing.T) {
 	}
 	shareScan()
 	// Prefiltered scans whose literal hits open windows but complete no
-	// match: the spans are planned into the taken runner's scratch, so a
-	// warm scan allocates its result and its literal probe. On the machine
+	// match: the spans are planned in the taken runner's probe, so a warm
+	// scan allocates its result and nothing else. On the machine
 	// with telemetry attached the 17 windows' warm-ups mute the device's
 	// collector, and the scan allocates what it does without telemetry.
 	windowsIn := bytes.Clone(input)
@@ -197,20 +197,25 @@ func TestAllocationPins(t *testing.T) {
 		{"scan/nfa", scan(compile("nfa", PrefilterOff)), 2},
 		{"scan/dfa", scan(compile("dfa", PrefilterOff)), 2},
 		{"scan/dfa-thrash", thrashScan(0), 4},
-		{"scan/prefilter-skip", scan(compile("nfa", PrefilterOn)), 6},
+		{"scan/prefilter-skip", scan(compile("nfa", PrefilterOn)), 5},
 		// 64 KiB without a literal passes every checkpoint and decides
-		// none: 5 allocations before the per-scan rule.
-		{"scan/prefilter-skip-64k", scan(compile("dfa", PrefilterOn)), 5},
-		{"scan/prefilter-bail", bailScan, 2 + 1},
+		// none: 5 allocations before the per-scan rule, 3 while the probe
+		// was allocated per scan.
+		{"scan/prefilter-skip-64k", scan(compile("dfa", PrefilterOn)), 4},
+		{"scan/prefilter-bail", bailScan, 2},
 		{"stream/dfa", stream(compile("dfa", PrefilterOff)), 3},
 		{"stream/nfa", stream(compile("nfa", PrefilterOff)), 1},
+		// A prefiltered stream of a literal-free input allocates the
+		// stream, its filter and its byte history, nothing per Write.
+		{"stream/dfa-prefilter", stream(bounded("dfa")), 3},
+		{"stream/nfa-prefilter", stream(bounded("nfa")), 3},
 		{"batch/dfa-warm", batch, 14},
 		{"prefilter/dfa-window", windowScan, 14},
 		{"scan/nfa-dense", denseScan, 3},
 		{"parallel/nfa-2", shareScan, 14},
-		{"scan/prefilter-windows", windowsScan(bounded("dfa")), 3},
-		{"scan/prefilter-windows-nfa", windowsScan(bounded("nfa")), 3},
-		{"scan/prefilter-windows-telemetry", windowsScan(telWindows), 3},
+		{"scan/prefilter-windows", windowsScan(bounded("dfa")), 2},
+		{"scan/prefilter-windows-nfa", windowsScan(bounded("nfa")), 2},
+		{"scan/prefilter-windows-telemetry", windowsScan(telWindows), 2},
 		{"scan/nfa-gc", func() { runtime.GC(); gcScan() }, 2},
 		{"stream/dfa-gc", func() { runtime.GC(); gcStream() }, 3},
 		{"clone", func() { clone = shareEng.Clone() }, 1},

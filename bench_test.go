@@ -10,6 +10,7 @@ package sunder
 // regenerates everything at paper scale.
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"testing"
@@ -382,6 +383,53 @@ func BenchmarkScanPrefilterSkip(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := eng.Scan(w.Input); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkStreamPrefilter times a 64 KiB stream in 1,460-byte writes, the
+// stream_chunks row's write size, prefiltered and unfiltered on both
+// substrates, over a bounded rule set: on a literal-dense input, where a
+// prefiltered stream stops looking at the first checkpoint and goes live,
+// and on a literal-free one, all of whose cycles it skips. The engines are
+// warm.
+func BenchmarkStreamPrefilter(b *testing.B) {
+	patterns := []Pattern{{Expr: `needle[0-9]x`, Code: 1}, {Expr: `haystack`, Code: 2}}
+	for _, in := range []struct {
+		name  string
+		input []byte
+	}{{"dense", bytes.Repeat([]byte("needle.."), 8<<10)}, {"free", bytes.Repeat([]byte("abcdefgh"), 8<<10)}} {
+		for _, backend := range []string{"dfa", "nfa"} {
+			for _, pre := range []PrefilterMode{PrefilterOn, PrefilterOff} {
+				opts := DefaultOptions()
+				opts.Backend, opts.Prefilter = backend, pre
+				eng, err := Compile(patterns, opts)
+				if err != nil {
+					b.Fatal(err)
+				}
+				stream := func() {
+					st, err := eng.NewStream(nil)
+					if err != nil {
+						b.Fatal(err)
+					}
+					for off := 0; off < len(in.input); off += 1460 {
+						if _, err := st.Write(in.input[off:min(off+1460, len(in.input))]); err != nil {
+							b.Fatal(err)
+						}
+					}
+					st.Close()
+				}
+				name := fmt.Sprintf("%s/%s/prefilter=%t", in.name, backend, pre == PrefilterOn)
+				b.Run(name, func(b *testing.B) {
+					stream()
+					b.SetBytes(int64(len(in.input)))
+					b.ReportAllocs()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						stream()
+					}
+				})
+			}
 		}
 	}
 }

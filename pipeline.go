@@ -473,8 +473,9 @@ type runner struct {
 	// pend holds the bytes of an incomplete step between feeds.
 	pend []byte
 	ids  []automata.StateID
-	// spans is a prefiltered scan's scratch for its candidate spans.
-	spans []sched.CycleSpan
+	// probe is a prefiltered run's literal probe, which keeps its
+	// candidate spans as scratch between runs.
+	probe literalProbe
 }
 
 // reset starts a run at cycle zero. Matches go to onMatch as they are

@@ -26,18 +26,20 @@ const (
 	// Stats.KernelCycles drops to the executed windows, with the remainder
 	// accounted in Stats.SkippedCycles. Rule sets without usable literals
 	// take a conservative no-filter verdict and scan unfiltered. Engagement
-	// is also decided per scan: a whole-input scan (Scan, ScanParallel,
-	// ScanBatch) whose hits so far would have its windows cover more than a
+	// is also decided per run: a scan (Scan, ScanParallel, ScanBatch) or a
+	// Stream whose hits so far would have its windows cover more than a
 	// substrate-set share of the bytes scanned stops looking for literals
-	// and runs the input as one window (Stats.PrefilterStoppedAt).
+	// and runs the rest as one window (Stats.PrefilterStoppedAt). A Stream
+	// over an automaton with an unbounded dependence window, where any hit
+	// would force a run from byte 0, runs unfiltered.
 	PrefilterOn
 )
 
 // Prefilter telemetry counter names, populated on engines with an
-// attached Telemetry when the prefilter is active: filtered scans run,
-// literal occurrences found before scanning stopped, candidate windows
-// executed, the split of device cycles into scanned (executed) and
-// skipped, and the whole-input scans that stopped looking for literals
+// attached Telemetry when the prefilter is active: filtered scans and
+// streams run, literal occurrences found before scanning stopped,
+// candidate windows executed, the split of device cycles into scanned
+// (executed) and skipped, and the runs that stopped looking for literals
 // (Stats.PrefilterStoppedAt). Exported so servers and tools can read them
 // back via Telemetry.CounterValue.
 const (
@@ -159,20 +161,22 @@ func (p *prefilterPlan) hitSpan(g *geometry, q, e int) sched.CycleSpan {
 	return sched.CycleSpan{Start: start, End: end}
 }
 
-// A whole-input scan decides per call whether its prefilter earns its
-// place. It scans for literals in checkpoints at firstCheckpoint input
-// bytes, then doubling; at a checkpoint it charges the windows its hits so
-// far would run, their cycles plus one warm-up per window, against the
-// cycles of the bytes scanned. Once that share exceeds the substrate's bail
-// share, the windows would cost about what the whole input does, and the
-// scan stops looking: the input runs as one window. A checkpoint is decided
-// when a hit past it arrives, on the hits before it: without one, the
-// windows planned so far are the whole input's, and of several checkpoints
-// passed since the last hit the latest has the lowest share. The lazy DFA
-// steps a cycle in a few nanoseconds, about what the literal scan spends on
-// a byte, so it bails once a sixteenth of the cycles would run; the machine
-// is about ten times slower per cycle, and the scan pays for itself there
-// until half of them would. DESIGN.md §4.14 has the measurements.
+// A prefiltered run, a whole-input scan or a stream, decides whether its
+// prefilter earns its place. It scans for literals in checkpoints at
+// firstCheckpoint input bytes, then doubling; at a checkpoint it charges
+// the windows its hits so far would run, their cycles plus one warm-up per
+// window, against the cycles of the bytes scanned. Once that share exceeds
+// the substrate's bail share, the windows would cost about what the whole
+// input does, and the run stops looking: a scan runs the input as one
+// window, and a stream opens one window at its frontier. A checkpoint is
+// decided when a hit past it arrives, on the hits before it: without one,
+// the windows planned so far are the whole input's, and of several
+// checkpoints passed since the last hit the latest has the lowest share.
+// The lazy DFA steps a cycle in a few nanoseconds, about what the literal
+// scan spends on a byte, so it bails once a sixteenth of the cycles would
+// run; the machine is about ten times slower per cycle, and the scan pays
+// for itself there until half of them would. DESIGN.md §4.14 has the
+// measurements.
 const (
 	firstCheckpoint  = 1 << 10
 	bailShareDFA     = 1.0 / 16
@@ -182,130 +186,121 @@ const (
 // maxKeptSpans caps the span scratch a runner keeps between scans: 64 KiB.
 const maxKeptSpans = 4 << 10
 
-// literalProbe is one whole-input literal scan, the scanner's Hits: the
-// candidate spans of the hits so far, and where it stopped. It is the
-// scan's one allocation, 48 bytes; before the per-scan rule a literal-free
-// scan allocated three, 64 bytes.
+// literalProbe is the one planner of a prefiltered run, whole input or
+// stream, and the literal scanner's Hits: it decides the checkpoints and
+// keeps the candidate spans of the hits so far. It lives on the runner, so
+// a scan allocates nothing for it. Windows are charged as hits arrive, not
+// re-read at each checkpoint: a stream's spans leave the probe once its
+// window loop has passed them. It points at the artifact, not the engine,
+// so that a pooled runner holds no engine alive.
 type literalProbe struct {
-	e     *Engine
+	a     *compiledArtifact
 	spans []sched.CycleSpan
 	// next is the next checkpoint: a hit ending past it decides the latest
 	// checkpoint below its end.
 	next int
+	// cost is the cycles windowLoop would run for the hits so far, in the
+	// order the scanner found them: their aligned cycles, the gaps it
+	// executes through, and one warm-up of overlap cycles per window opened.
+	// open is the open window's end, -1 before the first hit, and hits
+	// counts the hits.
+	cost, open, hits int64
 	// stoppedAt is the checkpoint that stopped the scan or, on an
 	// automaton with an unbounded dependence window, the end of its first
 	// hit; 0 while scanning.
 	stoppedAt int
 }
 
+// start readies the probe for a run of a, keeping its span scratch.
+func (p *literalProbe) start(a *compiledArtifact) {
+	*p = literalProbe{a: a, spans: p.spans[:0], next: firstCheckpoint, open: -1}
+}
+
 // Hit decides the checkpoint the occurrence [q, end) passed, if any, then
-// adds its span. An automaton without a bounded dependence window stops at
-// its first hit, which forces a full run.
+// adds its span and charges it. An automaton without a bounded dependence
+// window stops at its first hit, which forces a full run.
 func (p *literalProbe) Hit(q, end int) bool {
-	g := &p.e.geo
+	g := &p.a.geo
 	if g.bounded && end > p.next {
 		for 2*p.next < end {
 			p.next *= 2
 		}
 		share := bailShareMachine
-		if p.e.onDFA {
+		if p.a.onDFA {
 			share = bailShareDFA
 		}
-		if float64(windowCycles(g, p.spans)) > share*float64(g.cycles(int64(p.next))) {
+		if float64(p.cost) > share*float64(g.cycles(int64(p.next))) {
 			p.stoppedAt = p.next
 			return false
 		}
 		p.next *= 2
 	}
-	p.spans = append(p.spans, p.e.pre.hitSpan(g, q, end))
+	sp := p.a.pre.hitSpan(g, q, end)
+	p.spans = append(p.spans, sp)
+	p.hits++
 	if !g.bounded {
 		p.stoppedAt = end
 		return false
 	}
+	// A span that starts within a warm-up of the open window's end extends
+	// it; any other opens a window.
+	start := max(sp.Start, 0)
+	start -= start % g.align
+	if p.open < 0 || start > p.open+g.overlap {
+		p.cost += g.overlap
+		p.open = start
+	}
+	sp.End = sched.RoundUp(sp.End, g.align)
+	p.cost += max(sp.End-p.open, 0)
+	p.open = max(p.open, sp.End)
 	return true
-}
-
-// windowCycles is the cycles windowLoop would run for spans, in the order
-// the scanner found them: their aligned cycles, the gaps it executes
-// through, and one warm-up of overlap cycles per window opened. A span that
-// starts within a warm-up of the open window's end extends it; any other
-// opens a window. The checkpoints double, so deciding them all reads each
-// span about twice.
-func windowCycles(g *geometry, spans []sched.CycleSpan) int64 {
-	var cost int64
-	open := int64(-1) // the open window's end
-	for _, sp := range spans {
-		start := max(sp.Start, 0)
-		start -= start % g.align
-		end := sched.RoundUp(sp.End, g.align)
-		if open < 0 || start > open+g.overlap {
-			cost += g.overlap
-			open = start
-		}
-		cost += max(end-open, 0)
-		open = max(open, end)
-	}
-	return cost
-}
-
-// planSpans scans input for literal occurrences and returns candidate
-// cycle spans plus the hit count, or, when scanning stopped (literalProbe),
-// one span over the input and the byte it stopped at. When the padded tail
-// can complete a literal (see prefilter.TailHit), the final cycle is
-// appended as a span: phantom pad reports fire there in an unfiltered run
-// and the filtered Stats must count them identically.
-func (e *Engine) planSpans(buf []sched.CycleSpan, input []byte, totalCycles int64, padUnits int) (spans []sched.CycleSpan, hits int64, stoppedAt int) {
-	p := &literalProbe{e: e, spans: buf, next: firstCheckpoint}
-	e.pre.scanner.ScanUntil(input, p)
-	spans, hits = p.spans, int64(len(p.spans))
-	if p.stoppedAt > 0 {
-		return append(spans[:0], sched.CycleSpan{End: totalCycles}), hits, p.stoppedAt
-	}
-	if padUnits > 0 {
-		padBytes := (padUnits + int(e.geo.su) - 1) / int(e.geo.su)
-		if prefilter.TailHitFold(input, e.pre.lits, padBytes, e.pre.fold) {
-			spans = append(spans, sched.CycleSpan{Start: totalCycles - 1, End: totalCycles})
-		}
-	}
-	return spans, hits, 0
 }
 
 // scanPrefiltered is the filtered whole-input scan: the literal scan plans
 // candidate spans, and the call's runners execute their windows (runShares) —
 // one for Scan and a ScanBatch worker, up to len(rs) for ScanParallel, which
-// cuts a scan that stopped looking into even shares.
+// cuts a scan that stopped looking into even shares. When the padded tail
+// can complete a literal (see prefilter.TailHit), the final cycle is
+// planned as a span: phantom pad reports fire there in an unfiltered run
+// and the filtered Stats must count them identically.
 func (e *Engine) scanPrefiltered(rs []*runner, input []byte) *ScanResult {
 	g := &e.geo
 	totalCycles := g.cycles(int64(len(input)))
 	col := e.tel.Load()
 
-	// The spans are planned into the first runner's scratch, which it keeps
-	// unless a scan grew it large.
-	rn := rs[0]
-	spans, hits, stoppedAt := e.planSpans(rn.spans[:0], input, totalCycles, int(totalCycles*g.rate-int64(len(input))*g.su))
-	if cap(spans) <= maxKeptSpans {
-		rn.spans = spans[:0]
+	// The spans are planned in the first runner's probe, which keeps them
+	// as scratch unless a scan grew them large.
+	p := &rs[0].probe
+	p.start(e.compiledArtifact)
+	e.pre.scanner.ScanUntil(input, p)
+	spans, stopped := p.spans, p.stoppedAt > 0
+	padBytes := (totalCycles*g.rate - int64(len(input))*g.su + g.su - 1) / g.su
+	if !stopped && padBytes > 0 && prefilter.TailHitFold(input, e.pre.lits, int(padBytes), e.pre.fold) {
+		spans = append(spans, sched.CycleSpan{Start: totalCycles - 1, End: totalCycles})
+	}
+	if stopped || !g.bounded && len(spans) > 0 {
+		// The scan stopped looking, or a cyclic automaton, whose windows
+		// cannot bound warm-up replay, has a tail hit: the input runs as
+		// one window, nothing skipped. On a cyclic automaton the filter
+		// still wins on hit-free inputs.
+		spans = append(spans[:0], sched.CycleSpan{End: totalCycles})
+	}
+	if p.spans = nil; cap(spans) <= maxKeptSpans {
+		p.spans = spans[:0]
 	}
 
 	if len(spans) == 0 {
 		// No literal anywhere: the rule set cannot match, and no phantom
 		// pad report can fire. Skip the entire input.
-		notePrefilter(col, hits, 0, 0, totalCycles, false)
+		notePrefilter(col, p.hits, 0, 0, totalCycles, false)
 		return e.result(runOutput{stats: Stats{SkippedCycles: totalCycles}})
-	}
-	if !g.bounded {
-		// Cyclic automaton: windows cannot bound warm-up replay, so a hit
-		// anywhere (the scan stopped at the first) or a tail hit forces a
-		// full run — one window, nothing skipped. The filter still wins on
-		// hit-free inputs (handled above).
-		spans = append(spans[:0], sched.CycleSpan{End: totalCycles})
 	}
 	slices.SortFunc(spans, bySpanStart)
 	out := e.runShares(rs, input, spans, totalCycles)
 	out.stats.PrefilterWindows = out.windows
 	out.stats.SkippedCycles = totalCycles - out.stats.KernelCycles
-	out.stats.PrefilterStoppedAt = int64(stoppedAt)
-	notePrefilter(col, hits, out.stats.PrefilterWindows, out.stats.KernelCycles, out.stats.SkippedCycles, stoppedAt > 0)
+	out.stats.PrefilterStoppedAt = int64(p.stoppedAt)
+	notePrefilter(col, p.hits, out.stats.PrefilterWindows, out.stats.KernelCycles, out.stats.SkippedCycles, stopped)
 	return e.result(out)
 }
 

@@ -52,12 +52,13 @@ func unstoppedSpans(e *Engine, input []byte) []sched.CycleSpan {
 }
 
 // TestPrefilterEngagement holds the per-scan engagement rule on both
-// substrates and every whole-input entry point (Scan, ScanBatch, and
-// ScanParallel at Workers 1–4): results equal the unfiltered scan and the
-// functional simulator's; a scan stops looking for literals where the rule
-// says and then runs the input as one window per share, nothing skipped; a
-// scan that does not stop plans exactly the unstopped literal scan's
-// windows.
+// substrates and every entry point (Scan, ScanBatch, ScanParallel at
+// Workers 1–4, and Stream with 97- and 1,460-byte writes): results equal
+// the unfiltered scan and the functional simulator's; a scan stops looking
+// for literals where the rule says and then runs the input as one window
+// per share, nothing skipped; a scan that does not stop plans exactly the
+// unstopped literal scan's windows. A stream stops where Scan does, or, over
+// an unbounded dependence window, runs unfiltered and skips nothing.
 func TestPrefilterEngagement(t *testing.T) {
 	bounded := []Pattern{{Expr: `lock[0-9]x`, Code: 1}, {Expr: `^.{1,8}KEY`, Code: 2}}
 	const lit = "lock7x"
@@ -157,6 +158,21 @@ func TestPrefilterEngagement(t *testing.T) {
 				}
 				res, err := eng.ScanParallel(c.input, ScanOptions{Workers: w})
 				check("ScanParallel", w, res, err)
+			}
+			// A stream stops where Scan does; one over an unbounded
+			// dependence window runs unfiltered.
+			for _, chunk := range []int{97, 1460} {
+				l := fmt.Sprintf("%s/Stream/chunk=%d", label, chunk)
+				got, st := streamChunks(t, eng, c.input, chunk)
+				res := &ScanResult{Matches: got, Stats: st}
+				agree(t, l, want, res, nil)
+				agree(t, l+"/funcsim", oracle, res, nil)
+				if eng.geo.bounded && st.PrefilterStoppedAt != stopAt {
+					t.Errorf("%s: stopped at %d, want %d", l, st.PrefilterStoppedAt, stopAt)
+				}
+				if !eng.geo.bounded && (st.SkippedCycles != 0 || st.PrefilterWindows != 0 || st.PrefilterStoppedAt != 0) {
+					t.Errorf("%s: %+v, want an unfiltered stream", l, st)
+				}
 			}
 		}
 	}

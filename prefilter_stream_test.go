@@ -2,8 +2,8 @@ package sunder
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
+	"slices"
 	"testing"
 )
 
@@ -86,36 +86,42 @@ func TestPrefilterStreamTailLiteral(t *testing.T) {
 	}
 }
 
-// TestPrefilterStreamUnboundedDeferred covers the deferred-start path on
-// both substrates: a cyclic pattern (unbounded dependence window) streams
-// correctly both when a hit arrives mid-stream and when the stream is
-// hit-free.
-func TestPrefilterStreamUnboundedDeferred(t *testing.T) {
+// TestPrefilterStreamUnboundedUnfiltered: a prefiltered stream over a
+// cyclic pattern (unbounded dependence window) runs unfiltered from byte 0,
+// on both substrates — its matches and Stats equal the unfiltered stream's
+// exactly, nothing skipped and no window counted — whether a hit arrives
+// mid-stream or never, and it accepts a literal-free input of any length.
+func TestPrefilterStreamUnboundedUnfiltered(t *testing.T) {
 	patterns := []Pattern{{Expr: `begin.*end`, Code: 3}}
 	input := []byte("xxxx begin middle end yyyy begin-end zz")
+	quiet := bytes.Repeat([]byte("x"), 5<<20)
 	for _, backend := range substrates {
 		eng := compileFiltered(t, patterns, backend)
 		if eng.geo.bounded {
 			t.Fatal("pattern must have an unbounded dependence window")
 		}
-		want, err := eng.Clone().Scan(input)
+		opts := DefaultOptions()
+		opts.Backend = backend
+		plain, err := Compile(patterns, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(want.Matches) == 0 {
-			t.Fatal("vacuous: pattern did not match")
-		}
-		for _, chunk := range []int{1, 5, 100} {
-			label := fmt.Sprintf("%s/chunk=%d", backend, chunk)
-			got, stats := streamChunks(t, eng.Clone(), input, chunk)
-			compareStream(t, label, want, got, stats)
-			compareStream(t, label+"/unfiltered", unfiltered(t, patterns, input), got, stats)
-		}
-
-		// Hit-free stream: everything skipped, zero reports.
-		got, stats := streamChunks(t, eng.Clone(), make([]byte, 4096), 4096)
-		if len(got) != 0 || stats.KernelCycles != 0 || stats.SkippedCycles == 0 || stats.Reports != 0 {
-			t.Errorf("%s: hit-free deferred stream: %d matches, %+v", backend, len(got), stats)
+		for _, c := range []struct {
+			name   string
+			input  []byte
+			chunks []int
+		}{{"hit", input, []int{1, 5, 100}}, {"quiet", quiet, []int{64 << 10}}} {
+			for _, chunk := range c.chunks {
+				label := fmt.Sprintf("%s/%s/chunk=%d", backend, c.name, chunk)
+				want, wantStats := streamChunks(t, plain, c.input, chunk)
+				got, stats := streamChunks(t, eng, c.input, chunk)
+				if !slices.Equal(got, want) || stats != wantStats {
+					t.Errorf("%s: %d matches, %+v; unfiltered %d, %+v", label, len(got), stats, len(want), wantStats)
+				}
+				if c.name == "hit" && len(got) == 0 {
+					t.Errorf("%s: vacuous, no match", label)
+				}
+			}
 		}
 	}
 }
@@ -147,59 +153,4 @@ func compareStream(t *testing.T, label string, want *ScanResult, got []Match, st
 		Reports:      want.Stats.Reports,
 		ReportCycles: want.Stats.ReportCycles,
 	}}, &ScanResult{Matches: got, Stats: st}, nil)
-}
-
-// TestPrefilterStreamDeferredBufferFull pins the deferred-buffer cap: an
-// unbounded-window ruleset fed more than maxDeferredUnits units without a
-// literal hit must surface ErrDeferredBufferFull from Write (sticky) rather
-// than silently degrade, and Close must stay valid and idempotent after it.
-func TestPrefilterStreamDeferredBufferFull(t *testing.T) {
-	eng := compileFiltered(t, []Pattern{{Expr: `begin.*end`, Code: 3}}, "")
-	if eng.geo.bounded {
-		t.Fatal("want an unbounded filter")
-	}
-	st, err := eng.NewStream(func(m Match) { t.Errorf("unexpected match %+v", m) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Literal-free filler: > maxDeferredUnits units (su units per byte).
-	su := eng.nibble.SymbolUnits
-	chunk := make([]byte, 64<<10)
-	for i := range chunk {
-		chunk[i] = 'x'
-	}
-	need := maxDeferredUnits/su + len(chunk)
-	var wedged error
-	written := 0
-	for written < need+len(chunk) {
-		_, err := st.Write(chunk)
-		if err != nil {
-			wedged = err
-			break
-		}
-		written += len(chunk)
-	}
-	if !errors.Is(wedged, ErrDeferredBufferFull) {
-		t.Fatalf("wrote %d bytes (> cap %d units) without ErrDeferredBufferFull; err=%v",
-			written, maxDeferredUnits, wedged)
-	}
-	if !errors.Is(st.Err(), ErrDeferredBufferFull) {
-		t.Fatalf("Err() = %v, want ErrDeferredBufferFull", st.Err())
-	}
-	// Sticky: further writes keep failing with the same error.
-	if _, err := st.Write([]byte("more")); !errors.Is(err, ErrDeferredBufferFull) {
-		t.Fatalf("post-wedge Write err = %v", err)
-	}
-	// Close stays valid and idempotent: everything buffered was proven
-	// match-free, so it is skipped, and a second Close returns the same.
-	first := st.Close()
-	if first.KernelCycles != 0 || first.SkippedCycles == 0 || first.Reports != 0 {
-		t.Errorf("post-wedge Close stats: %+v", first)
-	}
-	if again := st.Close(); again != first {
-		t.Errorf("Close not idempotent after wedge: %+v != %+v", again, first)
-	}
-	if _, err := st.Write([]byte("x")); !errors.Is(err, ErrClosedStream) {
-		t.Errorf("write after close: %v", err)
-	}
 }

@@ -73,7 +73,10 @@ func TestPrefilterTelemetryExact(t *testing.T) {
 }
 
 // TestPrefilterTelemetryStream pins the same partition for the streaming
-// path: one stream, one prefilter scan record, cycles partitioned exactly.
+// path, one prefilter scan record per stream with cycles partitioned
+// exactly, and holds a stream's hits and bailouts to Scan's on the same
+// input: a one-literal stream scans to the end, and a literal-dense one
+// stops looking at the first checkpoint and counts a bailout.
 func TestPrefilterTelemetryStream(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Prefilter = PrefilterOn
@@ -81,30 +84,36 @@ func TestPrefilterTelemetryStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tel := NewTelemetry(TelemetryOptions{})
+	tel, scanTel := NewTelemetry(TelemetryOptions{}), NewTelemetry(TelemetryOptions{})
 	eng.SetTelemetry(tel)
-	st, err := eng.NewStream(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	input := []byte(strings.Repeat("quiet ", 500) + "alert1" + strings.Repeat(" quiet", 500))
-	for off := 0; off < len(input); off += 64 {
-		end := off + 64
-		if end > len(input) {
-			end = len(input)
-		}
-		if _, err := st.Write(input[off:end]); err != nil {
+	scans := eng.Clone()
+	scans.SetTelemetry(scanTel)
+	var want int64
+	for i, input := range [][]byte{
+		[]byte(strings.Repeat("quiet ", 500) + "alert1" + strings.Repeat(" quiet", 500)),
+		[]byte(strings.Repeat("alert1 quiet ", 400)),
+	} {
+		_, stats := streamChunks(t, eng, input, 64)
+		if _, err := scans.Scan(input); err != nil {
 			t.Fatal(err)
 		}
-	}
-	stats := st.Close()
-	if got := tel.CounterValue(MetricPrefilterScans); got != 1 {
-		t.Errorf("%s = %d, want 1", MetricPrefilterScans, got)
+		if stopped := stats.PrefilterStoppedAt > 0; stopped != (i == 1) {
+			t.Errorf("stream %d: stopped at %d", i, stats.PrefilterStoppedAt)
+		}
+		want += stats.KernelCycles + stats.SkippedCycles
 	}
 	cycles := tel.CounterValue(MetricPrefilterScannedCycles) +
 		tel.CounterValue(MetricPrefilterSkippedCycles)
-	if want := stats.KernelCycles + stats.SkippedCycles; cycles != want {
+	if cycles != want {
 		t.Errorf("stream scanned+skipped counters = %d, want %d", cycles, want)
+	}
+	for _, name := range []string{MetricPrefilterScans, MetricPrefilterHits, MetricPrefilterBailouts} {
+		if got, want := tel.CounterValue(name), scanTel.CounterValue(name); got != want {
+			t.Errorf("streams counted %s = %d, scans %d", name, got, want)
+		}
+	}
+	if got := tel.CounterValue(MetricPrefilterBailouts); got != 1 {
+		t.Errorf("%s = %d, want 1", MetricPrefilterBailouts, got)
 	}
 }
 

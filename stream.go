@@ -12,7 +12,7 @@ var ErrClosedStream = errors.New("sunder: write to closed stream")
 type Stream struct {
 	e *Engine
 	// rn is the runner the stream holds until Close, and filter the
-	// stream's prefilter over it, nil when the engine has none: Write feeds
+	// stream's prefilter over it, nil when it runs unfiltered: Write feeds
 	// the filter, or else rn; Close finishes it, hands rn back and drops
 	// both, so a closed stream is one whose rn is nil.
 	rn      *runner
@@ -34,20 +34,17 @@ func (e *Engine) NewStream(onMatch func(Match)) (*Stream, error) {
 	if onMatch == nil {
 		onMatch = func(Match) {}
 	}
-	s := &Stream{e: e, rn: e.take()}
-	if e.pre.enabled() {
-		s.filter = &streamFilter{windowLoop: windowLoop{rn: s.rn, g: &e.geo}, e: e, p: e.pre}
-	}
+	rn := e.take()
+	s := &Stream{e: e, rn: rn, filter: newStreamFilter(e, rn)}
 	s.rn.reset(onMatch, 0)
 	return s, nil
 }
 
 // Write feeds more input. It returns ErrClosedStream after Close and the
-// stream's sticky error after a full prefilter deferred-start buffer
-// (ErrDeferredBufferFull; the chunk was consumed and Close accounts for it,
-// but the stream accepts no more input) or a chunk that would take the
-// stream past the device's cycle range (ErrCycleRangeExceeded; the chunk
-// was not consumed). The signature satisfies io.Writer.
+// stream's sticky error after a chunk that would take the stream past the
+// device's cycle range (ErrCycleRangeExceeded; the chunk was not consumed).
+// A prefiltered stream accepts whatever an unfiltered one does. The
+// signature satisfies io.Writer.
 func (s *Stream) Write(p []byte) (int, error) {
 	if s.rn == nil {
 		return 0, ErrClosedStream
@@ -62,9 +59,8 @@ func (s *Stream) Write(p []byte) (int, error) {
 	s.bytesIn += int64(len(p))
 	if s.filter == nil {
 		s.rn.feed(p)
-	} else if err := s.filter.feed(p); err != nil {
-		s.err = err
-		return 0, err
+	} else {
+		s.filter.feed(p)
 	}
 	return len(p), nil
 }

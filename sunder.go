@@ -136,13 +136,14 @@ type Stats struct {
 	// KernelCycles. Both are zero on unfiltered scans.
 	PrefilterWindows int64
 	SkippedCycles    int64
-	// PrefilterStoppedAt is the input byte at which a prefiltered
-	// whole-input scan stopped looking for literals, because the windows
-	// of its hits so far would have cost about what the input does (or, on
+	// PrefilterStoppedAt is the input byte at which a prefiltered scan or
+	// stream stopped looking for literals, because the windows of its hits
+	// so far would have cost about what the input does (or, for a scan on
 	// an automaton with an unbounded dependence window, at its first hit):
-	// the input then ran as one window, nothing skipped. It is zero when
-	// the literal scan covered the input, on streams and on unfiltered
-	// scans.
+	// a scan then ran the input as one window, nothing skipped, and a
+	// stream ran the rest from where it had decided. It is zero when the
+	// literal scan covered the input and on unfiltered runs, a stream over
+	// an unbounded dependence window among them.
 	PrefilterStoppedAt int64
 }
 
