@@ -39,7 +39,7 @@ func TestAllocationPins(t *testing.T) {
 			}
 		}
 	}
-	stream := func(eng *Engine) func() {
+	stream := func(eng *Engine, input []byte) func() {
 		onMatch := func(Match) { t.Error("unexpected match") }
 		return func() {
 			st, err := eng.NewStream(onMatch)
@@ -187,7 +187,7 @@ func TestAllocationPins(t *testing.T) {
 	// The one-runner calls keep their runner in the engine's slot, not on
 	// the free list, whose sync.Pool anchor a collection drops: a
 	// collection inside the call costs nothing.
-	gcScan, gcStream := scan(compile("nfa", PrefilterOff)), stream(compile("dfa", PrefilterOff))
+	gcScan, gcStream := scan(compile("nfa", PrefilterOff)), stream(compile("dfa", PrefilterOff), input)
 	var clone *Engine
 	for _, pin := range []struct {
 		name string
@@ -203,12 +203,16 @@ func TestAllocationPins(t *testing.T) {
 		// was allocated per scan.
 		{"scan/prefilter-skip-64k", scan(compile("dfa", PrefilterOn)), 4},
 		{"scan/prefilter-bail", bailScan, 2},
-		{"stream/dfa", stream(compile("dfa", PrefilterOff)), 3},
-		{"stream/nfa", stream(compile("nfa", PrefilterOff)), 1},
+		{"stream/dfa", stream(compile("dfa", PrefilterOff), input), 3},
+		{"stream/nfa", stream(compile("nfa", PrefilterOff), input), 1},
 		// A prefiltered stream of a literal-free input allocates the
 		// stream, its filter and its byte history, nothing per Write.
-		{"stream/dfa-prefilter", stream(bounded("dfa")), 3},
-		{"stream/nfa-prefilter", stream(bounded("nfa")), 3},
+		{"stream/dfa-prefilter", stream(bounded("dfa"), input), 3},
+		{"stream/nfa-prefilter", stream(bounded("nfa"), input), 3},
+		// The same stream through the 17 windows' literal hits: the
+		// probe's spans stay in its scratch, nothing per hit.
+		{"stream/dfa-prefilter-windows", stream(bounded("dfa"), windowsIn), 3},
+		{"stream/nfa-prefilter-windows", stream(bounded("nfa"), windowsIn), 3},
 		{"batch/dfa-warm", batch, 14},
 		{"prefilter/dfa-window", windowScan, 14},
 		{"scan/nfa-dense", denseScan, 3},

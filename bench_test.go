@@ -390,15 +390,17 @@ func BenchmarkScanPrefilterSkip(b *testing.B) {
 // BenchmarkStreamPrefilter times a 64 KiB stream in 1,460-byte writes, the
 // stream_chunks row's write size, prefiltered and unfiltered on both
 // substrates, over a bounded rule set: on a literal-dense input, where a
-// prefiltered stream stops looking at the first checkpoint and goes live,
-// and on a literal-free one, all of whose cycles it skips. The engines are
+// prefiltered stream stops looking at the first checkpoint and goes live;
+// on a literal-free one, all of whose cycles it skips; and on one with a
+// literal every 4 KiB, where it runs a window per hit. The engines are
 // warm.
 func BenchmarkStreamPrefilter(b *testing.B) {
 	patterns := []Pattern{{Expr: `needle[0-9]x`, Code: 1}, {Expr: `haystack`, Code: 2}}
+	sparse := bytes.Repeat(append(bytes.Repeat([]byte("abcdefgh"), 511), "needle.."...), 16)
 	for _, in := range []struct {
 		name  string
 		input []byte
-	}{{"dense", bytes.Repeat([]byte("needle.."), 8<<10)}, {"free", bytes.Repeat([]byte("abcdefgh"), 8<<10)}} {
+	}{{"dense", bytes.Repeat([]byte("needle.."), 8<<10)}, {"free", bytes.Repeat([]byte("abcdefgh"), 8<<10)}, {"sparse", sparse}} {
 		for _, backend := range []string{"dfa", "nfa"} {
 			for _, pre := range []PrefilterMode{PrefilterOn, PrefilterOff} {
 				opts := DefaultOptions()

@@ -183,7 +183,7 @@ const (
 	bailShareMachine = 1.0 / 2
 )
 
-// maxKeptSpans caps the span scratch a runner keeps between scans: 64 KiB.
+// maxKeptSpans caps the span scratch a runner keeps between runs: 64 KiB.
 const maxKeptSpans = 4 << 10
 
 // literalProbe is the one planner of a prefiltered run, whole input or
@@ -214,6 +214,15 @@ type literalProbe struct {
 // start readies the probe for a run of a, keeping its span scratch.
 func (p *literalProbe) start(a *compiledArtifact) {
 	*p = literalProbe{a: a, spans: p.spans[:0], next: firstCheckpoint, open: -1}
+}
+
+// keep makes spans the probe's scratch for the next run, unless the run
+// grew it past maxKeptSpans.
+func (p *literalProbe) keep(spans []sched.CycleSpan) {
+	p.spans = nil
+	if cap(spans) <= maxKeptSpans {
+		p.spans = spans[:0]
+	}
 }
 
 // Hit decides the checkpoint the occurrence [q, end) passed, if any, then
@@ -285,9 +294,7 @@ func (e *Engine) scanPrefiltered(rs []*runner, input []byte) *ScanResult {
 		// still wins on hit-free inputs.
 		spans = append(spans[:0], sched.CycleSpan{End: totalCycles})
 	}
-	if p.spans = nil; cap(spans) <= maxKeptSpans {
-		p.spans = spans[:0]
-	}
+	p.keep(spans)
 
 	if len(spans) == 0 {
 		// No literal anywhere: the rule set cannot match, and no phantom

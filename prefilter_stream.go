@@ -42,7 +42,7 @@ func newStreamFilter(e *Engine, rn *runner) *streamFilter {
 		return nil
 	}
 	rn.probe.start(e.compiledArtifact)
-	return &streamFilter{windowLoop: windowLoop{rn: rn, g: &e.geo, spans: rn.probe.spans}, e: e}
+	return &streamFilter{windowLoop: windowLoop{rn: rn, g: &e.geo}, e: e}
 }
 
 // feed scans the chunk for literals and advances execution up to the
@@ -55,9 +55,11 @@ func (f *streamFilter) feed(p []byte) {
 	f.hist = append(f.hist, p...)
 	f.base = max(f.fed-int64(f.e.pre.maxLit-1), f.histBase)
 	data := f.hist[f.base-f.histBase:]
-	// The probe appends its spans to the window loop's.
+	// The probe appends its spans to the window loop's pending ones, moved
+	// to the front of its scratch: the loop drops passed spans from the
+	// front, and appending behind them would regrow the slice at each hit.
 	probe := &f.rn.probe
-	probe.spans = f.spans
+	probe.spans = append(probe.spans[:0], f.spans...)
 	f.e.pre.scanner.ScanUntil(data, f)
 	f.spans = probe.spans
 	f.fed += int64(len(p))
@@ -125,6 +127,7 @@ func (f *streamFilter) finish() runOutput {
 		}
 		f.advance(totalCycles)
 	}
+	probe.keep(probe.spans)
 	out := f.rn.finish()
 	out.stats.PrefilterWindows, out.stats.SkippedCycles = f.windows, f.skipped
 	out.stats.PrefilterStoppedAt = int64(probe.stoppedAt)

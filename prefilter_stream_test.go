@@ -154,3 +154,30 @@ func compareStream(t *testing.T, label string, want *ScanResult, got []Match, st
 		ReportCycles: want.Stats.ReportCycles,
 	}}, &ScanResult{Matches: got, Stats: st}, nil)
 }
+
+// TestPrefilterSpanScratchBounded: the span scratch a runner keeps between
+// prefiltered runs holds the spans pending at once, not a run's hits. A
+// stream in small writes keeps a few; a scan or a one-write stream whose
+// hits outgrow maxKeptSpans leaves none.
+func TestPrefilterSpanScratchBounded(t *testing.T) {
+	eng := compileFiltered(t, []Pattern{{Expr: `lock[0-9]x`, Code: 1}}, "dfa")
+	input := bytes.Repeat(append(bytes.Repeat([]byte("."), 2042), "lock.."...), 2*maxKeptSpans)
+	scratch := func(label string, want int) {
+		rn := eng.take()
+		defer eng.give(rn)
+		if got := cap(rn.probe.spans); got > want {
+			t.Errorf("%s: span scratch of %d, want <= %d", label, got, want)
+		}
+	}
+	for _, c := range []struct{ chunk, scratch int }{{1460, 8}, {len(input), 0}} {
+		_, st := streamChunks(t, eng, input, c.chunk)
+		if st.PrefilterWindows != 2*maxKeptSpans || st.PrefilterStoppedAt != 0 {
+			t.Fatalf("stream, chunk=%d: %+v, want a window per hit", c.chunk, st)
+		}
+		scratch(fmt.Sprintf("stream, chunk=%d", c.chunk), c.scratch)
+	}
+	if _, err := eng.Scan(input); err != nil {
+		t.Fatal(err)
+	}
+	scratch("scan", 0)
+}
